@@ -99,6 +99,7 @@ class DenseOperator:
         self.psd_claimed = bool(psd_claimed)
         self._lock = threading.Lock()
         self._svals = None
+        self._opnorm = None
         self._lu = None
         self._eigen = None
         if not _verified:
@@ -160,11 +161,14 @@ class DenseOperator:
         with self._lock:
             if self._svals is None:
                 self._svals = np.linalg.svd(self.entries, compute_uv=False)
+                self._opnorm = float(self._svals[0])
             return self._svals.copy()
 
     def operator_norm(self):
-        """Largest singular value."""
-        return float(self.singular_values()[0])
+        """Largest singular value (kept as a float once computed)."""
+        if self._opnorm is None:
+            self.singular_values()
+        return self._opnorm
 
     def smallest_singular_value(self):
         """Smallest singular value; zero signals singularity."""

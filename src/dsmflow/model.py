@@ -11,6 +11,7 @@ behind a pass/fail verdict so callers can log or serialize them.
 """
 
 import enum
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "preconditioned_residual",
     "linearized_operator",
     "solve_linearized",
+    "newton_velocity",
     "ball_samples",
     "estimate_newton_bound",
     "check_trust_condition",
@@ -168,9 +170,10 @@ def linearized_operator(problem, u):
 def solve_linearized(T, rhs):
     """Solve ``T x = rhs`` for a linearization ``T``, refusing near-singular systems.
 
-    Shared by the flow right-hand side and the damped-Newton oracle.  A small
-    LU pivot triggers an SVD recheck; the solve is refused only when the
-    smallest singular value is at the noise floor.
+    Used by the damped-Newton oracle only; the flow's stages go through
+    :func:`newton_velocity`.  A small LU pivot triggers an SVD recheck; the
+    solve is refused only when the smallest singular value is at the noise
+    floor.
     """
     rhs = as_vector(rhs, dim=T.dim, name="linearized right-hand side")
     lu, piv, minpiv = T._factorize()
@@ -182,6 +185,37 @@ def solve_linearized(T, rhs):
                 f"linearized operator is numerically singular "
                 f"(smallest singular value {smin:.3e})")
     return scipy.linalg.lu_solve((lu, piv), rhs)
+
+
+def newton_velocity(problem, u):
+    """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u`` and the residual norm ``|f(u)|``.
+
+    With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
+    LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
+    ``M = A + g'(u)`` per call.  This equals ``-[I + A^{-1} g'(u)]^{-1} f``
+    without forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather
+    than ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
+    absolute error near machine epsilon, which ``M^{-1}`` magnifies by up to
+    ``1/eps`` at deep shifts.
+
+    When ``M`` has an LU pivot below ``1e-9 * max(1, max|M|)`` the velocity
+    is taken from ``T = I + A^{-1} g'(u)`` through :func:`solve_linearized`
+    instead, which raises :class:`SingularLinearization` when ``T`` is
+    numerically singular.  A tiny pivot that comes from ``A`` alone is
+    therefore not a refusal.  Returns ``(v, p)``.
+    """
+    A = problem.shifted
+    f = u + A.solve(problem.g(u))
+    M = A.entries + problem.g.jacobian(u)
+    with warnings.catch_warnings():
+        # exactly singular M is handled by the pivot check below
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(M)
+    if np.min(np.abs(np.diag(lu))) < 1e-9 * max(1.0, float(np.max(np.abs(M)))):
+        v = -solve_linearized(linearized_operator(problem, u), f)
+    else:
+        v = -scipy.linalg.lu_solve((lu, piv), A.entries @ f)
+    return v, float(np.linalg.norm(f))
 
 
 # -- sampling -----------------------------------------------------------------------

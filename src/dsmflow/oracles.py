@@ -49,6 +49,8 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200,
 
     Iterates on ``f(u) = u + (L+eps*I)^{-1} g(u)``, accepting a step of
     length ``lam`` when ``|f(u + lam*d)| <= (1 - armijo*lam) |f(u)|``.
+    The Newton direction solves with ``T = I + (L+eps*I)^{-1} g'(u)``, not
+    with the flow's one-LU stage route (:func:`dsmflow.model.newton_velocity`).
     Stops when ``|f|`` falls below ``tol`` times its starting value
     (floored at 1e-14).  Raises :class:`MaxIterations` when the iteration
     or line-search budget runs out.

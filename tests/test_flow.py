@@ -10,7 +10,7 @@ integrator.
 import numpy as np
 import pytest
 
-from dsmflow.errors import FlowFailed
+from dsmflow.errors import FlowFailed, SingularLinearization
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
                           error_bound_check, integrate, phi,
                           write_trajectory_csv)
@@ -70,6 +70,38 @@ def test_phi_matches_direct_newton_direction():
         T = linearized_operator(p, u).entries
         ref = -np.linalg.solve(T, f)
         assert np.linalg.norm(v - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+
+
+def test_phi_at_deep_shift_near_solution_is_minus_residual():
+    # constant g: phi = -f exactly.  At eps = 1e-8, 1e-9 from the shifted
+    # solution, a velocity built from A u + g(u) drowns in its cancellation
+    # error times 1/eps; one built from A f keeps ~1e-8 relative accuracy
+    s = singular_monotone(5, rank=3, seed=42)
+    p = s.problem.with_epsilon(1e-8)
+    assert p.g.name == "constant"
+    u_eps = np.linalg.solve(p.shifted.entries, -p.g(p.u0))
+    d = np.random.default_rng(7).standard_normal(p.dim)
+    u = u_eps + 1e-9 * d / np.linalg.norm(d)
+    f = preconditioned_residual(p, u)
+    assert np.linalg.norm(phi(p, u) + f) <= 1e-6 * np.linalg.norm(f)
+
+
+def test_phi_refuses_singular_linearization():
+    # L = I, g = -u: F'(u) = 0 everywhere
+    n = 3
+    g = NonlinearMap(lambda u: -u, lambda u: -np.eye(n), name="negate")
+    p = DsmProblem(L=DenseOperator.identity(n), g=g, u0=np.ones(n), radius=1.0)
+    with pytest.raises(SingularLinearization):
+        phi(p, p.u0)
+
+
+def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
+    # L + g' has a 1e-10 pivot, but I + L^{-1} g' = I is perfectly invertible
+    L = DenseOperator.diagonal([1.0, 1e-10])
+    p = DsmProblem(L=L, g=constant_map([0.3, -2e-10]), u0=np.array([0.5, 1.0]),
+                   radius=10.0)
+    f = preconditioned_residual(p, p.u0)
+    assert np.linalg.norm(phi(p, p.u0) + f) <= 1e-12 * np.linalg.norm(f)
 
 
 # -- exact linear trajectory ------------------------------------------------------
