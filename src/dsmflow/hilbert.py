@@ -24,10 +24,6 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
-    "solve_linear",
-    "operator_norm",
-    "smallest_singular_value",
-    "symmetric_eigen",
     "parse_matrix_text",
     "format_matrix_text",
     "read_matrix_text",
@@ -232,26 +228,6 @@ class DenseOperator:
                 f"pivot {minpiv:.3e} below {rtol:g} * operator norm {opn:.3e}",
                 condition_estimate=self.condition_estimate())
         return scipy.linalg.lu_solve((lu, piv), B)
-
-
-# -- module-level operation surface (thin wrappers over DenseOperator) ----------
-
-def solve_linear(A, b, pivot_rtol=None):
-    """Solve ``A x = b`` for a vector right-hand side."""
-    x = A.solve(as_vector(b, dim=A.dim, name="right-hand side"), pivot_rtol=pivot_rtol)
-    return x
-
-
-def operator_norm(A):
-    return A.operator_norm()
-
-
-def smallest_singular_value(A):
-    return A.smallest_singular_value()
-
-
-def symmetric_eigen(A):
-    return A.symmetric_eigen()
 
 
 # -- matrix text format ----------------------------------------------------------

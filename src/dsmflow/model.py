@@ -160,7 +160,13 @@ def preconditioned_residual(problem, u):
 
 
 def linearized_operator(problem, u):
-    """Derivative ``I + (L + eps*I)^{-1} g'(u)`` of the preconditioned residual."""
+    """Derivative ``I + (L + eps*I)^{-1} g'(u)`` of the preconditioned residual.
+
+    Wrapped as an operator for :func:`solve_linearized`, whose callers are
+    the damped-Newton oracle and :func:`newton_velocity`'s small-pivot
+    fallback.  :func:`estimate_newton_bound` forms the same matrix without
+    the wrapper.
+    """
     u = as_vector(u, dim=problem.dim)
     J = problem.g.jacobian(u)
     T = np.eye(problem.dim) + problem.shifted.solve(J)
@@ -170,10 +176,10 @@ def linearized_operator(problem, u):
 def solve_linearized(T, rhs):
     """Solve ``T x = rhs`` for a linearization ``T``, refusing near-singular systems.
 
-    Used by the damped-Newton oracle only; the flow's stages go through
-    :func:`newton_velocity`.  A small LU pivot triggers an SVD recheck; the
-    solve is refused only when the smallest singular value is at the noise
-    floor.
+    Used by the damped-Newton oracle and by :func:`newton_velocity` when the
+    stage's one-LU route meets a small pivot.  A small LU pivot triggers an
+    SVD recheck; the solve is refused only when the smallest singular value
+    is at the noise floor.
     """
     rhs = as_vector(rhs, dim=T.dim, name="linearized right-hand side")
     lu, piv, minpiv = T._factorize()
@@ -260,19 +266,68 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
     """Sampled sup bound for the inverse of the linearization over the trust ball.
 
     Returns an INVERTIBLE certificate whose ``bound`` quantity is
-    ``max 1/sigma_min`` over the sample's linearizations.  The estimate can
-    only grow as samples are added.  Raises :class:`SingularLinearization`
-    when any sample point yields a numerically singular linearization.
+    ``max 1/sigma_min`` over the samples' linearizations
+    ``T = I + (L + eps*I)^{-1} g'(u)``.  The estimate can only grow as
+    samples are added.  Raises :class:`SingularLinearization` when a sample
+    whose SVD is taken has ``sigma_min <= 1e-12``.
+
+    Only the minimum is reported, so after the first sample a sample pays
+    for an SVD only when it could lower the running minimum ``w``.  The
+    screen forms ``G = T^T T``, subtracts ``tau = w^2 + delta`` from its
+    diagonal and runs one Cholesky factorization.  If it succeeds, the SVD
+    of that sample would have returned a value ``>= w``, so the sample is
+    skipped and the result is bitwise the one of an SVD at every sample.
+    Skipped samples cannot trip the singularity refusal, since ``w > 1e-12``.
+
+    The margin ``delta`` covers every rounding error on the way.  With
+    ``u`` the unit roundoff, ``gamma_k = k u / (1 - k u)`` and
+    ``s = trace(G) >= (1 - gamma_n) |T|_F^2`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.5 and ch. 10):
+
+    - Gram product: ``G = T^T T + E1`` with ``|E1| <= gamma_n |T^T| |T|``
+      entrywise, so ``|E1|_2 <= gamma_n |T|_F^2``.
+    - Diagonal shift: ``tau`` and each ``G_ii - tau`` are rounded once, so
+      ``H = G - tau*I + E2`` with ``E2`` diagonal, ``|E2|_2 <= u (s + 2 tau)``.
+    - Cholesky (Thm 10.5): success gives ``R^T R = H + E3`` with
+      ``|E3| <= gamma_{n+1} |R^T| |R|``, so
+      ``|E3|_2 <= gamma_{n+1} |R|_F^2 <= gamma_{n+1} s / (1 - gamma_{n+1})``.
+      ``R^T R`` is positive definite, hence
+      ``sigma_min(T)^2 > tau - |E1|_2 - |E2|_2 - |E3|_2``.
+    - SVD: LAPACK's singular values satisfy
+      ``|sigma_hat - sigma| <= p(n) u |T|_2`` with ``p(n)`` a modest
+      function of ``n`` (LAPACK Users' Guide, §4.9); with ``p(n) = 2n``
+      the computed ``sigma_min`` is ``>= w`` once
+      ``sigma_min(T)^2 >= w^2 + 2 w eta + eta^2``, ``eta = 2n u |T|_F``,
+      and ``2 w eta <= 2n u (w^2 + |T|_F^2)``.
+
+    To first order in ``u`` these sum to
+    ``u ((4n + 2) s + (2n + 2) w^2) <= 4n eps_mach (s + w^2)`` with
+    ``eps_mach = 2u``; ``delta = 8n eps_mach (s + w^2)`` leaves a factor 2
+    for the second-order terms.  At ``n = 200`` and ``T`` near the
+    identity that is below ``1e-10``, so only samples within that of the
+    minimum, such as exact ties, pay for both the screen and the SVD.
     """
     if not samples:
         raise ValueError("need at least one sample point")
+    n = problem.dim
+    eps_mach = float(np.finfo(float).eps)
     worst_sigma = float("inf")
     for u in samples:
-        u = as_vector(u, dim=problem.dim, name="sample")
+        u = as_vector(u, dim=n, name="sample")
         if norm(u - problem.u0) > problem.radius * (1.0 + 1e-12):
             raise ValueError("sample point lies outside the trust ball")
-        T = linearized_operator(problem, u)
-        smin = T.smallest_singular_value()
+        T = np.eye(n) + problem.shifted.solve(problem.g.jacobian(u))
+        if worst_sigma < float("inf"):
+            G = T.T @ T
+            w2 = worst_sigma * worst_sigma
+            delta = 8.0 * n * eps_mach * (float(np.trace(G)) + w2)
+            G.flat[::n + 1] -= w2 + delta
+            # dpotrf reads one triangle of the symmetric G, so G.T is the
+            # Fortran-ordered array it factors in place
+            _, info = scipy.linalg.lapack.dpotrf(G.T, clean=0, overwrite_a=1)
+            if info == 0:
+                continue
+        smin = float(np.linalg.svd(T, compute_uv=False)[-1])
         if smin <= 1e-12:
             raise SingularLinearization(
                 f"linearization singular at a sample point "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSystem, MaxIterations
-from .hilbert import as_vector, norm, symmetric_eigen
+from .hilbert import as_vector, norm
 from .model import full_residual, linearized_operator, preconditioned_residual, solve_linearized
 
 __all__ = [
@@ -95,7 +95,7 @@ def pseudoinverse_min_norm(L, b, rank_rtol=1e-10, residual_rtol=1e-8):
     mass in the nullspace beyond ``residual_rtol * |b|``.
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
-    w, Q = symmetric_eigen(L)
+    w, Q = L.symmetric_eigen()
     beta = Q.T @ b
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     cutoff = rank_rtol * wmax
@@ -179,7 +179,7 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
     x_star = pseudoinverse_min_norm(L, b)
-    w, Q = symmetric_eigen(L)
+    w, Q = L.symmetric_eigen()
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     null_mask = np.abs(w) <= 1e-10 * max(wmax, 1e-30)
     N = Q[:, null_mask]

@@ -11,9 +11,8 @@ import pytest
 from dsmflow.errors import (DimensionMismatch, NonPsdOperator, NotSymmetric,
                             ParseError, SingularOperator)
 from dsmflow.hilbert import (DenseOperator, as_vector, format_matrix_text,
-                             inner, norm, operator_norm, parse_matrix_text,
-                             read_matrix_text, smallest_singular_value,
-                             solve_linear, symmetric_eigen, write_matrix_text)
+                             inner, norm, parse_matrix_text, read_matrix_text,
+                             write_matrix_text)
 
 
 def jacobi_singular_values(A, max_sweeps=100, tol=1e-15):
@@ -199,7 +198,7 @@ def test_solve_residual_small():
         B = random_matrix(rng, n) + n * np.eye(n)
         A = DenseOperator(B)
         b = rng.standard_normal(n)
-        x = solve_linear(A, b)
+        x = A.solve(b)
         assert np.linalg.norm(B @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -215,19 +214,19 @@ def test_solve_matrix_rhs():
 
 def test_solve_rejects_singular_and_zero():
     with pytest.raises(SingularOperator) as exc:
-        solve_linear(DenseOperator.diagonal([1.0, 0.0]), np.ones(2))
+        DenseOperator.diagonal([1.0, 0.0]).solve(np.ones(2))
     assert exc.value.condition_estimate == float("inf")
     with pytest.raises(SingularOperator):
-        solve_linear(DenseOperator([[0.0]]), np.ones(1))
+        DenseOperator([[0.0]]).solve(np.ones(1))
 
 
 def test_solve_pivot_threshold_is_relative():
     # condition ~1e12: passes the default threshold, fails a strict one
     A = DenseOperator.diagonal([1.0, 1e-12])
-    x = solve_linear(A, np.array([1.0, 1e-12]))
+    x = A.solve(np.array([1.0, 1e-12]))
     assert np.allclose(x, [1.0, 1.0])
     with pytest.raises(SingularOperator):
-        solve_linear(A, np.ones(2), pivot_rtol=1e-6)
+        A.solve(np.ones(2), pivot_rtol=1e-6)
 
 
 def test_solve_rejects_bad_rhs():
@@ -236,17 +235,6 @@ def test_solve_rejects_bad_rhs():
         A.solve(np.ones(4))
     with pytest.raises(ValueError):
         A.solve(np.array([1.0, np.inf, 0.0]))
-
-
-def test_module_wrappers_agree_with_methods():
-    rng = np.random.default_rng(47)
-    B = random_matrix(rng, 4)
-    A = DenseOperator(B + B.T, self_adjoint=True)
-    assert operator_norm(A) == A.operator_norm()
-    assert smallest_singular_value(A) == A.smallest_singular_value()
-    w, _ = symmetric_eigen(A)
-    w2, _ = A.symmetric_eigen()
-    assert np.array_equal(w, w2)
 
 
 # -- matrix text format -------------------------------------------------------

@@ -18,7 +18,7 @@ from dsmflow.model import (Bounds, CertificateKind, DsmProblem, NonlinearMap,
                            fd_jacobian_check, full_residual,
                            linearized_operator, monotonicity_certificate,
                            preconditioned_residual, solve_linearized)
-from dsmflow.problems import wellposed_cubic
+from dsmflow.problems import singular_monotone, wellposed_cubic
 
 
 def cubic_map(scale=0.1):
@@ -184,6 +184,81 @@ def test_newton_bound_matches_direct_svd_route():
         for u in samples)
     assert cert.quantities["bound"] == pytest.approx(1.0 / worst, rel=1e-9)
     assert cert.quantities["n_samples"] == len(samples)
+
+
+def svd_every_sample(p, samples):
+    """The unscreened loop: the SVD of every sample's ``T``, formed as the library does."""
+    worst = float("inf")
+    for u in samples:
+        T = np.eye(p.dim) + p.shifted.solve(p.g.jacobian(u))
+        worst = min(worst, float(np.linalg.svd(T, compute_uv=False)[-1]))
+    return worst
+
+
+def _wellposed(dim):
+    p = wellposed_cubic(dim=dim, seed=5).problem
+    return p, ball_samples(p.u0, p.radius, 64, seed=1)
+
+
+def _tied(cubic):
+    # T = I on the nullspace and T >= I on the range: every sample ties at 1
+    p = singular_monotone(dim=12, rank=6, cubic_scale=cubic, seed=8).problem
+    p = p.with_epsilon(1e-3)
+    return p, ball_samples(p.u0, p.radius, 64, seed=2)
+
+
+def _duplicated():
+    p, samples = _wellposed(12)
+    return p, [samples[5]] * 3 + samples[:20] + samples[:20]
+
+
+def _jittered():
+    # near duplicates whose sigma_min differ in the last few bits only
+    p, samples = _wellposed(30)
+    rng = np.random.default_rng(9)
+    centre = p.u0 + 0.5 * (samples[7] - p.u0)
+    return p, [centre + 1e-14 * rng.standard_normal(p.dim) for _ in range(80)]
+
+
+def _each_a_new_minimum():
+    p, samples = _wellposed(12)
+    sigma = [svd_every_sample(p, [u]) for u in samples]
+    order = np.argsort(sigma, kind="stable")[::-1]
+    return p, [samples[i] for i in order]
+
+
+def _descending_within_margin():
+    # sigma_min falls by about 1e-15 per sample, well inside the screen margin
+    p, samples = _wellposed(30)
+    u = samples[3]
+    d = u - p.u0
+    return p, [u - 1e-12 * k * d for k in range(39, -1, -1)]
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda d=d: _wellposed(d), id=f"wellposed-d{d}") for d in (1, 2, 12, 50)),
+    *(pytest.param(lambda c=c: _tied(c), id=f"tied-cubic{c:g}") for c in (0.0, 0.1)),
+    pytest.param(_duplicated, id="duplicated"),
+    pytest.param(_jittered, id="jittered"),
+    pytest.param(_each_a_new_minimum, id="each-a-new-minimum"),
+    pytest.param(_descending_within_margin, id="descending-within-margin"),
+])
+def test_newton_bound_screen_is_bitwise_the_svd_of_every_sample(case):
+    p, samples = case()
+    worst = svd_every_sample(p, samples)
+    q = estimate_newton_bound(p, samples).quantities
+    assert q["worst_sigma_min"] == worst
+    assert q["bound"] == 1.0 / worst
+
+
+def test_newton_bound_refuses_a_singular_sample_after_healthy_ones():
+    # g(u) = -u^3/3 with L = I: T = diag(1 - u_i^2) is singular at e_1 only
+    g = NonlinearMap(lambda u: -u ** 3 / 3.0, lambda u: np.diag(-u ** 2))
+    p = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=1.0)
+    healthy = [np.zeros(2), np.array([0.0, 0.5]), np.array([0.3, 0.0])]
+    assert estimate_newton_bound(p, healthy).quantities["worst_sigma_min"] == 0.75
+    with pytest.raises(SingularLinearization, match="singular at a sample point"):
+        estimate_newton_bound(p, healthy + [np.array([1.0, 0.0])])
 
 
 def test_newton_bound_grows_with_more_samples():
