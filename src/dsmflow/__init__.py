@@ -21,13 +21,13 @@ from .errors import (CertificateMismatch, DimensionMismatch, DsmError,
                      NotApplicable, NotSymmetric, ParseError,
                      SingularLinearization, SingularOperator, TMaxReachedError)
 from .hilbert import DenseOperator, VectorH, as_vector, inner, norm
-from .model import (Bounds, Certificate, CertificateKind, DsmProblem,
-                    NonlinearMap, ball_samples, check_resolvent_bound,
-                    check_sector, check_trust_condition, estimate_newton_bound,
+from .model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
+                    ball_samples, check_resolvent_bound, check_sector,
+                    check_trust_condition, estimate_newton_bound,
                     fd_jacobian_check, full_residual, linearized_operator,
                     monotonicity_certificate, preconditioned_residual)
 from .flow import (FlowConfig, FlowResult, FlowStatus, TrajectoryPoint,
-                   decay_report, error_bound_check, integrate, phi)
+                   decay_report, error_bound_check, integrate)
 from .continuation import (EpsSchedule, ContinuationResult, NewtonFlowSolution,
                            discrepancy_stop, minimal_norm_diagnostics,
                            solve_minimal_norm, solve_newton_flow)
@@ -44,13 +44,13 @@ __all__ = [
     "MonotonicityFailed", "FlowFailed", "InnerSolveFailed", "MaxIterations",
     "InconsistentSystem", "TMaxReachedError", "ParseError", "CertificateMismatch",
     "VectorH", "DenseOperator", "as_vector", "inner", "norm",
-    "Bounds", "NonlinearMap", "DsmProblem", "Certificate", "CertificateKind",
+    "NonlinearMap", "DsmProblem", "Certificate", "CertificateKind",
     "full_residual", "preconditioned_residual", "linearized_operator",
     "ball_samples", "estimate_newton_bound", "check_trust_condition",
     "check_resolvent_bound", "check_sector", "fd_jacobian_check",
     "monotonicity_certificate",
     "FlowConfig", "FlowStatus", "FlowResult", "TrajectoryPoint",
-    "phi", "integrate", "decay_report", "error_bound_check",
+    "integrate", "decay_report", "error_bound_check",
     "EpsSchedule", "NewtonFlowSolution", "ContinuationResult",
     "solve_newton_flow", "solve_minimal_norm", "minimal_norm_diagnostics",
     "discrepancy_stop",

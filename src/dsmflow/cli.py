@@ -13,7 +13,7 @@ formats, no timestamps.
 """
 
 import argparse
-import concurrent.futures
+import inspect
 import json
 import os
 import sys
@@ -27,7 +27,7 @@ from .flow import FlowConfig, decay_report, integrate, write_trajectory_csv
 from .hilbert import norm
 from .model import Certificate
 from .oracles import newton_oracle
-from .problems import BUILTINS, ill_conditioned, load_problem, sector_blocks, singular_canonical, singular_monotone, wellposed_cubic, _verify_tags
+from .problems import BUILTINS, load_problem, _verify_tags
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,7 +52,6 @@ _DEFAULTS = {
     "eps_floor": 1e-8,
     "agree_tol": 1e-7,
     "levels": "1e-6,1e-8,1e-10",
-    "jobs": 1,
 }
 
 
@@ -80,7 +79,6 @@ def _build_parser():
         p.add_argument("--abs-tol", dest="abs_tol", type=float)
         p.add_argument("--p-stop", dest="p_stop", type=float)
         p.add_argument("--out", help="directory for csv/json artifacts")
-        p.add_argument("--jobs", type=int, help="worker threads for batch dims")
         p.add_argument("--config", help="JSON file with defaults for any flag")
 
     p_solve = sub.add_parser("solve", help="one certified Newton-flow solve")
@@ -122,6 +120,9 @@ def _merge_config(ns):
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(config) - set(_DEFAULTS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known: {sorted(_DEFAULTS)}")
     for key, default in _DEFAULTS.items():
         if getattr(ns, key, None) is None:
             setattr(ns, key, config.get(key, default))
@@ -139,27 +140,25 @@ def _parse_dims(text):
 
 
 def _build_bundles(ns):
-    """Resolve --problem/--builtin into a list of (label, bundle)."""
+    """Resolve --problem/--builtin into a list of (label, bundle).
+
+    A builtin generator receives every CLI value that names one of its
+    parameters and is set; one without a ``dim`` parameter is built once.
+    """
     if getattr(ns, "problem", None):
         bundle = load_problem(ns.problem)
         return [(bundle.spec.name, bundle)]
     name = getattr(ns, "builtin", None)
     if not name:
         raise ValueError("one of --builtin or --problem is required")
+    generator = BUILTINS[name]
+    params = inspect.signature(generator).parameters
+    kwargs = {key: getattr(ns, key) for key in params
+              if key != "dim" and getattr(ns, key, None) is not None}
+    dims = _parse_dims(ns.dim) if "dim" in params else [None]
     out = []
-    for dim in _parse_dims(ns.dim):
-        if name == "wellposed_cubic":
-            bundle = wellposed_cubic(dim, scale=ns.scale, seed=ns.seed)
-        elif name == "singular_monotone":
-            rank = ns.rank if ns.rank is not None else max(1, (dim + 1) // 2)
-            bundle = singular_monotone(dim, rank, seed=ns.seed,
-                                       cubic_scale=ns.cubic_scale)
-        elif name == "singular_canonical":
-            bundle = singular_canonical()
-        elif name == "ill_conditioned":
-            bundle = ill_conditioned(dim, scale=ns.scale, seed=ns.seed)
-        else:
-            bundle = sector_blocks(dim, seed=ns.seed, scale=ns.scale)
+    for dim in dims:
+        bundle = generator(**kwargs) if dim is None else generator(dim, **kwargs)
         if ns.epsilon is not None:
             bundle.problem = bundle.problem.with_epsilon(ns.epsilon)
         out.append((f"{name}[dim={bundle.problem.dim}]", bundle))
@@ -207,30 +206,19 @@ def _out_dir(ns, label, many):
 
 
 def _run_batch(ns, worker):
-    """Run ``worker(label, bundle, out_dir)`` over the resolved problems.
+    """Run ``worker(label, bundle, out_dir)`` over the resolved problems in order.
 
-    Returns the worst exit code; worker results are printed in input order
-    regardless of completion order.
+    Prints each worker's lines and returns the worst exit code.
     """
     bundles = _build_bundles(ns)
     many = len(bundles) > 1
     tasks = [(label, bundle, _out_dir(ns, label, many)) for label, bundle in bundles]
-
-    def guarded(task):
-        label, bundle, out = task
-        try:
-            return worker(label, bundle, out)
-        except Exception as exc:
-            return _code_for(exc), [f"{label}: error: {exc}"]
-
-    jobs = max(1, int(ns.jobs))
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(guarded, tasks))
-    else:
-        results = [guarded(t) for t in tasks]
     code = EXIT_OK
-    for task_code, lines in results:
+    for label, bundle, out in tasks:
+        try:
+            task_code, lines = worker(label, bundle, out)
+        except Exception as exc:
+            task_code, lines = _code_for(exc), [f"{label}: error: {exc}"]
         for line in lines:
             print(line)
         code = max(code, task_code)

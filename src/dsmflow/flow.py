@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowFailed
-from .hilbert import as_vector, norm
+from .hilbert import norm
 from .model import full_residual, newton_velocity
 # unused here, but perfbench/tracing.py looks these names up on this module
+from .hilbert import as_vector  # noqa: F401
 from .model import linearized_operator, preconditioned_residual, solve_linearized  # noqa: F401
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "FlowStatus",
     "TrajectoryPoint",
     "FlowResult",
-    "phi",
     "integrate",
     "decay_report",
     "error_bound_check",
@@ -155,21 +155,6 @@ class FlowResult:
         return self.status is FlowStatus.RESIDUAL_CONVERGED
 
 
-def _eval(problem, u):
-    """Flow velocity and residual norm ``|f(u)|`` at ``u``.
-
-    The velocity is ``-(A + g'(u))^{-1} (A f)`` with ``A = L+eps*I`` and
-    ``f = u + A^{-1} g(u)``: one LU of ``A + g'(u)``.
-    """
-    return newton_velocity(problem, u)
-
-
-def phi(problem, u):
-    """Flow velocity at ``u`` (public wrapper around the stage evaluation)."""
-    v, _ = _eval(problem, as_vector(u, dim=problem.dim))
-    return v
-
-
 def _point(problem, t, u, p, h):
     return TrajectoryPoint(t=t, u=u.copy(), p=p,
                            residual_F=norm(full_residual(problem, u)), step=h)
@@ -190,7 +175,7 @@ def integrate(problem, cfg=None, *, trust=None):
     """
     cfg = cfg or FlowConfig()
     u = problem.u0.copy()
-    v, p = _eval(problem, u)
+    v, p = newton_velocity(problem, u)
     p0 = p
     stop_at = max(cfg.p_stop * p0, cfg.stop_threshold_floor)
     enforce_ball = trust is not None and trust.passed
@@ -208,7 +193,7 @@ def integrate(problem, cfg=None, *, trust=None):
     d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     u_probe = u + h0 * v
-    v_probe, _ = _eval(problem, u_probe)
+    v_probe, _ = newton_velocity(problem, u_probe)
     d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -240,9 +225,9 @@ def integrate(problem, cfg=None, *, trust=None):
         h = min(h, cfg.t_max - t)
 
         for i in range(1, 6):
-            k[i], _ = _eval(problem, u + h * (_A[i - 1] @ k[:i]))
+            k[i], _ = newton_velocity(problem, u + h * (_A[i - 1] @ k[:i]))
         u_new = u + h * (_A[5] @ k[:6])
-        k[6], p_new = _eval(problem, u_new)
+        k[6], p_new = newton_velocity(problem, u_new)
 
         err_vec = h * (_ERR @ k)
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))

@@ -3,14 +3,12 @@
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 shape and finiteness at API boundaries.  :class:`DenseOperator` wraps a
 square matrix together with structural flags (self-adjoint, positive
-semidefinite) and caches factorizations behind a lock, so a single
-operator may be shared by concurrent readers.
+semidefinite) and caches its factorizations on first use.
 
-Tolerances below are module-level defaults; the operations that use them
-accept per-call overrides.
+Tolerances below are module-level defaults; :meth:`DenseOperator.solve`
+accepts a per-call pivot tolerance.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -36,7 +34,6 @@ VectorH = np.ndarray
 SELF_ADJOINT_RTOL = 1e-12    # max |A - A^T| allowed, relative to operator norm
 PSD_RTOL = 1e-10             # eigenvalue floor for psd-flagged operators
 PIVOT_RTOL = 1e-14           # LU pivot threshold, relative to operator norm
-EIGEN_RESIDUAL_RTOL = 1e-9   # accuracy contract of symmetric_eigen
 
 
 def as_vector(x, dim=None, name="vector"):
@@ -93,7 +90,6 @@ class DenseOperator:
         self.entries = A
         self.self_adjoint = bool(self_adjoint)
         self.psd_claimed = bool(psd_claimed)
-        self._lock = threading.Lock()
         self._svals = None
         self._opnorm = None
         self._lu = None
@@ -154,11 +150,10 @@ class DenseOperator:
 
     def singular_values(self):
         """All singular values, descending."""
-        with self._lock:
-            if self._svals is None:
-                self._svals = np.linalg.svd(self.entries, compute_uv=False)
-                self._opnorm = float(self._svals[0])
-            return self._svals.copy()
+        if self._svals is None:
+            self._svals = np.linalg.svd(self.entries, compute_uv=False)
+            self._opnorm = float(self._svals[0])
+        return self._svals.copy()
 
     def operator_norm(self):
         """Largest singular value (kept as a float once computed)."""
@@ -185,25 +180,23 @@ class DenseOperator:
         """
         if not self.self_adjoint:
             raise NotSymmetric("symmetric_eigen requires the self_adjoint flag")
-        with self._lock:
-            if self._eigen is None:
-                sym = 0.5 * (self.entries + self.entries.T)
-                self._eigen = np.linalg.eigh(sym)
-            w, Q = self._eigen
-            return w.copy(), Q.copy()
+        if self._eigen is None:
+            sym = 0.5 * (self.entries + self.entries.T)
+            self._eigen = np.linalg.eigh(sym)
+        w, Q = self._eigen
+        return w.copy(), Q.copy()
 
     # -- linear solves -----------------------------------------------------------
 
     def _factorize(self):
-        with self._lock:
-            if self._lu is None:
-                with warnings.catch_warnings():
-                    # near-singular factorizations are handled by the pivot check
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    lu, piv = scipy.linalg.lu_factor(self.entries)
-                minpiv = float(np.min(np.abs(np.diag(lu))))
-                self._lu = (lu, piv, minpiv)
-            return self._lu
+        if self._lu is None:
+            with warnings.catch_warnings():
+                # near-singular factorizations are handled by the pivot check
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu, piv = scipy.linalg.lu_factor(self.entries)
+            minpiv = float(np.min(np.abs(np.diag(lu))))
+            self._lu = (lu, piv, minpiv)
+        return self._lu
 
     def solve(self, b, pivot_rtol=None):
         """Solve ``A x = b`` through the cached LU factorization.

@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, NotApplicable, SingularLinearization
 from .hilbert import DenseOperator, VectorH, as_vector, norm
 
 __all__ = [
-    "Bounds",
     "NonlinearMap",
     "DsmProblem",
     "CertificateKind",
@@ -40,29 +39,22 @@ __all__ = [
     "monotonicity_certificate",
 ]
 
-
-@dataclass(frozen=True)
-class Bounds:
-    """Analytic sup bounds for a map and its first two derivatives on a ball."""
-    value: float
-    jacobian: float
-    hessian: float
+_BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
+_SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
 
 
 @dataclass
 class NonlinearMap:
     """Smooth map ``g: R^n -> R^n`` with an explicit Jacobian.
 
-    ``fn`` and ``jac_fn`` receive a validated 1-D float array.  ``bounds``,
-    when present, are sup bounds valid on the trust ball of whatever problem
-    the map is attached to.  ``monotone_claimed`` is an unchecked hint;
-    verification happens via :func:`monotonicity_certificate`.
+    ``fn`` and ``jac_fn`` receive a validated 1-D float array.
+    ``monotone_claimed`` is an unchecked hint; verification happens via
+    :func:`monotonicity_certificate`.
     """
     fn: callable
     jac_fn: callable
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    bounds: Bounds = None
     monotone_claimed: bool = False
 
     def __call__(self, u):
@@ -226,11 +218,10 @@ def newton_velocity(problem, u):
 
 # -- sampling -----------------------------------------------------------------------
 
-def ball_samples(center, radius, count, *, seed=0, boundary_fraction=0.5,
-                 include_center=True):
+def ball_samples(center, radius, count, *, seed=0, include_center=True):
     """Deterministic sample cloud in the closed ball around ``center``.
 
-    Half the points (by default) sit on the boundary sphere, the rest are
+    Half the points sit on the boundary sphere, the rest are
     uniform in the ball; the center itself is prepended when requested.
     """
     center = as_vector(center, name="ball center")
@@ -244,7 +235,7 @@ def ball_samples(center, radius, count, *, seed=0, boundary_fraction=0.5,
     pts = []
     if include_center:
         pts.append(center.copy())
-    n_boundary = int(round(boundary_fraction * count))
+    n_boundary = int(round(_BOUNDARY_FRACTION * count))
     for i in range(count):
         d = rng.standard_normal(n)
         d_norm = float(np.linalg.norm(d))
@@ -406,7 +397,7 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
                     "worst_ratio": worst_ratio, "sin_delta": sin_delta})
 
 
-def check_sector(L, a, delta, grid_size=64):
+def check_sector(L, a, delta):
     """Certify that no spectrum sits in the truncated sector around the negative axis.
 
     The sector is ``{ -r e^{i phi} : 0 < r <= a, |phi| <= delta }``.  For
@@ -449,7 +440,7 @@ def check_sector(L, a, delta, grid_size=64):
     # grid's covering radius at every grid point, no eigenvalue can hide
     # between them: the pass is a proof, not a heuristic.
     n_angles = 9
-    n_radii = max(2, int(np.ceil(grid_size / n_angles)))
+    n_radii = max(2, int(np.ceil(_SECTOR_GRID_SIZE / n_angles)))
     radii = np.geomspace(a * 1e-3, a, n_radii)
     angles = np.linspace(-delta, delta, n_angles)
     dphi = 2.0 * delta / (n_angles - 1)

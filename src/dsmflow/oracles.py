@@ -28,6 +28,11 @@ __all__ = [
     "convexity_closedness_suite",
 ]
 
+# damped-Newton line search: sufficient-decrease factor, step shrink, step floor
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-12
+
 
 class OracleMethod(enum.Enum):
     DAMPED_NEWTON = "damped_newton"
@@ -43,12 +48,11 @@ class OracleReport:
     method: OracleMethod
 
 
-def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200,
-                  armijo=1e-4, backtrack=0.5, min_step=1e-12):
+def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
     """Solve the preconditioned equation by damped Newton with backtracking.
 
     Iterates on ``f(u) = u + (L+eps*I)^{-1} g(u)``, accepting a step of
-    length ``lam`` when ``|f(u + lam*d)| <= (1 - armijo*lam) |f(u)|``.
+    length ``lam`` when ``|f(u + lam*d)| <= (1 - 1e-4*lam) |f(u)|``.
     The Newton direction solves with ``T = I + (L+eps*I)^{-1} g'(u)``, not
     with the flow's one-LU stage route (:func:`dsmflow.model.newton_velocity`).
     Stops when ``|f|`` falls below ``tol`` times its starting value
@@ -70,10 +74,10 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200,
             u_try = u + lam * d
             f_try = preconditioned_residual(problem, u_try)
             p_try = float(np.linalg.norm(f_try))
-            if p_try <= (1.0 - armijo * lam) * pnorm:
+            if p_try <= (1.0 - _ARMIJO * lam) * pnorm:
                 break
-            lam *= backtrack
-            if lam < min_step:
+            lam *= _BACKTRACK
+            if lam < _MIN_STEP:
                 raise MaxIterations(
                     f"line search stalled at iteration {it} "
                     f"(residual {pnorm:.3e}, step {lam:.3e})")

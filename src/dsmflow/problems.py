@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseError
 from .hilbert import DenseOperator, as_vector, norm, read_matrix_text
-from .model import (Bounds, DsmProblem, NonlinearMap, ball_samples,
+from .model import (DsmProblem, NonlinearMap, ball_samples,
                     check_resolvent_bound, check_sector, check_trust_condition,
                     estimate_newton_bound, monotonicity_certificate,
                     preconditioned_residual)
@@ -262,10 +262,6 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
             cert = estimate_newton_bound(
                 prob, ball_samples(u0, radius, 32, seed=s))
             radius = 2.0 * p0 * max(cert.quantities["bound"], 1.0)
-        maxabs = float(np.max(np.abs(u0))) + radius
-        g.bounds = Bounds(value=norm(c) + scale * np.sqrt(dim) * maxabs ** 3,
-                          jacobian=3.0 * scale * maxabs ** 2,
-                          hessian=6.0 * scale * maxabs)
         prob = DsmProblem(L, g, u0, radius=radius)
         try:
             certs = _verify_tags(prob, tags, seed=s)
@@ -280,18 +276,19 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
         f"could not draw a certified well-posed instance in 20 attempts: {last_exc}")
 
 
-def singular_monotone(dim, rank, seed=42, cubic_scale=0.0, diagonal=False):
+def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0, diagonal=False):
     """Rank-deficient self-adjoint psd instance with a known minimal-norm solution.
 
     The linear part has ``rank`` positive eigenvalues in [0.5, 2] and a
-    ``dim - rank`` dimensional nullspace.  The offset is chosen so a known
+    ``dim - rank`` dimensional nullspace; ``rank`` defaults to
+    ``max(1, (dim + 1) // 2)``.  The offset is chosen so a known
     point solves the equation exactly; its projection onto the range is
     the minimal-norm solution.  With ``cubic_scale > 0`` a cubic acting
     inside the range is added, which leaves the solution-set geometry
     (range part unique, null part free) intact.
     """
     dim = int(dim)
-    rank = int(rank)
+    rank = max(1, (dim + 1) // 2) if rank is None else int(rank)
     if not 1 <= rank < dim:
         raise ValueError(f"need 1 <= rank < dim, got rank={rank} dim={dim}")
     if cubic_scale < 0.0:

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
-                         main)
+                         _write_json, main)
+from dsmflow.problems import (BUILTINS, ill_conditioned, sector_blocks,
+                              singular_canonical, singular_monotone,
+                              wellposed_cubic)
 
 
 def run(capsys, *argv):
@@ -63,10 +66,10 @@ def test_solve_singular_with_shift_succeeds(capsys):
     assert code == EXIT_OK
 
 
-def test_solve_batch_dims_with_jobs_preserves_order(tmp_path, capsys):
+def test_solve_batch_dims_preserves_order(tmp_path, capsys):
     out = tmp_path / "batch"
     code, stdout, _ = run(capsys, "solve", "--builtin", "wellposed_cubic",
-                          "--dim", "3,5", "--jobs", "2", "--out", str(out))
+                          "--dim", "3,5", "--out", str(out))
     assert code == EXIT_OK
     lines = [ln for ln in stdout.splitlines() if ln.startswith("wellposed")]
     assert lines[0].startswith("wellposed_cubic[dim=3]")
@@ -138,6 +141,41 @@ def test_certify_builtin_passes(capsys):
         assert f"tag={tag} pass" in stdout
 
 
+# what the CLI must build at its defaults (--dim 10 --seed 42 --scale 0.1
+# --cubic-scale 0), written out call by call
+_CLI_DEFAULT_BUILDS = {
+    "wellposed_cubic": lambda: wellposed_cubic(10, scale=0.1, seed=42),
+    "singular_monotone": lambda: singular_monotone(10, 5, seed=42, cubic_scale=0.0),
+    "singular_canonical": singular_canonical,
+    "ill_conditioned": lambda: ill_conditioned(10, scale=0.1, seed=42),
+    "sector_blocks": lambda: sector_blocks(10, seed=42, scale=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_certify_every_builtin_matches_its_generator(name, tmp_path, capsys):
+    out = tmp_path / "cli"
+    code, stdout, _ = run(capsys, "certify", "--builtin", name, "--out", str(out))
+    assert code == EXIT_OK
+    direct = _CLI_DEFAULT_BUILDS[name]()
+    _write_json(direct.certificates, tmp_path / "direct.json")
+    assert ((out / "certificates.json").read_bytes()
+            == (tmp_path / "direct.json").read_bytes())
+    for tag in direct.spec.tags:
+        assert f"tag={tag} pass" in stdout
+
+
+def test_certify_dimensionless_builtin_is_built_once(tmp_path, capsys):
+    out = tmp_path / "canon"
+    code, stdout, _ = run(capsys, "certify", "--builtin", "singular_canonical",
+                          "--dim", "3,5", "--out", str(out))
+    assert code == EXIT_OK
+    for tag in ("self_adjoint_psd", "monotone_g", "singular"):
+        assert stdout.count(f"tag={tag} pass") == 1
+    # one problem, so its artifacts go straight into --out
+    assert sorted(p.name for p in out.iterdir()) == ["certificates.json"]
+
+
 def test_certify_loaded_problem_recomputes_tags(tmp_path, capsys):
     # file claims invertibility for a singular operator: caught on certify
     doc = {
@@ -160,7 +198,7 @@ def test_certify_loaded_problem_recomputes_tags(tmp_path, capsys):
 
 def test_oracle_check_agreement(capsys):
     code, stdout, _ = run(capsys, "oracle-check", "--builtin",
-                          "wellposed_cubic", "--dim", "3,5", "--jobs", "2")
+                          "wellposed_cubic", "--dim", "3,5")
     assert code == EXIT_OK
     lines = [ln for ln in stdout.splitlines() if "|flow - newton|" in ln]
     assert len(lines) == 2
@@ -214,6 +252,19 @@ def test_flag_beats_config(tmp_path, capsys):
                           "--dim", "3", "--config", str(cfgfile))
     assert code == EXIT_OK
     assert "dim=3" in stdout and "dim=4" not in stdout
+
+
+@pytest.mark.parametrize("config", [{"t-max": 0.001}, {"jobs": 2}],
+                         ids=["misspelled", "removed_jobs"])
+def test_unknown_config_key_is_an_error(tmp_path, capsys, config):
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps(config))
+    code, stdout, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic",
+                               "--dim", "3", "--config", str(cfgfile))
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert "unknown config keys" in stderr
+    assert repr(next(iter(config))) in stderr
 
 
 def test_missing_problem_source_is_an_error(capsys):

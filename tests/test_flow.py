@@ -12,13 +12,13 @@ import pytest
 
 from dsmflow.errors import FlowFailed, SingularLinearization
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
-                          error_bound_check, integrate, phi,
-                          write_trajectory_csv)
+                          error_bound_check, integrate, write_trajectory_csv)
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            NonlinearMap, ball_samples, check_trust_condition,
                            estimate_newton_bound, full_residual,
-                           linearized_operator, preconditioned_residual)
+                           linearized_operator, newton_velocity,
+                           preconditioned_residual)
 from dsmflow.problems import singular_monotone, wellposed_cubic
 
 
@@ -64,7 +64,7 @@ def test_phi_matches_direct_newton_direction():
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = p.u0 + 0.2 * rng.standard_normal(p.dim)
-        v = phi(p, u)
+        v = newton_velocity(p, u)[0]
         # direct route through numpy only
         f = preconditioned_residual(p, u)
         T = linearized_operator(p, u).entries
@@ -83,7 +83,7 @@ def test_phi_at_deep_shift_near_solution_is_minus_residual():
     d = np.random.default_rng(7).standard_normal(p.dim)
     u = u_eps + 1e-9 * d / np.linalg.norm(d)
     f = preconditioned_residual(p, u)
-    assert np.linalg.norm(phi(p, u) + f) <= 1e-6 * np.linalg.norm(f)
+    assert np.linalg.norm(newton_velocity(p, u)[0] + f) <= 1e-6 * np.linalg.norm(f)
 
 
 def test_phi_refuses_singular_linearization():
@@ -92,7 +92,7 @@ def test_phi_refuses_singular_linearization():
     g = NonlinearMap(lambda u: -u, lambda u: -np.eye(n), name="negate")
     p = DsmProblem(L=DenseOperator.identity(n), g=g, u0=np.ones(n), radius=1.0)
     with pytest.raises(SingularLinearization):
-        phi(p, p.u0)
+        newton_velocity(p, p.u0)
 
 
 def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
@@ -101,7 +101,7 @@ def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
     p = DsmProblem(L=L, g=constant_map([0.3, -2e-10]), u0=np.array([0.5, 1.0]),
                    radius=10.0)
     f = preconditioned_residual(p, p.u0)
-    assert np.linalg.norm(phi(p, p.u0) + f) <= 1e-12 * np.linalg.norm(f)
+    assert np.linalg.norm(newton_velocity(p, p.u0)[0] + f) <= 1e-12 * np.linalg.norm(f)
 
 
 # -- exact linear trajectory ------------------------------------------------------

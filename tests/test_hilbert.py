@@ -281,21 +281,3 @@ def test_matrix_text_flag_violation_surfaces_from_constructor():
     with pytest.raises(NotSymmetric):
         parse_matrix_text(text)
 
-
-def test_concurrent_solves_share_one_factorization():
-    import threading
-
-    rng = np.random.default_rng(59)
-    B = random_matrix(rng, 8) + 8.0 * np.eye(8)
-    A = DenseOperator(B)
-    b = rng.standard_normal(8)
-    out: list = [None] * 8
-    def worker(k):
-        out[k] = A.solve(b)
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for x in out:
-        assert np.array_equal(x, out[0])

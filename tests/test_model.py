@@ -12,7 +12,7 @@ import pytest
 from dsmflow.errors import (DimensionMismatch, NotApplicable, NotSymmetric,
                             SingularLinearization, SingularOperator)
 from dsmflow.hilbert import DenseOperator, norm
-from dsmflow.model import (Bounds, CertificateKind, DsmProblem, NonlinearMap,
+from dsmflow.model import (CertificateKind, DsmProblem, NonlinearMap,
                            ball_samples, check_resolvent_bound, check_sector,
                            check_trust_condition, estimate_newton_bound,
                            fd_jacobian_check, full_residual,
@@ -387,9 +387,8 @@ def test_fd_jacobian_check_flags_wrong_jacobian():
         fd_jacobian_check(good, u, h=1e-2)
 
 
-def test_fd_jacobian_check_on_builtin_bounds_metadata():
+def test_fd_jacobian_check_on_builtin_map():
     b = wellposed_cubic(6, scale=0.1, seed=1)
-    assert isinstance(b.problem.g.bounds, Bounds)
     assert fd_jacobian_check(b.problem.g, b.problem.u0) <= 1e-6
 
 
