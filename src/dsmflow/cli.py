@@ -54,6 +54,10 @@ _DEFAULTS = {
     "levels": "1e-6,1e-8,1e-10",
 }
 
+# flags that only parameterize a builtin generator; one given explicitly
+# that the chosen generator does not take is an error
+_BUILTIN_FLAGS = ("seed", "scale", "cubic_scale", "rank")
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -123,6 +127,9 @@ def _merge_config(ns):
         unknown = sorted(set(config) - set(_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; known: {sorted(_DEFAULTS)}")
+    # config values are defaults like the table's, so a shared config file
+    # may name flags that some builtins do not take
+    ns.explicit = {key for key in _DEFAULTS if getattr(ns, key, None) is not None}
     for key, default in _DEFAULTS.items():
         if getattr(ns, key, None) is None:
             setattr(ns, key, config.get(key, default))
@@ -144,6 +151,8 @@ def _build_bundles(ns):
 
     A builtin generator receives every CLI value that names one of its
     parameters and is set; one without a ``dim`` parameter is built once.
+    An explicit builtin flag that names none of its parameters raises
+    ``ValueError``.
     """
     if getattr(ns, "problem", None):
         bundle = load_problem(ns.problem)
@@ -153,6 +162,10 @@ def _build_bundles(ns):
         raise ValueError("one of --builtin or --problem is required")
     generator = BUILTINS[name]
     params = inspect.signature(generator).parameters
+    stray = [key for key in _BUILTIN_FLAGS if key in ns.explicit and key not in params]
+    if stray:
+        flags = ", ".join("--" + key.replace("_", "-") for key in stray)
+        raise ValueError(f"builtin {name!r} does not take {flags}")
     kwargs = {key: getattr(ns, key) for key in params
               if key != "dim" and getattr(ns, key, None) is not None}
     dims = _parse_dims(ns.dim) if "dim" in params else [None]

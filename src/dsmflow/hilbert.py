@@ -3,16 +3,18 @@
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 shape and finiteness at API boundaries.  :class:`DenseOperator` wraps a
 square matrix together with structural flags (self-adjoint, positive
-semidefinite) and caches its factorizations on first use.
+semidefinite) and caches its factorizations on first use.  Its LU
+factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
+:func:`_getrf` and :func:`_getrs`, which give bitwise what
+``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
+wrapper cost.
 
 Tolerances below are module-level defaults; :meth:`DenseOperator.solve`
 accepts a per-call pivot tolerance.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, ParseError, SingularOperator
 
@@ -43,9 +45,39 @@ def as_vector(x, dim=None, name="vector"):
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"{name} has dimension {v.size}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _getrf(M):
+    """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
+
+    Bitwise the output of ``scipy.linalg.lu_factor(M)``, with the same
+    ``ValueError`` on non-finite entries.  An exactly zero pivot is not an
+    error and raises no warning: callers decide through their pivot checks.
+    """
+    if not np.isfinite(M).all():
+        raise ValueError("matrix to factor contains non-finite entries")
+    lu, piv, info = dgetrf(M)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    return lu, piv
+
+
+def _getrs(lu, piv, b):
+    """Solve ``M x = b`` from :func:`_getrf`'s factors with LAPACK ``dgetrs``.
+
+    ``b`` is a vector or a matrix of right-hand-side columns.  Bitwise the
+    output of ``scipy.linalg.lu_solve((lu, piv), b)``; raises ``ValueError``
+    when ``lu`` or ``b`` holds a non-finite entry.
+    """
+    if not (np.isfinite(lu).all() and np.isfinite(b).all()):
+        raise ValueError("LU factors or right-hand side contain non-finite entries")
+    x, info = dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
+    return x
 
 
 def inner(u, v):
@@ -83,7 +115,7 @@ class DenseOperator:
             raise DimensionMismatch(f"operator must be square, got shape {A.shape}")
         if A.shape[0] == 0:
             raise DimensionMismatch("operator must have positive dimension")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise ValueError("operator contains non-finite entries")
         if psd_claimed and not self_adjoint:
             raise ValueError("psd_claimed requires self_adjoint")
@@ -190,11 +222,8 @@ class DenseOperator:
 
     def _factorize(self):
         if self._lu is None:
-            with warnings.catch_warnings():
-                # near-singular factorizations are handled by the pivot check
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(self.entries)
-            minpiv = float(np.min(np.abs(np.diag(lu))))
+            lu, piv = _getrf(self.entries)
+            minpiv = float(np.abs(lu.diagonal()).min())
             self._lu = (lu, piv, minpiv)
         return self._lu
 
@@ -210,7 +239,7 @@ class DenseOperator:
         if B.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"right-hand side has leading dimension {B.shape[0]}, expected {self.dim}")
-        if not np.all(np.isfinite(B)):
+        if not np.isfinite(B).all():
             raise ValueError("right-hand side contains non-finite entries")
         opn = self.operator_norm()
         if opn == 0.0:
@@ -220,7 +249,7 @@ class DenseOperator:
             raise SingularOperator(
                 f"pivot {minpiv:.3e} below {rtol:g} * operator norm {opn:.3e}",
                 condition_estimate=self.condition_estimate())
-        return scipy.linalg.lu_solve((lu, piv), B)
+        return _getrs(lu, piv, B)
 
 
 # -- matrix text format ----------------------------------------------------------

@@ -11,14 +11,13 @@ behind a pass/fail verdict so callers can log or serialize them.
 """
 
 import enum
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotApplicable, SingularLinearization
-from .hilbert import DenseOperator, VectorH, as_vector, norm
+from .hilbert import DenseOperator, VectorH, _getrf, _getrs, as_vector, norm
 
 __all__ = [
     "NonlinearMap",
@@ -63,7 +62,7 @@ class NonlinearMap:
         if out.shape != u.shape:
             raise DimensionMismatch(
                 f"map {self.name!r} returned shape {out.shape} for input shape {u.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"map {self.name!r} returned non-finite values")
         return out
 
@@ -73,7 +72,7 @@ class NonlinearMap:
         if J.shape != (u.size, u.size):
             raise DimensionMismatch(
                 f"map {self.name!r} Jacobian has shape {J.shape}, expected {(u.size, u.size)}")
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
         return J
 
@@ -175,14 +174,14 @@ def solve_linearized(T, rhs):
     """
     rhs = as_vector(rhs, dim=T.dim, name="linearized right-hand side")
     lu, piv, minpiv = T._factorize()
-    scale = max(1.0, float(np.max(np.abs(T.entries))))
+    scale = max(1.0, float(np.abs(T.entries).max()))
     if minpiv < 1e-9 * scale:
         smin = T.smallest_singular_value()
         if smin < 1e-12:
             raise SingularLinearization(
                 f"linearized operator is numerically singular "
                 f"(smallest singular value {smin:.3e})")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    return _getrs(lu, piv, rhs)
 
 
 def newton_velocity(problem, u):
@@ -190,7 +189,9 @@ def newton_velocity(problem, u):
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
-    ``M = A + g'(u)`` per call.  This equals ``-[I + A^{-1} g'(u)]^{-1} f``
+    ``M = A + g'(u)`` per call.  Both LUs come straight from LAPACK
+    ``dgetrf``/``dgetrs`` (:func:`~dsmflow.hilbert._getrf`,
+    :func:`~dsmflow.hilbert._getrs`).  This equals ``-[I + A^{-1} g'(u)]^{-1} f``
     without forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather
     than ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
     absolute error near machine epsilon, which ``M^{-1}`` magnifies by up to
@@ -205,14 +206,11 @@ def newton_velocity(problem, u):
     A = problem.shifted
     f = u + A.solve(problem.g(u))
     M = A.entries + problem.g.jacobian(u)
-    with warnings.catch_warnings():
-        # exactly singular M is handled by the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M)
-    if np.min(np.abs(np.diag(lu))) < 1e-9 * max(1.0, float(np.max(np.abs(M)))):
+    lu, piv = _getrf(M)
+    if np.abs(lu.diagonal()).min() < 1e-9 * max(1.0, float(np.abs(M).max())):
         v = -solve_linearized(linearized_operator(problem, u), f)
     else:
-        v = -scipy.linalg.lu_solve((lu, piv), A.entries @ f)
+        v = -_getrs(lu, piv, A.entries @ f)
     return v, float(np.linalg.norm(f))
 
 

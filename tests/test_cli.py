@@ -176,6 +176,29 @@ def test_certify_dimensionless_builtin_is_built_once(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["certificates.json"]
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (("wellposed_cubic", "--dim", "3", "--rank", "2", "--cubic-scale", "5"),
+     ("--rank", "--cubic-scale")),
+    (("singular_canonical", "--scale", "9"), ("--scale",)),
+], ids=["wellposed_rank_cubic_scale", "canonical_scale"])
+def test_certify_rejects_flags_the_builtin_does_not_take(capsys, argv, flags):
+    code, stdout, stderr = run(capsys, "certify", "--builtin", *argv)
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    for flag in flags:
+        assert flag in stderr
+
+
+def test_config_may_name_flags_the_builtin_does_not_take(tmp_path, capsys):
+    # config values are defaults, so one file can serve every builtin
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"rank": 2}))
+    code, stdout, _ = run(capsys, "certify", "--builtin", "wellposed_cubic",
+                          "--dim", "3", "--config", str(cfgfile))
+    assert code == EXIT_OK
+    assert "wellposed_cubic[dim=3]: tag=" in stdout
+
+
 def test_certify_loaded_problem_recomputes_tags(tmp_path, capsys):
     # file claims invertibility for a singular operator: caught on certify
     doc = {

@@ -7,6 +7,8 @@ compared against an exact reference that shares no code with the
 integrator.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,24 @@ def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
                    radius=10.0)
     f = preconditioned_residual(p, p.u0)
     assert np.linalg.norm(newton_velocity(p, p.u0)[0] + f) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_phi_singular_cases_raise_no_warning():
+    # an exactly singular L + g' is refused, a tiny pivot falls back, and
+    # neither goes through a warning
+    n = 3
+    g = NonlinearMap(lambda u: -u, lambda u: -np.eye(n), name="negate")
+    refused = DsmProblem(L=DenseOperator.identity(n), g=g, u0=np.ones(n), radius=1.0)
+    fallback = DsmProblem(L=DenseOperator.diagonal([1.0, 1e-10]),
+                          g=constant_map([0.3, -2e-10]), u0=np.array([0.5, 1.0]),
+                          radius=10.0)
+    f = preconditioned_residual(fallback, fallback.u0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularLinearization):
+            newton_velocity(refused, refused.u0)
+        v = newton_velocity(fallback, fallback.u0)[0]
+    assert np.linalg.norm(v + f) <= 1e-12 * np.linalg.norm(f)
 
 
 # -- exact linear trajectory ------------------------------------------------------

@@ -5,14 +5,17 @@ written here in the tests, so the library's LAPACK route and the oracle
 share no code.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsmflow.errors import (DimensionMismatch, NonPsdOperator, NotSymmetric,
                             ParseError, SingularOperator)
-from dsmflow.hilbert import (DenseOperator, as_vector, format_matrix_text,
-                             inner, norm, parse_matrix_text, read_matrix_text,
-                             write_matrix_text)
+from dsmflow.hilbert import (DenseOperator, _getrf, _getrs, as_vector,
+                             format_matrix_text, inner, norm, parse_matrix_text,
+                             read_matrix_text, write_matrix_text)
 
 
 def jacobi_singular_values(A, max_sweeps=100, tol=1e-15):
@@ -235,6 +238,52 @@ def test_solve_rejects_bad_rhs():
         A.solve(np.ones(4))
     with pytest.raises(ValueError):
         A.solve(np.array([1.0, np.inf, 0.0]))
+
+
+# -- LAPACK LU helpers ----------------------------------------------------------
+
+
+def same_bits(x, y):
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and x.tobytes() == y.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 10, 200])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lu_helpers_are_bitwise_scipy_lu(n, order):
+    rng = np.random.default_rng(n)
+    M = np.array(random_matrix(rng, n), order=order)
+    lu, piv = _getrf(M)
+    ref_lu, ref_piv = scipy.linalg.lu_factor(M)
+    assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
+        assert same_bits(_getrs(lu, piv, b),
+                         scipy.linalg.lu_solve((ref_lu, ref_piv), b))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lu_helpers_reject_non_finite(bad):
+    M = np.eye(3) + 0.1
+    lu, piv = _getrf(M)
+    b = np.ones(3)
+    M_bad, lu_bad, b_bad = M.copy(), lu.copy(), b.copy()
+    M_bad[1, 2] = lu_bad[1, 2] = b_bad[1] = bad
+    with pytest.raises(ValueError):
+        _getrf(M_bad)
+    with pytest.raises(ValueError):
+        _getrs(lu_bad, piv, b)
+    with pytest.raises(ValueError):
+        _getrs(lu, piv, b_bad)
+
+
+def test_exactly_singular_lu_raises_no_warning():
+    M = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu, _ = _getrf(M)
+        assert np.abs(lu.diagonal()).min() == 0.0
+        with pytest.raises(SingularOperator):
+            DenseOperator(M).solve(np.ones(2))
 
 
 # -- matrix text format -------------------------------------------------------
