@@ -54,7 +54,9 @@ def _getrf(M):
     """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
 
     Bitwise the output of ``scipy.linalg.lu_factor(M)``, with the same
-    ``ValueError`` on non-finite entries.  An exactly zero pivot is not an
+    ``ValueError`` on non-finite entries.  Factors that overflow raise
+    ``ValueError`` too, so every factor :func:`_getrs` receives is finite
+    and it need not check them again.  An exactly zero pivot is not an
     error and raises no warning: callers decide through their pivot checks.
     """
     if not np.isfinite(M).all():
@@ -62,6 +64,8 @@ def _getrf(M):
     lu, piv, info = dgetrf(M)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
+    if not np.isfinite(lu).all():
+        raise ValueError("LU factors contain non-finite entries")
     return lu, piv
 
 
@@ -70,10 +74,10 @@ def _getrs(lu, piv, b):
 
     ``b`` is a vector or a matrix of right-hand-side columns.  Bitwise the
     output of ``scipy.linalg.lu_solve((lu, piv), b)``; raises ``ValueError``
-    when ``lu`` or ``b`` holds a non-finite entry.
+    when ``b`` holds a non-finite entry.  ``_getrf`` has checked ``lu``.
     """
-    if not (np.isfinite(lu).all() and np.isfinite(b).all()):
-        raise ValueError("LU factors or right-hand side contain non-finite entries")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side contains non-finite entries")
     x, info = dgetrs(lu, piv, b)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrs")

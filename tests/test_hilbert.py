@@ -266,14 +266,23 @@ def test_lu_helpers_reject_non_finite(bad):
     M = np.eye(3) + 0.1
     lu, piv = _getrf(M)
     b = np.ones(3)
-    M_bad, lu_bad, b_bad = M.copy(), lu.copy(), b.copy()
-    M_bad[1, 2] = lu_bad[1, 2] = b_bad[1] = bad
+    M_bad, b_bad = M.copy(), b.copy()
+    M_bad[1, 2] = b_bad[1] = bad
     with pytest.raises(ValueError):
         _getrf(M_bad)
     with pytest.raises(ValueError):
-        _getrs(lu_bad, piv, b)
-    with pytest.raises(ValueError):
         _getrs(lu, piv, b_bad)
+
+
+def test_factors_are_checked_once_when_made():
+    # every entry is finite, but elimination overflows: -1.5e308 - 0.5e308
+    M = np.array([[1.0, 1e308], [0.5, -1.5e308]])
+    with pytest.raises(ValueError, match="LU factors contain non-finite"):
+        _getrf(M)
+    # _getrs trusts the factors _getrf returned and checks only b
+    lu, piv = _getrf(np.eye(2))
+    lu[1, 0] = np.nan
+    assert np.isnan(_getrs(lu, piv, np.ones(2))).any()
 
 
 def test_exactly_singular_lu_raises_no_warning():

@@ -17,8 +17,10 @@ from dsmflow.model import (CertificateKind, DsmProblem, NonlinearMap,
                            check_trust_condition, estimate_newton_bound,
                            fd_jacobian_check, full_residual,
                            linearized_operator, monotonicity_certificate,
-                           preconditioned_residual, solve_linearized)
-from dsmflow.problems import singular_monotone, wellposed_cubic
+                           preconditioned_residual, solve_linearized,
+                           _inverse_free_screen)
+from dsmflow.problems import (ill_conditioned, sector_blocks, singular_monotone,
+                              wellposed_cubic)
 
 
 def cubic_map(scale=0.1):
@@ -249,6 +251,71 @@ def test_newton_bound_screen_is_bitwise_the_svd_of_every_sample(case):
     q = estimate_newton_bound(p, samples).quantities
     assert q["worst_sigma_min"] == worst
     assert q["bound"] == 1.0 / worst
+
+
+def count_solves_and_svds(monkeypatch, p, samples):
+    """``estimate_newton_bound``'s quantities, its n-column ``A.solve`` calls and its SVDs."""
+    p.shifted.singular_values()   # cache A's own SVD before counting
+    counts = {"solve": 0, "svd": 0}
+    solve, svd = DenseOperator.solve, np.linalg.svd
+
+    def counting_solve(self, b, *args, **kwargs):
+        counts["solve"] += np.ndim(b) == 2
+        return solve(self, b, *args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(DenseOperator, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    q = estimate_newton_bound(p, samples).quantities
+    monkeypatch.undo()
+    return q, counts["solve"], counts["svd"]
+
+
+def _cloud(p, seed=1):
+    return p, ball_samples(p.u0, p.radius, 64, seed=seed)
+
+
+def _tiny_scale():
+    # small_problem scaled by 1e-170: T is unchanged, but A A^T would underflow
+    p = small_problem(dim=6, eps=0.2, seed=7)
+    g = NonlinearMap(lambda u: 1e-171 * u ** 3, lambda u: np.diag(3e-171 * u ** 2))
+    A = DenseOperator(1e-170 * p.shifted.entries)
+    return _cloud(DsmProblem(L=A, g=g, u0=p.u0, radius=p.radius))
+
+
+@pytest.mark.parametrize("case, inverse_free", [
+    # the 65 samples wellposed_cubic's trust tag certifies (seed 42, attempt 0)
+    pytest.param(lambda: _cloud(wellposed_cubic(dim=200).problem, seed=42), True,
+                 id="wellposed-d200"),
+    pytest.param(lambda: _cloud(sector_blocks(8, epsilon=0.1).problem), True,
+                 id="sector-nonsymmetric"),
+    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-2)), True,
+                 id="ill-conditioned-eps1e-2"),
+    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-6)), False,
+                 id="ill-conditioned-eps1e-6"),
+    pytest.param(_tiny_scale, False, id="tiny-scale"),
+])
+def test_newton_bound_route_is_bitwise_the_svd_of_every_sample(monkeypatch, case,
+                                                                inverse_free):
+    p, samples = case()
+    q, n_solves, n_svds = count_solves_and_svds(monkeypatch, p, samples)
+    worst = svd_every_sample(p, samples)
+    assert q["worst_sigma_min"] == worst
+    assert q["bound"] == 1.0 / worst
+    assert (_inverse_free_screen(p.shifted) is not None) == inverse_free
+    # the inverse-free screen forms T only for samples that take an SVD;
+    # the T^T T screen forms it for every sample
+    assert n_solves == (n_svds if inverse_free else len(samples))
+    assert n_svds < len(samples)
+
+
+def test_newton_bound_forms_T_only_for_samples_that_take_an_svd(monkeypatch):
+    p, samples = _wellposed(50)
+    _, n_solves, n_svds = count_solves_and_svds(monkeypatch, p, samples)
+    assert n_solves == n_svds <= 12
 
 
 def test_newton_bound_refuses_a_singular_sample_after_healthy_ones():
