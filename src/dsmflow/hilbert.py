@@ -50,6 +50,10 @@ def as_vector(x, dim=None, name="vector"):
     return v
 
 
+#: Message of the ``ValueError`` for a non-finite matrix handed to an LU.
+_NON_FINITE_MATRIX = "matrix to factor contains non-finite entries"
+
+
 def _getrf(M):
     """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
 
@@ -60,7 +64,15 @@ def _getrf(M):
     error and raises no warning: callers decide through their pivot checks.
     """
     if not np.isfinite(M).all():
-        raise ValueError("matrix to factor contains non-finite entries")
+        raise ValueError(_NON_FINITE_MATRIX)
+    return _dgetrf(M)
+
+
+def _dgetrf(M):
+    """:func:`_getrf` for an ``M`` the caller has already found finite.
+
+    Still checks that the factors are finite.
+    """
     lu, piv, info = dgetrf(M)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
@@ -78,6 +90,11 @@ def _getrs(lu, piv, b):
     """
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite entries")
+    return _dgetrs(lu, piv, b)
+
+
+def _dgetrs(lu, piv, b):
+    """:func:`_getrs` for a ``b`` the caller has already found finite."""
     x, info = dgetrs(lu, piv, b)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrs")
@@ -231,20 +248,17 @@ class DenseOperator:
             self._lu = (lu, piv, minpiv)
         return self._lu
 
-    def solve(self, b, pivot_rtol=None):
-        """Solve ``A x = b`` through the cached LU factorization.
+    def _solve_factors(self, b, pivot_rtol=None):
+        """Cached ``(lu, piv)`` for solving against ``b``, after the checks of :meth:`solve`.
 
-        ``b`` may be a vector or a matrix of stacked right-hand-side columns.
-        Raises :class:`SingularOperator` when the smallest pivot falls below
-        ``pivot_rtol`` (default ``PIVOT_RTOL``) times the operator norm.
+        Checks ``b``'s leading dimension and the pivots, but not ``b``'s
+        entries: :meth:`solve` leaves those to :func:`_getrs`, and
+        :func:`~dsmflow.model.newton_velocity` to the map that made ``b``.
         """
         rtol = PIVOT_RTOL if pivot_rtol is None else float(pivot_rtol)
-        B = np.asarray(b, dtype=float)
-        if B.shape[0] != self.dim:
+        if b.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"right-hand side has leading dimension {B.shape[0]}, expected {self.dim}")
-        if not np.isfinite(B).all():
-            raise ValueError("right-hand side contains non-finite entries")
+                f"right-hand side has leading dimension {b.shape[0]}, expected {self.dim}")
         opn = self.operator_norm()
         if opn == 0.0:
             raise SingularOperator("zero operator", condition_estimate=float("inf"))
@@ -253,6 +267,18 @@ class DenseOperator:
             raise SingularOperator(
                 f"pivot {minpiv:.3e} below {rtol:g} * operator norm {opn:.3e}",
                 condition_estimate=self.condition_estimate())
+        return lu, piv
+
+    def solve(self, b, pivot_rtol=None):
+        """Solve ``A x = b`` through the cached LU factorization.
+
+        ``b`` may be a vector or a matrix of stacked right-hand-side columns.
+        Raises :class:`SingularOperator` when the smallest pivot falls below
+        ``pivot_rtol`` (default ``PIVOT_RTOL``) times the operator norm, and
+        ``ValueError`` (from :func:`_getrs`) when ``b`` is not finite.
+        """
+        B = np.asarray(b, dtype=float)
+        lu, piv = self._solve_factors(B, pivot_rtol)
         return _getrs(lu, piv, B)
 
 

@@ -11,13 +11,15 @@ behind a pass/fail verdict so callers can log or serialize them.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotApplicable, SingularLinearization
-from .hilbert import DenseOperator, VectorH, _getrf, _getrs, as_vector, norm
+from .hilbert import (_NON_FINITE_MATRIX, DenseOperator, VectorH, _dgetrf, _dgetrs, _getrs,
+                      as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -146,9 +148,16 @@ class Certificate:
 # -- residuals and linearization ---------------------------------------------------
 
 def full_residual(problem, u):
-    """``(L + eps*I) u + g(u)``: the residual of the shifted equation."""
-    u = as_vector(u, dim=problem.dim)
-    return problem.shifted.apply(u) + problem.g(u)
+    """``(L + eps*I) u + g(u)``: the residual of the shifted equation.
+
+    ``u`` is checked once, by ``g``; only a ``u`` of the wrong shape goes
+    through :func:`~dsmflow.hilbert.as_vector` here, for its
+    :class:`DimensionMismatch`.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (problem.dim,):
+        as_vector(u, dim=problem.dim)   # raises its DimensionMismatch
+    return problem.shifted.entries @ u + problem.g(u)
 
 
 def preconditioned_residual(problem, u):
@@ -197,12 +206,23 @@ def newton_velocity(problem, u):
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
     ``M = A + g'(u)`` per call.  Both LUs come straight from LAPACK
-    ``dgetrf``/``dgetrs`` (:func:`~dsmflow.hilbert._getrf`,
-    :func:`~dsmflow.hilbert._getrs`).  This equals ``-[I + A^{-1} g'(u)]^{-1} f``
-    without forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather
-    than ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
-    absolute error near machine epsilon, which ``M^{-1}`` magnifies by up to
-    ``1/eps`` at deep shifts.
+    ``dgetrf``/``dgetrs`` (:mod:`dsmflow.hilbert`).  This equals
+    ``-[I + A^{-1} g'(u)]^{-1} f`` without forming ``A^{-1} g'(u)``.  The
+    right-hand side is ``A f`` rather than ``A u + g(u)``: both are
+    ``F(u)``, but the latter cancels to an absolute error near machine
+    epsilon, which ``M^{-1}`` magnifies by up to ``1/eps`` at deep shifts.
+
+    Each array is checked once, and raises what ``A.solve`` and ``_getrf``
+    would raise:
+
+    - ``g(u)`` and ``g'(u)`` check ``u`` and their own outputs
+      (``ValueError``, ``DimensionMismatch``); ``g(u)`` is not scanned again.
+    - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
+      (:class:`SingularOperator`).
+    - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
+      ``max``; that one reduction also scales the pivot test below
+      (``ValueError``).
+    - ``_dgetrf`` checks ``M``'s LU factors and ``_getrs`` checks ``A f``.
 
     When ``M`` has an LU pivot below ``1e-9 * max(1, max|M|)`` the velocity
     is taken from ``T = I + A^{-1} g'(u)`` through :func:`solve_linearized`
@@ -211,14 +231,19 @@ def newton_velocity(problem, u):
     therefore not a refusal.  Returns ``(v, p)``.
     """
     A = problem.shifted
-    f = u + A.solve(problem.g(u))
+    gu = problem.g(u)
+    lu, piv = A._solve_factors(gu)
+    f = u + _dgetrs(lu, piv, gu)
     M = A.entries + problem.g.jacobian(u)
-    lu, piv = _getrf(M)
-    if np.abs(lu.diagonal()).min() < 1e-9 * max(1.0, float(np.abs(M).max())):
+    m_max = float(np.abs(M).max())
+    if not math.isfinite(m_max):
+        raise ValueError(_NON_FINITE_MATRIX)
+    lu, piv = _dgetrf(M)
+    if np.abs(lu.diagonal()).min() < 1e-9 * max(1.0, m_max):
         v = -solve_linearized(linearized_operator(problem, u), f)
     else:
         v = -_getrs(lu, piv, A.entries @ f)
-    return v, float(np.linalg.norm(f))
+    return v, math.sqrt(f.dot(f))
 
 
 # -- sampling -----------------------------------------------------------------------

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dsmflow.errors import FlowFailed, SingularLinearization
+from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
+                            SingularOperator)
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
                           error_bound_check, integrate, write_trajectory_csv)
 from dsmflow.hilbert import DenseOperator, norm
@@ -122,6 +123,89 @@ def test_phi_singular_cases_raise_no_warning():
             newton_velocity(refused, refused.u0)
         v = newton_velocity(fallback, fallback.u0)[0]
     assert np.linalg.norm(v + f) <= 1e-12 * np.linalg.norm(f)
+
+
+# -- the stage's error contract ---------------------------------------------------
+#
+# Each array a stage touches is checked once; these pin which error every
+# bad input still raises.  The maps misbehave only away from the start
+# point, since DsmProblem probes g and g' at u0.
+
+
+_FAR = np.array([3.0, 0.0])
+
+
+def misbehaving_problem(fn=None, jac=None, L=None):
+    """dim 2, u0 = 0, g = u^3 near u0 and ``fn``/``jac`` where u[0] > 2."""
+    def g(u):
+        return fn(u) if fn is not None and u[0] > 2.0 else u ** 3
+
+    def g_jac(u):
+        return jac(u) if jac is not None and u[0] > 2.0 else np.diag(3.0 * u ** 2)
+
+    L = DenseOperator.identity(2) if L is None else L
+    return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="misbehaving"),
+                      u0=np.zeros(2), radius=10.0)
+
+
+def test_stage_rejects_non_finite_point():
+    p = misbehaving_problem()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            newton_velocity(p, np.array([1.0, bad]))
+
+
+def test_stage_rejects_non_finite_map_values():
+    p = misbehaving_problem(fn=lambda u: np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="returned non-finite values"):
+        newton_velocity(p, _FAR)
+
+
+def test_stage_rejects_non_finite_jacobian():
+    p = misbehaving_problem(jac=lambda u: np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="Jacobian has non-finite entries"):
+        newton_velocity(p, _FAR)
+
+
+@pytest.mark.parametrize("which", ["map", "jacobian"])
+def test_stage_rejects_wrong_output_shape(which):
+    if which == "map":
+        p = misbehaving_problem(fn=lambda u: np.zeros(3))
+    else:
+        p = misbehaving_problem(jac=lambda u: np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        newton_velocity(p, _FAR)
+
+
+def test_stage_refuses_singular_operator_without_shift():
+    p = misbehaving_problem(L=DenseOperator.diagonal([1.0, 0.0]))
+    assert p.epsilon == 0.0
+    with pytest.raises(SingularOperator):
+        newton_velocity(p, p.u0 + 0.5)
+
+
+def test_stage_rejects_overflowing_linearization():
+    # A = 1e308 I and g' = 1e308 I are finite, A + g'(u) is not
+    big = 1e308 * np.eye(2)
+    p = misbehaving_problem(jac=lambda u: big.copy(), L=DenseOperator(big))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="matrix to factor contains non-finite entries"):
+        newton_velocity(p, _FAR)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wellposed_cubic(6).problem,
+    lambda: singular_monotone(10, rank=5, cubic_scale=0.1).problem.with_epsilon(1e-3),
+], ids=["wellposed_cubic-6", "singular_monotone-10-eps1e-3"])
+def test_recorded_norms_are_bitwise_the_residual_norms(make):
+    # p comes from the stage and residual_F from the recorder; both must be
+    # exactly the norms that the residual functions give at the stored point
+    problem = make()
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    assert len(res.trajectory) > 10
+    for pt in res.trajectory:
+        assert pt.p == norm(preconditioned_residual(problem, pt.u))
+        assert pt.residual_F == norm(full_residual(problem, pt.u))
 
 
 # -- exact linear trajectory ------------------------------------------------------
