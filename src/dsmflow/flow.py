@@ -11,9 +11,9 @@ and ``f = u + A^{-1} g(u)``: one LU of ``A + g'(u)`` per stage, see
 Each RK stage checks each array it touches once, inside
 :func:`~dsmflow.model.newton_velocity`.  The step loop adds no check: its
 error norm and trust-ball distance reduce arrays the stages have already
-checked.  Recording a point checks ``u`` once in
-:func:`~dsmflow.model.full_residual` and the residual once in
-:func:`~dsmflow.hilbert.norm`.
+checked.  Recording a point is not on that path: it checks ``u`` in
+:func:`~dsmflow.model.full_residual`, once at entry and once inside
+``g``, and the residual in :func:`~dsmflow.hilbert.norm`.
 
 Along exact trajectories the preconditioned residual norm
 ``p(t) = |u(t) + (L+eps*I)^{-1} g(u(t))|`` obeys ``p(t) = p(0) e^{-t}``,

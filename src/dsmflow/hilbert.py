@@ -50,28 +50,16 @@ def as_vector(x, dim=None, name="vector"):
     return v
 
 
-#: Message of the ``ValueError`` for a non-finite matrix handed to an LU.
-_NON_FINITE_MATRIX = "matrix to factor contains non-finite entries"
-
-
 def _getrf(M):
     """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
 
-    Bitwise the output of ``scipy.linalg.lu_factor(M)``, with the same
-    ``ValueError`` on non-finite entries.  Factors that overflow raise
-    ``ValueError`` too, so every factor :func:`_getrs` receives is finite
-    and it need not check them again.  An exactly zero pivot is not an
-    error and raises no warning: callers decide through their pivot checks.
-    """
-    if not np.isfinite(M).all():
-        raise ValueError(_NON_FINITE_MATRIX)
-    return _dgetrf(M)
-
-
-def _dgetrf(M):
-    """:func:`_getrf` for an ``M`` the caller has already found finite.
-
-    Still checks that the factors are finite.
+    Bitwise the output of ``scipy.linalg.lu_factor(M)``.  ``M`` is not
+    scanned: a non-finite entry always leaves a non-finite factor, and
+    factors that are not finite, from such an entry or from overflow,
+    raise ``ValueError``.  So every factor :func:`_getrs` receives is
+    finite and it need not check them again.  An exactly zero pivot is
+    not an error and raises no warning: callers decide through their
+    pivot checks.
     """
     lu, piv, info = dgetrf(M)
     if info < 0:

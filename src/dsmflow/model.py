@@ -18,8 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotApplicable, SingularLinearization
-from .hilbert import (_NON_FINITE_MATRIX, DenseOperator, VectorH, _dgetrf, _dgetrs, _getrs,
-                      as_vector, norm)
+from .hilbert import DenseOperator, VectorH, _dgetrs, _getrf, _getrs, as_vector, norm
 
 __all__ = [
     "NonlinearMap",
@@ -148,15 +147,8 @@ class Certificate:
 # -- residuals and linearization ---------------------------------------------------
 
 def full_residual(problem, u):
-    """``(L + eps*I) u + g(u)``: the residual of the shifted equation.
-
-    ``u`` is checked once, by ``g``; only a ``u`` of the wrong shape goes
-    through :func:`~dsmflow.hilbert.as_vector` here, for its
-    :class:`DimensionMismatch`.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.dim,):
-        as_vector(u, dim=problem.dim)   # raises its DimensionMismatch
+    """``(L + eps*I) u + g(u)``: the residual of the shifted equation."""
+    u = as_vector(u, dim=problem.dim)
     return problem.shifted.entries @ u + problem.g(u)
 
 
@@ -212,8 +204,8 @@ def newton_velocity(problem, u):
     ``F(u)``, but the latter cancels to an absolute error near machine
     epsilon, which ``M^{-1}`` magnifies by up to ``1/eps`` at deep shifts.
 
-    Each array is checked once, and raises what ``A.solve`` and ``_getrf``
-    would raise:
+    Each array is checked once, and raises what ``A.solve`` and an LU of
+    ``M`` would raise:
 
     - ``g(u)`` and ``g'(u)`` check ``u`` and their own outputs
       (``ValueError``, ``DimensionMismatch``); ``g(u)`` is not scanned again.
@@ -222,7 +214,7 @@ def newton_velocity(problem, u):
     - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
       ``max``; that one reduction also scales the pivot test below
       (``ValueError``).
-    - ``_dgetrf`` checks ``M``'s LU factors and ``_getrs`` checks ``A f``.
+    - ``_getrf`` checks ``M``'s LU factors and ``_getrs`` checks ``A f``.
 
     When ``M`` has an LU pivot below ``1e-9 * max(1, max|M|)`` the velocity
     is taken from ``T = I + A^{-1} g'(u)`` through :func:`solve_linearized`
@@ -237,8 +229,8 @@ def newton_velocity(problem, u):
     M = A.entries + problem.g.jacobian(u)
     m_max = float(np.abs(M).max())
     if not math.isfinite(m_max):
-        raise ValueError(_NON_FINITE_MATRIX)
-    lu, piv = _dgetrf(M)
+        raise ValueError("matrix to factor contains non-finite entries")
+    lu, piv = _getrf(M)
     if np.abs(lu.diagonal()).min() < 1e-9 * max(1.0, m_max):
         v = -solve_linearized(linearized_operator(problem, u), f)
     else:

@@ -4,11 +4,18 @@ Pin OpenBLAS to one thread before numpy loads, as the benchmark does.  The
 problems here are small and dense, and on a 2-vCPU machine the default
 thread count makes the dim-200 tests about five times slower through
 thread contention.  An explicit ``OPENBLAS_NUM_THREADS`` still wins.
-A ``-W error::scipy.linalg.LinAlgWarning`` option imports scipy, and so
-numpy, before this file loads; a command that passes it must set the
-variable itself.
+
+Turn ``scipy.linalg.LinAlgWarning`` into an error.  LU factors come from
+``dgetrf``, which never warns, so such a warning means a scipy wrapper
+crept back in without its pivot check.  The filter is added here rather
+than by ``-W`` or in ``pyproject.toml``: pytest resolves those before this
+file loads, and resolving the class imports numpy.
 """
 
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")

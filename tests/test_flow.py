@@ -199,12 +199,14 @@ def test_stage_rejects_overflowing_linearization():
 ], ids=["wellposed_cubic-6", "singular_monotone-10-eps1e-3"])
 def test_recorded_norms_are_bitwise_the_residual_norms(make):
     # p comes from the stage and residual_F from the recorder; both must be
-    # exactly the norms that the residual functions give at the stored point
+    # exactly the norms that the residual functions give at the stored point,
+    # and full_residual exactly (L + eps*I) u + g(u) through the operator
     problem = make()
     res = integrate(problem, FlowConfig(t_max=10.0))
     assert len(res.trajectory) > 10
     for pt in res.trajectory:
         assert pt.p == norm(preconditioned_residual(problem, pt.u))
+        assert pt.residual_F == norm(problem.shifted.apply(pt.u) + problem.g(pt.u))
         assert pt.residual_F == norm(full_residual(problem, pt.u))
 
 

@@ -265,13 +265,18 @@ def test_lu_helpers_are_bitwise_scipy_lu(n, order):
 def test_lu_helpers_reject_non_finite(bad):
     M = np.eye(3) + 0.1
     lu, piv = _getrf(M)
-    b = np.ones(3)
-    M_bad, b_bad = M.copy(), b.copy()
-    M_bad[1, 2] = b_bad[1] = bad
-    with pytest.raises(ValueError):
-        _getrf(M_bad)
+    b_bad = np.ones(3)
+    b_bad[1] = bad
     with pytest.raises(ValueError):
         _getrs(lu, piv, b_bad)
+    # _getrf does not scan M: the check of the factors must catch a bad
+    # entry in every position, also where the pivot column is zero
+    for M0 in (M, np.zeros((3, 3))):
+        for i, j in np.ndindex(M0.shape):
+            M_bad = M0.copy()
+            M_bad[i, j] = bad
+            with pytest.raises(ValueError, match="LU factors contain non-finite"):
+                _getrf(M_bad)
 
 
 def test_factors_are_checked_once_when_made():
