@@ -117,7 +117,12 @@ def _build_parser():
     return parser
 
 
-def _merge_config(ns):
+def _merge_config(ns, parser):
+    """Fill unset flags from the config file, then from ``_DEFAULTS``.
+
+    Config values of numeric flags must be JSON numbers, integers for ``int``
+    flags and null only where the default is; they get the flag's type.
+    """
     config = {}
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
@@ -127,6 +132,20 @@ def _merge_config(ns):
         unknown = sorted(set(config) - set(_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; known: {sorted(_DEFAULTS)}")
+        # a flag that several subcommands take has the same type in each
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        types = {action.dest: action.type or str
+                 for sub in commands.choices.values() for action in sub._actions}
+        for key, value in config.items():
+            kind = types[key]
+            if kind is str or value is None and _DEFAULTS[key] is None:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, int if kind is int else (int, float)):
+                raise ValueError(f"config key {key!r} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+            config[key] = kind(value)
     # config values are defaults like the table's, so a shared config file
     # may name flags that some builtins do not take
     ns.explicit = {key for key in _DEFAULTS if getattr(ns, key, None) is not None}
@@ -411,7 +430,7 @@ def main(argv=None):
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        _merge_config(ns)
+        _merge_config(ns, parser)
         return ns.func(ns)
     except Exception as exc:  # uniform exit-code mapping, see _code_for
         code = _code_for(exc)

@@ -10,8 +10,8 @@ minimal-norm solution's and converge to it as the shift vanishes.
 
 The continuation stores one record per shift so convergence can be
 audited after the fact; :func:`minimal_norm_diagnostics` condenses those
-records, and :func:`discrepancy_stop` picks the flow stopping time
-matched to a given data-noise level.
+records, and :func:`discrepancy_stop` stops one integration at the time
+the exponential decay of the residual gives for a data-noise level.
 """
 
 from dataclasses import dataclass, replace
@@ -163,8 +163,7 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
     opn = problem.shifted.operator_norm()
     # |(L+eps) v + g(v)| = |(L+eps) f(v)| <= |L+eps| * p_final, plus
     # rounding slack for evaluating the residual itself
-    stop_at = max(cfg.p_stop * result.p0, cfg.stop_threshold_floor)
-    residual_bound = opn * (stop_at + 1e-13 * (1.0 + norm(v)))
+    residual_bound = opn * (cfg.stop_at(result.p0) + 1e-13 * (1.0 + norm(v)))
     return NewtonFlowSolution(
         v=v,
         flow=result,
@@ -314,14 +313,17 @@ def minimal_norm_diagnostics(result, oracle_v=None):
 
 
 def discrepancy_stop(problem, delta, cfg=None, factor=1.5):
-    """First flow time where the equation residual drops to the noise level.
+    """Flow time and point where the equation residual meets the noise level.
 
-    Returns ``(t, u)`` at the first recorded state with
-    ``|L u + g(u) + eps*u| <= factor * delta``.  When a recording stride
-    jumps past the window ``[delta, factor*delta]`` the crossing is
-    re-bracketed by re-integrating from the previous recorded state.
-    Raises :class:`TMaxReachedError` when the residual never reaches the
-    window before ``t_max``.
+    The residual ``F(u) = (L+eps*I) u + g(u)`` obeys ``F(u(t)) = e^{-t} F(u0)``
+    along the flow, so one integration runs to ``t* = log(|F(u0)| /
+    (sqrt(factor)*delta))``, the geometric middle of ``[delta, factor*delta]``,
+    and returns its end point ``(t, u)`` after checking that ``|F(u)|`` lies
+    in that window.  The check needs the integrator's deviation from the
+    decay law at ``t*`` to be small against the window; a miss raises
+    :class:`FlowFailed` with the flow result.  Returns ``(0.0, u0)`` if
+    ``|F(u0)| <= factor*delta``; raises :class:`TMaxReachedError`, before
+    integrating, if ``t* > cfg.t_max``.
     """
     delta = float(delta)
     if delta <= 0.0:
@@ -333,35 +335,17 @@ def discrepancy_stop(problem, delta, cfg=None, factor=1.5):
     r0 = float(np.linalg.norm(full_residual(problem, problem.u0)))
     if r0 <= factor * delta:
         return 0.0, problem.u0.copy()
-    result = integrate(problem, cfg)
-    prev = result.trajectory[0]
-    for pt in result.trajectory[1:]:
-        if pt.residual_F <= factor * delta:
-            if pt.residual_F >= delta:
-                return pt.t, pt.u.copy()
-            # overshot the window within one stride; bisect the stride by
-            # re-integrating from the last state above it
-            lo_t, hi_t = prev.t, pt.t
-            base = problem.with_start(prev.u)
-            for _ in range(80):
-                mid = 0.5 * (lo_t + hi_t)
-                probe_cfg = replace(cfg, t_max=max(mid - prev.t, 1e-13),
-                                    p_stop=0.0)
-                probe = integrate(base, probe_cfg)
-                r_mid = probe.trajectory[-1].residual_F
-                if r_mid <= factor * delta:
-                    if r_mid >= delta:
-                        return prev.t + probe.t_final, probe.u_final.copy()
-                    hi_t = mid
-                else:
-                    lo_t = mid
-            raise TMaxReachedError(
-                f"failed to bracket the discrepancy window [{delta:.3e}, "
-                f"{factor * delta:.3e}] between t={prev.t:.6f} and t={pt.t:.6f}")
-        prev = pt
-    raise TMaxReachedError(
-        f"residual stayed above {factor * delta:.3e} up to t_max={cfg.t_max} "
-        f"(final residual {result.trajectory[-1].residual_F:.3e})")
+    t_stop = np.log(r0 / (np.sqrt(factor) * delta))
+    window = f"[{delta:.3e}, {factor * delta:.3e}]"
+    if t_stop > cfg.t_max:
+        raise TMaxReachedError(
+            f"residual {r0:.3e} reaches {window} at t={t_stop:.6f}, after t_max={cfg.t_max}")
+    result = integrate(problem, replace(cfg, t_max=t_stop, p_stop=0.0))
+    r = result.trajectory[-1].residual_F
+    if not delta <= r <= factor * delta:
+        raise FlowFailed(f"residual {r:.3e} at t={result.t_final:.6f} missed {window}",
+                         result=result)
+    return result.t_final, result.u_final
 
 
 def write_continuation_csv(result, path):

@@ -116,9 +116,9 @@ class FlowConfig:
         if not np.isfinite(self.sample_stride) or self.sample_stride <= 0.0:
             raise ValueError(f"sample_stride must be positive, got {self.sample_stride}")
 
-    @property
-    def stop_threshold_floor(self):
-        return max(self.p_stop_abs, _P_STOP_FLOOR)
+    def stop_at(self, p0):
+        """Residual norm at which a run starting from ``p(0) = p0`` stops."""
+        return max(self.p_stop * p0, self.p_stop_abs, _P_STOP_FLOOR)
 
 
 class FlowStatus(enum.Enum):
@@ -185,7 +185,7 @@ def integrate(problem, cfg=None, *, trust=None):
     u = problem.u0.copy()
     v, p = newton_velocity(problem, u)
     p0 = p
-    stop_at = max(cfg.p_stop * p0, cfg.stop_threshold_floor)
+    stop_at = cfg.stop_at(p0)
     enforce_ball = trust is not None and trust.passed
 
     trajectory = [_point(problem, 0.0, u, p, 0.0)]

@@ -122,10 +122,6 @@ class DsmProblem:
     def with_epsilon(self, eps):
         return replace(self, epsilon=float(eps))
 
-    def with_start(self, u0, radius=None):
-        return replace(self, u0=as_vector(u0, dim=self.dim, name="start point"),
-                       radius=self.radius if radius is None else float(radius))
-
 
 class CertificateKind(enum.Enum):
     TRUST_CONDITION = "trust_condition"

@@ -290,6 +290,31 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys, config):
     assert repr(next(iter(config))) in stderr
 
 
+@pytest.mark.parametrize("command,config", [("certify", {"seed": "3"}),
+                                            ("solve", {"t_max": "5"}),
+                                            ("solve", {"seed": True}),
+                                            ("solve", {"seed": 3.0})],
+                         ids=["certify_string_seed", "solve_string_t_max",
+                              "bool_seed", "float_seed"])
+def test_wrongly_typed_config_value_is_an_error(tmp_path, capsys, command, config):
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps(config))
+    code, stdout, stderr = run(capsys, command, "--builtin", "wellposed_cubic",
+                               "--dim", "3", "--config", str(cfgfile))
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert repr(next(iter(config))) in stderr
+
+
+def test_integer_config_value_for_float_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"t_max": 5}))
+    code, stdout, _ = run(capsys, "solve", "--builtin", "wellposed_cubic",
+                          "--dim", "3", "--p-stop", "1e-2", "--config", str(cfgfile))
+    assert code == EXIT_OK
+    assert "status=residual_converged" in stdout
+
+
 def test_missing_problem_source_is_an_error(capsys):
     code, _, stderr = run(capsys, "solve")
     assert code == EXIT_ERROR

@@ -5,9 +5,12 @@ oracle (or carried by the problem bundle), never taken from the
 continuation itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dsmflow import continuation
 from dsmflow.continuation import (EPS_CONDITION_LIMIT, ContinuationResult,
                                   EpsSchedule, NewtonFlowSolution,
                                   discrepancy_stop, minimal_norm_diagnostics,
@@ -93,7 +96,7 @@ def test_newton_flow_require_converged_toggle():
 
 def test_exploratory_flag_on_failed_trust():
     b = wellposed_cubic(5, scale=0.1, seed=54)
-    tight = b.problem.with_start(b.problem.u0, radius=1e-3)
+    tight = replace(b.problem, radius=1e-3)
     sol = solve_newton_flow(tight)
     assert sol.exploratory
     assert not sol.certificates["trust_condition"].passed
@@ -207,15 +210,53 @@ def test_discrepancy_stop_window_and_ordering():
     assert ts[0] < ts[1] < ts[2]
 
 
-def test_discrepancy_stop_bisection_under_coarse_stride():
+def test_discrepancy_stop_does_not_depend_on_stride():
     # stride 2.0 shrinks the residual by e^2 between records, far past the
-    # factor-1.5 window, so the bracketing re-integration must engage
+    # factor-1.5 window; the stop time comes from the decay law, not from
+    # the recorded points, so the stride changes nothing
     b = wellposed_cubic(6, scale=0.1, seed=41)
     cfg = FlowConfig(t_max=30.0, sample_stride=2.0, p_stop=0.0)
     delta = 1e-3
     t, u = discrepancy_stop(b.problem, delta, cfg)
     r = norm(full_residual(b.problem, u))
     assert delta <= r <= 1.5 * delta * (1 + 1e-9)
+    t_fine, u_fine = discrepancy_stop(b.problem, delta,
+                                      replace(cfg, sample_stride=0.1))
+    assert t == t_fine and np.array_equal(u, u_fine)
+
+
+def test_discrepancy_stop_time_is_the_decay_law_time():
+    b = wellposed_cubic(6, scale=0.1, seed=41)
+    r0 = norm(full_residual(b.problem, b.problem.u0))
+    for delta in (1e-2, 1e-4):
+        t, _ = discrepancy_stop(b.problem, delta)
+        assert abs(t - np.log(r0 / (np.sqrt(1.5) * delta))) <= 1e-12
+
+
+def test_discrepancy_stop_past_t_max_raises_before_integrating(monkeypatch):
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(continuation, "integrate", no_integrate)
+    b = wellposed_cubic(4, scale=0.1, seed=57)
+    with pytest.raises(TMaxReachedError):
+        discrepancy_stop(b.problem, 1e-6, FlowConfig(t_max=0.5))
+
+
+def test_discrepancy_stop_missed_window_raises_with_result():
+    # loose tolerances put the end point off the decay law by more than
+    # the window's relative half-width of 5e-5
+    b = wellposed_cubic(6, seed=41)
+    r0 = norm(full_residual(b.problem, b.problem.u0))
+    delta = 1e-3 * r0
+    with pytest.raises(FlowFailed) as exc:
+        discrepancy_stop(b.problem, delta, FlowConfig(rel_tol=1e-3, abs_tol=1e-5),
+                         factor=1.0001)
+    result = exc.value.result
+    r = result.trajectory[-1].residual_F
+    assert not delta <= r <= 1.0001 * delta
+    assert result.t_final == pytest.approx(np.log(r0 / (np.sqrt(1.0001) * delta)),
+                                           abs=1e-12)
 
 
 def test_discrepancy_stop_trivial_and_failure_cases():

@@ -8,6 +8,7 @@ integrator.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ def test_config_validation(kw):
 
 
 def test_stop_threshold_floor():
-    assert FlowConfig().stop_threshold_floor == 1e-14
-    assert FlowConfig(p_stop_abs=1e-9).stop_threshold_floor == 1e-9
+    assert FlowConfig().stop_at(0.0) == 1e-14
+    assert FlowConfig(p_stop_abs=1e-9).stop_at(0.0) == 1e-9
+    assert FlowConfig(p_stop=1e-9).stop_at(2.0) == 2e-9
 
 
 # -- velocity field -------------------------------------------------------------
@@ -302,14 +304,14 @@ def test_convergence_invariant():
     cfg = FlowConfig(p_stop=1e-7)
     res = integrate(b.problem, cfg)
     assert res.converged
-    assert res.p_final <= max(cfg.p_stop * res.p0, cfg.stop_threshold_floor)
+    assert res.p_final <= cfg.stop_at(res.p0)
 
 
 def test_warm_start_at_solution_needs_absolute_stop():
     b = wellposed_cubic(5, scale=0.1, seed=10)
     first = integrate(b.problem, FlowConfig(p_stop=1e-9))
     assert first.converged
-    warm = b.problem.with_start(first.u_final)
+    warm = replace(b.problem, u0=first.u_final)
     # with an absolute stop at 1e-9 the warm start is already converged
     res = integrate(warm, FlowConfig(p_stop=1e-9, p_stop_abs=1e-9))
     assert res.converged and len(res.trajectory) == 1

@@ -6,6 +6,8 @@ a direct per-sample SVD, so each certified quantity has an independent
 route in this file.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,13 +84,19 @@ def test_shifted_operator_tracks_epsilon():
     assert p.epsilon == 0.0
 
 
-def test_with_start_replaces_point_and_optionally_radius():
+def test_replace_start_reruns_problem_checks():
     p = small_problem()
     u1 = np.zeros(p.dim)
-    q = p.with_start(u1)
+    q = replace(p, u0=u1)
     assert np.array_equal(q.u0, u1) and q.radius == p.radius
-    r = p.with_start(u1, radius=9.0)
+    r = replace(p, u0=u1, radius=9.0)
     assert r.radius == 9.0
+    with pytest.raises(DimensionMismatch):
+        replace(p, u0=np.zeros(p.dim + 1))
+    with pytest.raises(ValueError):
+        replace(p, u0=np.full(p.dim, np.nan))
+    with pytest.raises(ValueError):
+        replace(p, radius=-1.0)
 
 
 def test_singular_unshifted_problem_is_lazy():
