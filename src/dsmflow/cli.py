@@ -17,11 +17,12 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .continuation import EpsSchedule, solve_minimal_norm, solve_newton_flow, write_continuation_csv
+from .continuation import (INNER_FLOW, EpsSchedule, solve_minimal_norm, solve_newton_flow,
+                           write_continuation_csv)
 from .errors import CertificateMismatch, DsmError, MonotonicityFailed, NonPsdOperator
 from .flow import FlowConfig, decay_report, integrate, write_trajectory_csv
 from .hilbert import norm
@@ -42,7 +43,7 @@ _DEFAULTS = {
     "cubic_scale": 0.0,
     "rank": None,
     "epsilon": None,
-    "t_max": 30.0,
+    "t_max": FlowConfig.t_max,
     "rel_tol": None,   # resolved per command in _flow_config
     "abs_tol": None,
     "p_stop": None,
@@ -257,17 +258,20 @@ def _run_batch(ns, worker):
     return code
 
 
-def _flow_config(ns, default_rel=1e-8, default_p_stop=1e-9, **overrides):
-    rel = ns.rel_tol if ns.rel_tol is not None else default_rel
-    abs_ = ns.abs_tol if ns.abs_tol is not None else rel * 1e-2
-    p_stop = ns.p_stop if ns.p_stop is not None else default_p_stop
-    base = dict(t_max=ns.t_max, rel_tol=rel, abs_tol=abs_, p_stop=p_stop)
-    base.update(overrides)
-    return FlowConfig(**base)
+def _flow_config(ns, base):
+    """``base`` with the flow flags that are set.
+
+    ``--rel-tol`` without ``--abs-tol`` sets ``abs_tol`` to 1e-2 of it.
+    """
+    flags = {key: getattr(ns, key) for key in ("t_max", "rel_tol", "abs_tol", "p_stop")
+             if getattr(ns, key) is not None}
+    if ns.rel_tol is not None and ns.abs_tol is None:
+        flags["abs_tol"] = ns.rel_tol * 1e-2
+    return replace(base, **flags)
 
 
 def cmd_solve(ns):
-    cfg = _flow_config(ns)
+    cfg = _flow_config(ns, FlowConfig())
 
     def worker(label, bundle, out):
         sol = solve_newton_flow(bundle.problem, cfg, require_converged=False)
@@ -309,9 +313,7 @@ def cmd_solve(ns):
 
 
 def cmd_continuation(ns):
-    # continuation inner solves need the tighter default, see solve_minimal_norm
-    cfg = _flow_config(ns, default_rel=1e-10, default_p_stop=1e-10,
-                       p_stop_abs=1e-11)
+    cfg = _flow_config(ns, INNER_FLOW)
     schedule = EpsSchedule(eps0=ns.eps0, ratio=ns.eps_ratio,
                            count=ns.eps_count, floor=ns.eps_floor)
 
@@ -369,7 +371,7 @@ def cmd_certify(ns):
 
 
 def cmd_oracle_check(ns):
-    cfg = _flow_config(ns)
+    cfg = _flow_config(ns, FlowConfig())
 
     def worker(label, bundle, out):
         sol = solve_newton_flow(bundle.problem, cfg)
@@ -406,7 +408,7 @@ def cmd_decay_audit(ns):
         devs = []
         lines = []
         for level in levels:
-            cfg = _flow_config(ns, rel_tol=level, abs_tol=level * 1e-2)
+            cfg = replace(_flow_config(ns, FlowConfig()), rel_tol=level, abs_tol=level * 1e-2)
             result = integrate(bundle.problem, cfg)
             devs.append(result.decay_deviation)
             lines.append(f"{label}: rel_tol={level:.1e} "

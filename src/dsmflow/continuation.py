@@ -23,10 +23,11 @@ from .errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
 from .flow import FlowConfig, FlowStatus, integrate
 from .hilbert import norm
 from .model import (ball_samples, check_trust_condition, estimate_newton_bound,
-                    full_residual, monotonicity_certificate, preconditioned_residual)
+                    full_residual, monotonicity_certificate)
 
 __all__ = [
     "EPS_CONDITION_LIMIT",
+    "INNER_FLOW",
     "EpsSchedule",
     "NewtonFlowSolution",
     "ContinuationRecord",
@@ -42,6 +43,12 @@ __all__ = [
 #: Refuse shifted solves once the shifted operator's condition estimate
 #: exceeds this; beyond it the inner linear solves lose too many digits.
 EPS_CONDITION_LIMIT = 1e12
+
+#: Flow settings of the continuation's inner solves.  They run tighter than
+#: standalone ones, with an absolute stopping floor: warm-started levels
+#: have tiny p0, and the integrator noise floor (rel_tol * |u|) must stay
+#: below the stopping threshold.
+INNER_FLOW = FlowConfig(rel_tol=1e-10, abs_tol=1e-12, p_stop=1e-10, p_stop_abs=1e-11)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,8 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
         raise FlowFailed(
             f"flow did not converge: {result.message}", result=result)
     v = result.u_final
-    residual_shifted = float(np.linalg.norm(full_residual(problem, v)))
+    # integrate records its final point, residual norm included
+    residual_shifted = result.trajectory[-1].residual_F
     opn = problem.shifted.operator_norm()
     # |(L+eps) v + g(v)| = |(L+eps) f(v)| <= |L+eps| * p_final, plus
     # rounding slack for evaluating the residual itself
@@ -181,8 +189,9 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
     monotone nonlinearity (certified on a sample cloud before any solve;
     failure raises :class:`MonotonicityFailed`).  Each shift level is
     solved by :func:`solve_newton_flow` warm-started at the previous
-    solution; a failure at level ``k`` raises :class:`InnerSolveFailed`
-    carrying the records accumulated so far.
+    solution, with flow settings ``cfg`` (default :data:`INNER_FLOW`); a
+    failure at level ``k`` raises :class:`InnerSolveFailed` carrying the
+    records accumulated so far.
 
     The returned result includes the per-level records, the last solution
     as ``v_limit``, a shift-extrapolated refinement ``v_extrapolated``,
@@ -192,11 +201,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
         raise NonPsdOperator(
             "minimal-norm continuation requires a self-adjoint psd operator")
     schedule = schedule or EpsSchedule()
-    # inner solves run tighter than standalone ones, with an absolute
-    # stopping floor: warm-started levels have tiny p0, and the integrator
-    # noise floor (rel_tol * |u|) must stay below the stopping threshold
-    cfg = cfg or FlowConfig(rel_tol=1e-10, abs_tol=1e-12,
-                            p_stop=1e-10, p_stop_abs=1e-11)
+    cfg = cfg or INNER_FLOW
     mono_samples = ball_samples(problem.u0, problem.radius, monotone_samples,
                                 seed=seed + 1)
     mono = monotonicity_certificate(problem.g, mono_samples)

@@ -19,7 +19,8 @@ Along exact trajectories the preconditioned residual norm
 ``p(t) = |u(t) + (L+eps*I)^{-1} g(u(t))|`` obeys ``p(t) = p(0) e^{-t}``,
 so the deviation of the recorded ``p`` from that law measures integrator
 error and nothing else.  :func:`integrate` tracks this deviation as it
-runs and reports it on every result.
+runs and reports it on every result.  Every run ends through one exit,
+which records the final point and builds the one :class:`FlowResult`.
 
 The integrator is an embedded 5(4) Runge-Kutta pair with the first-same-
 as-last property and PI step-size control.  It is written out in full
@@ -177,9 +178,9 @@ def integrate(problem, cfg=None, *, trust=None):
     (status LEFT_BALL); without it the exit time is recorded but the run
     continues, since no guarantee was promised.
 
-    Returns a :class:`FlowResult`; raises :class:`FlowFailed` only for
-    step-size collapse or step-budget exhaustion, with the partial result
-    attached.
+    Returns a :class:`FlowResult` whose last trajectory point is the final
+    state ``(t_final, u_final)``; raises :class:`FlowFailed` only for
+    step-size collapse or step-budget exhaustion, with that result attached.
     """
     cfg = cfg or FlowConfig()
     u = problem.u0.copy()
@@ -188,12 +189,28 @@ def integrate(problem, cfg=None, *, trust=None):
     stop_at = cfg.stop_at(p0)
     enforce_ball = trust is not None and trust.passed
 
-    trajectory = [_point(problem, 0.0, u, p, 0.0)]
+    t = 0.0
+    h = 0.0
+    deviation = 0.0
+    n_accepted = n_rejected = 0
+    left_ball_at = None
+    trajectory = [_point(problem, t, u, p, h)]
+
+    def finish(status, message):
+        """Record the final point if it is new; return the result, or raise it for STEP_FAILURE."""
+        if t > trajectory[-1].t:
+            trajectory.append(_point(problem, t, u, p, h))
+        result = FlowResult(trajectory=trajectory, u_final=u, status=status,
+                            decay_deviation=deviation, p0=p0,
+                            left_ball_at=left_ball_at, message=message,
+                            n_accepted=n_accepted, n_rejected=n_rejected)
+        if status is FlowStatus.STEP_FAILURE:
+            raise FlowFailed(message, result=result)
+        return result
+
     if p0 <= stop_at:
-        return FlowResult(trajectory=trajectory, u_final=u,
-                          status=FlowStatus.RESIDUAL_CONVERGED,
-                          decay_deviation=0.0, p0=p0,
-                          message="start point already below the stopping residual")
+        return finish(FlowStatus.RESIDUAL_CONVERGED,
+                      "start point already below the stopping residual")
 
     # initial step: classic two-probe estimate
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(u)
@@ -209,27 +226,15 @@ def integrate(problem, cfg=None, *, trust=None):
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1, cfg.t_max)
 
-    t = 0.0
-    deviation = 0.0
     errold = 1e-4
-    n_accepted = 0
-    n_rejected = 0
-    left_ball_at = None
     next_record = cfg.sample_stride
     k = np.empty((7, u.size))
     k[0] = v
 
     for _ in range(cfg.max_steps):
         if h < _STEP_FLOOR:
-            if t > trajectory[-1].t:
-                trajectory.append(_point(problem, t, u, p, h))
-            result = FlowResult(trajectory=trajectory, u_final=u,
-                                status=FlowStatus.STEP_FAILURE,
-                                decay_deviation=deviation, p0=p0,
-                                left_ball_at=left_ball_at,
-                                message=f"step size collapsed to {h:.3e} at t={t:.6f}",
-                                n_accepted=n_accepted, n_rejected=n_rejected)
-            raise FlowFailed(result.message, result=result)
+            return finish(FlowStatus.STEP_FAILURE,
+                          f"step size collapsed to {h:.3e} at t={t:.6f}")
         h = min(h, cfg.t_max - t)
 
         for i in range(1, 6):
@@ -243,72 +248,52 @@ def integrate(problem, cfg=None, *, trust=None):
         # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
         err = math.sqrt(np.add.reduce(q * q) / q.size)
 
-        if err <= 1.0:
-            t += h
-            u = u_new
-            k[0] = k[6]
-            p = p_new
-            n_accepted += 1
-
-            model_p = p0 * np.exp(-t)
-            deviation = max(deviation, abs(p - model_p) / p0)
-
-            if enforce_ball or left_ball_at is None:
-                # bitwise hilbert.norm, without its check: k[6] checked u
-                d = u - problem.u0
-                dist = math.sqrt(d.dot(d))
-                if dist > problem.radius * (1.0 + 1e-12):
-                    if left_ball_at is None:
-                        left_ball_at = t
-                    if enforce_ball:
-                        trajectory.append(_point(problem, t, u, p, h))
-                        return FlowResult(
-                            trajectory=trajectory, u_final=u,
-                            status=FlowStatus.LEFT_BALL,
-                            decay_deviation=deviation, p0=p0,
-                            left_ball_at=left_ball_at,
-                            message=(f"trajectory left the trust ball at t={t:.6f} "
-                                     f"(distance {dist:.6e} > radius {problem.radius:.6e}) "
-                                     "despite a passed trust certificate"),
-                            n_accepted=n_accepted, n_rejected=n_rejected)
-
-            done = p <= stop_at or t >= cfg.t_max - 1e-12
-            if done or t >= next_record - 1e-12:
-                trajectory.append(_point(problem, t, u, p, h))
-                while next_record <= t + 1e-12:
-                    next_record += cfg.sample_stride
-            if p <= stop_at:
-                return FlowResult(trajectory=trajectory, u_final=u,
-                                  status=FlowStatus.RESIDUAL_CONVERGED,
-                                  decay_deviation=deviation, p0=p0,
-                                  left_ball_at=left_ball_at,
-                                  message=f"residual reached {p:.3e} at t={t:.6f}",
-                                  n_accepted=n_accepted, n_rejected=n_rejected)
-            if t >= cfg.t_max - 1e-12:
-                return FlowResult(trajectory=trajectory, u_final=u,
-                                  status=FlowStatus.T_MAX_REACHED,
-                                  decay_deviation=deviation, p0=p0,
-                                  left_ball_at=left_ball_at,
-                                  message=f"reached t_max={cfg.t_max} with residual {p:.3e}",
-                                  n_accepted=n_accepted, n_rejected=n_rejected)
-
-            # PI controller (accepted step)
-            fac = _SAFETY * err ** (-_EXPO) * errold ** _BETA if err > 0.0 else _MAX_FACTOR
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-            errold = max(err, 1e-4)
-        else:
+        if err > 1.0:
             n_rejected += 1
             h *= max(0.1, _SAFETY * err ** -0.2)
+            continue
 
-    if t > trajectory[-1].t:
-        trajectory.append(_point(problem, t, u, p, h))
-    result = FlowResult(trajectory=trajectory, u_final=u,
-                        status=FlowStatus.STEP_FAILURE,
-                        decay_deviation=deviation, p0=p0,
-                        left_ball_at=left_ball_at,
-                        message=f"step budget {cfg.max_steps} exhausted at t={t:.6f}",
-                        n_accepted=n_accepted, n_rejected=n_rejected)
-    raise FlowFailed(result.message, result=result)
+        t += h
+        u = u_new
+        k[0] = k[6]
+        p = p_new
+        n_accepted += 1
+
+        model_p = p0 * np.exp(-t)
+        deviation = max(deviation, abs(p - model_p) / p0)
+
+        if enforce_ball or left_ball_at is None:
+            # bitwise hilbert.norm, without its check: k[6] checked u
+            d = u - problem.u0
+            dist = math.sqrt(d.dot(d))
+            if dist > problem.radius * (1.0 + 1e-12):
+                if left_ball_at is None:
+                    left_ball_at = t
+                if enforce_ball:
+                    return finish(
+                        FlowStatus.LEFT_BALL,
+                        f"trajectory left the trust ball at t={t:.6f} "
+                        f"(distance {dist:.6e} > radius {problem.radius:.6e}) "
+                        "despite a passed trust certificate")
+
+        if p <= stop_at:
+            return finish(FlowStatus.RESIDUAL_CONVERGED,
+                          f"residual reached {p:.3e} at t={t:.6f}")
+        if t >= cfg.t_max - 1e-12:
+            return finish(FlowStatus.T_MAX_REACHED,
+                          f"reached t_max={cfg.t_max} with residual {p:.3e}")
+        if t >= next_record - 1e-12:
+            trajectory.append(_point(problem, t, u, p, h))
+            while next_record <= t + 1e-12:
+                next_record += cfg.sample_stride
+
+        # PI controller (accepted step)
+        fac = _SAFETY * err ** (-_EXPO) * errold ** _BETA if err > 0.0 else _MAX_FACTOR
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
+        errold = max(err, 1e-4)
+
+    return finish(FlowStatus.STEP_FAILURE,
+                  f"step budget {cfg.max_steps} exhausted at t={t:.6f}")
 
 
 def decay_report(result):

@@ -9,8 +9,8 @@ factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
 wrapper cost.
 
-Tolerances below are module-level defaults; :meth:`DenseOperator.solve`
-accepts a per-call pivot tolerance.
+The tolerances below are module constants; :meth:`DenseOperator.solve`
+compares pivots against ``PIVOT_RTOL`` times the operator norm.
 """
 
 import numpy as np
@@ -236,14 +236,13 @@ class DenseOperator:
             self._lu = (lu, piv, minpiv)
         return self._lu
 
-    def _solve_factors(self, b, pivot_rtol=None):
+    def _solve_factors(self, b):
         """Cached ``(lu, piv)`` for solving against ``b``, after the checks of :meth:`solve`.
 
         Checks ``b``'s leading dimension and the pivots, but not ``b``'s
         entries: :meth:`solve` leaves those to :func:`_getrs`, and
         :func:`~dsmflow.model.newton_velocity` to the map that made ``b``.
         """
-        rtol = PIVOT_RTOL if pivot_rtol is None else float(pivot_rtol)
         if b.shape[0] != self.dim:
             raise DimensionMismatch(
                 f"right-hand side has leading dimension {b.shape[0]}, expected {self.dim}")
@@ -251,22 +250,22 @@ class DenseOperator:
         if opn == 0.0:
             raise SingularOperator("zero operator", condition_estimate=float("inf"))
         lu, piv, minpiv = self._factorize()
-        if minpiv <= rtol * opn:
+        if minpiv <= PIVOT_RTOL * opn:
             raise SingularOperator(
-                f"pivot {minpiv:.3e} below {rtol:g} * operator norm {opn:.3e}",
+                f"pivot {minpiv:.3e} below {PIVOT_RTOL:g} * operator norm {opn:.3e}",
                 condition_estimate=self.condition_estimate())
         return lu, piv
 
-    def solve(self, b, pivot_rtol=None):
+    def solve(self, b):
         """Solve ``A x = b`` through the cached LU factorization.
 
         ``b`` may be a vector or a matrix of stacked right-hand-side columns.
         Raises :class:`SingularOperator` when the smallest pivot falls below
-        ``pivot_rtol`` (default ``PIVOT_RTOL``) times the operator norm, and
+        ``PIVOT_RTOL`` times the operator norm, and
         ``ValueError`` (from :func:`_getrs`) when ``b`` is not finite.
         """
         B = np.asarray(b, dtype=float)
-        lu, piv = self._solve_factors(B, pivot_rtol)
+        lu, piv = self._solve_factors(B)
         return _getrs(lu, piv, B)
 
 

@@ -518,7 +518,6 @@ def check_sector(L, a, delta):
         w, _ = L.symmetric_eigen()
         bad = w[(w >= -a) & (w < 0.0)]
         passed = bad.size == 0
-        inside = w[(w < 0.0)]
         if passed:
             # distance from [-a, 0) to the nearest eigenvalue outside it
             below = w[w < -a]

@@ -11,6 +11,7 @@ import pytest
 
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_json, main)
+from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.problems import (BUILTINS, ill_conditioned, sector_blocks,
                               singular_canonical, singular_monotone,
                               wellposed_cubic)
@@ -129,6 +130,22 @@ def test_continue_monotonicity_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, stdout, _ = run(capsys, "continue", "--problem", str(path))
     assert code == EXIT_MONOTONE
+
+
+# -- CLI defaults are the library defaults ---------------------------------------
+
+
+@pytest.mark.parametrize("argv, key, library", [
+    (("solve", "--builtin", "wellposed_cubic", "--dim", "6"), "u_final",
+     lambda: solve_newton_flow(wellposed_cubic(6).problem).v),
+    (("continue", "--builtin", "singular_canonical"), "v_limit",
+     lambda: solve_minimal_norm(singular_canonical().problem).v_limit),
+], ids=["solve", "continue"])
+def test_cli_defaults_give_the_library_result(tmp_path, capsys, argv, key, library):
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert np.array_equal(report[key], library())
 
 
 # -- certify ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            estimate_newton_bound, full_residual,
                            linearized_operator, newton_velocity,
                            preconditioned_residual)
-from dsmflow.problems import singular_monotone, wellposed_cubic
+from dsmflow.problems import ill_conditioned, singular_monotone, wellposed_cubic
 
 
 def constant_map(c):
@@ -336,6 +336,63 @@ def test_step_budget_exhaustion_raises_with_partial_result():
     assert res.status is FlowStatus.STEP_FAILURE
     assert res.n_accepted <= 3
     assert res.trajectory[-1].t == res.t_final
+
+
+def test_step_collapse_raises_with_partial_result():
+    # kappa(L) ~ 1e13 at dim 10: the first step size is already below the floor
+    with pytest.raises(FlowFailed) as exc:
+        integrate(ill_conditioned(10).problem)
+    res = exc.value.result
+    assert res.status is FlowStatus.STEP_FAILURE
+    assert "step size collapsed" in res.message
+    assert len(res.trajectory) == 1 and res.n_accepted == 0
+
+
+def _warm_started():
+    b = wellposed_cubic(5, scale=0.1, seed=10)
+    first = integrate(b.problem, FlowConfig(p_stop=1e-9))
+    return replace(b.problem, u0=first.u_final), FlowConfig(p_stop_abs=1e-9), None
+
+
+def _ball_exit():
+    problem = DsmProblem(L=DenseOperator.identity(2), g=constant_map([-1.0, 0.0]),
+                         u0=np.zeros(2), radius=0.2)
+    fake = Certificate(kind=CertificateKind.TRUST_CONDITION, passed=True, quantities={})
+    return problem, FlowConfig(t_max=10.0), fake
+
+
+def _wellposed(**cfg):
+    return wellposed_cubic(4, scale=0.1, seed=12).problem, FlowConfig(**cfg), None
+
+
+@pytest.mark.parametrize("make, status", [
+    (_warm_started, FlowStatus.RESIDUAL_CONVERGED),
+    (lambda: (ill_conditioned(10).problem, None, None), FlowStatus.STEP_FAILURE),
+    (_ball_exit, FlowStatus.LEFT_BALL),
+    (_wellposed, FlowStatus.RESIDUAL_CONVERGED),
+    (lambda: _wellposed(t_max=0.5, p_stop=0.0), FlowStatus.T_MAX_REACHED),
+    (lambda: _wellposed(max_steps=3, p_stop=0.0), FlowStatus.STEP_FAILURE),
+], ids=["start", "step-collapse", "left-ball", "converged", "t-max", "step-budget"])
+def test_every_exit_records_the_final_state(make, status):
+    problem, cfg, trust = make()
+    try:
+        res = integrate(problem, cfg, trust=trust)
+    except FlowFailed as exc:
+        res = exc.result
+    assert res.status is status
+    last = res.trajectory[-1]
+    # the last point is the final state, recorded once: the time the exit
+    # message reports, u_final and its residual, bitwise
+    if status is FlowStatus.T_MAX_REACHED:
+        assert abs(last.t - cfg.t_max) <= 1e-12
+    elif "already below" in res.message:
+        assert last.t == 0.0
+    else:
+        assert f"at t={last.t:.6f}" in res.message
+    assert np.array_equal(last.u, res.u_final)
+    assert last.residual_F == norm(full_residual(problem, res.u_final))
+    ts = [pt.t for pt in res.trajectory]
+    assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
 # -- trust ball -----------------------------------------------------------------------

@@ -224,12 +224,13 @@ def test_solve_rejects_singular_and_zero():
 
 
 def test_solve_pivot_threshold_is_relative():
-    # condition ~1e12: passes the default threshold, fails a strict one
+    # the same pivot 1e-12 passes PIVOT_RTOL = 1e-14 against operator norm 1
+    # and fails it against operator norm 1e4
     A = DenseOperator.diagonal([1.0, 1e-12])
     x = A.solve(np.array([1.0, 1e-12]))
     assert np.allclose(x, [1.0, 1.0])
     with pytest.raises(SingularOperator):
-        A.solve(np.ones(2), pivot_rtol=1e-6)
+        DenseOperator.diagonal([1e4, 1e-12]).solve(np.ones(2))
 
 
 def test_solve_rejects_bad_rhs():
