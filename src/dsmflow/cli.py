@@ -166,6 +166,17 @@ def _parse_dims(text):
     return dims
 
 
+def _refuse_explicit(ns, keys, what):
+    """Raise ``ValueError`` naming each flag in ``keys`` that was given explicitly.
+
+    Only command-line flags count: ``--config`` values are defaults.
+    """
+    stray = [key for key in keys if key in ns.explicit]
+    if stray:
+        flags = ", ".join("--" + key.replace("_", "-") for key in stray)
+        raise ValueError(f"{what} does not take {flags}")
+
+
 def _build_bundles(ns):
     """Resolve --problem/--builtin into a list of (label, bundle).
 
@@ -182,10 +193,8 @@ def _build_bundles(ns):
         raise ValueError("one of --builtin or --problem is required")
     generator = BUILTINS[name]
     params = inspect.signature(generator).parameters
-    stray = [key for key in _BUILTIN_FLAGS if key in ns.explicit and key not in params]
-    if stray:
-        flags = ", ".join("--" + key.replace("_", "-") for key in stray)
-        raise ValueError(f"builtin {name!r} does not take {flags}")
+    _refuse_explicit(ns, [key for key in _BUILTIN_FLAGS if key not in params],
+                     f"builtin {name!r}")
     kwargs = {key: getattr(ns, key) for key in params
               if key != "dim" and getattr(ns, key, None) is not None}
     dims = _parse_dims(ns.dim) if "dim" in params else [None]
@@ -397,6 +406,9 @@ def cmd_oracle_check(ns):
 
 
 def cmd_decay_audit(ns):
+    # each level sets both tolerances, so an explicit one would be ignored
+    _refuse_explicit(ns, ("rel_tol", "abs_tol"),
+                     "decay-audit, which sets the tolerances from --levels,")
     try:
         levels = [float(part) for part in str(ns.levels).split(",") if part.strip()]
     except ValueError:

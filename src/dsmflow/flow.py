@@ -11,9 +11,11 @@ and ``f = u + A^{-1} g(u)``: one LU of ``A + g'(u)`` per stage, see
 Each RK stage checks each array it touches once, inside
 :func:`~dsmflow.model.newton_velocity`.  The step loop adds no check: its
 error norm and trust-ball distance reduce arrays the stages have already
-checked.  Recording a point is not on that path: it checks ``u`` in
-:func:`~dsmflow.model.full_residual`, once at entry and once inside
-``g``, and the residual in :func:`~dsmflow.hilbert.norm`.
+checked.  Recording a point evaluates no ``g``: the residual
+``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage that
+computed the accepted point, bitwise what
+:func:`~dsmflow.model.full_residual` gives, and
+:func:`~dsmflow.hilbert.norm` checks it.
 
 Along exact trajectories the preconditioned residual norm
 ``p(t) = |u(t) + (L+eps*I)^{-1} g(u(t))|`` obeys ``p(t) = p(0) e^{-t}``,
@@ -36,10 +38,11 @@ import numpy as np
 
 from .errors import FlowFailed
 from .hilbert import norm
-from .model import full_residual, newton_velocity
+from .model import newton_velocity
 # unused here, but perfbench/tracing.py looks these names up on this module
 from .hilbert import as_vector  # noqa: F401
-from .model import linearized_operator, preconditioned_residual, solve_linearized  # noqa: F401
+from .model import (full_residual, linearized_operator, preconditioned_residual,  # noqa: F401
+                    solve_linearized)
 
 __all__ = [
     "FlowConfig",
@@ -164,9 +167,10 @@ class FlowResult:
         return self.status is FlowStatus.RESIDUAL_CONVERGED
 
 
-def _point(problem, t, u, p, h):
+def _point(problem, t, u, p, gu, h):
+    """The recorded state at ``u``, whose ``g(u)`` is ``gu``."""
     return TrajectoryPoint(t=t, u=u.copy(), p=p,
-                           residual_F=norm(full_residual(problem, u)), step=h)
+                           residual_F=norm(problem.shifted.entries @ u + gu), step=h)
 
 
 def integrate(problem, cfg=None, *, trust=None):
@@ -184,7 +188,7 @@ def integrate(problem, cfg=None, *, trust=None):
     """
     cfg = cfg or FlowConfig()
     u = problem.u0.copy()
-    v, p = newton_velocity(problem, u)
+    v, p, gu = newton_velocity(problem, u)
     p0 = p
     stop_at = cfg.stop_at(p0)
     enforce_ball = trust is not None and trust.passed
@@ -194,12 +198,12 @@ def integrate(problem, cfg=None, *, trust=None):
     deviation = 0.0
     n_accepted = n_rejected = 0
     left_ball_at = None
-    trajectory = [_point(problem, t, u, p, h)]
+    trajectory = [_point(problem, t, u, p, gu, h)]
 
     def finish(status, message):
         """Record the final point if it is new; return the result, or raise it for STEP_FAILURE."""
         if t > trajectory[-1].t:
-            trajectory.append(_point(problem, t, u, p, h))
+            trajectory.append(_point(problem, t, u, p, gu, h))
         result = FlowResult(trajectory=trajectory, u_final=u, status=status,
                             decay_deviation=deviation, p0=p0,
                             left_ball_at=left_ball_at, message=message,
@@ -218,7 +222,7 @@ def integrate(problem, cfg=None, *, trust=None):
     d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     u_probe = u + h0 * v
-    v_probe, _ = newton_velocity(problem, u_probe)
+    v_probe = newton_velocity(problem, u_probe)[0]
     d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -238,9 +242,9 @@ def integrate(problem, cfg=None, *, trust=None):
         h = min(h, cfg.t_max - t)
 
         for i in range(1, 6):
-            k[i], _ = newton_velocity(problem, u + h * (_A[i - 1] @ k[:i]))
+            k[i] = newton_velocity(problem, u + h * (_A[i - 1] @ k[:i]))[0]
         u_new = u + h * (_A[5] @ k[:6])
-        k[6], p_new = newton_velocity(problem, u_new)
+        k[6], p_new, gu_new = newton_velocity(problem, u_new)
 
         err_vec = h * (_ERR @ k)
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
@@ -257,6 +261,7 @@ def integrate(problem, cfg=None, *, trust=None):
         u = u_new
         k[0] = k[6]
         p = p_new
+        gu = gu_new
         n_accepted += 1
 
         model_p = p0 * np.exp(-t)
@@ -283,7 +288,7 @@ def integrate(problem, cfg=None, *, trust=None):
             return finish(FlowStatus.T_MAX_REACHED,
                           f"reached t_max={cfg.t_max} with residual {p:.3e}")
         if t >= next_record - 1e-12:
-            trajectory.append(_point(problem, t, u, p, h))
+            trajectory.append(_point(problem, t, u, p, gu, h))
             while next_record <= t + 1e-12:
                 next_record += cfg.sample_stride
 

@@ -38,6 +38,17 @@ PSD_RTOL = 1e-10             # eigenvalue floor for psd-flagged operators
 PIVOT_RTOL = 1e-14           # LU pivot threshold, relative to operator norm
 
 
+def _all_finite(x):
+    """Whether every entry of the array ``x`` is finite: ``np.isfinite(x).all()``.
+
+    The same predicate, without ``ndarray.all``'s Python-level dispatch,
+    which is most of the cost of a check at the small dimensions here.
+    It does no arithmetic on ``x``, so it cannot overflow or warn, as a
+    check through ``x.dot(x)`` or a sum could for large finite entries.
+    """
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def as_vector(x, dim=None, name="vector"):
     """Validate ``x`` as a finite 1-D float vector, optionally of length ``dim``."""
     v = np.asarray(x, dtype=float)
@@ -45,7 +56,7 @@ def as_vector(x, dim=None, name="vector"):
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"{name} has dimension {v.size}, expected {dim}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -64,7 +75,7 @@ def _getrf(M):
     lu, piv, info = dgetrf(M)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
-    if not np.isfinite(lu).all():
+    if not _all_finite(lu):
         raise ValueError("LU factors contain non-finite entries")
     return lu, piv
 
@@ -76,7 +87,7 @@ def _getrs(lu, piv, b):
     output of ``scipy.linalg.lu_solve((lu, piv), b)``; raises ``ValueError``
     when ``b`` holds a non-finite entry.  ``_getrf`` has checked ``lu``.
     """
-    if not np.isfinite(b).all():
+    if not _all_finite(b):
         raise ValueError("right-hand side contains non-finite entries")
     return _dgetrs(lu, piv, b)
 
@@ -124,7 +135,7 @@ class DenseOperator:
             raise DimensionMismatch(f"operator must be square, got shape {A.shape}")
         if A.shape[0] == 0:
             raise DimensionMismatch("operator must have positive dimension")
-        if not np.isfinite(A).all():
+        if not _all_finite(A):
             raise ValueError("operator contains non-finite entries")
         if psd_claimed and not self_adjoint:
             raise ValueError("psd_claimed requires self_adjoint")

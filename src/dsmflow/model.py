@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotApplicable, SingularLinearization
-from .hilbert import DenseOperator, VectorH, _dgetrs, _getrf, _getrs, as_vector, norm
+from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, as_vector,
+                      norm)
 
 __all__ = [
     "NonlinearMap",
@@ -54,9 +55,16 @@ _INVERSE_FREE_MAX_C = 1e-6
 class NonlinearMap:
     """Smooth map ``g: R^n -> R^n`` with an explicit Jacobian.
 
-    ``fn`` and ``jac_fn`` receive a validated 1-D float array.
-    ``monotone_claimed`` is an unchecked hint; verification happens via
-    :func:`monotonicity_certificate`.
+    ``fn`` and ``jac_fn`` receive a validated 1-D float array and return
+    a new array each call: the flow keeps a stage's ``g(u)`` to record the
+    residual at an accepted point.  ``monotone_claimed`` is an unchecked
+    hint; verification happens via :func:`monotonicity_certificate`.
+
+    Calling the map, or :meth:`jacobian`, checks ``u`` with
+    :func:`~dsmflow.hilbert.as_vector` and then the output's shape
+    (:class:`DimensionMismatch`) and finiteness (``ValueError``).
+    :func:`newton_velocity` checks ``u`` once for both and calls
+    :meth:`_value` and :meth:`_jacobian`, which check only the output.
     """
     fn: callable
     jac_fn: callable
@@ -65,22 +73,28 @@ class NonlinearMap:
     monotone_claimed: bool = False
 
     def __call__(self, u):
-        u = as_vector(u)
+        return self._value(as_vector(u))
+
+    def jacobian(self, u):
+        return self._jacobian(as_vector(u))
+
+    def _value(self, u):
+        """``g(u)`` for a ``u`` that :func:`as_vector` has checked."""
         out = np.asarray(self.fn(u), dtype=float)
         if out.shape != u.shape:
             raise DimensionMismatch(
                 f"map {self.name!r} returned shape {out.shape} for input shape {u.shape}")
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise ValueError(f"map {self.name!r} returned non-finite values")
         return out
 
-    def jacobian(self, u):
-        u = as_vector(u)
+    def _jacobian(self, u):
+        """``g'(u)`` for a ``u`` that :func:`as_vector` has checked."""
         J = np.asarray(self.jac_fn(u), dtype=float)
         if J.shape != (u.size, u.size):
             raise DimensionMismatch(
                 f"map {self.name!r} Jacobian has shape {J.shape}, expected {(u.size, u.size)}")
-        if not np.isfinite(J).all():
+        if not _all_finite(J):
             raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
         return J
 
@@ -189,7 +203,7 @@ def solve_linearized(T, rhs):
 
 
 def newton_velocity(problem, u):
-    """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u`` and the residual norm ``|f(u)|``.
+    """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u``, the residual norm ``|f(u)|`` and ``g(u)``.
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
@@ -203,10 +217,12 @@ def newton_velocity(problem, u):
     Each array is checked once, and raises what ``A.solve`` and an LU of
     ``M`` would raise:
 
-    - ``g(u)`` and ``g'(u)`` check ``u`` and their own outputs
-      (``ValueError``, ``DimensionMismatch``); ``g(u)`` is not scanned again.
+    - ``u`` is checked once by :func:`~dsmflow.hilbert.as_vector`
+      (``ValueError``), then ``g._value(u)`` and ``g._jacobian(u)`` check
+      their own outputs (``ValueError``, ``DimensionMismatch``); ``g(u)``
+      is not scanned again.
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
-      (:class:`SingularOperator`).
+      (:class:`SingularOperator`), between ``g(u)`` and ``g'(u)``.
     - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
       ``max``; that one reduction also scales the pivot test below
       (``ValueError``).
@@ -216,13 +232,16 @@ def newton_velocity(problem, u):
     is taken from ``T = I + A^{-1} g'(u)`` through :func:`solve_linearized`
     instead, which raises :class:`SingularLinearization` when ``T`` is
     numerically singular.  A tiny pivot that comes from ``A`` alone is
-    therefore not a refusal.  Returns ``(v, p)``.
+    therefore not a refusal.  Returns ``(v, p, g(u))``, the last for
+    :func:`~dsmflow.flow.integrate` to record ``F(u) = A u + g(u)``
+    without evaluating ``g`` again.
     """
     A = problem.shifted
-    gu = problem.g(u)
+    u = as_vector(u)
+    gu = problem.g._value(u)
     lu, piv = A._solve_factors(gu)
     f = u + _dgetrs(lu, piv, gu)
-    M = A.entries + problem.g.jacobian(u)
+    M = A.entries + problem.g._jacobian(u)
     m_max = float(np.abs(M).max())
     if not math.isfinite(m_max):
         raise ValueError("matrix to factor contains non-finite entries")
@@ -231,7 +250,7 @@ def newton_velocity(problem, u):
         v = -solve_linearized(linearized_operator(problem, u), f)
     else:
         v = -_getrs(lu, piv, A.entries @ f)
-    return v, math.sqrt(f.dot(f))
+    return v, math.sqrt(f.dot(f)), gu
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -592,24 +611,23 @@ def monotonicity_certificate(g, samples, tol=1e-10):
 
     Checks the symmetrized Jacobian at every sample for eigenvalues below
     ``-tol`` and the secant inequality ``(g(u) - g(v), u - v) >= -tol`` on
-    consecutive sample pairs.
+    consecutive sample pairs.  ``g`` and ``g'`` are evaluated once per sample.
     """
     if not samples:
         raise ValueError("need at least one sample point")
     tol = float(tol)
     min_eig = float("inf")
     min_secant = float("inf")
-    prev = None
+    prev = g_prev = None
     for u in samples:
         u = as_vector(u, name="sample")
         J = g.jacobian(u)
         w = np.linalg.eigvalsh(0.5 * (J + J.T))
         min_eig = min(min_eig, float(w[0]))
+        gu = g(u)
         if prev is not None:
-            du = u - prev
-            min_secant = min(min_secant,
-                             float(np.dot(g(u) - g(prev), du)))
-        prev = u
+            min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))
+        prev, g_prev = u, gu
     if len(samples) < 2:
         min_secant = 0.0
     passed = min_eig >= -tol and min_secant >= -tol

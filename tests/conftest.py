@@ -10,6 +10,11 @@ Turn ``scipy.linalg.LinAlgWarning`` into an error.  LU factors come from
 crept back in without its pivot check.  The filter is added here rather
 than by ``-W`` or in ``pyproject.toml``: pytest resolves those before this
 file loads, and resolving the class imports numpy.
+
+Turn ``RuntimeWarning`` into an error too, so silent overflow or invalid
+arithmetic fails the test that meets it, such as a finiteness check that
+sums or squares its input.  A test that overflows on purpose says so
+with ``np.errstate``.
 """
 
 import os
@@ -19,3 +24,4 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::scipy.linalg.LinAlgWarning")
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")

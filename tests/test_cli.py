@@ -273,6 +273,31 @@ def test_decay_audit_non_monotone_levels_fail(capsys):
     assert "decreasing: False" in stdout
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (("--rel-tol", "1e-3"), ("--rel-tol",)),
+    (("--abs-tol", "1e-3"), ("--abs-tol",)),
+    (("--rel-tol", "1e-3", "--abs-tol", "1e-3"), ("--rel-tol", "--abs-tol")),
+], ids=["rel_tol", "abs_tol", "both"])
+def test_decay_audit_rejects_explicit_tolerances(capsys, argv, flags):
+    # every level sets both tolerances, so an explicit one would have no effect
+    code, stdout, stderr = run(capsys, "decay-audit", "--builtin", "wellposed_cubic",
+                               "--dim", "4", *argv)
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    for flag in ("--rel-tol", "--abs-tol"):
+        assert (flag in stderr) == (flag in flags)
+
+
+def test_decay_audit_config_may_name_tolerances(tmp_path, capsys):
+    # config values are defaults, which the levels replace
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"rel_tol": 1e-3, "abs_tol": 1e-3}))
+    argv = ("decay-audit", "--builtin", "wellposed_cubic", "--dim", "4")
+    code, stdout, _ = run(capsys, *argv, "--config", str(cfgfile))
+    assert code == EXIT_OK
+    assert (code, stdout) == run(capsys, *argv)[:2]
+
+
 # -- configuration and errors ------------------------------------------------------------
 
 

@@ -212,6 +212,30 @@ def test_recorded_norms_are_bitwise_the_residual_norms(make):
         assert pt.residual_F == norm(full_residual(problem, pt.u))
 
 
+def test_stages_evaluate_g_and_its_jacobian_once_and_recording_neither():
+    # each stage evaluates g and g' once; the recorder reuses the g(u) of
+    # the stage that computed the accepted point
+    problem = wellposed_cubic(6).problem
+    g = problem.g
+    calls = {"fn": 0, "jac": 0}
+
+    def fn(u):
+        calls["fn"] += 1
+        return g.fn(u)
+
+    def jac(u):
+        calls["jac"] += 1
+        return g.jac_fn(u)
+
+    counted = replace(problem, g=NonlinearMap(fn, jac, name=g.name))
+    calls.update(fn=0, jac=0)
+    res = integrate(counted, FlowConfig(t_max=10.0))
+    assert len(res.trajectory) > 10
+    # the start, the initial-step probe and six stages per attempted step
+    stages = 2 + 6 * (res.n_accepted + res.n_rejected)
+    assert calls == {"fn": stages, "jac": stages}
+
+
 # -- exact linear trajectory ------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from dsmflow.errors import (DimensionMismatch, NonPsdOperator, NotSymmetric,
                             ParseError, SingularOperator)
-from dsmflow.hilbert import (DenseOperator, _getrf, _getrs, as_vector,
+from dsmflow.hilbert import (DenseOperator, _all_finite, _getrf, _getrs, as_vector,
                              format_matrix_text, inner, norm, parse_matrix_text,
                              read_matrix_text, write_matrix_text)
 
@@ -64,6 +64,40 @@ def test_as_vector_accepts_lists_and_checks_dim():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_vector([1.0, np.nan])
+
+
+_GRID = np.arange(12.0).reshape(3, 4)
+_GRID_NAN = _GRID.copy()
+_GRID_NAN[1, 2] = np.nan
+_MIXED = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
+_TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("x", [
+    np.array([1.0, -2.0]),
+    np.array([1.0, np.nan]),
+    np.array([np.inf, 1.0]),
+    np.array([1.0, -np.inf]),
+    np.array([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]),
+    np.array([5e-324, -5e-324, 0.5 * _TINY, -0.5 * _TINY]),
+    np.array([-0.0, 0.0]),
+    np.empty(0),
+    np.empty((0, 3)),
+    np.asfortranarray(_GRID),
+    np.asfortranarray(_GRID_NAN),
+    _GRID_NAN.T,
+    _GRID_NAN[:, 1],
+    _GRID_NAN[:, 2],
+    _MIXED[::2],
+    _MIXED[1::2],
+], ids=["finite", "nan", "inf", "-inf", "huge", "subnormal", "signed-zero", "empty",
+        "empty-2d", "fortran", "fortran-nan", "transposed-nan", "column-finite",
+        "column-nan", "strided-finite", "strided-non-finite"])
+def test_all_finite_is_isfinite_all(x):
+    # the same predicate, and no arithmetic that could overflow or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _all_finite(x) == np.isfinite(x).all()
 
 
 def test_inner_and_norm_consistent():

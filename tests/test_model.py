@@ -480,6 +480,18 @@ def test_monotonicity_certificate_pass_and_fail():
         monotonicity_certificate(cubic_map(), [])
 
 
+def test_monotonicity_certificate_evaluates_g_once_per_sample():
+    g = cubic_map(0.5)
+    calls = []
+    counted = NonlinearMap(lambda u: calls.append(1) or g.fn(u), g.jac_fn)
+    samples = ball_samples(np.zeros(3), 1.5, 12, seed=9)
+    cert = monotonicity_certificate(counted, samples)
+    assert len(calls) == len(samples)
+    # bitwise the secant products of the pairwise definition
+    ref = min(float(np.dot(g(u) - g(v), u - v)) for v, u in zip(samples, samples[1:]))
+    assert cert.quantities["min_secant_product"] == ref
+
+
 def test_monotonicity_single_sample_uses_jacobian_only():
     cert = monotonicity_certificate(cubic_map(1.0), [np.ones(2)])
     assert cert.passed and cert.quantities["min_secant_product"] == 0.0
