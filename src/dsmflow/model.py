@@ -63,8 +63,9 @@ class NonlinearMap:
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
     (:class:`DimensionMismatch`) and finiteness (``ValueError``).
-    :func:`newton_velocity` checks ``u`` once for both and calls
-    :meth:`_value` and :meth:`_jacobian`, which check only the output.
+    :func:`newton_velocity` and the sampled certificates check ``u`` once
+    for both and call :meth:`_value` and :meth:`_jacobian`, which check
+    only the output.
     """
     fn: callable
     jac_fn: callable
@@ -407,9 +408,10 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
     worst_sigma = float("inf")
     for u in samples:
         u = as_vector(u, dim=n, name="sample")
-        if norm(u - problem.u0) > problem.radius * (1.0 + 1e-12):
+        d = u - problem.u0
+        if math.sqrt(d.dot(d)) > problem.radius * (1.0 + 1e-12):
             raise ValueError("sample point lies outside the trust ball")
-        J = problem.g.jacobian(u)
+        J = problem.g._jacobian(u)
         T = None
         if worst_sigma < float("inf"):
             w = worst_sigma
@@ -478,6 +480,10 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     is 1.  Otherwise ``sector_delta`` must be supplied (in radians, from a
     prior :func:`check_sector`); without it the check is
     :class:`NotApplicable`.
+
+    For self-adjoint ``L = Q diag(w) Q^T``, ``sigma_min(L + eps*I)`` is
+    ``min |w + eps|`` from the eigendecomposition ``L`` caches; otherwise
+    it is the smallest singular value of ``L + eps*I``, one SVD per shift.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
@@ -498,12 +504,16 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     tol = 1e-9
     eps_mach = float(np.finfo(float).eps)
     opn = L.operator_norm()
-    for eps in eps_grid:
-        shifted = L.shifted(eps)
-        resolvent_norm = 1.0 / shifted.smallest_singular_value()
+    if L.self_adjoint:
+        w = L.symmetric_eigen()[0]
+        sigmas = [float(np.abs(w + eps).min()) for eps in eps_grid]
+    else:
+        sigmas = [L.shifted(eps).smallest_singular_value() for eps in eps_grid]
+    for eps, sigma in zip(eps_grid, sigmas):
+        resolvent_norm = 1.0 / sigma
         limit = 1.0 / (eps * sin_delta)
-        # when sigma_min sits exactly at eps (singular L), SVD rounding of
-        # order eps_mach * |L| moves 1/sigma by allowance; tolerate that
+        # when sigma_min sits exactly at eps (singular L), eigenvalue or SVD
+        # rounding of order eps_mach * |L| moves 1/sigma by allowance; tolerate that
         allowance = 1e3 * eps_mach * (opn + eps) * limit ** 2
         margin = limit - resolvent_norm
         min_margin = min(min_margin, margin)
@@ -611,7 +621,8 @@ def monotonicity_certificate(g, samples, tol=1e-10):
 
     Checks the symmetrized Jacobian at every sample for eigenvalues below
     ``-tol`` and the secant inequality ``(g(u) - g(v), u - v) >= -tol`` on
-    consecutive sample pairs.  ``g`` and ``g'`` are evaluated once per sample.
+    consecutive sample pairs.  Each sample is checked once, and ``g`` and
+    ``g'`` are evaluated once per sample.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -621,10 +632,10 @@ def monotonicity_certificate(g, samples, tol=1e-10):
     prev = g_prev = None
     for u in samples:
         u = as_vector(u, name="sample")
-        J = g.jacobian(u)
+        J = g._jacobian(u)
         w = np.linalg.eigvalsh(0.5 * (J + J.T))
         min_eig = min(min_eig, float(w[0]))
-        gu = g(u)
+        gu = g._value(u)
         if prev is not None:
             min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))
         prev, g_prev = u, gu

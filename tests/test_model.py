@@ -295,7 +295,7 @@ def _tiny_scale():
 
 
 @pytest.mark.parametrize("case, inverse_free", [
-    # the 65 samples wellposed_cubic's trust tag certifies (seed 42, attempt 0)
+    # the 65 samples wellposed_cubic's trust tag certifies (seed 42)
     pytest.param(lambda: _cloud(wellposed_cubic(dim=200).problem, seed=42), True,
                  id="wellposed-d200"),
     pytest.param(lambda: _cloud(sector_blocks(8, epsilon=0.1).problem), True,
@@ -386,7 +386,7 @@ def test_resolvent_bound_spd_known_values():
     assert cert.quantities["sin_delta"] == 1.0
     assert cert.quantities["n_eps"] == 7
     # sigma_min(L + eps) = eps exactly for this diagonal, so the ratio
-    # sits at 1 up to SVD rounding
+    # sits at 1 up to rounding
     assert cert.quantities["worst_ratio"] == pytest.approx(1.0, abs=1e-6)
 
 

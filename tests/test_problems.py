@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from dsmflow.errors import CertificateMismatch, ParseError
+from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm, write_matrix_text
-from dsmflow.model import DsmProblem, NonlinearMap, full_residual
+from dsmflow.model import (DsmProblem, NonlinearMap, full_residual,
+                           preconditioned_residual)
 from dsmflow.problems import (BUILTINS, TAGS, ProblemBundle, _verify_tags,
                               ill_conditioned, load_problem, make_map,
                               save_problem, sector_blocks, singular_canonical,
@@ -87,6 +89,32 @@ def test_wellposed_cubic_structure(dim):
     w = np.linalg.eigvalsh(b.problem.L.entries)
     assert w[0] >= 1.0 - 1e-9 and w[-1] <= 4.0 + 1e-9
     assert norm(b.problem.u0) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("dim", [1, 2, 5, 12, 50])
+def test_wellposed_cubic_radius_is_twice_p0(dim, seed):
+    # g' is psd and L's spectrum lies in [1, 4), so |T(u)^{-1}| <= sqrt(kappa(L)) < 2
+    # everywhere: a radius of 2 p0 passes the trust condition without sizing
+    b = wellposed_cubic(dim, seed=seed)
+    p = b.problem
+    p0 = norm(preconditioned_residual(p, p.u0))
+    assert p.radius == max(2.0 * p0, 1e-3)
+    bound = b.certificates["invertible_bound"].quantities["bound"]
+    assert bound <= np.sqrt(p.L.condition_estimate()) < 2.0
+    assert b.certificates["trust_condition"].passed
+    assert "attempt" not in b.spec.params
+
+
+def test_radius_feeds_only_the_ball_check():
+    # without a trust certificate the flow only records a ball exit, so the
+    # trajectory does not depend on the radius
+    p = wellposed_cubic(12, seed=0).problem
+    wide = DsmProblem(p.L, p.g, p.u0, radius=10.0 * p.radius)
+    a, b = ((r.n_accepted, r.n_rejected, r.left_ball_at, r.u_final.tobytes(),
+             [(pt.t, pt.u.tobytes(), pt.p, pt.residual_F, pt.step) for pt in r.trajectory])
+            for r in (integrate(p), integrate(wide)))
+    assert a == b
 
 
 def test_wellposed_cubic_rejects_bad_arguments():
