@@ -22,8 +22,8 @@ from .errors import (CertificateMismatch, DimensionMismatch, DsmError,
                      SingularLinearization, SingularOperator, TMaxReachedError)
 from .hilbert import DenseOperator, VectorH, as_vector, inner, norm
 from .model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
-                    ball_samples, check_resolvent_bound, check_sector,
-                    check_trust_condition, estimate_newton_bound,
+                    ball_samples, certify_newton_bound, check_resolvent_bound,
+                    check_sector, check_trust_condition, estimate_newton_bound,
                     fd_jacobian_check, full_residual, linearized_operator,
                     monotonicity_certificate, preconditioned_residual)
 from .flow import (FlowConfig, FlowResult, FlowStatus, TrajectoryPoint,
@@ -46,7 +46,8 @@ __all__ = [
     "VectorH", "DenseOperator", "as_vector", "inner", "norm",
     "NonlinearMap", "DsmProblem", "Certificate", "CertificateKind",
     "full_residual", "preconditioned_residual", "linearized_operator",
-    "ball_samples", "estimate_newton_bound", "check_trust_condition",
+    "ball_samples", "estimate_newton_bound", "certify_newton_bound",
+    "check_trust_condition",
     "check_resolvent_bound", "check_sector", "fd_jacobian_check",
     "monotonicity_certificate",
     "FlowConfig", "FlowStatus", "FlowResult", "TrajectoryPoint",

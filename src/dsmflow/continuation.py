@@ -22,8 +22,10 @@ from .errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
                      NonPsdOperator, SingularOperator, TMaxReachedError)
 from .flow import FlowConfig, FlowStatus, integrate
 from .hilbert import norm
-from .model import (ball_samples, check_trust_condition, estimate_newton_bound,
-                    full_residual, monotonicity_certificate)
+from .model import (ball_samples, certify_newton_bound, full_residual,
+                    monotonicity_certificate)
+# unused here, but perfbench/tracing.py looks these names up on this module
+from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
 
 __all__ = [
     "EPS_CONDITION_LIMIT",
@@ -137,9 +139,12 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
                       max_condition=None, require_converged=True):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
-    Estimates the inverse-linearization bound over the trust ball, checks
-    the trust condition, then integrates with ball enforcement tied to
-    that certificate.  A failed trust certificate does not block the
+    Bounds the inverse linearization over the trust ball and checks the
+    trust condition through :func:`~dsmflow.model.certify_newton_bound`,
+    on ``bound_samples`` ball samples: a proof for self-adjoint psd ``L``
+    and a ``g`` that is monotone on those samples, a sampled estimate
+    otherwise.  It then integrates with ball enforcement tied to that
+    certificate.  A failed trust certificate does not block the
     solve; it marks the result ``exploratory`` and disables the guarantee
     that the trajectory stays in the ball.
 
@@ -157,10 +162,8 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
                 condition_estimate=cond)
     samples = ball_samples(problem.u0, problem.radius, bound_samples,
                            seed=sample_seed)
-    bound_cert = estimate_newton_bound(problem, samples,
-                                       design="center+ball+sphere")
-    bound = bound_cert.quantities["bound"]
-    trust = check_trust_condition(problem, bound)
+    bound_cert, trust = certify_newton_bound(problem, samples,
+                                             design="center+ball+sphere")
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
         raise FlowFailed(

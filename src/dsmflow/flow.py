@@ -177,6 +177,7 @@ def integrate(problem, cfg=None, *, trust=None):
     """Integrate the Newton flow from ``problem.u0``.
 
     ``trust`` is an optional trust-condition certificate from
+    :func:`dsmflow.model.certify_newton_bound` or
     :func:`dsmflow.model.check_trust_condition`.  When it is present and
     passed, leaving the trust ball is treated as a hard failure
     (status LEFT_BALL); without it the exit time is recorded but the run

@@ -33,6 +33,7 @@ __all__ = [
     "newton_velocity",
     "ball_samples",
     "estimate_newton_bound",
+    "certify_newton_bound",
     "check_trust_condition",
     "check_resolvent_bound",
     "check_sector",
@@ -326,6 +327,12 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
     as samples are added.  Raises :class:`SingularLinearization` when a
     sample whose SVD is taken has ``sigma_min <= 1e-12``.
 
+    This is the sampled route of :func:`certify_newton_bound`, which the
+    certified solves and the ``trust_condition`` tag call.  That route
+    applies unless the bound can be proven: for a self-adjoint psd ``L``
+    with ``A`` positive definite and a monotone ``g`` it returns
+    ``sqrt(kappa(A))/(1 - delta)`` without sampling ``T``.
+
     Only the minimum is reported, so after the first sample a sample pays
     for an SVD only when it could lower the running minimum ``w``.  A
     screen first builds a symmetric ``H`` that is positive definite only if
@@ -455,11 +462,113 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
         detail=f"sample design: {design}")
 
 
+def certify_newton_bound(problem, samples, monotone=None, design="user-supplied"):
+    """Newton bound over the trust ball and the trust condition it implies.
+
+    Returns ``(bound_cert, trust_cert)``: an INVERTIBLE certificate whose
+    ``bound`` is at least ``|T(u)^{-1}|`` for ``T = I + A^{-1} g'(u)``,
+    ``A = L + eps*I``, and the TRUST_CONDITION certificate built on it.
+    Both the certified solve and the ``trust_condition`` tag call this.
+
+    *Proof route*, :func:`_proven_bound`: for a self-adjoint psd ``L`` with
+    ``A`` positive definite and a ``g`` that passes ``monotone``, a
+    :func:`monotonicity_certificate` on the same ball (certified here on
+    ``samples`` when None), the bound is ``sqrt(kappa(A))/(1 - delta)`` and
+    the trust certificate compares the radius with a distance bound that
+    takes one product with ``A``: no ``T`` is formed and no SVD taken.  It
+    is taken when that distance fits in the radius.
+
+    *Sampled route.*  Otherwise ``bound_cert`` is
+    :func:`estimate_newton_bound` on ``samples`` and ``trust_cert`` is
+    :func:`check_trust_condition` with its bound, both unchanged.  A proof
+    whose distance bound exceeds the radius is not reported as a failed
+    trust condition: the A-norm loses up to ``sqrt(kappa(A))`` where
+    ``g'`` is small against ``A``, as for a constant ``g`` and a small
+    shift of a singular ``L``, where ``T = I`` and the sampled bound is 1.
+    """
+    proven = _proven_bound(problem, samples, monotone)
+    if proven is not None and proven[1].passed:
+        return proven
+    bound_cert = estimate_newton_bound(problem, samples, design=design)
+    return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
+
+
+def _proven_bound(problem, samples, monotone):
+    """The proof route's ``(bound_cert, trust_cert)``, or None where it does not apply.
+
+    It applies when ``L`` carries the verified ``self_adjoint`` and
+    ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly,
+    so that the eigendecomposition ``L`` caches (taken of ``(L + L^T)/2``)
+    is one of ``L`` itself; ``lam_lo > 0``; and ``g`` passes ``monotone``
+    with ``delta = max(0, -min_jacobian_eigenvalue) / lam_lo < 1``.
+
+    ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
+    ``eps``, widened by ``2(n+1) u (|L|_F + eps)`` for the eigensolver
+    (computed eigenvalues lie within ``2n u |L|_F`` of the exact ones,
+    LAPACK Users' Guide §4.7, with ``p(n) = 2n``), the rounding of ``A``'s
+    diagonal and that of ``w + eps``.
+
+    With ``K = A^{-1/2} g' A^{-1/2}``, whose symmetric part is
+    ``>= -delta I``, ``|T^{-1}|_A = |(I + K)^{-1}| <= 1/(1 - delta)`` in
+    the norm ``|x|_A = sqrt(x^T A x)``, so ``|T^{-1}|`` is at most
+    ``bound = sqrt(lam_hi/lam_lo)/(1 - delta)``.  Along the flow
+    ``f(u(t)) = e^{-t} f0`` with ``f0 = u0 + A^{-1} g(u0)``, so the distance
+    travelled is at most ``|f0|_A / (sqrt(lam_lo) (1 - delta))``, which the
+    trust certificate compares with the radius.  ``|f0|_A^2`` is
+    ``f0 . (A f0)`` plus ``gamma_{n+1} |A|_F |f0|^2`` for its rounding.
+    The bound certificate keeps the sampled route's keys, with
+    ``worst_sigma_min = 1/bound`` and the samples behind ``monotone`` as
+    ``n_samples``; both name the route in ``detail``.
+    """
+    L = problem.L
+    if not (L.self_adjoint and L.psd_claimed) or not np.array_equal(L.entries, L.entries.T):
+        return None
+    w = L.symmetric_eigen()[0]
+    eps = problem.epsilon
+    err = (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+    lam_lo = float(w[0]) + eps - err
+    if not lam_lo > 0.0:
+        return None
+    lam_hi = float(w[-1]) + eps + err
+    if monotone is None:
+        monotone = monotonicity_certificate(problem.g, samples)
+    delta = max(0.0, -monotone.quantities["min_jacobian_eigenvalue"]) / lam_lo
+    if not (monotone.passed and delta < 1.0):
+        return None
+    bound = math.sqrt(lam_hi / lam_lo) / (1.0 - delta)
+    bound_cert = Certificate(
+        kind=CertificateKind.INVERTIBLE,
+        passed=True,
+        quantities={"bound": bound, "worst_sigma_min": 1.0 / bound,
+                    "n_samples": monotone.quantities["n_samples"]},
+        detail=f"route: proof, sqrt(kappa(A))/(1 - delta) for self-adjoint psd L "
+               f"and monotone g, delta = {delta:.17g}")
+    f0 = preconditioned_residual(problem, problem.u0)
+    p0 = norm(f0)
+    A = problem.shifted.entries
+    n1_unit = 0.5 * (problem.dim + 1) * float(np.finfo(float).eps)
+    f0_A_sq = (max(float(f0.dot(A @ f0)), 0.0)
+               + n1_unit / (1.0 - n1_unit) * float(np.linalg.norm(A)) * p0 * p0)
+    distance = math.sqrt(f0_A_sq) / (math.sqrt(lam_lo) * (1.0 - delta))
+    margin = problem.radius - distance
+    trust = Certificate(
+        kind=CertificateKind.TRUST_CONDITION,
+        passed=bool(margin >= 0.0),
+        quantities={"p0": p0, "bound": bound, "radius": problem.radius, "margin": margin},
+        detail=f"route: proof, margin = radius - |f0|_A / (sqrt(lambda_min(A)) (1 - delta)) "
+               f"with distance bound {distance:.17g}")
+    return bound_cert, trust
+
+
 def check_trust_condition(problem, newton_bound):
     """Certify ``p0 * bound <= radius`` where ``p0`` is the start residual norm.
 
     Passing guarantees the flow cannot leave the trust ball, since the
-    distance travelled is bounded by ``bound * p0``.
+    distance travelled is bounded by ``bound * p0``.  This is the sampled
+    route's check in :func:`certify_newton_bound`; where that function
+    proves the bound (self-adjoint psd ``L`` with ``A`` positive definite,
+    monotone ``g``) it compares the radius with the tighter distance bound
+    ``|f0|_A / (sqrt(lambda_min(A)) (1 - delta))`` instead.
     """
     newton_bound = float(newton_bound)
     if newton_bound <= 0.0:
@@ -484,6 +593,8 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     For self-adjoint ``L = Q diag(w) Q^T``, ``sigma_min(L + eps*I)`` is
     ``min |w + eps|`` from the eigendecomposition ``L`` caches; otherwise
     it is the smallest singular value of ``L + eps*I``, one SVD per shift.
+    A shift at which ``L + eps*I`` is singular fails the certificate with
+    an infinite ``worst_ratio``.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0.0 for e in eps_grid):
@@ -510,7 +621,8 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     else:
         sigmas = [L.shifted(eps).smallest_singular_value() for eps in eps_grid]
     for eps, sigma in zip(eps_grid, sigmas):
-        resolvent_norm = 1.0 / sigma
+        # a shift onto an eigenvalue leaves L + eps*I singular: fail, do not divide
+        resolvent_norm = 1.0 / sigma if sigma > 0.0 else float("inf")
         limit = 1.0 / (eps * sin_delta)
         # when sigma_min sits exactly at eps (singular L), eigenvalue or SVD
         # rounding of order eps_mach * |L| moves 1/sigma by allowance; tolerate that
@@ -616,6 +728,37 @@ def fd_jacobian_check(g, u, h=1e-5):
     return worst
 
 
+def _min_eigenvalue_at_least(S, m):
+    """Whether ``eigvalsh(S)[0] >= m`` is certain, from one Cholesky factorization.
+
+    ``S`` is symmetric, ``s = |S|_F``, ``u`` is the unit roundoff,
+    ``eps_mach = 2u`` and ``gamma_k = k u / (1 - k u)``.  ``eigvalsh``
+    returns ``lambda_min(S)`` to within ``eta = 2n u s`` (LAPACK Users'
+    Guide §4.7, with ``p(n) = 2n``), so ``lambda_min(S) >= m + eta``
+    suffices.  The screen factors ``H = fl(S - tau I)`` with ``dpotrf``.
+    Forming ``H`` moves each diagonal entry by at most
+    ``u (|S_ii| + |tau|)``; a factorization that succeeds is exact for
+    ``H + dH`` with ``|dH|_2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 10.3), and ``trace(H) <= (1 + u)(sqrt(n) s + n |tau|)``.  So success
+    proves ``lambda_min(S) >= tau - zeta'`` with, to first order,
+    ``zeta' = (n + 1) u (sqrt(n) s + n |tau|) + u (s + |tau|)``.  Taking
+    ``tau = m + eta + zeta`` with
+    ``zeta = 8(n + 1) eps_mach (sqrt(n) s + n (|m| + eta))``, at least twice
+    that, leaves room for the second-order terms and the rounding of ``tau``.
+    """
+    n = S.shape[0]
+    eps_mach = float(np.finfo(float).eps)
+    x = S.ravel()
+    s = math.sqrt(x.dot(x))
+    eta = n * eps_mach * s
+    H = S.copy()
+    H.flat[::n + 1] -= m + eta + 8.0 * (n + 1) * eps_mach * (math.sqrt(n) * s + n * (abs(m) + eta))
+    # H is symmetric, so H.T is the Fortran-ordered array dpotrf factors in place
+    _, info = scipy.linalg.lapack.dpotrf(H.T, clean=0, overwrite_a=1)
+    return info == 0
+
+
 def monotonicity_certificate(g, samples, tol=1e-10):
     """Certify monotonicity of ``g`` on a sample cloud.
 
@@ -623,6 +766,15 @@ def monotonicity_certificate(g, samples, tol=1e-10):
     ``-tol`` and the secant inequality ``(g(u) - g(v), u - v) >= -tol`` on
     consecutive sample pairs.  Each sample is checked once, and ``g`` and
     ``g'`` are evaluated once per sample.
+
+    Only the smallest eigenvalue over the samples is reported, so after
+    the first sample a sample pays for ``eigvalsh`` only when the Cholesky
+    screen :func:`_min_eigenvalue_at_least` cannot prove that its computed
+    smallest eigenvalue is at least the running minimum.  The result is
+    bitwise that of ``eigvalsh`` at every sample.  The screen stops at the
+    first sample it could not rule out that does not lower the minimum: a
+    tie, as when ``g'`` is singular at every sample, where each later
+    sample would pay for both.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -630,11 +782,15 @@ def monotonicity_certificate(g, samples, tol=1e-10):
     min_eig = float("inf")
     min_secant = float("inf")
     prev = g_prev = None
+    screen = True
     for u in samples:
         u = as_vector(u, name="sample")
         J = g._jacobian(u)
-        w = np.linalg.eigvalsh(0.5 * (J + J.T))
-        min_eig = min(min_eig, float(w[0]))
+        S = 0.5 * (J + J.T)
+        if not (screen and min_eig < float("inf") and _min_eigenvalue_at_least(S, min_eig)):
+            w0 = float(np.linalg.eigvalsh(S)[0])
+            screen = screen and w0 < min_eig
+            min_eig = min(min_eig, w0)
         gu = g._value(u)
         if prev is not None:
             min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))

@@ -11,18 +11,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dsmflow import model
+from dsmflow.continuation import solve_newton_flow
 from dsmflow.errors import (DimensionMismatch, NotApplicable, NotSymmetric,
                             SingularLinearization, SingularOperator)
+from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (CertificateKind, DsmProblem, NonlinearMap,
-                           ball_samples, check_resolvent_bound, check_sector,
+                           ball_samples, certify_newton_bound,
+                           check_resolvent_bound, check_sector,
                            check_trust_condition, estimate_newton_bound,
                            fd_jacobian_check, full_residual,
                            linearized_operator, monotonicity_certificate,
                            preconditioned_residual, solve_linearized,
                            _inverse_free_screen)
-from dsmflow.problems import (ill_conditioned, sector_blocks, singular_monotone,
-                              wellposed_cubic)
+from dsmflow.problems import (ill_conditioned, sector_blocks, singular_canonical,
+                              singular_monotone, wellposed_cubic)
 
 
 def cubic_map(scale=0.1):
@@ -375,6 +379,145 @@ def test_trust_condition_margin_and_verdict():
         check_trust_condition(p, 0.0)
 
 
+# -- Newton-bound route -------------------------------------------------------------
+
+
+def _proof_cases():
+    cases = [pytest.param(lambda d=d: wellposed_cubic(d, seed=4).problem,
+                          id=f"wellposed-d{d}") for d in (1, 5, 50)]
+    for eps in (1e-2, 1e-6):
+        cases.append(pytest.param(
+            lambda e=eps: singular_monotone(20, 10, cubic_scale=0.1).problem.with_epsilon(e),
+            id=f"singular-monotone-eps{eps:g}"))
+        cases.append(pytest.param(
+            lambda e=eps: ill_conditioned(6).problem.with_epsilon(e),
+            id=f"ill-conditioned-eps{eps:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _proof_cases())
+def test_proven_bound_covers_the_sampled_bound_and_the_trajectory(make):
+    p = make()
+    samples = ball_samples(p.u0, p.radius, 64, seed=0)
+    bound_cert, trust = model._proven_bound(p, samples, None)
+    assert bound_cert.detail.startswith("route: proof")
+    assert trust.detail.startswith("route: proof")
+    q = bound_cert.quantities
+    assert set(q) == {"bound", "worst_sigma_min", "n_samples"}
+    assert q["worst_sigma_min"] == 1.0 / q["bound"] and q["n_samples"] == len(samples)
+    # the proof covers every sample's 1/sigma_min(T)
+    sampled = estimate_newton_bound(p, samples)
+    assert q["bound"] >= sampled.quantities["bound"]
+    # and the distance bound every recorded point of the flow from u0
+    distance = trust.quantities["radius"] - trust.quantities["margin"]
+    res = integrate(p)
+    travelled = max(norm(pt.u - p.u0) for pt in res.trajectory)
+    assert 0.0 < travelled <= distance
+    # the distance bound is never looser than p0 * bound
+    assert distance <= trust.quantities["p0"] * q["bound"]
+    # the route takes the proof exactly when its distance fits in the radius
+    route = certify_newton_bound(p, samples)
+    if trust.passed:
+        assert route == (bound_cert, trust)
+    else:
+        assert route == (sampled, check_trust_condition(p, sampled.quantities["bound"]))
+
+
+def _sector():
+    return sector_blocks(6).problem
+
+
+def _non_monotone():
+    return replace(small_problem(seed=41), g=cubic_map(-0.05), radius=1.0)
+
+
+def _nearly_symmetric():
+    # symmetric within SELF_ADJOINT_RTOL, so the flags verify, but not exactly
+    p = small_problem(seed=42)
+    A = p.L.entries.copy()
+    A[0, 1] += 1e-13 * p.L.operator_norm()
+    L = DenseOperator(A, self_adjoint=True, psd_claimed=True)
+    assert not np.array_equal(L.entries, L.entries.T)
+    return replace(p, L=L)
+
+
+def _proof_too_loose():
+    # g' = 0 makes T = I, but |f0|_A / sqrt(lambda_min(A)) is about 32 |f0| > radius
+    return singular_canonical().problem.with_epsilon(1e-3)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_sector, id="sector-blocks"),
+    pytest.param(_proof_too_loose, id="distance-bound-exceeds-radius"),
+    pytest.param(_non_monotone, id="psd-L-non-monotone-g"),
+    pytest.param(_nearly_symmetric, id="symmetric-within-rtol"),
+])
+def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
+    p = make()
+    samples = ball_samples(p.u0, p.radius, 16, seed=0)
+    calls = []
+    sampled = model.estimate_newton_bound
+    monkeypatch.setattr(model, "estimate_newton_bound",
+                        lambda *a, **k: calls.append(1) or sampled(*a, **k))
+    bound_cert, trust = certify_newton_bound(p, samples, design="d")
+    assert len(calls) == 1
+    ref = sampled(p, samples, design="d")
+    assert bound_cert == ref
+    assert trust == check_trust_condition(p, ref.quantities["bound"])
+
+
+def test_route_falls_back_for_unshifted_singular_L(monkeypatch):
+    p = singular_monotone(6, rank=3, cubic_scale=0.1).problem
+    assert p.epsilon == 0.0
+    samples = ball_samples(p.u0, p.radius, 8, seed=0)
+    calls = []
+    sampled = model.estimate_newton_bound
+    monkeypatch.setattr(model, "estimate_newton_bound",
+                        lambda *a, **k: calls.append(1) or sampled(*a, **k))
+    with pytest.raises(SingularOperator):
+        certify_newton_bound(p, samples)
+    assert len(calls) == 1
+    with pytest.raises(SingularOperator):
+        sampled(p, samples)
+
+
+def test_route_applies_delta_for_a_slightly_negative_jacobian():
+    # sym(g') has eigenvalue -5e-11, inside the monotonicity tolerance, and
+    # lambda_min(A) = 1e-8, so delta = 5e-3 widens both bounds by 1/(1 - delta)
+    eps, neg = 1e-8, -5e-11
+    L = DenseOperator.diagonal([0.0, 1.0, 2.0])
+    G = np.diag([neg, 0.5, 0.0])
+    # no offset on the nullspace, so f0 has none and the distance fits the radius
+    c = np.array([0.0, -0.2, 0.1])
+    g = NonlinearMap(lambda u: G @ u + c, lambda u: G.copy())
+    p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=1e4, epsilon=eps)
+    samples = ball_samples(p.u0, p.radius, 16, seed=0)
+    mono = monotonicity_certificate(g, samples)
+    assert mono.passed and mono.quantities["min_jacobian_eigenvalue"] < 0.0
+    bound_cert, trust = certify_newton_bound(p, samples)
+    delta = -neg / eps
+    assert bound_cert.quantities["bound"] == pytest.approx(
+        np.sqrt((2.0 + eps) / eps) / (1.0 - delta), rel=1e-6)
+    f0 = preconditioned_residual(p, p.u0)
+    f0_A = np.sqrt(f0 @ (p.shifted.entries @ f0))
+    distance = trust.quantities["radius"] - trust.quantities["margin"]
+    assert distance == pytest.approx(f0_A / (np.sqrt(eps) * (1.0 - delta)), rel=1e-6)
+    assert bound_cert.quantities["bound"] >= estimate_newton_bound(p, samples).quantities["bound"]
+    # a certificate handed in replaces the route's own monotonicity pass
+    handed = monotonicity_certificate(g, samples[:4])
+    assert certify_newton_bound(p, samples, handed)[0].quantities["n_samples"] == 4.0
+
+
+def test_build_hands_its_monotone_g_certificate_to_the_route():
+    b = wellposed_cubic(6, seed=3)
+    n_mono = b.certificates["monotone_g"].quantities["n_samples"]
+    assert b.certificates["invertible_bound"].quantities["n_samples"] == n_mono == 33.0
+    # a solve certifies its own 64 ball samples plus the centre
+    sol = solve_newton_flow(b.problem)
+    assert sol.certificates["invertible"].quantities["n_samples"] == 65.0
+    assert sol.certificates["invertible"].detail.startswith("route: proof")
+
+
 # -- resolvent bound -------------------------------------------------------------
 
 
@@ -410,6 +553,25 @@ def test_resolvent_bound_detects_violation():
         check_resolvent_bound(L, [-0.1], sector_delta=np.pi / 2)
     with pytest.raises(ValueError):
         check_resolvent_bound(L, [0.1], sector_delta=3.0)
+
+
+def test_resolvent_bound_fails_when_a_shift_hits_an_eigenvalue():
+    # L + 0.5 I = 0: a failed certificate, not a ZeroDivisionError
+    L = DenseOperator([[-0.5]], self_adjoint=True)
+    cert = check_resolvent_bound(L, [0.5], sector_delta=np.pi / 2)
+    assert not cert.passed
+    assert cert.quantities["worst_ratio"] == float("inf")
+    assert cert.quantities["min_margin"] == -float("inf")
+
+
+def test_resolvent_bound_svd_branch_fails_on_a_singular_shift():
+    # not self-adjoint, so sigma_min comes from the SVD of L + eps*I, which
+    # is [[0, 1], [0, 0]] at eps = 0.5: exactly singular
+    L = DenseOperator([[-0.5, 1.0], [0.0, -0.5]])
+    cert = check_resolvent_bound(L, [1.0, 0.5], sector_delta=np.pi / 3)
+    assert not cert.passed
+    assert cert.quantities["worst_ratio"] == float("inf")
+    assert cert.quantities["sin_delta"] == pytest.approx(np.sin(np.pi / 3))
 
 
 # -- sector check ------------------------------------------------------------------
@@ -495,3 +657,66 @@ def test_monotonicity_certificate_evaluates_g_once_per_sample():
 def test_monotonicity_single_sample_uses_jacobian_only():
     cert = monotonicity_certificate(cubic_map(1.0), [np.ones(2)])
     assert cert.passed and cert.quantities["min_secant_product"] == 0.0
+
+
+def _min_eig_every_sample(g, samples):
+    """The unscreened minimum: ``eigvalsh`` of every sample's symmetrized Jacobian."""
+    return min(float(np.linalg.eigvalsh(0.5 * (g.jacobian(u) + g.jacobian(u).T))[0])
+               for u in samples)
+
+
+def _mono_wellposed(dim):
+    p = wellposed_cubic(dim, seed=2).problem
+    return p.g, ball_samples(p.u0, p.radius, 64, seed=1)
+
+
+def _mono_range_cubic():
+    # g' = B diag(3 s y^2) B^T is singular everywhere: every sample ties at 0
+    p = singular_monotone(12, 6, cubic_scale=0.1).problem
+    return p.g, ball_samples(p.u0, p.radius, 32, seed=2)
+
+
+def _mono_non_monotone():
+    rng = np.random.default_rng(6)
+    B = rng.standard_normal((8, 8))
+    g = NonlinearMap(lambda u: B @ u + 0.1 * u ** 3, lambda u: B + np.diag(0.3 * u ** 2))
+    return g, ball_samples(np.zeros(8), 1.0, 32, seed=3)
+
+
+def _mono_within_margin():
+    # samples 1e-12 apart: near-ties that the screen cannot rule out
+    g, samples = _mono_wellposed(30)
+    u, d = samples[3], samples[3] - samples[0]
+    return g, [u - 1e-12 * k * d for k in range(20)]
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(lambda d=d: _mono_wellposed(d), id=f"wellposed-d{d}") for d in (1, 5, 50)),
+    pytest.param(_mono_range_cubic, id="range-cubic-ties"),
+    pytest.param(_mono_non_monotone, id="non-monotone"),
+    pytest.param(_mono_within_margin, id="within-margin"),
+])
+def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case):
+    g, samples = case()
+    cert = monotonicity_certificate(g, samples)
+    assert cert.quantities["min_jacobian_eigenvalue"] == _min_eig_every_sample(g, samples)
+
+
+def test_monotonicity_screen_skips_eigvalsh_and_stops_at_a_tie(monkeypatch):
+    (g, samples), (g_tied, tied) = _mono_wellposed(50), _mono_range_cubic()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(1) or eigvalsh(S))
+    monotonicity_certificate(g, samples)
+    # only samples that lower the running minimum pay for eigvalsh
+    assert len(calls) < 10
+    calls.clear()
+    screens = []
+    screen = model._min_eigenvalue_at_least
+    monkeypatch.setattr(model, "_min_eigenvalue_at_least",
+                        lambda S, m: screens.append(1) or screen(S, m))
+    monotonicity_certificate(g_tied, tied)
+    assert len(calls) == len(tied)
+    # rounding makes the first few samples new minima below 0; the screen
+    # stops at the first tie instead of failing on every sample
+    assert len(screens) <= 5
