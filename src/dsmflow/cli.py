@@ -322,6 +322,8 @@ def cmd_solve(ns):
 
 
 def cmd_continuation(ns):
+    # every level replaces the shift, so an explicit one would be ignored
+    _refuse_explicit(ns, ("epsilon",), "continue, which sets the shift from its schedule,")
     cfg = _flow_config(ns, INNER_FLOW)
     schedule = EpsSchedule(eps0=ns.eps0, ratio=ns.eps_ratio,
                            count=ns.eps_count, floor=ns.eps_floor)
@@ -362,9 +364,16 @@ def cmd_continuation(ns):
 
 def cmd_certify(ns):
     def worker(label, bundle, out):
-        # builtin bundles arrive verified; problems from files are verified here
-        certs = bundle.certificates or _verify_tags(
-            bundle.problem, bundle.spec.tags, seed=ns.seed)
+        # builtin bundles arrive verified as built, so a shifted one is verified
+        # again with the build's seed (singular_canonical's is 0); problems
+        # from files are verified here
+        if not bundle.certificates:
+            certs = _verify_tags(bundle.problem, bundle.spec.tags, seed=ns.seed)
+        elif ns.epsilon is not None:
+            certs = _verify_tags(bundle.problem, bundle.spec.tags,
+                                 seed=bundle.spec.params.get("seed", 0))
+        else:
+            certs = bundle.certificates
         if out:
             _write_json(certs, os.path.join(out, "certificates.json"))
         lines = []

@@ -136,17 +136,20 @@ class ContinuationResult:
 
 
 def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
-                      max_condition=None, require_converged=True):
+                      max_condition=None, require_converged=True, monotone=None):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
     trust condition through :func:`~dsmflow.model.certify_newton_bound`,
     on ``bound_samples`` ball samples: a proof for self-adjoint psd ``L``
-    and a ``g`` that is monotone on those samples, a sampled estimate
-    otherwise.  It then integrates with ball enforcement tied to that
-    certificate.  A failed trust certificate does not block the
-    solve; it marks the result ``exploratory`` and disables the guarantee
-    that the trajectory stays in the ball.
+    and a monotone ``g``, a sampled estimate otherwise.  ``monotone`` is
+    the :func:`~dsmflow.model.monotonicity_certificate` the proof takes
+    ``g``'s monotonicity from, as in ``certify_newton_bound``; with None
+    (a standalone solve) ``g`` is certified on those ball samples.  It
+    then integrates with ball enforcement tied to that certificate.  A
+    failed trust certificate does not block the solve; it marks the
+    result ``exploratory`` and disables the guarantee that the trajectory
+    stays in the ball.
 
     ``max_condition`` optionally refuses the solve up front when the
     shifted operator's condition estimate exceeds it.  With
@@ -162,7 +165,7 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
                 condition_estimate=cond)
     samples = ball_samples(problem.u0, problem.radius, bound_samples,
                            seed=sample_seed)
-    bound_cert, trust = certify_newton_bound(problem, samples,
+    bound_cert, trust = certify_newton_bound(problem, samples, monotone,
                                              design="center+ball+sphere")
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
@@ -189,12 +192,15 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
     """Drive the shift to zero and return the path toward the minimal-norm solution.
 
     Requires verified self-adjoint positive-semidefinite ``L`` and a
-    monotone nonlinearity (certified on a sample cloud before any solve;
-    failure raises :class:`MonotonicityFailed`).  Each shift level is
-    solved by :func:`solve_newton_flow` warm-started at the previous
-    solution, with flow settings ``cfg`` (default :data:`INNER_FLOW`); a
-    failure at level ``k`` raises :class:`InnerSolveFailed` carrying the
-    records accumulated so far.
+    monotone nonlinearity, certified once on ``monotone_samples`` samples
+    of the first trust ball before any solve; failure raises
+    :class:`MonotonicityFailed`.  Monotonicity is a hypothesis on ``g``
+    itself, not on one level's ball, so that one certificate is handed to
+    every level's Newton-bound proof instead of being drawn again.  Each
+    shift level is solved by :func:`solve_newton_flow` warm-started at the
+    previous solution, with flow settings ``cfg`` (default
+    :data:`INNER_FLOW`); a failure at level ``k`` raises
+    :class:`InnerSolveFailed` carrying the records accumulated so far.
 
     The returned result includes the per-level records, the last solution
     as ``v_limit``, a shift-extrapolated refinement ``v_extrapolated``,
@@ -230,7 +236,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
             break
         try:
             sol = solve_newton_flow(sub, cfg, bound_samples=bound_samples,
-                                    sample_seed=seed + k)
+                                    sample_seed=seed + k, monotone=mono)
         except (FlowFailed, SingularOperator) as exc:
             raise InnerSolveFailed(k, records, str(exc)) from exc
         v = sol.v

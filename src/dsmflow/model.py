@@ -471,12 +471,15 @@ def certify_newton_bound(problem, samples, monotone=None, design="user-supplied"
     Both the certified solve and the ``trust_condition`` tag call this.
 
     *Proof route*, :func:`_proven_bound`: for a self-adjoint psd ``L`` with
-    ``A`` positive definite and a ``g`` that passes ``monotone``, a
-    :func:`monotonicity_certificate` on the same ball (certified here on
-    ``samples`` when None), the bound is ``sqrt(kappa(A))/(1 - delta)`` and
-    the trust certificate compares the radius with a distance bound that
-    takes one product with ``A``: no ``T`` is formed and no SVD taken.  It
-    is taken when that distance fits in the radius.
+    ``A`` positive definite and a ``g`` that passes ``monotone``, the bound
+    is ``sqrt(kappa(A))/(1 - delta)`` and the trust certificate compares
+    the radius with a distance bound that takes one product with ``A``: no
+    ``T`` is formed and no SVD taken.  It is taken when that distance fits
+    in the radius.  ``monotone`` is a :func:`monotonicity_certificate` of
+    ``g`` that the caller already holds: a build's ``monotone_g`` tag, or
+    the one :func:`~dsmflow.continuation.solve_minimal_norm` takes before
+    its first level and hands to every level.  With None, ``g`` is
+    certified here on ``samples``.
 
     *Sampled route.*  Otherwise ``bound_cert`` is
     :func:`estimate_newton_bound` on ``samples`` and ``trust_cert`` is

@@ -130,7 +130,8 @@ def _make_range_cubic(dim, params):
 
     def jac_fn(u):
         y = B.T @ u
-        return B @ np.diag(3.0 * scale * y ** 2) @ B.T
+        # B diag(3 s y^2) B^T, with B's columns scaled instead of a diagonal product
+        return (B * (3.0 * scale * y ** 2)) @ B.T
 
     return NonlinearMap(fn=fn, jac_fn=jac_fn, name="range_cubic",
                         params={"scale": scale, "basis": B, "offset": offset},

@@ -12,7 +12,9 @@ import pytest
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_json, main)
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
-from dsmflow.problems import (BUILTINS, ill_conditioned, sector_blocks,
+from dsmflow.hilbert import norm
+from dsmflow.model import preconditioned_residual
+from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, sector_blocks,
                               singular_canonical, singular_monotone,
                               wellposed_cubic)
 
@@ -110,6 +112,25 @@ def test_continue_eps_floor_clamps_schedule(tmp_path, capsys):
     assert len(report["eps_values"]) == 8
 
 
+def test_continue_rejects_explicit_epsilon(capsys):
+    # every level replaces the shift, so an explicit one would have no effect
+    code, stdout, stderr = run(capsys, "continue", "--builtin", "singular_canonical",
+                               "--eps-count", "3", "--epsilon", "0.5")
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert "--epsilon" in stderr
+
+
+def test_continue_config_may_name_epsilon(tmp_path, capsys):
+    # config values are defaults, which the schedule replaces
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"epsilon": 0.5}))
+    argv = ("continue", "--builtin", "singular_canonical", "--eps-count", "3")
+    code, stdout, _ = run(capsys, *argv, "--config", str(cfgfile))
+    assert code == EXIT_OK
+    assert (code, stdout) == run(capsys, *argv)[:2]
+
+
 def test_continue_requires_psd_operator(capsys):
     code, stdout, _ = run(capsys, "continue", "--builtin", "sector_blocks",
                           "--dim", "4")
@@ -180,6 +201,27 @@ def test_certify_every_builtin_matches_its_generator(name, tmp_path, capsys):
             == (tmp_path / "direct.json").read_bytes())
     for tag in direct.spec.tags:
         assert f"tag={tag} pass" in stdout
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_certify_shifted_builtin_verifies_the_shifted_problem(seed, tmp_path, capsys):
+    # wellposed_cubic's trust_condition quantities depend on the shift
+    out = tmp_path / "cli"
+    code, stdout, _ = run(capsys, "certify", "--builtin", "wellposed_cubic", "--dim", "5",
+                          "--seed", str(seed), "--epsilon", "0.5", "--out", str(out))
+    assert code == EXIT_OK
+    for tag in ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g"):
+        assert f"tag={tag} pass" in stdout
+    built = wellposed_cubic(5, scale=0.1, seed=seed)
+    shifted = built.problem.with_epsilon(0.5)
+    _write_json(_verify_tags(shifted, built.spec.tags, seed=seed), tmp_path / "direct.json")
+    _write_json(built.certificates, tmp_path / "unshifted.json")
+    written = (out / "certificates.json").read_bytes()
+    assert written == (tmp_path / "direct.json").read_bytes()
+    assert written != (tmp_path / "unshifted.json").read_bytes()
+    trust = json.loads(written)["trust_condition"]["quantities"]
+    assert trust["p0"] == norm(preconditioned_residual(shifted, shifted.u0))
+    assert trust["p0"] != built.certificates["trust_condition"].quantities["p0"]
 
 
 def test_certify_dimensionless_builtin_is_built_once(tmp_path, capsys):

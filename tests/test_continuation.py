@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsmflow import continuation
-from dsmflow.continuation import (EPS_CONDITION_LIMIT, ContinuationResult,
+from dsmflow import continuation, model
+from dsmflow.continuation import (EPS_CONDITION_LIMIT, INNER_FLOW, ContinuationResult,
                                   EpsSchedule, NewtonFlowSolution,
                                   discrepancy_stop, minimal_norm_diagnostics,
                                   solve_minimal_norm, solve_newton_flow,
@@ -195,6 +195,115 @@ def test_condition_truncation_stops_continuation():
     lam_max = b.problem.L.operator_norm()
     for r in res.records:
         assert (lam_max + r.eps) / r.eps <= EPS_CONDITION_LIMIT * (1 + 1e-9)
+
+
+def _count_monotonicity_passes(monkeypatch):
+    """Count ``monotonicity_certificate`` calls through both bindings the solver uses."""
+    calls = []
+    for module in (continuation, model):
+        def counted(*args, real=module.monotonicity_certificate, name=module.__name__,
+                    **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "monotonicity_certificate", counted)
+    return calls
+
+
+def _levels_without_handoff(problem, seed=0):
+    """The default schedule solved level by level, each level certifying ``g`` itself.
+
+    Returns the solutions and the index of the level that failed, or None.
+    """
+    solutions = []
+    warm = problem.u0
+    for k, eps in enumerate(EpsSchedule().values()):
+        try:
+            sol = solve_newton_flow(replace(problem, epsilon=eps, u0=warm), INNER_FLOW,
+                                    sample_seed=seed + k)
+        except FlowFailed:
+            return solutions, k
+        solutions.append(sol)
+        warm = sol.v
+    return solutions, None
+
+
+def _assert_records_match(records, solutions):
+    assert len(records) == len(solutions)
+    for rec, sol in zip(records, solutions):
+        assert rec.v.tobytes() == sol.v.tobytes()
+        assert rec.inner_steps == sol.flow.n_accepted
+        assert rec.inner_status is sol.flow.status
+        assert rec.trust_passed is sol.certificates["trust_condition"].passed
+
+
+@pytest.mark.parametrize("cubic", [0.0, 0.1])
+def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
+    # the flows see the certificate only through the trust verdict
+    b = singular_monotone(10, 5, cubic_scale=cubic)
+    solutions, failed = _levels_without_handoff(b.problem)
+    if failed is None:
+        _assert_records_match(solve_minimal_norm(b.problem).records, solutions)
+        assert len(solutions) == 20
+    else:
+        with pytest.raises(InnerSolveFailed) as exc:
+            solve_minimal_norm(b.problem)
+        assert exc.value.index == failed
+        _assert_records_match(exc.value.records, solutions)
+
+
+def test_handed_certificate_keeps_the_failure_level_and_partial_records():
+    b = ill_conditioned(4)
+    solutions, failed = _levels_without_handoff(b.problem)
+    assert failed is not None and failed > 0
+    with pytest.raises(InnerSolveFailed) as exc:
+        solve_minimal_norm(b.problem)
+    assert exc.value.index == failed
+    _assert_records_match(exc.value.records, solutions)
+
+
+@pytest.mark.parametrize("build, fails", [
+    (lambda: singular_monotone(10, 5), False),
+    (lambda: ill_conditioned(4), True),
+], ids=["singular-monotone-converges", "ill-conditioned-fails-at-level-k"])
+def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
+    problem = build().problem
+    levels = []
+    real_solve = continuation.solve_newton_flow
+
+    def solve(*args, **kwargs):
+        levels.append(kwargs["sample_seed"])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "solve_newton_flow", solve)
+    calls = _count_monotonicity_passes(monkeypatch)
+    if fails:
+        with pytest.raises(InnerSolveFailed) as exc:
+            solve_minimal_norm(problem)
+        assert len(levels) == exc.value.index + 1 > 1
+    else:
+        assert len(solve_minimal_norm(problem).records) == len(levels) == 20
+    assert calls == ["dsmflow.continuation"]
+
+
+def test_monotonicity_failure_precedes_every_level_solve(monkeypatch):
+    anti = NonlinearMap(lambda u: -0.5 * u ** 3, lambda u: np.diag(-1.5 * u ** 2))
+    q = DsmProblem(L=DenseOperator.identity(2), g=anti, u0=np.array([0.5, 0.5]),
+                   radius=2.0)
+    solved = []
+    monkeypatch.setattr(continuation, "solve_newton_flow",
+                        lambda *args, **kwargs: solved.append(args))
+    calls = _count_monotonicity_passes(monkeypatch)
+    with pytest.raises(MonotonicityFailed):
+        solve_minimal_norm(q)
+    assert solved == []
+    assert calls == ["dsmflow.continuation"]
+
+
+def test_standalone_solve_certifies_its_own_ball(monkeypatch):
+    calls = _count_monotonicity_passes(monkeypatch)
+    sol = solve_newton_flow(singular_monotone(10, 5).problem.with_epsilon(0.5))
+    assert calls == ["dsmflow.model"]
+    assert sol.certificates["invertible"].quantities["n_samples"] == 65.0
 
 
 # -- discrepancy stop -----------------------------------------------------------------

@@ -57,6 +57,25 @@ def test_range_cubic_acts_inside_range_only():
     assert np.array_equal(g(np.array([0.5, 9.0])), [2.0 * 0.125, 0.0])
 
 
+def test_range_cubic_jacobian_is_bitwise_the_diagonal_product():
+    # the Jacobian scales B's columns instead of multiplying by diag(3 s y^2),
+    # whose product only adds exact zeros; y_j = 0 on a block of columns
+    # when u is supported off that block, and everywhere at u = 0
+    rng = np.random.default_rng(3)
+    Q1, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    B = np.zeros((12, 5))
+    B[:6, :2], B[6:, 2:] = Q1, Q2
+    scale = 0.1
+    g = make_map("range_cubic", 12, {"scale": scale, "basis": B, "offset": np.zeros(12)})
+    off_block = np.concatenate([np.zeros(6), rng.standard_normal(6)])
+    for u in (rng.standard_normal(12), off_block, np.zeros(12)):
+        y = B.T @ u
+        old = B @ np.diag(3.0 * scale * y ** 2) @ B.T
+        assert np.array_equal(g.jacobian(u), old)
+    assert np.count_nonzero(B.T @ off_block) == 3
+
+
 # -- tag verification ----------------------------------------------------------
 
 
