@@ -183,27 +183,29 @@ def _build_bundles(ns):
     A builtin generator receives every CLI value that names one of its
     parameters and is set; one without a ``dim`` parameter is built once.
     An explicit builtin flag that names none of its parameters raises
-    ``ValueError``.
+    ``ValueError``.  ``--epsilon`` shifts every bundle, from either source.
     """
     if getattr(ns, "problem", None):
         bundle = load_problem(ns.problem)
-        return [(bundle.spec.name, bundle)]
-    name = getattr(ns, "builtin", None)
-    if not name:
-        raise ValueError("one of --builtin or --problem is required")
-    generator = BUILTINS[name]
-    params = inspect.signature(generator).parameters
-    _refuse_explicit(ns, [key for key in _BUILTIN_FLAGS if key not in params],
-                     f"builtin {name!r}")
-    kwargs = {key: getattr(ns, key) for key in params
-              if key != "dim" and getattr(ns, key, None) is not None}
-    dims = _parse_dims(ns.dim) if "dim" in params else [None]
-    out = []
-    for dim in dims:
-        bundle = generator(**kwargs) if dim is None else generator(dim, **kwargs)
-        if ns.epsilon is not None:
+        out = [(bundle.spec.name, bundle)]
+    else:
+        name = getattr(ns, "builtin", None)
+        if not name:
+            raise ValueError("one of --builtin or --problem is required")
+        generator = BUILTINS[name]
+        params = inspect.signature(generator).parameters
+        _refuse_explicit(ns, [key for key in _BUILTIN_FLAGS if key not in params],
+                         f"builtin {name!r}")
+        kwargs = {key: getattr(ns, key) for key in params
+                  if key != "dim" and getattr(ns, key, None) is not None}
+        dims = _parse_dims(ns.dim) if "dim" in params else [None]
+        out = []
+        for dim in dims:
+            bundle = generator(**kwargs) if dim is None else generator(dim, **kwargs)
+            out.append((f"{name}[dim={bundle.problem.dim}]", bundle))
+    if ns.epsilon is not None:
+        for _, bundle in out:
             bundle.problem = bundle.problem.with_epsilon(ns.epsilon)
-        out.append((f"{name}[dim={bundle.problem.dim}]", bundle))
     return out
 
 

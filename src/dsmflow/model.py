@@ -43,13 +43,6 @@ __all__ = [
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
-# The inverse-free Newton-bound screen gives up a share c ~ kappa(A)^2 * eps
-# of w^2 to rounding, which the T^T T screen does not.  Past 1e-6 that share
-# starts to matter on near-tied samples, and each sample it fails to rule out
-# pays an SVD: on shifted singular_monotone continuations, where most samples
-# tie at sigma_min = 1, a limit of 1/2 took about 15% more SVDs than the
-# T^T T screen and 1e-6 took 0.4% more.
-_INVERSE_FREE_MAX_C = 1e-6
 
 
 @dataclass
@@ -58,8 +51,8 @@ class NonlinearMap:
 
     ``fn`` and ``jac_fn`` receive a validated 1-D float array and return
     a new array each call: the flow keeps a stage's ``g(u)`` to record the
-    residual at an accepted point.  ``monotone_claimed`` is an unchecked
-    hint; verification happens via :func:`monotonicity_certificate`.
+    residual at an accepted point.  Monotonicity is checked by
+    :func:`monotonicity_certificate`.
 
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
@@ -72,7 +65,6 @@ class NonlinearMap:
     jac_fn: callable
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    monotone_claimed: bool = False
 
     def __call__(self, u):
         return self._value(as_vector(u))
@@ -176,7 +168,7 @@ def linearized_operator(problem, u):
     Wrapped as an operator for :func:`solve_linearized`, whose callers are
     the damped-Newton oracle and :func:`newton_velocity`'s small-pivot
     fallback.  :func:`estimate_newton_bound` forms the same matrix, without
-    the wrapper, only for the samples whose SVD it takes.
+    the wrapper, at every sample.
     """
     u = as_vector(u, dim=problem.dim)
     J = problem.g.jacobian(u)
@@ -292,32 +284,6 @@ def ball_samples(center, radius, count, *, seed=0, include_center=True):
 
 # -- certificates -------------------------------------------------------------------
 
-def _inverse_free_screen(A):
-    """Per-call data ``(A A^T, sigma_A, k, c)`` of the inverse-free screen, or None.
-
-    None when ``A`` is too ill-conditioned for the screen to pay; the terms
-    are defined in :func:`estimate_newton_bound`.
-    """
-    n = A.dim
-    eps_mach = float(np.finfo(float).eps)
-    unit = 0.5 * eps_mach
-    gram = A.entries @ A.entries.T
-    # the cached SVD of A (A.solve needs its norm) less its own error
-    sigma = A.smallest_singular_value() - 2.0 * n * unit * float(np.linalg.norm(A.entries))
-    # the rounding bounds assume no underflow: sigma_A^2 >= 1e-270 keeps the
-    # absolute error of subnormal products (2^-1074 each) far inside the margin
-    if sigma < 1e-135:
-        return None
-    lu = A._factorize()[0]
-    # |L|_F |U|_F for the unit lower and the upper triangle of the LU
-    lu_norms = np.sqrt(n + np.linalg.norm(np.tril(lu, -1)) ** 2) * np.linalg.norm(np.triu(lu))
-    k = 3.0 * n * unit / (1.0 - 3.0 * n * unit) * lu_norms / sigma
-    c = 4.0 * n * eps_mach * float(np.trace(gram)) / sigma ** 2
-    if c >= _INVERSE_FREE_MAX_C or k >= 0.5:
-        return None
-    return gram, sigma, k, c
-
-
 def estimate_newton_bound(problem, samples, design="user-supplied"):
     """Sampled sup bound for the inverse of the linearization over the trust ball.
 
@@ -334,70 +300,27 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
     ``sqrt(kappa(A))/(1 - delta)`` without sampling ``T``.
 
     Only the minimum is reported, so after the first sample a sample pays
-    for an SVD only when it could lower the running minimum ``w``.  A
-    screen first builds a symmetric ``H`` that is positive definite only if
-    the SVD of the sample would return a value ``>= w``, and runs one
-    Cholesky factorization (``dpotrf``) of it.  If that succeeds the sample
-    is skipped; otherwise ``T`` is formed as ``I + A.solve(g'(u))`` and its
-    SVD taken.  So the result is bitwise the one of an SVD at every sample,
-    and skipped samples cannot trip the singularity refusal, since
-    ``w > 1e-12``.  There are two screens, chosen once per call.
+    for an SVD only when it could lower the running minimum ``w``.  Each
+    sample forms ``T`` as ``I + A.solve(g'(u))``, and a screen runs one
+    Cholesky factorization (``dpotrf``) of ``G - (w^2 + delta) I`` with
+    ``G = fl(T^T T)``, which succeeds only if the SVD of ``T`` would return
+    a value ``>= w``.  If it succeeds the sample is skipped; otherwise the
+    SVD is taken.  So the result is bitwise the one of an SVD at every
+    sample, and skipped samples cannot trip the singularity refusal, since
+    ``w > 1e-12``.
 
     Below, ``u`` is the unit roundoff, ``eps_mach = 2u``,
-    ``gamma_k = k u / (1 - k u)`` and ``|.|_F`` the Frobenius norm (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.5,
-    Thm 9.4 and Thm 10.5); the computed singular values of a matrix ``X``
-    are within ``2n u |X|_F`` of the exact ones (LAPACK Users' Guide, §4.9,
-    with ``p(n) = 2n``).
-
-    *Inverse-free screen.*  With ``M = A + g'(u)``, ``T = A^{-1} M``, and for
-    ``y = A^T z``, ``|T^T y|^2 - w^2 |y|^2 = z^T (M M^T - w^2 A A^T) z``, so
-    ``sigma_min(T) >= w`` iff ``M M^T - w^2 A A^T`` is positive
-    semidefinite.  ``A A^T`` is formed once per call; a sample costs ``M``,
-    one product ``M M^T``, a subtraction and the Cholesky of
-    ``H = M M^T - tau A A^T``, and ``T`` is formed only for samples that
-    take an SVD.  With ``s_M`` and ``s_A`` the traces of the computed
-    ``M M^T`` and ``A A^T``, and ``sigma_A`` the cached ``sigma_min(A)`` of
-    ``A``'s SVD (``A.solve`` takes it for its norm) less its own error
-    ``2n u |A|_F``, the margin covers:
-
-    - Screen rounding.  ``M M^T``, ``tau A A^T``, the subtraction and the
-      Cholesky leave a backward error below
-      ``4n eps_mach (s_M + tau s_A)`` in 2-norm, at least twice their
-      first-order sum ``u ((2n + 2) s_M + (n + 2) tau s_A)``, which leaves
-      room for second-order terms and the rounding of ``tau``.  Since
-      ``|z| <= |y| / sigma_A``, success proves
-      ``sigma_min(A^{-1} fl(M))^2 >= tau (1 - c) - 4n eps_mach s_M / sigma_A^2``
-      with ``c = 4n eps_mach s_A / sigma_A^2``.
-    - Rounding of ``M``.  ``|fl(M) - M| <= u |M|`` moves
-      ``sigma_min(A^{-1} M)`` by at most ``mu = u sqrt(s_M) / sigma_A``.
-    - Solve error.  The SVD runs on ``T_hat = fl(I + getrs(A, g'(u)))``.
-      Each column of the solve is exact for ``A + dA`` with
-      ``|dA|_2 <= gamma_3n |L_hat|_F |U_hat|_F`` from ``A``'s cached LU, so
-      with ``k = gamma_3n |L_hat|_F |U_hat|_F / sigma_A`` and
-      ``x_b = |g'(u)|_F / (sigma_A (1 - k))``, which bounds the computed
-      ``|A^{-1} g'(u)|_F``, ``|T_hat - T|_2 <= rho = k x_b + u (sqrt(n) + x_b)``.
-    - SVD error.  ``eta = 2n u (sqrt(n) + x_b) >= 2n u |T_hat|_F``.
-
-    The sample is skipped iff ``H`` factors with
-    ``tau (1 - c) = (w + mu + rho + eta)^2 + 4n eps_mach s_M / sigma_A^2``:
-    then ``sigma_min(T) >= w + rho + eta``, ``sigma_min(T_hat) >= w + eta``
-    and the computed ``sigma_min`` is ``>= w``.  An overflow in ``M M^T``
-    makes ``tau`` infinite, and the Cholesky fails.
-
-    *``T^T T`` screen.*  ``c`` grows like ``kappa(A)^2``, and the
-    inverse-free screen gives up ``c tau`` of ``w^2``, so at deep shifts it
-    rules out fewer near-ties.  It is therefore used only when
-    ``c < 1e-6``, ``k < 1/2`` and ``sigma_A >= 1e-135`` (the bounds above
-    assume no underflow); otherwise every sample forms ``T`` and the screen
-    factors ``G - (w^2 + delta) I`` with ``G = fl(T^T T)``,
-    ``delta = 8n eps_mach (s + w^2)`` and ``s = trace(G)``.  Its errors:
-    the Gram product, ``|E1|_2 <= gamma_n |T|_F^2``; the diagonal shift,
-    ``|E2|_2 <= u (s + 2 tau)``; the Cholesky,
+    ``gamma_k = k u / (1 - k u)``, ``|.|_F`` the Frobenius norm and
+    ``s = trace(G)`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., §3.5 and Thm 10.5); the computed singular values
+    of ``T`` are within ``eta = 2n u |T|_F`` of the exact ones (LAPACK
+    Users' Guide, §4.9, with ``p(n) = 2n``).  The margin
+    ``delta = 8n eps_mach (s + w^2)`` covers the Gram product,
+    ``|E1|_2 <= gamma_n |T|_F^2``; the diagonal shift by
+    ``tau = w^2 + delta``, ``|E2|_2 <= u (s + 2 tau)``; the Cholesky,
     ``|E3|_2 <= gamma_{n+1} s / (1 - gamma_{n+1})``; and the SVD, which
-    returns a value ``>= w`` once
-    ``sigma_min(T)^2 >= w^2 + 2 w eta + eta^2`` with ``eta = 2n u |T|_F``
-    and ``2 w eta <= 2n u (w^2 + |T|_F^2)``.  To first order these sum to
+    returns a value ``>= w`` once ``sigma_min(T)^2 >= w^2 + 2 w eta + eta^2``
+    with ``2 w eta <= 2n u (w^2 + |T|_F^2)``.  To first order these sum to
     ``u ((4n + 2) s + (2n + 2) w^2) <= 4n eps_mach (s + w^2)``, and
     ``delta`` leaves a factor 2 for the second-order terms.  At ``n = 200``
     and ``T`` near the identity that is below ``1e-10``, so only samples
@@ -409,44 +332,23 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
     n = problem.dim
     A = problem.shifted
     eps_mach = float(np.finfo(float).eps)
-    unit = 0.5 * eps_mach
-    root_n = np.sqrt(n)
-    screen = _inverse_free_screen(A)
     worst_sigma = float("inf")
     for u in samples:
         u = as_vector(u, dim=n, name="sample")
         d = u - problem.u0
         if math.sqrt(d.dot(d)) > problem.radius * (1.0 + 1e-12):
             raise ValueError("sample point lies outside the trust ball")
-        J = problem.g._jacobian(u)
-        T = None
+        T = np.eye(n) + A.solve(problem.g._jacobian(u))
         if worst_sigma < float("inf"):
             w = worst_sigma
-            if screen is None:
-                T = np.eye(n) + A.solve(J)
-                H = T.T @ T
-                delta = 8.0 * n * eps_mach * (float(np.trace(H)) + w * w)
-                H.flat[::n + 1] -= w * w + delta
-            else:
-                gram, sigma_A, k, c = screen
-                x_b = float(np.linalg.norm(J)) / (sigma_A * (1.0 - k))
-                rho = k * x_b + unit * (root_n + x_b)
-                eta = 2.0 * n * unit * (root_n + x_b)
-                M = A.entries + J
-                H = M @ M.T
-                del M   # one n-by-n array fewer alive while tau A A^T is formed
-                s_M = float(np.trace(H))
-                mu = unit * np.sqrt(s_M) / sigma_A
-                tau = ((w + mu + rho + eta) ** 2
-                       + 4.0 * n * eps_mach * s_M / sigma_A ** 2) / (1.0 - c)
-                H -= tau * gram
+            H = T.T @ T
+            delta = 8.0 * n * eps_mach * (float(np.trace(H)) + w * w)
+            H.flat[::n + 1] -= w * w + delta
             # dpotrf reads one triangle of the symmetric H, so H.T is the
             # Fortran-ordered array it factors in place
             _, info = scipy.linalg.lapack.dpotrf(H.T, clean=0, overwrite_a=1)
             if info == 0:
                 continue
-        if T is None:
-            T = np.eye(n) + A.solve(J)
         smin = float(np.linalg.svd(T, compute_uv=False)[-1])
         if smin <= 1e-12:
             raise SingularLinearization(

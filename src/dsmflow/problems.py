@@ -75,7 +75,7 @@ def _make_zero(dim, params):
     return NonlinearMap(
         fn=lambda u: np.zeros(n),
         jac_fn=lambda u: np.zeros((n, n)),
-        name="zero", params={}, monotone_claimed=True)
+        name="zero", params={})
 
 
 def _make_constant(dim, params):
@@ -83,7 +83,7 @@ def _make_constant(dim, params):
     return NonlinearMap(
         fn=lambda u: offset.copy(),
         jac_fn=lambda u: np.zeros((u.size, u.size)),
-        name="constant", params={"offset": offset}, monotone_claimed=True)
+        name="constant", params={"offset": offset})
 
 
 def _make_linear(dim, params):
@@ -91,12 +91,10 @@ def _make_linear(dim, params):
     if M.shape != (dim, dim):
         raise ValueError(f"linear map matrix has shape {M.shape}, expected {(dim, dim)}")
     offset = as_vector(params.get("offset", np.zeros(dim)), dim=dim, name="offset")
-    sym_min = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
     return NonlinearMap(
         fn=lambda u: M @ u + offset,
         jac_fn=lambda u: M.copy(),
-        name="linear", params={"matrix": M, "offset": offset},
-        monotone_claimed=sym_min >= -1e-12)
+        name="linear", params={"matrix": M, "offset": offset})
 
 
 def _make_cubic(dim, params):
@@ -107,8 +105,7 @@ def _make_cubic(dim, params):
     return NonlinearMap(
         fn=lambda u: scale * u ** 3 + offset,
         jac_fn=lambda u: np.diag(3.0 * scale * u ** 2),
-        name="cubic", params={"scale": scale, "offset": offset},
-        monotone_claimed=True)
+        name="cubic", params={"scale": scale, "offset": offset})
 
 
 def _make_range_cubic(dim, params):
@@ -134,8 +131,7 @@ def _make_range_cubic(dim, params):
         return (B * (3.0 * scale * y ** 2)) @ B.T
 
     return NonlinearMap(fn=fn, jac_fn=jac_fn, name="range_cubic",
-                        params={"scale": scale, "basis": B, "offset": offset},
-                        monotone_claimed=True)
+                        params={"scale": scale, "basis": B, "offset": offset})
 
 
 _MAP_FACTORIES = {

@@ -14,8 +14,8 @@ from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.hilbert import norm
 from dsmflow.model import preconditioned_residual
-from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, sector_blocks,
-                              singular_canonical, singular_monotone,
+from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, save_problem,
+                              sector_blocks, singular_canonical, singular_monotone,
                               wellposed_cubic)
 
 
@@ -80,6 +80,19 @@ def test_solve_batch_dims_preserves_order(tmp_path, capsys):
     # per-problem artifact subdirectories
     assert (out / "wellposed_cubic_dim=3" / "report.json").exists()
     assert (out / "wellposed_cubic_dim=5" / "report.json").exists()
+
+
+def test_epsilon_shifts_a_problem_from_a_file_as_it_shifts_a_builtin(tmp_path, capsys):
+    path = tmp_path / "wp4.json"
+    built = wellposed_cubic(4)
+    save_problem(built.problem, path, name="wp4", tags=built.spec.tags)
+    lines = {}
+    for source in (("--problem", str(path)), ("--builtin", "wellposed_cubic", "--dim", "4")):
+        code, stdout, _ = run(capsys, "solve", *source, "--epsilon", "5")
+        assert code == EXIT_OK
+        lines[source[0]] = stdout.split(": ", 1)[1]
+    assert lines["--problem"] == lines["--builtin"]
+    assert "t=21.2121" in lines["--problem"]
 
 
 # -- continue --------------------------------------------------------------------

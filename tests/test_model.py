@@ -23,8 +23,7 @@ from dsmflow.model import (CertificateKind, DsmProblem, NonlinearMap,
                            check_trust_condition, estimate_newton_bound,
                            fd_jacobian_check, full_residual,
                            linearized_operator, monotonicity_certificate,
-                           preconditioned_residual, solve_linearized,
-                           _inverse_free_screen)
+                           preconditioned_residual, solve_linearized)
 from dsmflow.problems import (ill_conditioned, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
 
@@ -34,8 +33,7 @@ def cubic_map(scale=0.1):
         return scale * u ** 3
     def jac(u):
         return np.diag(3.0 * scale * u ** 2)
-    return NonlinearMap(fn, jac, name="cubic", params={"scale": scale},
-                        monotone_claimed=scale >= 0)
+    return NonlinearMap(fn, jac, name="cubic", params={"scale": scale})
 
 
 def small_problem(dim=4, eps=0.0, seed=7):
@@ -291,43 +289,35 @@ def _cloud(p, seed=1):
 
 
 def _tiny_scale():
-    # small_problem scaled by 1e-170: T is unchanged, but A A^T would underflow
+    # small_problem scaled by 1e-170: T is unchanged, and the screen must still
+    # leave the result bitwise the SVD of every sample at this scale
     p = small_problem(dim=6, eps=0.2, seed=7)
     g = NonlinearMap(lambda u: 1e-171 * u ** 3, lambda u: np.diag(3e-171 * u ** 2))
     A = DenseOperator(1e-170 * p.shifted.entries)
     return _cloud(DsmProblem(L=A, g=g, u0=p.u0, radius=p.radius))
 
 
-@pytest.mark.parametrize("case, inverse_free", [
+@pytest.mark.parametrize("case", [
     # the 65 samples wellposed_cubic's trust tag certifies (seed 42)
-    pytest.param(lambda: _cloud(wellposed_cubic(dim=200).problem, seed=42), True,
+    pytest.param(lambda: _cloud(wellposed_cubic(dim=200).problem, seed=42),
                  id="wellposed-d200"),
-    pytest.param(lambda: _cloud(sector_blocks(8, epsilon=0.1).problem), True,
+    pytest.param(lambda: _cloud(sector_blocks(8, epsilon=0.1).problem),
                  id="sector-nonsymmetric"),
-    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-2)), True,
+    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-2)),
                  id="ill-conditioned-eps1e-2"),
-    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-6)), False,
+    pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-6)),
                  id="ill-conditioned-eps1e-6"),
-    pytest.param(_tiny_scale, False, id="tiny-scale"),
+    pytest.param(_tiny_scale, id="tiny-scale"),
 ])
-def test_newton_bound_route_is_bitwise_the_svd_of_every_sample(monkeypatch, case,
-                                                                inverse_free):
+def test_newton_bound_route_is_bitwise_the_svd_of_every_sample(monkeypatch, case):
     p, samples = case()
     q, n_solves, n_svds = count_solves_and_svds(monkeypatch, p, samples)
     worst = svd_every_sample(p, samples)
     assert q["worst_sigma_min"] == worst
     assert q["bound"] == 1.0 / worst
-    assert (_inverse_free_screen(p.shifted) is not None) == inverse_free
-    # the inverse-free screen forms T only for samples that take an SVD;
-    # the T^T T screen forms it for every sample
-    assert n_solves == (n_svds if inverse_free else len(samples))
+    # T is formed at every sample; the screen spares all but a few their SVD
+    assert n_solves == len(samples)
     assert n_svds < len(samples)
-
-
-def test_newton_bound_forms_T_only_for_samples_that_take_an_svd(monkeypatch):
-    p, samples = _wellposed(50)
-    _, n_solves, n_svds = count_solves_and_svds(monkeypatch, p, samples)
-    assert n_solves == n_svds <= 12
 
 
 def test_newton_bound_refuses_a_singular_sample_after_healthy_ones():

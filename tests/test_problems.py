@@ -35,13 +35,6 @@ def test_make_map_registry_and_validation():
         make_map("cubic", 2, {"scale": -0.1, "offset": np.zeros(2)})
 
 
-def test_linear_map_monotone_claim_follows_symmetric_part():
-    M_good = np.array([[1.0, 2.0], [-2.0, 1.0]])  # sym part = I
-    assert make_map("linear", 2, {"matrix": M_good}).monotone_claimed
-    M_bad = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    assert not make_map("linear", 2, {"matrix": M_bad}).monotone_claimed
-
-
 def test_range_cubic_requires_orthonormal_basis():
     B = np.array([[1.0], [1.0]])  # not unit norm
     with pytest.raises(ValueError, match="orthonormal"):
