@@ -45,7 +45,6 @@ _DEFAULTS = {
     "epsilon": None,
     "t_max": FlowConfig.t_max,
     "rel_tol": None,   # resolved per command in _flow_config
-    "abs_tol": None,
     "p_stop": None,
     "eps0": 1.0,
     "eps_ratio": 0.5,
@@ -81,7 +80,6 @@ def _build_parser():
         p.add_argument("--epsilon", type=float, help="override the problem shift")
         p.add_argument("--t-max", dest="t_max", type=float)
         p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float)
         p.add_argument("--p-stop", dest="p_stop", type=float)
         p.add_argument("--out", help="directory for csv/json artifacts")
         p.add_argument("--config", help="JSON file with defaults for any flag")
@@ -270,14 +268,9 @@ def _run_batch(ns, worker):
 
 
 def _flow_config(ns, base):
-    """``base`` with the flow flags that are set.
-
-    ``--rel-tol`` without ``--abs-tol`` sets ``abs_tol`` to 1e-2 of it.
-    """
-    flags = {key: getattr(ns, key) for key in ("t_max", "rel_tol", "abs_tol", "p_stop")
+    """``base`` with the flow flags that are set."""
+    flags = {key: getattr(ns, key) for key in ("t_max", "rel_tol", "p_stop")
              if getattr(ns, key) is not None}
-    if ns.rel_tol is not None and ns.abs_tol is None:
-        flags["abs_tol"] = ns.rel_tol * 1e-2
     return replace(base, **flags)
 
 
@@ -417,9 +410,8 @@ def cmd_oracle_check(ns):
 
 
 def cmd_decay_audit(ns):
-    # each level sets both tolerances, so an explicit one would be ignored
-    _refuse_explicit(ns, ("rel_tol", "abs_tol"),
-                     "decay-audit, which sets the tolerances from --levels,")
+    # each level sets the tolerances, so an explicit --rel-tol would be ignored
+    _refuse_explicit(ns, ("rel_tol",), "decay-audit, which sets the tolerances from --levels,")
     try:
         levels = [float(part) for part in str(ns.levels).split(",") if part.strip()]
     except ValueError:
@@ -431,7 +423,7 @@ def cmd_decay_audit(ns):
         devs = []
         lines = []
         for level in levels:
-            cfg = replace(_flow_config(ns, FlowConfig()), rel_tol=level, abs_tol=level * 1e-2)
+            cfg = replace(_flow_config(ns, FlowConfig()), rel_tol=level)
             result = integrate(bundle.problem, cfg)
             devs.append(result.decay_deviation)
             lines.append(f"{label}: rel_tol={level:.1e} "

@@ -22,8 +22,8 @@ from .errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
                      NonPsdOperator, SingularOperator, TMaxReachedError)
 from .flow import FlowConfig, FlowStatus, integrate
 from .hilbert import norm
-from .model import (ball_samples, certify_newton_bound, full_residual,
-                    monotonicity_certificate)
+from .model import (BOUND_SAMPLES, MONOTONE_SAMPLES, ball_samples, certify_newton_bound,
+                    full_residual, monotonicity_certificate)
 # unused here, but perfbench/tracing.py looks these names up on this module
 from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
 
@@ -50,7 +50,7 @@ EPS_CONDITION_LIMIT = 1e12
 #: standalone ones, with an absolute stopping floor: warm-started levels
 #: have tiny p0, and the integrator noise floor (rel_tol * |u|) must stay
 #: below the stopping threshold.
-INNER_FLOW = FlowConfig(rel_tol=1e-10, abs_tol=1e-12, p_stop=1e-10, p_stop_abs=1e-11)
+INNER_FLOW = FlowConfig(rel_tol=1e-10, p_stop=1e-10, p_stop_abs=1e-11)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,6 @@ class ContinuationRecord:
     residual_bound: float
     inner_status: FlowStatus
     inner_steps: int
-    newton_bound: float
     trust_passed: bool
     p0: float
 
@@ -135,14 +134,15 @@ class ContinuationResult:
         return [r.norm_v for r in self.records]
 
 
-def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
-                      max_condition=None, require_converged=True, monotone=None):
+def solve_newton_flow(problem, cfg=None, *, sample_seed=0, max_condition=None,
+                      require_converged=True, monotone=None):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
     trust condition through :func:`~dsmflow.model.certify_newton_bound`,
-    on ``bound_samples`` ball samples: a proof for self-adjoint psd ``L``
-    and a monotone ``g``, a sampled estimate otherwise.  ``monotone`` is
+    on the trust ball's center and :data:`~dsmflow.model.BOUND_SAMPLES`
+    ball samples drawn from ``sample_seed``: a proof for self-adjoint psd
+    ``L`` and a monotone ``g``, a sampled estimate otherwise.  ``monotone`` is
     the :func:`~dsmflow.model.monotonicity_certificate` the proof takes
     ``g``'s monotonicity from, as in ``certify_newton_bound``; with None
     (a standalone solve) ``g`` is certified on those ball samples.  It
@@ -163,8 +163,7 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
             raise SingularOperator(
                 "shifted operator too ill-conditioned for a certified solve",
                 condition_estimate=cond)
-    samples = ball_samples(problem.u0, problem.radius, bound_samples,
-                           seed=sample_seed)
+    samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=sample_seed)
     bound_cert, trust = certify_newton_bound(problem, samples, monotone,
                                              design="center+ball+sphere")
     result = integrate(problem, cfg, trust=trust)
@@ -187,19 +186,20 @@ def solve_newton_flow(problem, cfg=None, *, bound_samples=64, sample_seed=0,
         exploratory=not trust.passed)
 
 
-def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
-                       monotone_samples=32, seed=0):
+def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
     """Drive the shift to zero and return the path toward the minimal-norm solution.
 
     Requires verified self-adjoint positive-semidefinite ``L`` and a
-    monotone nonlinearity, certified once on ``monotone_samples`` samples
-    of the first trust ball before any solve; failure raises
+    monotone nonlinearity, certified once on the first trust ball's center
+    and :data:`~dsmflow.model.MONOTONE_SAMPLES` ball samples drawn from
+    ``seed + 1``, before any solve; failure raises
     :class:`MonotonicityFailed`.  Monotonicity is a hypothesis on ``g``
     itself, not on one level's ball, so that one certificate is handed to
     every level's Newton-bound proof instead of being drawn again.  Each
     shift level is solved by :func:`solve_newton_flow` warm-started at the
     previous solution, with flow settings ``cfg`` (default
-    :data:`INNER_FLOW`); a failure at level ``k`` raises
+    :data:`INNER_FLOW`) and the level's Newton bound on samples drawn from
+    ``seed + k``; a failure at level ``k`` raises
     :class:`InnerSolveFailed` carrying the records accumulated so far.
 
     The returned result includes the per-level records, the last solution
@@ -211,8 +211,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
             "minimal-norm continuation requires a self-adjoint psd operator")
     schedule = schedule or EpsSchedule()
     cfg = cfg or INNER_FLOW
-    mono_samples = ball_samples(problem.u0, problem.radius, monotone_samples,
-                                seed=seed + 1)
+    mono_samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=seed + 1)
     mono = monotonicity_certificate(problem.g, mono_samples)
     if not mono.passed:
         raise MonotonicityFailed(
@@ -235,8 +234,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
                 f"{cond:.3e} exceeds {EPS_CONDITION_LIMIT:.0e}")
             break
         try:
-            sol = solve_newton_flow(sub, cfg, bound_samples=bound_samples,
-                                    sample_seed=seed + k, monotone=mono)
+            sol = solve_newton_flow(sub, cfg, sample_seed=seed + k, monotone=mono)
         except (FlowFailed, SingularOperator) as exc:
             raise InnerSolveFailed(k, records, str(exc)) from exc
         v = sol.v
@@ -250,7 +248,6 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, bound_samples=64,
             residual_bound=sol.residual_bound,
             inner_status=sol.flow.status,
             inner_steps=sol.flow.n_accepted,
-            newton_bound=sol.certificates["invertible"].quantities["bound"],
             trust_passed=sol.certificates["trust_condition"].passed,
             p0=sol.flow.p0))
         warm = v
@@ -340,10 +337,11 @@ def discrepancy_stop(problem, delta, cfg=None, factor=1.5):
     integrating, if ``t* > cfg.t_max``.
     """
     delta = float(delta)
-    if delta <= 0.0:
+    # negated, so that NaN is refused here and not as a NaN t_max
+    if not delta > 0.0:
         raise ValueError(f"noise level must be positive, got {delta}")
     factor = float(factor)
-    if factor <= 1.0:
+    if not factor > 1.0:
         raise ValueError(f"stopping factor must exceed 1, got {factor}")
     cfg = cfg or FlowConfig()
     r0 = float(np.linalg.norm(full_residual(problem, problem.u0)))

@@ -93,12 +93,12 @@ class FlowConfig:
     below the integrator's own noise floor (which scales with
     ``rel_tol * |u|``, not with ``p``).  For the same reason keep
     ``p_stop`` at least a decade above ``rel_tol * 0.1``; the defaults
-    are matched that way.  ``sample_stride`` is the trajectory recording
-    interval in flow time.
+    are matched that way.  The step-error scale of a component ``u_i`` is
+    ``abs_tol + rel_tol * |u_i|`` with ``abs_tol = 1e-2 * rel_tol``.
+    ``sample_stride`` is the trajectory recording interval in flow time.
     """
     t_max: float = 30.0
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     p_stop: float = 1e-9
     p_stop_abs: float = 0.0
     max_steps: int = 10 ** 6
@@ -109,8 +109,6 @@ class FlowConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if not 0.0 < self.abs_tol < 1.0:
-            raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol}")
         if not 0.0 <= self.p_stop < 1.0:
             raise ValueError(f"p_stop must lie in [0, 1), got {self.p_stop}")
         if not 0.0 <= self.p_stop_abs < 1.0:
@@ -217,8 +215,9 @@ def integrate(problem, cfg=None, *, trust=None):
         return finish(FlowStatus.RESIDUAL_CONVERGED,
                       "start point already below the stopping residual")
 
+    abs_tol = 1e-2 * cfg.rel_tol
     # initial step: classic two-probe estimate
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(u)
+    scale = abs_tol + cfg.rel_tol * np.abs(u)
     d0 = float(np.linalg.norm(u / scale) / np.sqrt(u.size))
     d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -248,7 +247,7 @@ def integrate(problem, cfg=None, *, trust=None):
         k[6], p_new, gu_new = newton_velocity(problem, u_new)
 
         err_vec = h * (_ERR @ k)
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
+        sc = abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
         q = err_vec / sc
         # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
         err = math.sqrt(np.add.reduce(q * q) / q.size)

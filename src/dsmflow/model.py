@@ -43,6 +43,14 @@ __all__ = [
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
+_MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
+
+#: Ball samples behind a Newton bound: a certified solve's and the
+#: ``trust_condition`` tag's, each with the center prepended.
+BOUND_SAMPLES = 64
+#: Ball samples behind a monotonicity certificate of ``g``: the
+#: ``monotone_g`` tag's and the one a continuation takes before its first level.
+MONOTONE_SAMPLES = 32
 
 
 @dataclass
@@ -165,10 +173,10 @@ def preconditioned_residual(problem, u):
 def linearized_operator(problem, u):
     """Derivative ``I + (L + eps*I)^{-1} g'(u)`` of the preconditioned residual.
 
-    Wrapped as an operator for :func:`solve_linearized`, whose callers are
-    the damped-Newton oracle and :func:`newton_velocity`'s small-pivot
-    fallback.  :func:`estimate_newton_bound` forms the same matrix, without
-    the wrapper, at every sample.
+    The one place ``T`` is formed.  Wrapped as an operator for
+    :func:`solve_linearized`, whose callers are the damped-Newton oracle and
+    :func:`newton_velocity`'s small-pivot fallback, and for the SVD that
+    :func:`estimate_newton_bound` takes at every sample.
     """
     u = as_vector(u, dim=problem.dim)
     J = problem.g.jacobian(u)
@@ -249,23 +257,21 @@ def newton_velocity(problem, u):
 
 # -- sampling -----------------------------------------------------------------------
 
-def ball_samples(center, radius, count, *, seed=0, include_center=True):
+def ball_samples(center, radius, count, *, seed=0):
     """Deterministic sample cloud in the closed ball around ``center``.
 
-    Half the points sit on the boundary sphere, the rest are
-    uniform in the ball; the center itself is prepended when requested.
+    The center comes first, followed by ``count`` drawn points: half of
+    them sit on the boundary sphere, the rest are uniform in the ball.
     """
     center = as_vector(center, name="ball center")
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"ball radius must be finite and positive, got {radius}")
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     n = center.size
-    pts = []
-    if include_center:
-        pts.append(center.copy())
+    pts = [center.copy()]
     n_boundary = int(round(_BOUNDARY_FRACTION * count))
     for i in range(count):
         d = rng.standard_normal(n)
@@ -289,67 +295,27 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
 
     Returns an INVERTIBLE certificate whose ``bound`` quantity is
     ``max 1/sigma_min`` over the samples' linearizations
-    ``T = I + A^{-1} g'(u)``, ``A = L + eps*I``.  The estimate can only grow
-    as samples are added.  Raises :class:`SingularLinearization` when a
-    sample whose SVD is taken has ``sigma_min <= 1e-12``.
+    ``T = I + A^{-1} g'(u)``, ``A = L + eps*I``, each formed by
+    :func:`linearized_operator` and its smallest singular value taken from
+    one SVD.  The estimate can only grow as samples are added.  Raises
+    ``ValueError`` for a sample outside the trust ball and
+    :class:`SingularLinearization` when a sample has ``sigma_min <= 1e-12``.
 
     This is the sampled route of :func:`certify_newton_bound`, which the
     certified solves and the ``trust_condition`` tag call.  That route
     applies unless the bound can be proven: for a self-adjoint psd ``L``
     with ``A`` positive definite and a monotone ``g`` it returns
     ``sqrt(kappa(A))/(1 - delta)`` without sampling ``T``.
-
-    Only the minimum is reported, so after the first sample a sample pays
-    for an SVD only when it could lower the running minimum ``w``.  Each
-    sample forms ``T`` as ``I + A.solve(g'(u))``, and a screen runs one
-    Cholesky factorization (``dpotrf``) of ``G - (w^2 + delta) I`` with
-    ``G = fl(T^T T)``, which succeeds only if the SVD of ``T`` would return
-    a value ``>= w``.  If it succeeds the sample is skipped; otherwise the
-    SVD is taken.  So the result is bitwise the one of an SVD at every
-    sample, and skipped samples cannot trip the singularity refusal, since
-    ``w > 1e-12``.
-
-    Below, ``u`` is the unit roundoff, ``eps_mach = 2u``,
-    ``gamma_k = k u / (1 - k u)``, ``|.|_F`` the Frobenius norm and
-    ``s = trace(G)`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., §3.5 and Thm 10.5); the computed singular values
-    of ``T`` are within ``eta = 2n u |T|_F`` of the exact ones (LAPACK
-    Users' Guide, §4.9, with ``p(n) = 2n``).  The margin
-    ``delta = 8n eps_mach (s + w^2)`` covers the Gram product,
-    ``|E1|_2 <= gamma_n |T|_F^2``; the diagonal shift by
-    ``tau = w^2 + delta``, ``|E2|_2 <= u (s + 2 tau)``; the Cholesky,
-    ``|E3|_2 <= gamma_{n+1} s / (1 - gamma_{n+1})``; and the SVD, which
-    returns a value ``>= w`` once ``sigma_min(T)^2 >= w^2 + 2 w eta + eta^2``
-    with ``2 w eta <= 2n u (w^2 + |T|_F^2)``.  To first order these sum to
-    ``u ((4n + 2) s + (2n + 2) w^2) <= 4n eps_mach (s + w^2)``, and
-    ``delta`` leaves a factor 2 for the second-order terms.  At ``n = 200``
-    and ``T`` near the identity that is below ``1e-10``, so only samples
-    within that of the minimum, such as exact ties, pay for both the
-    screen and the SVD.
     """
     if not samples:
         raise ValueError("need at least one sample point")
-    n = problem.dim
-    A = problem.shifted
-    eps_mach = float(np.finfo(float).eps)
     worst_sigma = float("inf")
     for u in samples:
-        u = as_vector(u, dim=n, name="sample")
+        u = as_vector(u, dim=problem.dim, name="sample")
         d = u - problem.u0
         if math.sqrt(d.dot(d)) > problem.radius * (1.0 + 1e-12):
             raise ValueError("sample point lies outside the trust ball")
-        T = np.eye(n) + A.solve(problem.g._jacobian(u))
-        if worst_sigma < float("inf"):
-            w = worst_sigma
-            H = T.T @ T
-            delta = 8.0 * n * eps_mach * (float(np.trace(H)) + w * w)
-            H.flat[::n + 1] -= w * w + delta
-            # dpotrf reads one triangle of the symmetric H, so H.T is the
-            # Fortran-ordered array it factors in place
-            _, info = scipy.linalg.lapack.dpotrf(H.T, clean=0, overwrite_a=1)
-            if info == 0:
-                continue
-        smin = float(np.linalg.svd(T, compute_uv=False)[-1])
+        smin = linearized_operator(problem, u).smallest_singular_value()
         if smin <= 1e-12:
             raise SingularLinearization(
                 f"linearization singular at a sample point "
@@ -664,13 +630,14 @@ def _min_eigenvalue_at_least(S, m):
     return info == 0
 
 
-def monotonicity_certificate(g, samples, tol=1e-10):
+def monotonicity_certificate(g, samples):
     """Certify monotonicity of ``g`` on a sample cloud.
 
     Checks the symmetrized Jacobian at every sample for eigenvalues below
     ``-tol`` and the secant inequality ``(g(u) - g(v), u - v) >= -tol`` on
-    consecutive sample pairs.  Each sample is checked once, and ``g`` and
-    ``g'`` are evaluated once per sample.
+    consecutive sample pairs, with ``tol = 1e-10``, which the certificate
+    reports.  Each sample is checked once, and ``g`` and ``g'`` are
+    evaluated once per sample.
 
     Only the smallest eigenvalue over the samples is reported, so after
     the first sample a sample pays for ``eigvalsh`` only when the Cholesky
@@ -683,7 +650,7 @@ def monotonicity_certificate(g, samples, tol=1e-10):
     """
     if not samples:
         raise ValueError("need at least one sample point")
-    tol = float(tol)
+    tol = _MONOTONE_TOL
     min_eig = float("inf")
     min_secant = float("inf")
     prev = g_prev = None

@@ -32,6 +32,10 @@ __all__ = [
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
+# pseudoinverse: eigenvalues at most this times the largest count as null
+_RANK_RTOL = 1e-10
+# pseudoinverse: nullspace mass of the right-hand side allowed, relative to |b|
+_RESIDUAL_RTOL = 1e-8
 
 
 class OracleMethod(enum.Enum):
@@ -90,24 +94,24 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
         f"in {max_iter} iterations (got {pnorm:.3e})")
 
 
-def pseudoinverse_min_norm(L, b, rank_rtol=1e-10, residual_rtol=1e-8):
+def pseudoinverse_min_norm(L, b):
     """Minimal-norm solution of ``L x = b`` for self-adjoint ``L``.
 
     Uses the symmetric eigendecomposition: components of ``b`` along
-    eigenvectors with ``|lambda| <= rank_rtol * max|lambda|`` are treated
-    as null directions.  Raises :class:`InconsistentSystem` when ``b`` has
-    mass in the nullspace beyond ``residual_rtol * |b|``.
+    eigenvectors with ``|lambda| <= 1e-10 * max|lambda|`` are treated as
+    null directions.  Raises :class:`InconsistentSystem` when ``b`` has
+    mass in the nullspace beyond ``1e-8 * |b|``.
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
     w, Q = L.symmetric_eigen()
     beta = Q.T @ b
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    cutoff = rank_rtol * wmax
+    cutoff = _RANK_RTOL * wmax
     keep = np.abs(w) > cutoff
     x = Q @ np.where(keep, beta / np.where(keep, w, 1.0), 0.0)
     residual = float(np.linalg.norm(L.apply(x) - b))
     bnorm = float(np.linalg.norm(b))
-    if residual > residual_rtol * max(bnorm, 1e-30) + 1e-14:
+    if residual > _RESIDUAL_RTOL * max(bnorm, 1e-30) + 1e-14:
         raise InconsistentSystem(
             f"right-hand side is not in the range: residual {residual:.3e} "
             f"against |b| = {bnorm:.3e}")
@@ -185,7 +189,7 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
     x_star = pseudoinverse_min_norm(L, b)
     w, Q = L.symmetric_eigen()
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    null_mask = np.abs(w) <= 1e-10 * max(wmax, 1e-30)
+    null_mask = np.abs(w) <= _RANK_RTOL * max(wmax, 1e-30)
     N = Q[:, null_mask]
     rng = np.random.default_rng(seed)
     bnorm = max(float(np.linalg.norm(b)), 1.0)

@@ -21,11 +21,12 @@ import scipy.linalg
 
 from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseError
 from .hilbert import DenseOperator, as_vector, norm, read_matrix_text
-from .model import (DsmProblem, NonlinearMap, ball_samples, certify_newton_bound,
-                    check_resolvent_bound, check_sector, monotonicity_certificate,
-                    preconditioned_residual)
+from .model import (BOUND_SAMPLES, MONOTONE_SAMPLES, DsmProblem, NonlinearMap, ball_samples,
+                    certify_newton_bound, check_resolvent_bound, check_sector,
+                    monotonicity_certificate)
 # unused here, but perfbench/tracing.py looks these names up on this module
-from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
+from .model import (check_trust_condition, estimate_newton_bound,  # noqa: F401
+                    preconditioned_residual)
 
 __all__ = [
     "TAGS",
@@ -191,14 +192,14 @@ def _verify_tags(problem, tags, seed=0):
                     f"tag 'self_adjoint_psd' failed the resolvent bound: {cert.quantities}")
             certs[tag] = cert
         elif tag == "monotone_g":
-            samples = ball_samples(problem.u0, problem.radius, 32, seed=seed)
+            samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=seed)
             cert = monotonicity_certificate(problem.g, samples)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'monotone_g' failed: {cert.quantities}")
             certs[tag] = cert
         elif tag == "trust_condition":
-            samples = ball_samples(problem.u0, problem.radius, 64, seed=seed)
+            samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
             bound_cert, cert = certify_newton_bound(
                 problem, samples, certs.get("monotone_g"), design="center+ball+sphere")
             if not cert.passed:
@@ -253,7 +254,7 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     c = _unit(rng, dim, 0.5)
     u0 = _unit(rng, dim, 0.5)
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
-    p0 = norm(preconditioned_residual(DsmProblem(L, g, u0, radius=1.0), u0))
+    p0 = norm(u0 + L.solve(g(u0)))
     prob = DsmProblem(L, g, u0, radius=max(2.0 * p0, 1e-3))
     tags = ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g")
     certs = _verify_tags(prob, tags, seed=seed)

@@ -32,7 +32,7 @@ def test_criterion_01_exponential_decay_and_fitted_rate():
     # fitted log-slope within 1e-5 of -1, in under 5 seconds
     t0 = time.perf_counter()
     b = wellposed_cubic(10, scale=0.1, seed=42)
-    cfg = FlowConfig(t_max=20.0, rel_tol=1e-8, abs_tol=1e-10, p_stop=0.0)
+    cfg = FlowConfig(t_max=20.0, rel_tol=1e-8, p_stop=0.0)
     res = integrate(b.problem, cfg)
     p0, deviation, rate = decay_report(res)
     elapsed = time.perf_counter() - t0
@@ -184,7 +184,7 @@ def test_criterion_09_jacobians_match_finite_differences():
         make_map("range_cubic", 4, {"scale": 0.2, "basis": basis,
                                     "offset": np.zeros(4)}),
     ]
-    points = ball_samples(np.zeros(4), 1.5, 10, seed=9, include_center=False)
+    points = ball_samples(np.zeros(4), 1.5, 10, seed=9)[1:]
     worst = 0.0
     for g in maps:
         for u in points:

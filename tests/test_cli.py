@@ -12,6 +12,7 @@ import pytest
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_json, main)
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
+from dsmflow.flow import FlowConfig
 from dsmflow.hilbert import norm
 from dsmflow.model import preconditioned_residual
 from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, save_problem,
@@ -174,7 +175,12 @@ def test_continue_monotonicity_failure_exit_code(tmp_path, capsys):
      lambda: solve_newton_flow(wellposed_cubic(6).problem).v),
     (("continue", "--builtin", "singular_canonical"), "v_limit",
      lambda: solve_minimal_norm(singular_canonical().problem).v_limit),
-], ids=["solve", "continue"])
+    # abs_tol follows rel_tol; p_stop stays above the looser noise floor
+    (("solve", "--builtin", "wellposed_cubic", "--dim", "6", "--rel-tol", "1e-6",
+      "--p-stop", "1e-6"), "u_final",
+     lambda: solve_newton_flow(wellposed_cubic(6).problem,
+                               FlowConfig(rel_tol=1e-6, p_stop=1e-6)).v),
+], ids=["solve", "continue", "solve-rel-tol"])
 def test_cli_defaults_give_the_library_result(tmp_path, capsys, argv, key, library):
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
     assert code == EXIT_OK
@@ -328,25 +334,20 @@ def test_decay_audit_non_monotone_levels_fail(capsys):
     assert "decreasing: False" in stdout
 
 
-@pytest.mark.parametrize("argv, flags", [
-    (("--rel-tol", "1e-3"), ("--rel-tol",)),
-    (("--abs-tol", "1e-3"), ("--abs-tol",)),
-    (("--rel-tol", "1e-3", "--abs-tol", "1e-3"), ("--rel-tol", "--abs-tol")),
-], ids=["rel_tol", "abs_tol", "both"])
-def test_decay_audit_rejects_explicit_tolerances(capsys, argv, flags):
-    # every level sets both tolerances, so an explicit one would have no effect
+@pytest.mark.parametrize("argv", [("--rel-tol", "1e-3")], ids=["rel_tol"])
+def test_decay_audit_rejects_explicit_tolerances(capsys, argv):
+    # every level sets the tolerances, so an explicit one would have no effect
     code, stdout, stderr = run(capsys, "decay-audit", "--builtin", "wellposed_cubic",
                                "--dim", "4", *argv)
     assert code == EXIT_ERROR
     assert stdout == ""
-    for flag in ("--rel-tol", "--abs-tol"):
-        assert (flag in stderr) == (flag in flags)
+    assert "does not take --rel-tol" in stderr
 
 
 def test_decay_audit_config_may_name_tolerances(tmp_path, capsys):
     # config values are defaults, which the levels replace
     cfgfile = tmp_path / "conf.json"
-    cfgfile.write_text(json.dumps({"rel_tol": 1e-3, "abs_tol": 1e-3}))
+    cfgfile.write_text(json.dumps({"rel_tol": 1e-3}))
     argv = ("decay-audit", "--builtin", "wellposed_cubic", "--dim", "4")
     code, stdout, _ = run(capsys, *argv, "--config", str(cfgfile))
     assert code == EXIT_OK

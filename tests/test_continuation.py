@@ -360,8 +360,7 @@ def test_discrepancy_stop_missed_window_raises_with_result():
     r0 = norm(full_residual(b.problem, b.problem.u0))
     delta = 1e-3 * r0
     with pytest.raises(FlowFailed) as exc:
-        discrepancy_stop(b.problem, delta, FlowConfig(rel_tol=1e-3, abs_tol=1e-5),
-                         factor=1.0001)
+        discrepancy_stop(b.problem, delta, FlowConfig(rel_tol=1e-3), factor=1.0001)
     result = exc.value.result
     r = result.trajectory[-1].residual_F
     assert not delta <= r <= 1.0001 * delta
@@ -380,6 +379,11 @@ def test_discrepancy_stop_trivial_and_failure_cases():
         discrepancy_stop(b.problem, 0.0)
     with pytest.raises(ValueError):
         discrepancy_stop(b.problem, 1e-3, factor=1.0)
+    # NaN is refused with its own message, not later as a NaN t_max
+    with pytest.raises(ValueError, match="^noise level must be positive, got nan$"):
+        discrepancy_stop(b.problem, float("nan"))
+    with pytest.raises(ValueError, match="^stopping factor must exceed 1, got nan$"):
+        discrepancy_stop(b.problem, 1e-3, factor=float("nan"))
 
 
 # -- serialization -------------------------------------------------------------------

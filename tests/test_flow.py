@@ -46,7 +46,7 @@ def linear_problem(dim=3, seed=0, radius=50.0):
 
 @pytest.mark.parametrize("kw", [
     {"t_max": 0.0}, {"t_max": np.inf}, {"rel_tol": 0.0}, {"rel_tol": 2.0},
-    {"abs_tol": 0.0}, {"p_stop": 1.0}, {"p_stop": -1e-3},
+    {"p_stop": 1.0}, {"p_stop": -1e-3},
     {"p_stop_abs": -1.0}, {"max_steps": 0}, {"sample_stride": 0.0},
 ])
 def test_config_validation(kw):
@@ -242,7 +242,7 @@ def test_stages_evaluate_g_and_its_jacobian_once_and_recording_neither():
 def test_linear_flow_matches_closed_form_everywhere():
     problem, u_star = linear_problem(dim=4, seed=8)
     # relative stop at 1e-9 needs t ~ 21, so leave headroom
-    cfg = FlowConfig(t_max=25.0, rel_tol=1e-8, abs_tol=1e-10, p_stop=1e-9)
+    cfg = FlowConfig(t_max=25.0, rel_tol=1e-8, p_stop=1e-9)
     res = integrate(problem, cfg)
     assert res.converged
     gap0 = problem.u0 - u_star
@@ -287,8 +287,7 @@ def test_decay_deviation_tracks_rel_tol(rel_tol):
              for d, s in ((3, 1), (6, 2), (10, 3))]
     cases.append(singular_monotone(5, rank=3, seed=4).problem.with_epsilon(1e-2))
     for problem in cases:
-        cfg = FlowConfig(t_max=12.0, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2,
-                         p_stop=0.0)
+        cfg = FlowConfig(t_max=12.0, rel_tol=rel_tol, p_stop=0.0)
         res = integrate(problem, cfg)
         assert res.decay_deviation <= 100.0 * rel_tol
         recomputed = max(abs(pt.p - res.p0 * np.exp(-pt.t)) / res.p0

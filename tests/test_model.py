@@ -172,12 +172,15 @@ def test_ball_samples_deterministic_and_in_ball():
         assert norm(x - c) <= 2.0 * (1 + 1e-12)
     on_boundary = sum(abs(norm(x - c) - 2.0) < 1e-9 for x in a[1:])
     assert on_boundary == 8
-    no_center = ball_samples(c, 2.0, 4, seed=5, include_center=False)
-    assert len(no_center) == 4
+    assert len(ball_samples(c, 2.0, 4, seed=5)[1:]) == 4
     with pytest.raises(ValueError):
         ball_samples(c, -1.0, 4)
     with pytest.raises(ValueError):
         ball_samples(c, 1.0, 0)
+    # a NaN radius drew [nan nan], an infinite one [inf -inf]
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="ball radius must be finite and positive"):
+            ball_samples(np.zeros(2), radius, 2)
 
 
 # -- invertibility bound -------------------------------------------------------
@@ -199,7 +202,7 @@ def test_newton_bound_matches_direct_svd_route():
 
 
 def svd_every_sample(p, samples):
-    """The unscreened loop: the SVD of every sample's ``T``, formed as the library does."""
+    """The reference loop: the SVD of every sample's ``T``, formed as the library does."""
     worst = float("inf")
     for u in samples:
         T = np.eye(p.dim) + p.shifted.solve(p.g.jacobian(u))
@@ -240,7 +243,7 @@ def _each_a_new_minimum():
 
 
 def _descending_within_margin():
-    # sigma_min falls by about 1e-15 per sample, well inside the screen margin
+    # sigma_min falls by about 1e-15 per sample, a few ulps at a time
     p, samples = _wellposed(30)
     u = samples[3]
     d = u - p.u0
@@ -289,8 +292,8 @@ def _cloud(p, seed=1):
 
 
 def _tiny_scale():
-    # small_problem scaled by 1e-170: T is unchanged, and the screen must still
-    # leave the result bitwise the SVD of every sample at this scale
+    # small_problem scaled by 1e-170: T is unchanged, and the result must stay
+    # bitwise the SVD of every sample at this scale
     p = small_problem(dim=6, eps=0.2, seed=7)
     g = NonlinearMap(lambda u: 1e-171 * u ** 3, lambda u: np.diag(3e-171 * u ** 2))
     A = DenseOperator(1e-170 * p.shifted.entries)
@@ -315,9 +318,9 @@ def test_newton_bound_route_is_bitwise_the_svd_of_every_sample(monkeypatch, case
     worst = svd_every_sample(p, samples)
     assert q["worst_sigma_min"] == worst
     assert q["bound"] == 1.0 / worst
-    # T is formed at every sample; the screen spares all but a few their SVD
+    # T is formed, and its SVD taken, once per sample
     assert n_solves == len(samples)
-    assert n_svds < len(samples)
+    assert n_svds == len(samples)
 
 
 def test_newton_bound_refuses_a_singular_sample_after_healthy_ones():
