@@ -93,7 +93,9 @@ def _build_parser():
     add_common(p_cont)
     p_cont.add_argument("--eps0", type=float)
     p_cont.add_argument("--eps-ratio", dest="eps_ratio", type=float)
-    p_cont.add_argument("--eps-count", dest="eps_count", type=int)
+    p_cont.add_argument("--eps-count", dest="eps_count", type=int,
+                        help="most shift levels; the run stops earlier once its "
+                             "extrapolant to eps = 0 settles")
     p_cont.add_argument("--eps-floor", dest="eps_floor", type=float)
     p_cont.set_defaults(func=cmd_continuation)
 
@@ -274,8 +276,30 @@ def _flow_config(ns, base):
     return replace(base, **flags)
 
 
+def _converging_flow_config(ns, base):
+    """:func:`_flow_config`, refused when a stop lies below ``0.1 * rel_tol``.
+
+    The integrator's noise floor scales with ``rel_tol``, so a run whose
+    relative or (nonzero) absolute stop lies below it ends at ``t_max``
+    instead of converging; such a pair is refused before anything is built
+    or integrated.
+    """
+    cfg = _flow_config(ns, base)
+    # 0.1 * 1e-10 rounds above 1e-11, and the defaults sit on the boundary
+    floor = 0.1 * cfg.rel_tol * (1.0 - 1e-12)
+    if cfg.p_stop < floor:
+        stop, remedy = f"--p-stop {cfg.p_stop:g}", "raise --p-stop or lower --rel-tol"
+    elif 0.0 < cfg.p_stop_abs < floor:
+        stop, remedy = (f"the absolute stop {cfg.p_stop_abs:g}",
+                        "lower --rel-tol (--p-stop does not move the absolute stop)")
+    else:
+        return cfg
+    raise ValueError(f"{stop} lies below 0.1 * --rel-tol = {0.1 * cfg.rel_tol:g}, where "
+                     f"the flow stalls at its noise floor; {remedy}")
+
+
 def cmd_solve(ns):
-    cfg = _flow_config(ns, FlowConfig())
+    cfg = _converging_flow_config(ns, FlowConfig())
 
     def worker(label, bundle, out):
         sol = solve_newton_flow(bundle.problem, cfg, require_converged=False)
@@ -319,7 +343,7 @@ def cmd_solve(ns):
 def cmd_continuation(ns):
     # every level replaces the shift, so an explicit one would be ignored
     _refuse_explicit(ns, ("epsilon",), "continue, which sets the shift from its schedule,")
-    cfg = _flow_config(ns, INNER_FLOW)
+    cfg = _converging_flow_config(ns, INNER_FLOW)
     schedule = EpsSchedule(eps0=ns.eps0, ratio=ns.eps_ratio,
                            count=ns.eps_count, floor=ns.eps_floor)
 
@@ -334,6 +358,9 @@ def cmd_continuation(ns):
             "increments": result.increments,
             "v_limit": result.v_limit.tolist(),
             "v_extrapolated": result.v_extrapolated.tolist(),
+            "extrapolation_error_estimate": result.extrapolation_error_estimate,
+            "extrapolation_settled": result.extrapolation_settled,
+            "residual_extrapolated": result.residual_extrapolated,
             "norms_monotone_ok": result.norms_monotone_ok,
             "schedule_truncated": result.schedule_truncated,
             "condition_truncated": result.condition_truncated,
@@ -347,9 +374,13 @@ def cmd_continuation(ns):
             write_continuation_csv(result, os.path.join(out, "continuation.csv"))
             _write_json(report, os.path.join(out, "report.json"))
         last = result.records[-1]
+        estimate = result.extrapolation_error_estimate
         lines = [f"{label}: levels={len(result.records)} final_eps={last.eps:.3e} "
                  f"|v|={last.norm_v:.9f} residual={last.residual_full:.3e} "
-                 f"norms_monotone={'ok' if result.norms_monotone_ok else 'VIOLATED'}"]
+                 f"norms_monotone={'ok' if result.norms_monotone_ok else 'VIOLATED'} "
+                 f"extrapolation_error={'none' if estimate is None else f'{estimate:.3e}'}"
+                 f"{' (settled)' if result.extrapolation_settled else ''} "
+                 f"extrapolant_residual={result.residual_extrapolated:.3e}"]
         if result.truncation_note:
             lines.append(f"{label}: note: {result.truncation_note}")
         return EXIT_OK, lines
@@ -384,7 +415,7 @@ def cmd_certify(ns):
 
 
 def cmd_oracle_check(ns):
-    cfg = _flow_config(ns, FlowConfig())
+    cfg = _converging_flow_config(ns, FlowConfig())
 
     def worker(label, bundle, out):
         sol = solve_newton_flow(bundle.problem, cfg)

@@ -4,9 +4,26 @@
 (invertibility bound over the trust ball, trust condition, residual bound
 at the returned point).  :func:`solve_minimal_norm` drives the shift
 ``epsilon`` down a geometric schedule, warm-starting each solve at the
-previous limit; for self-adjoint positive-semidefinite ``L`` with a
-monotone nonlinearity the shifted solutions have norms bounded by the
-minimal-norm solution's and converge to it as the shift vanishes.
+previous level's solution; for self-adjoint positive-semidefinite ``L``
+with a monotone nonlinearity the shifted solutions have norms bounded by
+the minimal-norm solution's and converge to it as the shift vanishes.
+
+The shifted solution ``v(eps)`` is analytic near ``eps = 0`` when ``g``
+acts in ``L``'s range, so after each level the continuation forms the
+Neville extrapolant to ``eps = 0`` through the last
+:data:`EXTRAPOLATION_DEGREE` + 1 levels (Richardson extrapolation of
+Tikhonov regularization).  The difference between that extrapolant and
+the one of degree one lower, through the latest levels, estimates its
+error; once the full degree is reached and the estimate falls to
+:data:`EXTRAPOLATION_TOL` ``* (1 + |P|)`` the schedule stops, so the
+schedule's ``count`` is a maximum.  The extrapolant steers nothing: every
+level runs exactly as it would without it, warm-started at the previous
+level's solution.  Where ``v(eps)`` turns over at shifts the schedule
+reaches (an ``L`` with eigenvalues spread over decades, such as a Hilbert
+matrix) the estimate stays large and the whole schedule runs.  A part of
+``v`` that moves only at shifts far below the last level's, along an
+eigenvalue of ``L`` below about ``EXTRAPOLATION_TOL * eps``, is invisible
+to the estimate, as it is to the last level's solution.
 
 The continuation stores one record per shift so convergence can be
 audited after the fact; :func:`minimal_norm_diagnostics` condenses those
@@ -29,6 +46,8 @@ from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
 
 __all__ = [
     "EPS_CONDITION_LIMIT",
+    "EXTRAPOLATION_DEGREE",
+    "EXTRAPOLATION_TOL",
     "INNER_FLOW",
     "EpsSchedule",
     "NewtonFlowSolution",
@@ -46,6 +65,14 @@ __all__ = [
 #: exceeds this; beyond it the inner linear solves lose too many digits.
 EPS_CONDITION_LIMIT = 1e12
 
+#: Degree of the Neville extrapolant to ``eps = 0`` that may stop the
+#: continuation; it interpolates the last ``EXTRAPOLATION_DEGREE + 1`` levels.
+EXTRAPOLATION_DEGREE = 5
+
+#: The continuation stops once the extrapolant ``P`` of full degree has an
+#: error estimate of at most ``EXTRAPOLATION_TOL * (1 + |P|)``.
+EXTRAPOLATION_TOL = 1e-9
+
 #: Flow settings of the continuation's inner solves.  They run tighter than
 #: standalone ones, with an absolute stopping floor: warm-started levels
 #: have tiny p0, and the integrator noise floor (rel_tol * |u|) must stay
@@ -59,7 +86,9 @@ class EpsSchedule:
 
     The generated sequence stops early once a value would fall to or below
     ``floor``; the floor itself is then appended, so the last shift equals
-    ``floor`` exactly whenever clamping occurs.
+    ``floor`` exactly whenever clamping occurs.  ``count`` is the largest
+    number of levels a continuation runs: :func:`solve_minimal_norm` stops
+    earlier once its extrapolant to ``eps = 0`` settles.
     """
     eps0: float = 1.0
     ratio: float = 0.5
@@ -116,9 +145,22 @@ class ContinuationRecord:
 
 @dataclass(frozen=True)
 class ContinuationResult:
+    """Outcome of :func:`solve_minimal_norm`.
+
+    ``v_extrapolated`` is the Neville extrapolant to ``eps = 0`` through the
+    last levels and ``extrapolation_error_estimate`` its error estimate (None
+    after a single level); ``residual_extrapolated`` is ``|Lv + g(v)|`` at the
+    extrapolant, a witness that does not depend on the estimate.  With
+    ``extrapolation_settled`` the schedule stopped on the estimate and
+    ``v_limit`` is the extrapolant; otherwise ``v_limit`` is the last level's
+    solution.
+    """
     records: list
     v_limit: np.ndarray
     v_extrapolated: np.ndarray
+    extrapolation_error_estimate: float
+    residual_extrapolated: float
+    extrapolation_settled: bool
     norms_monotone_ok: bool
     increments: list
     schedule_truncated: bool = False
@@ -202,8 +244,12 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
     ``seed + k``; a failure at level ``k`` raises
     :class:`InnerSolveFailed` carrying the records accumulated so far.
 
-    The returned result includes the per-level records, the last solution
-    as ``v_limit``, a shift-extrapolated refinement ``v_extrapolated``,
+    After each level the Neville extrapolant to ``eps = 0`` through the
+    last levels and its error estimate are formed (:func:`_extrapolate`);
+    the schedule stops once the estimate settles at full degree, and runs
+    on otherwise.  The returned result includes the per-level records,
+    the extrapolant ``v_extrapolated`` with its estimate and its residual,
+    ``v_limit`` (the extrapolant if it settled, else the last solution),
     and a flag for the expected norm monotonicity along the path.
     """
     if not (problem.L.self_adjoint and problem.L.psd_claimed):
@@ -223,6 +269,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
     warm = problem.u0
     condition_truncated = False
     truncation_note = ""
+    settled = False
     eps_values = schedule.values()
     for k, eps in enumerate(eps_values):
         sub = replace(problem, epsilon=eps, u0=warm)
@@ -251,32 +298,55 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
             trust_passed=sol.certificates["trust_condition"].passed,
             p0=sol.flow.p0))
         warm = v
+        v_extrapolated, estimate = _extrapolate(records)
+        if len(records) > EXTRAPOLATION_DEGREE and estimate <= EXTRAPOLATION_TOL * (
+                1.0 + norm(v_extrapolated)):
+            settled = True
+            break
     if not records:
         raise InnerSolveFailed(0, records,
                                truncation_note or "empty shift schedule")
     increments = [0.0]
     for a, b in zip(records, records[1:]):
         increments.append(norm(b.v - a.v))
-    v_limit = records[-1].v
-    if len(records) >= 2:
-        ra, rb = records[-2], records[-1]
-        # first-order shift extrapolation to eps = 0
-        v_extrapolated = rb.v - rb.eps * (rb.v - ra.v) / (rb.eps - ra.eps)
-    else:
-        v_extrapolated = v_limit.copy()
     last = records[-1].norm_v
     max_norm = max(r.norm_v for r in records)
     norms_monotone_ok = max_norm <= last + 1e-6 * (1.0 + last)
-    schedule_truncated = len(records) < len(eps_values)
+    schedule_truncated = len(records) < len(eps_values) and not settled
     return ContinuationResult(
         records=records,
-        v_limit=v_limit,
+        v_limit=v_extrapolated if settled else records[-1].v,
         v_extrapolated=v_extrapolated,
+        extrapolation_error_estimate=estimate,
+        residual_extrapolated=float(np.linalg.norm(
+            problem.L.apply(v_extrapolated) + problem.g(v_extrapolated))),
+        extrapolation_settled=settled,
         norms_monotone_ok=bool(norms_monotone_ok),
         increments=increments,
         schedule_truncated=bool(schedule_truncated),
         condition_truncated=bool(condition_truncated),
         truncation_note=truncation_note)
+
+
+def _extrapolate(records):
+    """Neville extrapolant to ``eps = 0`` through the last levels, and its error estimate.
+
+    The extrapolant ``P_m`` interpolates the last ``m + 1`` records,
+    ``m = min(len(records) - 1, EXTRAPOLATION_DEGREE)``, as a polynomial in
+    ``eps``; the estimate is ``|P_m - P_{m-1}|`` with ``P_{m-1}`` through the
+    last ``m`` records, or None for a single record.
+    """
+    points = records[-(EXTRAPOLATION_DEGREE + 1):]
+    eps = [r.eps for r in points]
+    # entry i of column j interpolates points i..i+j
+    column = [r.v for r in points]
+    previous = None
+    for j in range(1, len(points)):
+        previous = column[-1]
+        column = [(eps[i] * column[i + 1] - eps[i + j] * column[i]) / (eps[i] - eps[i + j])
+                  for i in range(len(column) - 1)]
+    extrapolant = column[0]
+    return extrapolant, None if previous is None else norm(extrapolant - previous)
 
 
 @dataclass(frozen=True)
@@ -293,9 +363,10 @@ def minimal_norm_diagnostics(result, oracle_v=None):
     """Condense a continuation run against an externally computed minimal-norm solution.
 
     With ``oracle_v`` supplied, checks that no shifted solution exceeded
-    the oracle's norm (up to 1e-8) and reports the limit distance plus the
-    log-log convergence rate of distance against shift, fitted over levels
-    with distance above the rounding floor.
+    the oracle's norm (up to 1e-8) and reports the distance of ``v_limit``
+    from it plus the log-log convergence rate of the levels' distance
+    against shift, fitted over levels with distance above the rounding
+    floor.
     """
     increments = list(result.increments)
     if oracle_v is None:
@@ -318,7 +389,7 @@ def minimal_norm_diagnostics(result, oracle_v=None):
         increments=increments,
         norm_bound_ok=bool(excess <= 1e-8),
         max_norm_excess=float(excess),
-        limit_distance=float(distances[-1]),
+        limit_distance=norm(result.v_limit - oracle_v),
         eps_rate=eps_rate,
         oracle_norm=oracle_norm)
 

@@ -92,9 +92,11 @@ class FlowConfig:
     where ``p(0)`` is already tiny and a purely relative target would sit
     below the integrator's own noise floor (which scales with
     ``rel_tol * |u|``, not with ``p``).  For the same reason keep
-    ``p_stop`` at least a decade above ``rel_tol * 0.1``; the defaults
-    are matched that way.  The step-error scale of a component ``u_i`` is
-    ``abs_tol + rel_tol * |u_i|`` with ``abs_tol = 1e-2 * rel_tol``.
+    ``p_stop``, and ``p_stop_abs`` when it is nonzero, at or above
+    ``0.1 * rel_tol``: the defaults, and the continuation's inner settings,
+    sit exactly there, and the CLI refuses a pair below it.  The step-error
+    scale of a component ``u_i`` is ``abs_tol + rel_tol * |u_i|`` with
+    ``abs_tol = 1e-2 * rel_tol``.
     ``sample_stride`` is the trajectory recording interval in flow time.
     """
     t_max: float = 30.0

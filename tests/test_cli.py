@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from dsmflow import continuation
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_json, main)
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
@@ -104,14 +105,22 @@ def test_continue_writes_reference_distance(tmp_path, capsys):
     code, stdout, _ = run(capsys, "continue", "--builtin", "singular_monotone",
                           "--dim", "5", "--rank", "3", "--out", str(out))
     assert code == EXIT_OK
-    assert "norms_monotone=ok" in stdout
+    assert "norms_monotone=ok" in stdout and "(settled)" in stdout
     report = json.loads((out / "report.json").read_text())
-    assert len(report["eps_values"]) == 20
-    assert report["limit_distance_to_reference"] <= 1e-4
+    # the extrapolant to eps = 0 settles before --eps-count's 20 levels run out
+    levels = len(report["eps_values"])
+    assert 6 <= levels < 20
+    assert report["extrapolation_settled"] is True
+    assert report["schedule_truncated"] is False
+    assert report["v_limit"] == report["v_extrapolated"]
+    limit_norm = norm(np.array(report["v_limit"]))
+    assert report["extrapolation_error_estimate"] <= 1e-9 * (1.0 + limit_norm)
+    assert report["residual_extrapolated"] <= 1e-8
+    assert report["limit_distance_to_reference"] <= 1e-8
     assert report["norms_monotone_ok"] is True
     csv = (out / "continuation.csv").read_text().splitlines()
     assert csv[0] == "eps,norm_v,residual_full,increment,inner_steps"
-    assert len(csv) == 21
+    assert len(csv) == levels + 1
 
 
 def test_continue_eps_floor_clamps_schedule(tmp_path, capsys):
@@ -165,6 +174,43 @@ def test_continue_monotonicity_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, stdout, _ = run(capsys, "continue", "--problem", str(path))
     assert code == EXIT_MONOTONE
+
+
+@pytest.mark.parametrize("argv, stop", [
+    (("solve", "--builtin", "wellposed_cubic", "--dim", "4", "--rel-tol", "1e-6"),
+     "--p-stop 1e-09"),
+    (("solve", "--builtin", "wellposed_cubic", "--dim", "4", "--p-stop", "1e-12"),
+     "--p-stop 1e-12"),
+    (("oracle-check", "--builtin", "wellposed_cubic", "--dim", "4", "--rel-tol", "1e-6"),
+     "--p-stop 1e-09"),
+    (("continue", "--builtin", "singular_monotone", "--dim", "10", "--eps-count", "6",
+      "--rel-tol", "1e-9"), "absolute stop 1e-11"),
+    (("continue", "--builtin", "singular_canonical", "--p-stop", "1e-12"),
+     "--p-stop 1e-12"),
+], ids=["solve-rel-tol", "solve-p-stop", "oracle-check-rel-tol", "continue-rel-tol",
+        "continue-p-stop"])
+def test_stop_below_the_noise_floor_is_refused_before_integrating(capsys, monkeypatch,
+                                                                  argv, stop):
+    # a stop below 0.1 * rel_tol lies under the integrator's noise floor, so
+    # the run would end at t_max; it is refused before any flow runs
+    monkeypatch.setattr(continuation, "integrate",
+                        lambda *args, **kwargs: pytest.fail("integrated"))
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert stop in stderr and "--rel-tol" in stderr and "--p-stop" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--builtin", "wellposed_cubic", "--dim", "4", "--rel-tol", "1e-6",
+     "--p-stop", "1e-7"),
+    ("continue", "--builtin", "singular_monotone", "--dim", "10", "--eps-count", "6",
+     "--rel-tol", "1e-10"),
+], ids=["solve-at-the-floor", "continue-inner-defaults"])
+def test_stop_at_the_noise_floor_runs(capsys, argv):
+    code, _, stderr = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert stderr == ""
 
 
 # -- CLI defaults are the library defaults ---------------------------------------

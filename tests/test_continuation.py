@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from dsmflow import continuation, model
-from dsmflow.continuation import (EPS_CONDITION_LIMIT, INNER_FLOW, ContinuationResult,
+from dsmflow.continuation import (EPS_CONDITION_LIMIT, EXTRAPOLATION_DEGREE,
+                                  EXTRAPOLATION_TOL, INNER_FLOW, ContinuationResult,
                                   EpsSchedule, NewtonFlowSolution,
                                   discrepancy_stop, minimal_norm_diagnostics,
                                   solve_minimal_norm, solve_newton_flow,
@@ -22,7 +23,7 @@ from dsmflow.flow import FlowConfig, FlowStatus
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, NonlinearMap, full_residual
 from dsmflow.oracles import newton_oracle
-from dsmflow.problems import ill_conditioned, singular_monotone, wellposed_cubic
+from dsmflow.problems import ill_conditioned, make_map, singular_monotone, wellposed_cubic
 
 
 # -- schedule ------------------------------------------------------------------
@@ -128,16 +129,26 @@ def test_continuation_records_and_monotone_norms():
     b = singular_monotone(5, rank=3, seed=40)
     res = solve_minimal_norm(b.problem)
     assert isinstance(res, ContinuationResult)
-    assert len(res.records) == 20  # default schedule, floor not reached
+    # the extrapolant settles before the default schedule's 20 levels run out;
+    # the levels that ran are the schedule's first ones, solved as without it
+    solutions, failed = _levels_without_handoff(b.problem)
+    assert failed is None and len(solutions) == 20
+    assert EXTRAPOLATION_DEGREE < len(res.records) < 20
+    _assert_records_match(res.records, solutions[:len(res.records)])
+    assert res.extrapolation_settled
     assert not res.schedule_truncated and not res.condition_truncated
     assert res.norms_monotone_ok
     norms = res.norms
     assert all(nb >= na - 1e-12 for na, nb in zip(norms, norms[1:]))
-    assert res.eps_values == [0.5 ** k for k in range(20)]
+    assert res.eps_values == [0.5 ** k for k in range(len(res.records))]
     for r in res.records:
         assert r.inner_status is FlowStatus.RESIDUAL_CONVERGED
         assert r.residual_shifted <= r.residual_bound
-    assert np.array_equal(res.v_limit, res.records[-1].v)
+    assert res.v_limit is res.v_extrapolated
+    assert res.extrapolation_error_estimate <= EXTRAPOLATION_TOL * (1.0 + norm(res.v_limit))
+    # the residual at the extrapolant is evaluated, not taken from a level
+    assert res.residual_extrapolated == norm(full_residual(b.problem, res.v_limit))
+    assert res.residual_extrapolated < res.records[-1].residual_full
 
 
 def test_continuation_increments_contract():
@@ -155,9 +166,11 @@ def test_extrapolation_beats_last_iterate():
     b = singular_monotone(5, rank=3, seed=40)
     res = solve_minimal_norm(b.problem)
     vmin = b.min_norm_solution
-    d_limit = norm(res.v_limit - vmin)
+    d_last = norm(res.records[-1].v - vmin)
     d_extra = norm(res.v_extrapolated - vmin)
-    assert d_extra < 0.01 * d_limit
+    assert d_extra < 1e-4 * d_last
+    # the settled estimate bounds the actual error within a factor of ten
+    assert d_extra <= 10.0 * res.extrapolation_error_estimate
 
 
 def test_minimal_norm_diagnostics_with_and_without_oracle():
@@ -168,7 +181,10 @@ def test_minimal_norm_diagnostics_with_and_without_oracle():
     diag = minimal_norm_diagnostics(res, b.min_norm_solution)
     assert diag.norm_bound_ok
     assert diag.max_norm_excess <= 1e-8
-    assert diag.limit_distance == pytest.approx(norm(res.v_limit - b.min_norm_solution))
+    # the distance of the settled limit, the extrapolant, not of the last level
+    assert res.extrapolation_settled
+    assert diag.limit_distance == norm(res.v_limit - b.min_norm_solution)
+    assert diag.limit_distance < 1e-3 * norm(res.records[-1].v - b.min_norm_solution)
     assert diag.oracle_norm == pytest.approx(norm(b.min_norm_solution))
     # distance scales linearly with the shift
     assert 0.8 <= diag.eps_rate <= 1.2
@@ -184,15 +200,25 @@ def test_inner_failure_carries_partial_records():
 
 
 def test_condition_truncation_stops_continuation():
-    b = singular_monotone(4, rank=2, seed=56)
+    # singular L with eigenvalues spread over decades: the shifted solution's
+    # components 0.4 * lam / (lam + eps) turn over at eps = lam, so every
+    # six-level window of a ratio-0.1 schedule sees one turn and the
+    # extrapolant to eps = 0 never settles
+    lam = np.array([1.0, 1e-3, 1e-6, 1e-9, 0.0])
+    L = DenseOperator(np.diag(lam), self_adjoint=True, psd_claimed=True)
+    g = make_map("constant", 5, {"offset": -0.4 * lam})
+    problem = DsmProblem(L=L, g=g, u0=np.zeros(5), radius=4.0)
     # push the schedule far below the conditioning limit of a singular L
     sched = EpsSchedule(eps0=1.0, ratio=0.1, count=20, floor=1e-16)
-    res = solve_minimal_norm(b.problem, schedule=sched)
+    res = solve_minimal_norm(problem, schedule=sched)
     assert res.condition_truncated and res.schedule_truncated
     assert "condition estimate" in res.truncation_note
-    assert len(res.records) >= 3
+    assert len(res.records) > EXTRAPOLATION_DEGREE
+    assert not res.extrapolation_settled
+    assert res.extrapolation_error_estimate > EXTRAPOLATION_TOL * (1.0 + norm(res.v_extrapolated))
+    assert res.v_limit is res.records[-1].v
     # every completed level respected the limit
-    lam_max = b.problem.L.operator_norm()
+    lam_max = problem.L.operator_norm()
     for r in res.records:
         assert (lam_max + r.eps) / r.eps <= EPS_CONDITION_LIMIT * (1 + 1e-9)
 
@@ -238,17 +264,16 @@ def _assert_records_match(records, solutions):
 
 @pytest.mark.parametrize("cubic", [0.0, 0.1])
 def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
-    # the flows see the certificate only through the trust verdict
+    # the flows see the certificate only through the trust verdict; the
+    # continuation stops once its extrapolant settles, so its records are
+    # the first of the level-by-level solves (with cubic 0.1 those stall at
+    # a deep shift, which the continuation does not reach)
     b = singular_monotone(10, 5, cubic_scale=cubic)
-    solutions, failed = _levels_without_handoff(b.problem)
-    if failed is None:
-        _assert_records_match(solve_minimal_norm(b.problem).records, solutions)
-        assert len(solutions) == 20
-    else:
-        with pytest.raises(InnerSolveFailed) as exc:
-            solve_minimal_norm(b.problem)
-        assert exc.value.index == failed
-        _assert_records_match(exc.value.records, solutions)
+    solutions, _ = _levels_without_handoff(b.problem)
+    res = solve_minimal_norm(b.problem)
+    assert res.extrapolation_settled
+    assert len(res.records) < len(solutions)
+    _assert_records_match(res.records, solutions[:len(res.records)])
 
 
 def test_handed_certificate_keeps_the_failure_level_and_partial_records():
@@ -281,7 +306,9 @@ def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
             solve_minimal_norm(problem)
         assert len(levels) == exc.value.index + 1 > 1
     else:
-        assert len(solve_minimal_norm(problem).records) == len(levels) == 20
+        res = solve_minimal_norm(problem)
+        assert res.extrapolation_settled
+        assert len(res.records) == len(levels) > EXTRAPOLATION_DEGREE
     assert calls == ["dsmflow.continuation"]
 
 
