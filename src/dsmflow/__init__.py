@@ -28,9 +28,9 @@ from .model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
                     monotonicity_certificate, preconditioned_residual)
 from .flow import (FlowConfig, FlowResult, FlowStatus, TrajectoryPoint,
                    decay_report, error_bound_check, integrate)
-from .continuation import (EpsSchedule, ContinuationResult, NewtonFlowSolution,
-                           discrepancy_stop, minimal_norm_diagnostics,
-                           solve_minimal_norm, solve_newton_flow)
+from .continuation import (EpsSchedule, ContinuationResult, ContinuationStop,
+                           NewtonFlowSolution, discrepancy_stop, solve_minimal_norm,
+                           solve_newton_flow)
 from .oracles import (membership_probe, newton_oracle, pseudoinverse_min_norm,
                       convexity_closedness_suite)
 from .problems import (BUILTINS, ProblemBundle, ProblemSpec, load_problem,
@@ -52,9 +52,8 @@ __all__ = [
     "monotonicity_certificate",
     "FlowConfig", "FlowStatus", "FlowResult", "TrajectoryPoint",
     "integrate", "decay_report", "error_bound_check",
-    "EpsSchedule", "NewtonFlowSolution", "ContinuationResult",
-    "solve_newton_flow", "solve_minimal_norm", "minimal_norm_diagnostics",
-    "discrepancy_stop",
+    "EpsSchedule", "NewtonFlowSolution", "ContinuationResult", "ContinuationStop",
+    "solve_newton_flow", "solve_minimal_norm", "discrepancy_stop",
     "newton_oracle", "pseudoinverse_min_norm", "membership_probe",
     "convexity_closedness_suite",
     "ProblemSpec", "ProblemBundle", "BUILTINS", "load_problem", "save_problem",

@@ -359,11 +359,9 @@ def cmd_continuation(ns):
             "v_limit": result.v_limit.tolist(),
             "v_extrapolated": result.v_extrapolated.tolist(),
             "extrapolation_error_estimate": result.extrapolation_error_estimate,
-            "extrapolation_settled": result.extrapolation_settled,
             "residual_extrapolated": result.residual_extrapolated,
             "norms_monotone_ok": result.norms_monotone_ok,
-            "schedule_truncated": result.schedule_truncated,
-            "condition_truncated": result.condition_truncated,
+            "stop": result.stop.value,
             "truncation_note": result.truncation_note,
         }
         if bundle.min_norm_solution is not None:
@@ -378,8 +376,8 @@ def cmd_continuation(ns):
         lines = [f"{label}: levels={len(result.records)} final_eps={last.eps:.3e} "
                  f"|v|={last.norm_v:.9f} residual={last.residual_full:.3e} "
                  f"norms_monotone={'ok' if result.norms_monotone_ok else 'VIOLATED'} "
-                 f"extrapolation_error={'none' if estimate is None else f'{estimate:.3e}'}"
-                 f"{' (settled)' if result.extrapolation_settled else ''} "
+                 f"extrapolation_error={'none' if estimate is None else f'{estimate:.3e}'} "
+                 f"stop={result.stop.value} "
                  f"extrapolant_residual={result.residual_extrapolated:.3e}"]
         if result.truncation_note:
             lines.append(f"{label}: note: {result.truncation_note}")

@@ -26,11 +26,12 @@ eigenvalue of ``L`` below about ``EXTRAPOLATION_TOL * eps``, is invisible
 to the estimate, as it is to the last level's solution.
 
 The continuation stores one record per shift so convergence can be
-audited after the fact; :func:`minimal_norm_diagnostics` condenses those
-records, and :func:`discrepancy_stop` stops one integration at the time
-the exponential decay of the residual gives for a data-noise level.
+audited after the fact, and names in :class:`ContinuationStop` why it
+stopped descending.  :func:`discrepancy_stop` stops one integration at the
+time the exponential decay of the residual gives for a data-noise level.
 """
 
+import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,17 +53,16 @@ __all__ = [
     "EpsSchedule",
     "NewtonFlowSolution",
     "ContinuationRecord",
+    "ContinuationStop",
     "ContinuationResult",
-    "MinimalNormReport",
     "solve_newton_flow",
     "solve_minimal_norm",
-    "minimal_norm_diagnostics",
     "discrepancy_stop",
     "write_continuation_csv",
 ]
 
-#: Refuse shifted solves once the shifted operator's condition estimate
-#: exceeds this; beyond it the inner linear solves lose too many digits.
+#: The continuation stops before a level whose shifted operator's condition
+#: estimate exceeds this; beyond it the inner linear solves lose too many digits.
 EPS_CONDITION_LIMIT = 1e12
 
 #: Degree of the Neville extrapolant to ``eps = 0`` that may stop the
@@ -137,10 +137,16 @@ class ContinuationRecord:
     residual_full: float
     residual_shifted: float
     residual_bound: float
-    inner_status: FlowStatus
     inner_steps: int
     trust_passed: bool
     p0: float
+
+
+class ContinuationStop(enum.Enum):
+    """Why :func:`solve_minimal_norm` stopped descending the shift schedule."""
+    SETTLED = "settled"
+    CONDITION_LIMIT = "condition_limit"
+    SCHEDULE_END = "schedule_end"
 
 
 @dataclass(frozen=True)
@@ -150,21 +156,21 @@ class ContinuationResult:
     ``v_extrapolated`` is the Neville extrapolant to ``eps = 0`` through the
     last levels and ``extrapolation_error_estimate`` its error estimate (None
     after a single level); ``residual_extrapolated`` is ``|Lv + g(v)|`` at the
-    extrapolant, a witness that does not depend on the estimate.  With
-    ``extrapolation_settled`` the schedule stopped on the estimate and
-    ``v_limit`` is the extrapolant; otherwise ``v_limit`` is the last level's
-    solution.
+    extrapolant, a witness that does not depend on the estimate.  ``stop``
+    says why the descent ended: ``SETTLED`` when the estimate settled, the
+    one case where ``v_limit`` is the extrapolant; ``CONDITION_LIMIT`` before
+    a level beyond :data:`EPS_CONDITION_LIMIT`, with ``truncation_note``
+    saying where; ``SCHEDULE_END`` after the schedule's last level.  In the
+    last two cases ``v_limit`` is the last level's solution.
     """
     records: list
     v_limit: np.ndarray
     v_extrapolated: np.ndarray
     extrapolation_error_estimate: float
     residual_extrapolated: float
-    extrapolation_settled: bool
+    stop: ContinuationStop
     norms_monotone_ok: bool
     increments: list
-    schedule_truncated: bool = False
-    condition_truncated: bool = False
     truncation_note: str = ""
 
     @property
@@ -176,8 +182,8 @@ class ContinuationResult:
         return [r.norm_v for r in self.records]
 
 
-def solve_newton_flow(problem, cfg=None, *, sample_seed=0, max_condition=None,
-                      require_converged=True, monotone=None):
+def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=True,
+                      monotone=None):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
@@ -193,21 +199,15 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, max_condition=None,
     result ``exploratory`` and disables the guarantee that the trajectory
     stays in the ball.
 
-    ``max_condition`` optionally refuses the solve up front when the
-    shifted operator's condition estimate exceeds it.  With
-    ``require_converged`` (default) a flow that stops for any reason other
-    than residual convergence raises :class:`FlowFailed`.
+    With ``require_converged`` (default) a flow that stops for any reason
+    other than residual convergence raises :class:`FlowFailed`.
+    ``residual_bound`` bounds ``residual_shifted`` by ``|L + eps|`` times
+    the stopping threshold, or times the final ``p`` of a flow that stopped
+    above it.
     """
     cfg = cfg or FlowConfig()
-    if max_condition is not None:
-        cond = problem.shifted.condition_estimate()
-        if cond > max_condition:
-            raise SingularOperator(
-                "shifted operator too ill-conditioned for a certified solve",
-                condition_estimate=cond)
     samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=sample_seed)
-    bound_cert, trust = certify_newton_bound(problem, samples, monotone,
-                                             design="center+ball+sphere")
+    bound_cert, trust = certify_newton_bound(problem, samples, monotone)
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
         raise FlowFailed(
@@ -217,8 +217,10 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, max_condition=None,
     residual_shifted = result.trajectory[-1].residual_F
     opn = problem.shifted.operator_norm()
     # |(L+eps) v + g(v)| = |(L+eps) f(v)| <= |L+eps| * p_final, plus
-    # rounding slack for evaluating the residual itself
-    residual_bound = opn * (cfg.stop_at(result.p0) + 1e-13 * (1.0 + norm(v)))
+    # rounding slack for evaluating the residual itself; a converged flow
+    # has p_final <= stop_at, so its bound is the stopping threshold's
+    p_bound = max(cfg.stop_at(result.p0), result.p_final)
+    residual_bound = opn * (p_bound + 1e-13 * (1.0 + norm(v)))
     return NewtonFlowSolution(
         v=v,
         flow=result,
@@ -228,36 +230,41 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, max_condition=None,
         exploratory=not trust.passed)
 
 
-def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
+def solve_minimal_norm(problem, schedule=None, cfg=None):
     """Drive the shift to zero and return the path toward the minimal-norm solution.
 
     Requires verified self-adjoint positive-semidefinite ``L`` and a
     monotone nonlinearity, certified once on the first trust ball's center
     and :data:`~dsmflow.model.MONOTONE_SAMPLES` ball samples drawn from
-    ``seed + 1``, before any solve; failure raises
+    seed 1, before any solve; failure raises
     :class:`MonotonicityFailed`.  Monotonicity is a hypothesis on ``g``
     itself, not on one level's ball, so that one certificate is handed to
     every level's Newton-bound proof instead of being drawn again.  Each
     shift level is solved by :func:`solve_newton_flow` warm-started at the
     previous solution, with flow settings ``cfg`` (default
     :data:`INNER_FLOW`) and the level's Newton bound on samples drawn from
-    ``seed + k``; a failure at level ``k`` raises
+    seed ``k``; a failure at level ``k`` raises
     :class:`InnerSolveFailed` carrying the records accumulated so far.
 
-    After each level the Neville extrapolant to ``eps = 0`` through the
-    last levels and its error estimate are formed (:func:`_extrapolate`);
-    the schedule stops once the estimate settles at full degree, and runs
-    on otherwise.  The returned result includes the per-level records,
-    the extrapolant ``v_extrapolated`` with its estimate and its residual,
-    ``v_limit`` (the extrapolant if it settled, else the last solution),
-    and a flag for the expected norm monotonicity along the path.
+    Before each level the shifted operator's condition estimate is checked
+    against :data:`EPS_CONDITION_LIMIT`, the one place that limit is
+    applied: beyond it the descent stops, and at level 0 that raises
+    :class:`InnerSolveFailed` with no records.  After each level the
+    Neville extrapolant to ``eps = 0`` through the last levels and its
+    error estimate are formed (:func:`_extrapolate`); the schedule stops
+    once the estimate settles at full degree, and runs on otherwise.  The
+    returned result includes the per-level records, the extrapolant
+    ``v_extrapolated`` with its estimate and its residual, ``v_limit`` (the
+    extrapolant if it settled, else the last solution), the
+    :class:`ContinuationStop` reason and a flag for the expected norm
+    monotonicity along the path.
     """
     if not (problem.L.self_adjoint and problem.L.psd_claimed):
         raise NonPsdOperator(
             "minimal-norm continuation requires a self-adjoint psd operator")
     schedule = schedule or EpsSchedule()
     cfg = cfg or INNER_FLOW
-    mono_samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=seed + 1)
+    mono_samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=1)
     mono = monotonicity_certificate(problem.g, mono_samples)
     if not mono.passed:
         raise MonotonicityFailed(
@@ -267,21 +274,19 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
             certificate=mono)
     records = []
     warm = problem.u0
-    condition_truncated = False
+    stop = ContinuationStop.SCHEDULE_END
     truncation_note = ""
-    settled = False
-    eps_values = schedule.values()
-    for k, eps in enumerate(eps_values):
+    for k, eps in enumerate(schedule.values()):
         sub = replace(problem, epsilon=eps, u0=warm)
         cond = sub.shifted.condition_estimate()
         if cond > EPS_CONDITION_LIMIT:
-            condition_truncated = True
+            stop = ContinuationStop.CONDITION_LIMIT
             truncation_note = (
                 f"stopped before eps={eps:.3e}: shifted condition estimate "
                 f"{cond:.3e} exceeds {EPS_CONDITION_LIMIT:.0e}")
             break
         try:
-            sol = solve_newton_flow(sub, cfg, sample_seed=seed + k, monotone=mono)
+            sol = solve_newton_flow(sub, cfg, sample_seed=k, monotone=mono)
         except (FlowFailed, SingularOperator) as exc:
             raise InnerSolveFailed(k, records, str(exc)) from exc
         v = sol.v
@@ -293,7 +298,6 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
                 problem.L.apply(v) + problem.g(v))),
             residual_shifted=sol.residual_shifted,
             residual_bound=sol.residual_bound,
-            inner_status=sol.flow.status,
             inner_steps=sol.flow.n_accepted,
             trust_passed=sol.certificates["trust_condition"].passed,
             p0=sol.flow.p0))
@@ -301,30 +305,26 @@ def solve_minimal_norm(problem, schedule=None, cfg=None, *, seed=0):
         v_extrapolated, estimate = _extrapolate(records)
         if len(records) > EXTRAPOLATION_DEGREE and estimate <= EXTRAPOLATION_TOL * (
                 1.0 + norm(v_extrapolated)):
-            settled = True
+            stop = ContinuationStop.SETTLED
             break
     if not records:
-        raise InnerSolveFailed(0, records,
-                               truncation_note or "empty shift schedule")
+        raise InnerSolveFailed(0, records, truncation_note)
     increments = [0.0]
     for a, b in zip(records, records[1:]):
         increments.append(norm(b.v - a.v))
     last = records[-1].norm_v
     max_norm = max(r.norm_v for r in records)
     norms_monotone_ok = max_norm <= last + 1e-6 * (1.0 + last)
-    schedule_truncated = len(records) < len(eps_values) and not settled
     return ContinuationResult(
         records=records,
-        v_limit=v_extrapolated if settled else records[-1].v,
+        v_limit=v_extrapolated if stop is ContinuationStop.SETTLED else records[-1].v,
         v_extrapolated=v_extrapolated,
         extrapolation_error_estimate=estimate,
         residual_extrapolated=float(np.linalg.norm(
             problem.L.apply(v_extrapolated) + problem.g(v_extrapolated))),
-        extrapolation_settled=settled,
+        stop=stop,
         norms_monotone_ok=bool(norms_monotone_ok),
         increments=increments,
-        schedule_truncated=bool(schedule_truncated),
-        condition_truncated=bool(condition_truncated),
         truncation_note=truncation_note)
 
 
@@ -347,51 +347,6 @@ def _extrapolate(records):
                   for i in range(len(column) - 1)]
     extrapolant = column[0]
     return extrapolant, None if previous is None else norm(extrapolant - previous)
-
-
-@dataclass(frozen=True)
-class MinimalNormReport:
-    increments: list
-    norm_bound_ok: bool
-    max_norm_excess: float
-    limit_distance: float
-    eps_rate: float
-    oracle_norm: float
-
-
-def minimal_norm_diagnostics(result, oracle_v=None):
-    """Condense a continuation run against an externally computed minimal-norm solution.
-
-    With ``oracle_v`` supplied, checks that no shifted solution exceeded
-    the oracle's norm (up to 1e-8) and reports the distance of ``v_limit``
-    from it plus the log-log convergence rate of the levels' distance
-    against shift, fitted over levels with distance above the rounding
-    floor.
-    """
-    increments = list(result.increments)
-    if oracle_v is None:
-        return MinimalNormReport(increments=increments, norm_bound_ok=True,
-                                 max_norm_excess=0.0,
-                                 limit_distance=float("nan"),
-                                 eps_rate=float("nan"),
-                                 oracle_norm=float("nan"))
-    oracle_norm = norm(oracle_v)
-    max_norm = max(r.norm_v for r in result.records)
-    excess = max_norm - oracle_norm
-    distances = np.array([norm(r.v - oracle_v) for r in result.records])
-    eps = np.array([r.eps for r in result.records])
-    mask = distances > 1e-13
-    if int(mask.sum()) >= 2:
-        eps_rate = float(np.polyfit(np.log(eps[mask]), np.log(distances[mask]), 1)[0])
-    else:
-        eps_rate = float("nan")
-    return MinimalNormReport(
-        increments=increments,
-        norm_bound_ok=bool(excess <= 1e-8),
-        max_norm_excess=float(excess),
-        limit_distance=norm(result.v_limit - oracle_v),
-        eps_rate=eps_rate,
-        oracle_norm=oracle_norm)
 
 
 def discrepancy_stop(problem, delta, cfg=None, factor=1.5):

@@ -290,7 +290,7 @@ def ball_samples(center, radius, count, *, seed=0):
 
 # -- certificates -------------------------------------------------------------------
 
-def estimate_newton_bound(problem, samples, design="user-supplied"):
+def estimate_newton_bound(problem, samples):
     """Sampled sup bound for the inverse of the linearization over the trust ball.
 
     Returns an INVERTIBLE certificate whose ``bound`` quantity is
@@ -327,10 +327,10 @@ def estimate_newton_bound(problem, samples, design="user-supplied"):
         passed=True,
         quantities={"bound": bound, "worst_sigma_min": worst_sigma,
                     "n_samples": float(len(samples))},
-        detail=f"sample design: {design}")
+        detail=f"route: sampled, max 1/sigma_min(T) over {len(samples)} points of the trust ball")
 
 
-def certify_newton_bound(problem, samples, monotone=None, design="user-supplied"):
+def certify_newton_bound(problem, samples, monotone=None):
     """Newton bound over the trust ball and the trust condition it implies.
 
     Returns ``(bound_cert, trust_cert)``: an INVERTIBLE certificate whose
@@ -360,7 +360,7 @@ def certify_newton_bound(problem, samples, monotone=None, design="user-supplied"
     proven = _proven_bound(problem, samples, monotone)
     if proven is not None and proven[1].passed:
         return proven
-    bound_cert = estimate_newton_bound(problem, samples, design=design)
+    bound_cert = estimate_newton_bound(problem, samples)
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 
 

@@ -8,7 +8,6 @@ Tests compare these against the flow; agreement within tolerance is the
 acceptance evidence.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .hilbert import as_vector, norm
 from .model import full_residual, linearized_operator, preconditioned_residual, solve_linearized
 
 __all__ = [
-    "OracleMethod",
     "OracleReport",
     "MembershipReport",
     "SolutionSetReport",
@@ -38,18 +36,11 @@ _RANK_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-8
 
 
-class OracleMethod(enum.Enum):
-    DAMPED_NEWTON = "damped_newton"
-    PSEUDOINVERSE = "pseudoinverse"
-    MEMBERSHIP_PROBE = "membership_probe"
-
-
 @dataclass(frozen=True)
 class OracleReport:
     solution: np.ndarray
     residual: float
     iterations: int
-    method: OracleMethod
 
 
 def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
@@ -69,8 +60,7 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
     stop_at = max(tol * pnorm, 1e-14)
     for it in range(max_iter):
         if pnorm <= stop_at:
-            return OracleReport(solution=u, residual=pnorm, iterations=it,
-                                method=OracleMethod.DAMPED_NEWTON)
+            return OracleReport(solution=u, residual=pnorm, iterations=it)
         T = linearized_operator(problem, u)
         d = -solve_linearized(T, f)
         lam = 1.0
@@ -87,8 +77,7 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
                     f"(residual {pnorm:.3e}, step {lam:.3e})")
         u, f, pnorm = u_try, f_try, p_try
     if pnorm <= stop_at:
-        return OracleReport(solution=u, residual=pnorm, iterations=max_iter,
-                            method=OracleMethod.DAMPED_NEWTON)
+        return OracleReport(solution=u, residual=pnorm, iterations=max_iter)
     raise MaxIterations(
         f"damped Newton did not reach residual {stop_at:.3e} "
         f"in {max_iter} iterations (got {pnorm:.3e})")

@@ -200,8 +200,7 @@ def _verify_tags(problem, tags, seed=0):
             certs[tag] = cert
         elif tag == "trust_condition":
             samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
-            bound_cert, cert = certify_newton_bound(
-                problem, samples, certs.get("monotone_g"), design="center+ball+sphere")
+            bound_cert, cert = certify_newton_bound(problem, samples, certs.get("monotone_g"))
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'trust_condition' failed: {cert.quantities}")

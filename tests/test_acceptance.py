@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from dsmflow.continuation import (INNER_FLOW, EpsSchedule, discrepancy_stop,
-                                  solve_minimal_norm, solve_newton_flow)
+from dsmflow.continuation import (INNER_FLOW, ContinuationStop, EpsSchedule,
+                                  discrepancy_stop, solve_minimal_norm, solve_newton_flow)
 from dsmflow.flow import FlowConfig, decay_report, error_bound_check, integrate
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (DsmProblem, ball_samples, check_resolvent_bound,
@@ -110,7 +110,7 @@ def test_criterion_05_shifted_norms_below_pseudoinverse_norm():
           f"(budget 1e-8); continuation stopped after {len(result.records)}")
     assert len(levels) == 20
     assert excess <= 1e-8
-    assert result.extrapolation_settled and len(result.records) < len(levels)
+    assert result.stop is ContinuationStop.SETTLED and len(result.records) < len(levels)
     assert all(r.v.tobytes() == v.tobytes() for r, v in zip(result.records, levels))
     assert max(r.norm_v for r in result.records) - pinv_norm <= 1e-8
     assert result.norms_monotone_ok
@@ -131,7 +131,7 @@ def test_criterion_06_continuation_limit_hits_minimal_norm_solution():
         # g depends on x only through its range part
         rhs = -b.problem.g(b.min_norm_solution)
         vmin = pseudoinverse_min_norm(b.problem.L, rhs)
-        assert result.extrapolation_settled
+        assert result.stop is ContinuationStop.SETTLED
         dists.append(norm(result.v_limit - vmin))
     dist = max(dists)
 

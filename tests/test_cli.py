@@ -14,9 +14,9 @@ from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_json, main)
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.flow import FlowConfig
-from dsmflow.hilbert import norm
-from dsmflow.model import preconditioned_residual
-from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, save_problem,
+from dsmflow.hilbert import DenseOperator, norm
+from dsmflow.model import DsmProblem, preconditioned_residual
+from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, make_map, save_problem,
                               sector_blocks, singular_canonical, singular_monotone,
                               wellposed_cubic)
 
@@ -105,13 +105,12 @@ def test_continue_writes_reference_distance(tmp_path, capsys):
     code, stdout, _ = run(capsys, "continue", "--builtin", "singular_monotone",
                           "--dim", "5", "--rank", "3", "--out", str(out))
     assert code == EXIT_OK
-    assert "norms_monotone=ok" in stdout and "(settled)" in stdout
+    assert "norms_monotone=ok" in stdout and "stop=settled" in stdout
     report = json.loads((out / "report.json").read_text())
     # the extrapolant to eps = 0 settles before --eps-count's 20 levels run out
     levels = len(report["eps_values"])
     assert 6 <= levels < 20
-    assert report["extrapolation_settled"] is True
-    assert report["schedule_truncated"] is False
+    assert report["stop"] == "settled"
     assert report["v_limit"] == report["v_extrapolated"]
     limit_norm = norm(np.array(report["v_limit"]))
     assert report["extrapolation_error_estimate"] <= 1e-9 * (1.0 + limit_norm)
@@ -121,6 +120,36 @@ def test_continue_writes_reference_distance(tmp_path, capsys):
     csv = (out / "continuation.csv").read_text().splitlines()
     assert csv[0] == "eps,norm_v,residual_full,increment,inner_steps"
     assert len(csv) == levels + 1
+
+
+def _condition_limited_problem(path):
+    # the eigenvalues spread over decades keep the extrapolant from settling
+    # before a ratio-0.1 schedule passes the shifted conditioning limit
+    lam = np.array([1.0, 1e-3, 1e-6, 1e-9, 0.0])
+    L = DenseOperator(np.diag(lam), self_adjoint=True, psd_claimed=True)
+    g = make_map("constant", 5, {"offset": -0.4 * lam})
+    save_problem(DsmProblem(L=L, g=g, u0=np.zeros(5), radius=4.0), path, name="spread")
+    return ("--problem", str(path), "--eps-ratio", "0.1", "--eps-floor", "1e-16")
+
+
+@pytest.mark.parametrize("source, stop, levels", [
+    (lambda tmp: ("--builtin", "singular_monotone", "--dim", "5", "--rank", "3"),
+     "settled", 10),
+    (lambda tmp: _condition_limited_problem(tmp / "spread.json"), "condition_limit", 12),
+    (lambda tmp: ("--builtin", "singular_canonical", "--eps-count", "4"),
+     "schedule_end", 4),
+], ids=["settled", "condition-limit", "schedule-end"])
+def test_continue_reports_its_stop_reason(tmp_path, capsys, source, stop, levels):
+    out = tmp_path / "cont"
+    code, stdout, _ = run(capsys, "continue", *source(tmp_path), "--out", str(out))
+    assert code == EXIT_OK
+    assert f" stop={stop} " in stdout
+    report = json.loads((out / "report.json").read_text())
+    assert report["stop"] == stop
+    assert len(report["eps_values"]) == levels
+    assert (report["v_limit"] == report["v_extrapolated"]) == (stop == "settled")
+    assert ("condition estimate" in report["truncation_note"]) == (stop == "condition_limit")
+    assert (f"note: {report['truncation_note']}" in stdout) == (stop == "condition_limit")
 
 
 def test_continue_eps_floor_clamps_schedule(tmp_path, capsys):

@@ -13,17 +13,17 @@ import pytest
 from dsmflow import continuation, model
 from dsmflow.continuation import (EPS_CONDITION_LIMIT, EXTRAPOLATION_DEGREE,
                                   EXTRAPOLATION_TOL, INNER_FLOW, ContinuationResult,
-                                  EpsSchedule, NewtonFlowSolution,
-                                  discrepancy_stop, minimal_norm_diagnostics,
-                                  solve_minimal_norm, solve_newton_flow,
+                                  ContinuationStop, EpsSchedule, NewtonFlowSolution,
+                                  discrepancy_stop, solve_minimal_norm, solve_newton_flow,
                                   write_continuation_csv)
 from dsmflow.errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
-                            NonPsdOperator, SingularOperator, TMaxReachedError)
+                            NonPsdOperator, TMaxReachedError)
 from dsmflow.flow import FlowConfig, FlowStatus
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, NonlinearMap, full_residual
 from dsmflow.oracles import newton_oracle
-from dsmflow.problems import ill_conditioned, make_map, singular_monotone, wellposed_cubic
+from dsmflow.problems import (ill_conditioned, make_map, singular_canonical, singular_monotone,
+                              wellposed_cubic)
 
 
 # -- schedule ------------------------------------------------------------------
@@ -78,14 +78,6 @@ def test_newton_flow_agrees_with_damped_newton():
     assert norm(sol.v - ref.solution) <= 1e-7
 
 
-def test_newton_flow_condition_refusal():
-    b = ill_conditioned(8, scale=0.0, seed=52)
-    shifted = b.problem.with_epsilon(1e-9)
-    with pytest.raises(SingularOperator) as exc:
-        solve_newton_flow(shifted, max_condition=1e6)
-    assert exc.value.condition_estimate > 1e6
-
-
 def test_newton_flow_require_converged_toggle():
     b = wellposed_cubic(5, scale=0.1, seed=53)
     cfg = FlowConfig(t_max=0.5, p_stop=1e-12)
@@ -94,6 +86,8 @@ def test_newton_flow_require_converged_toggle():
     sol = solve_newton_flow(b.problem, cfg, require_converged=False)
     assert sol.flow.status is FlowStatus.T_MAX_REACHED
     assert sol.residual_shifted == norm(full_residual(b.problem, sol.v))
+    # the bound covers a flow stopped above its target, from its final p
+    assert sol.residual_shifted <= sol.residual_bound
 
 
 def test_exploratory_flag_on_failed_trust():
@@ -135,14 +129,13 @@ def test_continuation_records_and_monotone_norms():
     assert failed is None and len(solutions) == 20
     assert EXTRAPOLATION_DEGREE < len(res.records) < 20
     _assert_records_match(res.records, solutions[:len(res.records)])
-    assert res.extrapolation_settled
-    assert not res.schedule_truncated and not res.condition_truncated
+    assert res.stop is ContinuationStop.SETTLED
+    assert res.truncation_note == ""
     assert res.norms_monotone_ok
     norms = res.norms
     assert all(nb >= na - 1e-12 for na, nb in zip(norms, norms[1:]))
     assert res.eps_values == [0.5 ** k for k in range(len(res.records))]
     for r in res.records:
-        assert r.inner_status is FlowStatus.RESIDUAL_CONVERGED
         assert r.residual_shifted <= r.residual_bound
     assert res.v_limit is res.v_extrapolated
     assert res.extrapolation_error_estimate <= EXTRAPOLATION_TOL * (1.0 + norm(res.v_limit))
@@ -173,23 +166,6 @@ def test_extrapolation_beats_last_iterate():
     assert d_extra <= 10.0 * res.extrapolation_error_estimate
 
 
-def test_minimal_norm_diagnostics_with_and_without_oracle():
-    b = singular_monotone(5, rank=3, seed=40)
-    res = solve_minimal_norm(b.problem)
-    bare = minimal_norm_diagnostics(res)
-    assert bare.norm_bound_ok and np.isnan(bare.limit_distance)
-    diag = minimal_norm_diagnostics(res, b.min_norm_solution)
-    assert diag.norm_bound_ok
-    assert diag.max_norm_excess <= 1e-8
-    # the distance of the settled limit, the extrapolant, not of the last level
-    assert res.extrapolation_settled
-    assert diag.limit_distance == norm(res.v_limit - b.min_norm_solution)
-    assert diag.limit_distance < 1e-3 * norm(res.records[-1].v - b.min_norm_solution)
-    assert diag.oracle_norm == pytest.approx(norm(b.min_norm_solution))
-    # distance scales linearly with the shift
-    assert 0.8 <= diag.eps_rate <= 1.2
-
-
 def test_inner_failure_carries_partial_records():
     b = singular_monotone(4, rank=2, seed=55)
     cfg = FlowConfig(t_max=0.01, p_stop=1e-12)
@@ -211,16 +187,24 @@ def test_condition_truncation_stops_continuation():
     # push the schedule far below the conditioning limit of a singular L
     sched = EpsSchedule(eps0=1.0, ratio=0.1, count=20, floor=1e-16)
     res = solve_minimal_norm(problem, schedule=sched)
-    assert res.condition_truncated and res.schedule_truncated
+    assert res.stop is ContinuationStop.CONDITION_LIMIT
     assert "condition estimate" in res.truncation_note
     assert len(res.records) > EXTRAPOLATION_DEGREE
-    assert not res.extrapolation_settled
     assert res.extrapolation_error_estimate > EXTRAPOLATION_TOL * (1.0 + norm(res.v_extrapolated))
     assert res.v_limit is res.records[-1].v
     # every completed level respected the limit
     lam_max = problem.L.operator_norm()
     for r in res.records:
         assert (lam_max + r.eps) / r.eps <= EPS_CONDITION_LIMIT * (1 + 1e-9)
+
+
+def test_condition_limit_at_the_first_level_leaves_no_records():
+    # the first shift already puts the singular L beyond the limit
+    problem = singular_canonical().problem
+    sched = EpsSchedule(eps0=1e-13, floor=1e-16)
+    with pytest.raises(InnerSolveFailed, match="condition estimate") as exc:
+        solve_minimal_norm(problem, schedule=sched)
+    assert exc.value.index == 0 and exc.value.records == []
 
 
 def _count_monotonicity_passes(monkeypatch):
@@ -258,7 +242,6 @@ def _assert_records_match(records, solutions):
     for rec, sol in zip(records, solutions):
         assert rec.v.tobytes() == sol.v.tobytes()
         assert rec.inner_steps == sol.flow.n_accepted
-        assert rec.inner_status is sol.flow.status
         assert rec.trust_passed is sol.certificates["trust_condition"].passed
 
 
@@ -271,7 +254,7 @@ def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
     b = singular_monotone(10, 5, cubic_scale=cubic)
     solutions, _ = _levels_without_handoff(b.problem)
     res = solve_minimal_norm(b.problem)
-    assert res.extrapolation_settled
+    assert res.stop is ContinuationStop.SETTLED
     assert len(res.records) < len(solutions)
     _assert_records_match(res.records, solutions[:len(res.records)])
 
@@ -307,7 +290,7 @@ def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
         assert len(levels) == exc.value.index + 1 > 1
     else:
         res = solve_minimal_norm(problem)
-        assert res.extrapolation_settled
+        assert res.stop is ContinuationStop.SETTLED
         assert len(res.records) == len(levels) > EXTRAPOLATION_DEGREE
     assert calls == ["dsmflow.continuation"]
 

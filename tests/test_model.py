@@ -452,10 +452,11 @@ def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
     sampled = model.estimate_newton_bound
     monkeypatch.setattr(model, "estimate_newton_bound",
                         lambda *a, **k: calls.append(1) or sampled(*a, **k))
-    bound_cert, trust = certify_newton_bound(p, samples, design="d")
+    bound_cert, trust = certify_newton_bound(p, samples)
     assert len(calls) == 1
-    ref = sampled(p, samples, design="d")
+    ref = sampled(p, samples)
     assert bound_cert == ref
+    assert bound_cert.detail.startswith("route: sampled")
     assert trust == check_trust_condition(p, ref.quantities["bound"])
 
 

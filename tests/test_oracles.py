@@ -11,7 +11,7 @@ import pytest
 from dsmflow.errors import InconsistentSystem, MaxIterations
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, NonlinearMap
-from dsmflow.oracles import (MembershipReport, OracleMethod, OracleReport,
+from dsmflow.oracles import (MembershipReport, OracleReport,
                              convexity_closedness_suite, membership_probe,
                              newton_oracle, pseudoinverse_min_norm)
 from dsmflow.problems import singular_monotone, wellposed_cubic
@@ -23,7 +23,6 @@ from dsmflow.problems import singular_monotone, wellposed_cubic
 def test_newton_oracle_solves_cubic():
     b = wellposed_cubic(8, scale=0.1, seed=21)
     rep = newton_oracle(b.problem)
-    assert rep.method is OracleMethod.DAMPED_NEWTON
     assert rep.residual <= 1e-10 * norm(b.problem.u0) + 1e-13
     # direct check on the full equation, no library residual helpers
     L = b.problem.L.entries
@@ -187,7 +186,6 @@ def test_convexity_suite_propagates_inconsistency():
 
 
 def test_oracle_report_is_frozen():
-    rep = OracleReport(solution=np.zeros(2), residual=0.0, iterations=0,
-                       method=OracleMethod.DAMPED_NEWTON)
+    rep = OracleReport(solution=np.zeros(2), residual=0.0, iterations=0)
     with pytest.raises(Exception):
         rep.residual = 1.0
