@@ -46,10 +46,10 @@ _DEFAULTS = {
     "t_max": FlowConfig.t_max,
     "rel_tol": None,   # resolved per command in _flow_config
     "p_stop": None,
-    "eps0": 1.0,
-    "eps_ratio": 0.5,
-    "eps_count": 20,
-    "eps_floor": 1e-8,
+    "eps0": EpsSchedule.eps0,
+    "eps_ratio": EpsSchedule.ratio,
+    "eps_count": EpsSchedule.count,
+    "eps_floor": EpsSchedule.floor,
     "agree_tol": 1e-7,
     "levels": "1e-6,1e-8,1e-10",
 }
@@ -256,9 +256,9 @@ def _run_batch(ns, worker):
     """
     bundles = _build_bundles(ns)
     many = len(bundles) > 1
-    tasks = [(label, bundle, _out_dir(ns, label, many)) for label, bundle in bundles]
     code = EXIT_OK
-    for label, bundle, out in tasks:
+    for label, bundle in bundles:
+        out = _out_dir(ns, label, many)
         try:
             task_code, lines = worker(label, bundle, out)
         except Exception as exc:
@@ -317,7 +317,7 @@ def cmd_solve(ns):
             "fitted_rate": rate,
             "n_accepted": flow.n_accepted,
             "n_rejected": flow.n_rejected,
-            "newton_bound": sol.certificates["invertible"].quantities["bound"],
+            "newton_bound": sol.certificates["newton_bound"].quantities["bound"],
             "trust_passed": sol.certificates["trust_condition"].passed,
             "exploratory": sol.exploratory,
             "residual_shifted": sol.residual_shifted,
@@ -400,11 +400,8 @@ def cmd_certify(ns):
             certs = bundle.certificates
         if out:
             _write_json(certs, os.path.join(out, "certificates.json"))
-        lines = []
-        for tag in bundle.spec.tags:
-            cert = certs.get(tag)
-            passed = cert.passed if isinstance(cert, Certificate) else cert is not None
-            lines.append(f"{label}: tag={tag} {'pass' if passed else 'FAIL'}")
+        lines = [f"{label}: tag={tag} {'pass' if certs[tag].passed else 'FAIL'}"
+                 for tag in bundle.spec.tags]
         if not bundle.spec.tags:
             lines.append(f"{label}: no tags claimed")
         return EXIT_OK, lines

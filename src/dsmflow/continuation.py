@@ -1,8 +1,8 @@
 """Certified flow solves and shift continuation toward the minimal-norm solution.
 
 :func:`solve_newton_flow` runs one flow solve wrapped in its certificates
-(invertibility bound over the trust ball, trust condition, residual bound
-at the returned point).  :func:`solve_minimal_norm` drives the shift
+(Newton bound over the trust ball, trust condition, residual bound at the
+returned point).  :func:`solve_minimal_norm` drives the shift
 ``epsilon`` down a geometric schedule, warm-starting each solve at the
 previous level's solution; for self-adjoint positive-semidefinite ``L``
 with a monotone nonlinearity the shifted solutions have norms bounded by
@@ -40,8 +40,8 @@ from .errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
                      NonPsdOperator, SingularOperator, TMaxReachedError)
 from .flow import FlowConfig, FlowStatus, integrate
 from .hilbert import norm
-from .model import (BOUND_SAMPLES, MONOTONE_SAMPLES, ball_samples, certify_newton_bound,
-                    full_residual, monotonicity_certificate)
+from .model import (MONOTONE_SAMPLES, ball_samples, certify_newton_bound, full_residual,
+                    monotonicity_certificate)
 # unused here, but perfbench/tracing.py looks these names up on this module
 from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
 
@@ -187,17 +187,18 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=Tru
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
-    trust condition through :func:`~dsmflow.model.certify_newton_bound`,
-    on the trust ball's center and :data:`~dsmflow.model.BOUND_SAMPLES`
-    ball samples drawn from ``sample_seed``: a proof for self-adjoint psd
-    ``L`` and a monotone ``g``, a sampled estimate otherwise.  ``monotone`` is
-    the :func:`~dsmflow.model.monotonicity_certificate` the proof takes
-    ``g``'s monotonicity from, as in ``certify_newton_bound``; with None
-    (a standalone solve) ``g`` is certified on those ball samples.  It
-    then integrates with ball enforcement tied to that certificate.  A
-    failed trust certificate does not block the solve; it marks the
-    result ``exploratory`` and disables the guarantee that the trajectory
-    stays in the ball.
+    trust condition through :func:`~dsmflow.model.certify_newton_bound`
+    with ``seed=sample_seed``: a proof for self-adjoint psd ``L`` and a
+    monotone ``g``, a sampled estimate otherwise.  ``monotone`` is the
+    :func:`~dsmflow.model.monotonicity_certificate` the proof takes ``g``'s
+    monotonicity from; with None (a standalone solve)
+    ``certify_newton_bound`` certifies ``g`` on ball samples it draws from
+    ``sample_seed``, and a proof with ``monotone`` handed in draws none.
+    The certificates are keyed ``newton_bound`` and ``trust_condition``.
+    It then integrates with ball enforcement tied to the trust
+    certificate.  A failed trust certificate does not block the solve; it
+    marks the result ``exploratory`` and disables the guarantee that the
+    trajectory stays in the ball.
 
     With ``require_converged`` (default) a flow that stops for any reason
     other than residual convergence raises :class:`FlowFailed`.
@@ -206,8 +207,7 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=Tru
     above it.
     """
     cfg = cfg or FlowConfig()
-    samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=sample_seed)
-    bound_cert, trust = certify_newton_bound(problem, samples, monotone)
+    bound_cert, trust = certify_newton_bound(problem, monotone, seed=sample_seed)
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
         raise FlowFailed(
@@ -224,7 +224,7 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=Tru
     return NewtonFlowSolution(
         v=v,
         flow=result,
-        certificates={"invertible": bound_cert, "trust_condition": trust},
+        certificates={"newton_bound": bound_cert, "trust_condition": trust},
         residual_shifted=residual_shifted,
         residual_bound=residual_bound,
         exploratory=not trust.passed)
@@ -242,8 +242,8 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
     every level's Newton-bound proof instead of being drawn again.  Each
     shift level is solved by :func:`solve_newton_flow` warm-started at the
     previous solution, with flow settings ``cfg`` (default
-    :data:`INNER_FLOW`) and the level's Newton bound on samples drawn from
-    seed ``k``; a failure at level ``k`` raises
+    :data:`INNER_FLOW`) and ``sample_seed=k``, which a level that proves
+    its Newton bound never reads; a failure at level ``k`` raises
     :class:`InnerSolveFailed` carrying the records accumulated so far.
 
     Before each level the shifted operator's condition estimate is checked

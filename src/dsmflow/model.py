@@ -45,8 +45,8 @@ _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
 _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
 
-#: Ball samples behind a Newton bound: a certified solve's and the
-#: ``trust_condition`` tag's, each with the center prepended.
+#: Ball samples behind a Newton bound, with the center prepended; only
+#: :func:`certify_newton_bound` draws them.
 BOUND_SAMPLES = 64
 #: Ball samples behind a monotonicity certificate of ``g``: the
 #: ``monotone_g`` tag's and the one a continuation takes before its first level.
@@ -140,11 +140,13 @@ class DsmProblem:
 
 
 class CertificateKind(enum.Enum):
+    NEWTON_BOUND = "newton_bound"
     TRUST_CONDITION = "trust_condition"
     RESOLVENT_BOUND = "resolvent_bound"
     SECTOR = "sector"
     MONOTONE = "monotone"
     INVERTIBLE = "invertible"
+    SINGULAR = "singular"
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,7 @@ def ball_samples(center, radius, count, *, seed=0):
 def estimate_newton_bound(problem, samples):
     """Sampled sup bound for the inverse of the linearization over the trust ball.
 
-    Returns an INVERTIBLE certificate whose ``bound`` quantity is
+    Returns a NEWTON_BOUND certificate whose ``bound`` quantity is
     ``max 1/sigma_min`` over the samples' linearizations
     ``T = I + A^{-1} g'(u)``, ``A = L + eps*I``, each formed by
     :func:`linearized_operator` and its smallest singular value taken from
@@ -302,10 +304,10 @@ def estimate_newton_bound(problem, samples):
     :class:`SingularLinearization` when a sample has ``sigma_min <= 1e-12``.
 
     This is the sampled route of :func:`certify_newton_bound`, which the
-    certified solves and the ``trust_condition`` tag call.  That route
-    applies unless the bound can be proven: for a self-adjoint psd ``L``
-    with ``A`` positive definite and a monotone ``g`` it returns
-    ``sqrt(kappa(A))/(1 - delta)`` without sampling ``T``.
+    certified solves and the ``trust_condition`` tag call, on the samples
+    it draws.  That route applies unless the bound can be proven: for a
+    self-adjoint psd ``L`` with ``A`` positive definite and a monotone
+    ``g`` it returns ``sqrt(kappa(A))/(1 - delta)`` without sampling ``T``.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -323,61 +325,97 @@ def estimate_newton_bound(problem, samples):
         worst_sigma = min(worst_sigma, smin)
     bound = 1.0 / worst_sigma
     return Certificate(
-        kind=CertificateKind.INVERTIBLE,
+        kind=CertificateKind.NEWTON_BOUND,
         passed=True,
         quantities={"bound": bound, "worst_sigma_min": worst_sigma,
                     "n_samples": float(len(samples))},
         detail=f"route: sampled, max 1/sigma_min(T) over {len(samples)} points of the trust ball")
 
 
-def certify_newton_bound(problem, samples, monotone=None):
+def certify_newton_bound(problem, monotone=None, *, seed=0):
     """Newton bound over the trust ball and the trust condition it implies.
 
-    Returns ``(bound_cert, trust_cert)``: an INVERTIBLE certificate whose
+    Returns ``(bound_cert, trust_cert)``: a NEWTON_BOUND certificate whose
     ``bound`` is at least ``|T(u)^{-1}|`` for ``T = I + A^{-1} g'(u)``,
     ``A = L + eps*I``, and the TRUST_CONDITION certificate built on it.
-    Both the certified solve and the ``trust_condition`` tag call this.
+    Both the certified solve and the ``trust_condition`` tag call this, and
+    both certificates name their route in ``detail``.
+
+    The samples behind the bound are the trust ball's center and
+    :data:`BOUND_SAMPLES` :func:`ball_samples` drawn from ``seed``.  They
+    are drawn here, at most once, and only when a route reads them: to
+    certify ``g`` for the proof when ``monotone`` is None, and for the
+    sampled route.  A proof with ``monotone`` handed in draws nothing.
 
     *Proof route*, :func:`_proven_bound`: for a self-adjoint psd ``L`` with
-    ``A`` positive definite and a ``g`` that passes ``monotone``, the bound
-    is ``sqrt(kappa(A))/(1 - delta)`` and the trust certificate compares
-    the radius with a distance bound that takes one product with ``A``: no
-    ``T`` is formed and no SVD taken.  It is taken when that distance fits
-    in the radius.  ``monotone`` is a :func:`monotonicity_certificate` of
-    ``g`` that the caller already holds: a build's ``monotone_g`` tag, or
-    the one :func:`~dsmflow.continuation.solve_minimal_norm` takes before
-    its first level and hands to every level.  With None, ``g`` is
-    certified here on ``samples``.
+    ``A`` positive definite (:func:`_proof_spectrum`) and a ``g`` that
+    passes ``monotone``, the bound is ``sqrt(kappa(A))/(1 - delta)`` and the
+    trust certificate compares the radius with a distance bound that takes
+    one product with ``A``: no ``T`` is formed and no SVD taken.  It is
+    taken when that distance fits in the radius.  ``monotone`` is a
+    :func:`monotonicity_certificate` of ``g`` that the caller already
+    holds: a build's ``monotone_g`` tag, or the one
+    :func:`~dsmflow.continuation.solve_minimal_norm` takes before its first
+    level and hands to every level.  With None, ``g`` is certified here on
+    the samples.
 
     *Sampled route.*  Otherwise ``bound_cert`` is
-    :func:`estimate_newton_bound` on ``samples`` and ``trust_cert`` is
+    :func:`estimate_newton_bound` on the samples and ``trust_cert`` is
     :func:`check_trust_condition` with its bound, both unchanged.  A proof
     whose distance bound exceeds the radius is not reported as a failed
     trust condition: the A-norm loses up to ``sqrt(kappa(A))`` where
     ``g'`` is small against ``A``, as for a constant ``g`` and a small
     shift of a singular ``L``, where ``T = I`` and the sampled bound is 1.
     """
-    proven = _proven_bound(problem, samples, monotone)
-    if proven is not None and proven[1].passed:
-        return proven
+    samples = None
+    spectrum = _proof_spectrum(problem)
+    if spectrum is not None:
+        if monotone is None:
+            samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
+            monotone = monotonicity_certificate(problem.g, samples)
+        proven = _proven_bound(problem, monotone, *spectrum)
+        if proven is not None and proven[1].passed:
+            return proven
+    if samples is None:
+        samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
     bound_cert = estimate_newton_bound(problem, samples)
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 
 
-def _proven_bound(problem, samples, monotone):
-    """The proof route's ``(bound_cert, trust_cert)``, or None where it does not apply.
+def _proof_spectrum(problem):
+    """Bounds ``(lam_lo, lam_hi)`` on ``A``'s eigenvalues where the proof route applies, else None.
 
     It applies when ``L`` carries the verified ``self_adjoint`` and
     ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly,
     so that the eigendecomposition ``L`` caches (taken of ``(L + L^T)/2``)
-    is one of ``L`` itself; ``lam_lo > 0``; and ``g`` passes ``monotone``
-    with ``delta = max(0, -min_jacobian_eigenvalue) / lam_lo < 1``.
+    is one of ``L`` itself; and ``lam_lo > 0``.
 
     ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
     ``eps``, widened by ``2(n+1) u (|L|_F + eps)`` for the eigensolver
     (computed eigenvalues lie within ``2n u |L|_F`` of the exact ones,
     LAPACK Users' Guide §4.7, with ``p(n) = 2n``), the rounding of ``A``'s
     diagonal and that of ``w + eps``.
+    """
+    L = problem.L
+    if not (L.self_adjoint and L.psd_claimed) or not np.array_equal(L.entries, L.entries.T):
+        return None
+    w = L.symmetric_eigen()[0]
+    eps = problem.epsilon
+    err = (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+    lam_lo = float(w[0]) + eps - err
+    if not lam_lo > 0.0:
+        return None
+    return lam_lo, float(w[-1]) + eps + err
+
+
+def _proven_bound(problem, monotone, lam_lo, lam_hi):
+    """The proof route's ``(bound_cert, trust_cert)``, or None where ``g`` does not qualify.
+
+    ``lam_lo <= lambda(A) <= lam_hi`` come from :func:`_proof_spectrum`.
+    The route needs ``g`` to pass ``monotone``, a
+    :func:`monotonicity_certificate` the caller holds or has just taken,
+    with ``delta = max(0, -min_jacobian_eigenvalue) / lam_lo < 1``.  It
+    reads no ball samples.
 
     With ``K = A^{-1/2} g' A^{-1/2}``, whose symmetric part is
     ``>= -delta I``, ``|T^{-1}|_A = |(I + K)^{-1}| <= 1/(1 - delta)`` in
@@ -391,24 +429,12 @@ def _proven_bound(problem, samples, monotone):
     ``worst_sigma_min = 1/bound`` and the samples behind ``monotone`` as
     ``n_samples``; both name the route in ``detail``.
     """
-    L = problem.L
-    if not (L.self_adjoint and L.psd_claimed) or not np.array_equal(L.entries, L.entries.T):
-        return None
-    w = L.symmetric_eigen()[0]
-    eps = problem.epsilon
-    err = (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
-    lam_lo = float(w[0]) + eps - err
-    if not lam_lo > 0.0:
-        return None
-    lam_hi = float(w[-1]) + eps + err
-    if monotone is None:
-        monotone = monotonicity_certificate(problem.g, samples)
     delta = max(0.0, -monotone.quantities["min_jacobian_eigenvalue"]) / lam_lo
     if not (monotone.passed and delta < 1.0):
         return None
     bound = math.sqrt(lam_hi / lam_lo) / (1.0 - delta)
     bound_cert = Certificate(
-        kind=CertificateKind.INVERTIBLE,
+        kind=CertificateKind.NEWTON_BOUND,
         passed=True,
         quantities={"bound": bound, "worst_sigma_min": 1.0 / bound,
                     "n_samples": monotone.quantities["n_samples"]},
@@ -436,9 +462,10 @@ def check_trust_condition(problem, newton_bound):
 
     Passing guarantees the flow cannot leave the trust ball, since the
     distance travelled is bounded by ``bound * p0``.  This is the sampled
-    route's check in :func:`certify_newton_bound`; where that function
-    proves the bound (self-adjoint psd ``L`` with ``A`` positive definite,
-    monotone ``g``) it compares the radius with the tighter distance bound
+    route's check in :func:`certify_newton_bound`, and its ``detail`` names
+    that route; where that function proves the bound (self-adjoint psd
+    ``L`` with ``A`` positive definite, monotone ``g``) it compares the
+    radius with the tighter distance bound
     ``|f0|_A / (sqrt(lambda_min(A)) (1 - delta))`` instead.
     """
     newton_bound = float(newton_bound)
@@ -450,7 +477,8 @@ def check_trust_condition(problem, newton_bound):
         kind=CertificateKind.TRUST_CONDITION,
         passed=bool(margin >= 0.0),
         quantities={"p0": p0, "bound": newton_bound,
-                    "radius": problem.radius, "margin": margin})
+                    "radius": problem.radius, "margin": margin},
+        detail="route: sampled, margin = radius - p0 * bound")
 
 
 def check_resolvent_bound(L, eps_grid, sector_delta=None):

@@ -21,8 +21,8 @@ import scipy.linalg
 
 from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseError
 from .hilbert import DenseOperator, as_vector, norm, read_matrix_text
-from .model import (BOUND_SAMPLES, MONOTONE_SAMPLES, DsmProblem, NonlinearMap, ball_samples,
-                    certify_newton_bound, check_resolvent_bound, check_sector,
+from .model import (MONOTONE_SAMPLES, Certificate, CertificateKind, DsmProblem, NonlinearMap,
+                    ball_samples, certify_newton_bound, check_resolvent_bound, check_sector,
                     monotonicity_certificate)
 # unused here, but perfbench/tracing.py looks these names up on this module
 from .model import (check_trust_condition, estimate_newton_bound,  # noqa: F401
@@ -157,10 +157,17 @@ def make_map(name, dim, params=None):
 def _verify_tags(problem, tags, seed=0):
     """Recompute the evidence behind each claimed tag.
 
-    Returns the certificates keyed by tag; raises
-    :class:`CertificateMismatch` on the first failed claim.  The
-    ``trust_condition`` tag is verified last: it hands the ``monotone_g``
-    certificate, when that tag is claimed, to :func:`certify_newton_bound`.
+    Returns a :class:`~dsmflow.model.Certificate` per key; raises
+    :class:`CertificateMismatch` on the first failed claim.  Each key is a
+    tag, plus ``newton_bound`` next to ``trust_condition``, and maps to one
+    kind: ``invertible`` and ``singular`` to the kind of that name, which
+    compares ``sigma_min(L)`` with ``1e-10 |L|``; ``self_adjoint_psd`` to
+    RESOLVENT_BOUND; ``monotone_g`` to MONOTONE; ``sector`` to SECTOR; and
+    ``trust_condition`` and ``newton_bound`` to the kinds of those names.
+    The ``trust_condition`` tag is verified last: it hands the
+    ``monotone_g`` certificate, when that tag is claimed, to
+    :func:`certify_newton_bound`, which draws its own samples from
+    ``seed`` only when a route reads them.
     """
     certs = {}
     L = problem.L
@@ -168,20 +175,14 @@ def _verify_tags(problem, tags, seed=0):
     for tag in sorted(tags, key=lambda t: t == "trust_condition"):
         if tag not in TAGS:
             raise CertificateMismatch(f"unknown tag {tag!r}")
-        if tag == "invertible":
+        if tag in ("invertible", "singular"):
             smin = L.smallest_singular_value()
-            if smin <= 1e-10 * opn:
+            if (smin > 1e-10 * opn) != (tag == "invertible"):
                 raise CertificateMismatch(
-                    f"tag 'invertible' failed: smallest singular value {smin:.3e} "
-                    f"vs operator norm {opn:.3e}")
-            certs[tag] = {"sigma_min": smin, "operator_norm": opn}
-        elif tag == "singular":
-            smin = L.smallest_singular_value()
-            if smin > 1e-10 * opn:
-                raise CertificateMismatch(
-                    f"tag 'singular' failed: smallest singular value {smin:.3e} "
-                    f"is not negligible against operator norm {opn:.3e}")
-            certs[tag] = {"sigma_min": smin, "operator_norm": opn}
+                    f"tag {tag!r} failed: smallest singular value {smin:.3e} "
+                    f"against operator norm {opn:.3e}")
+            certs[tag] = Certificate(kind=CertificateKind(tag), passed=True,
+                                     quantities={"sigma_min": smin, "operator_norm": opn})
         elif tag == "self_adjoint_psd":
             if not (L.self_adjoint and L.psd_claimed):
                 raise CertificateMismatch(
@@ -199,12 +200,11 @@ def _verify_tags(problem, tags, seed=0):
                     f"tag 'monotone_g' failed: {cert.quantities}")
             certs[tag] = cert
         elif tag == "trust_condition":
-            samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
-            bound_cert, cert = certify_newton_bound(problem, samples, certs.get("monotone_g"))
+            bound_cert, cert = certify_newton_bound(problem, certs.get("monotone_g"), seed=seed)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'trust_condition' failed: {cert.quantities}")
-            certs["invertible_bound"] = bound_cert
+            certs["newton_bound"] = bound_cert
             certs[tag] = cert
         elif tag == "sector":
             cert = check_sector(L, a=0.5, delta=np.pi / 6.0)

@@ -61,7 +61,7 @@ def test_newton_flow_solution_certificates_and_bound():
     b = wellposed_cubic(8, scale=0.1, seed=50)
     sol = solve_newton_flow(b.problem)
     assert isinstance(sol, NewtonFlowSolution)
-    assert set(sol.certificates) == {"invertible", "trust_condition"}
+    assert set(sol.certificates) == {"newton_bound", "trust_condition"}
     assert sol.certificates["trust_condition"].passed
     assert not sol.exploratory
     assert sol.flow.converged
@@ -313,7 +313,22 @@ def test_standalone_solve_certifies_its_own_ball(monkeypatch):
     calls = _count_monotonicity_passes(monkeypatch)
     sol = solve_newton_flow(singular_monotone(10, 5).problem.with_epsilon(0.5))
     assert calls == ["dsmflow.model"]
-    assert sol.certificates["invertible"].quantities["n_samples"] == 65.0
+    assert sol.certificates["newton_bound"].quantities["n_samples"] == 65.0
+
+
+def test_continuation_draws_its_ball_samples_once(monkeypatch):
+    # every level proves its Newton bound with the handed-in monotonicity
+    # certificate, so only that certificate's draw samples the ball
+    problem = singular_monotone(10, 5, cubic_scale=0.1).problem
+    draws = []
+    for module in (continuation, model):
+        def counted(*args, real=module.ball_samples, name=module.__name__, **kwargs):
+            draws.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "ball_samples", counted)
+    res = solve_minimal_norm(problem)
+    assert len(res.records) == 9
+    assert draws == ["dsmflow.continuation"]
 
 
 # -- discrepancy stop -----------------------------------------------------------------

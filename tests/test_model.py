@@ -1,7 +1,7 @@
 """Problem model and certificate tests.
 
 The linearized operator is cross-checked against central differences of
-the preconditioned residual, and the sampled invertibility bound against
+the preconditioned residual, and the sampled Newton bound against
 a direct per-sample SVD, so each certified quantity has an independent
 route in this file.
 """
@@ -17,7 +17,7 @@ from dsmflow.errors import (DimensionMismatch, NotApplicable, NotSymmetric,
                             SingularLinearization, SingularOperator)
 from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm
-from dsmflow.model import (CertificateKind, DsmProblem, NonlinearMap,
+from dsmflow.model import (BOUND_SAMPLES, CertificateKind, DsmProblem, NonlinearMap,
                            ball_samples, certify_newton_bound,
                            check_resolvent_bound, check_sector,
                            check_trust_condition, estimate_newton_bound,
@@ -183,14 +183,14 @@ def test_ball_samples_deterministic_and_in_ball():
             ball_samples(np.zeros(2), radius, 2)
 
 
-# -- invertibility bound -------------------------------------------------------
+# -- Newton bound --------------------------------------------------------------
 
 
 def test_newton_bound_matches_direct_svd_route():
     p = small_problem(eps=0.2, seed=19)
     samples = ball_samples(p.u0, p.radius, 12, seed=3)
     cert = estimate_newton_bound(p, samples)
-    assert cert.kind is CertificateKind.INVERTIBLE and cert.passed
+    assert cert.kind is CertificateKind.NEWTON_BOUND and cert.passed
     # direct route: per-sample sigma_min of I + (L+eps)^{-1} J via numpy
     shifted = p.L.entries + p.epsilon * np.eye(p.dim)
     worst = min(
@@ -391,8 +391,9 @@ def _proof_cases():
 @pytest.mark.parametrize("make", _proof_cases())
 def test_proven_bound_covers_the_sampled_bound_and_the_trajectory(make):
     p = make()
-    samples = ball_samples(p.u0, p.radius, 64, seed=0)
-    bound_cert, trust = model._proven_bound(p, samples, None)
+    samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
+    mono = monotonicity_certificate(p.g, samples)
+    bound_cert, trust = model._proven_bound(p, mono, *model._proof_spectrum(p))
     assert bound_cert.detail.startswith("route: proof")
     assert trust.detail.startswith("route: proof")
     q = bound_cert.quantities
@@ -408,8 +409,9 @@ def test_proven_bound_covers_the_sampled_bound_and_the_trajectory(make):
     assert 0.0 < travelled <= distance
     # the distance bound is never looser than p0 * bound
     assert distance <= trust.quantities["p0"] * q["bound"]
-    # the route takes the proof exactly when its distance fits in the radius
-    route = certify_newton_bound(p, samples)
+    # the route takes the proof exactly when its distance fits in the radius,
+    # on the samples it draws from its seed
+    route = certify_newton_bound(p, seed=0)
     if trust.passed:
         assert route == (bound_cert, trust)
     else:
@@ -447,32 +449,39 @@ def _proof_too_loose():
 ])
 def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
     p = make()
-    samples = ball_samples(p.u0, p.radius, 16, seed=0)
+    samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
     calls = []
     sampled = model.estimate_newton_bound
     monkeypatch.setattr(model, "estimate_newton_bound",
                         lambda *a, **k: calls.append(1) or sampled(*a, **k))
-    bound_cert, trust = certify_newton_bound(p, samples)
+    bound_cert, trust = certify_newton_bound(p, seed=0)
     assert len(calls) == 1
     ref = sampled(p, samples)
     assert bound_cert == ref
     assert bound_cert.detail.startswith("route: sampled")
     assert trust == check_trust_condition(p, ref.quantities["bound"])
+    assert trust.detail.startswith("route: sampled")
 
 
 def test_route_falls_back_for_unshifted_singular_L(monkeypatch):
     p = singular_monotone(6, rank=3, cubic_scale=0.1).problem
     assert p.epsilon == 0.0
-    samples = ball_samples(p.u0, p.radius, 8, seed=0)
+    samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
     calls = []
     sampled = model.estimate_newton_bound
     monkeypatch.setattr(model, "estimate_newton_bound",
                         lambda *a, **k: calls.append(1) or sampled(*a, **k))
     with pytest.raises(SingularOperator):
-        certify_newton_bound(p, samples)
+        certify_newton_bound(p, seed=0)
     assert len(calls) == 1
     with pytest.raises(SingularOperator):
         sampled(p, samples)
+
+
+def test_sampled_route_draws_its_samples_from_the_seed():
+    p = sector_blocks(6).problem
+    drawn = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=3)
+    assert certify_newton_bound(p, seed=3)[0] == estimate_newton_bound(p, drawn)
 
 
 def test_route_applies_delta_for_a_slightly_negative_jacobian():
@@ -485,10 +494,10 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     c = np.array([0.0, -0.2, 0.1])
     g = NonlinearMap(lambda u: G @ u + c, lambda u: G.copy())
     p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=1e4, epsilon=eps)
-    samples = ball_samples(p.u0, p.radius, 16, seed=0)
+    samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
     mono = monotonicity_certificate(g, samples)
     assert mono.passed and mono.quantities["min_jacobian_eigenvalue"] < 0.0
-    bound_cert, trust = certify_newton_bound(p, samples)
+    bound_cert, trust = certify_newton_bound(p, seed=0)
     delta = -neg / eps
     assert bound_cert.quantities["bound"] == pytest.approx(
         np.sqrt((2.0 + eps) / eps) / (1.0 - delta), rel=1e-6)
@@ -499,17 +508,17 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     assert bound_cert.quantities["bound"] >= estimate_newton_bound(p, samples).quantities["bound"]
     # a certificate handed in replaces the route's own monotonicity pass
     handed = monotonicity_certificate(g, samples[:4])
-    assert certify_newton_bound(p, samples, handed)[0].quantities["n_samples"] == 4.0
+    assert certify_newton_bound(p, handed)[0].quantities["n_samples"] == 4.0
 
 
 def test_build_hands_its_monotone_g_certificate_to_the_route():
     b = wellposed_cubic(6, seed=3)
     n_mono = b.certificates["monotone_g"].quantities["n_samples"]
-    assert b.certificates["invertible_bound"].quantities["n_samples"] == n_mono == 33.0
+    assert b.certificates["newton_bound"].quantities["n_samples"] == n_mono == 33.0
     # a solve certifies its own 64 ball samples plus the centre
     sol = solve_newton_flow(b.problem)
-    assert sol.certificates["invertible"].quantities["n_samples"] == 65.0
-    assert sol.certificates["invertible"].detail.startswith("route: proof")
+    assert sol.certificates["newton_bound"].quantities["n_samples"] == 65.0
+    assert sol.certificates["newton_bound"].detail.startswith("route: proof")
 
 
 # -- resolvent bound -------------------------------------------------------------

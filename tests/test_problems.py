@@ -10,11 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from dsmflow.continuation import solve_newton_flow
 from dsmflow.errors import CertificateMismatch, ParseError
 from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm, write_matrix_text
-from dsmflow.model import (DsmProblem, NonlinearMap, full_residual,
-                           preconditioned_residual)
+from dsmflow.model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
+                           full_residual, preconditioned_residual)
 from dsmflow.problems import (BUILTINS, TAGS, ProblemBundle, _verify_tags,
                               ill_conditioned, load_problem, make_map,
                               save_problem, sector_blocks, singular_canonical,
@@ -87,6 +88,33 @@ def test_verify_tags_rejects_false_claims():
         _verify_tags(p, ("self_adjoint_psd",))
 
 
+#: The one certificate kind behind each key of a build's or a solve's certificates.
+_KIND_OF_KEY = {
+    "invertible": CertificateKind.INVERTIBLE,
+    "singular": CertificateKind.SINGULAR,
+    "newton_bound": CertificateKind.NEWTON_BOUND,
+    "trust_condition": CertificateKind.TRUST_CONDITION,
+    "sector": CertificateKind.SECTOR,
+    "monotone_g": CertificateKind.MONOTONE,
+    "self_adjoint_psd": CertificateKind.RESOLVENT_BOUND,
+}
+
+
+def test_every_certificate_has_one_type_and_one_name():
+    seen = set()
+    for name, build in sorted(BUILTINS.items()):
+        b = build() if name == "singular_canonical" else build(6)
+        # shifted, so that the singular builtins solve as well
+        sol = solve_newton_flow(b.problem.with_epsilon(0.5), require_converged=False)
+        assert set(sol.certificates) == {"newton_bound", "trust_condition"}
+        for certs in (b.certificates, sol.certificates):
+            for key, cert in certs.items():
+                assert isinstance(cert, Certificate), (name, key)
+                assert cert.kind is _KIND_OF_KEY[key], (name, key)
+            seen |= set(certs)
+    assert seen == set(_KIND_OF_KEY)
+
+
 # -- generators -----------------------------------------------------------------
 
 
@@ -114,7 +142,7 @@ def test_wellposed_cubic_radius_is_twice_p0(dim, seed):
     p = b.problem
     p0 = norm(preconditioned_residual(p, p.u0))
     assert p.radius == max(2.0 * p0, 1e-3)
-    cert = b.certificates["invertible_bound"]
+    cert = b.certificates["newton_bound"]
     assert cert.detail.startswith("route: proof")
     kappa_root = np.sqrt(p.L.condition_estimate())
     assert kappa_root <= cert.quantities["bound"] <= kappa_root * (1.0 + 1e-12) < 2.0
