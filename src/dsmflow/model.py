@@ -675,6 +675,17 @@ def monotonicity_certificate(g, samples):
     first sample it could not rule out that does not lower the minimum: a
     tie, as when ``g'`` is singular at every sample, where each later
     sample would pay for both.
+
+    A sample whose Jacobian has no nonzero entry off its diagonal, as for
+    a componentwise ``g``, takes its smallest diagonal entry instead and
+    pays for neither; it lowers the running minimum and leaves the
+    screen's tie state alone.  That entry is what ``eigvalsh`` returns:
+    LAPACK reduces a diagonal matrix to tridiagonal form with no
+    reflections and splits it into 1 x 1 blocks.  This holds bitwise
+    unless ``eigvalsh`` rescales the matrix, which it does when its largest
+    entry is nonzero and outside about ``[1e-146, 1e146]``; there the
+    diagonal entry is the exact eigenvalue and ``eigvalsh``'s carries the
+    rescaling's rounding.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -686,11 +697,15 @@ def monotonicity_certificate(g, samples):
     for u in samples:
         u = as_vector(u, name="sample")
         J = g._jacobian(u)
-        S = 0.5 * (J + J.T)
-        if not (screen and min_eig < float("inf") and _min_eigenvalue_at_least(S, min_eig)):
-            w0 = float(np.linalg.eigvalsh(S)[0])
-            screen = screen and w0 < min_eig
-            min_eig = min(min_eig, w0)
+        d = J.diagonal()
+        if np.count_nonzero(J) == np.count_nonzero(d):
+            min_eig = min(min_eig, float(d.min()))
+        else:
+            S = 0.5 * (J + J.T)
+            if not (screen and min_eig < float("inf") and _min_eigenvalue_at_least(S, min_eig)):
+                w0 = float(np.linalg.eigvalsh(S)[0])
+                screen = screen and w0 < min_eig
+                min_eig = min(min_eig, w0)
         gu = g._value(u)
         if prev is not None:
             min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))

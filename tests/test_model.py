@@ -24,7 +24,7 @@ from dsmflow.model import (BOUND_SAMPLES, CertificateKind, DsmProblem, Nonlinear
                            fd_jacobian_check, full_residual,
                            linearized_operator, monotonicity_certificate,
                            preconditioned_residual, solve_linearized)
-from dsmflow.problems import (ill_conditioned, sector_blocks, singular_canonical,
+from dsmflow.problems import (ill_conditioned, make_map, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
 
 
@@ -686,27 +686,60 @@ def _mono_non_monotone():
     return g, ball_samples(np.zeros(8), 1.0, 32, seed=3)
 
 
-def _mono_within_margin():
+def _mono_rotated(dim):
+    # the wellposed cubic in a rotated basis: monotone, with a dense Jacobian
+    g, samples = _mono_wellposed(dim)
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((dim, dim)))
+    return (NonlinearMap(lambda u: Q @ g.fn(Q.T @ u), lambda u: Q @ g.jac_fn(Q.T @ u) @ Q.T),
+            [Q @ u for u in samples])
+
+
+def _mono_within_margin(cloud=_mono_wellposed):
     # samples 1e-12 apart: near-ties that the screen cannot rule out
-    g, samples = _mono_wellposed(30)
+    g, samples = cloud(30)
     u, d = samples[3], samples[3] - samples[0]
     return g, [u - 1e-12 * k * d for k in range(20)]
 
 
+def _mono_zero_jacobian(name, params):
+    g = make_map(name, 6, params)
+    return g, ball_samples(np.full(6, 0.5), 2.0, 16, seed=5)
+
+
+def _is_diagonal(J):
+    return not np.any(J - np.diag(np.diagonal(J)))
+
+
 @pytest.mark.parametrize("case", [
-    *(pytest.param(lambda d=d: _mono_wellposed(d), id=f"wellposed-d{d}") for d in (1, 5, 50)),
+    *(pytest.param(lambda d=d: _mono_wellposed(d), id=f"wellposed-d{d}")
+      for d in (1, 5, 50, 200)),
+    pytest.param(lambda: _mono_zero_jacobian("zero", {}), id="zero"),
+    pytest.param(lambda: _mono_zero_jacobian("constant", {"offset": np.arange(6.0) - 2.5}),
+                 id="constant"),
     pytest.param(_mono_range_cubic, id="range-cubic-ties"),
     pytest.param(_mono_non_monotone, id="non-monotone"),
     pytest.param(_mono_within_margin, id="within-margin"),
+    pytest.param(lambda: _mono_rotated(50), id="rotated-d50"),
+    pytest.param(lambda: _mono_within_margin(_mono_rotated), id="within-margin-rotated"),
 ])
-def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case):
+def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case, monkeypatch):
     g, samples = case()
+    expected = _min_eig_every_sample(g, samples)
+    dense = sum(not _is_diagonal(g.jacobian(u)) for u in samples)
+    seen = []
+    eigvalsh, screen = np.linalg.eigvalsh, model._min_eigenvalue_at_least
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: seen.append(S) or eigvalsh(S))
+    monkeypatch.setattr(model, "_min_eigenvalue_at_least",
+                        lambda S, m: seen.append(S) or screen(S, m))
     cert = monotonicity_certificate(g, samples)
-    assert cert.quantities["min_jacobian_eigenvalue"] == _min_eig_every_sample(g, samples)
+    assert cert.quantities["min_jacobian_eigenvalue"] == expected
+    # a sample with a diagonal Jacobian reads its eigenvalues off the diagonal
+    assert not any(_is_diagonal(S) for S in seen)
+    assert len(seen) <= 2 * dense
 
 
 def test_monotonicity_screen_skips_eigvalsh_and_stops_at_a_tie(monkeypatch):
-    (g, samples), (g_tied, tied) = _mono_wellposed(50), _mono_range_cubic()
+    (g, samples), (g_tied, tied) = _mono_rotated(50), _mono_range_cubic()
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(1) or eigvalsh(S))
@@ -714,12 +747,16 @@ def test_monotonicity_screen_skips_eigvalsh_and_stops_at_a_tie(monkeypatch):
     # only samples that lower the running minimum pay for eigvalsh
     assert len(calls) < 10
     calls.clear()
+    monotonicity_certificate(*_mono_wellposed(50))
+    assert not calls
     screens = []
     screen = model._min_eigenvalue_at_least
     monkeypatch.setattr(model, "_min_eigenvalue_at_least",
                         lambda S, m: screens.append(1) or screen(S, m))
     monotonicity_certificate(g_tied, tied)
-    assert len(calls) == len(tied)
+    # the center u0 = 0 has the zero Jacobian and skips eigvalsh
+    assert _is_diagonal(g_tied.jacobian(tied[0]))
+    assert len(calls) == sum(not _is_diagonal(g_tied.jacobian(u)) for u in tied) == len(tied) - 1
     # rounding makes the first few samples new minima below 0; the screen
     # stops at the first tie instead of failing on every sample
     assert len(screens) <= 5
