@@ -747,8 +747,6 @@ def test_monotonicity_screen_skips_eigvalsh_and_stops_at_a_tie(monkeypatch):
     # only samples that lower the running minimum pay for eigvalsh
     assert len(calls) < 10
     calls.clear()
-    monotonicity_certificate(*_mono_wellposed(50))
-    assert not calls
     screens = []
     screen = model._min_eigenvalue_at_least
     monkeypatch.setattr(model, "_min_eigenvalue_at_least",
