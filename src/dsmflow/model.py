@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotApplicable, SingularLinearization
 from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, as_vector,
@@ -65,9 +64,9 @@ class NonlinearMap:
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
     (:class:`DimensionMismatch`) and finiteness (``ValueError``).
-    :func:`newton_velocity` and the sampled certificates check ``u`` once
-    for both and call :meth:`_value` and :meth:`_jacobian`, which check
-    only the output.
+    :func:`newton_velocity` and :func:`monotonicity_certificate` check ``u``
+    once for both and call :meth:`_value` and :meth:`_jacobian`, which
+    check only the output.
     """
     fn: callable
     jac_fn: callable
@@ -496,8 +495,8 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     an infinite ``worst_ratio``.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0.0 for e in eps_grid):
-        raise ValueError("epsilon grid must be nonempty with positive entries")
+    if not eps_grid or not all(math.isfinite(e) and e > 0.0 for e in eps_grid):
+        raise ValueError("epsilon grid must be nonempty with finite positive entries")
     if L.self_adjoint and L.psd_claimed:
         sin_delta = 1.0
     elif sector_delta is not None:
@@ -549,8 +548,8 @@ def check_sector(L, a, delta):
     """
     a = float(a)
     delta = float(delta)
-    if a <= 0.0:
-        raise ValueError(f"sector radius must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"sector radius must be finite and positive, got {a}")
     if not 0.0 < delta <= np.pi / 2.0:
         raise ValueError(f"sector half-angle must lie in (0, pi/2], got {delta}")
     opn = L.operator_norm()
@@ -627,37 +626,6 @@ def fd_jacobian_check(g, u, h=1e-5):
     return worst
 
 
-def _min_eigenvalue_at_least(S, m):
-    """Whether ``eigvalsh(S)[0] >= m`` is certain, from one Cholesky factorization.
-
-    ``S`` is symmetric, ``s = |S|_F``, ``u`` is the unit roundoff,
-    ``eps_mach = 2u`` and ``gamma_k = k u / (1 - k u)``.  ``eigvalsh``
-    returns ``lambda_min(S)`` to within ``eta = 2n u s`` (LAPACK Users'
-    Guide §4.7, with ``p(n) = 2n``), so ``lambda_min(S) >= m + eta``
-    suffices.  The screen factors ``H = fl(S - tau I)`` with ``dpotrf``.
-    Forming ``H`` moves each diagonal entry by at most
-    ``u (|S_ii| + |tau|)``; a factorization that succeeds is exact for
-    ``H + dH`` with ``|dH|_2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    Thm 10.3), and ``trace(H) <= (1 + u)(sqrt(n) s + n |tau|)``.  So success
-    proves ``lambda_min(S) >= tau - zeta'`` with, to first order,
-    ``zeta' = (n + 1) u (sqrt(n) s + n |tau|) + u (s + |tau|)``.  Taking
-    ``tau = m + eta + zeta`` with
-    ``zeta = 8(n + 1) eps_mach (sqrt(n) s + n (|m| + eta))``, at least twice
-    that, leaves room for the second-order terms and the rounding of ``tau``.
-    """
-    n = S.shape[0]
-    eps_mach = float(np.finfo(float).eps)
-    x = S.ravel()
-    s = math.sqrt(x.dot(x))
-    eta = n * eps_mach * s
-    H = S.copy()
-    H.flat[::n + 1] -= m + eta + 8.0 * (n + 1) * eps_mach * (math.sqrt(n) * s + n * (abs(m) + eta))
-    # H is symmetric, so H.T is the Fortran-ordered array dpotrf factors in place
-    _, info = scipy.linalg.lapack.dpotrf(H.T, clean=0, overwrite_a=1)
-    return info == 0
-
-
 def monotonicity_certificate(g, samples):
     """Certify monotonicity of ``g`` on a sample cloud.
 
@@ -667,20 +635,11 @@ def monotonicity_certificate(g, samples):
     reports.  Each sample is checked once, and ``g`` and ``g'`` are
     evaluated once per sample.
 
-    Only the smallest eigenvalue over the samples is reported, so after
-    the first sample a sample pays for ``eigvalsh`` only when the Cholesky
-    screen :func:`_min_eigenvalue_at_least` cannot prove that its computed
-    smallest eigenvalue is at least the running minimum.  The result is
-    bitwise that of ``eigvalsh`` at every sample.  The screen stops at the
-    first sample it could not rule out that does not lower the minimum: a
-    tie, as when ``g'`` is singular at every sample, where each later
-    sample would pay for both.
-
-    A sample whose Jacobian has no nonzero entry off its diagonal, as for
-    a componentwise ``g``, takes its smallest diagonal entry instead and
-    pays for neither; it lowers the running minimum and leaves the
-    screen's tie state alone.  That entry is what ``eigvalsh`` returns:
-    LAPACK reduces a diagonal matrix to tridiagonal form with no
+    A sample's smallest eigenvalue is ``eigvalsh((J + J^T)/2)[0]``, unless
+    ``J = g'(u)`` has no nonzero entry off its diagonal, as for a
+    componentwise ``g``; then it is ``J``'s smallest diagonal entry, with
+    no symmetrization or ``eigvalsh``.  That entry is what ``eigvalsh``
+    returns: LAPACK reduces a diagonal matrix to tridiagonal form with no
     reflections and splits it into 1 x 1 blocks.  This holds bitwise
     unless ``eigvalsh`` rescales the matrix, which it does when its largest
     entry is nonzero and outside about ``[1e-146, 1e146]``; there the
@@ -693,7 +652,6 @@ def monotonicity_certificate(g, samples):
     min_eig = float("inf")
     min_secant = float("inf")
     prev = g_prev = None
-    screen = True
     for u in samples:
         u = as_vector(u, name="sample")
         J = g._jacobian(u)
@@ -701,11 +659,7 @@ def monotonicity_certificate(g, samples):
         if np.count_nonzero(J) == np.count_nonzero(d):
             min_eig = min(min_eig, float(d.min()))
         else:
-            S = 0.5 * (J + J.T)
-            if not (screen and min_eig < float("inf") and _min_eigenvalue_at_least(S, min_eig)):
-                w0 = float(np.linalg.eigvalsh(S)[0])
-                screen = screen and w0 < min_eig
-                min_eig = min(min_eig, w0)
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T))[0]))
         gu = g._value(u)
         if prev is not None:
             min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))

@@ -556,6 +556,10 @@ def test_resolvent_bound_detects_violation():
         check_resolvent_bound(L, [-0.1], sector_delta=np.pi / 2)
     with pytest.raises(ValueError):
         check_resolvent_bound(L, [0.1], sector_delta=3.0)
+    psd = DenseOperator.diagonal([1.0, 0.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            check_resolvent_bound(psd, [0.1, bad])
 
 
 def test_resolvent_bound_fails_when_a_shift_hits_an_eigenvalue():
@@ -611,6 +615,11 @@ def test_sector_rejects_bad_parameters():
         check_sector(L, 0.0, np.pi / 6)
     with pytest.raises(ValueError):
         check_sector(L, 1.0, 2.0)
+    # a NaN radius must not hide the eigenvalue -0.3 that a = 0.5 finds
+    L = DenseOperator(np.diag([1.0, 0.0, -0.3]), self_adjoint=True)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            check_sector(L, bad, 0.5)
 
 
 # -- derivative and monotonicity checks ----------------------------------------------
@@ -663,7 +672,7 @@ def test_monotonicity_single_sample_uses_jacobian_only():
 
 
 def _min_eig_every_sample(g, samples):
-    """The unscreened minimum: ``eigvalsh`` of every sample's symmetrized Jacobian."""
+    """The reference minimum: ``eigvalsh`` of every sample's symmetrized Jacobian."""
     return min(float(np.linalg.eigvalsh(0.5 * (g.jacobian(u) + g.jacobian(u).T))[0])
                for u in samples)
 
@@ -695,7 +704,7 @@ def _mono_rotated(dim):
 
 
 def _mono_within_margin(cloud=_mono_wellposed):
-    # samples 1e-12 apart: near-ties that the screen cannot rule out
+    # samples 1e-12 apart: near-ties in the running minimum
     g, samples = cloud(30)
     u, d = samples[3], samples[3] - samples[0]
     return g, [u - 1e-12 * k * d for k in range(20)]
@@ -727,34 +736,10 @@ def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case, monkeypat
     expected = _min_eig_every_sample(g, samples)
     dense = sum(not _is_diagonal(g.jacobian(u)) for u in samples)
     seen = []
-    eigvalsh, screen = np.linalg.eigvalsh, model._min_eigenvalue_at_least
+    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: seen.append(S) or eigvalsh(S))
-    monkeypatch.setattr(model, "_min_eigenvalue_at_least",
-                        lambda S, m: seen.append(S) or screen(S, m))
     cert = monotonicity_certificate(g, samples)
     assert cert.quantities["min_jacobian_eigenvalue"] == expected
-    # a sample with a diagonal Jacobian reads its eigenvalues off the diagonal
+    # one eigvalsh per dense sample; a diagonal Jacobian is read off its diagonal
     assert not any(_is_diagonal(S) for S in seen)
-    assert len(seen) <= 2 * dense
-
-
-def test_monotonicity_screen_skips_eigvalsh_and_stops_at_a_tie(monkeypatch):
-    (g, samples), (g_tied, tied) = _mono_rotated(50), _mono_range_cubic()
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(1) or eigvalsh(S))
-    monotonicity_certificate(g, samples)
-    # only samples that lower the running minimum pay for eigvalsh
-    assert len(calls) < 10
-    calls.clear()
-    screens = []
-    screen = model._min_eigenvalue_at_least
-    monkeypatch.setattr(model, "_min_eigenvalue_at_least",
-                        lambda S, m: screens.append(1) or screen(S, m))
-    monotonicity_certificate(g_tied, tied)
-    # the center u0 = 0 has the zero Jacobian and skips eigvalsh
-    assert _is_diagonal(g_tied.jacobian(tied[0]))
-    assert len(calls) == sum(not _is_diagonal(g_tied.jacobian(u)) for u in tied) == len(tied) - 1
-    # rounding makes the first few samples new minima below 0; the screen
-    # stops at the first tie instead of failing on every sample
-    assert len(screens) <= 5
+    assert len(seen) == dense
