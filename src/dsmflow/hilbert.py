@@ -3,7 +3,9 @@
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 shape and finiteness at API boundaries.  :class:`DenseOperator` wraps a
 square matrix together with structural flags (self-adjoint, positive
-semidefinite) and caches its factorizations on first use.  Its LU
+semidefinite) and caches its factorizations on first use: one LU, and
+either the eigenvalues of a self-adjoint operator, from which its
+singular values are read, or the singular values of any other.  Its LU
 factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
 :func:`_getrf` and :func:`_getrs`, which give bitwise what
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
@@ -145,7 +147,7 @@ class DenseOperator:
         self._svals = None
         self._opnorm = None
         self._lu = None
-        self._eigen = None
+        self._eigvals = None
         if not _verified:
             self._verify_flags()
 
@@ -169,8 +171,12 @@ class DenseOperator:
             raise ValueError(f"shift must be a finite nonnegative real, got {eps}")
         A = self.entries + eps * np.eye(self.dim)
         # self-adjointness and (for eps >= 0) semidefiniteness survive the shift
-        return DenseOperator(A, self_adjoint=self.self_adjoint,
-                             psd_claimed=self.psd_claimed, _verified=True)
+        S = DenseOperator(A, self_adjoint=self.self_adjoint,
+                          psd_claimed=self.psd_claimed, _verified=True)
+        if self.self_adjoint:
+            # the shift moves every eigenvalue by eps: no decomposition of A
+            S._eigvals = self.eigenvalues() + eps
+        return S
 
     # -- basic queries ---------------------------------------------------------
 
@@ -192,7 +198,7 @@ class DenseOperator:
                 f"self_adjoint flag violated: asymmetry {defect:.3e} "
                 f"exceeds {SELF_ADJOINT_RTOL:g} * operator norm {opn:.3e}")
         if self.psd_claimed:
-            w, _ = self.symmetric_eigen()
+            w = self.eigenvalues()
             if w[0] < -PSD_RTOL * opn:
                 raise NonPsdOperator(
                     f"psd flag violated: smallest eigenvalue {w[0]:.3e} "
@@ -201,9 +207,16 @@ class DenseOperator:
     # -- spectral quantities ---------------------------------------------------
 
     def singular_values(self):
-        """All singular values, descending."""
+        """All singular values, descending.
+
+        A self-adjoint operator's are the moduli of its :meth:`eigenvalues`,
+        with no SVD; any other's come from one SVD.
+        """
         if self._svals is None:
-            self._svals = np.linalg.svd(self.entries, compute_uv=False)
+            if self.self_adjoint:
+                self._svals = np.sort(np.abs(self.eigenvalues()))[::-1]
+            else:
+                self._svals = np.linalg.svd(self.entries, compute_uv=False)
             self._opnorm = float(self._svals[0])
         return self._svals.copy()
 
@@ -223,20 +236,18 @@ class DenseOperator:
             return float("inf")
         return float(s[0] / s[-1])
 
-    def symmetric_eigen(self):
-        """Eigen-decomposition ``A = Q diag(w) Q^T`` for self-adjoint operators.
+    def eigenvalues(self):
+        """Eigenvalues of a self-adjoint operator, ascending, as a fresh array.
 
-        Returns eigenvalues ascending and an orthonormal eigenbasis, both as
-        fresh arrays.  Raises :class:`NotSymmetric` if the flag is not set.
-        The reconstruction satisfies ``|A Q - Q diag(w)| <= 1e-9 * |A|``.
+        They are ``np.linalg.eigvalsh((A + A^T)/2)``, taken once and cached;
+        a :meth:`shifted` operator's are its parent's plus the shift.
+        Raises :class:`NotSymmetric` if the flag is not set.
         """
         if not self.self_adjoint:
-            raise NotSymmetric("symmetric_eigen requires the self_adjoint flag")
-        if self._eigen is None:
-            sym = 0.5 * (self.entries + self.entries.T)
-            self._eigen = np.linalg.eigh(sym)
-        w, Q = self._eigen
-        return w.copy(), Q.copy()
+            raise NotSymmetric("eigenvalues requires the self_adjoint flag")
+        if self._eigvals is None:
+            self._eigvals = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.T))
+        return self._eigvals.copy()
 
     # -- linear solves -----------------------------------------------------------
 

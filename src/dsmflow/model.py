@@ -386,19 +386,20 @@ def _proof_spectrum(problem):
 
     It applies when ``L`` carries the verified ``self_adjoint`` and
     ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly,
-    so that the eigendecomposition ``L`` caches (taken of ``(L + L^T)/2``)
-    is one of ``L`` itself; and ``lam_lo > 0``.
+    so that :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` (``eigvalsh``
+    of ``(L + L^T)/2``) are those of ``L`` itself; and ``lam_lo > 0``.
 
     ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
     ``eps``, widened by ``2(n+1) u (|L|_F + eps)`` for the eigensolver
-    (computed eigenvalues lie within ``2n u |L|_F`` of the exact ones,
-    LAPACK Users' Guide §4.7, with ``p(n) = 2n``), the rounding of ``A``'s
-    diagonal and that of ``w + eps``.
+    (``eigvalsh`` is LAPACK ``dsyevd`` without vectors, which finds the
+    eigenvalues through ``dsterf``; they lie within ``2n u |L|_F`` of the
+    exact ones, LAPACK Users' Guide §4.7, with ``p(n) = 2n``), the
+    rounding of ``A``'s diagonal and that of ``w + eps``.
     """
     L = problem.L
     if not (L.self_adjoint and L.psd_claimed) or not np.array_equal(L.entries, L.entries.T):
         return None
-    w = L.symmetric_eigen()[0]
+    w = L.eigenvalues()
     eps = problem.epsilon
     err = (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
     lam_lo = float(w[0]) + eps - err
@@ -488,9 +489,10 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     prior :func:`check_sector`); without it the check is
     :class:`NotApplicable`.
 
-    For self-adjoint ``L = Q diag(w) Q^T``, ``sigma_min(L + eps*I)`` is
-    ``min |w + eps|`` from the eigendecomposition ``L`` caches; otherwise
-    it is the smallest singular value of ``L + eps*I``, one SVD per shift.
+    For self-adjoint ``L``, ``sigma_min(L + eps*I)`` is ``min |w + eps|``
+    over ``L``'s cached :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`
+    ``w``; otherwise it is the smallest singular value of ``L + eps*I``,
+    one SVD per shift.
     A shift at which ``L + eps*I`` is singular fails the certificate with
     an infinite ``worst_ratio``.
     """
@@ -514,7 +516,7 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
     eps_mach = float(np.finfo(float).eps)
     opn = L.operator_norm()
     if L.self_adjoint:
-        w = L.symmetric_eigen()[0]
+        w = L.eigenvalues()
         sigmas = [float(np.abs(w + eps).min()) for eps in eps_grid]
     else:
         sigmas = [L.shifted(eps).smallest_singular_value() for eps in eps_grid]
@@ -542,9 +544,11 @@ def check_sector(L, a, delta):
 
     The sector is ``{ -r e^{i phi} : 0 < r <= a, |phi| <= delta }``.  For
     self-adjoint operators this reduces to excluding eigenvalues in
-    ``[-a, 0)``.  For general operators a grid of sector points is probed
-    through the smallest singular value of ``L - z I`` in the real
-    embedding of the complexified space.
+    ``[-a, 0)``, read off ``L``'s cached
+    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`.  For general
+    operators a grid of sector points is probed through the smallest
+    singular value of ``L - z I`` in the real embedding of the
+    complexified space.
     """
     a = float(a)
     delta = float(delta)
@@ -554,7 +558,7 @@ def check_sector(L, a, delta):
         raise ValueError(f"sector half-angle must lie in (0, pi/2], got {delta}")
     opn = L.operator_norm()
     if L.self_adjoint:
-        w, _ = L.symmetric_eigen()
+        w = L.eigenvalues()
         bad = w[(w >= -a) & (w < 0.0)]
         passed = bad.size == 0
         if passed:

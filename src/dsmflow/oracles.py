@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentSystem, MaxIterations
+from .errors import InconsistentSystem, MaxIterations, NotSymmetric
 from .hilbert import as_vector, norm
 from .model import full_residual, linearized_operator, preconditioned_residual, solve_linearized
 
@@ -83,16 +83,29 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
         f"in {max_iter} iterations (got {pnorm:.3e})")
 
 
+def _symmetric_eigh(L):
+    """``(w, Q)`` with ``(L + L^T)/2 = Q diag(w) Q^T``, ``w`` ascending, from ``np.linalg.eigh``.
+
+    The oracles' own decomposition, which shares nothing with the solver's
+    cached eigenvalues.  Raises :class:`NotSymmetric` unless ``L`` carries
+    the ``self_adjoint`` flag.
+    """
+    if not L.self_adjoint:
+        raise NotSymmetric("the eigendecomposition oracles require the self_adjoint flag")
+    return np.linalg.eigh(0.5 * (L.entries + L.entries.T))
+
+
 def pseudoinverse_min_norm(L, b):
     """Minimal-norm solution of ``L x = b`` for self-adjoint ``L``.
 
     Uses the symmetric eigendecomposition: components of ``b`` along
     eigenvectors with ``|lambda| <= 1e-10 * max|lambda|`` are treated as
     null directions.  Raises :class:`InconsistentSystem` when ``b`` has
-    mass in the nullspace beyond ``1e-8 * |b|``.
+    mass in the nullspace beyond ``1e-8 * |b|``, and :class:`NotSymmetric`
+    for an ``L`` without the ``self_adjoint`` flag.
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
-    w, Q = L.symmetric_eigen()
+    w, Q = _symmetric_eigh(L)
     beta = Q.T @ b
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     cutoff = _RANK_RTOL * wmax
@@ -172,11 +185,12 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
     solution sequences solve it too.  Each trial draws two random
     solutions (minimal-norm plus nullspace components), checks the
     residual at interior combination points, then follows a convergent
-    sequence of solutions and checks its limit.
+    sequence of solutions and checks its limit.  ``L`` must carry the
+    ``self_adjoint`` flag, else :class:`NotSymmetric` is raised.
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
     x_star = pseudoinverse_min_norm(L, b)
-    w, Q = L.symmetric_eigen()
+    w, Q = _symmetric_eigh(L)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     null_mask = np.abs(w) <= _RANK_RTOL * max(wmax, 1e-30)
     N = Q[:, null_mask]

@@ -16,6 +16,7 @@ from dsmflow.errors import (DimensionMismatch, NonPsdOperator, NotSymmetric,
 from dsmflow.hilbert import (DenseOperator, _all_finite, _getrf, _getrs, as_vector,
                              format_matrix_text, inner, norm, parse_matrix_text,
                              read_matrix_text, write_matrix_text)
+from dsmflow.problems import ill_conditioned, singular_canonical
 
 
 def jacobi_singular_values(A, max_sweeps=100, tol=1e-15):
@@ -158,10 +159,10 @@ def test_shifted_adds_eps_identity_and_keeps_flags():
     S = A.shifted(0.25)
     assert S.self_adjoint and S.psd_claimed
     assert np.allclose(S.entries, A.entries + 0.25 * np.eye(5))
-    # symmetric shift moves every eigenvalue by exactly eps
-    w, _ = A.symmetric_eigen()
-    ws, _ = S.symmetric_eigen()
-    assert np.max(np.abs(ws - (w + 0.25))) < 1e-12 * A.operator_norm()
+    # S carries A's eigenvalues plus eps; an independent solve of S agrees
+    assert np.array_equal(S.eigenvalues(), A.eigenvalues() + 0.25)
+    ws = np.linalg.eigvalsh(S.entries)
+    assert np.max(np.abs(S.eigenvalues() - ws)) < 1e-12 * A.operator_norm()
     with pytest.raises(ValueError):
         A.shifted(-1e-3)
 
@@ -205,25 +206,52 @@ def test_condition_of_singular_operator_is_inf():
     assert A.smallest_singular_value() == 0.0
 
 
-def test_symmetric_eigen_reconstruction_and_orthonormality():
+def test_eigenvalues_ascending_fresh_copy_of_the_symmetric_part():
     rng = np.random.default_rng(31)
     B = random_matrix(rng, 7)
     A = DenseOperator(B + B.T, self_adjoint=True)
-    w, Q = A.symmetric_eigen()
-    opn = A.operator_norm()
+    w = A.eigenvalues()
     assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs(A.entries @ Q - Q @ np.diag(w))) <= 1e-9 * opn
-    assert np.max(np.abs(Q.T @ Q - np.eye(7))) <= 1e-12
+    assert np.array_equal(w, np.linalg.eigvalsh(0.5 * (A.entries + A.entries.T)))
     # returned arrays are fresh copies, mutating them leaves the cache alone
     w[0] = 1e9
-    w2, _ = A.symmetric_eigen()
-    assert w2[0] != 1e9
+    assert A.eigenvalues()[0] != 1e9
 
 
-def test_symmetric_eigen_requires_flag():
+def test_eigenvalues_require_flag():
     A = DenseOperator([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotSymmetric):
-        A.symmetric_eigen()
+        A.eigenvalues()
+
+
+def _random_psd():
+    B = random_matrix(np.random.default_rng(33), 7)
+    return DenseOperator(B @ B.T, self_adjoint=True, psd_claimed=True)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-8])
+@pytest.mark.parametrize("make_L", [
+    pytest.param(_random_psd, id="random-d7"),
+    pytest.param(lambda: singular_canonical().problem.L, id="singular_canonical"),
+    pytest.param(lambda: ill_conditioned(6).problem.L, id="ill_conditioned-d6"),
+])
+def test_shifted_singular_values_agree_with_an_svd(make_L, eps):
+    # a self-adjoint operator's singular values are read off its eigenvalues
+    L = make_L()
+    n = L.dim
+    ref = np.linalg.svd(L.entries + eps * np.eye(n), compute_uv=False)
+    u = 0.5 * np.finfo(float).eps
+    tol = 4 * (n + 1) * u * (np.linalg.norm(L.entries) + eps)
+    assert np.max(np.abs(L.shifted(eps).singular_values() - ref)) <= tol
+
+
+def test_self_adjoint_check_is_not_loosened_by_the_symmetric_part():
+    # |sym(A)| <= |A|, so the norm the asymmetry is measured against cannot grow
+    B = random_matrix(np.random.default_rng(35), 6)
+    A = B + B.T
+    A[0, 1] += 2e-12 * np.linalg.norm(A, 2)
+    with pytest.raises(NotSymmetric):
+        DenseOperator(A, self_adjoint=True)
 
 
 # -- linear solves -----------------------------------------------------------

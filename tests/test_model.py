@@ -268,7 +268,7 @@ def test_newton_bound_screen_is_bitwise_the_svd_of_every_sample(case):
 
 def count_solves_and_svds(monkeypatch, p, samples):
     """``estimate_newton_bound``'s quantities, its n-column ``A.solve`` calls and its SVDs."""
-    p.shifted.singular_values()   # cache A's own SVD before counting
+    p.shifted.singular_values()   # cache A's own SVD, if it takes one, before counting
     counts = {"solve": 0, "svd": 0}
     solve, svd = DenseOperator.solve, np.linalg.svd
 

@@ -8,10 +8,10 @@ between three independent computations, not two copies of one.
 import numpy as np
 import pytest
 
-from dsmflow.errors import InconsistentSystem, MaxIterations
+from dsmflow.errors import InconsistentSystem, MaxIterations, NotSymmetric
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, NonlinearMap
-from dsmflow.oracles import (MembershipReport, OracleReport,
+from dsmflow.oracles import (MembershipReport, OracleReport, _symmetric_eigh,
                              convexity_closedness_suite, membership_probe,
                              newton_oracle, pseudoinverse_min_norm)
 from dsmflow.problems import singular_monotone, wellposed_cubic
@@ -63,6 +63,24 @@ def test_newton_oracle_iteration_budget():
 
 
 # -- pseudoinverse minimal norm ------------------------------------------------
+
+
+def test_oracle_eigendecomposition_reconstruction_and_orthonormality():
+    rng = np.random.default_rng(31)
+    B = rng.standard_normal((7, 7))
+    A = DenseOperator(B + B.T, self_adjoint=True)
+    w, Q = _symmetric_eigh(A)
+    opn = float(np.linalg.norm(A.entries, 2))
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(A.entries @ Q - Q @ np.diag(w))) <= 1e-9 * opn
+    assert np.max(np.abs(Q.T @ Q - np.eye(7))) <= 1e-12
+
+
+@pytest.mark.parametrize("oracle", [pseudoinverse_min_norm, convexity_closedness_suite])
+def test_eigendecomposition_oracles_refuse_a_non_self_adjoint_operator(oracle):
+    L = DenseOperator([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotSymmetric):
+        oracle(L, np.ones(2))
 
 
 def test_pseudoinverse_diagonal_exact():

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from dsmflow.continuation import solve_newton_flow
+from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.errors import CertificateMismatch, ParseError
 from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm, write_matrix_text
@@ -236,6 +236,38 @@ def test_sector_blocks_spectrum_and_shift():
     assert not b.problem.L.self_adjoint
     with pytest.raises(ValueError):
         sector_blocks(5)
+
+
+def count_spectral_calls(monkeypatch, fn):
+    """Calls of ``np.linalg.svd``, ``eigh`` and ``eigvalsh`` while ``fn()`` runs."""
+    counts = dict.fromkeys(("svd", "eigh", "eigvalsh"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_self_adjoint_build_takes_one_eigenvalue_solve(monkeypatch):
+    # L's eigenvalues give its norm, conditioning, psd check and resolvent
+    # bound; the cubic's diagonal Jacobian needs no eigvalsh
+    counts = count_spectral_calls(monkeypatch, lambda: wellposed_cubic(dim=50))
+    assert counts == {"svd": 0, "eigh": 0, "eigvalsh": 1}
+
+
+def test_continuation_levels_take_no_decomposition(monkeypatch):
+    # every level's L + eps*I carries L's eigenvalues plus eps
+    problem = singular_monotone(10, 5).problem
+    counts = count_spectral_calls(monkeypatch, lambda: solve_minimal_norm(problem))
+    assert counts == {"svd": 0, "eigh": 0, "eigvalsh": 0}
+
+
+def test_non_self_adjoint_build_keeps_its_svds(monkeypatch):
+    counts = count_spectral_calls(monkeypatch, lambda: sector_blocks(8))
+    assert counts["svd"] > 0
 
 
 def test_builtin_registry_is_complete():
