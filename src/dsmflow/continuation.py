@@ -46,6 +46,7 @@ from .model import (MONOTONE_SAMPLES, ball_samples, certify_newton_bound, full_r
 from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
 
 __all__ = [
+    "DISCREPANCY_FACTOR",
     "EPS_CONDITION_LIMIT",
     "EXTRAPOLATION_DEGREE",
     "EXTRAPOLATION_TOL",
@@ -72,6 +73,10 @@ EXTRAPOLATION_DEGREE = 5
 #: The continuation stops once the extrapolant ``P`` of full degree has an
 #: error estimate of at most ``EXTRAPOLATION_TOL * (1 + |P|)``.
 EXTRAPOLATION_TOL = 1e-9
+
+#: :func:`discrepancy_stop` ends where the equation residual lies in
+#: ``[delta, DISCREPANCY_FACTOR * delta]`` for a noise level ``delta``.
+DISCREPANCY_FACTOR = 1.5
 
 #: Flow settings of the continuation's inner solves.  They run tighter than
 #: standalone ones, with an absolute stopping floor: warm-started levels
@@ -349,38 +354,35 @@ def _extrapolate(records):
     return extrapolant, None if previous is None else norm(extrapolant - previous)
 
 
-def discrepancy_stop(problem, delta, cfg=None, factor=1.5):
+def discrepancy_stop(problem, delta, cfg=None):
     """Flow time and point where the equation residual meets the noise level.
 
     The residual ``F(u) = (L+eps*I) u + g(u)`` obeys ``F(u(t)) = e^{-t} F(u0)``
     along the flow, so one integration runs to ``t* = log(|F(u0)| /
-    (sqrt(factor)*delta))``, the geometric middle of ``[delta, factor*delta]``,
-    and returns its end point ``(t, u)`` after checking that ``|F(u)|`` lies
-    in that window.  The check needs the integrator's deviation from the
-    decay law at ``t*`` to be small against the window; a miss raises
-    :class:`FlowFailed` with the flow result.  Returns ``(0.0, u0)`` if
-    ``|F(u0)| <= factor*delta``; raises :class:`TMaxReachedError`, before
-    integrating, if ``t* > cfg.t_max``.
+    (sqrt(c)*delta))`` with ``c =`` :data:`DISCREPANCY_FACTOR`, the geometric
+    middle of ``[delta, c*delta]``, and returns its end point ``(t, u)``
+    after checking that ``|F(u)|`` lies in that window.  The check needs the
+    integrator's deviation from the decay law at ``t*`` to be small against
+    the window; a miss raises :class:`FlowFailed` with the flow result.
+    Returns ``(0.0, u0)`` if ``|F(u0)| <= c*delta``; raises
+    :class:`TMaxReachedError`, before integrating, if ``t* > cfg.t_max``.
     """
     delta = float(delta)
     # negated, so that NaN is refused here and not as a NaN t_max
     if not delta > 0.0:
         raise ValueError(f"noise level must be positive, got {delta}")
-    factor = float(factor)
-    if not factor > 1.0:
-        raise ValueError(f"stopping factor must exceed 1, got {factor}")
     cfg = cfg or FlowConfig()
     r0 = float(np.linalg.norm(full_residual(problem, problem.u0)))
-    if r0 <= factor * delta:
+    if r0 <= DISCREPANCY_FACTOR * delta:
         return 0.0, problem.u0.copy()
-    t_stop = np.log(r0 / (np.sqrt(factor) * delta))
-    window = f"[{delta:.3e}, {factor * delta:.3e}]"
+    t_stop = np.log(r0 / (np.sqrt(DISCREPANCY_FACTOR) * delta))
+    window = f"[{delta:.3e}, {DISCREPANCY_FACTOR * delta:.3e}]"
     if t_stop > cfg.t_max:
         raise TMaxReachedError(
             f"residual {r0:.3e} reaches {window} at t={t_stop:.6f}, after t_max={cfg.t_max}")
     result = integrate(problem, replace(cfg, t_max=t_stop, p_stop=0.0))
     r = result.trajectory[-1].residual_F
-    if not delta <= r <= factor * delta:
+    if not delta <= r <= DISCREPANCY_FACTOR * delta:
         raise FlowFailed(f"residual {r:.3e} at t={result.t_final:.6f} missed {window}",
                          result=result)
     return result.t_final, result.u_final

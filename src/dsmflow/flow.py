@@ -80,6 +80,7 @@ _BETA = 0.04          # PI stabilization exponent
 _EXPO = 0.2 - 0.75 * _BETA
 _STEP_FLOOR = 1e-14
 _P_STOP_FLOOR = 1e-14
+_MAX_STEPS = 10 ** 6  # accepted plus rejected steps per run
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class FlowConfig:
     rel_tol: float = 1e-8
     p_stop: float = 1e-9
     p_stop_abs: float = 0.0
-    max_steps: int = 10 ** 6
     sample_stride: float = 0.1
 
     def __post_init__(self):
@@ -115,8 +115,6 @@ class FlowConfig:
             raise ValueError(f"p_stop must lie in [0, 1), got {self.p_stop}")
         if not 0.0 <= self.p_stop_abs < 1.0:
             raise ValueError(f"p_stop_abs must lie in [0, 1), got {self.p_stop_abs}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not np.isfinite(self.sample_stride) or self.sample_stride <= 0.0:
             raise ValueError(f"sample_stride must be positive, got {self.sample_stride}")
 
@@ -237,7 +235,7 @@ def integrate(problem, cfg=None, *, trust=None):
     k = np.empty((7, u.size))
     k[0] = v
 
-    for _ in range(cfg.max_steps):
+    for _ in range(_MAX_STEPS):
         if h < _STEP_FLOOR:
             return finish(FlowStatus.STEP_FAILURE,
                           f"step size collapsed to {h:.3e} at t={t:.6f}")
@@ -300,7 +298,7 @@ def integrate(problem, cfg=None, *, trust=None):
         errold = max(err, 1e-4)
 
     return finish(FlowStatus.STEP_FAILURE,
-                  f"step budget {cfg.max_steps} exhausted at t={t:.6f}")
+                  f"step budget {_MAX_STEPS} exhausted at t={t:.6f}")
 
 
 def decay_report(result):

@@ -158,11 +158,10 @@ class DenseOperator:
         return cls(np.eye(n), self_adjoint=True, psd_claimed=True, _verified=True)
 
     @classmethod
-    def diagonal(cls, values, psd_claimed=None):
+    def diagonal(cls, values):
+        """The diagonal operator on ``values``, flagged psd when no value is negative."""
         d = as_vector(values, name="diagonal")
-        if psd_claimed is None:
-            psd_claimed = bool(np.all(d >= 0.0))
-        return cls(np.diag(d), self_adjoint=True, psd_claimed=psd_claimed)
+        return cls(np.diag(d), self_adjoint=True, psd_claimed=bool(np.all(d >= 0.0)))
 
     def shifted(self, eps):
         """Return this operator plus ``eps`` times the identity (``eps >= 0``)."""

@@ -43,6 +43,7 @@ __all__ = [
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
 _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
+_FD_STEP = 1e-5            # central-difference step of fd_jacobian_check
 
 #: Ball samples behind a Newton bound, with the center prepended; only
 #: :func:`certify_newton_bound` draws them.
@@ -611,12 +612,10 @@ def check_sector(L, a, delta):
         detail="grid resolvent probe")
 
 
-def fd_jacobian_check(g, u, h=1e-5):
+def fd_jacobian_check(g, u):
     """Max relative column defect between ``g.jacobian`` and central differences."""
     u = as_vector(u)
-    h = float(h)
-    if not 1e-8 <= h <= 1e-4:
-        raise ValueError(f"step size must lie in [1e-8, 1e-4], got {h}")
+    h = _FD_STEP
     J = g.jacobian(u)
     n = u.size
     worst = 0.0

@@ -1,11 +1,17 @@
-"""Independent cross-checks for solver output.
+"""Cross-checks for solver output.
 
-Everything in this module recomputes its answer along a route that shares
-no algorithmic machinery with the flow integrator: a damped Newton
+Each check recomputes its answer along its own route: a damped Newton
 iteration with line search, a minimal-norm solve through a symmetric
 eigendecomposition, and Monte Carlo probes of the solution set's geometry.
 Tests compare these against the flow; agreement within tolerance is the
-acceptance evidence.
+acceptance evidence.  The damped-Newton oracle is not independent of the
+solver: it iterates on the solver's preconditioned residual through
+:func:`~dsmflow.model.preconditioned_residual`,
+:func:`~dsmflow.model.linearized_operator` and
+:func:`~dsmflow.model.solve_linearized`, and the last two are also the
+small-pivot fallback of the flow's stage,
+:func:`~dsmflow.model.newton_velocity`.  It shares neither the RK stepping
+nor the stage's one-LU route.
 """
 
 from dataclasses import dataclass
@@ -30,10 +36,17 @@ __all__ = [
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-12
+# damped-Newton iteration budget
+_MAX_ITER = 200
 # pseudoinverse: eigenvalues at most this times the largest count as null
 _RANK_RTOL = 1e-10
 # pseudoinverse: nullspace mass of the right-hand side allowed, relative to |b|
 _RESIDUAL_RTOL = 1e-8
+# membership probe: probe points, and the relative tolerance on (F(z), z - w)
+_PROBE_SAMPLES = 200
+_PROBE_TOL = 1e-9
+# solution-set suite: residual allowed at a solution, relative to max(|b|, 1)
+_SUITE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,22 +56,24 @@ class OracleReport:
     iterations: int
 
 
-def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
+def newton_oracle(problem, tol=1e-10):
     """Solve the preconditioned equation by damped Newton with backtracking.
 
-    Iterates on ``f(u) = u + (L+eps*I)^{-1} g(u)``, accepting a step of
-    length ``lam`` when ``|f(u + lam*d)| <= (1 - 1e-4*lam) |f(u)|``.
+    Starts at ``problem.u0`` (pass ``replace(problem, u0=...)`` to start
+    elsewhere) and iterates on ``f(u) = u + (L+eps*I)^{-1} g(u)``,
+    accepting a step of length ``lam`` when
+    ``|f(u + lam*d)| <= (1 - 1e-4*lam) |f(u)|``.
     The Newton direction solves with ``T = I + (L+eps*I)^{-1} g'(u)``, not
     with the flow's one-LU stage route (:func:`dsmflow.model.newton_velocity`).
     Stops when ``|f|`` falls below ``tol`` times its starting value
     (floored at 1e-14).  Raises :class:`MaxIterations` when the iteration
-    or line-search budget runs out.
+    budget (200) or the line search runs out.
     """
-    u = as_vector(problem.u0 if u0 is None else u0, dim=problem.dim).copy()
+    u = problem.u0.copy()
     f = preconditioned_residual(problem, u)
     pnorm = float(np.linalg.norm(f))
     stop_at = max(tol * pnorm, 1e-14)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if pnorm <= stop_at:
             return OracleReport(solution=u, residual=pnorm, iterations=it)
         T = linearized_operator(problem, u)
@@ -77,10 +92,10 @@ def newton_oracle(problem, u0=None, tol=1e-10, max_iter=200):
                     f"(residual {pnorm:.3e}, step {lam:.3e})")
         u, f, pnorm = u_try, f_try, p_try
     if pnorm <= stop_at:
-        return OracleReport(solution=u, residual=pnorm, iterations=max_iter)
+        return OracleReport(solution=u, residual=pnorm, iterations=_MAX_ITER)
     raise MaxIterations(
         f"damped Newton did not reach residual {stop_at:.3e} "
-        f"in {max_iter} iterations (got {pnorm:.3e})")
+        f"in {_MAX_ITER} iterations (got {pnorm:.3e})")
 
 
 def _symmetric_eigh(L):
@@ -129,14 +144,16 @@ class MembershipReport:
     seed: int
 
 
-def membership_probe(problem, w, z_samples=None, n_samples=200, seed=0, tol=1e-9):
+def membership_probe(problem, w, z_samples=None, seed=0):
     """Monte Carlo test of ``w`` belonging to the solution set of a monotone equation.
 
     For monotone ``F`` every solution ``w`` satisfies ``(F(z), z - w) >= 0``
     for all ``z``; a single violating ``z`` disproves membership.  Probes
-    Gaussian clouds at small, unit and large radius around ``w`` (or the
-    supplied ``z_samples``).  ``member`` is the verdict, ``margin`` the
-    most negative raw inner product observed.
+    Gaussian clouds of 66 points each at small, unit and large radius
+    around ``w`` (or the supplied ``z_samples``), and counts ``z`` as
+    violating when ``(F(z), z - w) < -1e-9 (1 + |z|)(1 + |F(z)|)``.
+    ``member`` is the verdict, ``margin`` the most negative raw inner
+    product observed.
 
     The probe addresses the unshifted equation, so it requires
     ``problem.epsilon == 0``.
@@ -150,7 +167,7 @@ def membership_probe(problem, w, z_samples=None, n_samples=200, seed=0, tol=1e-9
     radii = (1e-3 * scale, 0.3 * scale, 3.0 * scale)
     if z_samples is None:
         z_samples = []
-        per = max(1, n_samples // len(radii))
+        per = _PROBE_SAMPLES // len(radii)
         for r in radii:
             for _ in range(per):
                 z_samples.append(w + r * rng.standard_normal(problem.dim)
@@ -162,7 +179,7 @@ def membership_probe(problem, w, z_samples=None, n_samples=200, seed=0, tol=1e-9
         Fz = full_residual(problem, z)
         raw = float(np.dot(Fz, z - w))
         margin = min(margin, raw)
-        if raw < -tol * (1.0 + norm(z)) * (1.0 + float(np.linalg.norm(Fz))):
+        if raw < -_PROBE_TOL * (1.0 + norm(z)) * (1.0 + float(np.linalg.norm(Fz))):
             member = False
     return MembershipReport(member=member, margin=margin,
                             n_samples=len(z_samples), radii=radii, seed=seed)
@@ -176,7 +193,7 @@ class SolutionSetReport:
     detail: str = ""
 
 
-def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
+def convexity_closedness_suite(L, b, trials=100, seed=0):
     """Probe convexity and closedness of the affine solution set of ``L x = b``.
 
     The solution set of a linear equation is an affine subspace; this
@@ -185,7 +202,8 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
     solution sequences solve it too.  Each trial draws two random
     solutions (minimal-norm plus nullspace components), checks the
     residual at interior combination points, then follows a convergent
-    sequence of solutions and checks its limit.  ``L`` must carry the
+    sequence of solutions and checks its limit; a residual above
+    ``1e-9 max(|b|, 1)`` fails the trial.  ``L`` must carry the
     ``self_adjoint`` flag, else :class:`NotSymmetric` is raised.
     """
     b = as_vector(b, dim=L.dim, name="right-hand side")
@@ -210,7 +228,7 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
             xc = (1.0 - s) * xa + s * xb
             r = float(np.linalg.norm(L.apply(xc) - b)) / bnorm
             max_residual = max(max_residual, r)
-            if r > tol:
+            if r > _SUITE_TOL:
                 all_passed = False
         # closedness: a Cauchy sequence of solutions has a solution limit
         target = xb - xa
@@ -219,11 +237,11 @@ def convexity_closedness_suite(L, b, trials=100, seed=0, tol=1e-9):
             xj = xa + (1.0 - 2.0 ** -j) * target
             r = float(np.linalg.norm(L.apply(xj) - b)) / bnorm
             max_residual = max(max_residual, r)
-            if r > tol:
+            if r > _SUITE_TOL:
                 all_passed = False
         r_lim = float(np.linalg.norm(L.apply(limit) - b)) / bnorm
         max_residual = max(max_residual, r_lim)
-        if r_lim > tol:
+        if r_lim > _SUITE_TOL:
             all_passed = False
     return SolutionSetReport(trials=trials, all_passed=all_passed,
                              max_residual=max_residual,

@@ -145,11 +145,18 @@ _MAP_FACTORIES = {
 
 
 def make_map(name, dim, params=None):
-    """Instantiate a builtin nonlinearity by registry name."""
+    """Instantiate a builtin nonlinearity by registry name.
+
+    An unknown name, or ``params`` without a key the map needs, raises
+    :class:`ParseError`.
+    """
     if name not in _MAP_FACTORIES:
         raise ParseError(f"unknown builtin map {name!r}; "
                          f"known: {sorted(_MAP_FACTORIES)}")
-    return _MAP_FACTORIES[name](dim, params or {})
+    try:
+        return _MAP_FACTORIES[name](dim, params or {})
+    except KeyError as exc:
+        raise ParseError(f"builtin map {name!r} needs param {exc.args[0]!r}") from None
 
 
 # -- tag verification --------------------------------------------------------------
@@ -262,7 +269,7 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     return ProblemBundle(problem=prob, spec=spec, certificates=certs)
 
 
-def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0, diagonal=False):
+def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
     """Rank-deficient self-adjoint psd instance with a known minimal-norm solution.
 
     The linear part has ``rank`` positive eigenvalues in [0.5, 2] and a
@@ -280,11 +287,8 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0, diagonal=False):
     if cubic_scale < 0.0:
         raise ValueError(f"cubic scale must be nonnegative, got {cubic_scale}")
     rng = np.random.default_rng(seed)
-    if diagonal:
-        Q = np.eye(dim)
-    else:
-        G = rng.standard_normal((dim, dim))
-        Q, _ = np.linalg.qr(G)
+    G = rng.standard_normal((dim, dim))
+    Q, _ = np.linalg.qr(G)
     Qr = Q[:, :rank]
     Q0 = Q[:, rank:]
     lam = rng.uniform(0.5, 2.0, rank)
@@ -307,8 +311,7 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0, diagonal=False):
     certs = _verify_tags(prob, tags, seed=seed)
     spec = ProblemSpec(
         name=f"singular_monotone(dim={dim}, rank={rank})", dim=dim,
-        params={"rank": rank, "seed": seed, "cubic_scale": cubic_scale,
-                "diagonal": diagonal},
+        params={"rank": rank, "seed": seed, "cubic_scale": cubic_scale},
         tags=tags)
     return ProblemBundle(problem=prob, spec=spec, certificates=certs,
                          solution=w if cubic_scale == 0.0 else v_min,
@@ -360,15 +363,15 @@ def ill_conditioned(dim, scale=0.1, seed=42):
     return ProblemBundle(problem=prob, spec=spec, certificates=certs, solution=w)
 
 
-def sector_blocks(dim, seed=42, epsilon=0.1, scale=0.1):
+def sector_blocks(dim, seed=42, scale=0.1):
     """Non-self-adjoint instance whose spectrum avoids a sector around the negative axis.
 
     Block-diagonal rotation/dilation blocks put all eigenvalues at
     ``a + b*i`` with ``a >= 0`` and ``|b| >= 0.5``, so the sector
     certificate and the shifted resolvent bound are exercised on a
-    genuinely non-normal-route operator.  Carries a positive default
-    shift because the first block is singular-free but has purely
-    imaginary spectrum.
+    genuinely non-normal-route operator.  Carries the shift 0.1 (change it
+    with :meth:`~dsmflow.model.DsmProblem.with_epsilon`) because the first
+    block is singular-free but has purely imaginary spectrum.
     """
     dim = int(dim)
     if dim < 2 or dim % 2 != 0:
@@ -382,11 +385,11 @@ def sector_blocks(dim, seed=42, epsilon=0.1, scale=0.1):
     L = DenseOperator(scipy.linalg.block_diag(*blocks))
     c = _unit(rng, dim, 0.25)
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
-    prob = DsmProblem(L, g, np.zeros(dim), radius=2.0, epsilon=epsilon)
+    prob = DsmProblem(L, g, np.zeros(dim), radius=2.0, epsilon=0.1)
     tags = ("sector", "monotone_g")
     certs = _verify_tags(prob, tags, seed=seed)
     spec = ProblemSpec(name=f"sector_blocks(dim={dim})", dim=dim,
-                       params={"seed": seed, "epsilon": epsilon, "scale": scale},
+                       params={"seed": seed, "scale": scale},
                        tags=tags)
     return ProblemBundle(problem=prob, spec=spec, certificates=certs)
 
@@ -446,11 +449,21 @@ def save_problem(problem, path, name="custom", tags=()):
         fh.write("\n")
 
 
-def _require(doc, key, kind, context):
+_MISSING = object()
+
+
+def _require(doc, key, kind, context, default=_MISSING):
+    """``doc[key]`` if it has type ``kind``; a JSON boolean is not a number.
+
+    A missing key returns ``default`` if one is given.  Otherwise it
+    raises :class:`ParseError`, as a value of another type does.
+    """
     if key not in doc:
-        raise ParseError(f"{context}: missing field {key!r}")
+        if default is _MISSING:
+            raise ParseError(f"{context}: missing field {key!r}")
+        return default
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise ParseError(f"{context}: field {key!r} has type {type(val).__name__}")
     return val
 
@@ -478,10 +491,10 @@ def load_problem(path):
             L = read_matrix_text(mpath)
         else:
             rows = _require(Ldoc, "rows", list, f"{ctx}: L")
-            flags = Ldoc.get("flags", [])
-            unknown = set(flags) - {"self_adjoint", "psd"}
+            flags = _require(Ldoc, "flags", list, f"{ctx}: L", [])
+            unknown = [flag for flag in flags if flag not in ("self_adjoint", "psd")]
             if unknown:
-                raise ParseError(f"{ctx}: unknown L flags {sorted(unknown)}")
+                raise ParseError(f"{ctx}: unknown L flags {unknown}")
             L = DenseOperator(rows, self_adjoint="self_adjoint" in flags,
                               psd_claimed="psd" in flags)
     except (NotSymmetric, NonPsdOperator) as exc:
@@ -490,18 +503,16 @@ def load_problem(path):
         raise ParseError(f"{ctx}: L has dimension {L.dim}, header says {dim}")
     gdoc = _require(doc, "g", dict, ctx)
     builtin = _require(gdoc, "builtin", str, f"{ctx}: g")
-    g = make_map(builtin, dim, gdoc.get("params", {}))
+    params = _require(gdoc, "params", dict, f"{ctx}: g", {})
+    g = make_map(builtin, dim, params)
     u0 = _require(doc, "u0", list, ctx)
     radius = _require(doc, "radius", (int, float), ctx)
-    epsilon = doc.get("epsilon", 0.0)
-    if not isinstance(epsilon, (int, float)):
-        raise ParseError(f"{ctx}: field 'epsilon' has type {type(epsilon).__name__}")
-    tags = doc.get("tags", [])
-    unknown = set(tags) - set(TAGS)
+    epsilon = _require(doc, "epsilon", (int, float), ctx, 0.0)
+    tags = _require(doc, "tags", list, ctx, [])
+    unknown = [tag for tag in tags if tag not in TAGS]
     if unknown:
-        raise ParseError(f"{ctx}: unknown tags {sorted(unknown)}")
+        raise ParseError(f"{ctx}: unknown tags {unknown}")
     problem = DsmProblem(L, g, np.asarray(u0, dtype=float), radius=radius,
                          epsilon=epsilon)
-    spec = ProblemSpec(name=name, dim=dim, params=dict(gdoc.get("params", {})),
-                       tags=tuple(tags))
+    spec = ProblemSpec(name=name, dim=dim, params=dict(params), tags=tuple(tags))
     return ProblemBundle(problem=problem, spec=spec)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dsmflow import flow
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
@@ -47,7 +48,7 @@ def linear_problem(dim=3, seed=0, radius=50.0):
 @pytest.mark.parametrize("kw", [
     {"t_max": 0.0}, {"t_max": np.inf}, {"rel_tol": 0.0}, {"rel_tol": 2.0},
     {"p_stop": 1.0}, {"p_stop": -1e-3},
-    {"p_stop_abs": -1.0}, {"max_steps": 0}, {"sample_stride": 0.0},
+    {"p_stop_abs": -1.0}, {"sample_stride": 0.0},
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -350,10 +351,11 @@ def test_t_max_status():
     assert res.p_final == pytest.approx(res.p0 * np.exp(-0.5), rel=1e-4)
 
 
-def test_step_budget_exhaustion_raises_with_partial_result():
+def test_step_budget_exhaustion_raises_with_partial_result(monkeypatch):
     b = wellposed_cubic(4, scale=0.1, seed=12)
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     with pytest.raises(FlowFailed) as exc:
-        integrate(b.problem, FlowConfig(max_steps=3, p_stop=0.0))
+        integrate(b.problem, FlowConfig(p_stop=0.0))
     res = exc.value.result
     assert isinstance(res, FlowResult)
     assert res.status is FlowStatus.STEP_FAILURE
@@ -388,15 +390,22 @@ def _wellposed(**cfg):
     return wellposed_cubic(4, scale=0.1, seed=12).problem, FlowConfig(**cfg), None
 
 
+def _step_budget():
+    """A run that needs more than the 3 steps the test allows it."""
+    return _wellposed(p_stop=0.0)
+
+
 @pytest.mark.parametrize("make, status", [
     (_warm_started, FlowStatus.RESIDUAL_CONVERGED),
     (lambda: (ill_conditioned(10).problem, None, None), FlowStatus.STEP_FAILURE),
     (_ball_exit, FlowStatus.LEFT_BALL),
     (_wellposed, FlowStatus.RESIDUAL_CONVERGED),
     (lambda: _wellposed(t_max=0.5, p_stop=0.0), FlowStatus.T_MAX_REACHED),
-    (lambda: _wellposed(max_steps=3, p_stop=0.0), FlowStatus.STEP_FAILURE),
+    (_step_budget, FlowStatus.STEP_FAILURE),
 ], ids=["start", "step-collapse", "left-ball", "converged", "t-max", "step-budget"])
-def test_every_exit_records_the_final_state(make, status):
+def test_every_exit_records_the_final_state(make, status, monkeypatch):
+    if make is _step_budget:
+        monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     problem, cfg, trust = make()
     try:
         res = integrate(problem, cfg, trust=trust)

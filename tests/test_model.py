@@ -304,7 +304,7 @@ def _tiny_scale():
     # the 65 samples wellposed_cubic's trust tag certifies (seed 42)
     pytest.param(lambda: _cloud(wellposed_cubic(dim=200).problem, seed=42),
                  id="wellposed-d200"),
-    pytest.param(lambda: _cloud(sector_blocks(8, epsilon=0.1).problem),
+    pytest.param(lambda: _cloud(sector_blocks(8).problem),
                  id="sector-nonsymmetric"),
     pytest.param(lambda: _cloud(ill_conditioned(10).problem.with_epsilon(1e-2)),
                  id="ill-conditioned-eps1e-2"),
@@ -632,8 +632,6 @@ def test_fd_jacobian_check_flags_wrong_jacobian():
     wrong = NonlinearMap(lambda v: 0.2 * v ** 3,
                          lambda v: np.diag(0.2 * 3.0 * v ** 2) * 1.5)
     assert fd_jacobian_check(wrong, u) > 0.1
-    with pytest.raises(ValueError):
-        fd_jacobian_check(good, u, h=1e-2)
 
 
 def test_fd_jacobian_check_on_builtin_map():

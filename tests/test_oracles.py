@@ -1,13 +1,16 @@
-"""Tests for the independent verification oracles.
+"""Tests for the verification oracles.
 
 The oracles themselves get checked against closed-form or numpy-only
 routes here, so that when acceptance tests lean on them the agreement is
 between three independent computations, not two copies of one.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dsmflow import oracles
 from dsmflow.errors import InconsistentSystem, MaxIterations, NotSymmetric
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, NonlinearMap
@@ -42,7 +45,7 @@ def test_newton_oracle_quadratic_convergence_iteration_count():
 def test_newton_oracle_honors_start_override():
     b = wellposed_cubic(4, scale=0.1, seed=23)
     rep0 = newton_oracle(b.problem)
-    rep1 = newton_oracle(b.problem, u0=rep0.solution)
+    rep1 = newton_oracle(replace(b.problem, u0=rep0.solution))
     assert rep1.iterations <= 1
     assert norm(rep1.solution - rep0.solution) <= 1e-9
 
@@ -56,10 +59,11 @@ def test_newton_oracle_shifted_linear_matches_direct_solve():
     assert norm(rep.solution - direct) <= 1e-9 * max(1.0, norm(direct))
 
 
-def test_newton_oracle_iteration_budget():
+def test_newton_oracle_iteration_budget(monkeypatch):
     b = wellposed_cubic(6, scale=0.1, seed=25)
+    monkeypatch.setattr(oracles, "_MAX_ITER", 0)
     with pytest.raises(MaxIterations):
-        newton_oracle(b.problem, max_iter=0)
+        newton_oracle(b.problem)
 
 
 # -- pseudoinverse minimal norm ------------------------------------------------
@@ -105,7 +109,7 @@ def test_pseudoinverse_matches_numpy_pinv():
 
 
 def test_pseudoinverse_handles_indefinite_symmetric():
-    L = DenseOperator.diagonal([-2.0, 3.0], psd_claimed=False)
+    L = DenseOperator.diagonal([-2.0, 3.0])
     x = pseudoinverse_min_norm(L, np.array([1.0, 6.0]))
     assert np.allclose(x, [-0.5, 2.0], atol=1e-14)
 

@@ -16,7 +16,7 @@ from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm, write_matrix_text
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
                            full_residual, preconditioned_residual)
-from dsmflow.problems import (BUILTINS, TAGS, ProblemBundle, _verify_tags,
+from dsmflow.problems import (_MAP_FACTORIES, BUILTINS, TAGS, ProblemBundle, _verify_tags,
                               ill_conditioned, load_problem, make_map,
                               save_problem, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
@@ -189,10 +189,7 @@ def test_singular_monotone_cubic_variant():
     assert "singular" in b.certificates and "monotone_g" in b.certificates
 
 
-def test_singular_monotone_diagonal_variant_and_validation():
-    b = singular_monotone(4, rank=2, seed=2, diagonal=True)
-    off_diag = b.problem.L.entries - np.diag(np.diag(b.problem.L.entries))
-    assert np.max(np.abs(off_diag)) == 0.0
+def test_singular_monotone_rank_validation():
     with pytest.raises(ValueError):
         singular_monotone(4, rank=0)
     with pytest.raises(ValueError):
@@ -367,6 +364,27 @@ def test_load_parse_error_contexts(tmp_path):
         load_problem(write_doc(tmp_path, tags=["bogus"]))
     with pytest.raises(ParseError, match="unknown builtin"):
         load_problem(write_doc(tmp_path, g={"builtin": "quartic", "params": {}}))
+    # a JSON boolean is a Python int, and a string iterates as characters
+    for field, value, kind in (("dim", True, "bool"), ("radius", True, "bool"),
+                               ("epsilon", True, "bool"), ("tags", "singular", "str")):
+        with pytest.raises(ParseError, match=f"field '{field}' has type {kind}$"):
+            load_problem(write_doc(tmp_path, **{field: value}))
+    with pytest.raises(ParseError, match="field 'flags' has type str$"):
+        load_problem(write_doc(tmp_path, L={"rows": [[1.0, 0.0], [0.0, 1.0]], "flags": "psd"}))
+    with pytest.raises(ParseError, match="field 'params' has type list"):
+        load_problem(write_doc(tmp_path, g={"builtin": "zero", "params": [0.0]}))
+    # each builtin map without each key it needs
+    needed = {"constant": {"offset": [0.0, 0.0]},
+              "linear": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+              "cubic": {"scale": 0.1, "offset": [0.0, 0.0]},
+              "range_cubic": {"scale": 0.1, "basis": [[1.0], [0.0]], "offset": [0.0, 0.0]}}
+    assert set(needed) | {"zero"} == set(_MAP_FACTORIES)
+    for builtin, params in needed.items():
+        load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
+        for key in params:
+            rest = {k: v for k, v in params.items() if k != key}
+            with pytest.raises(ParseError, match=f"^builtin map '{builtin}' needs param '{key}'$"):
+                load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": rest}))
 
 
 def test_load_flag_violation_is_certificate_mismatch(tmp_path):
