@@ -48,7 +48,7 @@ def linear_problem(dim=3, seed=0, radius=50.0):
 @pytest.mark.parametrize("kw", [
     {"t_max": 0.0}, {"t_max": np.inf}, {"rel_tol": 0.0}, {"rel_tol": 2.0},
     {"p_stop": 1.0}, {"p_stop": -1e-3},
-    {"p_stop_abs": -1.0}, {"sample_stride": 0.0},
+    {"p_stop_abs": -1.0}, {"p_stop_abs": 1.0}, {"sample_stride": 0.0},
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
