@@ -144,7 +144,6 @@ class ContinuationRecord:
     residual_bound: float
     inner_steps: int
     trust_passed: bool
-    p0: float
 
 
 class ContinuationStop(enum.Enum):
@@ -304,8 +303,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
             residual_shifted=sol.residual_shifted,
             residual_bound=sol.residual_bound,
             inner_steps=sol.flow.n_accepted,
-            trust_passed=sol.certificates["trust_condition"].passed,
-            p0=sol.flow.p0))
+            trust_passed=sol.certificates["trust_condition"].passed))
         warm = v
         v_extrapolated, estimate = _extrapolate(records)
         if len(records) > EXTRAPOLATION_DEGREE and estimate <= EXTRAPOLATION_TOL * (
@@ -380,7 +378,8 @@ def discrepancy_stop(problem, delta, cfg=None):
     if t_stop > cfg.t_max:
         raise TMaxReachedError(
             f"residual {r0:.3e} reaches {window} at t={t_stop:.6f}, after t_max={cfg.t_max}")
-    result = integrate(problem, replace(cfg, t_max=t_stop, p_stop=0.0))
+    # run to t_stop: a stop set in cfg must not end the run first
+    result = integrate(problem, replace(cfg, t_max=t_stop, p_stop=0.0, p_stop_abs=0.0))
     r = result.trajectory[-1].residual_F
     if not delta <= r <= DISCREPANCY_FACTOR * delta:
         raise FlowFailed(f"residual {r:.3e} at t={result.t_final:.6f} missed {window}",

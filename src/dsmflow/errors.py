@@ -73,7 +73,7 @@ class TMaxReachedError(DsmError):
 
 
 class ParseError(DsmError):
-    """A problem or matrix file could not be parsed."""
+    """A problem file, or a builtin map's parameters, could not be parsed."""
 
 
 class CertificateMismatch(DsmError):

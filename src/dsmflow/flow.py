@@ -55,8 +55,8 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Dormand-Prince 5(4) coefficients.  _ERR is b5 - b4 (7 stages, FSAL).
-_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
+# Dormand-Prince 5(4) coefficients.  _ERR is b5 - b4 (7 stages, FSAL).  The
+# flow is autonomous, so the nodes c_i are never needed.
 _A = (
     np.array([1.0 / 5.0]),
     np.array([3.0 / 40.0, 9.0 / 40.0]),

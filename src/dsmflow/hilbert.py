@@ -18,7 +18,7 @@ compares pivots against ``PIVOT_RTOL`` times the operator norm.
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, ParseError, SingularOperator
+from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
 __all__ = [
     "VectorH",
@@ -26,10 +26,6 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
-    "parse_matrix_text",
-    "format_matrix_text",
-    "read_matrix_text",
-    "write_matrix_text",
 ]
 
 #: Elements of the ambient space are 1-D float64 arrays.
@@ -288,81 +284,3 @@ class DenseOperator:
         B = np.asarray(b, dtype=float)
         lu, piv = self._solve_factors(B)
         return _getrs(lu, piv, B)
-
-
-# -- matrix text format ----------------------------------------------------------
-#
-# Line 1:            dim <n>
-# Lines 2 .. n+1:    n space-separated decimal reals each
-# Optional last line: flags self_adjoint psd   (any subset, this order free)
-
-_KNOWN_FLAGS = {"self_adjoint", "psd"}
-
-
-def format_matrix_text(A):
-    """Serialize an operator to the plain-text matrix format (17 significant digits)."""
-    lines = [f"dim {A.dim}"]
-    for row in A.entries:
-        lines.append(" ".join(format(x, ".17g") for x in row))
-    flags = []
-    if A.self_adjoint:
-        flags.append("self_adjoint")
-    if A.psd_claimed:
-        flags.append("psd")
-    if flags:
-        lines.append("flags " + " ".join(flags))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text):
-    """Parse the plain-text matrix format into a :class:`DenseOperator`.
-
-    Raises :class:`ParseError` on malformed input.  Flag violations surface
-    as :class:`NotSymmetric` / :class:`NonPsdOperator` from the constructor.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise ParseError(f"line 1: expected 'dim <n>', got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ParseError(f"line 1: dimension {head[1]!r} is not an integer") from None
-    if n <= 0:
-        raise ParseError(f"line 1: dimension must be positive, got {n}")
-    if len(lines) < 1 + n:
-        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for i, ln in enumerate(lines[1:1 + n], start=2):
-        parts = ln.split()
-        if len(parts) != n:
-            raise ParseError(f"line {i}: expected {n} entries, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"line {i}: non-numeric entry") from None
-    flags = set()
-    rest = lines[1 + n:]
-    if rest:
-        if len(rest) > 1 or not rest[0].startswith("flags"):
-            raise ParseError("unexpected content after matrix rows")
-        tokens = rest[0].split()[1:]
-        unknown = set(tokens) - _KNOWN_FLAGS
-        if unknown:
-            raise ParseError(f"unknown flags: {sorted(unknown)}")
-        flags = set(tokens)
-    return DenseOperator(rows, self_adjoint="self_adjoint" in flags,
-                         psd_claimed="psd" in flags)
-
-
-def read_matrix_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
-
-
-def write_matrix_text(A, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_text(A))

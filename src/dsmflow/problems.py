@@ -13,6 +13,7 @@ onto the range.
 """
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseError
-from .hilbert import DenseOperator, as_vector, norm, read_matrix_text
+from .hilbert import DenseOperator, as_vector, norm
 from .model import (MONOTONE_SAMPLES, Certificate, CertificateKind, DsmProblem, NonlinearMap,
                     ball_samples, certify_newton_bound, check_resolvent_bound, check_sector,
                     monotonicity_certificate)
@@ -53,7 +54,6 @@ _RESOLVENT_GRID = tuple(10.0 ** -k for k in range(7))  # 1 down to 1e-6
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str
-    dim: int
     params: dict
     tags: tuple
 
@@ -98,10 +98,23 @@ def _make_linear(dim, params):
         name="linear", params={"matrix": M, "offset": offset})
 
 
-def _make_cubic(dim, params):
-    scale = float(params["scale"])
+def _scale(name, params):
+    """``params["scale"]`` as a float; it must be a real number, not a boolean.
+
+    Any other type raises :class:`ParseError` naming ``scale``, and a
+    negative scale raises ``ValueError``.
+    """
+    scale = params["scale"]
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+        raise ParseError(f"builtin map {name!r} param 'scale' has type {type(scale).__name__}")
+    scale = float(scale)
     if scale < 0.0:
-        raise ValueError(f"cubic scale must be nonnegative, got {scale}")
+        raise ValueError(f"{name} scale must be nonnegative, got {scale}")
+    return scale
+
+
+def _make_cubic(dim, params):
+    scale = _scale("cubic", params)
     offset = as_vector(params["offset"], dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: scale * u ** 3 + offset,
@@ -110,9 +123,7 @@ def _make_cubic(dim, params):
 
 
 def _make_range_cubic(dim, params):
-    scale = float(params["scale"])
-    if scale < 0.0:
-        raise ValueError(f"range_cubic scale must be nonnegative, got {scale}")
+    scale = _scale("range_cubic", params)
     B = np.asarray(params["basis"], dtype=float)
     if B.ndim != 2 or B.shape[0] != dim:
         raise ValueError(f"range_cubic basis has shape {B.shape}, expected ({dim}, r)")
@@ -147,8 +158,8 @@ _MAP_FACTORIES = {
 def make_map(name, dim, params=None):
     """Instantiate a builtin nonlinearity by registry name.
 
-    An unknown name, or ``params`` without a key the map needs, raises
-    :class:`ParseError`.
+    An unknown name, ``params`` without a key the map needs, or a
+    ``scale`` that is not a real number raises :class:`ParseError`.
     """
     if name not in _MAP_FACTORIES:
         raise ParseError(f"unknown builtin map {name!r}; "
@@ -223,6 +234,17 @@ def _verify_tags(problem, tags, seed=0):
 
 # -- generators ---------------------------------------------------------------------
 
+def _bundle(problem, name, params, tags, seed, **solution):
+    """Verify ``tags`` on ``problem`` with ``seed`` and bundle it with its spec.
+
+    ``solution`` holds the construction's exact solution data, as the
+    :class:`ProblemBundle` fields of those names.
+    """
+    certs = _verify_tags(problem, tags, seed=seed)
+    spec = ProblemSpec(name=name, params=params, tags=tags)
+    return ProblemBundle(problem=problem, spec=spec, certificates=certs, **solution)
+
+
 def _unit(rng, dim, length=1.0):
     v = rng.standard_normal(dim)
     n = float(np.linalg.norm(v))
@@ -249,8 +271,6 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     dim = int(dim)
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if scale < 0.0:
-        raise ValueError(f"cubic scale must be nonnegative, got {scale}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(G)
@@ -262,11 +282,8 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
     p0 = norm(u0 + L.solve(g(u0)))
     prob = DsmProblem(L, g, u0, radius=max(2.0 * p0, 1e-3))
-    tags = ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g")
-    certs = _verify_tags(prob, tags, seed=seed)
-    spec = ProblemSpec(name=f"wellposed_cubic(dim={dim})", dim=dim,
-                       params={"scale": scale, "seed": seed}, tags=tags)
-    return ProblemBundle(problem=prob, spec=spec, certificates=certs)
+    return _bundle(prob, f"wellposed_cubic(dim={dim})", {"scale": scale, "seed": seed},
+                   ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g"), seed)
 
 
 def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
@@ -307,15 +324,11 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
     u0 = np.zeros(dim)
     radius = 2.0 * (1.0 + norm(v_min))
     prob = DsmProblem(L, g, u0, radius=radius)
-    tags = ("self_adjoint_psd", "monotone_g", "singular")
-    certs = _verify_tags(prob, tags, seed=seed)
-    spec = ProblemSpec(
-        name=f"singular_monotone(dim={dim}, rank={rank})", dim=dim,
-        params={"rank": rank, "seed": seed, "cubic_scale": cubic_scale},
-        tags=tags)
-    return ProblemBundle(problem=prob, spec=spec, certificates=certs,
-                         solution=w if cubic_scale == 0.0 else v_min,
-                         min_norm_solution=v_min, nullspace=Q0)
+    return _bundle(prob, f"singular_monotone(dim={dim}, rank={rank})",
+                   {"rank": rank, "seed": seed, "cubic_scale": cubic_scale},
+                   ("self_adjoint_psd", "monotone_g", "singular"), seed,
+                   solution=w if cubic_scale == 0.0 else v_min,
+                   min_norm_solution=v_min, nullspace=Q0)
 
 
 def singular_canonical():
@@ -328,13 +341,11 @@ def singular_canonical():
     L = DenseOperator(np.diag([1.0, 0.0]), self_adjoint=True, psd_claimed=True)
     g = make_map("constant", 2, {"offset": np.array([-1.0, 0.0])})
     prob = DsmProblem(L, g, np.zeros(2), radius=4.0)
-    tags = ("self_adjoint_psd", "monotone_g", "singular")
-    certs = _verify_tags(prob, tags, seed=0)
-    spec = ProblemSpec(name="singular_canonical", dim=2, params={}, tags=tags)
-    return ProblemBundle(problem=prob, spec=spec, certificates=certs,
-                         solution=np.array([1.0, 0.0]),
-                         min_norm_solution=np.array([1.0, 0.0]),
-                         nullspace=np.array([[0.0], [1.0]]))
+    return _bundle(prob, "singular_canonical", {},
+                   ("self_adjoint_psd", "monotone_g", "singular"), 0,
+                   solution=np.array([1.0, 0.0]),
+                   min_norm_solution=np.array([1.0, 0.0]),
+                   nullspace=np.array([[0.0], [1.0]]))
 
 
 def ill_conditioned(dim, scale=0.1, seed=42):
@@ -348,19 +359,14 @@ def ill_conditioned(dim, scale=0.1, seed=42):
     dim = int(dim)
     if not 1 <= dim <= 12:
         raise ValueError(f"dimension must lie in [1, 12], got {dim}")
-    if scale < 0.0:
-        raise ValueError(f"cubic scale must be nonnegative, got {scale}")
     rng = np.random.default_rng(seed)
     L = DenseOperator(scipy.linalg.hilbert(dim), self_adjoint=True, psd_claimed=True)
     w = _unit(rng, dim)
     offset = -(L.entries @ w + scale * w ** 3)
     g = make_map("cubic", dim, {"scale": scale, "offset": offset})
     prob = DsmProblem(L, g, np.zeros(dim), radius=2.0 * (1.0 + norm(w)))
-    tags = ("self_adjoint_psd", "monotone_g")
-    certs = _verify_tags(prob, tags, seed=seed)
-    spec = ProblemSpec(name=f"ill_conditioned(dim={dim})", dim=dim,
-                       params={"scale": scale, "seed": seed}, tags=tags)
-    return ProblemBundle(problem=prob, spec=spec, certificates=certs, solution=w)
+    return _bundle(prob, f"ill_conditioned(dim={dim})", {"scale": scale, "seed": seed},
+                   ("self_adjoint_psd", "monotone_g"), seed, solution=w)
 
 
 def sector_blocks(dim, seed=42, scale=0.1):
@@ -386,12 +392,8 @@ def sector_blocks(dim, seed=42, scale=0.1):
     c = _unit(rng, dim, 0.25)
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
     prob = DsmProblem(L, g, np.zeros(dim), radius=2.0, epsilon=0.1)
-    tags = ("sector", "monotone_g")
-    certs = _verify_tags(prob, tags, seed=seed)
-    spec = ProblemSpec(name=f"sector_blocks(dim={dim})", dim=dim,
-                       params={"seed": seed, "scale": scale},
-                       tags=tags)
-    return ProblemBundle(problem=prob, spec=spec, certificates=certs)
+    return _bundle(prob, f"sector_blocks(dim={dim})", {"seed": seed, "scale": scale},
+                   ("sector", "monotone_g"), seed)
 
 
 #: Generators reachable from the command line.
@@ -471,10 +473,10 @@ def _require(doc, key, kind, context, default=_MISSING):
 def load_problem(path):
     """Load a problem bundle from JSON written by :func:`save_problem`.
 
-    The linear part may be given inline (``rows`` + ``flags``) or as a
-    ``file`` reference to the plain-text matrix format, resolved relative
-    to the JSON file.  Structural flags are verified at construction; a
-    violated flag surfaces as :class:`CertificateMismatch`.
+    The linear part is given inline, as ``rows`` and optional ``flags``
+    (``self_adjoint``, ``psd``).  Structural flags are verified at
+    construction; a violated flag surfaces as :class:`CertificateMismatch`.
+    A malformed file raises :class:`ParseError` naming the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -485,18 +487,14 @@ def load_problem(path):
     name = _require(doc, "name", str, ctx)
     dim = _require(doc, "dim", int, ctx)
     Ldoc = _require(doc, "L", dict, ctx)
+    rows = _require(Ldoc, "rows", list, f"{ctx}: L")
+    flags = _require(Ldoc, "flags", list, f"{ctx}: L", [])
+    unknown = [flag for flag in flags if flag not in ("self_adjoint", "psd")]
+    if unknown:
+        raise ParseError(f"{ctx}: unknown L flags {unknown}")
     try:
-        if "file" in Ldoc:
-            mpath = os.path.join(os.path.dirname(os.path.abspath(path)), Ldoc["file"])
-            L = read_matrix_text(mpath)
-        else:
-            rows = _require(Ldoc, "rows", list, f"{ctx}: L")
-            flags = _require(Ldoc, "flags", list, f"{ctx}: L", [])
-            unknown = [flag for flag in flags if flag not in ("self_adjoint", "psd")]
-            if unknown:
-                raise ParseError(f"{ctx}: unknown L flags {unknown}")
-            L = DenseOperator(rows, self_adjoint="self_adjoint" in flags,
-                              psd_claimed="psd" in flags)
+        L = DenseOperator(rows, self_adjoint="self_adjoint" in flags,
+                          psd_claimed="psd" in flags)
     except (NotSymmetric, NonPsdOperator) as exc:
         raise CertificateMismatch(f"{ctx}: linear part violates its flags: {exc}") from exc
     if L.dim != dim:
@@ -514,5 +512,5 @@ def load_problem(path):
         raise ParseError(f"{ctx}: unknown tags {unknown}")
     problem = DsmProblem(L, g, np.asarray(u0, dtype=float), radius=radius,
                          epsilon=epsilon)
-    spec = ProblemSpec(name=name, dim=dim, params=dict(params), tags=tuple(tags))
+    spec = ProblemSpec(name=name, params=dict(params), tags=tuple(tags))
     return ProblemBundle(problem=problem, spec=spec)

@@ -494,9 +494,12 @@ def test_missing_problem_source_is_an_error(capsys):
     assert "error:" in stderr
 
 
-@pytest.mark.parametrize("params", [{"scale": 0.1}, [0.1, [1.0, 2.0]]],
-                         ids=["missing-key", "not-an-object"])
-def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, params):
+@pytest.mark.parametrize("params,fragment", [
+    ({"scale": 0.1}, "needs param 'offset'"),
+    ([0.1, [1.0, 2.0]], "field 'params' has type list"),
+    ({"scale": [0.1], "offset": [0.0, 0.0]}, "param 'scale' has type list"),
+], ids=["missing-key", "not-an-object", "scale-not-a-number"])
+def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, params, fragment):
     doc = {"name": "bad", "dim": 2, "L": {"rows": [[1.0, 0.0], [0.0, 1.0]]},
            "g": {"builtin": "cubic", "params": params}, "u0": [0.0, 0.0], "radius": 1.0}
     path = tmp_path / "bad.json"
@@ -505,7 +508,7 @@ def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, p
     assert code == EXIT_ERROR
     assert stdout == ""
     assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
-    assert ("'offset'" if isinstance(params, dict) else "'params'") in stderr
+    assert fragment in stderr
 
 
 def test_bad_dimension_list(capsys):

@@ -394,6 +394,21 @@ def test_discrepancy_stop_missed_window_raises_with_result(monkeypatch):
                                            abs=1e-12)
 
 
+def test_discrepancy_stop_ignores_an_absolute_stop():
+    # p_stop_abs = 1e-9 lies above the window [1e-10, 1.5e-10]; the run must
+    # still go on to t* and not stop there
+    b = wellposed_cubic(8, seed=3)
+    delta = 1e-10
+    cfg = FlowConfig(rel_tol=1e-10, p_stop=1e-10, p_stop_abs=1e-9)
+    r0 = norm(full_residual(b.problem, b.problem.u0))
+    t, u = discrepancy_stop(b.problem, delta, cfg)
+    assert t == pytest.approx(np.log(r0 / (np.sqrt(1.5) * delta)), abs=1e-12)
+    r = norm(full_residual(b.problem, u))
+    assert delta <= r <= 1.5 * delta
+    t_plain, u_plain = discrepancy_stop(b.problem, delta, replace(cfg, p_stop_abs=0.0))
+    assert t == t_plain and np.array_equal(u, u_plain)
+
+
 def test_discrepancy_stop_trivial_and_failure_cases():
     b = wellposed_cubic(4, scale=0.1, seed=57)
     r0 = norm(full_residual(b.problem, b.problem.u0))

@@ -11,11 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmflow.errors import (DimensionMismatch, NonPsdOperator, NotSymmetric,
-                            ParseError, SingularOperator)
-from dsmflow.hilbert import (DenseOperator, _all_finite, _getrf, _getrs, as_vector,
-                             format_matrix_text, inner, norm, parse_matrix_text,
-                             read_matrix_text, write_matrix_text)
+from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
+from dsmflow.hilbert import DenseOperator, _all_finite, _getrf, _getrs, as_vector, inner, norm
 from dsmflow.problems import ill_conditioned, singular_canonical
 
 
@@ -361,49 +358,3 @@ def test_exactly_singular_lu_raises_no_warning():
         assert np.abs(lu.diagonal()).min() == 0.0
         with pytest.raises(SingularOperator):
             DenseOperator(M).solve(np.ones(2))
-
-
-# -- matrix text format -------------------------------------------------------
-
-
-def test_matrix_text_round_trip_is_bitwise():
-    rng = np.random.default_rng(53)
-    B = random_matrix(rng, 6)
-    A = DenseOperator(B @ B.T, self_adjoint=True, psd_claimed=True)
-    text = format_matrix_text(A)
-    back = parse_matrix_text(text)
-    assert np.array_equal(back.entries, A.entries)
-    assert back.self_adjoint and back.psd_claimed
-    assert format_matrix_text(back) == text
-
-
-def test_matrix_text_file_round_trip(tmp_path):
-    A = DenseOperator([[1.5, -2.25], [0.125, 3.0]])
-    p = tmp_path / "op.txt"
-    write_matrix_text(A, p)
-    back = read_matrix_text(p)
-    assert np.array_equal(back.entries, A.entries)
-    assert not back.self_adjoint
-
-
-@pytest.mark.parametrize("text,fragment", [
-    ("", "empty"),
-    ("size 2\n1 0\n0 1\n", "dim"),
-    ("dim two\n", "integer"),
-    ("dim 0\n", "positive"),
-    ("dim 2\n1 0\n", "2 matrix rows"),
-    ("dim 2\n1 0 0\n0 1\n", "expected 2 entries"),
-    ("dim 2\n1 x\n0 1\n", "non-numeric"),
-    ("dim 1\n1\nflags upper\n", "unknown flags"),
-    ("dim 1\n1\n2\n", "unexpected content"),
-])
-def test_matrix_text_parse_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
-        parse_matrix_text(text)
-
-
-def test_matrix_text_flag_violation_surfaces_from_constructor():
-    text = "dim 2\n0 1\n-1 0\nflags self_adjoint\n"
-    with pytest.raises(NotSymmetric):
-        parse_matrix_text(text)
-

@@ -13,7 +13,7 @@ import pytest
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.errors import CertificateMismatch, ParseError
 from dsmflow.flow import integrate
-from dsmflow.hilbert import DenseOperator, norm, write_matrix_text
+from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
                            full_residual, preconditioned_residual)
 from dsmflow.problems import (_MAP_FACTORIES, BUILTINS, TAGS, ProblemBundle, _verify_tags,
@@ -310,25 +310,6 @@ def test_save_rejects_custom_maps_and_unknown_tags(tmp_path):
         save_problem(q, tmp_path / "y.json", tags=("bogus",))
 
 
-def test_load_resolves_matrix_file_reference(tmp_path):
-    b = singular_monotone(4, rank=2, seed=62)
-    write_matrix_text(b.problem.L, tmp_path / "op.txt")
-    doc = {
-        "name": "filed", "dim": 4,
-        "L": {"file": "op.txt"},
-        "g": {"builtin": "constant",
-              "params": {"offset": b.problem.g.params["offset"].tolist()}},
-        "u0": [0.0, 0.0, 0.0, 0.0],
-        "radius": 2.0,
-        "tags": ["singular"],
-    }
-    path = tmp_path / "filed.json"
-    path.write_text(json.dumps(doc))
-    back = load_problem(path)
-    assert np.array_equal(back.problem.L.entries, b.problem.L.entries)
-    assert back.problem.epsilon == 0.0  # default when absent
-
-
 def write_doc(tmp_path, **overrides):
     doc = {
         "name": "t", "dim": 2,
@@ -357,6 +338,9 @@ def test_load_parse_error_contexts(tmp_path):
         load_problem(write_doc(tmp_path, dim="two"))
     with pytest.raises(ParseError, match="header says 3"):
         load_problem(write_doc(tmp_path, dim=3))
+    # the linear part is given inline only: an L without rows is malformed
+    with pytest.raises(ParseError, match="L: missing field 'rows'$"):
+        load_problem(write_doc(tmp_path, L={"file": "op.txt"}))
     with pytest.raises(ParseError, match="unknown L flags"):
         load_problem(write_doc(
             tmp_path, L={"rows": [[1.0, 0.0], [0.0, 1.0]], "flags": ["hermitian"]}))
@@ -380,11 +364,22 @@ def test_load_parse_error_contexts(tmp_path):
               "range_cubic": {"scale": 0.1, "basis": [[1.0], [0.0]], "offset": [0.0, 0.0]}}
     assert set(needed) | {"zero"} == set(_MAP_FACTORIES)
     for builtin, params in needed.items():
-        load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
+        back = load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
+        assert back.problem.epsilon == 0.0  # default when absent
         for key in params:
             rest = {k: v for k, v in params.items() if k != key}
             with pytest.raises(ParseError, match=f"^builtin map '{builtin}' needs param '{key}'$"):
                 load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": rest}))
+    # a scale is a JSON number: not a boolean, a string, a list or null
+    for builtin in ("cubic", "range_cubic"):
+        for value, kind in ((True, "bool"), ("0.1", "str"), ([0.1], "list"), (None, "NoneType")):
+            params = {**needed[builtin], "scale": value}
+            with pytest.raises(ParseError,
+                               match=f"^builtin map '{builtin}' param 'scale' has type {kind}$"):
+                load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
+        params = {**needed[builtin], "scale": 1}
+        back = load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
+        assert back.problem.g.params["scale"] == 1.0
 
 
 def test_load_flag_violation_is_certificate_mismatch(tmp_path):
