@@ -247,10 +247,17 @@ class DenseOperator:
     # -- linear solves -----------------------------------------------------------
 
     def _factorize(self):
+        """Cached ``(lu, piv, minpiv, amax)``: the LU factors, the smallest pivot modulus and ``max|A|``.
+
+        Taken once per operator.  ``amax`` scales the relative pivot tests
+        of :func:`~dsmflow.model.solve_linearized` and, for a map whose
+        Jacobian is zero, :func:`~dsmflow.model.newton_velocity`, which
+        reuse these factors instead of scanning or factoring ``A`` again.
+        """
         if self._lu is None:
             lu, piv = _getrf(self.entries)
             minpiv = float(np.abs(lu.diagonal()).min())
-            self._lu = (lu, piv, minpiv)
+            self._lu = (lu, piv, minpiv, float(np.abs(self.entries).max()))
         return self._lu
 
     def _solve_factors(self, b):
@@ -266,7 +273,7 @@ class DenseOperator:
         opn = self.operator_norm()
         if opn == 0.0:
             raise SingularOperator("zero operator", condition_estimate=float("inf"))
-        lu, piv, minpiv = self._factorize()
+        lu, piv, minpiv, _ = self._factorize()
         if minpiv <= PIVOT_RTOL * opn:
             raise SingularOperator(
                 f"pivot {minpiv:.3e} below {PIVOT_RTOL:g} * operator norm {opn:.3e}",

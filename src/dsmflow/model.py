@@ -62,6 +62,14 @@ class NonlinearMap:
     residual at an accepted point.  Monotonicity is checked by
     :func:`monotonicity_certificate`.
 
+    ``jac_fn`` returns ``g'(u)`` as an ``(n, n)`` matrix, or, for a
+    componentwise map whose Jacobian is diagonal, as the length-``n``
+    vector of that diagonal.  A map whose Jacobian is identically zero
+    carries ``jac_fn=None``.  :func:`newton_velocity` adds a vector onto
+    ``A``'s diagonal and, for None, reuses ``A``'s LU instead of factoring
+    ``A + 0``; :func:`monotonicity_certificate` reads a vector's minimum.
+    :meth:`jacobian` always returns the dense ``(n, n)`` matrix.
+
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
     (:class:`DimensionMismatch`) and finiteness (``ValueError``).
@@ -78,7 +86,12 @@ class NonlinearMap:
         return self._value(as_vector(u))
 
     def jacobian(self, u):
-        return self._jacobian(as_vector(u))
+        """``g'(u)`` as a dense ``(n, n)`` matrix, whatever form ``jac_fn`` returns."""
+        u = as_vector(u)
+        J = self._jacobian(u)
+        if J is None:
+            return np.zeros((u.size, u.size))
+        return np.diag(J) if J.ndim == 1 else J
 
     def _value(self, u):
         """``g(u)`` for a ``u`` that :func:`as_vector` has checked."""
@@ -91,11 +104,18 @@ class NonlinearMap:
         return out
 
     def _jacobian(self, u):
-        """``g'(u)`` for a ``u`` that :func:`as_vector` has checked."""
+        """``g'(u)`` as ``jac_fn`` gives it, for a ``u`` that :func:`as_vector` has checked.
+
+        None for a zero Jacobian, a length-``n`` vector for a diagonal one,
+        else the ``(n, n)`` matrix.
+        """
+        if self.jac_fn is None:
+            return None
         J = np.asarray(self.jac_fn(u), dtype=float)
-        if J.shape != (u.size, u.size):
+        if J.shape != u.shape and J.shape != (u.size, u.size):
             raise DimensionMismatch(
-                f"map {self.name!r} Jacobian has shape {J.shape}, expected {(u.size, u.size)}")
+                f"map {self.name!r} Jacobian has shape {J.shape}, "
+                f"expected {u.shape} or {(u.size, u.size)}")
         if not _all_finite(J):
             raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
         return J
@@ -195,9 +215,8 @@ def solve_linearized(T, rhs):
     is at the noise floor.
     """
     rhs = as_vector(rhs, dim=T.dim, name="linearized right-hand side")
-    lu, piv, minpiv = T._factorize()
-    scale = max(1.0, float(np.abs(T.entries).max()))
-    if minpiv < 1e-9 * scale:
+    lu, piv, minpiv, t_max = T._factorize()
+    if minpiv < 1e-9 * max(1.0, t_max):
         smin = T.smallest_singular_value()
         if smin < 1e-12:
             raise SingularLinearization(
@@ -211,8 +230,11 @@ def newton_velocity(problem, u):
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
-    ``M = A + g'(u)`` per call.  Both LUs come straight from LAPACK
-    ``dgetrf``/``dgetrs`` (:mod:`dsmflow.hilbert`).  This equals
+    ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as its
+    diagonal is added onto a copy of ``A``'s diagonal, with no ``(n, n)``
+    ``g'(u)``; for ``jac_fn=None``, ``M = A`` and the call takes ``A``'s
+    cached LU and ``max|A|`` and factors nothing.  Both LUs come straight
+    from LAPACK ``dgetrf``/``dgetrs`` (:mod:`dsmflow.hilbert`).  This equals
     ``-[I + A^{-1} g'(u)]^{-1} f`` without forming ``A^{-1} g'(u)``.  The
     right-hand side is ``A f`` rather than ``A u + g(u)``: both are
     ``F(u)``, but the latter cancels to an absolute error near machine
@@ -229,7 +251,7 @@ def newton_velocity(problem, u):
       (:class:`SingularOperator`), between ``g(u)`` and ``g'(u)``.
     - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
       ``max``; that one reduction also scales the pivot test below
-      (``ValueError``).
+      (``ValueError``).  ``M = A`` is finite by construction.
     - ``_getrf`` checks ``M``'s LU factors and ``_getrs`` checks ``A f``.
 
     When ``M`` has an LU pivot below ``1e-9 * max(1, max|M|)`` the velocity
@@ -245,12 +267,21 @@ def newton_velocity(problem, u):
     gu = problem.g._value(u)
     lu, piv = A._solve_factors(gu)
     f = u + _dgetrs(lu, piv, gu)
-    M = A.entries + problem.g._jacobian(u)
-    m_max = float(np.abs(M).max())
-    if not math.isfinite(m_max):
-        raise ValueError("matrix to factor contains non-finite entries")
-    lu, piv = _getrf(M)
-    if np.abs(lu.diagonal()).min() < 1e-9 * max(1.0, m_max):
+    J = problem.g._jacobian(u)
+    if J is None:
+        lu, piv, minpiv, m_max = A._factorize()
+    else:
+        if J.ndim == 1:
+            M = A.entries.copy()
+            M.reshape(-1)[::u.size + 1] += J
+        else:
+            M = A.entries + J
+        m_max = float(np.abs(M).max())
+        if not math.isfinite(m_max):
+            raise ValueError("matrix to factor contains non-finite entries")
+        lu, piv = _getrf(M)
+        minpiv = np.abs(lu.diagonal()).min()
+    if minpiv < 1e-9 * max(1.0, m_max):
         v = -solve_linearized(linearized_operator(problem, u), f)
     else:
         v = -_getrs(lu, piv, A.entries @ f)
@@ -639,15 +670,16 @@ def monotonicity_certificate(g, samples):
     evaluated once per sample.
 
     A sample's smallest eigenvalue is ``eigvalsh((J + J^T)/2)[0]``, unless
-    ``J = g'(u)`` has no nonzero entry off its diagonal, as for a
-    componentwise ``g``; then it is ``J``'s smallest diagonal entry, with
-    no symmetrization or ``eigvalsh``.  That entry is what ``eigvalsh``
-    returns: LAPACK reduces a diagonal matrix to tridiagonal form with no
-    reflections and splits it into 1 x 1 blocks.  This holds bitwise
-    unless ``eigvalsh`` rescales the matrix, which it does when its largest
-    entry is nonzero and outside about ``[1e-146, 1e146]``; there the
-    diagonal entry is the exact eigenvalue and ``eigvalsh``'s carries the
-    rescaling's rounding.
+    ``J = g'(u)`` is diagonal: ``jac_fn`` returns it as the vector of its
+    diagonal, as for a componentwise ``g``, or as a matrix with no nonzero
+    entry off its diagonal.  Then it is ``J``'s smallest diagonal entry,
+    with no symmetrization or ``eigvalsh``, and 0 for ``jac_fn=None``.
+    That entry is what ``eigvalsh`` returns: LAPACK reduces a diagonal
+    matrix to tridiagonal form with no reflections and splits it into
+    1 x 1 blocks.  This holds bitwise unless ``eigvalsh`` rescales the
+    matrix, which it does when its largest entry is nonzero and outside
+    about ``[1e-146, 1e146]``; there the diagonal entry is the exact
+    eigenvalue and ``eigvalsh``'s carries the rescaling's rounding.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -658,9 +690,12 @@ def monotonicity_certificate(g, samples):
     for u in samples:
         u = as_vector(u, name="sample")
         J = g._jacobian(u)
-        d = J.diagonal()
-        if np.count_nonzero(J) == np.count_nonzero(d):
-            min_eig = min(min_eig, float(d.min()))
+        if J is None:
+            min_eig = min(min_eig, 0.0)
+        elif J.ndim == 1:
+            min_eig = min(min_eig, float(J.min()))
+        elif np.count_nonzero(J) == np.count_nonzero(J.diagonal()):
+            min_eig = min(min_eig, float(J.diagonal().min()))
         else:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T))[0]))
         gu = g._value(u)

@@ -13,6 +13,7 @@ onto the range.
 """
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -71,27 +72,48 @@ class ProblemBundle:
 
 # -- builtin nonlinearities ------------------------------------------------------
 
+def _is_real(x):
+    """Whether ``x`` is a real number: a boolean or a string is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _reals(name, key, value):
+    """Map ``name``'s array param ``key`` as a float array; every entry must be a real number.
+
+    An array of another dtype, or a (nested) list with an entry that is a
+    boolean, a string or anything else but a real number, raises
+    :class:`ParseError` naming ``key``: ``np.asarray(..., dtype=float)``
+    alone would read ``"0.1"`` as 0.1 and ``true`` as 1.0.
+    """
+    def reals(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.kind in "fiu"
+        if isinstance(x, (list, tuple)):
+            return all(map(reals, x))
+        return _is_real(x)
+
+    if not reals(value):
+        raise ParseError(f"builtin map {name!r} param {key!r} has an entry that is not a number")
+    return np.asarray(value, dtype=float)
+
+
 def _make_zero(dim, params):
     n = int(dim)
-    return NonlinearMap(
-        fn=lambda u: np.zeros(n),
-        jac_fn=lambda u: np.zeros((n, n)),
-        name="zero", params={})
+    return NonlinearMap(fn=lambda u: np.zeros(n), jac_fn=None, name="zero", params={})
 
 
 def _make_constant(dim, params):
-    offset = as_vector(params["offset"], dim=dim, name="offset")
-    return NonlinearMap(
-        fn=lambda u: offset.copy(),
-        jac_fn=lambda u: np.zeros((u.size, u.size)),
-        name="constant", params={"offset": offset})
+    offset = as_vector(_reals("constant", "offset", params["offset"]), dim=dim, name="offset")
+    return NonlinearMap(fn=lambda u: offset.copy(), jac_fn=None,
+                        name="constant", params={"offset": offset})
 
 
 def _make_linear(dim, params):
-    M = np.asarray(params["matrix"], dtype=float)
+    M = _reals("linear", "matrix", params["matrix"])
     if M.shape != (dim, dim):
         raise ValueError(f"linear map matrix has shape {M.shape}, expected {(dim, dim)}")
-    offset = as_vector(params.get("offset", np.zeros(dim)), dim=dim, name="offset")
+    offset = as_vector(_reals("linear", "offset", params.get("offset", np.zeros(dim))),
+                       dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: M @ u + offset,
         jac_fn=lambda u: M.copy(),
@@ -102,36 +124,37 @@ def _scale(name, params):
     """``params["scale"]`` as a float; it must be a real number, not a boolean.
 
     Any other type raises :class:`ParseError` naming ``scale``, and a
-    negative scale raises ``ValueError``.
+    negative or non-finite scale raises ``ValueError``.
     """
     scale = params["scale"]
-    if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+    if not _is_real(scale):
         raise ParseError(f"builtin map {name!r} param 'scale' has type {type(scale).__name__}")
     scale = float(scale)
-    if scale < 0.0:
-        raise ValueError(f"{name} scale must be nonnegative, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"{name} scale must be finite and nonnegative, got {scale}")
     return scale
 
 
 def _make_cubic(dim, params):
     scale = _scale("cubic", params)
-    offset = as_vector(params["offset"], dim=dim, name="offset")
+    offset = as_vector(_reals("cubic", "offset", params["offset"]), dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: scale * u ** 3 + offset,
-        jac_fn=lambda u: np.diag(3.0 * scale * u ** 2),
+        jac_fn=lambda u: 3.0 * scale * u ** 2,  # the diagonal of g'(u)
         name="cubic", params={"scale": scale, "offset": offset})
 
 
 def _make_range_cubic(dim, params):
     scale = _scale("range_cubic", params)
-    B = np.asarray(params["basis"], dtype=float)
+    B = _reals("range_cubic", "basis", params["basis"])
     if B.ndim != 2 or B.shape[0] != dim:
         raise ValueError(f"range_cubic basis has shape {B.shape}, expected ({dim}, r)")
     gram_defect = float(np.max(np.abs(B.T @ B - np.eye(B.shape[1]))))
     if gram_defect > 1e-10:
         raise ValueError(f"range_cubic basis columns not orthonormal "
                          f"(Gram defect {gram_defect:.3e})")
-    offset = as_vector(params["offset"], dim=dim, name="offset")
+    offset = as_vector(_reals("range_cubic", "offset", params["offset"]), dim=dim,
+                       name="offset")
 
     def fn(u):
         y = B.T @ u
@@ -158,8 +181,9 @@ _MAP_FACTORIES = {
 def make_map(name, dim, params=None):
     """Instantiate a builtin nonlinearity by registry name.
 
-    An unknown name, ``params`` without a key the map needs, or a
-    ``scale`` that is not a real number raises :class:`ParseError`.
+    An unknown name, ``params`` without a key the map needs, a ``scale``
+    that is not a real number, or an array param (``offset``, ``basis``,
+    ``matrix``) with an entry that is not one raises :class:`ParseError`.
     """
     if name not in _MAP_FACTORIES:
         raise ParseError(f"unknown builtin map {name!r}; "
@@ -275,7 +299,7 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     G = rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(G)
     lam = rng.uniform(1.0, 4.0, dim)
-    A = Q @ np.diag(lam) @ Q.T
+    A = (Q * lam) @ Q.T
     L = DenseOperator(0.5 * (A + A.T), self_adjoint=True, psd_claimed=True)
     c = _unit(rng, dim, 0.5)
     u0 = _unit(rng, dim, 0.5)
@@ -309,7 +333,7 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
     Qr = Q[:, :rank]
     Q0 = Q[:, rank:]
     lam = rng.uniform(0.5, 2.0, rank)
-    A = Qr @ np.diag(lam) @ Qr.T
+    A = (Qr * lam) @ Qr.T
     L = DenseOperator(0.5 * (A + A.T), self_adjoint=True, psd_claimed=True)
     w = _unit(rng, dim)
     v_min = Qr @ (Qr.T @ w)

@@ -498,7 +498,11 @@ def test_missing_problem_source_is_an_error(capsys):
     ({"scale": 0.1}, "needs param 'offset'"),
     ([0.1, [1.0, 2.0]], "field 'params' has type list"),
     ({"scale": [0.1], "offset": [0.0, 0.0]}, "param 'scale' has type list"),
-], ids=["missing-key", "not-an-object", "scale-not-a-number"])
+    ({"scale": 0.1, "offset": ["0.1", 0.0]}, "param 'offset' has an entry that is not a number"),
+    ({"scale": float("inf"), "offset": [0.0, 0.0]}, "scale must be finite and nonnegative"),
+    ({"scale": float("nan"), "offset": [0.0, 0.0]}, "scale must be finite and nonnegative"),
+], ids=["missing-key", "not-an-object", "scale-not-a-number", "offset-entry-a-string",
+        "scale-infinite", "scale-nan"])
 def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, params, fragment):
     doc = {"name": "bad", "dim": 2, "L": {"rows": [[1.0, 0.0], [0.0, 1.0]]},
            "g": {"builtin": "cubic", "params": params}, "u0": [0.0, 0.0], "radius": 1.0}

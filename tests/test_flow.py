@@ -7,13 +7,15 @@ compared against an exact reference that shares no code with the
 integrator.
 """
 
+import pickle
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dsmflow import flow
+from dsmflow import flow, model
+from dsmflow.continuation import solve_minimal_norm
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
@@ -170,12 +172,20 @@ def test_stage_rejects_non_finite_jacobian():
         newton_velocity(p, _FAR)
 
 
-@pytest.mark.parametrize("which", ["map", "jacobian"])
+def test_stage_rejects_non_finite_diagonal_jacobian():
+    p = misbehaving_problem(jac=lambda u: np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="Jacobian has non-finite entries"):
+        newton_velocity(p, _FAR)
+
+
+@pytest.mark.parametrize("which", ["map", "jacobian", "jacobian-diagonal"])
 def test_stage_rejects_wrong_output_shape(which):
     if which == "map":
         p = misbehaving_problem(fn=lambda u: np.zeros(3))
-    else:
+    elif which == "jacobian":
         p = misbehaving_problem(jac=lambda u: np.zeros((2, 3)))
+    else:
+        p = misbehaving_problem(jac=lambda u: np.zeros(3))
     with pytest.raises(DimensionMismatch):
         newton_velocity(p, _FAR)
 
@@ -191,6 +201,14 @@ def test_stage_rejects_overflowing_linearization():
     # A = 1e308 I and g' = 1e308 I are finite, A + g'(u) is not
     big = 1e308 * np.eye(2)
     p = misbehaving_problem(jac=lambda u: big.copy(), L=DenseOperator(big))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="matrix to factor contains non-finite entries"):
+        newton_velocity(p, _FAR)
+
+
+def test_stage_rejects_overflowing_diagonal_linearization():
+    # the same overflow, with g' passed as its diagonal
+    p = misbehaving_problem(jac=lambda u: np.full(2, 1e308), L=DenseOperator(1e308 * np.eye(2)))
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match="matrix to factor contains non-finite entries"):
         newton_velocity(p, _FAR)
@@ -235,6 +253,54 @@ def test_stages_evaluate_g_and_its_jacobian_once_and_recording_neither():
     # the start, the initial-step probe and six stages per attempted step
     stages = 2 + 6 * (res.n_accepted + res.n_rejected)
     assert calls == {"fn": stages, "jac": stages}
+
+
+# -- Jacobians passed as their diagonal, or as None --------------------------------
+
+
+def _dense_twin(g):
+    """``g`` with its Jacobian as the dense ``(n, n)`` matrix: ``np.diag`` of a vector, or zeros."""
+    return NonlinearMap(g.fn, g.jacobian, name=g.name, params=g.params)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda d=d: wellposed_cubic(d).problem, id=f"wellposed_cubic-{d}")
+      for d in (1, 10, 50)),
+    pytest.param(lambda: ill_conditioned(6).problem.with_epsilon(1e-2), id="ill_conditioned-6"),
+])
+def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(make):
+    # a vector Jacobian goes onto a copy of A's diagonal instead of A + diag(d)
+    problem = make()
+    assert problem.g.jac_fn(problem.u0).shape == (problem.dim,)
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
+    assert len(res.trajectory) > 3
+    assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
+    assert pickle.dumps(res) == pickle.dumps(dense)
+
+
+def test_constant_map_continuation_is_bitwise_the_dense_one():
+    # jac_fn=None takes A's cached LU at every stage instead of an LU of A + 0
+    problem = singular_monotone(10, rank=5).problem
+    assert problem.g.jac_fn is None
+    res = solve_minimal_norm(problem)
+    dense = solve_minimal_norm(replace(problem, g=_dense_twin(problem.g)))
+    assert len(res.records) > 3
+    assert [r.inner_steps for r in res.records] == [r.inner_steps for r in dense.records]
+    assert pickle.dumps(res) == pickle.dumps(dense)
+
+
+def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
+    problem = singular_monotone(10, rank=5).problem.with_epsilon(1e-2)
+    calls = []
+    getrf = model._getrf
+    monkeypatch.setattr(model, "_getrf", lambda M: calls.append(M.shape) or getrf(M))
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    assert res.n_accepted > 10 and calls == []
+    dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
+    # the start, the initial-step probe and six stages per attempted step
+    assert len(calls) == 2 + 6 * (dense.n_accepted + dense.n_rejected)
+    assert pickle.dumps(res) == pickle.dumps(dense)
 
 
 # -- exact linear trajectory ------------------------------------------------------

@@ -60,6 +60,23 @@ def test_map_validates_output_shape_and_finiteness():
         bad_jac.jacobian(np.ones(2))
 
 
+def test_map_takes_a_diagonal_or_no_jacobian():
+    u = np.array([1.0, -2.0, 0.5])
+    diag = NonlinearMap(lambda v: v ** 3, lambda v: 3.0 * v ** 2)
+    assert np.array_equal(diag._jacobian(u), 3.0 * u ** 2)
+    assert np.array_equal(diag.jacobian(u), np.diag(3.0 * u ** 2))
+    none = NonlinearMap(lambda v: np.ones(v.size), None)
+    assert none._jacobian(u) is None
+    J = none.jacobian(u)
+    assert J.shape == (3, 3) and not J.any()
+    # a vector is checked on its n entries, as a matrix on its n^2
+    with pytest.raises(DimensionMismatch, match=r"shape \(4,\), expected \(3,\) or \(3, 3\)"):
+        NonlinearMap(lambda v: v, lambda v: np.ones(v.size + 1)).jacobian(u)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Jacobian has non-finite entries"):
+            NonlinearMap(lambda v: v, lambda v, bad=bad: np.full(v.size, bad)).jacobian(u)
+
+
 def test_problem_validates_radius_epsilon_and_probes_map():
     L = DenseOperator.identity(2)
     g = cubic_map()
@@ -697,7 +714,8 @@ def _mono_rotated(dim):
     # the wellposed cubic in a rotated basis: monotone, with a dense Jacobian
     g, samples = _mono_wellposed(dim)
     Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((dim, dim)))
-    return (NonlinearMap(lambda u: Q @ g.fn(Q.T @ u), lambda u: Q @ g.jac_fn(Q.T @ u) @ Q.T),
+    # g.jacobian, not g.jac_fn: the cubic's jac_fn returns the vector of its diagonal
+    return (NonlinearMap(lambda u: Q @ g.fn(Q.T @ u), lambda u: Q @ g.jacobian(Q.T @ u) @ Q.T),
             [Q @ u for u in samples])
 
 
@@ -715,6 +733,27 @@ def _mono_zero_jacobian(name, params):
 
 def _is_diagonal(J):
     return not np.any(J - np.diag(np.diagonal(J)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wellposed_cubic(10, seed=2).problem.g,
+    lambda: singular_monotone(10, rank=5).problem.g,
+    lambda: make_map("zero", 10),
+], ids=["cubic", "constant", "zero"])
+def test_monotonicity_of_a_diagonal_or_no_jacobian_is_bitwise_the_dense_one(make):
+    g = make()
+    dense = NonlinearMap(g.fn, g.jacobian, name=g.name)
+    samples = ball_samples(np.full(10, 0.3), 1.5, 24, seed=8)
+    assert monotonicity_certificate(g, samples) == monotonicity_certificate(dense, samples)
+
+
+def test_rotated_monotonicity_clouds_have_dense_jacobians():
+    # the rotated cases exist to feed the screen dense Jacobians
+    for g, samples in (_mono_rotated(50), _mono_within_margin(_mono_rotated)):
+        n = samples[0].size
+        for u in samples:
+            J = g._jacobian(u)
+            assert J.shape == (n, n) and not _is_diagonal(J)
 
 
 @pytest.mark.parametrize("case", [

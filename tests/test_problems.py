@@ -5,6 +5,7 @@ known solutions really solve the equation (bitwise for the anchored
 point), and the JSON round trip preserves every float exactly.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -34,6 +35,62 @@ def test_make_map_registry_and_validation():
         make_map("quartic", 2)
     with pytest.raises(ValueError):
         make_map("cubic", 2, {"scale": -0.1, "offset": np.zeros(2)})
+
+
+_BUILTIN_MAP_PARAMS = {
+    "zero": {},
+    "constant": {"offset": [1.0, -1.0, 0.5]},
+    "linear": {"matrix": [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 3.0]]},
+    "cubic": {"scale": 0.1, "offset": [0.0, 0.2, 0.0]},
+    "range_cubic": {"scale": 0.1, "basis": [[1.0], [0.0], [0.0]], "offset": [0.0, 0.0, 0.1]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_MAP_PARAMS))
+def test_builtin_map_jacobian_is_dense_to_outside_callers(name):
+    g = make_map(name, 3, _BUILTIN_MAP_PARAMS[name])
+    u = np.array([0.5, -1.0, 2.0])
+    J = g.jacobian(u)
+    assert J.shape == (3, 3)
+    expected = {"zero": np.zeros((3, 3)), "constant": np.zeros((3, 3)),
+                "linear": np.array(_BUILTIN_MAP_PARAMS["linear"]["matrix"]),
+                "cubic": np.diag(3.0 * 0.1 * u ** 2),
+                "range_cubic": np.diag([3.0 * 0.1 * u[0] ** 2, 0.0, 0.0])}[name]
+    assert np.array_equal(J, expected)
+    # the componentwise maps hand the stage their diagonal, or nothing
+    form = {"zero": None, "constant": None, "cubic": (3,)}.get(name, (3, 3))
+    inner = g._jacobian(u)
+    assert (inner is None) if form is None else (inner.shape == form)
+
+
+def _with_first_entry(value, entry):
+    value = copy.deepcopy(value)
+    row = value
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = entry
+    return value
+
+
+def test_array_map_params_must_hold_numbers():
+    # np.asarray(..., dtype=float) alone reads "0.1" as 0.1 and true as 1.0
+    for name, params in _BUILTIN_MAP_PARAMS.items():
+        for key in set(params) - {"scale"}:
+            # a JSON integer is a number
+            assert make_map(name, 3, {**params, key: _with_first_entry(params[key], 1)}).name == name
+            for bad in ("0.1", True, None, {}):
+                with pytest.raises(ParseError, match=f"^builtin map '{name}' param '{key}' "
+                                                     f"has an entry that is not a number$"):
+                    make_map(name, 3, {**params, key: _with_first_entry(params[key], bad)})
+            with pytest.raises(ParseError, match=f"param '{key}' has an entry"):
+                make_map(name, 3, {**params, key: np.asarray(params[key]) > 0.0})
+
+
+@pytest.mark.parametrize("name", ["cubic", "range_cubic"])
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_scale_must_be_finite_and_nonnegative(name, scale):
+    with pytest.raises(ValueError, match=f"^{name} scale must be finite and nonnegative"):
+        make_map(name, 3, {**_BUILTIN_MAP_PARAMS[name], "scale": scale})
 
 
 def test_range_cubic_requires_orthonormal_basis():
@@ -129,6 +186,26 @@ def test_wellposed_cubic_structure(dim):
     w = np.linalg.eigvalsh(b.problem.L.entries)
     assert w[0] >= 1.0 - 1e-9 and w[-1] <= 4.0 + 1e-9
     assert norm(b.problem.u0) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 50, 200])
+def test_builders_form_l_bitwise_as_the_diagonal_product(dim):
+    # L is (Q * lam) @ Q.T: scaling Q's columns skips the product with diag(lam),
+    # which only adds exact zeros
+    for seed in (0, 42):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        A = Q @ np.diag(rng.uniform(1.0, 4.0, dim)) @ Q.T
+        L = wellposed_cubic(dim, seed=seed).problem.L.entries
+        assert L.tobytes() == (0.5 * (A + A.T)).tobytes()
+        if dim < 2:
+            continue
+        rank = max(1, (dim + 1) // 2)
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        A = Q[:, :rank] @ np.diag(rng.uniform(0.5, 2.0, rank)) @ Q[:, :rank].T
+        L = singular_monotone(dim, rank, seed=seed).problem.L.entries
+        assert L.tobytes() == (0.5 * (A + A.T)).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 42])
