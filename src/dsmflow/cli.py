@@ -8,8 +8,10 @@ oracle), ``decay-audit`` (integrator self-check across tolerance levels).
 Exit codes: 0 success, 1 solver or input error, 2 certificate failure
 (the run, if any, is marked exploratory), 3 monotonicity failure.
 
-All file outputs are deterministic: sorted JSON keys, fixed float
-formats, no timestamps.
+This module writes every run artifact under ``--out``: ``report.json``,
+``certificates.json``, ``trajectory.csv`` and ``continuation.csv``.  All
+are deterministic: sorted JSON keys, floats at 17 significant digits in
+CSV, no timestamps.
 """
 
 import argparse
@@ -21,10 +23,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .continuation import (INNER_FLOW, EpsSchedule, solve_minimal_norm, solve_newton_flow,
-                           write_continuation_csv)
+from .continuation import INNER_FLOW, EpsSchedule, solve_minimal_norm, solve_newton_flow
 from .errors import CertificateMismatch, DsmError, MonotonicityFailed, NonPsdOperator
-from .flow import FlowConfig, decay_report, integrate, write_trajectory_csv
+from .flow import FlowConfig, decay_report, integrate
 from .hilbert import norm
 from .model import Certificate
 from .oracles import newton_oracle
@@ -241,6 +242,32 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
+def _write_csv(header, rows, path):
+    """Write ``rows`` of numbers under ``header``, each at 17 significant digits.
+
+    17 digits round-trip a float64 exactly, and print a step count as itself.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+
+
+def _write_trajectory_csv(result, path):
+    """Write a flow's recorded trajectory, one point per row."""
+    _write_csv("t,p,residual_F,u_norm,step",
+               ((pt.t, pt.p, pt.residual_F, norm(pt.u), pt.step) for pt in result.trajectory),
+               path)
+
+
+def _write_continuation_csv(result, path):
+    """Write a continuation's records, one shift level per row."""
+    _write_csv("eps,norm_v,residual_full,increment,inner_steps",
+               ((rec.eps, rec.norm_v, rec.residual_full, inc, rec.inner_steps)
+                for rec, inc in zip(result.records, result.increments)),
+               path)
+
+
 def _out_dir(ns, label, many):
     if not getattr(ns, "out", None):
         return None
@@ -325,7 +352,7 @@ def cmd_solve(ns):
             "u_final": flow.u_final.tolist(),
         }
         if out:
-            write_trajectory_csv(flow, os.path.join(out, "trajectory.csv"))
+            _write_trajectory_csv(flow, os.path.join(out, "trajectory.csv"))
             _write_json(report, os.path.join(out, "report.json"))
             _write_json(sol.certificates, os.path.join(out, "certificates.json"))
         lines = [f"{label}: status={flow.status.value} t={flow.t_final:.4f} "
@@ -369,7 +396,7 @@ def cmd_continuation(ns):
             report["limit_distance_to_reference"] = norm(
                 result.v_limit - bundle.min_norm_solution)
         if out:
-            write_continuation_csv(result, os.path.join(out, "continuation.csv"))
+            _write_continuation_csv(result, os.path.join(out, "continuation.csv"))
             _write_json(report, os.path.join(out, "report.json"))
         last = result.records[-1]
         estimate = result.extrapolation_error_estimate

@@ -59,7 +59,6 @@ __all__ = [
     "solve_newton_flow",
     "solve_minimal_norm",
     "discrepancy_stop",
-    "write_continuation_csv",
 ]
 
 #: The continuation stops before a level whose shifted operator's condition
@@ -105,8 +104,8 @@ class EpsSchedule:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
         if not 0.0 < self.floor < self.eps0:
             raise ValueError(
                 f"floor must lie in (0, eps0), got floor={self.floor} eps0={self.eps0}")
@@ -385,16 +384,3 @@ def discrepancy_stop(problem, delta, cfg=None):
         raise FlowFailed(f"residual {r:.3e} at t={result.t_final:.6f} missed {window}",
                          result=result)
     return result.t_final, result.u_final
-
-
-def write_continuation_csv(result, path):
-    """Write per-shift continuation records as CSV (deterministic)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("eps,norm_v,residual_full,increment,inner_steps\n")
-        for rec, inc in zip(result.records, result.increments):
-            fh.write(",".join((format(rec.eps, ".17g"),
-                               format(rec.norm_v, ".17g"),
-                               format(rec.residual_full, ".17g"),
-                               format(inc, ".17g"),
-                               str(rec.inner_steps))))
-            fh.write("\n")

@@ -52,7 +52,6 @@ __all__ = [
     "integrate",
     "decay_report",
     "error_bound_check",
-    "write_trajectory_csv",
 ]
 
 # Dormand-Prince 5(4) coefficients.  _ERR is b5 - b4 (7 stages, FSAL).  The
@@ -356,13 +355,3 @@ def error_bound_check(result, newton_bound):
         if d_final > bound_final or d_start > bound_start:
             ok = False
     return ok, max_ratio
-
-
-def write_trajectory_csv(result, path):
-    """Write the recorded trajectory as CSV (deterministic, 17 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,p,residual_F,u_norm,step\n")
-        for pt in result.trajectory:
-            fh.write(",".join(format(x, ".17g") for x in
-                              (pt.t, pt.p, pt.residual_F, float(np.linalg.norm(pt.u)), pt.step)))
-            fh.write("\n")

@@ -24,7 +24,6 @@ __all__ = [
     "VectorH",
     "DenseOperator",
     "as_vector",
-    "inner",
     "norm",
 ]
 
@@ -98,15 +97,8 @@ def _dgetrs(lu, piv, b):
     return x
 
 
-def inner(u, v):
-    """Euclidean inner product (u, v)."""
-    u = as_vector(u)
-    v = as_vector(v, dim=u.size, name="second vector")
-    return float(np.dot(u, v))
-
-
 def norm(u):
-    """Norm induced by :func:`inner`."""
+    """Euclidean norm of the finite 1-D vector ``u``."""
     return float(np.linalg.norm(as_vector(u)))
 
 

@@ -669,17 +669,16 @@ def monotonicity_certificate(g, samples):
     reports.  Each sample is checked once, and ``g`` and ``g'`` are
     evaluated once per sample.
 
-    A sample's smallest eigenvalue is ``eigvalsh((J + J^T)/2)[0]``, unless
-    ``J = g'(u)`` is diagonal: ``jac_fn`` returns it as the vector of its
-    diagonal, as for a componentwise ``g``, or as a matrix with no nonzero
-    entry off its diagonal.  Then it is ``J``'s smallest diagonal entry,
-    with no symmetrization or ``eigvalsh``, and 0 for ``jac_fn=None``.
-    That entry is what ``eigvalsh`` returns: LAPACK reduces a diagonal
+    A sample's smallest eigenvalue is ``eigvalsh((J + J^T)/2)[0]`` for a
+    matrix ``J = g'(u)``.  When ``jac_fn`` returns the vector of a diagonal
+    ``J``, as for a componentwise ``g``, it is that vector's minimum, with
+    no symmetrization or ``eigvalsh``, and 0 for ``jac_fn=None``.  The
+    minimum is what ``eigvalsh`` returns: LAPACK reduces a diagonal
     matrix to tridiagonal form with no reflections and splits it into
     1 x 1 blocks.  This holds bitwise unless ``eigvalsh`` rescales the
     matrix, which it does when its largest entry is nonzero and outside
-    about ``[1e-146, 1e146]``; there the diagonal entry is the exact
-    eigenvalue and ``eigvalsh``'s carries the rescaling's rounding.
+    about ``[1e-146, 1e146]``; there the minimum is the exact eigenvalue
+    and ``eigvalsh``'s carries the rescaling's rounding.
     """
     if not samples:
         raise ValueError("need at least one sample point")
@@ -694,8 +693,6 @@ def monotonicity_certificate(g, samples):
             min_eig = min(min_eig, 0.0)
         elif J.ndim == 1:
             min_eig = min(min_eig, float(J.min()))
-        elif np.count_nonzero(J) == np.count_nonzero(J.diagonal()):
-            min_eig = min(min_eig, float(J.diagonal().min()))
         else:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T))[0]))
         gu = g._value(u)

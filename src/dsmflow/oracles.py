@@ -153,7 +153,8 @@ def membership_probe(problem, w, z_samples=None, seed=0):
     around ``w`` (or the supplied ``z_samples``), and counts ``z`` as
     violating when ``(F(z), z - w) < -1e-9 (1 + |z|)(1 + |F(z)|)``.
     ``member`` is the verdict, ``margin`` the most negative raw inner
-    product observed.
+    product observed.  An empty ``z_samples`` raises ``ValueError``: with
+    no probe, ``member`` would hold for any ``w``.
 
     The probe addresses the unshifted equation, so it requires
     ``problem.epsilon == 0``.
@@ -161,6 +162,8 @@ def membership_probe(problem, w, z_samples=None, seed=0):
     if problem.epsilon != 0.0:
         raise ValueError("membership probe addresses the unshifted equation; "
                          "call it on a problem with epsilon == 0")
+    if z_samples is not None and len(z_samples) == 0:
+        raise ValueError("need at least one probe point")
     w = as_vector(w, dim=problem.dim, name="candidate")
     rng = np.random.default_rng(seed)
     scale = 1.0 + norm(w)

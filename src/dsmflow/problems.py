@@ -77,13 +77,14 @@ def _is_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _reals(name, key, value):
-    """Map ``name``'s array param ``key`` as a float array; every entry must be a real number.
+def _reals(what, value):
+    """``value`` as a float array; every entry must be a real number.
 
     An array of another dtype, or a (nested) list with an entry that is a
     boolean, a string or anything else but a real number, raises
-    :class:`ParseError` naming ``key``: ``np.asarray(..., dtype=float)``
-    alone would read ``"0.1"`` as 0.1 and ``true`` as 1.0.
+    :class:`ParseError` naming ``what``, as a ragged list does:
+    ``np.asarray(..., dtype=float)`` alone would read ``"0.1"`` as 0.1 and
+    ``true`` as 1.0, and refuse a ragged list in numpy's words.
     """
     def reals(x):
         if isinstance(x, np.ndarray):
@@ -93,8 +94,11 @@ def _reals(name, key, value):
         return _is_real(x)
 
     if not reals(value):
-        raise ParseError(f"builtin map {name!r} param {key!r} has an entry that is not a number")
-    return np.asarray(value, dtype=float)
+        raise ParseError(f"{what} has an entry that is not a number")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ParseError(f"{what} is ragged, not a rectangular array") from None
 
 
 def _make_zero(dim, params):
@@ -103,17 +107,18 @@ def _make_zero(dim, params):
 
 
 def _make_constant(dim, params):
-    offset = as_vector(_reals("constant", "offset", params["offset"]), dim=dim, name="offset")
+    offset = as_vector(_reals("builtin map 'constant' param 'offset'", params["offset"]),
+                       dim=dim, name="offset")
     return NonlinearMap(fn=lambda u: offset.copy(), jac_fn=None,
                         name="constant", params={"offset": offset})
 
 
 def _make_linear(dim, params):
-    M = _reals("linear", "matrix", params["matrix"])
+    M = _reals("builtin map 'linear' param 'matrix'", params["matrix"])
     if M.shape != (dim, dim):
         raise ValueError(f"linear map matrix has shape {M.shape}, expected {(dim, dim)}")
-    offset = as_vector(_reals("linear", "offset", params.get("offset", np.zeros(dim))),
-                       dim=dim, name="offset")
+    offset = as_vector(_reals("builtin map 'linear' param 'offset'",
+                              params.get("offset", np.zeros(dim))), dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: M @ u + offset,
         jac_fn=lambda u: M.copy(),
@@ -137,7 +142,8 @@ def _scale(name, params):
 
 def _make_cubic(dim, params):
     scale = _scale("cubic", params)
-    offset = as_vector(_reals("cubic", "offset", params["offset"]), dim=dim, name="offset")
+    offset = as_vector(_reals("builtin map 'cubic' param 'offset'", params["offset"]),
+                       dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: scale * u ** 3 + offset,
         jac_fn=lambda u: 3.0 * scale * u ** 2,  # the diagonal of g'(u)
@@ -146,15 +152,15 @@ def _make_cubic(dim, params):
 
 def _make_range_cubic(dim, params):
     scale = _scale("range_cubic", params)
-    B = _reals("range_cubic", "basis", params["basis"])
+    B = _reals("builtin map 'range_cubic' param 'basis'", params["basis"])
     if B.ndim != 2 or B.shape[0] != dim:
         raise ValueError(f"range_cubic basis has shape {B.shape}, expected ({dim}, r)")
     gram_defect = float(np.max(np.abs(B.T @ B - np.eye(B.shape[1]))))
     if gram_defect > 1e-10:
         raise ValueError(f"range_cubic basis columns not orthonormal "
                          f"(Gram defect {gram_defect:.3e})")
-    offset = as_vector(_reals("range_cubic", "offset", params["offset"]), dim=dim,
-                       name="offset")
+    offset = as_vector(_reals("builtin map 'range_cubic' param 'offset'", params["offset"]),
+                       dim=dim, name="offset")
 
     def fn(u):
         y = B.T @ u
@@ -511,7 +517,7 @@ def load_problem(path):
     name = _require(doc, "name", str, ctx)
     dim = _require(doc, "dim", int, ctx)
     Ldoc = _require(doc, "L", dict, ctx)
-    rows = _require(Ldoc, "rows", list, f"{ctx}: L")
+    rows = _reals(f"{ctx}: L: field 'rows'", _require(Ldoc, "rows", list, f"{ctx}: L"))
     flags = _require(Ldoc, "flags", list, f"{ctx}: L", [])
     unknown = [flag for flag in flags if flag not in ("self_adjoint", "psd")]
     if unknown:
@@ -527,14 +533,13 @@ def load_problem(path):
     builtin = _require(gdoc, "builtin", str, f"{ctx}: g")
     params = _require(gdoc, "params", dict, f"{ctx}: g", {})
     g = make_map(builtin, dim, params)
-    u0 = _require(doc, "u0", list, ctx)
+    u0 = _reals(f"{ctx}: field 'u0'", _require(doc, "u0", list, ctx))
     radius = _require(doc, "radius", (int, float), ctx)
     epsilon = _require(doc, "epsilon", (int, float), ctx, 0.0)
     tags = _require(doc, "tags", list, ctx, [])
     unknown = [tag for tag in tags if tag not in TAGS]
     if unknown:
         raise ParseError(f"{ctx}: unknown tags {unknown}")
-    problem = DsmProblem(L, g, np.asarray(u0, dtype=float), radius=radius,
-                         epsilon=epsilon)
+    problem = DsmProblem(L, g, u0, radius=radius, epsilon=epsilon)
     spec = ProblemSpec(name=name, params=dict(params), tags=tuple(tags))
     return ProblemBundle(problem=problem, spec=spec)

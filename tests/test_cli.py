@@ -11,9 +11,9 @@ import pytest
 
 from dsmflow import continuation
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
-                         _write_json, main)
-from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
-from dsmflow.flow import FlowConfig
+                         _write_continuation_csv, _write_json, _write_trajectory_csv, main)
+from dsmflow.continuation import EpsSchedule, solve_minimal_norm, solve_newton_flow
+from dsmflow.flow import FlowConfig, integrate
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import DsmProblem, preconditioned_residual
 from dsmflow.problems import (BUILTINS, _verify_tags, ill_conditioned, make_map, save_problem,
@@ -494,18 +494,37 @@ def test_missing_problem_source_is_an_error(capsys):
     assert "error:" in stderr
 
 
-@pytest.mark.parametrize("params,fragment", [
-    ({"scale": 0.1}, "needs param 'offset'"),
-    ([0.1, [1.0, 2.0]], "field 'params' has type list"),
-    ({"scale": [0.1], "offset": [0.0, 0.0]}, "param 'scale' has type list"),
-    ({"scale": 0.1, "offset": ["0.1", 0.0]}, "param 'offset' has an entry that is not a number"),
-    ({"scale": float("inf"), "offset": [0.0, 0.0]}, "scale must be finite and nonnegative"),
-    ({"scale": float("nan"), "offset": [0.0, 0.0]}, "scale must be finite and nonnegative"),
+_NOT_A_NUMBER = "has an entry that is not a number"
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    ({"params": {"scale": 0.1}}, "needs param 'offset'"),
+    ({"params": [0.1, [1.0, 2.0]]}, "field 'params' has type list"),
+    ({"params": {"scale": [0.1], "offset": [0.0, 0.0]}}, "param 'scale' has type list"),
+    ({"params": {"scale": 0.1, "offset": ["0.1", 0.0]}}, "param 'offset' " + _NOT_A_NUMBER),
+    ({"params": {"scale": float("inf"), "offset": [0.0, 0.0]}},
+     "scale must be finite and nonnegative"),
+    ({"params": {"scale": float("nan"), "offset": [0.0, 0.0]}},
+     "scale must be finite and nonnegative"),
+    ({"u0": ["0.5", 0.0]}, "bad.json: field 'u0' " + _NOT_A_NUMBER),
+    ({"u0": [True, 0.0]}, "bad.json: field 'u0' " + _NOT_A_NUMBER),
+    ({"u0": [None, 0.0]}, "bad.json: field 'u0' " + _NOT_A_NUMBER),
+    ({"rows": [["2", 0.0], [0.0, 1.0]]}, "bad.json: L: field 'rows' " + _NOT_A_NUMBER),
+    ({"rows": [[True, 0.0], [0.0, 1.0]]}, "bad.json: L: field 'rows' " + _NOT_A_NUMBER),
+    ({"rows": [[1.0, None], [0.0, 1.0]]}, "bad.json: L: field 'rows' " + _NOT_A_NUMBER),
+    ({"rows": [[1.0, 0.0], [1.0]]},
+     "bad.json: L: field 'rows' is ragged, not a rectangular array"),
 ], ids=["missing-key", "not-an-object", "scale-not-a-number", "offset-entry-a-string",
-        "scale-infinite", "scale-nan"])
-def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, params, fragment):
-    doc = {"name": "bad", "dim": 2, "L": {"rows": [[1.0, 0.0], [0.0, 1.0]]},
-           "g": {"builtin": "cubic", "params": params}, "u0": [0.0, 0.0], "radius": 1.0}
+        "scale-infinite", "scale-nan", "u0-entry-a-string", "u0-entry-a-boolean",
+        "u0-entry-null", "rows-entry-a-string", "rows-entry-a-boolean", "rows-entry-null",
+        "rows-ragged"])
+def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, fields, fragment):
+    # a well-formed cubic problem with one field replaced
+    doc = {"name": "bad", "dim": 2,
+           "L": {"rows": fields.get("rows", [[1.0, 0.0], [0.0, 1.0]])},
+           "g": {"builtin": "cubic", "params": fields.get("params", {"scale": 0.1,
+                                                                   "offset": [0.0, 0.0]})},
+           "u0": fields.get("u0", [0.0, 0.0]), "radius": 1.0}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, stdout, stderr = run(capsys, "solve", "--problem", str(path))
@@ -526,3 +545,39 @@ def test_missing_config_file(capsys):
     code, _, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic",
                           "--config", "/nonexistent/conf.json")
     assert code == EXIT_ERROR
+
+
+# -- artifact writers ----------------------------------------------------------------
+
+
+def test_trajectory_csv_deterministic_and_parseable(tmp_path):
+    b = wellposed_cubic(4, scale=0.1, seed=16)
+    res = integrate(b.problem, FlowConfig(t_max=2.0, p_stop=0.0))
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_trajectory_csv(res, p1)
+    _write_trajectory_csv(res, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    lines = p1.read_text().splitlines()
+    assert lines[0] == "t,p,residual_F,u_norm,step"
+    assert len(lines) == 1 + len(res.trajectory)
+    first = [float(x) for x in lines[1].split(",")]
+    assert first[0] == 0.0 and first[1] == res.p0
+    # 17 significant digits round-trip float64 exactly
+    last = [float(x) for x in lines[-1].split(",")]
+    assert last[1] == res.p_final
+
+
+def test_continuation_csv_deterministic(tmp_path):
+    b = singular_monotone(4, rank=2, seed=58)
+    res = solve_minimal_norm(b.problem, schedule=EpsSchedule(count=5))
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_continuation_csv(res, p1)
+    _write_continuation_csv(res, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    lines = p1.read_text().splitlines()
+    assert lines[0] == "eps,norm_v,residual_full,increment,inner_steps"
+    assert len(lines) == 1 + len(res.records)
+    assert float(lines[1].split(",")[0]) == 1.0
+    # the step count prints as an integer
+    assert [line.split(",")[-1] for line in lines[1:]] == [
+        str(r.inner_steps) for r in res.records]

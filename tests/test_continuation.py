@@ -14,8 +14,7 @@ from dsmflow import continuation, model
 from dsmflow.continuation import (EPS_CONDITION_LIMIT, EXTRAPOLATION_DEGREE,
                                   EXTRAPOLATION_TOL, INNER_FLOW, ContinuationResult,
                                   ContinuationStop, EpsSchedule, NewtonFlowSolution,
-                                  discrepancy_stop, solve_minimal_norm, solve_newton_flow,
-                                  write_continuation_csv)
+                                  discrepancy_stop, solve_minimal_norm, solve_newton_flow)
 from dsmflow.errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
                             NonPsdOperator, TMaxReachedError)
 from dsmflow.flow import FlowConfig, FlowStatus
@@ -48,6 +47,8 @@ def test_schedule_clamps_to_floor_exactly():
 @pytest.mark.parametrize("kw", [
     {"eps0": 0.0}, {"eps0": -1.0}, {"ratio": 0.0}, {"ratio": 1.0},
     {"count": 0}, {"floor": 0.0}, {"floor": 2.0},
+    # count must be an int: 2.5 and nan would fail in values(), True would run one level
+    {"count": 2.5}, {"count": float("nan")}, {"count": True}, {"count": "3"},
 ])
 def test_schedule_validation(kw):
     with pytest.raises(ValueError):
@@ -421,19 +422,3 @@ def test_discrepancy_stop_trivial_and_failure_cases():
     # NaN is refused with its own message, not later as a NaN t_max
     with pytest.raises(ValueError, match="^noise level must be positive, got nan$"):
         discrepancy_stop(b.problem, float("nan"))
-
-
-# -- serialization -------------------------------------------------------------------
-
-
-def test_continuation_csv_deterministic(tmp_path):
-    b = singular_monotone(4, rank=2, seed=58)
-    res = solve_minimal_norm(b.problem, schedule=EpsSchedule(count=5))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_continuation_csv(res, p1)
-    write_continuation_csv(res, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "eps,norm_v,residual_full,increment,inner_steps"
-    assert len(lines) == 1 + len(res.records)
-    assert float(lines[1].split(",")[0]) == 1.0

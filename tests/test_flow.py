@@ -19,7 +19,7 @@ from dsmflow.continuation import solve_minimal_norm
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
 from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
-                          error_bound_check, integrate, write_trajectory_csv)
+                          error_bound_check, integrate)
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            NonlinearMap, ball_samples, check_trust_condition,
@@ -546,23 +546,3 @@ def test_error_bound_check_requires_convergence():
     res = integrate(b.problem, FlowConfig(t_max=0.2, p_stop=0.0))
     with pytest.raises(ValueError):
         error_bound_check(res, 1.0)
-
-
-# -- serialization ------------------------------------------------------------------------
-
-
-def test_trajectory_csv_deterministic_and_parseable(tmp_path):
-    b = wellposed_cubic(4, scale=0.1, seed=16)
-    res = integrate(b.problem, FlowConfig(t_max=2.0, p_stop=0.0))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trajectory_csv(res, p1)
-    write_trajectory_csv(res, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "t,p,residual_F,u_norm,step"
-    assert len(lines) == 1 + len(res.trajectory)
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == 0.0 and first[1] == res.p0
-    # 17 significant digits round-trip float64 exactly
-    last = [float(x) for x in lines[-1].split(",")]
-    assert last[1] == res.p_final

@@ -17,7 +17,7 @@ from dsmflow.model import DsmProblem, NonlinearMap
 from dsmflow.oracles import (MembershipReport, OracleReport, _symmetric_eigh,
                              convexity_closedness_suite, membership_probe,
                              newton_oracle, pseudoinverse_min_norm)
-from dsmflow.problems import singular_monotone, wellposed_cubic
+from dsmflow.problems import singular_canonical, singular_monotone, wellposed_cubic
 
 
 # -- damped Newton -----------------------------------------------------------
@@ -177,6 +177,15 @@ def test_membership_custom_probe_points():
     zs = [bundle.solution + z for z in np.eye(4)]
     rep = membership_probe(bundle.problem, bundle.solution, z_samples=zs)
     assert rep.member and rep.n_samples == 4
+
+
+@pytest.mark.parametrize("zs", [[], np.empty((0, 2))], ids=["list", "array"])
+def test_membership_refuses_no_probe_points(zs):
+    # with no probe the verdict would be member=True, here for (5, 0), no solution
+    problem = singular_canonical().problem
+    assert not membership_probe(problem, np.array([5.0, 0.0])).member
+    with pytest.raises(ValueError, match="^need at least one probe point$"):
+        membership_probe(problem, np.array([5.0, 0.0]), z_samples=zs)
 
 
 # -- solution set geometry ---------------------------------------------------------

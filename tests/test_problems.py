@@ -84,6 +84,11 @@ def test_array_map_params_must_hold_numbers():
                     make_map(name, 3, {**params, key: _with_first_entry(params[key], bad)})
             with pytest.raises(ParseError, match=f"param '{key}' has an entry"):
                 make_map(name, 3, {**params, key: np.asarray(params[key]) > 0.0})
+    # a ragged matrix is refused by name, not in numpy's words
+    ragged = _BUILTIN_MAP_PARAMS["linear"]["matrix"][:2] + [[1.0]]
+    with pytest.raises(ParseError, match="^builtin map 'linear' param 'matrix' is ragged, "
+                                         "not a rectangular array$"):
+        make_map("linear", 3, {"matrix": ragged})
 
 
 @pytest.mark.parametrize("name", ["cubic", "range_cubic"])
@@ -434,6 +439,17 @@ def test_load_parse_error_contexts(tmp_path):
         load_problem(write_doc(tmp_path, L={"rows": [[1.0, 0.0], [0.0, 1.0]], "flags": "psd"}))
     with pytest.raises(ParseError, match="field 'params' has type list"):
         load_problem(write_doc(tmp_path, g={"builtin": "zero", "params": [0.0]}))
+    # u0 and L's rows hold JSON numbers: no string, boolean or null entry, no ragged rows
+    for entry in ("0.5", True, None):
+        with pytest.raises(ParseError, match="^doc.json: field 'u0' has an entry that is "
+                                             "not a number$"):
+            load_problem(write_doc(tmp_path, u0=[entry, 0.0]))
+        with pytest.raises(ParseError, match="^doc.json: L: field 'rows' has an entry that "
+                                             "is not a number$"):
+            load_problem(write_doc(tmp_path, L={"rows": [[entry, 0.0], [0.0, 1.0]]}))
+    with pytest.raises(ParseError, match="^doc.json: L: field 'rows' is ragged, not a "
+                                         "rectangular array$"):
+        load_problem(write_doc(tmp_path, L={"rows": [[1.0, 0.0], [1.0]]}))
     # each builtin map without each key it needs
     needed = {"constant": {"offset": [0.0, 0.0]},
               "linear": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
