@@ -437,6 +437,8 @@ def cmd_certify(ns):
 
 
 def cmd_oracle_check(ns):
+    if not np.isfinite(ns.agree_tol) or ns.agree_tol <= 0.0:
+        raise ValueError(f"--agree-tol must be finite and positive, got {ns.agree_tol}")
     cfg = _converging_flow_config(ns, FlowConfig())
 
     def worker(label, bundle, out):

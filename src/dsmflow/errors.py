@@ -27,10 +27,6 @@ class SingularLinearization(DsmError):
     """The linearized operator at some point is numerically singular."""
 
 
-class NotApplicable(DsmError):
-    """A certificate was requested for an operator outside its hypotheses."""
-
-
 class NonPsdOperator(DsmError):
     """The operator failed the self-adjoint positive-semidefinite check."""
 

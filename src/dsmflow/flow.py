@@ -94,9 +94,11 @@ class FlowConfig:
     ``rel_tol * |u|``, not with ``p``).  For the same reason keep
     ``p_stop``, and ``p_stop_abs`` when it is nonzero, at or above
     ``0.1 * rel_tol``: the defaults, and the continuation's inner settings,
-    sit exactly there, and the CLI refuses a pair below it.  The step-error
-    scale of a component ``u_i`` is ``abs_tol + rel_tol * |u_i|`` with
-    ``abs_tol = 1e-2 * rel_tol``.
+    sit exactly there, and the CLI refuses a pair below it.  That condition
+    is necessary, not sufficient: ``sector_blocks`` at dims 100 and above
+    reaches ``t_max`` with the defaults, its decay deviation several times
+    ``p_stop``.  The step-error scale of a component ``u_i`` is
+    ``abs_tol + rel_tol * |u_i|`` with ``abs_tol = 1e-2 * rel_tol``.
     ``sample_stride`` is the trajectory recording interval in flow time.
     """
     t_max: float = 30.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotApplicable, SingularLinearization
+from .errors import DimensionMismatch, SingularLinearization
 from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, as_vector,
                       norm)
 
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
-_SECTOR_GRID_SIZE = 64     # sector points probed for non-self-adjoint L
 _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
 _FD_STEP = 1e-5            # central-difference step of fd_jacobian_check
 
@@ -513,50 +512,31 @@ def check_trust_condition(problem, newton_bound):
         detail="route: sampled, margin = radius - p0 * bound")
 
 
-def check_resolvent_bound(L, eps_grid, sector_delta=None):
-    """Certify ``|(L + eps*I)^{-1}| <= 1/(eps*sin(delta))`` over an epsilon grid.
+def check_resolvent_bound(L, eps_grid):
+    """Certify ``|(L + eps*I)^{-1}| <= 1/eps`` over an epsilon grid.
 
-    For verified self-adjoint positive-semidefinite operators ``sin(delta)``
-    is 1.  Otherwise ``sector_delta`` must be supplied (in radians, from a
-    prior :func:`check_sector`); without it the check is
-    :class:`NotApplicable`.
-
-    For self-adjoint ``L``, ``sigma_min(L + eps*I)`` is ``min |w + eps|``
-    over ``L``'s cached :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`
-    ``w``; otherwise it is the smallest singular value of ``L + eps*I``,
-    one SVD per shift.
-    A shift at which ``L + eps*I`` is singular fails the certificate with
-    an infinite ``worst_ratio``.
+    ``sigma_min(L + eps*I)`` is ``min |w + eps|`` over ``L``'s cached
+    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` ``w``, so an ``L``
+    without the self-adjoint flag raises :class:`NotSymmetric`.  The
+    ``sin_delta`` quantity is always 1.  A shift at which ``L + eps*I`` is
+    singular fails the certificate with an infinite ``worst_ratio``.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or not all(math.isfinite(e) and e > 0.0 for e in eps_grid):
         raise ValueError("epsilon grid must be nonempty with finite positive entries")
-    if L.self_adjoint and L.psd_claimed:
-        sin_delta = 1.0
-    elif sector_delta is not None:
-        sector_delta = float(sector_delta)
-        if not 0.0 < sector_delta <= np.pi / 2.0:
-            raise ValueError(f"sector angle must lie in (0, pi/2], got {sector_delta}")
-        sin_delta = float(np.sin(sector_delta))
-    else:
-        raise NotApplicable(
-            "resolvent bound needs a self-adjoint psd operator or an explicit sector angle")
+    w = L.eigenvalues()
     min_margin = float("inf")
     worst_ratio = 0.0
     passed = True
     tol = 1e-9
     eps_mach = float(np.finfo(float).eps)
     opn = L.operator_norm()
-    if L.self_adjoint:
-        w = L.eigenvalues()
-        sigmas = [float(np.abs(w + eps).min()) for eps in eps_grid]
-    else:
-        sigmas = [L.shifted(eps).smallest_singular_value() for eps in eps_grid]
-    for eps, sigma in zip(eps_grid, sigmas):
+    for eps in eps_grid:
+        sigma = float(np.abs(w + eps).min())
         # a shift onto an eigenvalue leaves L + eps*I singular: fail, do not divide
         resolvent_norm = 1.0 / sigma if sigma > 0.0 else float("inf")
-        limit = 1.0 / (eps * sin_delta)
-        # when sigma_min sits exactly at eps (singular L), eigenvalue or SVD
+        limit = 1.0 / eps
+        # when sigma_min sits exactly at eps (singular L), eigenvalue
         # rounding of order eps_mach * |L| moves 1/sigma by allowance; tolerate that
         allowance = 1e3 * eps_mach * (opn + eps) * limit ** 2
         margin = limit - resolvent_norm
@@ -568,7 +548,7 @@ def check_resolvent_bound(L, eps_grid, sector_delta=None):
         kind=CertificateKind.RESOLVENT_BOUND,
         passed=passed,
         quantities={"n_eps": float(len(eps_grid)), "min_margin": min_margin,
-                    "worst_ratio": worst_ratio, "sin_delta": sin_delta})
+                    "worst_ratio": worst_ratio, "sin_delta": 1.0})
 
 
 def check_sector(L, a, delta):
@@ -577,10 +557,23 @@ def check_sector(L, a, delta):
     The sector is ``{ -r e^{i phi} : 0 < r <= a, |phi| <= delta }``.  For
     self-adjoint operators this reduces to excluding eigenvalues in
     ``[-a, 0)``, read off ``L``'s cached
-    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`.  For general
-    operators a grid of sector points is probed through the smallest
-    singular value of ``L - z I`` in the real embedding of the
-    complexified space.
+    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`.
+
+    Any other ``L`` is certified through its numerical range ``W(L)``, which
+    lies in ``Re z >= mu`` with ``mu = lambda_min((L + L^T)/2)``, one
+    ``eigvalsh``.  So ``sigma_min(L - z I) >= max(mu - Re z, sigma_min(L) - |z|)``,
+    where ``sigma_min(L)`` is the operator's cached smallest singular value
+    (Lumer-Phillips; Pazy 1983 §1.4, Kato §V.3.10).  At ``|z| = r`` in the
+    sector ``-Re z >= r cos(delta)``, so the margin is the minimum over
+    ``0 < r <= a`` of ``max(mu + r cos(delta), sigma_min - r)``: the two
+    lines cross at ``r* = (sigma_min - mu)/(1 + cos(delta))``, and the
+    minimum is ``mu`` if ``r* <= 0``, ``sigma_min - a`` if ``r* >= a``, else
+    ``mu + r* cos(delta)``.  Both numbers are first lowered by
+    ``(n+1) eps_mach |L|_F`` for the eigensolvers' rounding, as in
+    :func:`_proof_spectrum`, and the check passes when the margin is
+    positive, which proves the sector free of spectrum.  The route refuses
+    an ``L`` whose spectrum avoids the sector while its numerical range
+    does not.
     """
     a = float(a)
     delta = float(delta)
@@ -588,7 +581,6 @@ def check_sector(L, a, delta):
         raise ValueError(f"sector radius must be finite and positive, got {a}")
     if not 0.0 < delta <= np.pi / 2.0:
         raise ValueError(f"sector half-angle must lie in (0, pi/2], got {delta}")
-    opn = L.operator_norm()
     if L.self_adjoint:
         w = L.eigenvalues()
         bad = w[(w >= -a) & (w < 0.0)]
@@ -610,37 +602,25 @@ def check_sector(L, a, delta):
             quantities={"a": a, "delta": delta, "margin": float(margin),
                         "n_grid": float(w.size)},
             detail="self-adjoint spectrum check")
-    # general case: probe grid points z in the sector.  sigma_min(L - z*I)
-    # is 1-Lipschitz in z and vanishes at eigenvalues, so if it exceeds the
-    # grid's covering radius at every grid point, no eigenvalue can hide
-    # between them: the pass is a proof, not a heuristic.
-    n_angles = 9
-    n_radii = max(2, int(np.ceil(_SECTOR_GRID_SIZE / n_angles)))
-    radii = np.geomspace(a * 1e-3, a, n_radii)
-    angles = np.linspace(-delta, delta, n_angles)
-    dphi = 2.0 * delta / (n_angles - 1)
-    covering = float(radii[0]) * float(np.hypot(1.0, 0.5 * dphi))
-    for rk, rk1 in zip(radii, radii[1:]):
-        covering = max(covering, float(np.hypot(0.5 * (rk1 - rk), 0.5 * rk1 * dphi)))
-    floor = 1e-12 * (opn + a)
-    worst = float("inf")
-    n = L.dim
-    for r in radii:
-        for phi in angles:
-            z = -r * np.exp(1j * phi)
-            x, y = float(z.real), float(z.imag)
-            # real embedding of (L - z I) acting on C^n
-            M = np.block([[L.entries - x * np.eye(n), y * np.eye(n)],
-                          [-y * np.eye(n), L.entries - x * np.eye(n)]])
-            smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-            worst = min(worst, smin)
+    E = L.entries
+    err = (L.dim + 1) * float(np.finfo(float).eps) * float(np.linalg.norm(E))
+    mu = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0]) - err
+    sigma_min = L.smallest_singular_value() - err
+    cos_delta = math.cos(delta)
+    r_star = (sigma_min - mu) / (1.0 + cos_delta)
+    if r_star <= 0.0:
+        margin = mu
+    elif r_star >= a:
+        margin = sigma_min - a
+    else:
+        margin = mu + r_star * cos_delta
     return Certificate(
         kind=CertificateKind.SECTOR,
-        passed=bool(worst > covering + floor),
-        quantities={"a": a, "delta": delta, "margin": worst - covering,
-                    "covering_radius": covering,
-                    "n_grid": float(len(radii) * len(angles))},
-        detail="grid resolvent probe")
+        passed=bool(margin > 0.0),
+        quantities={"a": a, "delta": delta, "margin": margin,
+                    "mu": mu, "sigma_min": sigma_min},
+        detail="route: numerical range, margin = min over 0 < r <= a of "
+               "max(mu + r cos(delta), sigma_min - r)")
 
 
 def fd_jacobian_check(g, u):

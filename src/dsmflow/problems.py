@@ -404,10 +404,11 @@ def sector_blocks(dim, seed=42, scale=0.1):
 
     Block-diagonal rotation/dilation blocks put all eigenvalues at
     ``a + b*i`` with ``a >= 0`` and ``|b| >= 0.5``, so the sector
-    certificate and the shifted resolvent bound are exercised on a
-    genuinely non-normal-route operator.  Carries the shift 0.1 (change it
-    with :meth:`~dsmflow.model.DsmProblem.with_epsilon`) because the first
-    block is singular-free but has purely imaginary spectrum.
+    certificate's numerical-range route and the sampled Newton bound are
+    exercised on an operator without the self-adjoint flag; it claims no
+    ``self_adjoint_psd`` tag, so no resolvent bound is taken.  Carries the
+    shift 0.1 (change it with :meth:`~dsmflow.model.DsmProblem.with_epsilon`)
+    because the first block is singular-free but has purely imaginary spectrum.
     """
     dim = int(dim)
     if dim < 2 or dim % 2 != 0:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from dsmflow import continuation
+from dsmflow import cli, continuation
 from dsmflow.cli import (EXIT_CERT_FAILED, EXIT_ERROR, EXIT_MONOTONE, EXIT_OK,
                          _write_continuation_csv, _write_json, _write_trajectory_csv, main)
 from dsmflow.continuation import EpsSchedule, solve_minimal_norm, solve_newton_flow
@@ -387,6 +387,18 @@ def test_oracle_check_impossible_tolerance(capsys):
                           "--agree-tol", "1e-30")
     assert code == EXIT_ERROR
     assert ">" in stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_oracle_check_refuses_a_bad_tolerance_before_solving(capsys, monkeypatch, tol):
+    # no distance can meet nan, and 0 or less is never met: refused up front
+    monkeypatch.setattr(cli, "solve_newton_flow",
+                        lambda *args, **kwargs: pytest.fail("solved"))
+    code, stdout, stderr = run(capsys, "oracle-check", "--builtin", "wellposed_cubic",
+                               "--dim", "3", "--agree-tol", tol)
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: --agree-tol")
 
 
 # -- decay-audit -----------------------------------------------------------------------

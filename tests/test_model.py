@@ -13,7 +13,7 @@ import pytest
 
 from dsmflow import model
 from dsmflow.continuation import solve_newton_flow
-from dsmflow.errors import (DimensionMismatch, NotApplicable, NotSymmetric,
+from dsmflow.errors import (DimensionMismatch, NotSymmetric,
                             SingularLinearization, SingularOperator)
 from dsmflow.flow import integrate
 from dsmflow.hilbert import DenseOperator, norm
@@ -554,25 +554,23 @@ def test_resolvent_bound_spd_known_values():
 
 
 def test_resolvent_bound_needs_sector_for_general_operators():
+    # the resolvent bound reads eigenvalues, so a non-self-adjoint L is
+    # refused there; its sector certificate goes through the numerical range
     rot = DenseOperator([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(NotApplicable):
+    with pytest.raises(NotSymmetric):
         check_resolvent_bound(rot, [0.1])
-    cert = check_resolvent_bound(rot, [0.1, 0.01], sector_delta=np.pi / 2)
-    # sigma_min(rot + eps) = sqrt(1 + eps^2) >> eps
-    assert cert.passed
+    assert check_sector(rot, 0.5, np.pi / 2).passed
 
 
 def test_resolvent_bound_detects_violation():
     # eigenvalue -0.5 makes |(L + 0.6)^{-1}| = 10 exceed 1/0.6
     L = DenseOperator([[-0.5]], self_adjoint=True)
-    cert = check_resolvent_bound(L, [0.6], sector_delta=np.pi / 2)
+    cert = check_resolvent_bound(L, [0.6])
     assert not cert.passed
     with pytest.raises(ValueError):
         check_resolvent_bound(L, [])
     with pytest.raises(ValueError):
-        check_resolvent_bound(L, [-0.1], sector_delta=np.pi / 2)
-    with pytest.raises(ValueError):
-        check_resolvent_bound(L, [0.1], sector_delta=3.0)
+        check_resolvent_bound(L, [-0.1])
     psd = DenseOperator.diagonal([1.0, 0.0])
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -582,20 +580,10 @@ def test_resolvent_bound_detects_violation():
 def test_resolvent_bound_fails_when_a_shift_hits_an_eigenvalue():
     # L + 0.5 I = 0: a failed certificate, not a ZeroDivisionError
     L = DenseOperator([[-0.5]], self_adjoint=True)
-    cert = check_resolvent_bound(L, [0.5], sector_delta=np.pi / 2)
+    cert = check_resolvent_bound(L, [0.5])
     assert not cert.passed
     assert cert.quantities["worst_ratio"] == float("inf")
     assert cert.quantities["min_margin"] == -float("inf")
-
-
-def test_resolvent_bound_svd_branch_fails_on_a_singular_shift():
-    # not self-adjoint, so sigma_min comes from the SVD of L + eps*I, which
-    # is [[0, 1], [0, 0]] at eps = 0.5: exactly singular
-    L = DenseOperator([[-0.5, 1.0], [0.0, -0.5]])
-    cert = check_resolvent_bound(L, [1.0, 0.5], sector_delta=np.pi / 3)
-    assert not cert.passed
-    assert cert.quantities["worst_ratio"] == float("inf")
-    assert cert.quantities["sin_delta"] == pytest.approx(np.sin(np.pi / 3))
 
 
 # -- sector check ------------------------------------------------------------------
@@ -614,16 +602,42 @@ def test_sector_self_adjoint_branch():
     assert deep.quantities["margin"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sector_grid_branch_is_lipschitz_sound():
-    # spectrum {+-i} stays clear of the sector
+def test_sector_numerical_range_route_is_sound():
+    # spectrum {+-i}, mu = 0 and sigma_min = 1: the lines cross beyond a,
+    # so the margin is sigma_min - a
     rot = DenseOperator([[0.0, 1.0], [-1.0, 0.0]])
     ok = check_sector(rot, 0.5, np.pi / 6)
-    assert ok.passed and ok.quantities["margin"] > 0.0
-    # defective eigenvalue -0.3 hides between grid points; the covering
-    # radius criterion must still reject it
+    assert ok.passed and ok.detail.startswith("route: numerical range")
+    assert ok.quantities["margin"] == pytest.approx(0.5, abs=1e-12)
+    # the defective eigenvalue -0.3 lies in the sector: mu = -0.8
     bad = check_sector(DenseOperator([[-0.3, 1.0], [0.0, -0.3]]), 0.5, np.pi / 6)
     assert not bad.passed
-    assert bad.quantities["covering_radius"] > 0.0
+    assert bad.quantities["mu"] == pytest.approx(-0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("entries, passed, margin", [
+    # the numerical range refuses it: its spectrum {1} avoids the sector,
+    # which the sector grid passed with margin 0.143, but mu = -0.5
+    ([[1.0, 3.0], [0.0, 1.0]], False, -0.12743052993534),
+    # the numerical range passes it without the self-adjoint flag, since
+    # mu = 1e-5 > 0; the sector grid refused it with margin -0.160
+    ([[1e-5, 0.0], [0.0, 1.0]], True, 1e-5),
+], ids=["jordan-like-refused", "near-singular-diagonal-passed"])
+def test_sector_verdicts_the_numerical_range_moved(entries, passed, margin):
+    cert = check_sector(DenseOperator(entries), 0.5, np.pi / 6)
+    assert cert.passed is passed
+    assert cert.quantities["margin"] == pytest.approx(margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, margin", [(8, 0.5), (64, 0.288700900661584)],
+                         ids=["dim8", "dim64"])
+def test_sector_blocks_pass_through_the_numerical_range(dim, margin):
+    # the skew first block puts mu at 0 less rounding; dim 8's smallest
+    # singular value is 1, the skew block's, so its margin is 1 - a
+    cert = sector_blocks(dim).certificates["sector"]
+    assert cert.passed and cert.detail.startswith("route: numerical range")
+    assert cert.quantities["margin"] == pytest.approx(margin, abs=1e-10)
+    assert -1e-12 < cert.quantities["mu"] <= 0.0
 
 
 def test_sector_rejects_bad_parameters():
