@@ -5,7 +5,9 @@ The flow integrated here is ``du/dt = phi(u)`` with
     phi(u) = -[I + (L+eps*I)^{-1} g'(u)]^{-1} [u + (L+eps*I)^{-1} g(u)]
 
 It is computed as ``phi(u) = -(A + g'(u))^{-1} (A f)`` with ``A = L+eps*I``
-and ``f = u + A^{-1} g(u)``: one LU of ``A + g'(u)`` per stage, see
+and ``f = u + A^{-1} g(u)``: one factorization of ``A + g'(u)`` per stage,
+a lower Cholesky factor where a diagonal ``g'(u)`` on an exactly symmetric
+``A`` admits one and an LU otherwise, see
 :func:`dsmflow.model.newton_velocity`.
 
 Each RK stage checks each array it touches once, inside

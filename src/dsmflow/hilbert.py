@@ -5,18 +5,22 @@ shape and finiteness at API boundaries.  :class:`DenseOperator` wraps a
 square matrix together with structural flags (self-adjoint, positive
 semidefinite) and caches its factorizations on first use: one LU, and
 either the eigenvalues of a self-adjoint operator, from which its
-singular values are read, or the singular values of any other.  Its LU
-factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
-:func:`_getrf` and :func:`_getrs`, which give bitwise what
+singular values are read, or the singular values of any other.  It also
+caches whether its entries equal their transpose exactly, a fact that
+:meth:`DenseOperator.shifted` passes on.  Its LU factors come straight
+from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
+:func:`_getrs`, which give bitwise what
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
-wrapper cost.
+wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
+lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
+stage takes for a symmetric matrix before it falls back to LU.
 
 The tolerances below are module constants; :meth:`DenseOperator.solve`
 compares pivots against ``PIVOT_RTOL`` times the operator norm.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
@@ -97,6 +101,41 @@ def _dgetrs(lu, piv, b):
     return x
 
 
+def _potrf(M):
+    """Lower Cholesky factor of the symmetric float matrix ``M`` from LAPACK ``dpotrf``, or None.
+
+    Only ``M``'s lower triangle is read, and ``M`` itself is left as it
+    was, so a caller can still factor it by :func:`_getrf`.  None when
+    ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
+    positive definite; that is not an error and raises no warning.  As in
+    :func:`_getrf`, ``M`` is not scanned, and a factor that is not finite
+    raises ``ValueError``, so :func:`_potrs` need not check it again.
+    """
+    c, info = dpotrf(M, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if info > 0:
+        return None
+    if not _all_finite(c):
+        raise ValueError("Cholesky factor contains non-finite entries")
+    return c
+
+
+def _potrs(c, b):
+    """Solve ``M x = b`` from :func:`_potrf`'s factor ``c`` with LAPACK ``dpotrs``.
+
+    ``b`` is a vector or a matrix of right-hand-side columns; raises
+    ``ValueError`` when it holds a non-finite entry.  ``_potrf`` has
+    checked ``c``.
+    """
+    if not _all_finite(b):
+        raise ValueError("right-hand side contains non-finite entries")
+    x, info = dpotrs(c, b, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 def norm(u):
     """Euclidean norm of the finite 1-D vector ``u``."""
     return float(np.linalg.norm(as_vector(u)))
@@ -136,6 +175,7 @@ class DenseOperator:
         self._opnorm = None
         self._lu = None
         self._eigvals = None
+        self._symmetric = None
         if not _verified:
             self._verify_flags()
 
@@ -160,6 +200,8 @@ class DenseOperator:
         # self-adjointness and (for eps >= 0) semidefiniteness survive the shift
         S = DenseOperator(A, self_adjoint=self.self_adjoint,
                           psd_claimed=self.psd_claimed, _verified=True)
+        # the shift touches only the diagonal, so exact symmetry carries over
+        S._symmetric = self.exactly_symmetric()
         if self.self_adjoint:
             # the shift moves every eigenvalue by eps: no decomposition of A
             S._eigvals = self.eigenvalues() + eps
@@ -174,6 +216,18 @@ class DenseOperator:
     def apply(self, u):
         u = as_vector(u, dim=self.dim)
         return self.entries @ u
+
+    def exactly_symmetric(self):
+        """Whether the entries equal their transpose bitwise, tested once and cached.
+
+        Unlike the ``self_adjoint`` flag, which allows an asymmetry of
+        ``SELF_ADJOINT_RTOL`` times the norm, this is exact: a matrix
+        built from it by changing only the diagonal is symmetric, and
+        Cholesky may factor it.
+        """
+        if self._symmetric is None:
+            self._symmetric = bool(np.array_equal(self.entries, self.entries.T))
+        return self._symmetric
 
     def _verify_flags(self):
         if not self.self_adjoint:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, SingularLinearization
-from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, as_vector,
-                      norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, _potrf,
+                      _potrs, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -209,7 +209,7 @@ def solve_linearized(T, rhs):
     """Solve ``T x = rhs`` for a linearization ``T``, refusing near-singular systems.
 
     Used by the damped-Newton oracle and by :func:`newton_velocity` when the
-    stage's one-LU route meets a small pivot.  A small LU pivot triggers an
+    stage's one factorization meets a small pivot.  A small LU pivot triggers an
     SVD recheck; the solve is refused only when the smallest singular value
     is at the noise floor.
     """
@@ -228,19 +228,29 @@ def newton_velocity(problem, u):
     """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u``, the residual norm ``|f(u)|`` and ``g(u)``.
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
-    LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one LU of
-    ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as its
+    LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one factorization
+    of ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as its
     diagonal is added onto a copy of ``A``'s diagonal, with no ``(n, n)``
     ``g'(u)``; for ``jac_fn=None``, ``M = A`` and the call takes ``A``'s
-    cached LU and ``max|A|`` and factors nothing.  Both LUs come straight
-    from LAPACK ``dgetrf``/``dgetrs`` (:mod:`dsmflow.hilbert`).  This equals
+    cached LU and ``max|A|`` and factors nothing.  This equals
     ``-[I + A^{-1} g'(u)]^{-1} f`` without forming ``A^{-1} g'(u)``.  The
     right-hand side is ``A f`` rather than ``A u + g(u)``: both are
     ``F(u)``, but the latter cancels to an absolute error near machine
     epsilon, which ``M^{-1}`` magnifies by up to ``1/eps`` at deep shifts.
 
-    Each array is checked once, and raises what ``A.solve`` and an LU of
-    ``M`` would raise:
+    Structure picks the factorization.  A diagonal ``g'(u)`` on an ``A``
+    whose entries equal their transpose exactly
+    (:meth:`~dsmflow.hilbert.DenseOperator.exactly_symmetric`, cached per
+    operator) leaves ``M`` symmetric, and ``M`` is factored by lower
+    Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a monotone
+    ``g``, ``M`` is positive definite, and Cholesky needs no pivoting to be
+    backward stable there.  When ``dpotrf`` meets a non-positive pivot, the
+    same, untouched ``M`` is factored by LU, LAPACK ``dgetrf``/``dgetrs``,
+    as is every ``M`` from a dense ``g'(u)`` or a non-symmetric ``A``.
+    No dense Jacobian is tested for symmetry.
+
+    Each array is checked once, and raises what ``A.solve`` and a
+    factorization of ``M`` would raise:
 
     - ``u`` is checked once by :func:`~dsmflow.hilbert.as_vector`
       (``ValueError``), then ``g._value(u)`` and ``g._jacobian(u)`` check
@@ -251,15 +261,17 @@ def newton_velocity(problem, u):
     - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
       ``max``; that one reduction also scales the pivot test below
       (``ValueError``).  ``M = A`` is finite by construction.
-    - ``_getrf`` checks ``M``'s LU factors and ``_getrs`` checks ``A f``.
+    - ``_potrf`` or ``_getrf`` checks ``M``'s factors, and ``_potrs`` or
+      ``_getrs`` checks ``A f``.
 
-    When ``M`` has an LU pivot below ``1e-9 * max(1, max|M|)`` the velocity
-    is taken from ``T = I + A^{-1} g'(u)`` through :func:`solve_linearized`
-    instead, which raises :class:`SingularLinearization` when ``T`` is
-    numerically singular.  A tiny pivot that comes from ``A`` alone is
-    therefore not a refusal.  Returns ``(v, p, g(u))``, the last for
-    :func:`~dsmflow.flow.integrate` to record ``F(u) = A u + g(u)``
-    without evaluating ``g`` again.
+    When ``M`` has a pivot below ``1e-9 * max(1, max|M|)``, an LU pivot or
+    the square ``min(diag C)^2`` of the smallest Cholesky pivot, the
+    velocity is taken from ``T = I + A^{-1} g'(u)`` through
+    :func:`solve_linearized` instead, which raises
+    :class:`SingularLinearization` when ``T`` is numerically singular.  A
+    tiny pivot that comes from ``A`` alone is therefore not a refusal.
+    Returns ``(v, p, g(u))``, the last for :func:`~dsmflow.flow.integrate`
+    to record ``F(u) = A u + g(u)`` without evaluating ``g`` again.
     """
     A = problem.shifted
     u = as_vector(u)
@@ -267,6 +279,7 @@ def newton_velocity(problem, u):
     lu, piv = A._solve_factors(gu)
     f = u + _dgetrs(lu, piv, gu)
     J = problem.g._jacobian(u)
+    chol = None
     if J is None:
         lu, piv, minpiv, m_max = A._factorize()
     else:
@@ -278,12 +291,19 @@ def newton_velocity(problem, u):
         m_max = float(np.abs(M).max())
         if not math.isfinite(m_max):
             raise ValueError("matrix to factor contains non-finite entries")
-        lu, piv = _getrf(M)
-        minpiv = np.abs(lu.diagonal()).min()
+        if J.ndim == 1 and A.exactly_symmetric():
+            chol = _potrf(M)
+        if chol is None:
+            lu, piv = _getrf(M)
+            minpiv = np.abs(lu.diagonal()).min()
+        else:
+            minpiv = chol.diagonal().min() ** 2
     if minpiv < 1e-9 * max(1.0, m_max):
         v = -solve_linearized(linearized_operator(problem, u), f)
-    else:
+    elif chol is None:
         v = -_getrs(lu, piv, A.entries @ f)
+    else:
+        v = -_potrs(chol, A.entries @ f)
     return v, math.sqrt(f.dot(f)), gu
 
 
@@ -416,8 +436,9 @@ def _proof_spectrum(problem):
     """Bounds ``(lam_lo, lam_hi)`` on ``A``'s eigenvalues where the proof route applies, else None.
 
     It applies when ``L`` carries the verified ``self_adjoint`` and
-    ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly,
-    so that :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` (``eigvalsh``
+    ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly
+    (:meth:`~dsmflow.hilbert.DenseOperator.exactly_symmetric`, cached), so
+    that :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` (``eigvalsh``
     of ``(L + L^T)/2``) are those of ``L`` itself; and ``lam_lo > 0``.
 
     ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
@@ -428,7 +449,7 @@ def _proof_spectrum(problem):
     rounding of ``A``'s diagonal and that of ``w + eps``.
     """
     L = problem.L
-    if not (L.self_adjoint and L.psd_claimed) or not np.array_equal(L.entries, L.entries.T):
+    if not (L.self_adjoint and L.psd_claimed and L.exactly_symmetric()):
         return None
     w = L.eigenvalues()
     eps = problem.epsilon

@@ -11,7 +11,7 @@ solver: it iterates on the solver's preconditioned residual through
 :func:`~dsmflow.model.solve_linearized`, and the last two are also the
 small-pivot fallback of the flow's stage,
 :func:`~dsmflow.model.newton_velocity`.  It shares neither the RK stepping
-nor the stage's one-LU route.
+nor the stage's one factorization of ``A + g'(u)``.
 """
 
 from dataclasses import dataclass
@@ -64,7 +64,7 @@ def newton_oracle(problem, tol=1e-10):
     accepting a step of length ``lam`` when
     ``|f(u + lam*d)| <= (1 - 1e-4*lam) |f(u)|``.
     The Newton direction solves with ``T = I + (L+eps*I)^{-1} g'(u)``, not
-    with the flow's one-LU stage route (:func:`dsmflow.model.newton_velocity`).
+    with the flow's one-factorization stage (:func:`dsmflow.model.newton_velocity`).
     Stops when ``|f|`` falls below ``tol`` times its starting value
     (floored at 1e-14).  Raises :class:`MaxIterations` when the iteration
     budget (200) or the line search runs out.

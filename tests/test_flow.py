@@ -26,7 +26,7 @@ from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            estimate_newton_bound, full_residual,
                            linearized_operator, newton_velocity,
                            preconditioned_residual)
-from dsmflow.problems import ill_conditioned, singular_monotone, wellposed_cubic
+from dsmflow.problems import ill_conditioned, sector_blocks, singular_monotone, wellposed_cubic
 
 
 def constant_map(c):
@@ -112,6 +112,40 @@ def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
     assert np.linalg.norm(newton_velocity(p, p.u0)[0] + f) <= 1e-12 * np.linalg.norm(f)
 
 
+def test_phi_tiny_cholesky_pivot_falls_back_to_the_linearization(monkeypatch):
+    # L + g'(u) is positive definite with a 1e-10 Cholesky pivot, so dpotrf
+    # factors it and the pivot test sends the stage to solve_linearized,
+    # where I + L^{-1} g'(u) is perfectly invertible
+    L = DenseOperator.diagonal([1.0, 1e-10])
+    c = np.array([0.3, -2e-10])
+    g = NonlinearMap(lambda u: c + 1e-12 * u ** 3, lambda u: 3e-12 * u ** 2, name="tiny")
+    p = DsmProblem(L=L, g=g, u0=np.array([0.5, 1.0]), radius=10.0)
+    calls = _count_factorizations(monkeypatch)
+    fallbacks = []
+    solve = model.solve_linearized
+    monkeypatch.setattr(model, "solve_linearized",
+                        lambda T, rhs: fallbacks.append(T.dim) or solve(T, rhs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = newton_velocity(p, p.u0)[0]
+    assert calls == {"potrf": 1, "getrf": 0} and fallbacks == [2]
+    f = preconditioned_residual(p, p.u0)
+    T = linearized_operator(p, p.u0).entries
+    assert np.linalg.norm(v + np.linalg.solve(T, f)) <= 1e-12 * np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("dim", [1, 10, 50, 200])
+def test_cholesky_velocity_matches_a_dense_solve(dim):
+    # the witness shares nothing with the stage but A, g and g'
+    p = wellposed_cubic(dim).problem
+    u = p.u0 + 0.2 * np.random.default_rng(4).standard_normal(dim)
+    A = p.shifted.entries
+    f = preconditioned_residual(p, u)
+    ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
+    v = newton_velocity(p, u)[0]
+    assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_phi_singular_cases_raise_no_warning():
     # an exactly singular L + g' is refused, a tiny pivot falls back, and
     # neither goes through a warning
@@ -141,7 +175,11 @@ _FAR = np.array([3.0, 0.0])
 
 
 def misbehaving_problem(fn=None, jac=None, L=None):
-    """dim 2, u0 = 0, g = u^3 near u0 and ``fn``/``jac`` where u[0] > 2."""
+    """dim 2, u0 = 0, g = u^3 near u0 and ``fn``/``jac`` where u[0] > 2.
+
+    Every ``L`` used here is exactly symmetric, so a ``jac`` that returns a
+    vector sends the stage to the Cholesky route and a matrix to the LU one.
+    """
     def g(u):
         return fn(u) if fn is not None and u[0] > 2.0 else u ** 3
 
@@ -149,6 +187,7 @@ def misbehaving_problem(fn=None, jac=None, L=None):
         return jac(u) if jac is not None and u[0] > 2.0 else np.diag(3.0 * u ** 2)
 
     L = DenseOperator.identity(2) if L is None else L
+    assert L.exactly_symmetric()
     return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="misbehaving"),
                       u0=np.zeros(2), radius=10.0)
 
@@ -263,13 +302,48 @@ def _dense_twin(g):
     return NonlinearMap(g.fn, g.jacobian, name=g.name, params=g.params)
 
 
+def indefinite_problem(dim=6, seed=5):
+    """Exactly symmetric psd ``L`` with eigenvalues 1..4 and the non-monotone
+    ``g = -2.5 u + 0.1 u^3 + c``: near ``u0 = 0`` the stage matrix
+    ``L + g'(u)`` has eigenvalues of both signs, so ``dpotrf`` refuses it."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    A = (Q * np.linspace(1.0, 4.0, dim)) @ Q.T
+    L = DenseOperator(0.5 * (A + A.T), self_adjoint=True, psd_claimed=True)
+    c = 0.1 * rng.standard_normal(dim)
+    g = NonlinearMap(lambda u: -2.5 * u + 0.1 * u ** 3 + c, lambda u: -2.5 + 0.3 * u ** 2,
+                     name="indefinite")
+    return DsmProblem(L=L, g=g, u0=np.zeros(dim), radius=10.0)
+
+
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda d=d: wellposed_cubic(d).problem, id=f"wellposed_cubic-{d}")
       for d in (1, 10, 50)),
     pytest.param(lambda: ill_conditioned(6).problem.with_epsilon(1e-2), id="ill_conditioned-6"),
 ])
+def test_cholesky_stage_flow_matches_the_dense_lu_one(make):
+    # on an exactly symmetric A a vector Jacobian is factored by Cholesky, its
+    # dense twin by LU: the two flows take the same steps and agree to rounding
+    problem = make()
+    assert problem.g.jac_fn(problem.u0).shape == (problem.dim,)
+    assert problem.shifted.exactly_symmetric()
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
+    assert len(res.trajectory) > 3
+    assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
+    assert len(res.trajectory) == len(dense.trajectory)
+    assert np.linalg.norm(res.u_final - dense.u_final) <= 1e-13 * np.linalg.norm(dense.u_final)
+    assert abs(res.decay_deviation - dense.decay_deviation) <= 1e-15
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: sector_blocks(8).problem, id="sector_blocks-8"),
+    pytest.param(indefinite_problem, id="indefinite-6"),
+])
 def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(make):
-    # a vector Jacobian goes onto a copy of A's diagonal instead of A + diag(d)
+    # where both routes factor by LU, a non-symmetric A or an M that dpotrf
+    # refuses, a vector Jacobian goes onto a copy of A's diagonal instead of
+    # A + diag(d), and nothing else changes
     problem = make()
     assert problem.g.jac_fn(problem.u0).shape == (problem.dim,)
     res = integrate(problem, FlowConfig(t_max=10.0))
@@ -290,17 +364,47 @@ def test_constant_map_continuation_is_bitwise_the_dense_one():
     assert pickle.dumps(res) == pickle.dumps(dense)
 
 
+def _count_factorizations(monkeypatch):
+    """Count the stage's ``dpotrf`` and ``dgetrf`` calls, through the bindings it factors with."""
+    calls = {"potrf": 0, "getrf": 0}
+    potrf, getrf = model._potrf, model._getrf
+
+    def counted(name, fn):
+        def call(M):
+            calls[name] += 1
+            return fn(M)
+        return call
+
+    monkeypatch.setattr(model, "_potrf", counted("potrf", potrf))
+    monkeypatch.setattr(model, "_getrf", counted("getrf", getrf))
+    return calls
+
+
 def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
     problem = singular_monotone(10, rank=5).problem.with_epsilon(1e-2)
-    calls = []
-    getrf = model._getrf
-    monkeypatch.setattr(model, "_getrf", lambda M: calls.append(M.shape) or getrf(M))
+    calls = _count_factorizations(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
-    assert res.n_accepted > 10 and calls == []
+    assert res.n_accepted > 10 and calls == {"potrf": 0, "getrf": 0}
     dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
     # the start, the initial-step probe and six stages per attempted step
-    assert len(calls) == 2 + 6 * (dense.n_accepted + dense.n_rejected)
+    assert calls == {"potrf": 0, "getrf": 2 + 6 * (dense.n_accepted + dense.n_rejected)}
     assert pickle.dumps(res) == pickle.dumps(dense)
+
+
+@pytest.mark.parametrize("make, potrf, getrf", [
+    pytest.param(lambda: wellposed_cubic(10).problem, 1, 0, id="wellposed_cubic-10"),
+    pytest.param(lambda: sector_blocks(8).problem, 0, 1, id="sector_blocks-8"),
+    pytest.param(indefinite_problem, 1, 1, id="indefinite-6"),
+])
+def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, getrf):
+    # a vector Jacobian on an exactly symmetric A tries dpotrf, and only an
+    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf
+    problem = make()
+    calls = _count_factorizations(monkeypatch)
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    stages = 2 + 6 * (res.n_accepted + res.n_rejected)
+    assert res.n_accepted > 10
+    assert calls == {"potrf": potrf * stages, "getrf": getrf * stages}
 
 
 # -- exact linear trajectory ------------------------------------------------------

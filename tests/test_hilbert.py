@@ -12,7 +12,8 @@ import pytest
 import scipy.linalg
 
 from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
-from dsmflow.hilbert import DenseOperator, _all_finite, _getrf, _getrs, as_vector, norm
+from dsmflow.hilbert import (DenseOperator, _all_finite, _getrf, _getrs, _potrf, _potrs, as_vector,
+                             norm)
 from dsmflow.problems import ill_conditioned, singular_canonical
 
 
@@ -160,6 +161,23 @@ def test_shifted_adds_eps_identity_and_keeps_flags():
     assert np.max(np.abs(S.eigenvalues() - ws)) < 1e-12 * A.operator_norm()
     with pytest.raises(ValueError):
         A.shifted(-1e-3)
+
+
+def test_exact_symmetry_is_tested_once_and_survives_a_shift(monkeypatch):
+    rng = np.random.default_rng(5)
+    B = random_matrix(rng, 4)
+    calls = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(1) or array_equal(*a))
+    A = DenseOperator(0.5 * (B + B.T), self_adjoint=True)
+    assert A.exactly_symmetric() and A.exactly_symmetric() and len(calls) == 1
+    assert A.shifted(0.5).exactly_symmetric() and len(calls) == 1
+    # the self_adjoint flag tolerates an asymmetry of one ulp; exact symmetry does not
+    E = A.entries.copy()
+    E[0, 1] = np.nextafter(E[0, 1], np.inf)
+    N = DenseOperator(E, self_adjoint=True)
+    assert not N.exactly_symmetric() and not N.shifted(0.5).exactly_symmetric()
+    assert not DenseOperator(B).exactly_symmetric()
 
 
 # -- spectral quantities vs the Jacobi oracle --------------------------------
@@ -346,6 +364,43 @@ def test_factors_are_checked_once_when_made():
     lu, piv = _getrf(np.eye(2))
     lu[1, 0] = np.nan
     assert np.isnan(_getrs(lu, piv, np.ones(2))).any()
+
+
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_cholesky_helpers_are_scipy_cholesky(n):
+    rng = np.random.default_rng(n)
+    B = random_matrix(rng, n)
+    M = B @ B.T + n * np.eye(n)
+    M = 0.5 * (M + M.T)
+    M0 = M.copy()
+    c = _potrf(M)
+    assert same_bits(M, M0)
+    ref = scipy.linalg.cho_factor(M, lower=True)
+    assert same_bits(c, np.tril(ref[0]))
+    for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
+        assert same_bits(_potrs(c, b), scipy.linalg.cho_solve(ref, b))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_cholesky_solve_rejects_a_non_finite_rhs(bad):
+    c = _potrf(np.eye(3) + 0.1)
+    b_bad = np.ones(3)
+    b_bad[1] = bad
+    with pytest.raises(ValueError, match="right-hand side contains non-finite"):
+        _potrs(c, b_bad)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),       # indefinite
+    np.array([[1.0, 2.0], [2.0, 4.0]]),       # singular psd
+    -np.eye(3),
+], ids=["indefinite", "singular", "negative"])
+def test_cholesky_refusal_is_none_with_no_warning(M):
+    M0 = M.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _potrf(M) is None
+    assert same_bits(M, M0)
 
 
 def test_exactly_singular_lu_raises_no_warning():
