@@ -6,7 +6,8 @@ square matrix together with structural flags (self-adjoint, positive
 semidefinite) and caches its factorizations on first use: one LU, and
 either the eigenvalues of a self-adjoint operator, from which its
 singular values are read, or the singular values of any other.  It also
-caches whether its entries equal their transpose exactly, a fact that
+caches whether its entries equal their transpose exactly and the
+largest modulus off its diagonal, two facts that
 :meth:`DenseOperator.shifted` passes on.  Its LU factors come straight
 from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 :func:`_getrs`, which give bitwise what
@@ -14,6 +15,9 @@ from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
 lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
 stage takes for a symmetric matrix before it falls back to LU.
+:func:`_getrf` and :func:`_potrf` factor their argument in place: a
+Fortran-ordered (column-major) float matrix is overwritten by its
+factor, with no copy, so a caller that must keep the matrix passes a copy.
 
 The tolerances below are module constants; :meth:`DenseOperator.solve`
 compares pivots against ``PIVOT_RTOL`` times the operator norm.
@@ -63,9 +67,12 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def _getrf(M):
-    """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
+    """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``, in place.
 
-    Bitwise the output of ``scipy.linalg.lu_factor(M)``.  ``M`` is not
+    Bitwise the output of ``scipy.linalg.lu_factor(M)`` on a copy of
+    ``M``.  A Fortran-ordered float64 ``M`` becomes ``lu`` itself; the
+    wrapper copies any other first.  A caller that must keep ``M`` passes
+    a copy.  ``M`` is not
     scanned: a non-finite entry always leaves a non-finite factor, and
     factors that are not finite, from such an entry or from overflow,
     raise ``ValueError``.  So every factor :func:`_getrs` receives is
@@ -73,7 +80,7 @@ def _getrf(M):
     not an error and raises no warning: callers decide through their
     pivot checks.
     """
-    lu, piv, info = dgetrf(M)
+    lu, piv, info = dgetrf(M, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     if not _all_finite(lu):
@@ -104,14 +111,17 @@ def _dgetrs(lu, piv, b):
 def _potrf(M):
     """Lower Cholesky factor of the symmetric float matrix ``M`` from LAPACK ``dpotrf``, or None.
 
-    Only ``M``'s lower triangle is read, and ``M`` itself is left as it
-    was, so a caller can still factor it by :func:`_getrf`.  None when
-    ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
-    positive definite; that is not an error and raises no warning.  As in
+    Only ``M``'s lower triangle is read.  ``M`` is overwritten as by
+    :func:`_getrf`: a Fortran-ordered float64 ``M`` becomes the factor
+    itself, its upper triangle zeroed, and a refused ``M`` is left partly
+    factored, so a caller that falls back to :func:`_getrf` factors a
+    fresh copy.  None when ``dpotrf`` meets a non-positive pivot, that is
+    when ``M`` is not positive definite; that is not an error and raises
+    no warning.  As in
     :func:`_getrf`, ``M`` is not scanned, and a factor that is not finite
     raises ``ValueError``, so :func:`_potrs` need not check it again.
     """
-    c, info = dpotrf(M, lower=1)
+    c, info = dpotrf(M, lower=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if info > 0:
@@ -176,6 +186,7 @@ class DenseOperator:
         self._lu = None
         self._eigvals = None
         self._symmetric = None
+        self._offdiag_max = None
         if not _verified:
             self._verify_flags()
 
@@ -200,8 +211,10 @@ class DenseOperator:
         # self-adjointness and (for eps >= 0) semidefiniteness survive the shift
         S = DenseOperator(A, self_adjoint=self.self_adjoint,
                           psd_claimed=self.psd_claimed, _verified=True)
-        # the shift touches only the diagonal, so exact symmetry carries over
+        # the shift touches only the diagonal, so exact symmetry and the
+        # off-diagonal maximum carry over
         S._symmetric = self.exactly_symmetric()
+        S._offdiag_max = self.off_diagonal_max()
         if self.self_adjoint:
             # the shift moves every eigenvalue by eps: no decomposition of A
             S._eigvals = self.eigenvalues() + eps
@@ -228,6 +241,20 @@ class DenseOperator:
         if self._symmetric is None:
             self._symmetric = bool(np.array_equal(self.entries, self.entries.T))
         return self._symmetric
+
+    def off_diagonal_max(self):
+        """``max |A_ij|`` over ``i != j``, taken once and cached; 0.0 at dimension 1.
+
+        With it, ``max|A + D|`` for a diagonal ``D`` is the larger of this
+        and ``max|diag(A + D)|``, bitwise, with no scan of all ``n^2``
+        entries: :func:`~dsmflow.model.newton_velocity` reads a stage
+        matrix's maximum so, and :meth:`_factorize` its own.
+        """
+        if self._offdiag_max is None:
+            B = np.abs(self.entries)
+            np.fill_diagonal(B, 0.0)
+            self._offdiag_max = float(B.max())
+        return self._offdiag_max
 
     def _verify_flags(self):
         if not self.self_adjoint:
@@ -295,15 +322,19 @@ class DenseOperator:
     def _factorize(self):
         """Cached ``(lu, piv, minpiv, amax)``: the LU factors, the smallest pivot modulus and ``max|A|``.
 
-        Taken once per operator.  ``amax`` scales the relative pivot tests
-        of :func:`~dsmflow.model.solve_linearized` and, for a map whose
+        Taken once per operator, from a Fortran-ordered copy of the
+        entries, which :func:`_getrf` overwrites; ``entries`` is left as
+        it was.  ``amax`` is read from the diagonal and
+        :meth:`off_diagonal_max`.  It scales the relative pivot tests of
+        :func:`~dsmflow.model.solve_linearized` and, for a map whose
         Jacobian is zero, :func:`~dsmflow.model.newton_velocity`, which
         reuse these factors instead of scanning or factoring ``A`` again.
         """
         if self._lu is None:
-            lu, piv = _getrf(self.entries)
+            lu, piv = _getrf(self.entries.copy(order="F"))
             minpiv = float(np.abs(lu.diagonal()).min())
-            self._lu = (lu, piv, minpiv, float(np.abs(self.entries).max()))
+            amax = max(float(np.abs(self.entries.diagonal()).max()), self.off_diagonal_max())
+            self._lu = (lu, piv, minpiv, amax)
         return self._lu
 
     def _solve_factors(self, b):

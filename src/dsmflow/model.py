@@ -229,10 +229,12 @@ def newton_velocity(problem, u):
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one factorization
-    of ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as its
-    diagonal is added onto a copy of ``A``'s diagonal, with no ``(n, n)``
-    ``g'(u)``; for ``jac_fn=None``, ``M = A`` and the call takes ``A``'s
-    cached LU and ``max|A|`` and factors nothing.  This equals
+    of ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as
+    its diagonal goes onto the diagonal of a column-major copy of ``A``,
+    with no ``(n, n)`` ``g'(u)``, and that copy is factored in place, so
+    the factorization costs one copy of ``A``; for ``jac_fn=None``,
+    ``M = A`` and the call takes ``A``'s cached LU and ``max|A|`` and
+    factors nothing.  This equals
     ``-[I + A^{-1} g'(u)]^{-1} f`` without forming ``A^{-1} g'(u)``.  The
     right-hand side is ``A f`` rather than ``A u + g(u)``: both are
     ``F(u)``, but the latter cancels to an absolute error near machine
@@ -244,9 +246,10 @@ def newton_velocity(problem, u):
     operator) leaves ``M`` symmetric, and ``M`` is factored by lower
     Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a monotone
     ``g``, ``M`` is positive definite, and Cholesky needs no pivoting to be
-    backward stable there.  When ``dpotrf`` meets a non-positive pivot, the
-    same, untouched ``M`` is factored by LU, LAPACK ``dgetrf``/``dgetrs``,
-    as is every ``M`` from a dense ``g'(u)`` or a non-symmetric ``A``.
+    backward stable there.  When ``dpotrf`` meets a non-positive pivot,
+    ``M`` is built again from ``A`` and ``g'(u)``, since ``dpotrf`` has
+    overwritten it, and factored by LU, LAPACK ``dgetrf``/``dgetrs``, as
+    is every ``M`` from a dense ``g'(u)`` or a non-symmetric ``A``.
     No dense Jacobian is tested for symmetry.
 
     Each array is checked once, and raises what ``A.solve`` and a
@@ -260,7 +263,12 @@ def newton_velocity(problem, u):
       (:class:`SingularOperator`), between ``g(u)`` and ``g'(u)``.
     - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
       ``max``; that one reduction also scales the pivot test below
-      (``ValueError``).  ``M = A`` is finite by construction.
+      (``ValueError``).  ``M = A`` is finite by construction.  For a
+      diagonal ``g'(u)``, ``A`` and ``g'(u)`` are already checked, so only
+      the diagonal sums ``A_ii + g'(u)_i`` can overflow, and ``max|M|`` is
+      the larger of their maximum modulus and ``A``'s cached
+      :meth:`~dsmflow.hilbert.DenseOperator.off_diagonal_max`, with no
+      scan of the ``n^2`` entries.
     - ``_potrf`` or ``_getrf`` checks ``M``'s factors, and ``_potrs`` or
       ``_getrs`` checks ``A f``.
 
@@ -283,16 +291,23 @@ def newton_velocity(problem, u):
     if J is None:
         lu, piv, minpiv, m_max = A._factorize()
     else:
-        if J.ndim == 1:
-            M = A.entries.copy()
-            M.reshape(-1)[::u.size + 1] += J
+        diagonal = J.ndim == 1
+        symmetric = diagonal and A.exactly_symmetric()
+        if diagonal:
+            M, d = _plus_diagonal(A.entries, J, symmetric)
+            m_max = max(float(np.abs(d).max()), A.off_diagonal_max())
         else:
+            # row-major: _getrf's wrapper makes the column-major copy faster
+            # than numpy's transposing add would
             M = A.entries + J
-        m_max = float(np.abs(M).max())
+            m_max = float(np.abs(M).max())
         if not math.isfinite(m_max):
             raise ValueError("matrix to factor contains non-finite entries")
-        if J.ndim == 1 and A.exactly_symmetric():
+        if symmetric:
             chol = _potrf(M)
+            if chol is None:
+                # dpotrf has overwritten M on its way to the refusal
+                M, _ = _plus_diagonal(A.entries, J, symmetric)
         if chol is None:
             lu, piv = _getrf(M)
             minpiv = np.abs(lu.diagonal()).min()
@@ -305,6 +320,21 @@ def newton_velocity(problem, u):
     else:
         v = -_potrs(chol, A.entries @ f)
     return v, math.sqrt(f.dot(f)), gu
+
+
+def _plus_diagonal(X, j, symmetric):
+    """``(M, d)``: ``M = X + diag(j)`` in a Fortran-ordered copy, and ``d`` a view of its diagonal.
+
+    ``M`` is the stage matrix that :func:`~dsmflow.hilbert._potrf` or
+    :func:`~dsmflow.hilbert._getrf` factors in place.  An exactly
+    ``symmetric`` ``X`` equals its transpose (up to the sign of a zero
+    entry), whose memory is already in column-major order for a row-major
+    ``X``, so the copy is a straight one.
+    """
+    M = (X.T if symmetric else X).copy("F")
+    d = M.ravel("K")[::j.size + 1]
+    d += j
+    return M, d
 
 
 # -- sampling -----------------------------------------------------------------------

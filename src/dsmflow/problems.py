@@ -145,7 +145,7 @@ def _make_cubic(dim, params):
     offset = as_vector(_reals("builtin map 'cubic' param 'offset'", params["offset"]),
                        dim=dim, name="offset")
     return NonlinearMap(
-        fn=lambda u: scale * u ** 3 + offset,
+        fn=lambda u: scale * (u * u * u) + offset,  # products: u ** 3 calls pow
         jac_fn=lambda u: 3.0 * scale * u ** 2,  # the diagonal of g'(u)
         name="cubic", params={"scale": scale, "offset": offset})
 
@@ -164,7 +164,7 @@ def _make_range_cubic(dim, params):
 
     def fn(u):
         y = B.T @ u
-        return offset + scale * (B @ y ** 3)
+        return offset + scale * (B @ (y * y * y))
 
     def jac_fn(u):
         y = B.T @ u

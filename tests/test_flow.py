@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsmflow import flow, model
 from dsmflow.continuation import solve_minimal_norm
@@ -246,11 +247,41 @@ def test_stage_rejects_overflowing_linearization():
 
 
 def test_stage_rejects_overflowing_diagonal_linearization():
-    # the same overflow, with g' passed as its diagonal
-    p = misbehaving_problem(jac=lambda u: np.full(2, 1e308), L=DenseOperator(1e308 * np.eye(2)))
-    with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match="matrix to factor contains non-finite entries"):
-        newton_velocity(p, _FAR)
+    # the same overflow, with g' passed as its diagonal: A and g' are checked,
+    # so only the diagonal sums A_ii + g'_i can overflow, and they are what
+    # the stage's max|M| reads besides A's cached off-diagonal maximum
+    for L in (1e308 * np.eye(2), np.array([[1e308, -1e307], [-1e307, 1e308]])):
+        p = misbehaving_problem(jac=lambda u: np.full(2, 1e308), L=DenseOperator(L))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="matrix to factor contains non-finite entries"):
+            newton_velocity(p, _FAR)
+
+
+@pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
+@pytest.mark.parametrize("K, fallbacks", [(1e6, 1), (1e2, 0)])
+def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fallbacks):
+    # M = L + g'(u) is [[0, -K, 0], [-K, 0, 0], [0, 0, 1e-4]] or diag(-K, 1, 1e-4):
+    # dpotrf refuses both, and their smallest LU pivot 1e-4 is small only
+    # against 1e-9 * max|M|, where max|M| = K is the modulus of a negative
+    # entry off the diagonal, from A's cache, or on it, from the stage's sums
+    if where == "off-diagonal":
+        L = DenseOperator([[1.0, -K, 0.0], [-K, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        j = np.array([-1.0, -1.0, 1e-4 - 1.0])
+    else:
+        L = DenseOperator.identity(3)
+        j = np.array([-K - 1.0, 0.0, 1e-4 - 1.0])
+    c = np.array([0.5, -0.25, 1.0])
+    g = NonlinearMap(lambda u: j * u + c, lambda u: j.copy(), name="linear")
+    p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=10.0)
+    assert L.exactly_symmetric() and L.off_diagonal_max() == (K if where == "off-diagonal" else 0)
+    calls = []
+    solve_linearized = model.solve_linearized
+    monkeypatch.setattr(model, "solve_linearized", lambda *a: calls.append(1) or solve_linearized(*a))
+    v, _, _ = newton_velocity(p, p.u0)
+    assert len(calls) == fallbacks
+    f = preconditioned_residual(p, p.u0)
+    ref = -np.linalg.solve(L.entries + np.diag(j), L.entries @ f)
+    assert np.linalg.norm(v - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("make", [
@@ -405,6 +436,31 @@ def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, get
     stages = 2 + 6 * (res.n_accepted + res.n_rejected)
     assert res.n_accepted > 10
     assert calls == {"potrf": potrf * stages, "getrf": getrf * stages}
+
+
+def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
+    # dpotrf overwrites M on its way to a refusal; the LU fallback factors M
+    # rebuilt from A and g'(u), so the velocity is bitwise scipy's LU solve
+    problem = indefinite_problem()
+    refusals = []
+    potrf = model._potrf
+
+    def recorded(M):
+        c = potrf(M)
+        refusals.append(c is None)
+        return c
+
+    monkeypatch.setattr(model, "_potrf", recorded)
+    A = problem.shifted.entries
+    rng = np.random.default_rng(1)
+    for u in (problem.u0, *(0.3 * rng.standard_normal(problem.dim) for _ in range(3))):
+        refusals.clear()
+        v = newton_velocity(problem, u)[0]
+        assert refusals == [True]
+        f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), problem.g(u))
+        M = A + np.diag(problem.g.jac_fn(u))
+        ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), A @ f)
+        assert v.tobytes() == ref.tobytes()
 
 
 # -- exact linear trajectory ------------------------------------------------------

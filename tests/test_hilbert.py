@@ -180,6 +180,30 @@ def test_exact_symmetry_is_tested_once_and_survives_a_shift(monkeypatch):
     assert not DenseOperator(B).exactly_symmetric()
 
 
+def test_off_diagonal_max_is_taken_once_and_survives_a_shift(monkeypatch):
+    # a negative off-diagonal extreme counts by its modulus, a larger
+    # diagonal entry not at all, and a dim-1 operator has no off-diagonal
+    B = np.array([[9.0, 2.0, -0.5], [-7.0, -8.0, 3.0], [1.0, 0.0, 5.0]])
+    assert DenseOperator(B).off_diagonal_max() == 7.0
+    assert DenseOperator(B.T.copy(order="F")).off_diagonal_max() == 7.0
+    assert DenseOperator([[-4.0]]).off_diagonal_max() == 0.0
+    assert DenseOperator.diagonal([3.0, -1.0]).off_diagonal_max() == 0.0
+    rng = np.random.default_rng(6)
+    C = random_matrix(rng, 5)
+    A = DenseOperator(0.5 * (C + C.T), self_adjoint=True)
+    calls = []
+    fill_diagonal = np.fill_diagonal
+    monkeypatch.setattr(np, "fill_diagonal", lambda *a: calls.append(1) or fill_diagonal(*a))
+    m = A.off_diagonal_max()
+    assert A.off_diagonal_max() == m and len(calls) == 1
+    S = A.shifted(1e3)
+    assert S.off_diagonal_max() == m and len(calls) == 1
+    monkeypatch.undo()
+    assert DenseOperator(S.entries).off_diagonal_max() == m
+    # with the diagonal, it is max|A| bitwise, as _factorize reads it
+    assert S._factorize()[3] == np.abs(S.entries).max()
+
+
 # -- spectral quantities vs the Jacobi oracle --------------------------------
 
 
@@ -327,11 +351,15 @@ def same_bits(x, y):
 @pytest.mark.parametrize("n", [1, 10, 200])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_lu_helpers_are_bitwise_scipy_lu(n, order):
+    # _getrf factors its argument in place: a Fortran-ordered M becomes the
+    # factor, bitwise scipy's LU of a copy taken before
     rng = np.random.default_rng(n)
     M = np.array(random_matrix(rng, n), order=order)
+    ref_lu, ref_piv = scipy.linalg.lu_factor(M.copy())
     lu, piv = _getrf(M)
-    ref_lu, ref_piv = scipy.linalg.lu_factor(M)
     assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
+    if order == "F":
+        assert np.shares_memory(lu, M)
     for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
         assert same_bits(_getrs(lu, piv, b),
                          scipy.linalg.lu_solve((ref_lu, ref_piv), b))
@@ -368,15 +396,16 @@ def test_factors_are_checked_once_when_made():
 
 @pytest.mark.parametrize("n", [1, 10, 200])
 def test_cholesky_helpers_are_scipy_cholesky(n):
+    # _potrf factors in place as _getrf does: a Fortran-ordered M, as the
+    # stage passes it, becomes the factor, bitwise the lower triangle of
+    # scipy's Cholesky of a copy
     rng = np.random.default_rng(n)
     B = random_matrix(rng, n)
     M = B @ B.T + n * np.eye(n)
-    M = 0.5 * (M + M.T)
-    M0 = M.copy()
+    M = np.array(0.5 * (M + M.T), order="F")
+    ref = scipy.linalg.cho_factor(M.copy(), lower=True)
     c = _potrf(M)
-    assert same_bits(M, M0)
-    ref = scipy.linalg.cho_factor(M, lower=True)
-    assert same_bits(c, np.tril(ref[0]))
+    assert same_bits(c, np.tril(ref[0])) and np.shares_memory(c, M)
     for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
         assert same_bits(_potrs(c, b), scipy.linalg.cho_solve(ref, b))
 
@@ -396,11 +425,36 @@ def test_cholesky_solve_rejects_a_non_finite_rhs(bad):
     -np.eye(3),
 ], ids=["indefinite", "singular", "negative"])
 def test_cholesky_refusal_is_none_with_no_warning(M):
-    M0 = M.copy()
+    # a refusal leaves the Fortran-ordered argument partly factored, so the
+    # LU fallback factors a fresh copy, bitwise scipy's LU of the matrix
+    M_f = M.copy(order="F")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _potrf(M) is None
-    assert same_bits(M, M0)
+        assert _potrf(M_f) is None
+        lu, piv = _getrf(M.copy(order="F"))
+    with warnings.catch_warnings():
+        # scipy warns of the singular case's zero pivot; _getrf does not
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        ref_lu, ref_piv = scipy.linalg.lu_factor(M)
+    assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_factorize_leaves_the_entries_untouched(order):
+    # _factorize hands _getrf a copy: entries stored in Fortran order, which
+    # _getrf would overwrite, keep their bits, and amax is max|A| bitwise
+    rng = np.random.default_rng(4)
+    E = np.array(random_matrix(rng, 6), order=order)
+    A = DenseOperator(E)
+    assert A.entries.flags.f_contiguous == (order == "F")
+    E0 = A.entries.copy()
+    lu, piv, minpiv, amax = A._factorize()
+    assert same_bits(A.entries, E0) and not np.shares_memory(lu, A.entries)
+    ref_lu, ref_piv = scipy.linalg.lu_factor(E0)
+    assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
+    assert amax == np.abs(E0).max()
+    b = rng.standard_normal(6)
+    assert same_bits(A.solve(b), scipy.linalg.lu_solve((ref_lu, ref_piv), b))
 
 
 def test_exactly_singular_lu_raises_no_warning():
