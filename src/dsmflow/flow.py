@@ -10,12 +10,14 @@ a lower Cholesky factor where a diagonal ``g'(u)`` on an exactly symmetric
 ``A`` admits one and an LU otherwise, see
 :func:`dsmflow.model.newton_velocity`.
 
-Each RK stage checks each array it touches once, inside
-:func:`~dsmflow.model.newton_velocity`.  The step loop adds no check: its
-error norm and trust-ball distance reduce arrays the stages have already
-checked.  Recording a point evaluates no ``g``: the residual
-``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage that
-computed the accepted point, bitwise what
+Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per
+run from ``model._stage`` so that ``A``'s pivot test and cached facts are
+read once per run, not once per stage.  A stage scans its point and
+checks the rest of its work through one fault signal.  The step loop
+adds no check: its error norm and trust-ball distance reduce arrays the
+stages have already checked.  Recording a point evaluates no ``g``: the
+residual ``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage
+that computed the accepted point, bitwise what
 :func:`~dsmflow.model.full_residual` gives, and
 :func:`~dsmflow.hilbert.norm` checks it.
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import FlowFailed
 from .hilbert import norm
-from .model import newton_velocity
+from .model import _stage
 # unused here, but perfbench/tracing.py looks these names up on this module
 from .hilbert import as_vector  # noqa: F401
 from .model import (full_residual, linearized_operator, preconditioned_residual,  # noqa: F401
@@ -101,7 +103,9 @@ class FlowConfig:
     reaches ``t_max`` with the defaults, its decay deviation several times
     ``p_stop``.  The step-error scale of a component ``u_i`` is
     ``abs_tol + rel_tol * |u_i|`` with ``abs_tol = 1e-2 * rel_tol``.
-    ``sample_stride`` is the trajectory recording interval in flow time.
+    ``sample_stride`` is the trajectory recording interval in flow time; a
+    stride that would record more than ``_MAX_STEPS`` points up to
+    ``t_max`` is refused.
     """
     t_max: float = 30.0
     rel_tol: float = 1e-8
@@ -120,6 +124,12 @@ class FlowConfig:
             raise ValueError(f"p_stop_abs must lie in [0, 1), got {self.p_stop_abs}")
         if not np.isfinite(self.sample_stride) or self.sample_stride <= 0.0:
             raise ValueError(f"sample_stride must be positive, got {self.sample_stride}")
+        if self.t_max / self.sample_stride > _MAX_STEPS:
+            # the record loop steps once per stride, so such a stride would
+            # spin in it for t / sample_stride turns
+            raise ValueError(
+                f"sample_stride {self.sample_stride:g} would record more than "
+                f"{_MAX_STEPS} points up to t_max={self.t_max:g}")
 
     def stop_at(self, p0):
         """Residual norm at which a run starting from ``p(0) = p0`` stops."""
@@ -189,8 +199,9 @@ def integrate(problem, cfg=None, *, trust=None):
     step-size collapse or step-budget exhaustion, with that result attached.
     """
     cfg = cfg or FlowConfig()
+    stage = _stage(problem)
     u = problem.u0.copy()
-    v, p, gu = newton_velocity(problem, u)
+    v, p, gu = stage(u)
     p0 = p
     stop_at = cfg.stop_at(p0)
     enforce_ball = trust is not None and trust.passed
@@ -225,7 +236,7 @@ def integrate(problem, cfg=None, *, trust=None):
     d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     u_probe = u + h0 * v
-    v_probe = newton_velocity(problem, u_probe)[0]
+    v_probe = stage(u_probe)[0]
     d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -245,9 +256,9 @@ def integrate(problem, cfg=None, *, trust=None):
         h = min(h, cfg.t_max - t)
 
         for i in range(1, 6):
-            k[i] = newton_velocity(problem, u + h * (_A[i - 1] @ k[:i]))[0]
+            k[i] = stage(u + h * (_A[i - 1] @ k[:i]))[0]
         u_new = u + h * (_A[5] @ k[:6])
-        k[6], p_new, gu_new = newton_velocity(problem, u_new)
+        k[6], p_new, gu_new = stage(u_new)
 
         err_vec = h * (_ERR @ k)
         sc = abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))

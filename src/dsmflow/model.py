@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularLinearization
-from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _getrf, _getrs, _potrf,
-                      _potrs, as_vector, norm)
+from .errors import DimensionMismatch, SingularLinearization, SingularOperator
+from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _dpotrs, _getrf, _getrs,
+                      _potrf, _potrs, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -74,7 +74,10 @@ class NonlinearMap:
     (:class:`DimensionMismatch`) and finiteness (``ValueError``).
     :func:`newton_velocity` and :func:`monotonicity_certificate` check ``u``
     once for both and call :meth:`_value` and :meth:`_jacobian`, which
-    check only the output.
+    check only the output.  A flow stage has them check only its shape:
+    the stage's fault signal sees a non-finite ``g(u)`` in ``|f|`` and a
+    non-finite ``g'(u)`` in ``max|A + g'(u)|``, and only a stage that
+    re-runs on that signal scans them (see :func:`newton_velocity`).
     """
     fn: callable
     jac_fn: callable
@@ -92,21 +95,24 @@ class NonlinearMap:
             return np.zeros((u.size, u.size))
         return np.diag(J) if J.ndim == 1 else J
 
-    def _value(self, u):
-        """``g(u)`` for a ``u`` that :func:`as_vector` has checked."""
+    def _value(self, u, scan=True):
+        """``g(u)`` for a ``u`` that :func:`as_vector` has checked.
+
+        ``scan=False`` checks only the output's shape.
+        """
         out = np.asarray(self.fn(u), dtype=float)
         if out.shape != u.shape:
             raise DimensionMismatch(
                 f"map {self.name!r} returned shape {out.shape} for input shape {u.shape}")
-        if not _all_finite(out):
+        if scan and not _all_finite(out):
             raise ValueError(f"map {self.name!r} returned non-finite values")
         return out
 
-    def _jacobian(self, u):
+    def _jacobian(self, u, scan=True):
         """``g'(u)`` as ``jac_fn`` gives it, for a ``u`` that :func:`as_vector` has checked.
 
         None for a zero Jacobian, a length-``n`` vector for a diagonal one,
-        else the ``(n, n)`` matrix.
+        else the ``(n, n)`` matrix.  ``scan=False`` checks only its shape.
         """
         if self.jac_fn is None:
             return None
@@ -115,7 +121,7 @@ class NonlinearMap:
             raise DimensionMismatch(
                 f"map {self.name!r} Jacobian has shape {J.shape}, "
                 f"expected {u.shape} or {(u.size, u.size)}")
-        if not _all_finite(J):
+        if scan and not _all_finite(J):
             raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
         return J
 
@@ -252,25 +258,42 @@ def newton_velocity(problem, u):
     is every ``M`` from a dense ``g'(u)`` or a non-symmetric ``A``.
     No dense Jacobian is tested for symmetry.
 
-    Each array is checked once, and raises what ``A.solve`` and a
-    factorization of ``M`` would raise:
+    ``u`` is checked up front, and the rest of the stage through one fault
+    signal instead of a scan of each array it touches:
 
-    - ``u`` is checked once by :func:`~dsmflow.hilbert.as_vector`
-      (``ValueError``), then ``g._value(u)`` and ``g._jacobian(u)`` check
-      their own outputs (``ValueError``, ``DimensionMismatch``); ``g(u)``
-      is not scanned again.
+    - ``u`` is scanned by :func:`~dsmflow.hilbert.as_vector`
+      (``ValueError``), so ``fn`` and ``jac_fn`` receive a finite point;
+      ``g._value(u)`` and ``g._jacobian(u)`` check only their outputs'
+      shapes (``DimensionMismatch``).
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
-      (:class:`SingularOperator`), between ``g(u)`` and ``g'(u)``.
-    - ``M`` is finite iff ``max|M|`` is, since NaN propagates through
-      ``max``; that one reduction also scales the pivot test below
-      (``ValueError``).  ``M = A`` is finite by construction.  For a
-      diagonal ``g'(u)``, ``A`` and ``g'(u)`` are already checked, so only
-      the diagonal sums ``A_ii + g'(u)_i`` can overflow, and ``max|M|`` is
-      the larger of their maximum modulus and ``A``'s cached
+      (:class:`SingularOperator`) once per :func:`_stage`, that is once
+      per :func:`~dsmflow.flow.integrate` run, not once per stage.
+    - The signal is five tests that scan nothing.  ``f.f``, whose root is
+      ``p``, is finite: ``g(u)`` is, since the triangular solves behind
+      ``A^{-1} g(u)`` leave a non-finite entry non-finite.  ``max|M|`` is
+      finite: ``g'(u)``
+      and ``M`` are, since NaN propagates through ``max``; for a diagonal
+      ``g'(u)`` it is the larger of the diagonal sums' maximum modulus and
+      ``A``'s cached
       :meth:`~dsmflow.hilbert.DenseOperator.off_diagonal_max`, with no
-      scan of the ``n^2`` entries.
-    - ``_potrf`` or ``_getrf`` checks ``M``'s factors, and ``_potrs`` or
-      ``_getrs`` checks ``A f``.
+      scan of the ``n^2`` entries.  ``dpotrf``'s ``info``, and a smallest
+      Cholesky pivot that is not NaN: the factor is finite (see
+      :func:`~dsmflow.hilbert._potrf`).  ``v.v`` is finite: ``A f`` is;
+      BLAS ``ddot`` takes it (:func:`~dsmflow.hilbert._squares_finite`),
+      so a large finite ``v`` does not warn.  An LU factor is still
+      scanned, by :func:`~dsmflow.hilbert._getrf`.
+    - When the signal fires, ``A``'s pivot test has failed or ``u`` has the
+      wrong length, the same body runs again with every scan on, in the
+      order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
+      pivot test between the two, ``max|M|`` (``ValueError``), the
+      Cholesky factor (``ValueError``) and ``A f`` (``ValueError``, from
+      ``_potrs`` or ``_getrs``).  That run raises the first fault there
+      is, or returns the same result after a false alarm, a finite ``f``
+      or ``v`` whose squares overflow.  So ``g`` and ``g'`` are evaluated
+      once per stage unless a value is not finite.  A ``g'(u)`` with both
+      a non-finite entry and a finite one that overflows when added to
+      ``A`` warns (``RuntimeWarning``) as ``M`` is built, before that run
+      raises the Jacobian's ``ValueError``.
 
     When ``M`` has a pivot below ``1e-9 * max(1, max|M|)``, an LU pivot or
     the square ``min(diag C)^2`` of the smallest Cholesky pivot, the
@@ -281,45 +304,89 @@ def newton_velocity(problem, u):
     Returns ``(v, p, g(u))``, the last for :func:`~dsmflow.flow.integrate`
     to record ``F(u) = A u + g(u)`` without evaluating ``g`` again.
     """
+    return _stage(problem)(u)
+
+
+def _stage(problem):
+    """:func:`newton_velocity` on ``problem`` as a function of ``u``, with ``A``'s facts read once.
+
+    :func:`~dsmflow.flow.integrate` takes one per run.  ``A``'s pivot test
+    runs here; an ``A`` that fails it leaves every call to run with its
+    scans on, which raises the test's error in its place.
+    """
     A = problem.shifted
-    u = as_vector(u)
-    gu = problem.g._value(u)
-    lu, piv = A._solve_factors(gu)
-    f = u + _dgetrs(lu, piv, gu)
-    J = problem.g._jacobian(u)
-    chol = None
-    if J is None:
-        lu, piv, minpiv, m_max = A._factorize()
+    g = problem.g
+    n = A.dim
+    Ae = A.entries
+    try:
+        A._solve_factors(problem.u0)
+    except (SingularOperator, ValueError):
+        # every call runs checked and raises this at A's pivot test, before
+        # it would read the facts below
+        sound = False
     else:
-        diagonal = J.ndim == 1
-        symmetric = diagonal and A.exactly_symmetric()
-        if diagonal:
-            M, d = _plus_diagonal(A.entries, J, symmetric)
-            m_max = max(float(np.abs(d).max()), A.off_diagonal_max())
+        sound = True
+        lu_a, piv_a, minpiv_a, amax = A._factorize()
+        symmetric = A.exactly_symmetric()
+        offdiag = A.off_diagonal_max()
+
+    def stage(u, checked=not sound):
+        """``(v, p, g(u))`` at ``u``; ``checked`` turns every scan on."""
+        u = as_vector(u)
+        if not (checked or u.size == n):
+            return stage(u, True)
+        gu = g._value(u, checked)
+        lu, piv = A._solve_factors(gu) if checked else (lu_a, piv_a)
+        f = u + _dgetrs(lu, piv, gu)
+        ff = f.dot(f)
+        if not (checked or math.isfinite(ff)):
+            return stage(u, True)
+        J = g._jacobian(u, checked)
+        chol = None
+        if J is None:
+            lu, piv, minpiv, m_max = lu_a, piv_a, minpiv_a, amax
         else:
-            # row-major: _getrf's wrapper makes the column-major copy faster
-            # than numpy's transposing add would
-            M = A.entries + J
-            m_max = float(np.abs(M).max())
-        if not math.isfinite(m_max):
-            raise ValueError("matrix to factor contains non-finite entries")
-        if symmetric:
-            chol = _potrf(M)
+            diagonal = J.ndim == 1
+            cholesky = diagonal and symmetric
+            if diagonal:
+                M, d = _plus_diagonal(Ae, J, cholesky)
+                # NaN first: max() keeps its first argument against a NaN
+                m_max = max(float(np.abs(d).max()), offdiag)
+            else:
+                # row-major: _getrf's wrapper makes the column-major copy faster
+                # than numpy's transposing add would
+                M = Ae + J
+                m_max = float(np.abs(M).max())
+            if not math.isfinite(m_max):
+                if not checked:
+                    return stage(u, True)
+                raise ValueError("matrix to factor contains non-finite entries")
+            if cholesky:
+                chol = _potrf(M)
+                if chol is None:
+                    # dpotrf has overwritten M on its way to the refusal
+                    M, _ = _plus_diagonal(Ae, J, cholesky)
+                elif checked and not _all_finite(chol):
+                    raise ValueError("Cholesky factor contains non-finite entries")
             if chol is None:
-                # dpotrf has overwritten M on its way to the refusal
-                M, _ = _plus_diagonal(A.entries, J, symmetric)
-        if chol is None:
-            lu, piv = _getrf(M)
-            minpiv = np.abs(lu.diagonal()).min()
+                lu, piv = _getrf(M)
+                minpiv = np.abs(lu.diagonal()).min()
+            else:
+                minpiv = chol.diagonal().min() ** 2
+        if not minpiv >= 1e-9 * max(1.0, m_max):
+            if not checked and math.isnan(minpiv):
+                return stage(u, True)
+            v = -solve_linearized(linearized_operator(problem, u), f)
         else:
-            minpiv = chol.diagonal().min() ** 2
-    if minpiv < 1e-9 * max(1.0, m_max):
-        v = -solve_linearized(linearized_operator(problem, u), f)
-    elif chol is None:
-        v = -_getrs(lu, piv, A.entries @ f)
-    else:
-        v = -_potrs(chol, A.entries @ f)
-    return v, math.sqrt(f.dot(f)), gu
+            if chol is None:
+                v = -(_getrs if checked else _dgetrs)(lu, piv, Ae @ f)
+            else:
+                v = -(_potrs if checked else _dpotrs)(chol, Ae @ f)
+            if not (checked or _squares_finite(v)):
+                return stage(u, True)
+        return v, math.sqrt(ff), gu
+
+    return stage
 
 
 def _plus_diagonal(X, j, symmetric):
@@ -328,8 +395,9 @@ def _plus_diagonal(X, j, symmetric):
     ``M`` is the stage matrix that :func:`~dsmflow.hilbert._potrf` or
     :func:`~dsmflow.hilbert._getrf` factors in place.  An exactly
     ``symmetric`` ``X`` equals its transpose (up to the sign of a zero
-    entry), whose memory is already in column-major order for a row-major
-    ``X``, so the copy is a straight one.
+    entry), whose memory is already in column-major order for the
+    row-major entries of every :class:`~dsmflow.hilbert.DenseOperator`,
+    so the copy is a straight one.
     """
     M = (X.T if symmetric else X).copy("F")
     d = M.ravel("K")[::j.size + 1]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsmflow import flow, model
+from dsmflow import flow, hilbert, model
 from dsmflow.continuation import solve_minimal_norm
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
@@ -56,6 +56,15 @@ def linear_problem(dim=3, seed=0, radius=50.0):
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         FlowConfig(**kw)
+
+
+def test_config_refuses_a_stride_that_would_record_more_points_than_steps():
+    # the record loop steps once per stride: 30 / 1e-9 turns of it would
+    # hang a run, so the config refuses the stride; no run is made here
+    for kw in ({"sample_stride": 1e-9}, {"t_max": 1.0, "sample_stride": 5e-7}):
+        with pytest.raises(ValueError, match="would record more than 1000000 points"):
+            FlowConfig(**kw)
+    assert FlowConfig(t_max=1.0, sample_stride=2e-6).sample_stride == 2e-6
 
 
 def test_stop_threshold_floor():
@@ -463,6 +472,80 @@ def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
         assert v.tobytes() == ref.tobytes()
 
 
+# -- the stage's fault signal ------------------------------------------------------
+#
+# A stage scans its point, and checks the rest through one fault signal that
+# re-runs it with every scan on; tests/test_model.py pins what each fault
+# raises.  A fault-free stage evaluates g and g' once and scans only its
+# point and, on the LU routes, the LU factor.
+
+
+def _counting(problem, calls):
+    """``problem`` with a map that counts its ``fn`` and ``jac_fn`` calls into ``calls``."""
+    g = problem.g
+
+    def fn(u):
+        calls["fn"] += 1
+        return g.fn(u)
+
+    def jac(u):
+        calls["jac"] += 1
+        return g.jac_fn(u)
+
+    return replace(problem, g=NonlinearMap(fn, None if g.jac_fn is None else jac, name=g.name))
+
+
+_ROUTES = [
+    pytest.param(lambda: wellposed_cubic(10).problem, 1, id="cholesky-wellposed_cubic-10"),
+    pytest.param(indefinite_problem, 2, id="refused-cholesky-indefinite-6"),
+    pytest.param(lambda: sector_blocks(8).problem, 2, id="lu-sector_blocks-8"),
+    pytest.param(lambda: singular_monotone(10, rank=5, cubic_scale=0.1).problem.with_epsilon(1e-2),
+                 2, id="dense-lu-singular_monotone-10"),
+    pytest.param(lambda: singular_monotone(10, rank=5).problem.with_epsilon(1e-2), 1,
+                 id="no-jacobian-singular_monotone-10"),
+]
+
+
+@pytest.mark.parametrize("make, scans_per_stage", _ROUTES)
+def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
+        monkeypatch, make, scans_per_stage):
+    # g and g' once per stage, on every route; one scan per stage on the
+    # Cholesky and no-Jacobian routes, two where the stage factors by LU;
+    # recording a point scans F(u) once
+    calls = {"fn": 0, "jac": 0}
+    problem = _counting(make(), calls)
+    problem.shifted._factorize()
+    calls.update(fn=0, jac=0)
+    scans = []
+    scan = hilbert._all_finite
+
+    def counted(x):
+        scans.append(x.shape)
+        return scan(x)
+
+    monkeypatch.setattr(hilbert, "_all_finite", counted)
+    monkeypatch.setattr(model, "_all_finite", counted)
+    res = integrate(problem, FlowConfig(t_max=10.0))
+    assert res.n_accepted > 10
+    stages = 2 + 6 * (res.n_accepted + res.n_rejected)
+    jacobians = 0 if problem.g.jac_fn is None else stages
+    assert calls == {"fn": stages, "jac": jacobians}
+    assert len(scans) == scans_per_stage * stages + len(res.trajectory)
+
+
+def test_a_fault_mid_run_raises_what_the_scans_raised():
+    # the flow runs from u0 = 0 towards u* = (3, 3), and g turns NaN once a
+    # stage's point passes u[0] = 2
+    c = np.full(2, 30.0)
+    g = NonlinearMap(lambda u: u * u * u - c if u[0] <= 2.0 else np.full(2, np.nan),
+                     lambda u: 3.0 * u ** 2, name="turns-nan")
+    problem = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=100.0)
+    with pytest.raises(ValueError) as exc:
+        integrate(problem)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "map 'turns-nan' returned non-finite values"
+
+
 # -- exact linear trajectory ------------------------------------------------------
 
 
@@ -579,9 +662,12 @@ def test_t_max_status():
 
 def test_step_budget_exhaustion_raises_with_partial_result(monkeypatch):
     b = wellposed_cubic(4, scale=0.1, seed=12)
+    # made before the budget shrinks: under a budget of 3 steps the config
+    # refuses the default stride, 300 points up to t_max
+    cfg = FlowConfig(p_stop=0.0)
     monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     with pytest.raises(FlowFailed) as exc:
-        integrate(b.problem, FlowConfig(p_stop=0.0))
+        integrate(b.problem, cfg)
     res = exc.value.result
     assert isinstance(res, FlowResult)
     assert res.status is FlowStatus.STEP_FAILURE
@@ -630,9 +716,10 @@ def _step_budget():
     (_step_budget, FlowStatus.STEP_FAILURE),
 ], ids=["start", "step-collapse", "left-ball", "converged", "t-max", "step-budget"])
 def test_every_exit_records_the_final_state(make, status, monkeypatch):
-    if make is _step_budget:
-        monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     problem, cfg, trust = make()
+    if make is _step_budget:
+        # after the config is made, which refuses a stride finer than the budget
+        monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     try:
         res = integrate(problem, cfg, trust=trust)
     except FlowFailed as exc:

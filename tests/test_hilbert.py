@@ -441,12 +441,13 @@ def test_cholesky_refusal_is_none_with_no_warning(M):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_factorize_leaves_the_entries_untouched(order):
-    # _factorize hands _getrf a copy: entries stored in Fortran order, which
-    # _getrf would overwrite, keep their bits, and amax is max|A| bitwise
+    # entries are stored row-major whatever the input's order, so the stage's
+    # copy of A^T into column-major order is a straight one; _factorize hands
+    # _getrf a copy, the entries keep their bits, and amax is max|A| bitwise
     rng = np.random.default_rng(4)
     E = np.array(random_matrix(rng, 6), order=order)
     A = DenseOperator(E)
-    assert A.entries.flags.f_contiguous == (order == "F")
+    assert A.entries.flags.c_contiguous and same_bits(A.entries, E)
     E0 = A.entries.copy()
     lu, piv, minpiv, amax = A._factorize()
     assert same_bits(A.entries, E0) and not np.shares_memory(lu, A.entries)

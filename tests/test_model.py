@@ -6,12 +6,13 @@ a direct per-sample SVD, so each certified quantity has an independent
 route in this file.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dsmflow import model
+from dsmflow import hilbert, model
 from dsmflow.continuation import solve_newton_flow
 from dsmflow.errors import (DimensionMismatch, NotSymmetric,
                             SingularLinearization, SingularOperator)
@@ -173,6 +174,158 @@ def test_solve_linearized_solves_and_refuses_singular():
     thin = DenseOperator(np.diag([1.0, 1e-10]))
     x2 = solve_linearized(thin, np.array([1.0, 1e-10]))
     assert np.allclose(x2, [1.0, 1.0])
+
+
+# -- the stage's faults -----------------------------------------------------------
+#
+# A stage scans only its point and checks the rest through one fault signal;
+# when it fires, the stage runs again with every scan on.  Each case pins the
+# exception class and message of the first fault, as the stage raised them
+# when it scanned every array it touched.  Only the overflow cases overflow
+# on purpose; every other case runs with RuntimeWarning as an error.
+
+
+_FAR = np.array([3.0, 0.0])
+_BIG = 1e308 * np.eye(2)
+
+
+def _faulty(fn=None, jac=None, L=None):
+    """dim 2, u0 = 0, g = 0.1 u^3 with its Jacobian as a vector, and ``fn``/``jac``
+    instead where ``u[0] > 2``: DsmProblem probes g and g' at u0."""
+    def g(u):
+        return fn(u) if fn is not None and u[0] > 2.0 else 0.1 * (u * u * u)
+
+    def g_jac(u):
+        return jac(u) if jac is not None and u[0] > 2.0 else 0.3 * u ** 2
+
+    L = DenseOperator.identity(2) if L is None else L
+    return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="faulty"), u0=np.zeros(2),
+                      radius=10.0)
+
+
+def _raise(exc):
+    def fn(u):
+        raise exc
+    return fn
+
+
+_NAN_G = lambda u: np.array([np.nan, 0.0])  # noqa: E731
+_NAN_J = lambda u: np.array([1.0, np.nan])  # noqa: E731
+_NON_FINITE_G = "map 'faulty' returned non-finite values"
+_NON_FINITE_J = "map 'faulty' Jacobian has non-finite entries"
+_NON_FINITE_RHS = "right-hand side contains non-finite entries"
+
+_FAULTS = [
+    ("point-nan", lambda: _faulty(), np.array([1.0, np.nan]), False,
+     ValueError, "vector contains non-finite entries"),
+    ("point-inf", lambda: _faulty(), np.array([1.0, np.inf]), False,
+     ValueError, "vector contains non-finite entries"),
+    ("point-wrong-length", lambda: _faulty(), np.zeros(3), False,
+     DimensionMismatch, "right-hand side has leading dimension 3, expected 2"),
+    ("g-nan", lambda: _faulty(fn=_NAN_G), _FAR, False, ValueError, _NON_FINITE_G),
+    ("g-inf", lambda: _faulty(fn=lambda u: np.array([np.inf, 0.0])), _FAR, False,
+     ValueError, _NON_FINITE_G),
+    ("jacobian-vector-nan", lambda: _faulty(jac=_NAN_J), _FAR, False,
+     ValueError, _NON_FINITE_J),
+    ("jacobian-matrix-nan", lambda: _faulty(jac=lambda u: np.array([[np.nan, 0.0], [0.0, 1.0]])),
+     _FAR, False, ValueError, _NON_FINITE_J),
+    ("g-and-jacobian-nan", lambda: _faulty(fn=_NAN_G, jac=_NAN_J), _FAR, False,
+     ValueError, _NON_FINITE_G),
+    ("g-nan-and-jacobian-raises",
+     lambda: _faulty(fn=_NAN_G, jac=_raise(ArithmeticError("g' is undefined here"))), _FAR,
+     False, ValueError, _NON_FINITE_G),
+    ("map-raises", lambda: _faulty(fn=_raise(ZeroDivisionError("g is undefined here"))),
+     _FAR, False, ZeroDivisionError, "g is undefined here"),
+    ("jacobian-raises", lambda: _faulty(jac=_raise(ArithmeticError("g' is undefined here"))),
+     _FAR, False, ArithmeticError, "g' is undefined here"),
+    ("singular-A", lambda: _faulty(L=DenseOperator.diagonal([1.0, 0.0])), _FAR, False,
+     SingularOperator,
+     "pivot 0.000e+00 below 1e-14 * operator norm 1.000e+00 (condition estimate inf)"),
+    ("singular-A-and-g-nan",
+     lambda: _faulty(fn=_NAN_G, L=DenseOperator.diagonal([1.0, 0.0])), _FAR, False,
+     ValueError, _NON_FINITE_G),
+    ("matrix-overflows",
+     lambda: _faulty(jac=lambda u: np.full(2, 1e308), L=DenseOperator(_BIG)), _FAR, True,
+     ValueError, "matrix to factor contains non-finite entries"),
+    # A f = 3e308 overflows on each route: Cholesky, LU and no Jacobian
+    ("Af-overflows-cholesky", lambda: _faulty(L=DenseOperator(_BIG)), _FAR, True,
+     ValueError, _NON_FINITE_RHS),
+    ("Af-overflows-lu",
+     lambda: _faulty(jac=lambda u: np.diag(0.3 * u ** 2), L=DenseOperator(_BIG)), _FAR, True,
+     ValueError, _NON_FINITE_RHS),
+    ("Af-overflows-no-jacobian",
+     lambda: DsmProblem(L=DenseOperator(_BIG),
+                        g=NonlinearMap(lambda u: np.full(2, 0.5), None, name="faulty"),
+                        u0=np.zeros(2), radius=10.0),
+     _FAR, True, ValueError, _NON_FINITE_RHS),
+]
+
+
+@pytest.mark.parametrize("make, u, overflows, cls, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _FAULTS])
+def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows, cls, message):
+    problem = make()
+    with np.errstate(over="ignore") if overflows else nullcontext(), pytest.raises(cls) as exc:
+        model.newton_velocity(problem, u)
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
+def test_stage_fault_on_a_nan_cholesky_pivot_raises_the_factor_scan(monkeypatch):
+    # dpotrf that accepts M (info = 0) but leaves a NaN pivot, as OpenBLAS
+    # does on a NaN that reaches a pivot's argument: the pivot test is the
+    # signal, and the scan of the re-run, a second dpotrf, raises
+    dpotrf = hilbert.dpotrf
+    calls = []
+
+    def nan_pivot(M, **kw):
+        c, info = dpotrf(M, **kw)
+        calls.append(info)
+        c[-1, -1] = np.nan
+        return c, 0
+
+    monkeypatch.setattr(hilbert, "dpotrf", nan_pivot)
+    problem = _faulty()
+    with pytest.raises(ValueError) as exc:
+        model.newton_velocity(problem, _FAR)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "Cholesky factor contains non-finite entries"
+    assert calls == [0, 0]
+
+
+def test_stage_false_alarm_returns_the_scanned_result_without_a_warning():
+    # M = diag(1, 2e-9) passes the pivot test, and v = -M^{-1} f with
+    # f = (0, 1e147) is (0, -5e155): finite, but v.v overflows, so the signal
+    # fires and the re-run with every scan on returns the same v, with no
+    # RuntimeWarning (an error here) from the test itself
+    j = np.array([0.0, 2e-9 - 1.0])
+    c = np.array([0.0, 1e147])
+    calls = []
+    g = NonlinearMap(lambda u: calls.append(1) or c + j * u, lambda u: j.copy(), name="steep")
+    problem = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=1.0)
+    stage = model._stage(problem)
+    calls.clear()
+    v, p, gu = stage(problem.u0)
+    assert len(calls) == 2 and p == 1e147
+    assert np.isfinite(v).all() and v[1] == pytest.approx(-5e155, rel=1e-7)
+    checked = stage(problem.u0, True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((v, gu), checked[::2]))
+    assert p == checked[1]
+
+
+def test_map_checks_only_shapes_without_the_scan():
+    g = NonlinearMap(lambda u: u / 0.0 if u[0] > 0 else np.zeros(3),
+                     lambda u: np.full(u.size, np.inf), name="bad")
+    u = np.array([1.0, 0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = g._value(u, False)
+        with pytest.raises(ValueError, match="returned non-finite values"):
+            g._value(u)
+    assert out.shape == (2,) and not np.isfinite(out).all()
+    assert np.isinf(g._jacobian(u, False)).all()
+    with pytest.raises(ValueError, match="Jacobian has non-finite entries"):
+        g._jacobian(u)
+    with pytest.raises(DimensionMismatch):
+        g._value(np.array([-1.0, 0.0]), False)
 
 
 # -- sampling -----------------------------------------------------------------
