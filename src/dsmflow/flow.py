@@ -55,7 +55,6 @@ __all__ = [
     "FlowResult",
     "integrate",
     "decay_report",
-    "error_bound_check",
 ]
 
 # Dormand-Prince 5(4) coefficients.  _ERR is b5 - b4 (7 stages, FSAL).  The
@@ -338,35 +337,3 @@ def decay_report(result):
         return p0, result.decay_deviation, 0.0
     rate = float(np.polyfit(ts[mask], np.log(ps[mask]), 1)[0])
     return p0, result.decay_deviation, rate
-
-
-def error_bound_check(result, newton_bound):
-    """Check the distance bounds implied by exponential decay, post hoc.
-
-    For a converged run with inverse-linearization bound ``m``, every
-    recorded point must satisfy ``|u(t) - u_final| <= m * p0 * exp(-t)``
-    and ``|u(t) - u(0)| <= m * p0`` (both up to ``1e-7 * p0`` slack for
-    the residual left at the stopping time).  Returns ``(ok, max_ratio)``
-    where ``max_ratio`` is the worst observed ratio of distance to bound.
-    """
-    if result.status is not FlowStatus.RESIDUAL_CONVERGED:
-        raise ValueError("error bound check requires a converged flow result")
-    m = float(newton_bound)
-    if m <= 0.0:
-        raise ValueError(f"newton bound must be positive, got {m}")
-    u_final = result.u_final
-    u_start = result.trajectory[0].u
-    slack = 1e-7 * result.p0
-    ok = True
-    max_ratio = 0.0
-    for pt in result.trajectory:
-        bound_final = m * result.p0 * np.exp(-pt.t) + slack
-        bound_start = m * result.p0 + slack
-        d_final = norm(pt.u - u_final)
-        d_start = norm(pt.u - u_start)
-        max_ratio = max(max_ratio,
-                        d_final / bound_final if bound_final > 0 else 0.0,
-                        d_start / bound_start if bound_start > 0 else 0.0)
-        if d_final > bound_final or d_start > bound_start:
-            ok = False
-    return ok, max_ratio

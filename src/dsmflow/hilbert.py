@@ -14,10 +14,13 @@ from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
 wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
 lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
-stage takes for a symmetric matrix before it falls back to LU.
-:func:`_getrf` and :func:`_potrf` factor their argument in place: a
-Fortran-ordered (column-major) float matrix is overwritten by its
-factor, with no copy, so a caller that must keep the matrix passes a copy.
+stage takes for a symmetric matrix before it falls back to LU.  There is
+one wrapper per LAPACK call.  :func:`_getrf` and :func:`_potrf` factor
+their argument in place: a Fortran-ordered (column-major) float matrix
+is overwritten by its factor, with no copy, so a caller that must keep
+the matrix passes a copy.  :func:`_getrs` and :func:`_potrs` do not
+check the right-hand side: :meth:`DenseOperator.solve` does, and so does
+the stage's checked re-run (:func:`~dsmflow.model.newton_velocity`).
 
 The tolerances below are module constants; :meth:`DenseOperator.solve`
 compares pivots against ``PIVOT_RTOL`` times the operator norm.
@@ -95,7 +98,7 @@ def _getrf(M):
     scanned: a non-finite entry always leaves a non-finite factor, and
     factors that are not finite, from such an entry or from overflow,
     raise ``ValueError``.  So every factor :func:`_getrs` receives is
-    finite and it need not check them again.  An exactly zero pivot is
+    finite, and it checks neither them nor ``b``.  An exactly zero pivot is
     not an error and raises no warning: callers decide through their
     pivot checks.
     """
@@ -111,18 +114,8 @@ def _getrs(lu, piv, b):
     """Solve ``M x = b`` from :func:`_getrf`'s factors with LAPACK ``dgetrs``.
 
     ``b`` is a vector or a matrix of right-hand-side columns.  Bitwise the
-    output of ``scipy.linalg.lu_solve((lu, piv), b)``; raises ``ValueError``
-    when ``b`` holds a non-finite entry.  ``_getrf`` has checked ``lu``.
-    """
-    if not _all_finite(b):
-        raise ValueError("right-hand side contains non-finite entries")
-    return _dgetrs(lu, piv, b)
-
-
-def _dgetrs(lu, piv, b):
-    """:func:`_getrs` without the check of ``b``.
-
-    For a caller that has checked ``b``, or that tests the solution instead.
+    output of ``scipy.linalg.lu_solve((lu, piv), b)``.  ``b`` is not
+    checked: a caller checks it first or tests the solution instead.
     """
     x, info = dgetrs(lu, piv, b)
     if info < 0:
@@ -167,17 +160,9 @@ def _potrf(M):
 def _potrs(c, b):
     """Solve ``M x = b`` from :func:`_potrf`'s factor ``c`` with LAPACK ``dpotrs``.
 
-    ``b`` is a vector or a matrix of right-hand-side columns; raises
-    ``ValueError`` when it holds a non-finite entry.  ``c`` is not
-    checked.
+    ``b`` is a vector or a matrix of right-hand-side columns.  Neither
+    ``b`` nor ``c`` is checked, as by :func:`_getrs`.
     """
-    if not _all_finite(b):
-        raise ValueError("right-hand side contains non-finite entries")
-    return _dpotrs(c, b)
-
-
-def _dpotrs(c, b):
-    """:func:`_potrs` without the check of ``b``, for a caller that tests the solution instead."""
     x, info = dpotrs(c, b, lower=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
@@ -230,16 +215,6 @@ class DenseOperator:
             self._verify_flags()
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n), self_adjoint=True, psd_claimed=True, _verified=True)
-
-    @classmethod
-    def diagonal(cls, values):
-        """The diagonal operator on ``values``, flagged psd when no value is negative."""
-        d = as_vector(values, name="diagonal")
-        return cls(np.diag(d), self_adjoint=True, psd_claimed=bool(np.all(d >= 0.0)))
 
     def shifted(self, eps):
         """Return this operator plus ``eps`` times the identity (``eps >= 0``)."""
@@ -380,8 +355,9 @@ class DenseOperator:
         """Cached ``(lu, piv)`` for solving against ``b``, after the checks of :meth:`solve`.
 
         Checks ``b``'s leading dimension and the pivots, but not ``b``'s
-        entries: :meth:`solve` leaves those to :func:`_getrs`, and
-        :func:`~dsmflow.model.newton_velocity` to the map that made ``b``.
+        entries: :meth:`solve` checks those itself, and
+        :func:`~dsmflow.model.newton_velocity` leaves them to the map that
+        made ``b``.
         """
         if b.shape[0] != self.dim:
             raise DimensionMismatch(
@@ -402,8 +378,10 @@ class DenseOperator:
         ``b`` may be a vector or a matrix of stacked right-hand-side columns.
         Raises :class:`SingularOperator` when the smallest pivot falls below
         ``PIVOT_RTOL`` times the operator norm, and
-        ``ValueError`` (from :func:`_getrs`) when ``b`` is not finite.
+        ``ValueError`` when ``b`` is not finite.
         """
         B = np.asarray(b, dtype=float)
         lu, piv = self._solve_factors(B)
+        if not _all_finite(B):
+            raise ValueError("right-hand side contains non-finite entries")
         return _getrs(lu, piv, B)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
-from .hilbert import (DenseOperator, VectorH, _all_finite, _dgetrs, _dpotrs, _getrf, _getrs,
-                      _potrf, _potrs, _squares_finite, as_vector, norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _getrf, _getrs, _potrf, _potrs,
+                      _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -36,13 +36,11 @@ __all__ = [
     "check_trust_condition",
     "check_resolvent_bound",
     "check_sector",
-    "fd_jacobian_check",
     "monotonicity_certificate",
 ]
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
-_FD_STEP = 1e-5            # central-difference step of fd_jacobian_check
 
 #: Ball samples behind a Newton bound, with the center prepended; only
 #: :func:`certify_newton_bound` draws them.
@@ -286,8 +284,8 @@ def newton_velocity(problem, u):
       wrong length, the same body runs again with every scan on, in the
       order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
       pivot test between the two, ``max|M|`` (``ValueError``), the
-      Cholesky factor (``ValueError``) and ``A f`` (``ValueError``, from
-      ``_potrs`` or ``_getrs``).  That run raises the first fault there
+      Cholesky factor (``ValueError``) and ``A f`` (``ValueError``, before
+      either solve).  That run raises the first fault there
       is, or returns the same result after a false alarm, a finite ``f``
       or ``v`` whose squares overflow.  So ``g`` and ``g'`` are evaluated
       once per stage unless a value is not finite.  A ``g'(u)`` with both
@@ -337,7 +335,7 @@ def _stage(problem):
             return stage(u, True)
         gu = g._value(u, checked)
         lu, piv = A._solve_factors(gu) if checked else (lu_a, piv_a)
-        f = u + _dgetrs(lu, piv, gu)
+        f = u + _getrs(lu, piv, gu)
         ff = f.dot(f)
         if not (checked or math.isfinite(ff)):
             return stage(u, True)
@@ -378,10 +376,10 @@ def _stage(problem):
                 return stage(u, True)
             v = -solve_linearized(linearized_operator(problem, u), f)
         else:
-            if chol is None:
-                v = -(_getrs if checked else _dgetrs)(lu, piv, Ae @ f)
-            else:
-                v = -(_potrs if checked else _dpotrs)(chol, Ae @ f)
+            b = Ae @ f
+            if checked and not _all_finite(b):
+                raise ValueError("right-hand side contains non-finite entries")
+            v = -(_getrs(lu, piv, b) if chol is None else _potrs(chol, b))
             if not (checked or _squares_finite(v)):
                 return stage(u, True)
         return v, math.sqrt(ff), gu
@@ -740,23 +738,6 @@ def check_sector(L, a, delta):
                     "mu": mu, "sigma_min": sigma_min},
         detail="route: numerical range, margin = min over 0 < r <= a of "
                "max(mu + r cos(delta), sigma_min - r)")
-
-
-def fd_jacobian_check(g, u):
-    """Max relative column defect between ``g.jacobian`` and central differences."""
-    u = as_vector(u)
-    h = _FD_STEP
-    J = g.jacobian(u)
-    n = u.size
-    worst = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        col_fd = (g(u + e) - g(u - e)) / (2.0 * h)
-        col = J[:, j]
-        denom = max(float(np.linalg.norm(col)), float(np.linalg.norm(col_fd)), 1e-30)
-        worst = max(worst, float(np.linalg.norm(col - col_fd)) / denom)
-    return worst
 
 
 def monotonicity_certificate(g, samples):

@@ -1,12 +1,11 @@
 """Cross-checks for solver output.
 
 Each check recomputes its answer along its own route: a damped Newton
-iteration with line search, a minimal-norm solve through a symmetric
-eigendecomposition, and Monte Carlo probes of the solution set's geometry.
-Tests compare these against the flow; agreement within tolerance is the
-acceptance evidence.  The damped-Newton oracle is not independent of the
-solver: it iterates on the solver's preconditioned residual through
-:func:`~dsmflow.model.preconditioned_residual`,
+iteration with line search, and a minimal-norm solve through a symmetric
+eigendecomposition.  Tests compare these against the flow; agreement
+within tolerance is the acceptance evidence.  The damped-Newton oracle is
+not independent of the solver: it iterates on the solver's preconditioned
+residual through :func:`~dsmflow.model.preconditioned_residual`,
 :func:`~dsmflow.model.linearized_operator` and
 :func:`~dsmflow.model.solve_linearized`, and the last two are also the
 small-pivot fallback of the flow's stage,
@@ -19,17 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSystem, MaxIterations, NotSymmetric
-from .hilbert import as_vector, norm
-from .model import full_residual, linearized_operator, preconditioned_residual, solve_linearized
+from .hilbert import as_vector
+from .model import linearized_operator, preconditioned_residual, solve_linearized
 
 __all__ = [
     "OracleReport",
-    "MembershipReport",
-    "SolutionSetReport",
     "newton_oracle",
     "pseudoinverse_min_norm",
-    "membership_probe",
-    "convexity_closedness_suite",
 ]
 
 # damped-Newton line search: sufficient-decrease factor, step shrink, step floor
@@ -42,11 +37,6 @@ _MAX_ITER = 200
 _RANK_RTOL = 1e-10
 # pseudoinverse: nullspace mass of the right-hand side allowed, relative to |b|
 _RESIDUAL_RTOL = 1e-8
-# membership probe: probe points, and the relative tolerance on (F(z), z - w)
-_PROBE_SAMPLES = 200
-_PROBE_TOL = 1e-9
-# solution-set suite: residual allowed at a solution, relative to max(|b|, 1)
-_SUITE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,119 +123,3 @@ def pseudoinverse_min_norm(L, b):
             f"right-hand side is not in the range: residual {residual:.3e} "
             f"against |b| = {bnorm:.3e}")
     return x
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    margin: float
-    n_samples: int
-    radii: tuple
-    seed: int
-
-
-def membership_probe(problem, w, z_samples=None, seed=0):
-    """Monte Carlo test of ``w`` belonging to the solution set of a monotone equation.
-
-    For monotone ``F`` every solution ``w`` satisfies ``(F(z), z - w) >= 0``
-    for all ``z``; a single violating ``z`` disproves membership.  Probes
-    Gaussian clouds of 66 points each at small, unit and large radius
-    around ``w`` (or the supplied ``z_samples``), and counts ``z`` as
-    violating when ``(F(z), z - w) < -1e-9 (1 + |z|)(1 + |F(z)|)``.
-    ``member`` is the verdict, ``margin`` the most negative raw inner
-    product observed.  An empty ``z_samples`` raises ``ValueError``: with
-    no probe, ``member`` would hold for any ``w``.
-
-    The probe addresses the unshifted equation, so it requires
-    ``problem.epsilon == 0``.
-    """
-    if problem.epsilon != 0.0:
-        raise ValueError("membership probe addresses the unshifted equation; "
-                         "call it on a problem with epsilon == 0")
-    if z_samples is not None and len(z_samples) == 0:
-        raise ValueError("need at least one probe point")
-    w = as_vector(w, dim=problem.dim, name="candidate")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + norm(w)
-    radii = (1e-3 * scale, 0.3 * scale, 3.0 * scale)
-    if z_samples is None:
-        z_samples = []
-        per = _PROBE_SAMPLES // len(radii)
-        for r in radii:
-            for _ in range(per):
-                z_samples.append(w + r * rng.standard_normal(problem.dim)
-                                 / np.sqrt(problem.dim))
-    margin = float("inf")
-    member = True
-    for z in z_samples:
-        z = as_vector(z, dim=problem.dim, name="probe point")
-        Fz = full_residual(problem, z)
-        raw = float(np.dot(Fz, z - w))
-        margin = min(margin, raw)
-        if raw < -_PROBE_TOL * (1.0 + norm(z)) * (1.0 + float(np.linalg.norm(Fz))):
-            member = False
-    return MembershipReport(member=member, margin=margin,
-                            n_samples=len(z_samples), radii=radii, seed=seed)
-
-
-@dataclass(frozen=True)
-class SolutionSetReport:
-    trials: int
-    all_passed: bool
-    max_residual: float
-    detail: str = ""
-
-
-def convexity_closedness_suite(L, b, trials=100, seed=0):
-    """Probe convexity and closedness of the affine solution set of ``L x = b``.
-
-    The solution set of a linear equation is an affine subspace; this
-    suite verifies the two properties the solver relies on, numerically:
-    convex combinations of solutions solve the equation, and limits of
-    solution sequences solve it too.  Each trial draws two random
-    solutions (minimal-norm plus nullspace components), checks the
-    residual at interior combination points, then follows a convergent
-    sequence of solutions and checks its limit; a residual above
-    ``1e-9 max(|b|, 1)`` fails the trial.  ``L`` must carry the
-    ``self_adjoint`` flag, else :class:`NotSymmetric` is raised.
-    """
-    b = as_vector(b, dim=L.dim, name="right-hand side")
-    x_star = pseudoinverse_min_norm(L, b)
-    w, Q = _symmetric_eigh(L)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    null_mask = np.abs(w) <= _RANK_RTOL * max(wmax, 1e-30)
-    N = Q[:, null_mask]
-    rng = np.random.default_rng(seed)
-    bnorm = max(float(np.linalg.norm(b)), 1.0)
-    max_residual = 0.0
-    all_passed = True
-    for _ in range(trials):
-        if N.shape[1] > 0:
-            xa = x_star + N @ rng.standard_normal(N.shape[1])
-            xb = x_star + N @ rng.standard_normal(N.shape[1])
-        else:
-            xa = x_star.copy()
-            xb = x_star.copy()
-        # convexity: interior points of the segment are solutions
-        for s in (0.25, 0.5, 0.75):
-            xc = (1.0 - s) * xa + s * xb
-            r = float(np.linalg.norm(L.apply(xc) - b)) / bnorm
-            max_residual = max(max_residual, r)
-            if r > _SUITE_TOL:
-                all_passed = False
-        # closedness: a Cauchy sequence of solutions has a solution limit
-        target = xb - xa
-        limit = xa + target
-        for j in (1, 2, 4, 8):
-            xj = xa + (1.0 - 2.0 ** -j) * target
-            r = float(np.linalg.norm(L.apply(xj) - b)) / bnorm
-            max_residual = max(max_residual, r)
-            if r > _SUITE_TOL:
-                all_passed = False
-        r_lim = float(np.linalg.norm(L.apply(limit) - b)) / bnorm
-        max_residual = max(max_residual, r_lim)
-        if r_lim > _SUITE_TOL:
-            all_passed = False
-    return SolutionSetReport(trials=trials, all_passed=all_passed,
-                             max_residual=max_residual,
-                             detail=f"nullspace dimension {N.shape[1]}")

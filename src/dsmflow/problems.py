@@ -188,16 +188,21 @@ def make_map(name, dim, params=None):
     """Instantiate a builtin nonlinearity by registry name.
 
     An unknown name, ``params`` without a key the map needs, a ``scale``
-    that is not a real number, or an array param (``offset``, ``basis``,
-    ``matrix``) with an entry that is not one raises :class:`ParseError`.
+    that is not a real number, an array param (``offset``, ``basis``,
+    ``matrix``) with an entry that is not one, or a param the map does not
+    take raises :class:`ParseError`.  The map's own ``params`` hold every
+    param it takes.
     """
     if name not in _MAP_FACTORIES:
         raise ParseError(f"unknown builtin map {name!r}; "
                          f"known: {sorted(_MAP_FACTORIES)}")
+    params = params or {}
     try:
-        return _MAP_FACTORIES[name](dim, params or {})
+        g = _MAP_FACTORIES[name](dim, params)
     except KeyError as exc:
         raise ParseError(f"builtin map {name!r} needs param {exc.args[0]!r}") from None
+    _refuse_unknown(params, g.params, f"builtin map {name!r} params")
+    return g
 
 
 # -- tag verification --------------------------------------------------------------
@@ -501,13 +506,22 @@ def _require(doc, key, kind, context, default=_MISSING):
     return val
 
 
+def _refuse_unknown(doc, known, context):
+    """Raise :class:`ParseError` naming every key of ``doc`` not in ``known``."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ParseError(f"{context}: unknown keys {unknown}")
+
+
 def load_problem(path):
     """Load a problem bundle from JSON written by :func:`save_problem`.
 
     The linear part is given inline, as ``rows`` and optional ``flags``
     (``self_adjoint``, ``psd``).  Structural flags are verified at
     construction; a violated flag surfaces as :class:`CertificateMismatch`.
-    A malformed file raises :class:`ParseError` naming the field.
+    A malformed file raises :class:`ParseError` naming the field, and a
+    key that :func:`save_problem` does not write, at the top level, in
+    ``L`` or in ``g``, raises it naming the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -523,6 +537,7 @@ def load_problem(path):
     unknown = [flag for flag in flags if flag not in ("self_adjoint", "psd")]
     if unknown:
         raise ParseError(f"{ctx}: unknown L flags {unknown}")
+    _refuse_unknown(Ldoc, ("rows", "flags"), f"{ctx}: L")
     try:
         L = DenseOperator(rows, self_adjoint="self_adjoint" in flags,
                           psd_claimed="psd" in flags)
@@ -533,6 +548,7 @@ def load_problem(path):
     gdoc = _require(doc, "g", dict, ctx)
     builtin = _require(gdoc, "builtin", str, f"{ctx}: g")
     params = _require(gdoc, "params", dict, f"{ctx}: g", {})
+    _refuse_unknown(gdoc, ("builtin", "params"), f"{ctx}: g")
     g = make_map(builtin, dim, params)
     u0 = _reals(f"{ctx}: field 'u0'", _require(doc, "u0", list, ctx))
     radius = _require(doc, "radius", (int, float), ctx)
@@ -541,6 +557,7 @@ def load_problem(path):
     unknown = [tag for tag in tags if tag not in TAGS]
     if unknown:
         raise ParseError(f"{ctx}: unknown tags {unknown}")
+    _refuse_unknown(doc, ("name", "dim", "L", "g", "u0", "radius", "epsilon", "tags"), ctx)
     problem = DsmProblem(L, g, u0, radius=radius, epsilon=epsilon)
     spec = ProblemSpec(name=name, params=dict(params), tags=tuple(tags))
     return ProblemBundle(problem=problem, spec=spec)

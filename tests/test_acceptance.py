@@ -15,15 +15,15 @@ import scipy.linalg
 
 from dsmflow.continuation import (INNER_FLOW, ContinuationStop, EpsSchedule,
                                   discrepancy_stop, solve_minimal_norm, solve_newton_flow)
-from dsmflow.flow import FlowConfig, decay_report, error_bound_check, integrate
+from dsmflow.flow import FlowConfig, decay_report, integrate
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (DsmProblem, ball_samples, check_resolvent_bound,
-                           estimate_newton_bound, fd_jacobian_check,
-                           full_residual)
-from dsmflow.oracles import (convexity_closedness_suite, membership_probe,
-                             newton_oracle, pseudoinverse_min_norm)
+                           estimate_newton_bound, full_residual)
+from dsmflow.oracles import newton_oracle, pseudoinverse_min_norm
 from dsmflow.problems import (make_map, singular_canonical, singular_monotone,
                               wellposed_cubic)
+from evidence import (convexity_closedness_suite, error_bound_check, fd_jacobian_check,
+                      membership_probe)
 
 _MODULE_START = time.perf_counter()
 

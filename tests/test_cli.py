@@ -546,6 +546,22 @@ def test_malformed_map_params_in_a_problem_file_are_an_error(tmp_path, capsys, f
     assert fragment in stderr
 
 
+def test_problem_file_refuses_builtin_only_flags(tmp_path, capsys):
+    # these flags parameterize a builtin generator; a file fixes all of them
+    path = tmp_path / "wc4.json"
+    built = wellposed_cubic(4)
+    save_problem(built.problem, path, name="wc4", tags=built.spec.tags)
+    for flags, named in ((("--scale", "5"), "--scale"),
+                         (("--scale", "5", "--rank", "3", "--dim", "7"), "--dim, --scale, --rank"),
+                         (("--cubic-scale", "0.1"), "--cubic-scale")):
+        code, stdout, stderr = run(capsys, "solve", "--problem", str(path), *flags)
+        assert code == EXIT_ERROR and stdout == ""
+        assert stderr == f"error: --problem does not take {named}\n"
+    # --seed is certify's sample seed, for a file as for a builtin
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path), "--seed", "3")
+    assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
+
+
 def test_bad_dimension_list(capsys):
     code, _, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic",
                           "--dim", "3,x")

@@ -23,6 +23,7 @@ from dsmflow.model import DsmProblem, NonlinearMap, full_residual
 from dsmflow.oracles import newton_oracle
 from dsmflow.problems import (ill_conditioned, make_map, singular_canonical, singular_monotone,
                               wellposed_cubic)
+from evidence import diagonal_operator
 
 
 # -- schedule ------------------------------------------------------------------
@@ -113,7 +114,7 @@ def test_minimal_norm_requires_flags_and_monotonicity():
         solve_minimal_norm(p)
     anti = NonlinearMap(lambda u: -0.5 * u ** 3,
                         lambda u: np.diag(-1.5 * u ** 2))
-    q = DsmProblem(L=DenseOperator.identity(2), g=anti,
+    q = DsmProblem(L=diagonal_operator(np.ones(2)), g=anti,
                    u0=np.array([0.5, 0.5]), radius=2.0)
     with pytest.raises(MonotonicityFailed) as exc:
         solve_minimal_norm(q)
@@ -298,7 +299,7 @@ def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
 
 def test_monotonicity_failure_precedes_every_level_solve(monkeypatch):
     anti = NonlinearMap(lambda u: -0.5 * u ** 3, lambda u: np.diag(-1.5 * u ** 2))
-    q = DsmProblem(L=DenseOperator.identity(2), g=anti, u0=np.array([0.5, 0.5]),
+    q = DsmProblem(L=diagonal_operator(np.ones(2)), g=anti, u0=np.array([0.5, 0.5]),
                    radius=2.0)
     solved = []
     monkeypatch.setattr(continuation, "solve_newton_flow",

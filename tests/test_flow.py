@@ -19,8 +19,7 @@ from dsmflow import flow, hilbert, model
 from dsmflow.continuation import solve_minimal_norm
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
-from dsmflow.flow import (FlowConfig, FlowResult, FlowStatus, decay_report,
-                          error_bound_check, integrate)
+from dsmflow.flow import FlowConfig, FlowResult, FlowStatus, decay_report, integrate
 from dsmflow.hilbert import DenseOperator, norm
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            NonlinearMap, ball_samples, check_trust_condition,
@@ -28,6 +27,7 @@ from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            linearized_operator, newton_velocity,
                            preconditioned_residual)
 from dsmflow.problems import ill_conditioned, sector_blocks, singular_monotone, wellposed_cubic
+from evidence import diagonal_operator, error_bound_check
 
 
 def constant_map(c):
@@ -41,7 +41,7 @@ def linear_problem(dim=3, seed=0, radius=50.0):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(dim)
     u0 = rng.standard_normal(dim)
-    L = DenseOperator.identity(dim)
+    L = diagonal_operator(np.ones(dim))
     return DsmProblem(L=L, g=constant_map(c), u0=u0, radius=radius), -c
 
 
@@ -108,14 +108,14 @@ def test_phi_refuses_singular_linearization():
     # L = I, g = -u: F'(u) = 0 everywhere
     n = 3
     g = NonlinearMap(lambda u: -u, lambda u: -np.eye(n), name="negate")
-    p = DsmProblem(L=DenseOperator.identity(n), g=g, u0=np.ones(n), radius=1.0)
+    p = DsmProblem(L=diagonal_operator(np.ones(n)), g=g, u0=np.ones(n), radius=1.0)
     with pytest.raises(SingularLinearization):
         newton_velocity(p, p.u0)
 
 
 def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
     # L + g' has a 1e-10 pivot, but I + L^{-1} g' = I is perfectly invertible
-    L = DenseOperator.diagonal([1.0, 1e-10])
+    L = diagonal_operator([1.0, 1e-10])
     p = DsmProblem(L=L, g=constant_map([0.3, -2e-10]), u0=np.array([0.5, 1.0]),
                    radius=10.0)
     f = preconditioned_residual(p, p.u0)
@@ -126,7 +126,7 @@ def test_phi_tiny_cholesky_pivot_falls_back_to_the_linearization(monkeypatch):
     # L + g'(u) is positive definite with a 1e-10 Cholesky pivot, so dpotrf
     # factors it and the pivot test sends the stage to solve_linearized,
     # where I + L^{-1} g'(u) is perfectly invertible
-    L = DenseOperator.diagonal([1.0, 1e-10])
+    L = diagonal_operator([1.0, 1e-10])
     c = np.array([0.3, -2e-10])
     g = NonlinearMap(lambda u: c + 1e-12 * u ** 3, lambda u: 3e-12 * u ** 2, name="tiny")
     p = DsmProblem(L=L, g=g, u0=np.array([0.5, 1.0]), radius=10.0)
@@ -161,8 +161,8 @@ def test_phi_singular_cases_raise_no_warning():
     # neither goes through a warning
     n = 3
     g = NonlinearMap(lambda u: -u, lambda u: -np.eye(n), name="negate")
-    refused = DsmProblem(L=DenseOperator.identity(n), g=g, u0=np.ones(n), radius=1.0)
-    fallback = DsmProblem(L=DenseOperator.diagonal([1.0, 1e-10]),
+    refused = DsmProblem(L=diagonal_operator(np.ones(n)), g=g, u0=np.ones(n), radius=1.0)
+    fallback = DsmProblem(L=diagonal_operator([1.0, 1e-10]),
                           g=constant_map([0.3, -2e-10]), u0=np.array([0.5, 1.0]),
                           radius=10.0)
     f = preconditioned_residual(fallback, fallback.u0)
@@ -196,7 +196,7 @@ def misbehaving_problem(fn=None, jac=None, L=None):
     def g_jac(u):
         return jac(u) if jac is not None and u[0] > 2.0 else np.diag(3.0 * u ** 2)
 
-    L = DenseOperator.identity(2) if L is None else L
+    L = diagonal_operator(np.ones(2)) if L is None else L
     assert L.exactly_symmetric()
     return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="misbehaving"),
                       u0=np.zeros(2), radius=10.0)
@@ -240,7 +240,7 @@ def test_stage_rejects_wrong_output_shape(which):
 
 
 def test_stage_refuses_singular_operator_without_shift():
-    p = misbehaving_problem(L=DenseOperator.diagonal([1.0, 0.0]))
+    p = misbehaving_problem(L=diagonal_operator([1.0, 0.0]))
     assert p.epsilon == 0.0
     with pytest.raises(SingularOperator):
         newton_velocity(p, p.u0 + 0.5)
@@ -277,7 +277,7 @@ def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fa
         L = DenseOperator([[1.0, -K, 0.0], [-K, 1.0, 0.0], [0.0, 0.0, 1.0]])
         j = np.array([-1.0, -1.0, 1e-4 - 1.0])
     else:
-        L = DenseOperator.identity(3)
+        L = diagonal_operator(np.ones(3))
         j = np.array([-K - 1.0, 0.0, 1e-4 - 1.0])
     c = np.array([0.5, -0.25, 1.0])
     g = NonlinearMap(lambda u: j * u + c, lambda u: j.copy(), name="linear")
@@ -539,7 +539,7 @@ def test_a_fault_mid_run_raises_what_the_scans_raised():
     c = np.full(2, 30.0)
     g = NonlinearMap(lambda u: u * u * u - c if u[0] <= 2.0 else np.full(2, np.nan),
                      lambda u: 3.0 * u ** 2, name="turns-nan")
-    problem = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=100.0)
+    problem = DsmProblem(L=diagonal_operator(np.ones(2)), g=g, u0=np.zeros(2), radius=100.0)
     with pytest.raises(ValueError) as exc:
         integrate(problem)
     assert type(exc.value) is ValueError
@@ -621,7 +621,7 @@ def test_decay_report_rate_and_noise_window():
 
 def test_decay_report_degenerate_cases():
     # start exactly at a solution: p0 = 0, flow returns immediately
-    L = DenseOperator.identity(2)
+    L = diagonal_operator(np.ones(2))
     u_star = np.array([0.7, -0.4])
     problem = DsmProblem(L=L, g=constant_map(-u_star), u0=u_star, radius=1.0)
     res = integrate(problem)
@@ -692,7 +692,7 @@ def _warm_started():
 
 
 def _ball_exit():
-    problem = DsmProblem(L=DenseOperator.identity(2), g=constant_map([-1.0, 0.0]),
+    problem = DsmProblem(L=diagonal_operator(np.ones(2)), g=constant_map([-1.0, 0.0]),
                          u0=np.zeros(2), radius=0.2)
     fake = Certificate(kind=CertificateKind.TRUST_CONDITION, passed=True, quantities={})
     return problem, FlowConfig(t_max=10.0), fake
@@ -746,7 +746,7 @@ def test_every_exit_records_the_final_state(make, status, monkeypatch):
 def test_left_ball_is_hard_failure_only_under_passed_trust():
     # target sits 1.0 away but the ball has radius 0.2, so the flow must
     # exit; a (deliberately wrong) passed certificate makes that a hard stop
-    L = DenseOperator.identity(2)
+    L = diagonal_operator(np.ones(2))
     u_star = np.array([1.0, 0.0])
     problem = DsmProblem(L=L, g=constant_map(-u_star), u0=np.zeros(2), radius=0.2)
     fake = Certificate(kind=CertificateKind.TRUST_CONDITION, passed=True,

@@ -22,11 +22,11 @@ from dsmflow.model import (BOUND_SAMPLES, CertificateKind, DsmProblem, Nonlinear
                            ball_samples, certify_newton_bound,
                            check_resolvent_bound, check_sector,
                            check_trust_condition, estimate_newton_bound,
-                           fd_jacobian_check, full_residual,
-                           linearized_operator, monotonicity_certificate,
+                           full_residual, linearized_operator, monotonicity_certificate,
                            preconditioned_residual, solve_linearized)
 from dsmflow.problems import (ill_conditioned, make_map, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
+from evidence import diagonal_operator, fd_jacobian_check
 
 
 def cubic_map(scale=0.1):
@@ -79,7 +79,7 @@ def test_map_takes_a_diagonal_or_no_jacobian():
 
 
 def test_problem_validates_radius_epsilon_and_probes_map():
-    L = DenseOperator.identity(2)
+    L = diagonal_operator(np.ones(2))
     g = cubic_map()
     with pytest.raises(ValueError):
         DsmProblem(L=L, g=g, u0=np.zeros(2), radius=0.0)
@@ -120,7 +120,7 @@ def test_replace_start_reruns_problem_checks():
 
 
 def test_singular_unshifted_problem_is_lazy():
-    L = DenseOperator.diagonal([1.0, 0.0])
+    L = diagonal_operator([1.0, 0.0])
     p = DsmProblem(L=L, g=cubic_map(0.0), u0=np.ones(2), radius=3.0)
     # residual of the full equation needs no inverse
     assert np.allclose(full_residual(p, np.ones(2)), [1.0, 0.0])
@@ -198,7 +198,7 @@ def _faulty(fn=None, jac=None, L=None):
     def g_jac(u):
         return jac(u) if jac is not None and u[0] > 2.0 else 0.3 * u ** 2
 
-    L = DenseOperator.identity(2) if L is None else L
+    L = diagonal_operator(np.ones(2)) if L is None else L
     return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="faulty"), u0=np.zeros(2),
                       radius=10.0)
 
@@ -238,11 +238,11 @@ _FAULTS = [
      _FAR, False, ZeroDivisionError, "g is undefined here"),
     ("jacobian-raises", lambda: _faulty(jac=_raise(ArithmeticError("g' is undefined here"))),
      _FAR, False, ArithmeticError, "g' is undefined here"),
-    ("singular-A", lambda: _faulty(L=DenseOperator.diagonal([1.0, 0.0])), _FAR, False,
+    ("singular-A", lambda: _faulty(L=diagonal_operator([1.0, 0.0])), _FAR, False,
      SingularOperator,
      "pivot 0.000e+00 below 1e-14 * operator norm 1.000e+00 (condition estimate inf)"),
     ("singular-A-and-g-nan",
-     lambda: _faulty(fn=_NAN_G, L=DenseOperator.diagonal([1.0, 0.0])), _FAR, False,
+     lambda: _faulty(fn=_NAN_G, L=diagonal_operator([1.0, 0.0])), _FAR, False,
      ValueError, _NON_FINITE_G),
     ("matrix-overflows",
      lambda: _faulty(jac=lambda u: np.full(2, 1e308), L=DenseOperator(_BIG)), _FAR, True,
@@ -301,7 +301,7 @@ def test_stage_false_alarm_returns_the_scanned_result_without_a_warning():
     c = np.array([0.0, 1e147])
     calls = []
     g = NonlinearMap(lambda u: calls.append(1) or c + j * u, lambda u: j.copy(), name="steep")
-    problem = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=1.0)
+    problem = DsmProblem(L=diagonal_operator(np.ones(2)), g=g, u0=np.zeros(2), radius=1.0)
     stage = model._stage(problem)
     calls.clear()
     v, p, gu = stage(problem.u0)
@@ -496,7 +496,7 @@ def test_newton_bound_route_is_bitwise_the_svd_of_every_sample(monkeypatch, case
 def test_newton_bound_refuses_a_singular_sample_after_healthy_ones():
     # g(u) = -u^3/3 with L = I: T = diag(1 - u_i^2) is singular at e_1 only
     g = NonlinearMap(lambda u: -u ** 3 / 3.0, lambda u: np.diag(-u ** 2))
-    p = DsmProblem(L=DenseOperator.identity(2), g=g, u0=np.zeros(2), radius=1.0)
+    p = DsmProblem(L=diagonal_operator(np.ones(2)), g=g, u0=np.zeros(2), radius=1.0)
     healthy = [np.zeros(2), np.array([0.0, 0.5]), np.array([0.3, 0.0])]
     assert estimate_newton_bound(p, healthy).quantities["worst_sigma_min"] == 0.75
     with pytest.raises(SingularLinearization, match="singular at a sample point"):
@@ -520,7 +520,7 @@ def test_newton_bound_rejects_outside_samples_and_singular_points():
         estimate_newton_bound(p, [])
     # g = -u makes I + L^{-1} g' vanish identically for L = I
     neg = NonlinearMap(lambda u: -u, lambda u: -np.eye(u.size))
-    sing = DsmProblem(L=DenseOperator.identity(3), g=neg, u0=np.zeros(3), radius=1.0)
+    sing = DsmProblem(L=diagonal_operator(np.ones(3)), g=neg, u0=np.zeros(3), radius=1.0)
     with pytest.raises(SingularLinearization):
         estimate_newton_bound(sing, [np.zeros(3)])
 
@@ -658,7 +658,7 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     # sym(g') has eigenvalue -5e-11, inside the monotonicity tolerance, and
     # lambda_min(A) = 1e-8, so delta = 5e-3 widens both bounds by 1/(1 - delta)
     eps, neg = 1e-8, -5e-11
-    L = DenseOperator.diagonal([0.0, 1.0, 2.0])
+    L = diagonal_operator([0.0, 1.0, 2.0])
     G = np.diag([neg, 0.5, 0.0])
     # no offset on the nullspace, so f0 has none and the distance fits the radius
     c = np.array([0.0, -0.2, 0.1])
@@ -695,7 +695,7 @@ def test_build_hands_its_monotone_g_certificate_to_the_route():
 
 
 def test_resolvent_bound_spd_known_values():
-    L = DenseOperator.diagonal([2.0, 0.5, 0.0])
+    L = diagonal_operator([2.0, 0.5, 0.0])
     grid = [10.0 ** (-k) for k in range(0, 7)]
     cert = check_resolvent_bound(L, grid)
     assert cert.passed
@@ -724,7 +724,7 @@ def test_resolvent_bound_detects_violation():
         check_resolvent_bound(L, [])
     with pytest.raises(ValueError):
         check_resolvent_bound(L, [-0.1])
-    psd = DenseOperator.diagonal([1.0, 0.0])
+    psd = diagonal_operator([1.0, 0.0])
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             check_resolvent_bound(psd, [0.1, bad])
@@ -743,14 +743,14 @@ def test_resolvent_bound_fails_when_a_shift_hits_an_eigenvalue():
 
 
 def test_sector_self_adjoint_branch():
-    ok = check_sector(DenseOperator.diagonal([1.0, 0.0, 2.0]), 0.5, np.pi / 6)
+    ok = check_sector(diagonal_operator([1.0, 0.0, 2.0]), 0.5, np.pi / 6)
     assert ok.passed and ok.detail == "self-adjoint spectrum check"
-    bad = check_sector(DenseOperator.diagonal([-0.2, 1.0]), 0.5, np.pi / 6)
+    bad = check_sector(diagonal_operator([-0.2, 1.0]), 0.5, np.pi / 6)
     assert not bad.passed
     assert bad.quantities["margin"] == pytest.approx(0.3, abs=1e-12)
     # eigenvalue below -a does not violate the truncated sector; margin is
     # the distance to the nearest eigenvalue outside it (+1 here, not -2)
-    deep = check_sector(DenseOperator.diagonal([-2.0, 1.0]), 0.5, np.pi / 6)
+    deep = check_sector(diagonal_operator([-2.0, 1.0]), 0.5, np.pi / 6)
     assert deep.passed
     assert deep.quantities["margin"] == pytest.approx(1.0, abs=1e-12)
 
@@ -794,7 +794,7 @@ def test_sector_blocks_pass_through_the_numerical_range(dim, margin):
 
 
 def test_sector_rejects_bad_parameters():
-    L = DenseOperator.identity(2)
+    L = diagonal_operator(np.ones(2))
     with pytest.raises(ValueError):
         check_sector(L, 0.0, np.pi / 6)
     with pytest.raises(ValueError):

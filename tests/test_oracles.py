@@ -13,11 +13,10 @@ import pytest
 from dsmflow import oracles
 from dsmflow.errors import InconsistentSystem, MaxIterations, NotSymmetric
 from dsmflow.hilbert import DenseOperator, norm
-from dsmflow.model import DsmProblem, NonlinearMap
-from dsmflow.oracles import (MembershipReport, OracleReport, _symmetric_eigh,
-                             convexity_closedness_suite, membership_probe,
-                             newton_oracle, pseudoinverse_min_norm)
+from dsmflow.oracles import OracleReport, _symmetric_eigh, newton_oracle, pseudoinverse_min_norm
 from dsmflow.problems import singular_canonical, singular_monotone, wellposed_cubic
+from evidence import (MembershipReport, convexity_closedness_suite, diagonal_operator,
+                      membership_probe)
 
 
 # -- damped Newton -----------------------------------------------------------
@@ -88,7 +87,7 @@ def test_eigendecomposition_oracles_refuse_a_non_self_adjoint_operator(oracle):
 
 
 def test_pseudoinverse_diagonal_exact():
-    L = DenseOperator.diagonal([2.0, 1.0, 0.0])
+    L = diagonal_operator([2.0, 1.0, 0.0])
     x = pseudoinverse_min_norm(L, np.array([4.0, 3.0, 0.0]))
     assert np.allclose(x, [2.0, 3.0, 0.0], atol=1e-14)
 
@@ -109,7 +108,7 @@ def test_pseudoinverse_matches_numpy_pinv():
 
 
 def test_pseudoinverse_handles_indefinite_symmetric():
-    L = DenseOperator.diagonal([-2.0, 3.0])
+    L = diagonal_operator([-2.0, 3.0])
     x = pseudoinverse_min_norm(L, np.array([1.0, 6.0]))
     assert np.allclose(x, [-0.5, 2.0], atol=1e-14)
 
@@ -130,7 +129,7 @@ def test_pseudoinverse_result_is_orthogonal_to_nullspace():
 
 
 def test_pseudoinverse_rejects_out_of_range():
-    L = DenseOperator.diagonal([1.0, 0.0])
+    L = diagonal_operator([1.0, 0.0])
     with pytest.raises(InconsistentSystem):
         pseudoinverse_min_norm(L, np.array([0.0, 1.0]))
 
@@ -211,7 +210,7 @@ def test_convexity_closedness_trivial_for_invertible():
 
 
 def test_convexity_suite_propagates_inconsistency():
-    L = DenseOperator.diagonal([1.0, 0.0])
+    L = diagonal_operator([1.0, 0.0])
     with pytest.raises(InconsistentSystem):
         convexity_closedness_suite(L, np.array([0.0, 1.0]))
 

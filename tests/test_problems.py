@@ -21,6 +21,7 @@ from dsmflow.problems import (_MAP_FACTORIES, BUILTINS, TAGS, ProblemBundle, _ve
                               ill_conditioned, load_problem, make_map,
                               save_problem, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
+from evidence import diagonal_operator
 
 
 # -- map registry -------------------------------------------------------------
@@ -385,7 +386,7 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
 
 def test_save_rejects_custom_maps_and_unknown_tags(tmp_path):
     custom = NonlinearMap(lambda u: u, lambda u: np.eye(u.size), name="mine")
-    p = DsmProblem(L=DenseOperator.identity(2), g=custom, u0=np.zeros(2),
+    p = DsmProblem(L=diagonal_operator(np.ones(2)), g=custom, u0=np.zeros(2),
                    radius=1.0)
     with pytest.raises(ValueError, match="builtin"):
         save_problem(p, tmp_path / "x.json")
@@ -475,6 +476,43 @@ def test_load_parse_error_contexts(tmp_path):
         params = {**needed[builtin], "scale": 1}
         back = load_problem(write_doc(tmp_path, g={"builtin": builtin, "params": params}))
         assert back.problem.g.params["scale"] == 1.0
+
+
+def test_load_refuses_unknown_keys(tmp_path):
+    # a misspelt key was dropped before: "epsilom" loaded with epsilon = 0
+    doc = json.loads(write_doc(tmp_path).read_text())
+    for where, context in ((None, "doc.json"), ("L", "doc.json: L"), ("g", "doc.json: g")):
+        bad = copy.deepcopy(doc)
+        (bad if where is None else bad[where])["epsilom"] = 0.5
+        with pytest.raises(ParseError, match=f"^{context}: unknown keys \\['epsilom'\\]$"):
+            load_problem(write_doc(tmp_path, **bad))
+    # a map param the map does not take, from a file and from make_map
+    refused = r"^builtin map '{}' params: unknown keys \['{}'\]$"
+    g = {"builtin": "cubic", "params": {"scale": 0.1, "offset": [0.0, 0.0], "ofset": [5, 5]}}
+    with pytest.raises(ParseError, match=refused.format("cubic", "ofset")):
+        load_problem(write_doc(tmp_path, g=g))
+    with pytest.raises(ParseError, match=refused.format("linear", "ofset")):
+        make_map("linear", 2, {"matrix": np.eye(2), "ofset": [5.0, 5.0]})
+    with pytest.raises(ParseError, match=refused.format("zero", "scale")):
+        make_map("zero", 2, {"scale": 0.1})
+    # the unknown-key checks run after the reads of required fields
+    with pytest.raises(ParseError, match="^doc.json: L: missing field 'rows'$"):
+        load_problem(write_doc(tmp_path, L={"file": "op.txt"}, extra=1))
+
+
+@pytest.mark.parametrize("build", [lambda: wellposed_cubic(3), singular_canonical,
+                                   lambda: singular_monotone(4, rank=2, cubic_scale=0.1),
+                                   lambda: singular_monotone(4, rank=2),
+                                   lambda: sector_blocks(4)],
+                         ids=["cubic", "constant", "range_cubic", "constant-rank", "sector"])
+def test_every_key_save_problem_writes_loads_back(tmp_path, build):
+    b = build()
+    path = tmp_path / "p.json"
+    save_problem(b.problem.with_epsilon(0.25), path, name="p", tags=b.spec.tags)
+    back = load_problem(path)
+    again = tmp_path / "q.json"
+    save_problem(back.problem, again, name="p", tags=back.spec.tags)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_load_flag_violation_is_certificate_mismatch(tmp_path):
