@@ -184,12 +184,14 @@ def _build_bundles(ns):
     A builtin generator receives every CLI value that names one of its
     parameters and is set; one without a ``dim`` parameter is built once.
     An explicit builtin flag that names none of its parameters raises
-    ``ValueError``, as an explicit ``--dim``, ``--scale``, ``--cubic-scale``
-    or ``--rank`` does with ``--problem``; ``--seed`` is ``certify``'s
-    sample seed there.  ``--epsilon`` shifts every bundle, from either source.
+    ``ValueError``, as an explicit ``--dim``, ``--seed``, ``--scale``,
+    ``--cubic-scale`` or ``--rank`` does with ``--problem``; ``certify``
+    alone takes ``--seed`` there, as its sample seed.  ``--epsilon`` shifts
+    every bundle, from either source.
     """
     if getattr(ns, "problem", None):
-        _refuse_explicit(ns, ("dim", "scale", "cubic_scale", "rank"), "--problem")
+        _refuse_explicit(ns, [key for key in ("dim",) + _BUILTIN_FLAGS
+                              if key != "seed" or ns.command != "certify"], "--problem")
         bundle = load_problem(ns.problem)
         out = [(bundle.spec.name, bundle)]
     else:

@@ -357,15 +357,17 @@ def discrepancy_stop(problem, delta, cfg=None):
     The residual ``F(u) = (L+eps*I) u + g(u)`` obeys ``F(u(t)) = e^{-t} F(u0)``
     along the flow, so one integration runs to ``t* = log(|F(u0)| /
     (sqrt(c)*delta))`` with ``c =`` :data:`DISCREPANCY_FACTOR`, the geometric
-    middle of ``[delta, c*delta]``, and returns its end point ``(t, u)``
-    after checking that ``|F(u)|`` lies in that window.  The check needs the
-    integrator's deviation from the decay law at ``t*`` to be small against
-    the window; a miss raises :class:`FlowFailed` with the flow result.
+    middle of ``[delta, c*delta]``.  It is ``integrate(problem, cfg,
+    until=t*)``, which no stop set in ``cfg`` ends first.  The end point
+    ``(t, u)`` is returned after checking that ``|F(u)|`` lies in that
+    window.  The check needs the integrator's deviation from the decay law
+    at ``t*`` to be small against the window; a miss raises
+    :class:`FlowFailed` with the flow result.
     Returns ``(0.0, u0)`` if ``|F(u0)| <= c*delta``; raises
     :class:`TMaxReachedError`, before integrating, if ``t* > cfg.t_max``.
     """
     delta = float(delta)
-    # negated, so that NaN is refused here and not as a NaN t_max
+    # negated, so that NaN is refused here and not as a NaN stop time
     if not delta > 0.0:
         raise ValueError(f"noise level must be positive, got {delta}")
     cfg = cfg or FlowConfig()
@@ -377,8 +379,7 @@ def discrepancy_stop(problem, delta, cfg=None):
     if t_stop > cfg.t_max:
         raise TMaxReachedError(
             f"residual {r0:.3e} reaches {window} at t={t_stop:.6f}, after t_max={cfg.t_max}")
-    # run to t_stop: a stop set in cfg must not end the run first
-    result = integrate(problem, replace(cfg, t_max=t_stop, p_stop=0.0, p_stop_abs=0.0))
+    result = integrate(problem, cfg, until=t_stop)
     r = result.trajectory[-1].residual_F
     if not delta <= r <= DISCREPANCY_FACTOR * delta:
         raise FlowFailed(f"residual {r:.3e} at t={result.t_final:.6f} missed {window}",

@@ -24,14 +24,19 @@ that computed the accepted point, bitwise what
 Along exact trajectories the preconditioned residual norm
 ``p(t) = |u(t) + (L+eps*I)^{-1} g(u(t))|`` obeys ``p(t) = p(0) e^{-t}``,
 so the deviation of the recorded ``p`` from that law measures integrator
-error and nothing else.  :func:`integrate` tracks this deviation as it
-runs and reports it on every result.  Every run ends through one exit,
-which records the final point and builds the one :class:`FlowResult`.
+error and nothing else.
 
-The integrator is an embedded 5(4) Runge-Kutta pair with the first-same-
-as-last property and PI step-size control.  It is written out in full
-here rather than delegated, because the decay self-check is only
-meaningful if the stepping logic it certifies is the one in this file.
+:func:`integrate` is the run driver.  It owns what every run needs: the
+stop test, the end time (``cfg.t_max``, or an explicit ``until``),
+recording every ``sample_stride``, the trust-ball check, the decay
+deviation and the step counters.  Every run ends through one exit, which
+records the final point and builds the one :class:`FlowResult`.  How a
+step is taken is the integrator's alone: :func:`_first_step` sizes the
+first one, and each :func:`_dopri_step` is one attempt of an embedded
+Dormand-Prince 5(4) pair with the first-same-as-last property and PI
+step-size control.  The pair is written out in full here rather than
+delegated, because the decay self-check is only meaningful if the
+stepping logic it certifies is the one in this file.
 """
 
 import enum
@@ -183,7 +188,47 @@ def _point(problem, t, u, p, gu, h):
                            residual_F=norm(problem.shifted.entries @ u + gu), step=h)
 
 
-def integrate(problem, cfg=None, *, trust=None):
+def _first_step(stage, u, v, rel_tol, t_end):
+    """The classic two-probe estimate of a first step from ``u``, at most ``t_end``.
+
+    ``v`` is the velocity at ``u``; the probe runs one more stage.
+    """
+    scale = 1e-2 * rel_tol + rel_tol * np.abs(u)
+    d0 = float(np.linalg.norm(u / scale) / np.sqrt(u.size))
+    d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    v_probe = stage(u + h0 * v)[0]
+    d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, t_end)
+
+
+def _dopri_step(stage, u, k, h, errold, rel_tol):
+    """One Dormand-Prince 5(4) attempt of size ``h`` from ``u``.
+
+    ``k[0]`` holds the velocity at ``u``; the other rows are scratch.
+    Returns ``(step, h, errold)``.  ``step`` is the accepted ``(u, p, g(u))``,
+    with ``k[0]`` moved to the velocity there (first same as last), or
+    ``None`` for a rejection, which leaves ``u`` and ``k[0]`` as they were.
+    ``h`` is the size to try next, and ``errold`` the PI controller's memory
+    of the last accepted error, which a rejection leaves as it was.
+    """
+    for i in range(1, 6):
+        k[i] = stage(u + h * (_A[i - 1] @ k[:i]))[0]
+    u_new = u + h * (_A[5] @ k[:6])
+    k[6], p_new, gu_new = stage(u_new)
+    q = h * (_ERR @ k) / (1e-2 * rel_tol + rel_tol * np.maximum(np.abs(u), np.abs(u_new)))
+    # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
+    err = math.sqrt(np.add.reduce(q * q) / q.size)
+    if err > 1.0:
+        return None, h * max(0.1, _SAFETY * err ** -0.2), errold
+    k[0] = k[6]
+    # PI controller
+    fac = _SAFETY * err ** (-_EXPO) * errold ** _BETA if err > 0.0 else _MAX_FACTOR
+    return (u_new, p_new, gu_new), h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), max(err, 1e-4)
+
+
+def integrate(problem, cfg=None, *, trust=None, until=None):
     """Integrate the Newton flow from ``problem.u0``.
 
     ``trust`` is an optional trust-condition certificate from
@@ -193,16 +238,24 @@ def integrate(problem, cfg=None, *, trust=None):
     (status LEFT_BALL); without it the exit time is recorded but the run
     continues, since no guarantee was promised.
 
+    ``until``, a flow time in ``(0, cfg.t_max]``, ends the run at that time
+    in place of ``cfg.t_max`` (status T_MAX_REACHED), and the run stops
+    early only at the residual floor 1e-14, not at ``cfg``'s stops.  A
+    value outside that range raises ``ValueError`` before any stage runs.
+
     Returns a :class:`FlowResult` whose last trajectory point is the final
     state ``(t_final, u_final)``; raises :class:`FlowFailed` only for
     step-size collapse or step-budget exhaustion, with that result attached.
     """
     cfg = cfg or FlowConfig()
+    end = cfg.t_max if until is None else until
+    if not 0.0 < end <= cfg.t_max:
+        raise ValueError(f"until must lie in (0, t_max={cfg.t_max}], got {until}")
     stage = _stage(problem)
     u = problem.u0.copy()
     v, p, gu = stage(u)
     p0 = p
-    stop_at = cfg.stop_at(p0)
+    stop_at = cfg.stop_at(p0) if until is None else _P_STOP_FLOOR
     enforce_ball = trust is not None and trust.passed
 
     t = 0.0
@@ -228,21 +281,7 @@ def integrate(problem, cfg=None, *, trust=None):
         return finish(FlowStatus.RESIDUAL_CONVERGED,
                       "start point already below the stopping residual")
 
-    abs_tol = 1e-2 * cfg.rel_tol
-    # initial step: classic two-probe estimate
-    scale = abs_tol + cfg.rel_tol * np.abs(u)
-    d0 = float(np.linalg.norm(u / scale) / np.sqrt(u.size))
-    d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    u_probe = u + h0 * v
-    v_probe = stage(u_probe)[0]
-    d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, cfg.t_max)
-
+    h = _first_step(stage, u, v, cfg.rel_tol, end)
     errold = 1e-4
     next_record = cfg.sample_stride
     k = np.empty((7, u.size))
@@ -252,36 +291,22 @@ def integrate(problem, cfg=None, *, trust=None):
         if h < _STEP_FLOOR:
             return finish(FlowStatus.STEP_FAILURE,
                           f"step size collapsed to {h:.3e} at t={t:.6f}")
-        h = min(h, cfg.t_max - t)
-
-        for i in range(1, 6):
-            k[i] = stage(u + h * (_A[i - 1] @ k[:i]))[0]
-        u_new = u + h * (_A[5] @ k[:6])
-        k[6], p_new, gu_new = stage(u_new)
-
-        err_vec = h * (_ERR @ k)
-        sc = abs_tol + cfg.rel_tol * np.maximum(np.abs(u), np.abs(u_new))
-        q = err_vec / sc
-        # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
-        err = math.sqrt(np.add.reduce(q * q) / q.size)
-
-        if err > 1.0:
+        h = min(h, end - t)
+        step, h_next, errold = _dopri_step(stage, u, k, h, errold, cfg.rel_tol)
+        if step is None:
             n_rejected += 1
-            h *= max(0.1, _SAFETY * err ** -0.2)
+            h = h_next
             continue
 
+        # h stays the accepted size until the next one is taken up
         t += h
-        u = u_new
-        k[0] = k[6]
-        p = p_new
-        gu = gu_new
+        u, p, gu = step
         n_accepted += 1
 
-        model_p = p0 * np.exp(-t)
-        deviation = max(deviation, abs(p - model_p) / p0)
+        deviation = max(deviation, abs(p - p0 * np.exp(-t)) / p0)
 
         if enforce_ball or left_ball_at is None:
-            # bitwise hilbert.norm, without its check: k[6] checked u
+            # bitwise hilbert.norm, without its check: the stage at u checked it
             d = u - problem.u0
             dist = math.sqrt(d.dot(d))
             if dist > problem.radius * (1.0 + 1e-12):
@@ -297,18 +322,14 @@ def integrate(problem, cfg=None, *, trust=None):
         if p <= stop_at:
             return finish(FlowStatus.RESIDUAL_CONVERGED,
                           f"residual reached {p:.3e} at t={t:.6f}")
-        if t >= cfg.t_max - 1e-12:
+        if t >= end - 1e-12:
             return finish(FlowStatus.T_MAX_REACHED,
-                          f"reached t_max={cfg.t_max} with residual {p:.3e}")
+                          f"reached t_max={end} with residual {p:.3e}")
         if t >= next_record - 1e-12:
             trajectory.append(_point(problem, t, u, p, gu, h))
             while next_record <= t + 1e-12:
                 next_record += cfg.sample_stride
-
-        # PI controller (accepted step)
-        fac = _SAFETY * err ** (-_EXPO) * errold ** _BETA if err > 0.0 else _MAX_FACTOR
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-        errold = max(err, 1e-4)
+        h = h_next
 
     return finish(FlowStatus.STEP_FAILURE,
                   f"step budget {_MAX_STEPS} exhausted at t={t:.6f}")

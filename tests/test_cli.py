@@ -562,6 +562,24 @@ def test_problem_file_refuses_builtin_only_flags(tmp_path, capsys):
     assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
 
 
+def test_problem_file_refuses_seed_except_as_the_certify_sample_seed(tmp_path, capsys):
+    # a file fixes the instance a seed would draw; only certify reads --seed
+    path = tmp_path / "wc4.json"
+    built = wellposed_cubic(4)
+    save_problem(built.problem, path, name="wc4", tags=built.spec.tags)
+    for command in ("solve", "continue", "oracle-check", "decay-audit"):
+        code, stdout, stderr = run(capsys, command, "--problem", str(path), "--seed", "3")
+        assert code == EXIT_ERROR and stdout == ""
+        assert stderr == "error: --problem does not take --seed\n"
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path), "--seed", "3")
+    assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
+    # a seed from --config stays a default, which a file may ignore
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": 3}))
+    code, stdout, _ = run(capsys, "solve", "--problem", str(path), "--config", str(config))
+    assert code == EXIT_OK and "status=residual_converged" in stdout
+
+
 def test_bad_dimension_list(capsys):
     code, _, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic",
                           "--dim", "3,x")

@@ -740,6 +740,132 @@ def test_every_exit_records_the_final_state(make, status, monkeypatch):
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
+def test_step_budget_exit_records_the_size_in_hand(monkeypatch):
+    # a stride of 1.0 records nothing in the 3 steps the budget allows, so
+    # the final point is the exit's own, between strides
+    problem, cfg, _ = _wellposed(p_stop=0.0, sample_stride=1.0)
+    attempts = []
+    step = flow._dopri_step
+    monkeypatch.setattr(flow, "_dopri_step",
+                        lambda stage, u, k, h, *rest: attempts.append(h) or
+                        step(stage, u, k, h, *rest))
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    with pytest.raises(FlowFailed) as exc:
+        integrate(problem, cfg)
+    res = exc.value.result
+    assert len(attempts) == 3 and len(res.trajectory) == 2
+    assert 0.0 < res.t_final < cfg.sample_stride
+    # the same run with a larger budget goes on with that size as its next attempt
+    attempts.clear()
+    monkeypatch.setattr(flow, "_MAX_STEPS", 4)
+    with pytest.raises(FlowFailed):
+        integrate(problem, cfg)
+    assert len(attempts) == 4
+    assert res.trajectory[-1].step == attempts[3]
+
+
+@pytest.mark.parametrize("make, status", [
+    (_ball_exit, FlowStatus.LEFT_BALL),
+    (_wellposed, FlowStatus.RESIDUAL_CONVERGED),
+    (lambda: _wellposed(t_max=0.5, p_stop=0.0), FlowStatus.T_MAX_REACHED),
+], ids=["left-ball", "converged", "t-max"])
+def test_exits_record_the_last_accepted_step(make, status):
+    problem, cfg, trust = make()
+    res = integrate(problem, cfg, trust=trust)
+    # a stride below every step records each accepted one, so the fine run's
+    # trajectory lists the accepted sizes in order
+    fine = integrate(problem, replace(cfg, sample_stride=1e-4), trust=trust)
+    assert res.status is fine.status is status
+    assert len(fine.trajectory) == fine.n_accepted + 1
+    assert fine.trajectory[-1].t - fine.trajectory[-2].t == pytest.approx(
+        fine.trajectory[-1].step, rel=1e-12)
+    assert res.trajectory[-1].step == fine.trajectory[-1].step
+    assert (res.t_final, res.n_accepted, res.n_rejected) == (
+        fine.t_final, fine.n_accepted, fine.n_rejected)
+
+
+# -- explicit stop time ---------------------------------------------------------------
+
+
+def assert_same_result(a, b):
+    """``a`` and ``b`` agree field for field, every trajectory point bitwise."""
+    assert len(a.trajectory) == len(b.trajectory)
+    for x, y in zip(a.trajectory, b.trajectory):
+        assert (x.t, x.p, x.residual_F, x.step) == (y.t, y.p, y.residual_F, y.step)
+        assert np.array_equal(x.u, y.u)
+    assert np.array_equal(a.u_final, b.u_final)
+    for field in ("status", "decay_deviation", "p0", "left_ball_at", "message",
+                  "n_accepted", "n_rejected"):
+        assert getattr(a, field) == getattr(b, field), field
+
+
+@pytest.mark.parametrize("make, until", [
+    (_wellposed, 2.5),
+    (lambda: _wellposed(sample_stride=1.0), 7.25),
+    (_warm_started, 1.5),
+], ids=["wellposed", "wellposed-coarse", "warm-start"])
+def test_until_is_the_run_to_a_stop_time_without_stops(make, until):
+    problem, cfg, _ = make()
+    res = integrate(problem, cfg, until=until)
+    assert_same_result(res, integrate(
+        problem, replace(cfg, t_max=until, p_stop=0.0, p_stop_abs=0.0)))
+    assert res.status is FlowStatus.T_MAX_REACHED
+    assert abs(res.t_final - until) <= 1e-12
+    if make is _warm_started:
+        # without until the warm start stops at once, below its absolute stop
+        assert integrate(problem, cfg).n_accepted == 0 < res.n_accepted
+
+
+@pytest.mark.parametrize("until", [0.0, -1.0, np.nan, 30.0 + 1e-9])
+def test_until_out_of_range_is_refused_before_any_stage(monkeypatch, until):
+    problem, cfg, _ = _wellposed()
+
+    def no_stage(problem):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(flow, "_stage", no_stage)
+    with pytest.raises(ValueError, match="until must lie in"):
+        integrate(problem, cfg, until=until)
+
+
+# -- one Dormand-Prince step ----------------------------------------------------------
+
+
+def test_dopri_step_follows_the_linear_flow_and_moves_the_velocity():
+    # L = I and a constant g: the flow is u* + (u0 - u*) e^{-t}
+    problem, u_star = linear_problem(dim=4, seed=3)
+    stage = model._stage(problem)
+    u = problem.u0.copy()
+    k = np.empty((7, u.size))
+    k[0] = stage(u)[0]
+    h = 0.1
+    step, h_next, errold = flow._dopri_step(stage, u, k, h, 1e-4, 1e-6)
+    assert step is not None
+    u_new, p_new, gu_new = step
+    gap = problem.u0 - u_star
+    # DP5's local error on u' = -u is (1/600 - 1/720) h^6 |gap| to leading order
+    assert norm(u_new - (u_star + gap * np.exp(-h))) <= 1e-3 * h ** 6 * norm(gap)
+    v_new, p_ref, gu_ref = stage(u_new)
+    assert np.array_equal(k[0], v_new)
+    assert p_new == p_ref and np.array_equal(gu_new, gu_ref)
+    assert np.array_equal(u, problem.u0)
+    assert h_next > 0.0 and errold >= 1e-4
+
+
+def test_dopri_step_rejection_leaves_the_state_as_it_was():
+    problem, _ = linear_problem(dim=4, seed=3)
+    stage = model._stage(problem)
+    u = problem.u0.copy()
+    k = np.empty((7, u.size))
+    k[0] = stage(u)[0]
+    v = k[0].copy()
+    # 50 time units lie far outside DP5's stability interval on u' = -u
+    step, h_next, errold = flow._dopri_step(stage, u, k, 50.0, 0.37, 1e-8)
+    assert step is None
+    assert np.array_equal(u, problem.u0) and np.array_equal(k[0], v)
+    assert h_next == 5.0 and errold == 0.37
+
+
 # -- trust ball -----------------------------------------------------------------------
 
 
