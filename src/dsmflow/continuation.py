@@ -40,10 +40,9 @@ from .errors import (FlowFailed, InnerSolveFailed, MonotonicityFailed,
                      NonPsdOperator, SingularOperator, TMaxReachedError)
 from .flow import FlowConfig, FlowStatus, integrate
 from .hilbert import norm
-from .model import (MONOTONE_SAMPLES, ball_samples, certify_newton_bound, full_residual,
-                    monotonicity_certificate)
+from .model import certify_newton_bound, full_residual, monotonicity_certificate
 # unused here, but perfbench/tracing.py looks these names up on this module
-from .model import check_trust_condition, estimate_newton_bound  # noqa: F401
+from .model import ball_samples, check_trust_condition, estimate_newton_bound  # noqa: F401
 
 __all__ = [
     "DISCREPANCY_FACTOR",
@@ -185,18 +184,14 @@ class ContinuationResult:
         return [r.norm_v for r in self.records]
 
 
-def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=True,
-                      monotone=None):
+def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=True):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
-    trust condition through :func:`~dsmflow.model.certify_newton_bound`
-    with ``seed=sample_seed``: a proof for self-adjoint psd ``L`` and a
-    monotone ``g``, a sampled estimate otherwise.  ``monotone`` is the
-    :func:`~dsmflow.model.monotonicity_certificate` the proof takes ``g``'s
-    monotonicity from; with None (a standalone solve)
-    ``certify_newton_bound`` certifies ``g`` on ball samples it draws from
-    ``sample_seed``, and a proof with ``monotone`` handed in draws none.
+    trust condition through :func:`~dsmflow.model.certify_newton_bound`:
+    a proof for self-adjoint psd ``L`` and a ``g`` whose declared Jacobian
+    floor makes it monotone, which draws no samples, and otherwise an
+    estimate on ball samples drawn from ``sample_seed``.
     The certificates are keyed ``newton_bound`` and ``trust_condition``.
     It then integrates with ball enforcement tied to the trust
     certificate.  A failed trust certificate does not block the solve; it
@@ -210,7 +205,7 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=Tru
     above it.
     """
     cfg = cfg or FlowConfig()
-    bound_cert, trust = certify_newton_bound(problem, monotone, seed=sample_seed)
+    bound_cert, trust = certify_newton_bound(problem, seed=sample_seed)
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
         raise FlowFailed(
@@ -237,12 +232,10 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
     """Drive the shift to zero and return the path toward the minimal-norm solution.
 
     Requires verified self-adjoint positive-semidefinite ``L`` and a
-    monotone nonlinearity, certified once on the first trust ball's center
-    and :data:`~dsmflow.model.MONOTONE_SAMPLES` ball samples drawn from
-    seed 1, before any solve; failure raises
-    :class:`MonotonicityFailed`.  Monotonicity is a hypothesis on ``g``
-    itself, not on one level's ball, so that one certificate is handed to
-    every level's Newton-bound proof instead of being drawn again.  Each
+    monotone nonlinearity: ``g`` must pass
+    :func:`~dsmflow.model.monotonicity_certificate`, which reads the
+    Jacobian floor the map declares, before any solve, and a failure, or a
+    map that declares no floor, raises :class:`MonotonicityFailed`.  Each
     shift level is solved by :func:`solve_newton_flow` warm-started at the
     previous solution, with flow settings ``cfg`` (default
     :data:`INNER_FLOW`) and ``sample_seed=k``, which a level that proves
@@ -267,13 +260,11 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
             "minimal-norm continuation requires a self-adjoint psd operator")
     schedule = schedule or EpsSchedule()
     cfg = cfg or INNER_FLOW
-    mono_samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=1)
-    mono = monotonicity_certificate(problem.g, mono_samples)
+    mono = monotonicity_certificate(problem.g)
     if not mono.passed:
         raise MonotonicityFailed(
             f"nonlinearity failed the monotonicity certificate "
-            f"(min eigenvalue {mono.quantities['min_jacobian_eigenvalue']:.3e}, "
-            f"min secant {mono.quantities['min_secant_product']:.3e})",
+            f"(Jacobian floor {mono.quantities['min_jacobian_eigenvalue']:.3e})",
             certificate=mono)
     records = []
     warm = problem.u0
@@ -289,7 +280,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
                 f"{cond:.3e} exceeds {EPS_CONDITION_LIMIT:.0e}")
             break
         try:
-            sol = solve_newton_flow(sub, cfg, sample_seed=k, monotone=mono)
+            sol = solve_newton_flow(sub, cfg, sample_seed=k)
         except (FlowFailed, SingularOperator) as exc:
             raise InnerSolveFailed(k, records, str(exc)) from exc
         v = sol.v

@@ -239,7 +239,8 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
     continues, since no guarantee was promised.
 
     ``until``, a flow time in ``(0, cfg.t_max]``, ends the run at that time
-    in place of ``cfg.t_max`` (status T_MAX_REACHED), and the run stops
+    in place of ``cfg.t_max`` (status T_MAX_REACHED, with a message that
+    names the stop time, not ``t_max``), and the run stops
     early only at the residual floor 1e-14, not at ``cfg``'s stops.  A
     value outside that range raises ``ValueError`` before any stage runs.
 
@@ -323,8 +324,9 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
             return finish(FlowStatus.RESIDUAL_CONVERGED,
                           f"residual reached {p:.3e} at t={t:.6f}")
         if t >= end - 1e-12:
+            what = "t_max" if until is None else "stop time t"
             return finish(FlowStatus.T_MAX_REACHED,
-                          f"reached t_max={end} with residual {p:.3e}")
+                          f"reached {what}={end} with residual {p:.3e}")
         if t >= next_record - 1e-12:
             trajectory.append(_point(problem, t, u, p, gu, h))
             while next_record <= t + 1e-12:

@@ -40,14 +40,11 @@ __all__ = [
 ]
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
-_MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's inequalities
+_MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's floor test
 
 #: Ball samples behind a Newton bound, with the center prepended; only
 #: :func:`certify_newton_bound` draws them.
 BOUND_SAMPLES = 64
-#: Ball samples behind a monotonicity certificate of ``g``: the
-#: ``monotone_g`` tag's and the one a continuation takes before its first level.
-MONOTONE_SAMPLES = 32
 
 
 @dataclass
@@ -56,23 +53,28 @@ class NonlinearMap:
 
     ``fn`` and ``jac_fn`` receive a validated 1-D float array and return
     a new array each call: the flow keeps a stage's ``g(u)`` to record the
-    residual at an accepted point.  Monotonicity is checked by
-    :func:`monotonicity_certificate`.
+    residual at an accepted point.
+
+    ``jac_floor`` declares a lower bound on ``lambda_min((g'(u) +
+    g'(u)^T)/2)`` over every ``u``, or None when the map declares none.
+    Each :func:`~dsmflow.problems.make_map` factory fills it in closed
+    form; :func:`monotonicity_certificate` reads it, and ``g`` is monotone
+    when it is at least 0.  A floor that is not finite raises
+    ``ValueError`` here.
 
     ``jac_fn`` returns ``g'(u)`` as an ``(n, n)`` matrix, or, for a
     componentwise map whose Jacobian is diagonal, as the length-``n``
     vector of that diagonal.  A map whose Jacobian is identically zero
     carries ``jac_fn=None``.  :func:`newton_velocity` adds a vector onto
     ``A``'s diagonal and, for None, reuses ``A``'s LU instead of factoring
-    ``A + 0``; :func:`monotonicity_certificate` reads a vector's minimum.
-    :meth:`jacobian` always returns the dense ``(n, n)`` matrix.
+    ``A + 0``.  :meth:`jacobian` always returns the dense ``(n, n)`` matrix.
 
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
     (:class:`DimensionMismatch`) and finiteness (``ValueError``).
-    :func:`newton_velocity` and :func:`monotonicity_certificate` check ``u``
-    once for both and call :meth:`_value` and :meth:`_jacobian`, which
-    check only the output.  A flow stage has them check only its shape:
+    :func:`newton_velocity` checks ``u`` once for both and calls
+    :meth:`_value` and :meth:`_jacobian`, which check only the output.
+    A flow stage has them check only its shape:
     the stage's fault signal sees a non-finite ``g(u)`` in ``|f|`` and a
     non-finite ``g'(u)`` in ``max|A + g'(u)|``, and only a stage that
     re-runs on that signal scans them (see :func:`newton_velocity`).
@@ -81,6 +83,14 @@ class NonlinearMap:
     jac_fn: callable
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    jac_floor: float = None
+
+    def __post_init__(self):
+        if self.jac_floor is not None:
+            self.jac_floor = float(self.jac_floor)
+            if not math.isfinite(self.jac_floor):
+                raise ValueError(f"map {self.name!r} Jacobian floor must be finite, "
+                                 f"got {self.jac_floor}")
 
     def __call__(self, u):
         return self._value(as_vector(u))
@@ -145,10 +155,10 @@ class DsmProblem:
         self.u0 = as_vector(self.u0, dim=self.L.dim, name="start point")
         self.radius = float(self.radius)
         if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError(f"trust radius must be positive, got {self.radius}")
+            raise ValueError(f"trust radius must be finite and positive, got {self.radius}")
         self.epsilon = float(self.epsilon)
         if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         # probe the nonlinearity once so shape errors surface here, not mid-flow
         self.g(self.u0)
         self.g.jacobian(self.u0)
@@ -478,7 +488,7 @@ def estimate_newton_bound(problem, samples):
         detail=f"route: sampled, max 1/sigma_min(T) over {len(samples)} points of the trust ball")
 
 
-def certify_newton_bound(problem, monotone=None, *, seed=0):
+def certify_newton_bound(problem, *, seed=0):
     """Newton bound over the trust ball and the trust condition it implies.
 
     Returns ``(bound_cert, trust_cert)``: a NEWTON_BOUND certificate whose
@@ -487,43 +497,30 @@ def certify_newton_bound(problem, monotone=None, *, seed=0):
     Both the certified solve and the ``trust_condition`` tag call this, and
     both certificates name their route in ``detail``.
 
-    The samples behind the bound are the trust ball's center and
-    :data:`BOUND_SAMPLES` :func:`ball_samples` drawn from ``seed``.  They
-    are drawn here, at most once, and only when a route reads them: to
-    certify ``g`` for the proof when ``monotone`` is None, and for the
-    sampled route.  A proof with ``monotone`` handed in draws nothing.
-
     *Proof route*, :func:`_proven_bound`: for a self-adjoint psd ``L`` with
     ``A`` positive definite (:func:`_proof_spectrum`) and a ``g`` that
-    passes ``monotone``, the bound is ``sqrt(kappa(A))/(1 - delta)`` and the
-    trust certificate compares the radius with a distance bound that takes
-    one product with ``A``: no ``T`` is formed and no SVD taken.  It is
-    taken when that distance fits in the radius.  ``monotone`` is a
-    :func:`monotonicity_certificate` of ``g`` that the caller already
-    holds: a build's ``monotone_g`` tag, or the one
-    :func:`~dsmflow.continuation.solve_minimal_norm` takes before its first
-    level and hands to every level.  With None, ``g`` is certified here on
-    the samples.
+    passes :func:`monotonicity_certificate`, which reads the floor the map
+    declares, the bound is ``sqrt(kappa(A))/(1 - delta)`` and the trust
+    certificate compares the radius with a distance bound that takes one
+    product with ``A``: no ``T`` is formed, no SVD taken and no sample
+    drawn.  It is taken when that distance fits in the radius.
 
     *Sampled route.*  Otherwise ``bound_cert`` is
-    :func:`estimate_newton_bound` on the samples and ``trust_cert`` is
-    :func:`check_trust_condition` with its bound, both unchanged.  A proof
-    whose distance bound exceeds the radius is not reported as a failed
-    trust condition: the A-norm loses up to ``sqrt(kappa(A))`` where
-    ``g'`` is small against ``A``, as for a constant ``g`` and a small
-    shift of a singular ``L``, where ``T = I`` and the sampled bound is 1.
+    :func:`estimate_newton_bound` on the trust ball's center and
+    :data:`BOUND_SAMPLES` :func:`ball_samples` drawn from ``seed``, and
+    ``trust_cert`` is :func:`check_trust_condition` with its bound, both
+    unchanged.  A proof whose distance bound exceeds the radius is not
+    reported as a failed trust condition: the A-norm loses up to
+    ``sqrt(kappa(A))`` where ``g'`` is small against ``A``, as for a
+    constant ``g`` and a small shift of a singular ``L``, where ``T = I``
+    and the sampled bound is 1.
     """
-    samples = None
     spectrum = _proof_spectrum(problem)
     if spectrum is not None:
-        if monotone is None:
-            samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
-            monotone = monotonicity_certificate(problem.g, samples)
-        proven = _proven_bound(problem, monotone, *spectrum)
+        proven = _proven_bound(problem, *spectrum)
         if proven is not None and proven[1].passed:
             return proven
-    if samples is None:
-        samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
+    samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
     bound_cert = estimate_newton_bound(problem, samples)
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 
@@ -556,14 +553,13 @@ def _proof_spectrum(problem):
     return lam_lo, float(w[-1]) + eps + err
 
 
-def _proven_bound(problem, monotone, lam_lo, lam_hi):
+def _proven_bound(problem, lam_lo, lam_hi):
     """The proof route's ``(bound_cert, trust_cert)``, or None where ``g`` does not qualify.
 
     ``lam_lo <= lambda(A) <= lam_hi`` come from :func:`_proof_spectrum`.
-    The route needs ``g`` to pass ``monotone``, a
-    :func:`monotonicity_certificate` the caller holds or has just taken,
-    with ``delta = max(0, -min_jacobian_eigenvalue) / lam_lo < 1``.  It
-    reads no ball samples.
+    The route needs ``g`` to pass :func:`monotonicity_certificate`, with
+    ``delta = max(0, -jac_floor) / lam_lo < 1`` for the floor ``g``
+    declares.
 
     With ``K = A^{-1/2} g' A^{-1/2}``, whose symmetric part is
     ``>= -delta I``, ``|T^{-1}|_A = |(I + K)^{-1}| <= 1/(1 - delta)`` in
@@ -574,9 +570,10 @@ def _proven_bound(problem, monotone, lam_lo, lam_hi):
     trust certificate compares with the radius.  ``|f0|_A^2`` is
     ``f0 . (A f0)`` plus ``gamma_{n+1} |A|_F |f0|^2`` for its rounding.
     The bound certificate keeps the sampled route's keys, with
-    ``worst_sigma_min = 1/bound`` and the samples behind ``monotone`` as
-    ``n_samples``; both name the route in ``detail``.
+    ``worst_sigma_min = 1/bound`` and ``n_samples`` 0; both name the route
+    in ``detail``.
     """
+    monotone = monotonicity_certificate(problem.g)
     delta = max(0.0, -monotone.quantities["min_jacobian_eigenvalue"]) / lam_lo
     if not (monotone.passed and delta < 1.0):
         return None
@@ -584,8 +581,7 @@ def _proven_bound(problem, monotone, lam_lo, lam_hi):
     bound_cert = Certificate(
         kind=CertificateKind.NEWTON_BOUND,
         passed=True,
-        quantities={"bound": bound, "worst_sigma_min": 1.0 / bound,
-                    "n_samples": monotone.quantities["n_samples"]},
+        quantities={"bound": bound, "worst_sigma_min": 1.0 / bound, "n_samples": 0.0},
         detail=f"route: proof, sqrt(kappa(A))/(1 - delta) for self-adjoint psd L "
                f"and monotone g, delta = {delta:.17g}")
     f0 = preconditioned_residual(problem, problem.u0)
@@ -740,51 +736,23 @@ def check_sector(L, a, delta):
                "max(mu + r cos(delta), sigma_min - r)")
 
 
-def monotonicity_certificate(g, samples):
-    """Certify monotonicity of ``g`` on a sample cloud.
+def monotonicity_certificate(g):
+    """Certify monotonicity of ``g`` from the Jacobian floor it declares.
 
-    Checks the symmetrized Jacobian at every sample for eigenvalues below
-    ``-tol`` and the secant inequality ``(g(u) - g(v), u - v) >= -tol`` on
-    consecutive sample pairs, with ``tol = 1e-10``, which the certificate
-    reports.  Each sample is checked once, and ``g`` and ``g'`` are
-    evaluated once per sample.
-
-    A sample's smallest eigenvalue is ``eigvalsh((J + J^T)/2)[0]`` for a
-    matrix ``J = g'(u)``.  When ``jac_fn`` returns the vector of a diagonal
-    ``J``, as for a componentwise ``g``, it is that vector's minimum, with
-    no symmetrization or ``eigvalsh``, and 0 for ``jac_fn=None``.  The
-    minimum is what ``eigvalsh`` returns: LAPACK reduces a diagonal
-    matrix to tridiagonal form with no reflections and splits it into
-    1 x 1 blocks.  This holds bitwise unless ``eigvalsh`` rescales the
-    matrix, which it does when its largest entry is nonzero and outside
-    about ``[1e-146, 1e146]``; there the minimum is the exact eigenvalue
-    and ``eigvalsh``'s carries the rescaling's rounding.
+    ``g`` is monotone when ``(g(u) - g(v), u - v) >= 0`` for all ``u, v``,
+    that is when the symmetric part of ``g'(u)`` is psd everywhere.  The
+    certificate passes when ``g.jac_floor``, a lower bound on that part's
+    smallest eigenvalue (see :class:`NonlinearMap`), is at least
+    ``-tol`` with ``tol = 1e-10``, and reports the floor as
+    ``min_jacobian_eigenvalue`` next to ``tol``.  A map that declares no
+    floor fails it, with a floor of ``-inf``.  Nothing is sampled.
     """
-    if not samples:
-        raise ValueError("need at least one sample point")
-    tol = _MONOTONE_TOL
-    min_eig = float("inf")
-    min_secant = float("inf")
-    prev = g_prev = None
-    for u in samples:
-        u = as_vector(u, name="sample")
-        J = g._jacobian(u)
-        if J is None:
-            min_eig = min(min_eig, 0.0)
-        elif J.ndim == 1:
-            min_eig = min(min_eig, float(J.min()))
-        else:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (J + J.T))[0]))
-        gu = g._value(u)
-        if prev is not None:
-            min_secant = min(min_secant, float(np.dot(gu - g_prev, u - prev)))
-        prev, g_prev = u, gu
-    if len(samples) < 2:
-        min_secant = 0.0
-    passed = min_eig >= -tol and min_secant >= -tol
+    floor = g.jac_floor
+    declared = floor is not None
     return Certificate(
         kind=CertificateKind.MONOTONE,
-        passed=bool(passed),
-        quantities={"min_jacobian_eigenvalue": min_eig,
-                    "min_secant_product": min_secant,
-                    "n_samples": float(len(samples)), "tol": tol})
+        passed=declared and floor >= -_MONOTONE_TOL,
+        quantities={"min_jacobian_eigenvalue": floor if declared else -math.inf,
+                    "tol": _MONOTONE_TOL},
+        detail=(f"route: declared, lambda_min(sym g') >= jac_floor of map {g.name!r}"
+                if declared else f"route: none, map {g.name!r} declares no Jacobian floor"))

@@ -23,11 +23,10 @@ import scipy.linalg
 
 from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseError
 from .hilbert import DenseOperator, as_vector, norm
-from .model import (MONOTONE_SAMPLES, Certificate, CertificateKind, DsmProblem, NonlinearMap,
-                    ball_samples, certify_newton_bound, check_resolvent_bound, check_sector,
-                    monotonicity_certificate)
+from .model import (Certificate, CertificateKind, DsmProblem, NonlinearMap, certify_newton_bound,
+                    check_resolvent_bound, check_sector, monotonicity_certificate)
 # unused here, but perfbench/tracing.py looks these names up on this module
-from .model import (check_trust_condition, estimate_newton_bound,  # noqa: F401
+from .model import (ball_samples, check_trust_condition, estimate_newton_bound,  # noqa: F401
                     preconditioned_residual)
 
 __all__ = [
@@ -103,26 +102,30 @@ def _reals(what, value):
 
 def _make_zero(dim, params):
     n = int(dim)
-    return NonlinearMap(fn=lambda u: np.zeros(n), jac_fn=None, name="zero", params={})
+    return NonlinearMap(fn=lambda u: np.zeros(n), jac_fn=None, name="zero", params={},
+                        jac_floor=0.0)
 
 
 def _make_constant(dim, params):
     offset = as_vector(_reals("builtin map 'constant' param 'offset'", params["offset"]),
                        dim=dim, name="offset")
     return NonlinearMap(fn=lambda u: offset.copy(), jac_fn=None,
-                        name="constant", params={"offset": offset})
+                        name="constant", params={"offset": offset}, jac_floor=0.0)
 
 
 def _make_linear(dim, params):
     M = _reals("builtin map 'linear' param 'matrix'", params["matrix"])
     if M.shape != (dim, dim):
         raise ValueError(f"linear map matrix has shape {M.shape}, expected {(dim, dim)}")
+    if not np.isfinite(M).all():
+        raise ValueError("linear map matrix has non-finite entries")
     offset = as_vector(_reals("builtin map 'linear' param 'offset'",
                               params.get("offset", np.zeros(dim))), dim=dim, name="offset")
     return NonlinearMap(
         fn=lambda u: M @ u + offset,
         jac_fn=lambda u: M.copy(),
-        name="linear", params={"matrix": M, "offset": offset})
+        name="linear", params={"matrix": M, "offset": offset},
+        jac_floor=np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
 def _scale(name, params):
@@ -147,7 +150,7 @@ def _make_cubic(dim, params):
     return NonlinearMap(
         fn=lambda u: scale * (u * u * u) + offset,  # products: u ** 3 calls pow
         jac_fn=lambda u: 3.0 * scale * u ** 2,  # the diagonal of g'(u)
-        name="cubic", params={"scale": scale, "offset": offset})
+        name="cubic", params={"scale": scale, "offset": offset}, jac_floor=0.0)
 
 
 def _make_range_cubic(dim, params):
@@ -171,8 +174,9 @@ def _make_range_cubic(dim, params):
         # B diag(3 s y^2) B^T, with B's columns scaled instead of a diagonal product
         return (B * (3.0 * scale * y ** 2)) @ B.T
 
+    # B diag(3 s y^2) B^T is psd, since _scale refuses a negative scale
     return NonlinearMap(fn=fn, jac_fn=jac_fn, name="range_cubic",
-                        params={"scale": scale, "basis": B, "offset": offset})
+                        params={"scale": scale, "basis": B, "offset": offset}, jac_floor=0.0)
 
 
 _MAP_FACTORIES = {
@@ -217,15 +221,14 @@ def _verify_tags(problem, tags, seed=0):
     compares ``sigma_min(L)`` with ``1e-10 |L|``; ``self_adjoint_psd`` to
     RESOLVENT_BOUND; ``monotone_g`` to MONOTONE; ``sector`` to SECTOR; and
     ``trust_condition`` and ``newton_bound`` to the kinds of those names.
-    The ``trust_condition`` tag is verified last: it hands the
-    ``monotone_g`` certificate, when that tag is claimed, to
-    :func:`certify_newton_bound`, which draws its own samples from
-    ``seed`` only when a route reads them.
+    ``monotone_g`` reads the Jacobian floor ``g`` declares and samples
+    nothing; ``trust_condition`` calls :func:`certify_newton_bound`, which
+    draws ball samples from ``seed`` only on its sampled route.
     """
     certs = {}
     L = problem.L
     opn = L.operator_norm()
-    for tag in sorted(tags, key=lambda t: t == "trust_condition"):
+    for tag in tags:
         if tag not in TAGS:
             raise CertificateMismatch(f"unknown tag {tag!r}")
         if tag in ("invertible", "singular"):
@@ -246,14 +249,13 @@ def _verify_tags(problem, tags, seed=0):
                     f"tag 'self_adjoint_psd' failed the resolvent bound: {cert.quantities}")
             certs[tag] = cert
         elif tag == "monotone_g":
-            samples = ball_samples(problem.u0, problem.radius, MONOTONE_SAMPLES, seed=seed)
-            cert = monotonicity_certificate(problem.g, samples)
+            cert = monotonicity_certificate(problem.g)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'monotone_g' failed: {cert.quantities}")
             certs[tag] = cert
         elif tag == "trust_condition":
-            bound_cert, cert = certify_newton_bound(problem, certs.get("monotone_g"), seed=seed)
+            bound_cert, cert = certify_newton_bound(problem, seed=seed)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'trust_condition' failed: {cert.quantities}")
@@ -298,7 +300,7 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     in ``[1, 4)`` makes that below 2, so the flow travels less than
     ``2 p0``.  That is the bound the ``trust_condition`` tag proves
     (:func:`~dsmflow.model.certify_newton_bound`, with ``L``'s eigenvalues
-    and the ``monotone_g`` certificate), and it checks the tighter distance
+    and the cubic's declared Jacobian floor 0), and it checks the tighter distance
     bound ``|f0|_L / sqrt(lambda_min(L)) <= p0 sqrt(kappa(L))`` against the
     radius.  So one draw from ``seed`` is built and its four tags are
     verified once; a failed tag raises :class:`CertificateMismatch`.

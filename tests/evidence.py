@@ -2,7 +2,8 @@
 
 The solution-set probes (:func:`membership_probe`,
 :func:`convexity_closedness_suite`), the finite-difference Jacobian check
-(:func:`fd_jacobian_check`) and the post-hoc distance-bound check
+(:func:`fd_jacobian_check`), the sampled monotonicity witness
+(:func:`monotonicity_witness`) and the post-hoc distance-bound check
 (:func:`error_bound_check`) judge solver output and builtin maps; nothing
 in the library or the benchmark calls them.  :func:`diagonal_operator`
 builds the diagonal operators many tests start from.
@@ -162,6 +163,40 @@ def fd_jacobian_check(g, u):
         denom = max(float(np.linalg.norm(col)), float(np.linalg.norm(col_fd)), 1e-30)
         worst = max(worst, float(np.linalg.norm(col - col_fd)) / denom)
     return worst
+
+
+def monotonicity_witness(g, samples):
+    """Sampled evidence of ``g``'s monotonicity: ``(eigenvalues, secants)``, two arrays.
+
+    ``eigenvalues[i]`` is the smallest eigenvalue of ``(J + J^T)/2`` for
+    ``J = g'(u_i)``.  It is ``eigvalsh``'s for a matrix ``J``; for the
+    diagonal that ``jac_fn`` hands over for a componentwise map it is the
+    diagonal's minimum, and 0 for ``jac_fn=None``.  That minimum is what
+    ``eigvalsh`` returns bitwise, since LAPACK splits a diagonal matrix into
+    1 x 1 blocks, unless ``eigvalsh`` rescales the matrix (largest entry
+    nonzero and outside about ``[1e-146, 1e146]``).  ``secants[i]`` is
+    ``(g(u_{i+1}) - g(u_i), u_{i+1} - u_i)`` over consecutive samples.  ``g``
+    and ``g'`` are evaluated once per sample.
+
+    A declared ``jac_floor`` must lie at or below every eigenvalue, and a
+    monotone ``g`` leaves every secant product nonnegative up to rounding.
+    """
+    eigenvalues, secants = [], []
+    prev = g_prev = None
+    for u in samples:
+        u = as_vector(u, name="sample")
+        J = g._jacobian(u)
+        if J is None:
+            eigenvalues.append(0.0)
+        elif J.ndim == 1:
+            eigenvalues.append(float(J.min()))
+        else:
+            eigenvalues.append(float(np.linalg.eigvalsh(0.5 * (J + J.T))[0]))
+        gu = g._value(u)
+        if prev is not None:
+            secants.append(float(np.dot(gu - g_prev, u - prev)))
+        prev, g_prev = u, gu
+    return np.array(eigenvalues), np.array(secants)
 
 
 def error_bound_check(result, newton_bound):

@@ -367,6 +367,14 @@ def test_certify_loaded_problem_recomputes_tags(tmp_path, capsys):
     code, stdout, _ = run(capsys, "certify", "--problem", str(path))
     assert code == EXIT_CERT_FAILED
     assert "invertible" in stdout
+    # a linear map whose matrix has an indefinite symmetric part declares a
+    # negative Jacobian floor, so its monotone_g claim fails
+    doc.update(L={"rows": [[1.0, 0.0], [0.0, 1.0]]}, tags=["monotone_g"],
+               g={"builtin": "linear", "params": {"matrix": [[1.0, 3.0], [0.0, 1.0]]}})
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path))
+    assert code == EXIT_CERT_FAILED
+    assert "tag 'monotone_g' failed: {'min_jacobian_eigenvalue': -0.49999" in stdout
 
 
 # -- oracle-check --------------------------------------------------------------------
@@ -585,6 +593,14 @@ def test_bad_dimension_list(capsys):
                           "--dim", "3,x")
     assert code == EXIT_ERROR
     assert "bad dimension list" in stderr
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
+def test_epsilon_must_be_finite_and_nonnegative(epsilon, capsys):
+    code, stdout, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic", "--dim", "2",
+                               "--epsilon", epsilon)
+    assert code == EXIT_ERROR and stdout == ""
+    assert stderr == f"error: epsilon must be finite and nonnegative, got {float(epsilon)}\n"
 
 
 def test_missing_config_file(capsys):

@@ -116,9 +116,13 @@ def test_minimal_norm_requires_flags_and_monotonicity():
                         lambda u: np.diag(-1.5 * u ** 2))
     q = DsmProblem(L=diagonal_operator(np.ones(2)), g=anti,
                    u0=np.array([0.5, 0.5]), radius=2.0)
-    with pytest.raises(MonotonicityFailed) as exc:
+    # a hand-built map declares no Jacobian floor, and a declared negative one fails
+    with pytest.raises(MonotonicityFailed, match=r"\(Jacobian floor -inf\)$") as exc:
         solve_minimal_norm(q)
-    assert exc.value.certificate.quantities["min_jacobian_eigenvalue"] < 0.0
+    assert exc.value.certificate.quantities["min_jacobian_eigenvalue"] == -np.inf
+    neg = make_map("linear", 2, {"matrix": [[1.0, 0.0], [0.0, -0.5]]})
+    with pytest.raises(MonotonicityFailed, match=r"\(Jacobian floor -5\.000e-01\)$"):
+        solve_minimal_norm(replace(q, g=neg))
 
 
 def test_continuation_records_and_monotone_norms():
@@ -127,7 +131,7 @@ def test_continuation_records_and_monotone_norms():
     assert isinstance(res, ContinuationResult)
     # the extrapolant settles before the default schedule's 20 levels run out;
     # the levels that ran are the schedule's first ones, solved as without it
-    solutions, failed = _levels_without_handoff(b.problem)
+    solutions, failed = _levels_one_by_one(b.problem)
     assert failed is None and len(solutions) == 20
     assert EXTRAPOLATION_DEGREE < len(res.records) < 20
     _assert_records_match(res.records, solutions[:len(res.records)])
@@ -210,7 +214,7 @@ def test_condition_limit_at_the_first_level_leaves_no_records():
 
 
 def _count_monotonicity_passes(monkeypatch):
-    """Count ``monotonicity_certificate`` calls through both bindings the solver uses."""
+    """Record the module of each ``monotonicity_certificate`` call, through both bindings."""
     calls = []
     for module in (continuation, model):
         def counted(*args, real=module.monotonicity_certificate, name=module.__name__,
@@ -221,8 +225,8 @@ def _count_monotonicity_passes(monkeypatch):
     return calls
 
 
-def _levels_without_handoff(problem, seed=0):
-    """The default schedule solved level by level, each level certifying ``g`` itself.
+def _levels_one_by_one(problem, seed=0):
+    """The default schedule solved level by level, each a standalone solve.
 
     Returns the solutions and the index of the level that failed, or None.
     """
@@ -249,12 +253,12 @@ def _assert_records_match(records, solutions):
 
 @pytest.mark.parametrize("cubic", [0.0, 0.1])
 def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
-    # the flows see the certificate only through the trust verdict; the
+    # a continuation level is the standalone solve at its shift; the
     # continuation stops once its extrapolant settles, so its records are
     # the first of the level-by-level solves (with cubic 0.1 those stall at
     # a deep shift, which the continuation does not reach)
     b = singular_monotone(10, 5, cubic_scale=cubic)
-    solutions, _ = _levels_without_handoff(b.problem)
+    solutions, _ = _levels_one_by_one(b.problem)
     res = solve_minimal_norm(b.problem)
     assert res.stop is ContinuationStop.SETTLED
     assert len(res.records) < len(solutions)
@@ -263,7 +267,7 @@ def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
 
 def test_handed_certificate_keeps_the_failure_level_and_partial_records():
     b = ill_conditioned(4)
-    solutions, failed = _levels_without_handoff(b.problem)
+    solutions, failed = _levels_one_by_one(b.problem)
     assert failed is not None and failed > 0
     with pytest.raises(InnerSolveFailed) as exc:
         solve_minimal_norm(b.problem)
@@ -294,7 +298,8 @@ def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
         res = solve_minimal_norm(problem)
         assert res.stop is ContinuationStop.SETTLED
         assert len(res.records) == len(levels) > EXTRAPOLATION_DEGREE
-    assert calls == ["dsmflow.continuation"]
+    # once before the first level; each level's proof reads the floor again
+    assert calls == ["dsmflow.continuation"] + ["dsmflow.model"] * len(levels)
 
 
 def test_monotonicity_failure_precedes_every_level_solve(monkeypatch):
@@ -311,16 +316,15 @@ def test_monotonicity_failure_precedes_every_level_solve(monkeypatch):
     assert calls == ["dsmflow.continuation"]
 
 
-def test_standalone_solve_certifies_its_own_ball(monkeypatch):
+def test_standalone_solve_reads_the_declared_floor(monkeypatch):
     calls = _count_monotonicity_passes(monkeypatch)
     sol = solve_newton_flow(singular_monotone(10, 5).problem.with_epsilon(0.5))
     assert calls == ["dsmflow.model"]
-    assert sol.certificates["newton_bound"].quantities["n_samples"] == 65.0
+    assert sol.certificates["newton_bound"].quantities["n_samples"] == 0.0
 
 
-def test_continuation_draws_its_ball_samples_once(monkeypatch):
-    # every level proves its Newton bound with the handed-in monotonicity
-    # certificate, so only that certificate's draw samples the ball
+def test_continuation_draws_no_ball_samples(monkeypatch):
+    # every level proves its Newton bound from the map's declared floor
     problem = singular_monotone(10, 5, cubic_scale=0.1).problem
     draws = []
     for module in (continuation, model):
@@ -330,7 +334,8 @@ def test_continuation_draws_its_ball_samples_once(monkeypatch):
         monkeypatch.setattr(module, "ball_samples", counted)
     res = solve_minimal_norm(problem)
     assert len(res.records) == 9
-    assert draws == ["dsmflow.continuation"]
+    assert all(rec.trust_passed for rec in res.records)
+    assert draws == []
 
 
 # -- discrepancy stop -----------------------------------------------------------------

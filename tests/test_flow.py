@@ -339,7 +339,7 @@ def test_stages_evaluate_g_and_its_jacobian_once_and_recording_neither():
 
 def _dense_twin(g):
     """``g`` with its Jacobian as the dense ``(n, n)`` matrix: ``np.diag`` of a vector, or zeros."""
-    return NonlinearMap(g.fn, g.jacobian, name=g.name, params=g.params)
+    return NonlinearMap(g.fn, g.jacobian, name=g.name, params=g.params, jac_floor=g.jac_floor)
 
 
 def indefinite_problem(dim=6, seed=5):
@@ -807,8 +807,11 @@ def assert_same_result(a, b):
 def test_until_is_the_run_to_a_stop_time_without_stops(make, until):
     problem, cfg, _ = make()
     res = integrate(problem, cfg, until=until)
-    assert_same_result(res, integrate(
-        problem, replace(cfg, t_max=until, p_stop=0.0, p_stop_abs=0.0)))
+    plain = integrate(problem, replace(cfg, t_max=until, p_stop=0.0, p_stop_abs=0.0))
+    # the same run, but its message names the stop time where the plain one names t_max
+    assert plain.message == f"reached t_max={until} with residual {plain.p_final:.3e}"
+    assert res.message == f"reached stop time t={until} with residual {res.p_final:.3e}"
+    assert_same_result(replace(res, message=plain.message), plain)
     assert res.status is FlowStatus.T_MAX_REACHED
     assert abs(res.t_final - until) <= 1e-12
     if make is _warm_started:

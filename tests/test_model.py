@@ -26,7 +26,7 @@ from dsmflow.model import (BOUND_SAMPLES, CertificateKind, DsmProblem, Nonlinear
                            preconditioned_residual, solve_linearized)
 from dsmflow.problems import (ill_conditioned, make_map, sector_blocks, singular_canonical,
                               singular_monotone, wellposed_cubic)
-from evidence import diagonal_operator, fd_jacobian_check
+from evidence import diagonal_operator, fd_jacobian_check, monotonicity_witness
 
 
 def cubic_map(scale=0.1):
@@ -34,7 +34,9 @@ def cubic_map(scale=0.1):
         return scale * u ** 3
     def jac(u):
         return np.diag(3.0 * scale * u ** 2)
-    return NonlinearMap(fn, jac, name="cubic", params={"scale": scale})
+    # g'(u) = diag(3 s u^2) is psd for s >= 0 and unbounded below otherwise
+    return NonlinearMap(fn, jac, name="cubic", params={"scale": scale},
+                        jac_floor=0.0 if scale >= 0.0 else None)
 
 
 def small_problem(dim=4, eps=0.0, seed=7):
@@ -78,13 +80,26 @@ def test_map_takes_a_diagonal_or_no_jacobian():
             NonlinearMap(lambda v: v, lambda v, bad=bad: np.full(v.size, bad)).jacobian(u)
 
 
+def test_map_refuses_a_non_finite_jacobian_floor():
+    assert NonlinearMap(lambda v: v, None).jac_floor is None
+    assert NonlinearMap(lambda v: v, None, jac_floor=-1).jac_floor == -1.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^map 'mine' Jacobian floor must be finite, "
+                                             f"got {bad}$"):
+            NonlinearMap(lambda v: v, None, name="mine", jac_floor=bad)
+
+
 def test_problem_validates_radius_epsilon_and_probes_map():
     L = diagonal_operator(np.ones(2))
     g = cubic_map()
-    with pytest.raises(ValueError):
-        DsmProblem(L=L, g=g, u0=np.zeros(2), radius=0.0)
-    with pytest.raises(ValueError):
-        DsmProblem(L=L, g=g, u0=np.zeros(2), radius=1.0, epsilon=-0.1)
+    for radius in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^trust radius must be finite and positive, "
+                                             f"got {radius}$"):
+            DsmProblem(L=L, g=g, u0=np.zeros(2), radius=radius)
+    for eps in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative, "
+                                             f"got {eps}$"):
+            DsmProblem(L=L, g=g, u0=np.zeros(2), radius=1.0, epsilon=eps)
     with pytest.raises(DimensionMismatch):
         DsmProblem(L=L, g=g, u0=np.zeros(3), radius=1.0)
     # the constructor evaluates g once, so a map inconsistent with the
@@ -562,13 +577,12 @@ def _proof_cases():
 def test_proven_bound_covers_the_sampled_bound_and_the_trajectory(make):
     p = make()
     samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
-    mono = monotonicity_certificate(p.g, samples)
-    bound_cert, trust = model._proven_bound(p, mono, *model._proof_spectrum(p))
+    bound_cert, trust = model._proven_bound(p, *model._proof_spectrum(p))
     assert bound_cert.detail.startswith("route: proof")
     assert trust.detail.startswith("route: proof")
     q = bound_cert.quantities
     assert set(q) == {"bound", "worst_sigma_min", "n_samples"}
-    assert q["worst_sigma_min"] == 1.0 / q["bound"] and q["n_samples"] == len(samples)
+    assert q["worst_sigma_min"] == 1.0 / q["bound"] and q["n_samples"] == 0.0
     # the proof covers every sample's 1/sigma_min(T)
     sampled = estimate_newton_bound(p, samples)
     assert q["bound"] >= sampled.quantities["bound"]
@@ -662,11 +676,12 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     G = np.diag([neg, 0.5, 0.0])
     # no offset on the nullspace, so f0 has none and the distance fits the radius
     c = np.array([0.0, -0.2, 0.1])
-    g = NonlinearMap(lambda u: G @ u + c, lambda u: G.copy())
+    g = NonlinearMap(lambda u: G @ u + c, lambda u: G.copy(), jac_floor=neg)
     p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=1e4, epsilon=eps)
     samples = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
-    mono = monotonicity_certificate(g, samples)
-    assert mono.passed and mono.quantities["min_jacobian_eigenvalue"] < 0.0
+    mono = monotonicity_certificate(g)
+    assert mono.passed and mono.quantities["min_jacobian_eigenvalue"] == neg
+    assert np.all(monotonicity_witness(g, samples)[0] == neg)
     bound_cert, trust = certify_newton_bound(p, seed=0)
     delta = -neg / eps
     assert bound_cert.quantities["bound"] == pytest.approx(
@@ -676,19 +691,21 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     distance = trust.quantities["radius"] - trust.quantities["margin"]
     assert distance == pytest.approx(f0_A / (np.sqrt(eps) * (1.0 - delta)), rel=1e-6)
     assert bound_cert.quantities["bound"] >= estimate_newton_bound(p, samples).quantities["bound"]
-    # a certificate handed in replaces the route's own monotonicity pass
-    handed = monotonicity_certificate(g, samples[:4])
-    assert certify_newton_bound(p, handed)[0].quantities["n_samples"] == 4.0
 
 
-def test_build_hands_its_monotone_g_certificate_to_the_route():
+def test_builds_and_solves_prove_the_bound_without_samples(monkeypatch):
+    draws = []
+    real = model.ball_samples
+    monkeypatch.setattr(model, "ball_samples", lambda *a, **k: draws.append(1) or real(*a, **k))
     b = wellposed_cubic(6, seed=3)
-    n_mono = b.certificates["monotone_g"].quantities["n_samples"]
-    assert b.certificates["newton_bound"].quantities["n_samples"] == n_mono == 33.0
-    # a solve certifies its own 64 ball samples plus the centre
+    mono = b.certificates["monotone_g"]
+    assert mono.detail.startswith("route: declared")
+    assert mono.quantities == {"min_jacobian_eigenvalue": 0.0, "tol": 1e-10}
+    assert b.certificates["newton_bound"].quantities["n_samples"] == 0.0
     sol = solve_newton_flow(b.problem)
-    assert sol.certificates["newton_bound"].quantities["n_samples"] == 65.0
+    assert sol.certificates["newton_bound"].quantities["n_samples"] == 0.0
     assert sol.certificates["newton_bound"].detail.startswith("route: proof")
+    assert draws == []
 
 
 # -- resolvent bound -------------------------------------------------------------
@@ -824,50 +841,72 @@ def test_fd_jacobian_check_on_builtin_map():
 
 
 def test_monotonicity_certificate_pass_and_fail():
-    samples = ball_samples(np.zeros(3), 1.5, 12, seed=9)
-    good = monotonicity_certificate(cubic_map(0.5), samples)
-    assert good.passed
-    assert good.quantities["min_jacobian_eigenvalue"] >= -1e-10
-    assert good.quantities["min_secant_product"] >= -1e-10
-    bad = monotonicity_certificate(cubic_map(-0.5), samples)
-    assert not bad.passed
-    assert bad.quantities["min_jacobian_eigenvalue"] < 0.0
-    with pytest.raises(ValueError):
-        monotonicity_certificate(cubic_map(), [])
+    def unevaluated(u):
+        raise AssertionError("the certificate evaluated the map")
+
+    # the certificate reads the declared floor, with the slack 1e-10
+    for floor, passed in ((0.5, True), (0.0, True), (-1e-10, True), (-2e-10, False),
+                          (-3.0, False)):
+        cert = monotonicity_certificate(NonlinearMap(unevaluated, unevaluated,
+                                                     jac_floor=floor))
+        assert cert.kind is CertificateKind.MONOTONE and cert.passed is passed
+        assert cert.quantities == {"min_jacobian_eigenvalue": floor, "tol": 1e-10}
+        assert cert.detail.startswith("route: declared")
+    # a map that declares nothing fails, whatever its Jacobian
+    for g in (cubic_map(-0.5), NonlinearMap(lambda u: u, lambda u: np.eye(u.size))):
+        bad = monotonicity_certificate(g)
+        assert bad.passed is False
+        assert bad.quantities["min_jacobian_eigenvalue"] == -np.inf
+        assert bad.detail.startswith("route: none")
+    # a linear map's floor is its symmetric part's smallest eigenvalue: 0 for
+    # diag(1, 0) plus a skew part, negative without the skew part's lower half
+    for matrix, passed in (([[1.0, 3.0], [-3.0, 0.0]], True), ([[1.0, 3.0], [0.0, 0.0]], False)):
+        assert monotonicity_certificate(make_map("linear", 2, {"matrix": matrix})).passed is passed
 
 
-def test_monotonicity_certificate_evaluates_g_once_per_sample():
+def test_monotonicity_witness_evaluates_g_once_per_sample():
     g = cubic_map(0.5)
     calls = []
     counted = NonlinearMap(lambda u: calls.append(1) or g.fn(u), g.jac_fn)
     samples = ball_samples(np.zeros(3), 1.5, 12, seed=9)
-    cert = monotonicity_certificate(counted, samples)
+    _, secants = monotonicity_witness(counted, samples)
     assert len(calls) == len(samples)
     # bitwise the secant products of the pairwise definition
-    ref = min(float(np.dot(g(u) - g(v), u - v)) for v, u in zip(samples, samples[1:]))
-    assert cert.quantities["min_secant_product"] == ref
+    ref = [float(np.dot(g(u) - g(v), u - v)) for v, u in zip(samples, samples[1:])]
+    assert secants.tolist() == ref
 
 
 def test_monotonicity_single_sample_uses_jacobian_only():
-    cert = monotonicity_certificate(cubic_map(1.0), [np.ones(2)])
-    assert cert.passed and cert.quantities["min_secant_product"] == 0.0
+    eigenvalues, secants = monotonicity_witness(cubic_map(1.0), [np.ones(2)])
+    assert eigenvalues.tolist() == [3.0] and secants.size == 0
 
 
-def _min_eig_every_sample(g, samples):
-    """The reference minimum: ``eigvalsh`` of every sample's symmetrized Jacobian."""
-    return min(float(np.linalg.eigvalsh(0.5 * (g.jacobian(u) + g.jacobian(u).T))[0])
-               for u in samples)
+def _min_eig_at_each_sample(g, samples):
+    """The reference: ``eigvalsh`` of each sample's symmetrized dense Jacobian."""
+    return [float(np.linalg.eigvalsh(0.5 * (g.jacobian(u) + g.jacobian(u).T))[0])
+            for u in samples]
 
 
-def _mono_wellposed(dim):
+def _mono_wellposed(dim, seed=1):
     p = wellposed_cubic(dim, seed=2).problem
-    return p.g, ball_samples(p.u0, p.radius, 64, seed=1)
+    return p.g, ball_samples(p.u0, p.radius, 64, seed=seed)
 
 
-def _mono_range_cubic():
+def _mono_range_cubic(dim=12, seed=2):
     # g' = B diag(3 s y^2) B^T is singular everywhere: every sample ties at 0
-    p = singular_monotone(12, 6, cubic_scale=0.1).problem
-    return p.g, ball_samples(p.u0, p.radius, 32, seed=2)
+    p = singular_monotone(dim, dim // 2, cubic_scale=0.1, seed=seed).problem
+    return p.g, ball_samples(p.u0, p.radius, 32, seed=seed)
+
+
+def _mono_linear(dim, seed, psd):
+    # M = C C^T + K - K^T has a positive definite symmetric part; a Gaussian
+    # M's symmetric part is indefinite at these dims
+    rng = np.random.default_rng(seed)
+    C, K = rng.standard_normal((2, dim, dim))
+    M = C @ C.T + K - K.T if psd else C
+    g = make_map("linear", dim, {"matrix": M, "offset": rng.standard_normal(dim)})
+    assert (g.jac_floor > 0.0) == psd
+    return g, ball_samples(np.zeros(dim), 2.0, 32, seed=seed)
 
 
 def _mono_non_monotone():
@@ -911,7 +950,8 @@ def test_monotonicity_of_a_diagonal_or_no_jacobian_is_bitwise_the_dense_one(make
     g = make()
     dense = NonlinearMap(g.fn, g.jacobian, name=g.name)
     samples = ball_samples(np.full(10, 0.3), 1.5, 24, seed=8)
-    assert monotonicity_certificate(g, samples) == monotonicity_certificate(dense, samples)
+    for a, b in zip(monotonicity_witness(g, samples), monotonicity_witness(dense, samples)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rotated_monotonicity_clouds_have_dense_jacobians():
@@ -926,10 +966,15 @@ def test_rotated_monotonicity_clouds_have_dense_jacobians():
 @pytest.mark.parametrize("case", [
     *(pytest.param(lambda d=d: _mono_wellposed(d), id=f"wellposed-d{d}")
       for d in (1, 5, 50, 200)),
+    pytest.param(lambda: _mono_wellposed(5, seed=7), id="wellposed-d5-seed7"),
     pytest.param(lambda: _mono_zero_jacobian("zero", {}), id="zero"),
     pytest.param(lambda: _mono_zero_jacobian("constant", {"offset": np.arange(6.0) - 2.5}),
                  id="constant"),
     pytest.param(_mono_range_cubic, id="range-cubic-ties"),
+    pytest.param(lambda: _mono_range_cubic(20, seed=5), id="range-cubic-d20-seed5"),
+    *(pytest.param(lambda d=d, s=s, psd=psd: _mono_linear(d, s, psd),
+                   id=f"linear-{'psd' if psd else 'indefinite'}-d{d}-seed{s}")
+      for psd in (True, False) for d, s in ((3, 0), (30, 1))),
     pytest.param(_mono_non_monotone, id="non-monotone"),
     pytest.param(_mono_within_margin, id="within-margin"),
     pytest.param(lambda: _mono_rotated(50), id="rotated-d50"),
@@ -937,14 +982,29 @@ def test_rotated_monotonicity_clouds_have_dense_jacobians():
 ])
 def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case, monkeypatch):
     g, samples = case()
-    expected = _min_eig_every_sample(g, samples)
+    expected = _min_eig_at_each_sample(g, samples)
     matrices = [J for J in map(g._jacobian, samples) if J is not None and J.ndim == 2]
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: seen.append(S) or eigvalsh(S))
-    cert = monotonicity_certificate(g, samples)
-    assert cert.quantities["min_jacobian_eigenvalue"] == expected
+    eigenvalues, secants = monotonicity_witness(g, samples)
+    monkeypatch.undo()
+    assert eigenvalues.tolist() == expected
     # one eigvalsh per Jacobian handed over as a matrix, even a diagonal one such
     # as range_cubic's zero at its center; a vector or None is read directly
     assert len(seen) == len(matrices)
     assert all(np.array_equal(S, 0.5 * (J + J.T)) for S, J in zip(seen, matrices))
+    # a factory's declared floor lies at or below every sampled eigenvalue, less
+    # eigvalsh's rounding (n+1) eps |S|_F as in _proof_spectrum: range_cubic's
+    # exactly singular g' samples to about -1.6e-16; a linear map's floor is
+    # bitwise each eigenvalue, and a monotone map's secants are nonnegative to
+    # within the certificate's slack
+    if g.jac_floor is not None:
+        n = samples[0].size
+        rounding = [(n + 1) * np.finfo(float).eps * np.linalg.norm(0.5 * (J + J.T))
+                    for J in map(g.jacobian, samples)]
+        assert np.all(g.jac_floor <= eigenvalues + rounding)
+        if g.jac_floor >= 0.0:
+            assert np.all(secants >= -1e-10)
+    if g.name == "linear":
+        assert np.all(eigenvalues == g.jac_floor)

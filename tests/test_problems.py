@@ -36,6 +36,10 @@ def test_make_map_registry_and_validation():
         make_map("quartic", 2)
     with pytest.raises(ValueError):
         make_map("cubic", 2, {"scale": -0.1, "offset": np.zeros(2)})
+    # a linear map's floor needs a finite matrix: eigvalsh reads a NaN one as 0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^linear map matrix has non-finite entries$"):
+            make_map("linear", 2, {"matrix": [[1.0, bad], [0.0, 1.0]]})
 
 
 _BUILTIN_MAP_PARAMS = {
@@ -62,6 +66,10 @@ def test_builtin_map_jacobian_is_dense_to_outside_callers(name):
     form = {"zero": None, "constant": None, "cubic": (3,)}.get(name, (3, 3))
     inner = g._jacobian(u)
     assert (inner is None) if form is None else (inner.shape == form)
+    # each factory declares its Jacobian floor: a linear map's symmetric part's
+    # smallest eigenvalue, and 0 for the others
+    M = expected if name == "linear" else np.zeros((3, 3))
+    assert g.jac_floor == np.linalg.eigvalsh(0.5 * (M + M.T))[0]
 
 
 def _with_first_entry(value, entry):
