@@ -185,15 +185,14 @@ def _build_bundles(ns):
     parameters and is set; one without a ``dim`` parameter is built once.
     An explicit builtin flag that names none of its parameters raises
     ``ValueError``, as an explicit ``--dim``, ``--seed``, ``--scale``,
-    ``--cubic-scale`` or ``--rank`` does with ``--problem``; ``certify``
-    alone takes ``--seed`` there, as its sample seed.  ``--epsilon`` shifts
-    every bundle, from either source.
+    ``--cubic-scale`` or ``--rank`` does with ``--problem``.  ``--epsilon``
+    shifts every bundle, from either source, and clears its certificates,
+    which describe the unshifted problem.
     """
     if getattr(ns, "problem", None):
-        _refuse_explicit(ns, [key for key in ("dim",) + _BUILTIN_FLAGS
-                              if key != "seed" or ns.command != "certify"], "--problem")
+        _refuse_explicit(ns, ("dim",) + _BUILTIN_FLAGS, "--problem")
         bundle = load_problem(ns.problem)
-        out = [(bundle.spec.name, bundle)]
+        out = [(bundle.name, bundle)]
     else:
         name = getattr(ns, "builtin", None)
         if not name:
@@ -212,6 +211,7 @@ def _build_bundles(ns):
     if ns.epsilon is not None:
         for _, bundle in out:
             bundle.problem = bundle.problem.with_epsilon(ns.epsilon)
+            bundle.certificates = {}
     return out
 
 
@@ -420,21 +420,14 @@ def cmd_continuation(ns):
 
 def cmd_certify(ns):
     def worker(label, bundle, out):
-        # builtin bundles arrive verified as built, so a shifted one is verified
-        # again with the build's seed (singular_canonical's is 0); problems
-        # from files are verified here
-        if not bundle.certificates:
-            certs = _verify_tags(bundle.problem, bundle.spec.tags, seed=ns.seed)
-        elif ns.epsilon is not None:
-            certs = _verify_tags(bundle.problem, bundle.spec.tags,
-                                 seed=bundle.spec.params.get("seed", 0))
-        else:
-            certs = bundle.certificates
+        # builtin bundles arrive verified as built; problems from files, and
+        # shifted ones, arrive without certificates and are verified here
+        certs = bundle.certificates or _verify_tags(bundle.problem, bundle.tags)
         if out:
             _write_json(certs, os.path.join(out, "certificates.json"))
         lines = [f"{label}: tag={tag} {'pass' if certs[tag].passed else 'FAIL'}"
-                 for tag in bundle.spec.tags]
-        if not bundle.spec.tags:
+                 for tag in bundle.tags]
+        if not bundle.tags:
             lines.append(f"{label}: no tags claimed")
         return EXIT_OK, lines
 
@@ -478,6 +471,10 @@ def cmd_decay_audit(ns):
         raise ValueError(f"bad levels list {ns.levels!r}") from None
     if not levels:
         raise ValueError("empty levels list")
+    # FlowConfig refuses such a rel_tol too, but only after a problem is built
+    bad = [level for level in levels if not 0.0 < level < 1.0]
+    if bad:
+        raise ValueError(f"--levels entries must lie in (0, 1), got {bad}")
 
     def worker(label, bundle, out):
         devs = []

@@ -184,14 +184,14 @@ class ContinuationResult:
         return [r.norm_v for r in self.records]
 
 
-def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=True):
+def solve_newton_flow(problem, cfg=None, *, require_converged=True):
     """One certified flow solve of ``(L + eps*I) v + g(v) = 0``.
 
     Bounds the inverse linearization over the trust ball and checks the
     trust condition through :func:`~dsmflow.model.certify_newton_bound`:
     a proof for self-adjoint psd ``L`` and a ``g`` whose declared Jacobian
     floor makes it monotone, which draws no samples, and otherwise an
-    estimate on ball samples drawn from ``sample_seed``.
+    estimate on the one fixed cloud of ball samples.
     The certificates are keyed ``newton_bound`` and ``trust_condition``.
     It then integrates with ball enforcement tied to the trust
     certificate.  A failed trust certificate does not block the solve; it
@@ -205,7 +205,7 @@ def solve_newton_flow(problem, cfg=None, *, sample_seed=0, require_converged=Tru
     above it.
     """
     cfg = cfg or FlowConfig()
-    bound_cert, trust = certify_newton_bound(problem, seed=sample_seed)
+    bound_cert, trust = certify_newton_bound(problem)
     result = integrate(problem, cfg, trust=trust)
     if require_converged and result.status is not FlowStatus.RESIDUAL_CONVERGED:
         raise FlowFailed(
@@ -238,9 +238,9 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
     map that declares no floor, raises :class:`MonotonicityFailed`.  Each
     shift level is solved by :func:`solve_newton_flow` warm-started at the
     previous solution, with flow settings ``cfg`` (default
-    :data:`INNER_FLOW`) and ``sample_seed=k``, which a level that proves
-    its Newton bound never reads; a failure at level ``k`` raises
-    :class:`InnerSolveFailed` carrying the records accumulated so far.
+    :data:`INNER_FLOW`), so a level is the standalone solve at its shift;
+    a failure at level ``k`` raises :class:`InnerSolveFailed` carrying the
+    records accumulated so far.
 
     Before each level the shifted operator's condition estimate is checked
     against :data:`EPS_CONDITION_LIMIT`, the one place that limit is
@@ -280,7 +280,7 @@ def solve_minimal_norm(problem, schedule=None, cfg=None):
                 f"{cond:.3e} exceeds {EPS_CONDITION_LIMIT:.0e}")
             break
         try:
-            sol = solve_newton_flow(sub, cfg, sample_seed=k)
+            sol = solve_newton_flow(sub, cfg)
         except (FlowFailed, SingularOperator) as exc:
             raise InnerSolveFailed(k, records, str(exc)) from exc
         v = sol.v

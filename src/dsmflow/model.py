@@ -488,7 +488,7 @@ def estimate_newton_bound(problem, samples):
         detail=f"route: sampled, max 1/sigma_min(T) over {len(samples)} points of the trust ball")
 
 
-def certify_newton_bound(problem, *, seed=0):
+def certify_newton_bound(problem):
     """Newton bound over the trust ball and the trust condition it implies.
 
     Returns ``(bound_cert, trust_cert)``: a NEWTON_BOUND certificate whose
@@ -506,21 +506,21 @@ def certify_newton_bound(problem, *, seed=0):
     drawn.  It is taken when that distance fits in the radius.
 
     *Sampled route.*  Otherwise ``bound_cert`` is
-    :func:`estimate_newton_bound` on the trust ball's center and
-    :data:`BOUND_SAMPLES` :func:`ball_samples` drawn from ``seed``, and
-    ``trust_cert`` is :func:`check_trust_condition` with its bound, both
-    unchanged.  A proof whose distance bound exceeds the radius is not
-    reported as a failed trust condition: the A-norm loses up to
-    ``sqrt(kappa(A))`` where ``g'`` is small against ``A``, as for a
-    constant ``g`` and a small shift of a singular ``L``, where ``T = I``
-    and the sampled bound is 1.
+    :func:`estimate_newton_bound` on one fixed cloud, the trust ball's
+    center and :data:`BOUND_SAMPLES` :func:`ball_samples` at their default
+    seed, and ``trust_cert`` is :func:`check_trust_condition` with its
+    bound, both unchanged; so a problem has one sampled bound.  A proof
+    whose distance bound exceeds the radius is not reported as a failed
+    trust condition: the A-norm loses up to ``sqrt(kappa(A))`` where
+    ``g'`` is small against ``A``, as for a constant ``g`` and a small
+    shift of a singular ``L``, where ``T = I`` and the sampled bound is 1.
     """
     spectrum = _proof_spectrum(problem)
     if spectrum is not None:
         proven = _proven_bound(problem, *spectrum)
         if proven is not None and proven[1].passed:
             return proven
-    samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES, seed=seed)
+    samples = ball_samples(problem.u0, problem.radius, BOUND_SAMPLES)
     bound_cert = estimate_newton_bound(problem, samples)
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 

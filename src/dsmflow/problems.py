@@ -1,10 +1,10 @@
 """Built-in problem families, tag verification, JSON (de)serialization.
 
-Each generator returns a :class:`ProblemBundle`: the problem itself, a
-spec describing how it was built, certificates verifying every claimed
-tag, and whatever exact solution data the construction provides.  Tags
-are never taken on faith; :func:`_verify_tags` recomputes the evidence
-and raises :class:`CertificateMismatch` when a claim fails.
+Each generator returns a :class:`ProblemBundle`: the problem itself, its
+name and claimed tags, certificates verifying every claimed tag, and
+whatever exact solution data the construction provides.  Tags are never
+taken on faith; :func:`_verify_tags` recomputes the evidence and raises
+:class:`CertificateMismatch` when a claim fails.
 
 Solution metadata is exact by construction: offsets are chosen so a
 known point solves the equation bitwise, and for rank-deficient
@@ -31,7 +31,6 @@ from .model import (ball_samples, check_trust_condition, estimate_newton_bound, 
 
 __all__ = [
     "TAGS",
-    "ProblemSpec",
     "ProblemBundle",
     "make_map",
     "wellposed_cubic",
@@ -51,18 +50,17 @@ TAGS = ("invertible", "trust_condition", "self_adjoint_psd",
 _RESOLVENT_GRID = tuple(10.0 ** -k for k in range(7))  # 1 down to 1e-6
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    name: str
-    params: dict
-    tags: tuple
-
-
 @dataclass
 class ProblemBundle:
-    """A problem plus its verified claims and construction-time solution data."""
+    """A problem, its name and claimed tags, and construction-time solution data.
+
+    ``certificates`` holds the verified evidence behind ``tags``
+    (:func:`_verify_tags`) for the problem as built; a bundle loaded from a
+    file, or one whose problem was shifted afterwards, holds none.
+    """
     problem: DsmProblem
-    spec: ProblemSpec
+    name: str
+    tags: tuple
     certificates: dict = field(default_factory=dict)
     solution: np.ndarray = None
     min_norm_solution: np.ndarray = None
@@ -211,7 +209,7 @@ def make_map(name, dim, params=None):
 
 # -- tag verification --------------------------------------------------------------
 
-def _verify_tags(problem, tags, seed=0):
+def _verify_tags(problem, tags):
     """Recompute the evidence behind each claimed tag.
 
     Returns a :class:`~dsmflow.model.Certificate` per key; raises
@@ -222,8 +220,9 @@ def _verify_tags(problem, tags, seed=0):
     RESOLVENT_BOUND; ``monotone_g`` to MONOTONE; ``sector`` to SECTOR; and
     ``trust_condition`` and ``newton_bound`` to the kinds of those names.
     ``monotone_g`` reads the Jacobian floor ``g`` declares and samples
-    nothing; ``trust_condition`` calls :func:`certify_newton_bound`, which
-    draws ball samples from ``seed`` only on its sampled route.
+    nothing; ``trust_condition`` calls :func:`certify_newton_bound`, so a
+    problem gets the certificates its solve gets: a proof, or a bound
+    sampled on one fixed cloud of ball samples.
     """
     certs = {}
     L = problem.L
@@ -255,7 +254,7 @@ def _verify_tags(problem, tags, seed=0):
                     f"tag 'monotone_g' failed: {cert.quantities}")
             certs[tag] = cert
         elif tag == "trust_condition":
-            bound_cert, cert = certify_newton_bound(problem, seed=seed)
+            bound_cert, cert = certify_newton_bound(problem)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'trust_condition' failed: {cert.quantities}")
@@ -271,15 +270,14 @@ def _verify_tags(problem, tags, seed=0):
 
 # -- generators ---------------------------------------------------------------------
 
-def _bundle(problem, name, params, tags, seed, **solution):
-    """Verify ``tags`` on ``problem`` with ``seed`` and bundle it with its spec.
+def _bundle(problem, name, tags, **solution):
+    """Verify ``tags`` on ``problem`` and bundle it with its name and certificates.
 
     ``solution`` holds the construction's exact solution data, as the
     :class:`ProblemBundle` fields of those names.
     """
-    certs = _verify_tags(problem, tags, seed=seed)
-    spec = ProblemSpec(name=name, params=params, tags=tags)
-    return ProblemBundle(problem=problem, spec=spec, certificates=certs, **solution)
+    return ProblemBundle(problem=problem, name=name, tags=tags,
+                         certificates=_verify_tags(problem, tags), **solution)
 
 
 def _unit(rng, dim, length=1.0):
@@ -319,8 +317,8 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
     p0 = norm(u0 + L.solve(g(u0)))
     prob = DsmProblem(L, g, u0, radius=max(2.0 * p0, 1e-3))
-    return _bundle(prob, f"wellposed_cubic(dim={dim})", {"scale": scale, "seed": seed},
-                   ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g"), seed)
+    return _bundle(prob, f"wellposed_cubic(dim={dim})",
+                   ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g"))
 
 
 def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
@@ -362,8 +360,7 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
     radius = 2.0 * (1.0 + norm(v_min))
     prob = DsmProblem(L, g, u0, radius=radius)
     return _bundle(prob, f"singular_monotone(dim={dim}, rank={rank})",
-                   {"rank": rank, "seed": seed, "cubic_scale": cubic_scale},
-                   ("self_adjoint_psd", "monotone_g", "singular"), seed,
+                   ("self_adjoint_psd", "monotone_g", "singular"),
                    solution=w if cubic_scale == 0.0 else v_min,
                    min_norm_solution=v_min, nullspace=Q0)
 
@@ -378,8 +375,8 @@ def singular_canonical():
     L = DenseOperator(np.diag([1.0, 0.0]), self_adjoint=True, psd_claimed=True)
     g = make_map("constant", 2, {"offset": np.array([-1.0, 0.0])})
     prob = DsmProblem(L, g, np.zeros(2), radius=4.0)
-    return _bundle(prob, "singular_canonical", {},
-                   ("self_adjoint_psd", "monotone_g", "singular"), 0,
+    return _bundle(prob, "singular_canonical",
+                   ("self_adjoint_psd", "monotone_g", "singular"),
                    solution=np.array([1.0, 0.0]),
                    min_norm_solution=np.array([1.0, 0.0]),
                    nullspace=np.array([[0.0], [1.0]]))
@@ -402,8 +399,8 @@ def ill_conditioned(dim, scale=0.1, seed=42):
     offset = -(L.entries @ w + scale * w ** 3)
     g = make_map("cubic", dim, {"scale": scale, "offset": offset})
     prob = DsmProblem(L, g, np.zeros(dim), radius=2.0 * (1.0 + norm(w)))
-    return _bundle(prob, f"ill_conditioned(dim={dim})", {"scale": scale, "seed": seed},
-                   ("self_adjoint_psd", "monotone_g"), seed, solution=w)
+    return _bundle(prob, f"ill_conditioned(dim={dim})", ("self_adjoint_psd", "monotone_g"),
+                   solution=w)
 
 
 def sector_blocks(dim, seed=42, scale=0.1):
@@ -430,8 +427,7 @@ def sector_blocks(dim, seed=42, scale=0.1):
     c = _unit(rng, dim, 0.25)
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
     prob = DsmProblem(L, g, np.zeros(dim), radius=2.0, epsilon=0.1)
-    return _bundle(prob, f"sector_blocks(dim={dim})", {"seed": seed, "scale": scale},
-                   ("sector", "monotone_g"), seed)
+    return _bundle(prob, f"sector_blocks(dim={dim})", ("sector", "monotone_g"))
 
 
 #: Generators reachable from the command line.
@@ -561,5 +557,4 @@ def load_problem(path):
         raise ParseError(f"{ctx}: unknown tags {unknown}")
     _refuse_unknown(doc, ("name", "dim", "L", "g", "u0", "radius", "epsilon", "tags"), ctx)
     problem = DsmProblem(L, g, u0, radius=radius, epsilon=epsilon)
-    spec = ProblemSpec(name=name, params=dict(params), tags=tuple(tags))
-    return ProblemBundle(problem=problem, spec=spec)
+    return ProblemBundle(problem=problem, name=name, tags=tuple(tags))

@@ -102,9 +102,9 @@ def test_criterion_05_shifted_norms_below_pseudoinverse_norm():
     pinv_norm = norm(pseudoinverse_min_norm(b.problem.L, rhs))
     levels = []
     warm = b.problem.u0
-    for k, eps in enumerate(EpsSchedule().values()):
+    for eps in EpsSchedule().values():
         levels.append(solve_newton_flow(replace(b.problem, epsilon=eps, u0=warm),
-                                        INNER_FLOW, sample_seed=k).v)
+                                        INNER_FLOW).v)
         warm = levels[-1]
     excess = max(norm(v) for v in levels) - pinv_norm
     print(f"criterion 5: {len(levels)} levels, max norm excess {excess:.3e} "

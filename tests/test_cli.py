@@ -87,7 +87,7 @@ def test_solve_batch_dims_preserves_order(tmp_path, capsys):
 def test_epsilon_shifts_a_problem_from_a_file_as_it_shifts_a_builtin(tmp_path, capsys):
     path = tmp_path / "wp4.json"
     built = wellposed_cubic(4)
-    save_problem(built.problem, path, name="wp4", tags=built.spec.tags)
+    save_problem(built.problem, path, name="wp4", tags=built.tags)
     lines = {}
     for source in (("--problem", str(path)), ("--builtin", "wellposed_cubic", "--dim", "4")):
         code, stdout, _ = run(capsys, "solve", *source, "--epsilon", "5")
@@ -293,7 +293,7 @@ def test_certify_every_builtin_matches_its_generator(name, tmp_path, capsys):
     _write_json(direct.certificates, tmp_path / "direct.json")
     assert ((out / "certificates.json").read_bytes()
             == (tmp_path / "direct.json").read_bytes())
-    for tag in direct.spec.tags:
+    for tag in direct.tags:
         assert f"tag={tag} pass" in stdout
 
 
@@ -308,7 +308,7 @@ def test_certify_shifted_builtin_verifies_the_shifted_problem(seed, tmp_path, ca
         assert f"tag={tag} pass" in stdout
     built = wellposed_cubic(5, scale=0.1, seed=seed)
     shifted = built.problem.with_epsilon(0.5)
-    _write_json(_verify_tags(shifted, built.spec.tags, seed=seed), tmp_path / "direct.json")
+    _write_json(_verify_tags(shifted, built.tags), tmp_path / "direct.json")
     _write_json(built.certificates, tmp_path / "unshifted.json")
     written = (out / "certificates.json").read_bytes()
     assert written == (tmp_path / "direct.json").read_bytes()
@@ -418,6 +418,19 @@ def test_decay_audit_default_levels_pass(capsys):
     assert code == EXIT_OK
     assert "decay audit pass" in stdout
     assert stdout.count("rel_tol=") == 3
+
+
+@pytest.mark.parametrize("levels", ["1e-6,2", "1e-6,nan", "inf", "0,1e-8", "1e-6,-1e-8"])
+def test_decay_audit_refuses_bad_levels_before_building(capsys, monkeypatch, levels):
+    # a rel_tol outside (0, 1) is refused up front, as a bad --agree-tol is
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+    monkeypatch.setitem(cli.BUILTINS, "wellposed_cubic",
+                        lambda dim, scale, seed: pytest.fail("built"))
+    code, stdout, stderr = run(capsys, "decay-audit", "--builtin", "wellposed_cubic",
+                               "--dim", "2,3", "--levels", levels)
+    assert code == EXIT_ERROR
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and stderr.startswith("error: --levels")
 
 
 def test_decay_audit_non_monotone_levels_fail(capsys):
@@ -558,34 +571,52 @@ def test_problem_file_refuses_builtin_only_flags(tmp_path, capsys):
     # these flags parameterize a builtin generator; a file fixes all of them
     path = tmp_path / "wc4.json"
     built = wellposed_cubic(4)
-    save_problem(built.problem, path, name="wc4", tags=built.spec.tags)
+    save_problem(built.problem, path, name="wc4", tags=built.tags)
     for flags, named in ((("--scale", "5"), "--scale"),
                          (("--scale", "5", "--rank", "3", "--dim", "7"), "--dim, --scale, --rank"),
                          (("--cubic-scale", "0.1"), "--cubic-scale")):
         code, stdout, stderr = run(capsys, "solve", "--problem", str(path), *flags)
         assert code == EXIT_ERROR and stdout == ""
         assert stderr == f"error: --problem does not take {named}\n"
-    # --seed is certify's sample seed, for a file as for a builtin
-    code, stdout, _ = run(capsys, "certify", "--problem", str(path), "--seed", "3")
-    assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
 
 
-def test_problem_file_refuses_seed_except_as_the_certify_sample_seed(tmp_path, capsys):
-    # a file fixes the instance a seed would draw; only certify reads --seed
+def test_problem_file_refuses_seed_for_every_command(tmp_path, capsys):
+    # a file fixes the instance a seed would draw, and a certificate samples
+    # one fixed cloud, so no command reads --seed with it
     path = tmp_path / "wc4.json"
     built = wellposed_cubic(4)
-    save_problem(built.problem, path, name="wc4", tags=built.spec.tags)
-    for command in ("solve", "continue", "oracle-check", "decay-audit"):
+    save_problem(built.problem, path, name="wc4", tags=built.tags)
+    for command in ("solve", "continue", "certify", "oracle-check", "decay-audit"):
         code, stdout, stderr = run(capsys, command, "--problem", str(path), "--seed", "3")
         assert code == EXIT_ERROR and stdout == ""
         assert stderr == "error: --problem does not take --seed\n"
-    code, stdout, _ = run(capsys, "certify", "--problem", str(path), "--seed", "3")
-    assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
     # a seed from --config stays a default, which a file may ignore
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"seed": 3}))
     code, stdout, _ = run(capsys, "solve", "--problem", str(path), "--config", str(config))
     assert code == EXIT_OK and "status=residual_converged" in stdout
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path), "--config", str(config))
+    assert code == EXIT_OK and "wc4: tag=trust_condition pass" in stdout
+
+
+def test_certify_file_samples_the_cloud_its_solve_samples(tmp_path, capsys):
+    # sector_blocks' L is not self-adjoint, so its Newton bound is sampled;
+    # a file that claims trust_condition for it certifies what solve does
+    path = tmp_path / "sb8.json"
+    built = sector_blocks(8)
+    save_problem(built.problem, path, name="sb8", tags=built.tags + ("trust_condition",))
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path),
+                          "--out", str(tmp_path / "certify"))
+    assert code == EXIT_OK and "sb8: tag=trust_condition pass" in stdout
+    code, _, _ = run(capsys, "solve", "--builtin", "sector_blocks", "--dim", "8",
+                     "--out", str(tmp_path / "solve"))
+    assert code == EXIT_OK
+    certified, solved = (json.loads((tmp_path / out / "certificates.json").read_text())
+                         for out in ("certify", "solve"))
+    assert certified["newton_bound"]["detail"].startswith("route: sampled")
+    for key in ("newton_bound", "trust_condition"):
+        assert (json.dumps(certified[key], sort_keys=True)
+                == json.dumps(solved[key], sort_keys=True))
 
 
 def test_bad_dimension_list(capsys):

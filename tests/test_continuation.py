@@ -225,17 +225,16 @@ def _count_monotonicity_passes(monkeypatch):
     return calls
 
 
-def _levels_one_by_one(problem, seed=0):
-    """The default schedule solved level by level, each a standalone solve.
+def _levels_one_by_one(problem, schedule=EpsSchedule()):
+    """``schedule`` solved level by level, each a standalone solve.
 
     Returns the solutions and the index of the level that failed, or None.
     """
     solutions = []
     warm = problem.u0
-    for k, eps in enumerate(EpsSchedule().values()):
+    for k, eps in enumerate(schedule.values()):
         try:
-            sol = solve_newton_flow(replace(problem, epsilon=eps, u0=warm), INNER_FLOW,
-                                    sample_seed=seed + k)
+            sol = solve_newton_flow(replace(problem, epsilon=eps, u0=warm), INNER_FLOW)
         except FlowFailed:
             return solutions, k
         solutions.append(sol)
@@ -275,6 +274,22 @@ def test_handed_certificate_keeps_the_failure_level_and_partial_records():
     _assert_records_match(exc.value.records, solutions)
 
 
+def test_sampled_levels_match_their_standalone_solves():
+    # on a ratio-0.1 schedule the proof's distance outgrows the ball from
+    # level 3 on, so those levels sample the one fixed cloud, as their
+    # standalone solves do
+    b = ill_conditioned(5)
+    schedule = EpsSchedule(ratio=0.1)
+    solutions, failed = _levels_one_by_one(b.problem, schedule)
+    assert any(sol.certificates["newton_bound"].detail.startswith("route: sampled")
+               for sol in solutions)
+    assert failed is not None
+    with pytest.raises(InnerSolveFailed) as exc:
+        solve_minimal_norm(b.problem, schedule)
+    assert exc.value.index == failed
+    _assert_records_match(exc.value.records, solutions)
+
+
 @pytest.mark.parametrize("build, fails", [
     (lambda: singular_monotone(10, 5), False),
     (lambda: ill_conditioned(4), True),
@@ -285,7 +300,7 @@ def test_continuation_certifies_monotonicity_once(build, fails, monkeypatch):
     real_solve = continuation.solve_newton_flow
 
     def solve(*args, **kwargs):
-        levels.append(kwargs["sample_seed"])
+        levels.append(1)
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(continuation, "solve_newton_flow", solve)

@@ -594,8 +594,8 @@ def test_proven_bound_covers_the_sampled_bound_and_the_trajectory(make):
     # the distance bound is never looser than p0 * bound
     assert distance <= trust.quantities["p0"] * q["bound"]
     # the route takes the proof exactly when its distance fits in the radius,
-    # on the samples it draws from its seed
-    route = certify_newton_bound(p, seed=0)
+    # and samples the one fixed cloud otherwise
+    route = certify_newton_bound(p)
     if trust.passed:
         assert route == (bound_cert, trust)
     else:
@@ -638,7 +638,7 @@ def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
     sampled = model.estimate_newton_bound
     monkeypatch.setattr(model, "estimate_newton_bound",
                         lambda *a, **k: calls.append(1) or sampled(*a, **k))
-    bound_cert, trust = certify_newton_bound(p, seed=0)
+    bound_cert, trust = certify_newton_bound(p)
     assert len(calls) == 1
     ref = sampled(p, samples)
     assert bound_cert == ref
@@ -656,16 +656,27 @@ def test_route_falls_back_for_unshifted_singular_L(monkeypatch):
     monkeypatch.setattr(model, "estimate_newton_bound",
                         lambda *a, **k: calls.append(1) or sampled(*a, **k))
     with pytest.raises(SingularOperator):
-        certify_newton_bound(p, seed=0)
+        certify_newton_bound(p)
     assert len(calls) == 1
     with pytest.raises(SingularOperator):
         sampled(p, samples)
 
 
-def test_sampled_route_draws_its_samples_from_the_seed():
-    p = sector_blocks(6).problem
-    drawn = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=3)
-    assert certify_newton_bound(p, seed=3)[0] == estimate_newton_bound(p, drawn)
+def _floorless():
+    # the cubic's map, built by hand without its declared floor
+    g = cubic_map()
+    return replace(small_problem(seed=43), g=NonlinearMap(g.fn, g.jac_fn))
+
+
+@pytest.mark.parametrize("make", [lambda: sector_blocks(8).problem, _floorless],
+                         ids=["sector-blocks-d8", "map-without-floor"])
+def test_sampled_route_draws_one_fixed_cloud(make):
+    # the cloud is ball_samples at its default seed 0, whoever asks
+    p = make()
+    cloud = ball_samples(p.u0, p.radius, BOUND_SAMPLES, seed=0)
+    bound = estimate_newton_bound(p, cloud)
+    assert bound.detail.startswith("route: sampled")
+    assert certify_newton_bound(p) == (bound, check_trust_condition(p, bound.quantities["bound"]))
 
 
 def test_route_applies_delta_for_a_slightly_negative_jacobian():
@@ -682,7 +693,7 @@ def test_route_applies_delta_for_a_slightly_negative_jacobian():
     mono = monotonicity_certificate(g)
     assert mono.passed and mono.quantities["min_jacobian_eigenvalue"] == neg
     assert np.all(monotonicity_witness(g, samples)[0] == neg)
-    bound_cert, trust = certify_newton_bound(p, seed=0)
+    bound_cert, trust = certify_newton_bound(p)
     delta = -neg / eps
     assert bound_cert.quantities["bound"] == pytest.approx(
         np.sqrt((2.0 + eps) / eps) / (1.0 - delta), rel=1e-6)

@@ -193,9 +193,8 @@ def test_every_certificate_has_one_type_and_one_name():
 def test_wellposed_cubic_structure(dim):
     b = wellposed_cubic(dim, scale=0.1, seed=42)
     assert isinstance(b, ProblemBundle)
-    assert set(b.spec.tags) == {"invertible", "trust_condition",
-                                "self_adjoint_psd", "monotone_g"}
-    assert set(b.certificates) >= set(b.spec.tags)
+    assert set(b.tags) == {"invertible", "trust_condition", "self_adjoint_psd", "monotone_g"}
+    assert set(b.certificates) >= set(b.tags)
     assert b.certificates["trust_condition"].passed
     w = np.linalg.eigvalsh(b.problem.L.entries)
     assert w[0] >= 1.0 - 1e-9 and w[-1] <= 4.0 + 1e-9
@@ -238,7 +237,6 @@ def test_wellposed_cubic_radius_is_twice_p0(dim, seed):
     kappa_root = np.sqrt(p.L.condition_estimate())
     assert kappa_root <= cert.quantities["bound"] <= kappa_root * (1.0 + 1e-12) < 2.0
     assert b.certificates["trust_condition"].passed
-    assert "attempt" not in b.spec.params
 
 
 def test_radius_feeds_only_the_ball_check():
@@ -290,7 +288,7 @@ def test_singular_monotone_rank_validation():
 @pytest.mark.parametrize("dim, rank", [(2, 1), (5, 3), (6, 3)])
 def test_singular_monotone_default_rank_is_half_rounded_up(dim, rank):
     b = singular_monotone(dim, seed=3)
-    assert b.spec.params["rank"] == rank
+    assert np.linalg.matrix_rank(b.problem.L.entries) == rank
     assert b.nullspace.shape == (dim, dim - rank)
 
 
@@ -364,7 +362,7 @@ def test_builtin_registry_is_complete():
     assert set(BUILTINS) == {"wellposed_cubic", "singular_monotone",
                              "singular_canonical", "ill_conditioned",
                              "sector_blocks"}
-    for tag_tuple in (b.spec.tags for b in [singular_canonical()]):
+    for tag_tuple in (b.tags for b in [singular_canonical()]):
         assert set(tag_tuple) <= set(TAGS)
 
 
@@ -374,10 +372,10 @@ def test_builtin_registry_is_complete():
 def test_save_load_round_trip_is_bitwise(tmp_path):
     b = wellposed_cubic(5, scale=0.1, seed=61)
     path = tmp_path / "prob.json"
-    save_problem(b.problem, path, name="well5", tags=b.spec.tags)
+    save_problem(b.problem, path, name="well5", tags=b.tags)
     back = load_problem(path)
-    assert back.spec.name == "well5"
-    assert set(back.spec.tags) == set(b.spec.tags)
+    assert back.name == "well5"
+    assert set(back.tags) == set(b.tags)
     assert np.array_equal(back.problem.L.entries, b.problem.L.entries)
     assert back.problem.L.self_adjoint and back.problem.L.psd_claimed
     assert np.array_equal(back.problem.u0, b.problem.u0)
@@ -388,7 +386,7 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     assert back.problem.g.params["scale"] == b.problem.g.params["scale"]
     # saving the loaded problem reproduces the file byte for byte
     path2 = tmp_path / "prob2.json"
-    save_problem(back.problem, path2, name="well5", tags=b.spec.tags)
+    save_problem(back.problem, path2, name="well5", tags=b.tags)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -516,10 +514,10 @@ def test_load_refuses_unknown_keys(tmp_path):
 def test_every_key_save_problem_writes_loads_back(tmp_path, build):
     b = build()
     path = tmp_path / "p.json"
-    save_problem(b.problem.with_epsilon(0.25), path, name="p", tags=b.spec.tags)
+    save_problem(b.problem.with_epsilon(0.25), path, name="p", tags=b.tags)
     back = load_problem(path)
     again = tmp_path / "q.json"
-    save_problem(back.problem, again, name="p", tags=back.spec.tags)
+    save_problem(back.problem, again, name="p", tags=back.tags)
     assert path.read_bytes() == again.read_bytes()
 
 
