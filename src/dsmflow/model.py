@@ -525,6 +525,20 @@ def certify_newton_bound(problem):
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 
 
+def _eig_slack(L, eps=0.0):
+    """Rounding slack ``(n+1) eps_mach (|L|_F + eps)`` of an eigenvalue of ``L + eps*I``.
+
+    ``eigvalsh`` is LAPACK ``dsyevd`` without vectors, which finds the
+    eigenvalues through ``dsterf``; they lie within ``2n u |L|_F`` of the
+    exact ones, LAPACK Users' Guide §4.7, with ``p(n) = 2n`` and
+    ``u = eps_mach/2``.  The slack adds ``2u (|L|_F + eps)`` for the
+    rounding of a shifted diagonal and of ``w + eps``.  Every eigenvalue
+    comparison in this module widens by it: :func:`_proof_spectrum`,
+    :func:`check_resolvent_bound` and both routes of :func:`check_sector`.
+    """
+    return (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+
+
 def _proof_spectrum(problem):
     """Bounds ``(lam_lo, lam_hi)`` on ``A``'s eigenvalues where the proof route applies, else None.
 
@@ -535,18 +549,14 @@ def _proof_spectrum(problem):
     of ``(L + L^T)/2``) are those of ``L`` itself; and ``lam_lo > 0``.
 
     ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
-    ``eps``, widened by ``2(n+1) u (|L|_F + eps)`` for the eigensolver
-    (``eigvalsh`` is LAPACK ``dsyevd`` without vectors, which finds the
-    eigenvalues through ``dsterf``; they lie within ``2n u |L|_F`` of the
-    exact ones, LAPACK Users' Guide §4.7, with ``p(n) = 2n``), the
-    rounding of ``A``'s diagonal and that of ``w + eps``.
+    ``eps``, widened by :func:`_eig_slack` ``(L, eps)``.
     """
     L = problem.L
     if not (L.self_adjoint and L.psd_claimed and L.exactly_symmetric()):
         return None
     w = L.eigenvalues()
     eps = problem.epsilon
-    err = (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+    err = _eig_slack(L, eps)
     lam_lo = float(w[0]) + eps - err
     if not lam_lo > 0.0:
         return None
@@ -625,52 +635,41 @@ def check_trust_condition(problem, newton_bound):
         detail="route: sampled, margin = radius - p0 * bound")
 
 
-def check_resolvent_bound(L, eps_grid):
-    """Certify ``|(L + eps*I)^{-1}| <= 1/eps`` over an epsilon grid.
+def check_resolvent_bound(L):
+    """Certify ``|(L + eps*I)^{-1}| <= 1/eps`` for every ``eps > 0``.
 
-    ``sigma_min(L + eps*I)`` is ``min |w + eps|`` over ``L``'s cached
-    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` ``w``, so an ``L``
-    without the self-adjoint flag raises :class:`NotSymmetric`.  The
-    ``sin_delta`` quantity is always 1.  A shift at which ``L + eps*I`` is
-    singular fails the certificate with an infinite ``worst_ratio``.
+    For a self-adjoint ``L`` that norm is ``1/min |lambda + eps|`` over
+    ``L``'s eigenvalues, so the bound holds at every ``eps > 0`` exactly
+    when ``lambda_min(L) >= 0``.  The check is that one comparison, on
+    ``L``'s cached :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`: it
+    passes when ``lambda_min >= -slack`` with ``slack`` the eigensolver's
+    rounding :func:`_eig_slack`, and reports ``lambda_min``, ``slack`` and
+    ``margin = lambda_min + slack``.  An ``L`` without the self-adjoint
+    flag raises :class:`NotSymmetric`.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or not all(math.isfinite(e) and e > 0.0 for e in eps_grid):
-        raise ValueError("epsilon grid must be nonempty with finite positive entries")
-    w = L.eigenvalues()
-    min_margin = float("inf")
-    worst_ratio = 0.0
-    passed = True
-    tol = 1e-9
-    eps_mach = float(np.finfo(float).eps)
-    opn = L.operator_norm()
-    for eps in eps_grid:
-        sigma = float(np.abs(w + eps).min())
-        # a shift onto an eigenvalue leaves L + eps*I singular: fail, do not divide
-        resolvent_norm = 1.0 / sigma if sigma > 0.0 else float("inf")
-        limit = 1.0 / eps
-        # when sigma_min sits exactly at eps (singular L), eigenvalue
-        # rounding of order eps_mach * |L| moves 1/sigma by allowance; tolerate that
-        allowance = 1e3 * eps_mach * (opn + eps) * limit ** 2
-        margin = limit - resolvent_norm
-        min_margin = min(min_margin, margin)
-        worst_ratio = max(worst_ratio, resolvent_norm / limit)
-        if resolvent_norm > limit + tol + allowance:
-            passed = False
+    lam = float(L.eigenvalues()[0])
+    slack = _eig_slack(L)
     return Certificate(
         kind=CertificateKind.RESOLVENT_BOUND,
-        passed=passed,
-        quantities={"n_eps": float(len(eps_grid)), "min_margin": min_margin,
-                    "worst_ratio": worst_ratio, "sin_delta": 1.0})
+        passed=bool(lam >= -slack),
+        quantities={"lambda_min": lam, "slack": slack, "margin": lam + slack},
+        detail="route: eigenvalues, margin = lambda_min(L) + (n+1) eps_mach |L|_F")
 
 
-def check_sector(L, a, delta):
+def check_sector(L):
     """Certify that no spectrum sits in the truncated sector around the negative axis.
 
-    The sector is ``{ -r e^{i phi} : 0 < r <= a, |phi| <= delta }``.  For
-    self-adjoint operators this reduces to excluding eigenvalues in
-    ``[-a, 0)``, read off ``L``'s cached
-    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`.
+    The sector is ``{ -r e^{i phi} : 0 < r <= a, |phi| <= delta }`` with
+    ``a = 0.5`` and ``delta = pi/6``, the ``sector`` tag's claim.  Both
+    numbers are reported.
+
+    For a self-adjoint ``L`` it is ``[-a, -slack)`` on ``L``'s cached
+    :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`, with ``slack`` the
+    eigensolver's rounding :func:`_eig_slack`: a zero eigenvalue of a
+    singular psd ``L`` that rounds negative is not in it.  The margin is
+    the smallest ``max(-a - lambda, lambda + slack)`` over the eigenvalues:
+    the distance from the sector to the nearest eigenvalue when none lies
+    in it, and minus the depth of the deepest one inside otherwise.
 
     Any other ``L`` is certified through its numerical range ``W(L)``, which
     lies in ``Re z >= mu`` with ``mu = lambda_min((L + L^T)/2)``, one
@@ -682,43 +681,30 @@ def check_sector(L, a, delta):
     lines cross at ``r* = (sigma_min - mu)/(1 + cos(delta))``, and the
     minimum is ``mu`` if ``r* <= 0``, ``sigma_min - a`` if ``r* >= a``, else
     ``mu + r* cos(delta)``.  Both numbers are first lowered by
-    ``(n+1) eps_mach |L|_F`` for the eigensolvers' rounding, as in
-    :func:`_proof_spectrum`, and the check passes when the margin is
-    positive, which proves the sector free of spectrum.  The route refuses
-    an ``L`` whose spectrum avoids the sector while its numerical range
-    does not.
+    :func:`_eig_slack` for the eigensolvers' rounding, and the check
+    passes when the margin is positive, which proves the sector free of
+    spectrum.  The route refuses an ``L`` whose spectrum avoids the sector
+    while its numerical range does not.
+
+    So on both routes the certificate passes when ``margin > 0`` and fails
+    when ``margin <= 0``; the one exception is an eigenvalue exactly at
+    ``-slack``, which passes with margin 0.
     """
-    a = float(a)
-    delta = float(delta)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"sector radius must be finite and positive, got {a}")
-    if not 0.0 < delta <= np.pi / 2.0:
-        raise ValueError(f"sector half-angle must lie in (0, pi/2], got {delta}")
+    a, delta = 0.5, math.pi / 6.0
+    slack = _eig_slack(L)
     if L.self_adjoint:
         w = L.eigenvalues()
-        bad = w[(w >= -a) & (w < 0.0)]
-        passed = bad.size == 0
-        if passed:
-            # distance from [-a, 0) to the nearest eigenvalue outside it
-            below = w[w < -a]
-            dist_below = float(-a - below.max()) if below.size else float("inf")
-            nonneg = w[w >= 0.0]
-            dist_above = float(nonneg.min()) if nonneg.size else float("inf")
-            margin = min(dist_below, dist_above)
-            if margin == float("inf"):
-                margin = a
-        else:
-            margin = float(bad.max() - (-a)) if bad.size else 0.0
+        inside = (w >= -a) & (w < -slack)
         return Certificate(
             kind=CertificateKind.SECTOR,
-            passed=bool(passed),
-            quantities={"a": a, "delta": delta, "margin": float(margin),
-                        "n_grid": float(w.size)},
-            detail="self-adjoint spectrum check")
+            passed=not inside.any(),
+            quantities={"a": a, "delta": delta, "slack": slack,
+                        "margin": float(np.maximum(-a - w, w + slack).min())},
+            detail="route: eigenvalues, margin = min over lambda of "
+                   "max(-a - lambda, lambda + slack)")
     E = L.entries
-    err = (L.dim + 1) * float(np.finfo(float).eps) * float(np.linalg.norm(E))
-    mu = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0]) - err
-    sigma_min = L.smallest_singular_value() - err
+    mu = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0]) - slack
+    sigma_min = L.smallest_singular_value() - slack
     cos_delta = math.cos(delta)
     r_star = (sigma_min - mu) / (1.0 + cos_delta)
     if r_star <= 0.0:

@@ -47,8 +47,6 @@ __all__ = [
 TAGS = ("invertible", "trust_condition", "self_adjoint_psd",
         "monotone_g", "sector", "singular")
 
-_RESOLVENT_GRID = tuple(10.0 ** -k for k in range(7))  # 1 down to 1e-6
-
 
 @dataclass
 class ProblemBundle:
@@ -217,7 +215,10 @@ def _verify_tags(problem, tags):
     tag, plus ``newton_bound`` next to ``trust_condition``, and maps to one
     kind: ``invertible`` and ``singular`` to the kind of that name, which
     compares ``sigma_min(L)`` with ``1e-10 |L|``; ``self_adjoint_psd`` to
-    RESOLVENT_BOUND; ``monotone_g`` to MONOTONE; ``sector`` to SECTOR; and
+    RESOLVENT_BOUND, one comparison of ``lambda_min(L)`` with the
+    eigensolver's rounding (:func:`~dsmflow.model.check_resolvent_bound`);
+    ``monotone_g`` to MONOTONE; ``sector`` to SECTOR, the sector of radius
+    0.5 and half-angle ``pi/6`` (:func:`~dsmflow.model.check_sector`); and
     ``trust_condition`` and ``newton_bound`` to the kinds of those names.
     ``monotone_g`` reads the Jacobian floor ``g`` declares and samples
     nothing; ``trust_condition`` calls :func:`certify_newton_bound`, so a
@@ -242,7 +243,7 @@ def _verify_tags(problem, tags):
             if not (L.self_adjoint and L.psd_claimed):
                 raise CertificateMismatch(
                     "tag 'self_adjoint_psd' failed: operator flags not set")
-            cert = check_resolvent_bound(L, _RESOLVENT_GRID)
+            cert = check_resolvent_bound(L)
             if not cert.passed:
                 raise CertificateMismatch(
                     f"tag 'self_adjoint_psd' failed the resolvent bound: {cert.quantities}")
@@ -261,7 +262,7 @@ def _verify_tags(problem, tags):
             certs["newton_bound"] = bound_cert
             certs[tag] = cert
         elif tag == "sector":
-            cert = check_sector(L, a=0.5, delta=np.pi / 6.0)
+            cert = check_sector(L)
             if not cert.passed:
                 raise CertificateMismatch(f"tag 'sector' failed: {cert.quantities}")
             certs[tag] = cert

@@ -619,6 +619,20 @@ def test_certify_file_samples_the_cloud_its_solve_samples(tmp_path, capsys):
                 == json.dumps(solved[key], sort_keys=True))
 
 
+def test_certify_file_clears_the_sector_of_a_singular_psd_operator(tmp_path, capsys):
+    # singular_monotone's zero eigenvalues come out of eigvalsh as about
+    # -1e-16, within the eigensolver's rounding of 0 and so outside the sector
+    path = tmp_path / "sm10.json"
+    built = singular_monotone(10)
+    save_problem(built.problem, path, name="sm10", tags=built.tags + ("sector",))
+    code, stdout, _ = run(capsys, "certify", "--problem", str(path),
+                          "--out", str(tmp_path / "certify"))
+    assert code == EXIT_OK and "sm10: tag=sector pass" in stdout
+    sector = json.loads((tmp_path / "certify" / "certificates.json").read_text())["sector"]
+    assert sector["detail"].startswith("route: eigenvalues")
+    assert sector["quantities"]["margin"] > 0.0
+
+
 def test_bad_dimension_list(capsys):
     code, _, stderr = run(capsys, "solve", "--builtin", "wellposed_cubic",
                           "--dim", "3,x")

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsmflow import hilbert, model
 from dsmflow.continuation import solve_newton_flow
@@ -722,16 +723,57 @@ def test_builds_and_solves_prove_the_bound_without_samples(monkeypatch):
 # -- resolvent bound -------------------------------------------------------------
 
 
+_EPS_MACH = np.finfo(float).eps
+_SHIFT_GRID = [10.0 ** -k for k in range(7)]   # 1 down to 1e-6
+
+
+def _grid_verdict(L):
+    """``|(L + eps I)^{-1}| <= 1/eps + 1e-9`` over shifts 1 down to 1e-6, by SVD.
+
+    ``sigma_min(L + eps I)`` carries a rounding of order ``eps_mach |L|``,
+    which moves ``1/sigma_min`` by that over ``eps^2``: at ``eps = 1e-6`` a
+    zero eigenvalue computed as -1e-16 gives an excess of 1e-4.  So each
+    shift allows ``1e3 eps_mach (|L| + eps) / eps^2`` more for it.
+    """
+    opn = L.operator_norm()
+    return all(1.0 / L.shifted(eps).smallest_singular_value()
+               <= 1.0 / eps + 1e-9 + 1e3 * _EPS_MACH * (opn + eps) / eps ** 2
+               for eps in _SHIFT_GRID)
+
+
+def _hilbert_operator(dim):
+    return DenseOperator(scipy.linalg.hilbert(dim), self_adjoint=True, psd_claimed=True)
+
+
+# every L a builtin flags psd, and the Hilbert matrices of criterion 7
+_PSD_OPERATORS = {
+    **{f"wellposed-{d}": (lambda d=d: wellposed_cubic(d).problem.L) for d in (1, 10, 200)},
+    **{f"singular-{d}-seed{s}-cubic{c}":
+       (lambda d=d, s=s, c=c: singular_monotone(d, seed=s, cubic_scale=c).problem.L)
+       for d in (4, 10, 50) for s in (0, 42) for c in (0.0, 0.1)},
+    "singular-canonical": lambda: singular_canonical().problem.L,
+    **{f"ill-conditioned-{d}": (lambda d=d: ill_conditioned(d).problem.L) for d in range(1, 13)},
+    **{f"hilbert-{d}": (lambda d=d: _hilbert_operator(d)) for d in range(1, 13)},
+}
+
+
+@pytest.mark.parametrize("build", list(_PSD_OPERATORS.values()), ids=list(_PSD_OPERATORS))
+def test_resolvent_bound_agrees_with_the_shift_grid(build):
+    L = build()
+    cert = check_resolvent_bound(L)
+    assert cert.passed == _grid_verdict(L)
+    assert cert.quantities["lambda_min"] == L.eigenvalues()[0]
+
+
 def test_resolvent_bound_spd_known_values():
     L = diagonal_operator([2.0, 0.5, 0.0])
-    grid = [10.0 ** (-k) for k in range(0, 7)]
-    cert = check_resolvent_bound(L, grid)
-    assert cert.passed
-    assert cert.quantities["sin_delta"] == 1.0
-    assert cert.quantities["n_eps"] == 7
-    # sigma_min(L + eps) = eps exactly for this diagonal, so the ratio
-    # sits at 1 up to rounding
-    assert cert.quantities["worst_ratio"] == pytest.approx(1.0, abs=1e-6)
+    cert = check_resolvent_bound(L)
+    assert cert.passed and cert.detail.startswith("route: eigenvalues")
+    # the zero eigenvalue is exact, so the margin is the slack (n+1) eps_mach |L|_F
+    slack = 4 * _EPS_MACH * np.sqrt(4.25)
+    assert cert.quantities["lambda_min"] == 0.0
+    assert cert.quantities["slack"] == pytest.approx(slack, rel=1e-12)
+    assert cert.quantities["margin"] == cert.quantities["slack"]
 
 
 def test_resolvent_bound_needs_sector_for_general_operators():
@@ -739,59 +781,97 @@ def test_resolvent_bound_needs_sector_for_general_operators():
     # refused there; its sector certificate goes through the numerical range
     rot = DenseOperator([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(NotSymmetric):
-        check_resolvent_bound(rot, [0.1])
-    assert check_sector(rot, 0.5, np.pi / 2).passed
+        check_resolvent_bound(rot)
+    assert check_sector(rot).passed
 
 
 def test_resolvent_bound_detects_violation():
     # eigenvalue -0.5 makes |(L + 0.6)^{-1}| = 10 exceed 1/0.6
     L = DenseOperator([[-0.5]], self_adjoint=True)
-    cert = check_resolvent_bound(L, [0.6])
+    cert = check_resolvent_bound(L)
     assert not cert.passed
-    with pytest.raises(ValueError):
-        check_resolvent_bound(L, [])
-    with pytest.raises(ValueError):
-        check_resolvent_bound(L, [-0.1])
-    psd = diagonal_operator([1.0, 0.0])
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            check_resolvent_bound(psd, [0.1, bad])
+    assert cert.quantities["margin"] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_resolvent_bound_fails_when_a_shift_hits_an_eigenvalue():
-    # L + 0.5 I = 0: a failed certificate, not a ZeroDivisionError
+    # L + 0.5 I = 0: a failed certificate with a finite margin, and no shift
+    # is taken, so nothing divides by sigma_min(L + 0.5 I) = 0
     L = DenseOperator([[-0.5]], self_adjoint=True)
-    cert = check_resolvent_bound(L, [0.5])
+    assert L.shifted(0.5).smallest_singular_value() == 0.0
+    cert = check_resolvent_bound(L)
     assert not cert.passed
-    assert cert.quantities["worst_ratio"] == float("inf")
-    assert cert.quantities["min_margin"] == -float("inf")
+    assert cert.quantities["lambda_min"] == -0.5
+    assert np.isfinite(cert.quantities["margin"]) and cert.quantities["margin"] < 0.0
+
+
+@pytest.mark.parametrize("values", [[-5.0, 1.0], [-1e-14, 1.0]],
+                         ids=["below-the-grid", "between-the-allowances"])
+def test_resolvent_verdicts_the_eigenvalue_comparison_moved(values):
+    # the grid of shifts 1 down to 1e-6 passed both: -5 lies beyond its
+    # largest shift, and -1e-14 lies within its rounding allowance of
+    # 1e3 eps_mach |L| but beyond the slack (n+1) eps_mach |L|_F
+    L = DenseOperator(np.diag(values), self_adjoint=True)
+    assert _grid_verdict(L)
+    cert = check_resolvent_bound(L)
+    assert not cert.passed
+    assert cert.quantities["margin"] == pytest.approx(values[0], rel=1e-1)
 
 
 # -- sector check ------------------------------------------------------------------
 
 
 def test_sector_self_adjoint_branch():
-    ok = check_sector(diagonal_operator([1.0, 0.0, 2.0]), 0.5, np.pi / 6)
-    assert ok.passed and ok.detail == "self-adjoint spectrum check"
-    bad = check_sector(diagonal_operator([-0.2, 1.0]), 0.5, np.pi / 6)
+    ok = check_sector(diagonal_operator([1.0, 0.0, 2.0]))
+    assert ok.passed and ok.detail.startswith("route: eigenvalues")
+    assert ok.quantities["a"] == 0.5 and ok.quantities["delta"] == np.pi / 6
+    # the zero eigenvalue sits the slack away from the sector [-a, -slack)
+    assert ok.quantities["margin"] == ok.quantities["slack"] > 0.0
+    # a failed margin is minus the depth of the deepest eigenvalue inside
+    bad = check_sector(diagonal_operator([-0.2, 1.0]))
     assert not bad.passed
-    assert bad.quantities["margin"] == pytest.approx(0.3, abs=1e-12)
+    assert bad.quantities["margin"] == pytest.approx(-0.2, abs=1e-12)
+    # -0.25 is 0.25 from both ends of [-0.5, 0); -0.45 only 0.05 from -a
+    mid = check_sector(diagonal_operator([-0.45, -0.25, 1.0]))
+    assert not mid.passed
+    assert mid.quantities["margin"] == pytest.approx(-0.25, abs=1e-12)
     # eigenvalue below -a does not violate the truncated sector; margin is
     # the distance to the nearest eigenvalue outside it (+1 here, not -2)
-    deep = check_sector(diagonal_operator([-2.0, 1.0]), 0.5, np.pi / 6)
+    deep = check_sector(diagonal_operator([-2.0, 1.0]))
     assert deep.passed
     assert deep.quantities["margin"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sector_counts_a_zero_eigenvalue_rounded_negative_as_outside():
+    # within the slack of 0, so outside [-a, -slack); an eigenvalue one
+    # slack further down is inside, with a margin of minus its depth
+    L = DenseOperator(np.diag([-1e-17, 1.0]), self_adjoint=True)
+    cert = check_sector(L)
+    slack = cert.quantities["slack"]
+    assert cert.passed and cert.quantities["margin"] == pytest.approx(slack - 1e-17, rel=1e-12)
+    below = check_sector(DenseOperator(np.diag([-2.0 * slack, 1.0]), self_adjoint=True))
+    assert not below.passed and below.quantities["margin"] < 0.0
+
+
+@pytest.mark.parametrize("dim", [4, 10, 200])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_sector_passes_singular_monotone(dim, seed):
+    # its zero eigenvalues come out of eigvalsh as small numbers of either sign
+    L = singular_monotone(dim, seed=seed).problem.L
+    cert = check_sector(L)
+    assert cert.passed, cert.quantities
+    assert cert.quantities["margin"] > 0.0
+    assert -cert.quantities["slack"] <= L.eigenvalues()[0] < 1e-12
 
 
 def test_sector_numerical_range_route_is_sound():
     # spectrum {+-i}, mu = 0 and sigma_min = 1: the lines cross beyond a,
     # so the margin is sigma_min - a
     rot = DenseOperator([[0.0, 1.0], [-1.0, 0.0]])
-    ok = check_sector(rot, 0.5, np.pi / 6)
+    ok = check_sector(rot)
     assert ok.passed and ok.detail.startswith("route: numerical range")
     assert ok.quantities["margin"] == pytest.approx(0.5, abs=1e-12)
     # the defective eigenvalue -0.3 lies in the sector: mu = -0.8
-    bad = check_sector(DenseOperator([[-0.3, 1.0], [0.0, -0.3]]), 0.5, np.pi / 6)
+    bad = check_sector(DenseOperator([[-0.3, 1.0], [0.0, -0.3]]))
     assert not bad.passed
     assert bad.quantities["mu"] == pytest.approx(-0.8, abs=1e-12)
 
@@ -805,7 +885,7 @@ def test_sector_numerical_range_route_is_sound():
     ([[1e-5, 0.0], [0.0, 1.0]], True, 1e-5),
 ], ids=["jordan-like-refused", "near-singular-diagonal-passed"])
 def test_sector_verdicts_the_numerical_range_moved(entries, passed, margin):
-    cert = check_sector(DenseOperator(entries), 0.5, np.pi / 6)
+    cert = check_sector(DenseOperator(entries))
     assert cert.passed is passed
     assert cert.quantities["margin"] == pytest.approx(margin, abs=1e-12)
 
@@ -819,19 +899,6 @@ def test_sector_blocks_pass_through_the_numerical_range(dim, margin):
     assert cert.passed and cert.detail.startswith("route: numerical range")
     assert cert.quantities["margin"] == pytest.approx(margin, abs=1e-10)
     assert -1e-12 < cert.quantities["mu"] <= 0.0
-
-
-def test_sector_rejects_bad_parameters():
-    L = diagonal_operator(np.ones(2))
-    with pytest.raises(ValueError):
-        check_sector(L, 0.0, np.pi / 6)
-    with pytest.raises(ValueError):
-        check_sector(L, 1.0, 2.0)
-    # a NaN radius must not hide the eigenvalue -0.3 that a = 0.5 finds
-    L = DenseOperator(np.diag([1.0, 0.0, -0.3]), self_adjoint=True)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            check_sector(L, bad, 0.5)
 
 
 # -- derivative and monotonicity checks ----------------------------------------------
