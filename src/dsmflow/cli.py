@@ -39,10 +39,6 @@ EXIT_MONOTONE = 3
 # merged as: command line > config file > this table
 _DEFAULTS = {
     "dim": "10",
-    "seed": 42,
-    "scale": 0.1,
-    "cubic_scale": 0.0,
-    "rank": None,
     "epsilon": None,
     "t_max": FlowConfig.t_max,
     "rel_tol": None,   # resolved per command in _flow_config
@@ -55,9 +51,12 @@ _DEFAULTS = {
     "levels": "1e-6,1e-8,1e-10",
 }
 
-# flags that only parameterize a builtin generator; one given explicitly
-# that the chosen generator does not take is an error
-_BUILTIN_FLAGS = ("seed", "scale", "cubic_scale", "rank")
+# flags that only parameterize a builtin generator: every parameter of one
+# but its dimension.  Their defaults are the generator's own; one given
+# explicitly that the chosen generator does not take is an error
+_BUILTIN_FLAGS = tuple(dict.fromkeys(
+    key for generator in BUILTINS.values()
+    for key in inspect.signature(generator).parameters if key != "dim"))
 
 
 def _build_parser():
@@ -122,18 +121,21 @@ def _build_parser():
 def _merge_config(ns, parser):
     """Fill unset flags from the config file, then from ``_DEFAULTS``.
 
-    Config values of numeric flags must be JSON numbers, integers for ``int``
-    flags and null only where the default is; they get the flag's type.
+    A builtin flag that neither sets stays None, so its generator's own
+    default applies.  Config values of numeric flags must be JSON numbers,
+    integers for ``int`` flags, and null only where the default is None,
+    as every builtin flag's is; they get the flag's type.
     """
+    keys = (*_DEFAULTS, *_BUILTIN_FLAGS)
     config = {}
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(config) - set(_DEFAULTS))
+        unknown = sorted(set(config) - set(keys))
         if unknown:
-            raise ValueError(f"unknown config keys {unknown}; known: {sorted(_DEFAULTS)}")
+            raise ValueError(f"unknown config keys {unknown}; known: {sorted(keys)}")
         # a flag that several subcommands take has the same type in each
         commands = next(action for action in parser._actions
                         if isinstance(action, argparse._SubParsersAction))
@@ -141,7 +143,7 @@ def _merge_config(ns, parser):
                  for sub in commands.choices.values() for action in sub._actions}
         for key, value in config.items():
             kind = types[key]
-            if kind is str or value is None and _DEFAULTS[key] is None:
+            if kind is str or value is None and _DEFAULTS.get(key) is None:
                 continue
             if isinstance(value, bool) or not isinstance(
                     value, int if kind is int else (int, float)):
@@ -150,10 +152,10 @@ def _merge_config(ns, parser):
             config[key] = kind(value)
     # config values are defaults like the table's, so a shared config file
     # may name flags that some builtins do not take
-    ns.explicit = {key for key in _DEFAULTS if getattr(ns, key, None) is not None}
-    for key, default in _DEFAULTS.items():
+    ns.explicit = {key for key in keys if getattr(ns, key, None) is not None}
+    for key in keys:
         if getattr(ns, key, None) is None:
-            setattr(ns, key, config.get(key, default))
+            setattr(ns, key, config.get(key, _DEFAULTS.get(key)))
     return ns
 
 

@@ -79,8 +79,10 @@ DISCREPANCY_FACTOR = 1.5
 #: Flow settings of the continuation's inner solves.  They run tighter than
 #: standalone ones, with an absolute stopping floor: warm-started levels
 #: have tiny p0, and the integrator noise floor (rel_tol * |u|) must stay
-#: below the stopping threshold.
-INNER_FLOW = FlowConfig(rel_tol=1e-10, p_stop=1e-10, p_stop_abs=1e-11)
+#: below the stopping threshold.  A level keeps no trajectory, so the
+#: recording stride is ``t_max``: each run records only its end points.
+INNER_FLOW = FlowConfig(rel_tol=1e-10, p_stop=1e-10, p_stop_abs=1e-11,
+                        sample_stride=FlowConfig.t_max)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ The flow integrated here is ``du/dt = phi(u)`` with
 
 It is computed as ``phi(u) = -(A + g'(u))^{-1} (A f)`` with ``A = L+eps*I``
 and ``f = u + A^{-1} g(u)``: one factorization of ``A + g'(u)`` per stage,
-a lower Cholesky factor where a diagonal ``g'(u)`` on an exactly symmetric
-``A`` admits one and an LU otherwise, see
+a lower Cholesky factor where a diagonal ``g'(u)`` on a self-adjoint ``A``
+admits one and an LU otherwise, see
 :func:`dsmflow.model.newton_velocity`.
 
 Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per

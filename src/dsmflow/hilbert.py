@@ -3,18 +3,20 @@
 Vectors are plain 1-D float64 numpy arrays; :func:`as_vector` validates
 shape and finiteness at API boundaries.  :class:`DenseOperator` wraps a
 square matrix together with structural flags (self-adjoint, positive
-semidefinite) and caches its factorizations on first use: one LU, and
-either the eigenvalues of a self-adjoint operator, from which its
-singular values are read, or the singular values of any other.  It also
-caches whether its entries equal their transpose exactly and the
-largest modulus off its diagonal, two facts that
-:meth:`DenseOperator.shifted` passes on.  Its LU factors come straight
-from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
-:func:`_getrs`, which give bitwise what
+semidefinite), decided once at construction: a self-adjoint operator
+stores its symmetric part, so its entries equal their transpose exactly,
+and the psd flag is checked against the eigensolver's rounding
+:func:`_eig_slack`, the slack of every eigenvalue certificate.  It caches
+its factorizations on first use: one LU, and either the eigenvalues of a
+self-adjoint operator, from which its singular values are read, or the
+singular values of any other.  It also caches the largest modulus off
+its diagonal, which :meth:`DenseOperator.shifted` passes on.  Its LU
+factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
+:func:`_getrf` and :func:`_getrs`, which give bitwise what
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
 wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
 lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
-stage takes for a symmetric matrix before it falls back to LU.  There is
+stage takes for a self-adjoint operator before it falls back to LU.  There is
 one wrapper per LAPACK call.  :func:`_getrf` and :func:`_potrf` factor
 their argument in place: a Fortran-ordered (column-major) float matrix
 is overwritten by its factor, with no copy, so a caller that must keep
@@ -45,7 +47,6 @@ __all__ = [
 VectorH = np.ndarray
 
 SELF_ADJOINT_RTOL = 1e-12    # max |A - A^T| allowed, relative to operator norm
-PSD_RTOL = 1e-10             # eigenvalue floor for psd-flagged operators
 PIVOT_RTOL = 1e-14           # LU pivot threshold, relative to operator norm
 
 
@@ -174,6 +175,22 @@ def norm(u):
     return float(np.linalg.norm(as_vector(u)))
 
 
+def _eig_slack(L, eps=0.0):
+    """Rounding slack ``(n+1) eps_mach (|L|_F + eps)`` of an eigenvalue of ``L + eps*I``.
+
+    ``eigvalsh`` is LAPACK ``dsyevd`` without vectors, which finds the
+    eigenvalues through ``dsterf``; they lie within ``2n u |L|_F`` of the
+    exact ones, LAPACK Users' Guide §4.7, with ``p(n) = 2n`` and
+    ``u = eps_mach/2``.  The slack adds ``2u (|L|_F + eps)`` for the
+    rounding of a shifted diagonal and of ``w + eps``.  Every eigenvalue
+    comparison widens by it: the psd flag's check in
+    :class:`DenseOperator`, and in :mod:`~dsmflow.model` the proof route's
+    spectrum, :func:`~dsmflow.model.check_resolvent_bound` and both routes
+    of :func:`~dsmflow.model.check_sector`.
+    """
+    return (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+
+
 class DenseOperator:
     """Square real matrix with structural flags and cached factorizations.
 
@@ -185,11 +202,23 @@ class DenseOperator:
     self_adjoint : bool
         Claim that the matrix equals its transpose.  Verified at
         construction against ``SELF_ADJOINT_RTOL`` times the operator norm;
-        violation raises :class:`NotSymmetric`.
+        violation raises :class:`NotSymmetric`.  The operator then stores
+        the symmetric part ``0.5 * (A + A^T)``, or raises ``ValueError``
+        where it overflows; it is bitwise ``A`` for an exactly symmetric
+        ``A``.  So the flag means that ``entries``
+        equal their transpose exactly: its eigenvalues are those of
+        ``entries``, and a matrix built from them by changing only the
+        diagonal is symmetric, which Cholesky may factor.
     psd_claimed : bool
         Claim that the matrix is positive semidefinite.  Requires
-        ``self_adjoint`` and is verified against ``PSD_RTOL``; violation
-        raises :class:`NonPsdOperator`.
+        ``self_adjoint`` and is verified as ``lambda_min >= -slack`` with
+        ``slack`` the eigensolver's rounding :func:`_eig_slack`, the
+        comparison of :func:`~dsmflow.model.check_resolvent_bound`;
+        violation raises :class:`NonPsdOperator`.
+
+    An operator built with ``_verified=True`` skips both checks and stores
+    ``entries`` as given; :meth:`shifted` builds one from an operator that
+    passed them.
     """
 
     def __init__(self, entries, self_adjoint=False, psd_claimed=False, *, _verified=False):
@@ -209,7 +238,6 @@ class DenseOperator:
         self._opnorm = None
         self._lu = None
         self._eigvals = None
-        self._symmetric = None
         self._offdiag_max = None
         if not _verified:
             self._verify_flags()
@@ -227,7 +255,6 @@ class DenseOperator:
                           psd_claimed=self.psd_claimed, _verified=True)
         # the shift touches only the diagonal, so exact symmetry and the
         # off-diagonal maximum carry over
-        S._symmetric = self.exactly_symmetric()
         S._offdiag_max = self.off_diagonal_max()
         if self.self_adjoint:
             # the shift moves every eigenvalue by eps: no decomposition of A
@@ -244,18 +271,6 @@ class DenseOperator:
         u = as_vector(u, dim=self.dim)
         return self.entries @ u
 
-    def exactly_symmetric(self):
-        """Whether the entries equal their transpose bitwise, tested once and cached.
-
-        Unlike the ``self_adjoint`` flag, which allows an asymmetry of
-        ``SELF_ADJOINT_RTOL`` times the norm, this is exact: a matrix
-        built from it by changing only the diagonal is symmetric, and
-        Cholesky may factor it.
-        """
-        if self._symmetric is None:
-            self._symmetric = bool(np.array_equal(self.entries, self.entries.T))
-        return self._symmetric
-
     def off_diagonal_max(self):
         """``max |A_ij|`` over ``i != j``, taken once and cached; 0.0 at dimension 1.
 
@@ -271,20 +286,25 @@ class DenseOperator:
         return self._offdiag_max
 
     def _verify_flags(self):
+        """Check the flags, and store a self-adjoint operator's symmetric part."""
         if not self.self_adjoint:
             return
-        defect = float(np.max(np.abs(self.entries - self.entries.T)))
+        A = self.entries
+        defect = float(np.max(np.abs(A - A.T)))
+        self.entries = 0.5 * (A + A.T)
+        if not _all_finite(self.entries):
+            raise ValueError("operator's symmetric part overflows")
         opn = self.operator_norm()
         if defect > SELF_ADJOINT_RTOL * opn:
             raise NotSymmetric(
                 f"self_adjoint flag violated: asymmetry {defect:.3e} "
                 f"exceeds {SELF_ADJOINT_RTOL:g} * operator norm {opn:.3e}")
         if self.psd_claimed:
-            w = self.eigenvalues()
-            if w[0] < -PSD_RTOL * opn:
+            lam, slack = float(self.eigenvalues()[0]), _eig_slack(self)
+            if lam < -slack:
                 raise NonPsdOperator(
-                    f"psd flag violated: smallest eigenvalue {w[0]:.3e} "
-                    f"below -{PSD_RTOL:g} * operator norm {opn:.3e}")
+                    f"psd flag violated: smallest eigenvalue {lam:.3e} below "
+                    f"-{slack:.3e}, the eigensolver's rounding (n+1) eps_mach |L|_F")
 
     # -- spectral quantities ---------------------------------------------------
 
@@ -321,14 +341,15 @@ class DenseOperator:
     def eigenvalues(self):
         """Eigenvalues of a self-adjoint operator, ascending, as a fresh array.
 
-        They are ``np.linalg.eigvalsh((A + A^T)/2)``, taken once and cached;
-        a :meth:`shifted` operator's are its parent's plus the shift.
-        Raises :class:`NotSymmetric` if the flag is not set.
+        They are ``np.linalg.eigvalsh`` of the stored, exactly symmetric
+        entries, taken once and cached; a :meth:`shifted` operator's are
+        its parent's plus the shift.  Raises :class:`NotSymmetric` if the
+        flag is not set.
         """
         if not self.self_adjoint:
             raise NotSymmetric("eigenvalues requires the self_adjoint flag")
         if self._eigvals is None:
-            self._eigvals = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.T))
+            self._eigvals = np.linalg.eigvalsh(self.entries)
         return self._eigvals.copy()
 
     # -- linear solves -----------------------------------------------------------

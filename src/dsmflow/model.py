@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
-from .hilbert import (DenseOperator, VectorH, _all_finite, _getrf, _getrs, _potrf, _potrs,
-                      _squares_finite, as_vector, norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
+                      _potrs, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -255,16 +255,17 @@ def newton_velocity(problem, u):
     epsilon, which ``M^{-1}`` magnifies by up to ``1/eps`` at deep shifts.
 
     Structure picks the factorization.  A diagonal ``g'(u)`` on an ``A``
-    whose entries equal their transpose exactly
-    (:meth:`~dsmflow.hilbert.DenseOperator.exactly_symmetric`, cached per
-    operator) leaves ``M`` symmetric, and ``M`` is factored by lower
-    Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a monotone
-    ``g``, ``M`` is positive definite, and Cholesky needs no pivoting to be
-    backward stable there.  When ``dpotrf`` meets a non-positive pivot,
-    ``M`` is built again from ``A`` and ``g'(u)``, since ``dpotrf`` has
-    overwritten it, and factored by LU, LAPACK ``dgetrf``/``dgetrs``, as
-    is every ``M`` from a dense ``g'(u)`` or a non-symmetric ``A``.
-    No dense Jacobian is tested for symmetry.
+    with the ``self_adjoint`` flag, whose stored entries equal their
+    transpose exactly (:class:`~dsmflow.hilbert.DenseOperator` keeps the
+    symmetric part), leaves ``M`` symmetric, and ``M`` is factored by
+    lower Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a
+    monotone ``g``, ``M`` is positive definite, and Cholesky needs no
+    pivoting to be backward stable there.  When ``dpotrf`` meets a
+    non-positive pivot, ``M`` is built again from ``A`` and ``g'(u)``,
+    since ``dpotrf`` has overwritten it, and factored by LU, LAPACK
+    ``dgetrf``/``dgetrs``, as is every ``M`` from a dense ``g'(u)`` or an
+    ``A`` without the flag, even one whose entries happen to be symmetric.
+    Neither the entries nor a dense Jacobian is tested for symmetry.
 
     ``u`` is checked up front, and the rest of the stage through one fault
     signal instead of a scan of each array it touches:
@@ -335,7 +336,7 @@ def _stage(problem):
     else:
         sound = True
         lu_a, piv_a, minpiv_a, amax = A._factorize()
-        symmetric = A.exactly_symmetric()
+        symmetric = A.self_adjoint
         offdiag = A.off_diagonal_max()
 
     def stage(u, checked=not sound):
@@ -401,9 +402,9 @@ def _plus_diagonal(X, j, symmetric):
     """``(M, d)``: ``M = X + diag(j)`` in a Fortran-ordered copy, and ``d`` a view of its diagonal.
 
     ``M`` is the stage matrix that :func:`~dsmflow.hilbert._potrf` or
-    :func:`~dsmflow.hilbert._getrf` factors in place.  An exactly
-    ``symmetric`` ``X`` equals its transpose (up to the sign of a zero
-    entry), whose memory is already in column-major order for the
+    :func:`~dsmflow.hilbert._getrf` factors in place.  A ``symmetric``
+    ``X``, a self-adjoint operator's entries, equals its transpose
+    bitwise, whose memory is already in column-major order for the
     row-major entries of every :class:`~dsmflow.hilbert.DenseOperator`,
     so the copy is a straight one.
     """
@@ -525,34 +526,19 @@ def certify_newton_bound(problem):
     return bound_cert, check_trust_condition(problem, bound_cert.quantities["bound"])
 
 
-def _eig_slack(L, eps=0.0):
-    """Rounding slack ``(n+1) eps_mach (|L|_F + eps)`` of an eigenvalue of ``L + eps*I``.
-
-    ``eigvalsh`` is LAPACK ``dsyevd`` without vectors, which finds the
-    eigenvalues through ``dsterf``; they lie within ``2n u |L|_F`` of the
-    exact ones, LAPACK Users' Guide §4.7, with ``p(n) = 2n`` and
-    ``u = eps_mach/2``.  The slack adds ``2u (|L|_F + eps)`` for the
-    rounding of a shifted diagonal and of ``w + eps``.  Every eigenvalue
-    comparison in this module widens by it: :func:`_proof_spectrum`,
-    :func:`check_resolvent_bound` and both routes of :func:`check_sector`.
-    """
-    return (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
-
-
 def _proof_spectrum(problem):
     """Bounds ``(lam_lo, lam_hi)`` on ``A``'s eigenvalues where the proof route applies, else None.
 
     It applies when ``L`` carries the verified ``self_adjoint`` and
-    ``psd_claimed`` flags; ``L``'s entries equal their transpose exactly
-    (:meth:`~dsmflow.hilbert.DenseOperator.exactly_symmetric`, cached), so
-    that :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` (``eigvalsh``
-    of ``(L + L^T)/2``) are those of ``L`` itself; and ``lam_lo > 0``.
+    ``psd_claimed`` flags, so that its stored entries are exactly
+    symmetric and :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues` are
+    those of ``L`` itself, and when ``lam_lo > 0``.
 
     ``lam_lo <= lambda(A) <= lam_hi`` are ``L``'s extreme eigenvalues plus
-    ``eps``, widened by :func:`_eig_slack` ``(L, eps)``.
+    ``eps``, widened by :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.
     """
     L = problem.L
-    if not (L.self_adjoint and L.psd_claimed and L.exactly_symmetric()):
+    if not (L.self_adjoint and L.psd_claimed):
         return None
     w = L.eigenvalues()
     eps = problem.epsilon
@@ -643,9 +629,11 @@ def check_resolvent_bound(L):
     when ``lambda_min(L) >= 0``.  The check is that one comparison, on
     ``L``'s cached :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`: it
     passes when ``lambda_min >= -slack`` with ``slack`` the eigensolver's
-    rounding :func:`_eig_slack`, and reports ``lambda_min``, ``slack`` and
-    ``margin = lambda_min + slack``.  An ``L`` without the self-adjoint
-    flag raises :class:`NotSymmetric`.
+    rounding :func:`~dsmflow.hilbert._eig_slack`, and reports
+    ``lambda_min``, ``slack`` and ``margin = lambda_min + slack``.  The
+    psd flag is verified by the same comparison, so every psd-flagged
+    ``L`` passes.  An ``L`` without the self-adjoint flag raises
+    :class:`NotSymmetric`.
     """
     lam = float(L.eigenvalues()[0])
     slack = _eig_slack(L)
@@ -665,8 +653,8 @@ def check_sector(L):
 
     For a self-adjoint ``L`` it is ``[-a, -slack)`` on ``L``'s cached
     :meth:`~dsmflow.hilbert.DenseOperator.eigenvalues`, with ``slack`` the
-    eigensolver's rounding :func:`_eig_slack`: a zero eigenvalue of a
-    singular psd ``L`` that rounds negative is not in it.  The margin is
+    eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack`: a zero
+    eigenvalue of a singular psd ``L`` that rounds negative is not in it.  The margin is
     the smallest ``max(-a - lambda, lambda + slack)`` over the eigenvalues:
     the distance from the sector to the nearest eigenvalue when none lies
     in it, and minus the depth of the deepest one inside otherwise.
@@ -681,8 +669,8 @@ def check_sector(L):
     lines cross at ``r* = (sigma_min - mu)/(1 + cos(delta))``, and the
     minimum is ``mu`` if ``r* <= 0``, ``sigma_min - a`` if ``r* >= a``, else
     ``mu + r* cos(delta)``.  Both numbers are first lowered by
-    :func:`_eig_slack` for the eigensolvers' rounding, and the check
-    passes when the margin is positive, which proves the sector free of
+    :func:`~dsmflow.hilbert._eig_slack` for the eigensolvers' rounding, and
+    the check passes when the margin is positive, which proves the sector free of
     spectrum.  The route refuses an ``L`` whose spectrum avoids the sector
     while its numerical range does not.
 

@@ -89,15 +89,15 @@ def newton_oracle(problem, tol=1e-10):
 
 
 def _symmetric_eigh(L):
-    """``(w, Q)`` with ``(L + L^T)/2 = Q diag(w) Q^T``, ``w`` ascending, from ``np.linalg.eigh``.
+    """``(w, Q)`` with ``L = Q diag(w) Q^T``, ``w`` ascending, from ``np.linalg.eigh``.
 
     The oracles' own decomposition, which shares nothing with the solver's
     cached eigenvalues.  Raises :class:`NotSymmetric` unless ``L`` carries
-    the ``self_adjoint`` flag.
+    the ``self_adjoint`` flag, whose stored entries are exactly symmetric.
     """
     if not L.self_adjoint:
         raise NotSymmetric("the eigendecomposition oracles require the self_adjoint flag")
-    return np.linalg.eigh(0.5 * (L.entries + L.entries.T))
+    return np.linalg.eigh(L.entries)
 
 
 def pseudoinverse_min_norm(L, b):

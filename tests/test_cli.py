@@ -4,6 +4,8 @@ Everything runs in-process through ``main(argv)`` so exit codes and
 stdout are asserted directly.
 """
 
+import functools
+import inspect
 import json
 
 import numpy as np
@@ -350,6 +352,34 @@ def test_config_may_name_flags_the_builtin_does_not_take(tmp_path, capsys):
                           "--dim", "3", "--config", str(cfgfile))
     assert code == EXIT_OK
     assert "wellposed_cubic[dim=3]: tag=" in stdout
+
+
+def test_builtin_flags_are_the_generators_parameters():
+    params = {key for generator in BUILTINS.values()
+              for key in inspect.signature(generator).parameters}
+    assert set(cli._BUILTIN_FLAGS) == params - {"dim"}
+    # their defaults are the generators' own, not a second copy here
+    assert not set(cli._BUILTIN_FLAGS) & set(cli._DEFAULTS)
+
+
+def test_generator_receives_only_the_builtin_flags_that_are_set(tmp_path, capsys, monkeypatch):
+    real = BUILTINS["singular_monotone"]
+    seen = []
+
+    @functools.wraps(real)
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(BUILTINS, "singular_monotone", spy)
+    cfgfile = tmp_path / "conf.json"
+    # scale is not singular_monotone's, and null leaves a flag to its generator
+    cfgfile.write_text(json.dumps({"rank": 2, "scale": 0.5, "seed": None}))
+    argv = ("certify", "--builtin", "singular_monotone", "--dim", "4")
+    outputs = [run(capsys, *argv, *extra)
+               for extra in ((), ("--seed", "42"), ("--seed", "3", "--config", str(cfgfile)))]
+    assert seen == [{}, {"seed": 42}, {"seed": 3, "rank": 2}]
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
 def test_certify_loaded_problem_recomputes_tags(tmp_path, capsys):

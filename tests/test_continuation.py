@@ -250,6 +250,25 @@ def _assert_records_match(records, solutions):
         assert rec.trust_passed is sol.certificates["trust_condition"].passed
 
 
+def test_inner_levels_record_only_their_end_points():
+    # a level keeps no trajectory, so its flow records t = 0 and its stop
+    # only; recording at the standalone stride changes no record
+    assert INNER_FLOW.sample_stride == INNER_FLOW.t_max
+    b = singular_monotone(10, 5, cubic_scale=0.1)
+    sol = solve_newton_flow(b.problem.with_epsilon(0.5), INNER_FLOW)
+    assert [pt.t for pt in sol.flow.trajectory] == [0.0, sol.flow.t_final]
+    coarse = solve_minimal_norm(b.problem)
+    fine = solve_minimal_norm(b.problem, cfg=replace(INNER_FLOW, sample_stride=0.1))
+    assert len(coarse.records) == len(fine.records) > EXTRAPOLATION_DEGREE
+    for a, c in zip(coarse.records, fine.records):
+        assert a.v.tobytes() == c.v.tobytes()
+        assert ((a.eps, a.norm_v, a.residual_full, a.residual_shifted, a.residual_bound,
+                 a.inner_steps, a.trust_passed)
+                == (c.eps, c.norm_v, c.residual_full, c.residual_shifted, c.residual_bound,
+                    c.inner_steps, c.trust_passed))
+    assert coarse.v_limit.tobytes() == fine.v_limit.tobytes()
+
+
 @pytest.mark.parametrize("cubic", [0.0, 0.1])
 def test_handed_certificate_leaves_the_levels_bitwise_unchanged(cubic):
     # a continuation level is the standalone solve at its shift; the

@@ -156,6 +156,28 @@ def test_cholesky_velocity_matches_a_dense_solve(dim):
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def test_stage_on_a_flagged_operator_one_ulp_off_symmetric_takes_cholesky(monkeypatch):
+    # the flag stores the symmetric part, so a diagonal Jacobian on it goes to
+    # dpotrf; an unflagged operator with those same exactly symmetric entries
+    # goes to LU, and the two velocities agree to rounding
+    p = wellposed_cubic(10).problem
+    E = p.L.entries.copy()
+    E[0, 1] = np.nextafter(E[0, 1], np.inf)
+    near = replace(p, L=DenseOperator(E, self_adjoint=True, psd_claimed=True))
+    plain = replace(p, L=DenseOperator(near.L.entries))
+    assert np.array_equal(plain.L.entries, plain.L.entries.T) and not plain.L.self_adjoint
+    calls = []
+    for name in ("_potrf", "_getrf"):
+        monkeypatch.setattr(model, name, lambda M, name=name, real=getattr(model, name):
+                            calls.append(name) or real(M))
+    u = p.u0 + 0.1
+    v_near = newton_velocity(near, u)[0]
+    assert calls == ["_potrf"]
+    v_plain = newton_velocity(plain, u)[0]
+    assert calls == ["_potrf", "_getrf"]
+    assert np.linalg.norm(v_near - v_plain) <= 1e-13 * np.linalg.norm(v_plain)
+
+
 def test_phi_singular_cases_raise_no_warning():
     # an exactly singular L + g' is refused, a tiny pivot falls back, and
     # neither goes through a warning
@@ -187,8 +209,9 @@ _FAR = np.array([3.0, 0.0])
 def misbehaving_problem(fn=None, jac=None, L=None):
     """dim 2, u0 = 0, g = u^3 near u0 and ``fn``/``jac`` where u[0] > 2.
 
-    Every ``L`` used here is exactly symmetric, so a ``jac`` that returns a
-    vector sends the stage to the Cholesky route and a matrix to the LU one.
+    On the default ``L``, which is self-adjoint, a ``jac`` that returns a
+    vector sends the stage to the Cholesky route and a matrix to the LU
+    one; an ``L`` without the flag sends both to the LU route.
     """
     def g(u):
         return fn(u) if fn is not None and u[0] > 2.0 else u ** 3
@@ -197,7 +220,6 @@ def misbehaving_problem(fn=None, jac=None, L=None):
         return jac(u) if jac is not None and u[0] > 2.0 else np.diag(3.0 * u ** 2)
 
     L = diagonal_operator(np.ones(2)) if L is None else L
-    assert L.exactly_symmetric()
     return DsmProblem(L=L, g=NonlinearMap(g, g_jac, name="misbehaving"),
                       u0=np.zeros(2), radius=10.0)
 
@@ -274,7 +296,7 @@ def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fa
     # against 1e-9 * max|M|, where max|M| = K is the modulus of a negative
     # entry off the diagonal, from A's cache, or on it, from the stage's sums
     if where == "off-diagonal":
-        L = DenseOperator([[1.0, -K, 0.0], [-K, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        L = DenseOperator([[1.0, -K, 0.0], [-K, 1.0, 0.0], [0.0, 0.0, 1.0]], self_adjoint=True)
         j = np.array([-1.0, -1.0, 1e-4 - 1.0])
     else:
         L = diagonal_operator(np.ones(3))
@@ -282,7 +304,7 @@ def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fa
     c = np.array([0.5, -0.25, 1.0])
     g = NonlinearMap(lambda u: j * u + c, lambda u: j.copy(), name="linear")
     p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=10.0)
-    assert L.exactly_symmetric() and L.off_diagonal_max() == (K if where == "off-diagonal" else 0)
+    assert L.self_adjoint and L.off_diagonal_max() == (K if where == "off-diagonal" else 0)
     calls = []
     solve_linearized = model.solve_linearized
     monkeypatch.setattr(model, "solve_linearized", lambda *a: calls.append(1) or solve_linearized(*a))
@@ -362,11 +384,11 @@ def indefinite_problem(dim=6, seed=5):
     pytest.param(lambda: ill_conditioned(6).problem.with_epsilon(1e-2), id="ill_conditioned-6"),
 ])
 def test_cholesky_stage_flow_matches_the_dense_lu_one(make):
-    # on an exactly symmetric A a vector Jacobian is factored by Cholesky, its
+    # on a self-adjoint A a vector Jacobian is factored by Cholesky, its
     # dense twin by LU: the two flows take the same steps and agree to rounding
     problem = make()
     assert problem.g.jac_fn(problem.u0).shape == (problem.dim,)
-    assert problem.shifted.exactly_symmetric()
+    assert problem.shifted.self_adjoint
     res = integrate(problem, FlowConfig(t_max=10.0))
     dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
     assert len(res.trajectory) > 3

@@ -12,8 +12,8 @@ import pytest
 import scipy.linalg
 
 from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
-from dsmflow.hilbert import (DenseOperator, _all_finite, _getrf, _getrs, _potrf, _potrs, as_vector,
-                             norm)
+from dsmflow.hilbert import (DenseOperator, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
+                             _potrs, as_vector, norm)
 from dsmflow.problems import ill_conditioned, singular_canonical
 from evidence import diagonal_operator
 
@@ -154,21 +154,39 @@ def test_shifted_adds_eps_identity_and_keeps_flags():
         A.shifted(-1e-3)
 
 
-def test_exact_symmetry_is_tested_once_and_survives_a_shift(monkeypatch):
+def test_self_adjoint_operator_stores_its_exactly_symmetric_part():
     rng = np.random.default_rng(5)
     B = random_matrix(rng, 4)
-    calls = []
-    array_equal = np.array_equal
-    monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(1) or array_equal(*a))
-    A = DenseOperator(0.5 * (B + B.T), self_adjoint=True)
-    assert A.exactly_symmetric() and A.exactly_symmetric() and len(calls) == 1
-    assert A.shifted(0.5).exactly_symmetric() and len(calls) == 1
-    # the self_adjoint flag tolerates an asymmetry of one ulp; exact symmetry does not
-    E = A.entries.copy()
+    S = 0.5 * (B + B.T)
+    # an exactly symmetric input is stored bitwise as given
+    A = DenseOperator(S, self_adjoint=True)
+    assert A.entries.tobytes() == S.tobytes()
+    # the flag tolerates an asymmetry of one ulp, and the stored entries drop it
+    E = S.copy()
     E[0, 1] = np.nextafter(E[0, 1], np.inf)
     N = DenseOperator(E, self_adjoint=True)
-    assert not N.exactly_symmetric() and not N.shifted(0.5).exactly_symmetric()
-    assert not DenseOperator(B).exactly_symmetric()
+    assert not np.array_equal(E, E.T)
+    assert N.entries.tobytes() == (0.5 * (E + E.T)).tobytes()
+    for op in (N, N.shifted(0.5)):
+        assert op.entries.flags.c_contiguous
+        assert op.entries.tobytes() == op.entries.T.copy().tobytes()
+    assert N.eigenvalues().tobytes() == np.linalg.eigvalsh(N.entries).tobytes()
+    # an operator without the flag keeps its entries
+    assert DenseOperator(B).entries.tobytes() == B.tobytes()
+    # a symmetric part that overflows is refused, not stored as inf
+    big = 1e308 * np.eye(2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="symmetric part overflows"):
+        DenseOperator(big, self_adjoint=True)
+
+
+def test_psd_flag_is_checked_against_the_certificates_slack():
+    # lambda_min = -1e-12 lies below the eigensolver's rounding (n+1) eps |L|_F,
+    # which the self_adjoint_psd certificate allows, though above -1e-10 |L|
+    with pytest.raises(NonPsdOperator, match="eigensolver's rounding"):
+        DenseOperator(np.diag([-1e-12, 1.0]), self_adjoint=True, psd_claimed=True)
+    # a zero eigenvalue that rounds negative within the slack is psd
+    L = DenseOperator(np.diag([-1e-16, 1.0]), self_adjoint=True, psd_claimed=True)
+    assert L.eigenvalues()[0] == -1e-16 and 1e-16 < _eig_slack(L)
 
 
 def test_off_diagonal_max_is_taken_once_and_survives_a_shift(monkeypatch):

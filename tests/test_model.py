@@ -611,16 +611,6 @@ def _non_monotone():
     return replace(small_problem(seed=41), g=cubic_map(-0.05), radius=1.0)
 
 
-def _nearly_symmetric():
-    # symmetric within SELF_ADJOINT_RTOL, so the flags verify, but not exactly
-    p = small_problem(seed=42)
-    A = p.L.entries.copy()
-    A[0, 1] += 1e-13 * p.L.operator_norm()
-    L = DenseOperator(A, self_adjoint=True, psd_claimed=True)
-    assert not np.array_equal(L.entries, L.entries.T)
-    return replace(p, L=L)
-
-
 def _proof_too_loose():
     # g' = 0 makes T = I, but |f0|_A / sqrt(lambda_min(A)) is about 32 |f0| > radius
     return singular_canonical().problem.with_epsilon(1e-3)
@@ -630,7 +620,6 @@ def _proof_too_loose():
     pytest.param(_sector, id="sector-blocks"),
     pytest.param(_proof_too_loose, id="distance-bound-exceeds-radius"),
     pytest.param(_non_monotone, id="psd-L-non-monotone-g"),
-    pytest.param(_nearly_symmetric, id="symmetric-within-rtol"),
 ])
 def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
     p = make()
@@ -646,6 +635,22 @@ def test_route_falls_back_to_the_sampled_bound(monkeypatch, make):
     assert bound_cert.detail.startswith("route: sampled")
     assert trust == check_trust_condition(p, ref.quantities["bound"])
     assert trust.detail.startswith("route: sampled")
+
+
+def test_flagged_operator_one_ulp_off_symmetric_takes_the_proof_route(monkeypatch):
+    # symmetric within SELF_ADJOINT_RTOL, so the flags verify, but not exactly:
+    # the operator stores its symmetric part, and the proof route reads the flag
+    p = small_problem(seed=42)
+    A = p.L.entries.copy()
+    A[0, 1] += 1e-13 * p.L.operator_norm()
+    assert not np.array_equal(A, A.T)
+    near = replace(p, L=DenseOperator(A, self_adjoint=True, psd_claimed=True))
+    symmetric = replace(p, L=DenseOperator(0.5 * (A + A.T), self_adjoint=True,
+                                           psd_claimed=True))
+    monkeypatch.setattr(model, "estimate_newton_bound", None)
+    bound_cert, trust = certify_newton_bound(near)
+    assert bound_cert.detail.startswith("route: proof") and trust.passed
+    assert (bound_cert, trust) == certify_newton_bound(symmetric)
 
 
 def test_route_falls_back_for_unshifted_singular_L(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.errors import CertificateMismatch, ParseError
 from dsmflow.flow import integrate
-from dsmflow.hilbert import DenseOperator, norm
+from dsmflow.hilbert import DenseOperator, _eig_slack, norm
 from dsmflow.model import (Certificate, CertificateKind, DsmProblem, NonlinearMap,
                            full_residual, preconditioned_residual)
 from dsmflow.problems import (_MAP_FACTORIES, BUILTINS, TAGS, ProblemBundle, _verify_tags,
@@ -526,3 +526,30 @@ def test_load_flag_violation_is_certificate_mismatch(tmp_path):
                                   "flags": ["self_adjoint"]})
     with pytest.raises(CertificateMismatch, match="violates its flags"):
         load_problem(path)
+
+
+def test_load_psd_flag_below_the_certificates_slack_is_certificate_mismatch(tmp_path):
+    # lambda_min = -1e-12 fails the self_adjoint_psd certificate, so the flag is refused
+    path = write_doc(tmp_path, L={"rows": [[-1e-12, 0.0], [0.0, 1.0]],
+                                  "flags": ["self_adjoint", "psd"]})
+    with pytest.raises(CertificateMismatch, match="psd flag violated"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda d=d: wellposed_cubic(d), id=f"wellposed_cubic-{d}")
+      for d in (1, 10, 256)),
+    *(pytest.param(lambda d=d, r=r, s=s, c=c: singular_monotone(d, r, seed=s, cubic_scale=c),
+                   id=f"singular_monotone-{d}-{r}-seed{s}-cubic{c:g}")
+      for d, r in ((2, 1), (200, 100)) for s in (0, 42) for c in (0.0, 0.1)),
+    *(pytest.param(lambda d=d: ill_conditioned(d), id=f"ill_conditioned-{d}")
+      for d in range(1, 13)),
+    pytest.param(singular_canonical, id="singular_canonical"),
+])
+def test_psd_flag_and_tag_agree_on_every_psd_flagged_builtin(build):
+    b = build()
+    L = b.problem.L
+    assert L.self_adjoint and L.psd_claimed and "self_adjoint_psd" in b.tags
+    cert = b.certificates["self_adjoint_psd"]
+    assert cert.passed and cert.quantities["margin"] >= 0.0
+    assert cert.quantities["slack"] == _eig_slack(L)
