@@ -7,7 +7,14 @@ The flow integrated here is ``du/dt = phi(u)`` with
 It is computed as ``phi(u) = -(A + g'(u))^{-1} (A f)`` with ``A = L+eps*I``
 and ``f = u + A^{-1} g(u)``: one factorization of ``A + g'(u)`` per stage,
 a lower Cholesky factor where a diagonal ``g'(u)`` on a self-adjoint ``A``
-admits one and an LU otherwise, see
+admits one and an LU otherwise.  A diagonal ``g'(u)`` with
+``q = max|g'(u)| / sigma_min(A) <= 2^(-53/8)`` needs none: then
+``|A^{-1} g'(u)| <= q < 1`` proves the Neumann series of
+``[I + A^{-1} g'(u)]^{-1}`` convergent, and at most seven sweeps
+``x <- f - A^{-1}(g'(u) x)`` against ``A``'s inverse, formed once per run,
+reach the unit roundoff.  That route is open from ``n = 43`` for a
+self-adjoint ``A`` and ``n = 22`` otherwise, the dims where the sweeps
+cost fewer flops than the factorization.  See
 :func:`dsmflow.model.newton_velocity`.
 
 Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per

@@ -16,7 +16,9 @@ factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
 ``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
 wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
 lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
-stage takes for a self-adjoint operator before it falls back to LU.  There is
+stage takes for a self-adjoint operator before it falls back to LU, and
+:func:`_getri` turns LU factors into the inverse, LAPACK ``dgetri``, which
+the stage's Neumann route sweeps with.  There is
 one wrapper per LAPACK call.  :func:`_getrf` and :func:`_potrf` factor
 their argument in place: a Fortran-ordered (column-major) float matrix
 is overwritten by its factor, with no copy, so a caller that must keep
@@ -32,7 +34,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
@@ -122,6 +124,22 @@ def _getrs(lu, piv, b):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrs")
     return x
+
+
+def _getri(lu, piv):
+    """``M^{-1}`` from :func:`_getrf`'s factors with LAPACK ``dgetri``, in place.
+
+    A Fortran-ordered ``lu`` is overwritten by the inverse, as
+    :func:`_getrf` overwrites ``M``, so a caller that keeps the factors
+    passes a copy; no identity right-hand side is built.  The factors must
+    have passed a pivot test: an exactly zero pivot raises ``ValueError``.
+    """
+    inv, info = dgetri(lu, piv, overwrite_lu=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgetri")
+    if info > 0:
+        raise ValueError(f"dgetri met the zero pivot U[{info - 1}, {info - 1}]")
+    return inv
 
 
 def _potrf(M):

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
-from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
-                      _potrs, _squares_finite, as_vector, norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getri, _getrs,
+                      _potrf, _potrs, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -41,6 +42,11 @@ __all__ = [
 
 _BOUNDARY_FRACTION = 0.5   # share of ball_samples on the boundary sphere
 _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's floor test
+
+#: Most sweeps a stage's Neumann route takes, and the contraction factor
+#: ``q`` at which that many reach the unit roundoff: ``q**8 = 2**-53``.
+_NEUMANN_SWEEPS = 7
+_NEUMANN_Q = 2.0 ** (-53 / (_NEUMANN_SWEEPS + 1))
 
 #: Ball samples behind a Newton bound, with the center prepended; only
 #: :func:`certify_newton_bound` draws them.
@@ -66,8 +72,9 @@ class NonlinearMap:
     componentwise map whose Jacobian is diagonal, as the length-``n``
     vector of that diagonal.  A map whose Jacobian is identically zero
     carries ``jac_fn=None``.  :func:`newton_velocity` adds a vector onto
-    ``A``'s diagonal and, for None, reuses ``A``'s LU instead of factoring
-    ``A + 0``.  :meth:`jacobian` always returns the dense ``(n, n)`` matrix.
+    ``A``'s diagonal, or scales its Neumann sweeps by it, and, for None,
+    reuses ``A``'s LU instead of factoring ``A + 0``.  :meth:`jacobian`
+    always returns the dense ``(n, n)`` matrix.
 
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
@@ -243,7 +250,8 @@ def newton_velocity(problem, u):
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one factorization
-    of ``M = A + g'(u)`` per call.  A Jacobian that ``jac_fn`` returns as
+    of ``M = A + g'(u)`` per call, unless the Neumann route below proves
+    that none is needed.  A Jacobian that ``jac_fn`` returns as
     its diagonal goes onto the diagonal of a column-major copy of ``A``,
     with no ``(n, n)`` ``g'(u)``, and that copy is factored in place, so
     the factorization costs one copy of ``A``; for ``jac_fn=None``,
@@ -267,6 +275,26 @@ def newton_velocity(problem, u):
     ``A`` without the flag, even one whose entries happen to be symmetric.
     Neither the entries nor a dense Jacobian is tested for symmetry.
 
+    *Neumann route.*  A diagonal ``g'(u)`` factors nothing where
+    ``q = max|g'(u)| / sigma_min(A) <= 2^(-53/8)``, about 0.0102.  Then
+    ``|A^{-1} g'(u)| <= q < 1``, so ``T = I + A^{-1} g'(u)`` is invertible
+    and ``T^{-1} f`` is the limit of the sweeps ``x <- f - A^{-1}(g'(u) x)``
+    from ``x = f``, whose error after ``k`` sweeps is at most
+    ``q^(k+1) |x|``; :func:`_neumann_velocity` takes the ``k <= 7`` sweeps
+    that bring it to the unit roundoff ``2^-53``, each one BLAS ``dgemv``
+    against ``A^{-1}``, which LAPACK ``dgetri`` forms from ``A``'s cached LU
+    once per :func:`_stage`, at the first stage that takes the route.
+    ``sigma_min(A)`` is read once per :func:`_stage` from ``A``'s cached
+    eigenvalues when ``A`` is self-adjoint, from its cached SVD otherwise,
+    and lowered by the eigensolver's rounding
+    :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.  The route is open
+    only where its at most 7 sweeps of ``2 n^2`` flops cost less than the
+    factorization they replace, ``n^3/3`` for ``dpotrf`` and ``2 n^3/3``
+    for ``dgetrf``: ``n >= 43`` for a self-adjoint ``A`` and ``n >= 22``
+    otherwise.  Below those dims ``q`` is never formed; a stage whose ``q``
+    exceeds the bound, or is NaN, factors ``M`` as above.  The velocity
+    agrees with the factored one to rounding, not bitwise.
+
     ``u`` is checked up front, and the rest of the stage through one fault
     signal instead of a scan of each array it touches:
 
@@ -277,13 +305,16 @@ def newton_velocity(problem, u):
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
       (:class:`SingularOperator`) once per :func:`_stage`, that is once
       per :func:`~dsmflow.flow.integrate` run, not once per stage.
-    - The signal is five tests that scan nothing.  ``f.f``, whose root is
-      ``p``, is finite: ``g(u)`` is, since the triangular solves behind
-      ``A^{-1} g(u)`` leave a non-finite entry non-finite.  ``max|M|`` is
-      finite: ``g'(u)``
-      and ``M`` are, since NaN propagates through ``max``; for a diagonal
-      ``g'(u)`` it is the larger of the diagonal sums' maximum modulus and
-      ``A``'s cached
+    - On the Neumann route the signal is two tests: ``f.f`` and ``v.v``
+      are finite, as below.  A ``g'(u)`` that is not finite makes ``q``
+      NaN or infinite, which fails the route's bound, so the stage goes on
+      to the factor path and its ``max|M|`` test.
+    - The factor path's signal is five tests that scan nothing.  ``f.f``,
+      whose root is ``p``, is finite: ``g(u)`` is, since the triangular
+      solves behind ``A^{-1} g(u)`` leave a non-finite entry non-finite.
+      ``max|M|`` is finite: ``g'(u)`` and ``M`` are, since NaN propagates
+      through ``max``; for a diagonal ``g'(u)`` it is the larger of the
+      diagonal sums' maximum modulus and ``A``'s cached
       :meth:`~dsmflow.hilbert.DenseOperator.off_diagonal_max`, with no
       scan of the ``n^2`` entries.  ``dpotrf``'s ``info``, and a smallest
       Cholesky pivot that is not NaN: the factor is finite (see
@@ -292,17 +323,18 @@ def newton_velocity(problem, u):
       so a large finite ``v`` does not warn.  An LU factor is still
       scanned, by :func:`~dsmflow.hilbert._getrf`.
     - When the signal fires, ``A``'s pivot test has failed or ``u`` has the
-      wrong length, the same body runs again with every scan on, in the
-      order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
-      pivot test between the two, ``max|M|`` (``ValueError``), the
-      Cholesky factor (``ValueError``) and ``A f`` (``ValueError``, before
-      either solve).  That run raises the first fault there
-      is, or returns the same result after a false alarm, a finite ``f``
-      or ``v`` whose squares overflow.  So ``g`` and ``g'`` are evaluated
-      once per stage unless a value is not finite.  A ``g'(u)`` with both
-      a non-finite entry and a finite one that overflows when added to
-      ``A`` warns (``RuntimeWarning``) as ``M`` is built, before that run
-      raises the Jacobian's ``ValueError``.
+      wrong length, the same body runs again with every scan on, on the
+      factor path whatever ``q`` is, in the order of its work: ``g(u)``
+      and ``g'(u)`` (``ValueError``), ``A``'s pivot test between the two,
+      ``max|M|`` (``ValueError``), the Cholesky factor (``ValueError``) and
+      ``A f`` (``ValueError``, before either solve).  That run raises the
+      first fault there is, or returns the same result after a false
+      alarm, a finite ``f`` or ``v`` whose squares overflow; after a false
+      alarm on the Neumann route, the factor path's result.  So ``g`` and
+      ``g'`` are evaluated once per stage unless a value is not finite.  A
+      ``g'(u)`` with both a non-finite entry and a finite one that
+      overflows when added to ``A`` warns (``RuntimeWarning``) as ``M`` is
+      built, before that run raises the Jacobian's ``ValueError``.
 
     When ``M`` has a pivot below ``1e-9 * max(1, max|M|)``, an LU pivot or
     the square ``min(diag C)^2`` of the smallest Cholesky pivot, the
@@ -327,6 +359,7 @@ def _stage(problem):
     g = problem.g
     n = A.dim
     Ae = A.entries
+    smin_a = 0.0
     try:
         A._solve_factors(problem.u0)
     except (SingularOperator, ValueError):
@@ -338,9 +371,16 @@ def _stage(problem):
         lu_a, piv_a, minpiv_a, amax = A._factorize()
         symmetric = A.self_adjoint
         offdiag = A.off_diagonal_max()
+        # the Neumann route's sweeps, 2 n^2 flops each, must cost less than
+        # the factorization they replace: n^3/3 for dpotrf, 2 n^3/3 for dgetrf
+        if n * (1 if symmetric else 2) > 6 * _NEUMANN_SWEEPS:
+            # sigma_min(A) from the cached spectrum, lowered by its rounding
+            smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
+    inverse = None
 
     def stage(u, checked=not sound):
         """``(v, p, g(u))`` at ``u``; ``checked`` turns every scan on."""
+        nonlocal inverse
         u = as_vector(u)
         if not (checked or u.size == n):
             return stage(u, True)
@@ -356,6 +396,16 @@ def _stage(problem):
             lu, piv, minpiv, m_max = lu_a, piv_a, minpiv_a, amax
         else:
             diagonal = J.ndim == 1
+            if diagonal and smin_a > 0.0 and not checked:
+                # a NaN q fails the test and leaves the fault to the factor path
+                q = float(np.abs(J).max()) / smin_a
+                if q <= _NEUMANN_Q:
+                    if inverse is None:
+                        inverse = _getri(lu_a.copy(order="F"), piv_a)
+                    v = _neumann_velocity(inverse, J, f, q)
+                    if not _squares_finite(v):
+                        return stage(u, True)
+                    return v, math.sqrt(ff), gu
             cholesky = diagonal and symmetric
             if diagonal:
                 M, d = _plus_diagonal(Ae, J, cholesky)
@@ -396,6 +446,23 @@ def _stage(problem):
         return v, math.sqrt(ff), gu
 
     return stage
+
+
+def _neumann_velocity(inverse, j, f, q):
+    """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
+
+    ``inverse`` is ``A^{-1}``.  With ``K = A^{-1} diag(j)`` and ``x = -v``,
+    ``x = f - K x``, so the sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i``
+    leave the error ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
+    ``k = ceil(-53 / log2(q)) - 1`` sweeps taken here bring to the unit
+    roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7.  Each sweep is one
+    BLAS ``dgemv``.
+    """
+    k = 0 if q == 0.0 else min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
+    v = -f
+    for _ in range(k):
+        v = dgemv(-1.0, inverse, j * v, -1.0, f)
+    return v
 
 
 def _plus_diagonal(X, j, symmetric):

@@ -10,7 +10,7 @@ residual through :func:`~dsmflow.model.preconditioned_residual`,
 :func:`~dsmflow.model.solve_linearized`, and the last two are also the
 small-pivot fallback of the flow's stage,
 :func:`~dsmflow.model.newton_velocity`.  It shares neither the RK stepping
-nor the stage's one factorization of ``A + g'(u)``.
+nor the stage's factorization of ``A + g'(u)`` or its Neumann sweeps.
 """
 
 from dataclasses import dataclass

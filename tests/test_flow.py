@@ -26,6 +26,7 @@ from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            estimate_newton_bound, full_residual,
                            linearized_operator, newton_velocity,
                            preconditioned_residual)
+from dsmflow.oracles import newton_oracle
 from dsmflow.problems import ill_conditioned, sector_blocks, singular_monotone, wellposed_cubic
 from evidence import diagonal_operator, error_bound_check
 
@@ -455,12 +456,16 @@ def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
 
 @pytest.mark.parametrize("make, potrf, getrf", [
     pytest.param(lambda: wellposed_cubic(10).problem, 1, 0, id="wellposed_cubic-10"),
+    pytest.param(lambda: wellposed_cubic(20).problem, 1, 0, id="wellposed_cubic-20"),
+    pytest.param(lambda: wellposed_cubic(42).problem, 1, 0, id="wellposed_cubic-42"),
     pytest.param(lambda: sector_blocks(8).problem, 0, 1, id="sector_blocks-8"),
+    pytest.param(lambda: sector_blocks(20).problem, 0, 1, id="sector_blocks-20"),
     pytest.param(indefinite_problem, 1, 1, id="indefinite-6"),
 ])
 def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, getrf):
     # a vector Jacobian on an exactly symmetric A tries dpotrf, and only an
-    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf
+    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf; below the
+    # Neumann route's dims (43 self-adjoint, 22 otherwise) every stage factors
     problem = make()
     calls = _count_factorizations(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
@@ -494,6 +499,81 @@ def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
         assert v.tobytes() == ref.tobytes()
 
 
+# -- the Neumann route ---------------------------------------------------------------
+#
+# Where q = max|g'(u)| / sigma_min(A) <= 2^(-53/8) and the sweeps cost less
+# than the factorization (n >= 43 for a self-adjoint A, n >= 22 otherwise),
+# a diagonal-Jacobian stage solves against A's inverse and factors nothing.
+
+
+def _count_inversions(monkeypatch):
+    """Count the stage's ``dgetri`` calls, through the binding it inverts ``A`` with."""
+    calls = []
+    getri = model._getri
+    monkeypatch.setattr(model, "_getri", lambda lu, piv: calls.append(lu.shape) or getri(lu, piv))
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: wellposed_cubic(200).problem, id="wellposed_cubic-200"),
+    pytest.param(lambda: sector_blocks(64).problem, id="sector_blocks-64"),
+])
+def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make):
+    # one inverse of A per run and no stage factorization; the factor path,
+    # forced by a bound no q meets, takes the same steps to the same point
+    problem = make()
+    calls = _count_factorizations(monkeypatch)
+    inversions = _count_inversions(monkeypatch)
+    res = integrate(problem)
+    assert res.converged and calls == {"potrf": 0, "getrf": 0}
+    assert inversions == [(problem.dim, problem.dim)]
+    monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
+    factored = integrate(problem)
+    stages = 2 + 6 * (factored.n_accepted + factored.n_rejected)
+    assert sum(calls.values()) == stages and len(inversions) == 1
+    assert (res.n_accepted, res.n_rejected) == (factored.n_accepted, factored.n_rejected)
+    assert np.linalg.norm(res.u_final - factored.u_final) <= 1e-13
+    ref = newton_oracle(problem, tol=1e-12).solution
+    assert norm(res.u_final - ref) <= 1e-7
+
+
+@pytest.mark.parametrize("make, dim", [
+    (wellposed_cubic, 43), (wellposed_cubic, 200), (sector_blocks, 22), (sector_blocks, 64)])
+def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
+    # near u0 the stage takes the route; the witness shares nothing with it
+    # but A, g and g'
+    p = make(dim).problem
+    calls = _count_factorizations(monkeypatch)
+    u = p.u0 + 0.005 * np.random.default_rng(4).standard_normal(dim)
+    A = p.shifted.entries
+    f = preconditioned_residual(p, u)
+    ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
+    v = newton_velocity(p, u)[0]
+    assert calls == {"potrf": 0, "getrf": 0}
+    assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make, dim, potrf", [(wellposed_cubic, 64, 1), (sector_blocks, 64, 0)])
+def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim, potrf):
+    # q = 0.3 u_0^2 / sigma_min(A) > 2^(-53/8) at u_0 = 0.6: the stage factors
+    # M = A + g'(u) and its velocity is bitwise scipy's solve with that factor
+    p = make(dim).problem
+    u = p.u0.copy()
+    u[0] = 0.6
+    calls = _count_factorizations(monkeypatch)
+    inversions = _count_inversions(monkeypatch)
+    v = newton_velocity(p, u)[0]
+    assert calls == {"potrf": potrf, "getrf": 1 - potrf} and inversions == []
+    A = p.shifted.entries
+    f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), p.g(u))
+    M = A + np.diag(p.g.jac_fn(u))
+    if potrf:
+        ref = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), A @ f)
+    else:
+        ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), A @ f)
+    assert v.tobytes() == ref.tobytes()
+
+
 # -- the stage's fault signal ------------------------------------------------------
 #
 # A stage scans its point, and checks the rest through one fault signal that
@@ -525,6 +605,8 @@ _ROUTES = [
                  2, id="dense-lu-singular_monotone-10"),
     pytest.param(lambda: singular_monotone(10, rank=5).problem.with_epsilon(1e-2), 1,
                  id="no-jacobian-singular_monotone-10"),
+    pytest.param(lambda: wellposed_cubic(64).problem, 1, id="neumann-wellposed_cubic-64"),
+    pytest.param(lambda: sector_blocks(64).problem, 1, id="neumann-sector_blocks-64"),
 ]
 
 
@@ -532,8 +614,8 @@ _ROUTES = [
 def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
         monkeypatch, make, scans_per_stage):
     # g and g' once per stage, on every route; one scan per stage on the
-    # Cholesky and no-Jacobian routes, two where the stage factors by LU;
-    # recording a point scans F(u) once
+    # Cholesky, no-Jacobian and Neumann routes, two where the stage factors
+    # by LU; recording a point scans F(u) once
     calls = {"fn": 0, "jac": 0}
     problem = _counting(make(), calls)
     problem.shifted._factorize()

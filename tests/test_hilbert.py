@@ -12,8 +12,8 @@ import pytest
 import scipy.linalg
 
 from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
-from dsmflow.hilbert import (DenseOperator, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
-                             _potrs, as_vector, norm)
+from dsmflow.hilbert import (DenseOperator, _all_finite, _eig_slack, _getrf, _getri, _getrs,
+                             _potrf, _potrs, as_vector, norm)
 from dsmflow.problems import ill_conditioned, singular_canonical
 from evidence import diagonal_operator
 
@@ -400,6 +400,23 @@ def test_factors_are_checked_once_when_made():
     lu, piv = _getrf(np.eye(2))
     lu[1, 0] = np.nan
     assert np.isnan(_getrs(lu, piv, np.ones(2))).any()
+
+
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_getri_inverts_in_place_from_the_lu_factors(n):
+    # a Fortran-ordered copy of the factors becomes the inverse, with no
+    # identity right-hand side; the factors it was copied from keep their bits
+    rng = np.random.default_rng(n)
+    M = random_matrix(rng, n) + n * np.eye(n)
+    lu, piv = _getrf(M.copy(order="F"))
+    kept = lu.copy()
+    work = lu.copy(order="F")
+    inv = _getri(work, piv)
+    assert np.shares_memory(inv, work) and same_bits(lu, kept)
+    assert np.abs(inv @ M - np.eye(n)).max() <= 1e-13
+    assert np.abs(inv - np.linalg.inv(M)).max() <= 1e-13 * np.abs(inv).max()
+    with pytest.raises(ValueError, match="zero pivot"):
+        _getri(np.zeros((2, 2), order="F"), np.array([1, 2], dtype=np.int32))
 
 
 @pytest.mark.parametrize("n", [1, 10, 200])

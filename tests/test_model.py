@@ -286,6 +286,31 @@ def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows
     assert type(exc.value) is cls and str(exc.value) == message
 
 
+@pytest.mark.parametrize("make", [wellposed_cubic, sector_blocks])
+def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make):
+    # at dim 64 a finite g'(u) near u0 takes the Neumann route; a NaN one
+    # gives a NaN q, which the route refuses, and the factor path's max|M|
+    # sends the stage to its checked re-run, whose scan raises
+    p = make(64).problem
+    jac = p.g.jac_fn
+
+    def nan_far(u):
+        return np.full(u.size, np.nan) if u[0] > 2.0 else jac(u)
+
+    p = replace(p, g=NonlinearMap(p.g.fn, nan_far, name="faulty"))
+    far = p.u0.copy()
+    far[0] = 3.0
+    inversions = []
+    getri = model._getri
+    monkeypatch.setattr(model, "_getri", lambda *a: inversions.append(1) or getri(*a))
+    stage = model._stage(p)
+    stage(p.u0)
+    with pytest.raises(ValueError) as exc:
+        stage(far)
+    assert type(exc.value) is ValueError and str(exc.value) == _NON_FINITE_J
+    assert inversions == [1]
+
+
 def test_stage_fault_on_a_nan_cholesky_pivot_raises_the_factor_scan(monkeypatch):
     # dpotrf that accepts M (info = 0) but leaves a NaN pivot, as OpenBLAS
     # does on a NaN that reaches a pivot's argument: the pivot test is the
