@@ -4,17 +4,16 @@ The flow integrated here is ``du/dt = phi(u)`` with
 
     phi(u) = -[I + (L+eps*I)^{-1} g'(u)]^{-1} [u + (L+eps*I)^{-1} g(u)]
 
-It is computed as ``phi(u) = -(A + g'(u))^{-1} (A f)`` with ``A = L+eps*I``
-and ``f = u + A^{-1} g(u)``: one factorization of ``A + g'(u)`` per stage,
-a lower Cholesky factor where a diagonal ``g'(u)`` on a self-adjoint ``A``
-admits one and an LU otherwise.  A diagonal ``g'(u)`` with
-``q = max|g'(u)| / sigma_min(A) <= 2^(-53/8)`` needs none: then
-``|A^{-1} g'(u)| <= q < 1`` proves the Neumann series of
-``[I + A^{-1} g'(u)]^{-1}`` convergent, and at most seven sweeps
-``x <- f - A^{-1}(g'(u) x)`` against ``A``'s inverse, formed once per run,
-reach the unit roundoff.  That route is open from ``n = 43`` for a
-self-adjoint ``A`` and ``n = 22`` otherwise, the dims where the sweeps
-cost fewer flops than the factorization.  See
+Write ``A = L+eps*I`` and ``f = u + A^{-1} g(u)``.  One rule, the proven
+contraction factor ``q >= |A^{-1} g'(u)|``, picks how a stage solves it.
+Where ``q <= 2^(-53/8)``, the Neumann series of ``[I + A^{-1} g'(u)]^{-1}``
+converges, and at most seven sweeps ``x <- f - A^{-1}(g'(u) x)`` against
+``A``'s cached inverse reach the unit roundoff: a diagonal ``g'(u)`` has
+``q = max|g'(u)| / sigma_min(A)``, and a zero Jacobian has ``q = 0``, so
+its velocity is ``-f``.  Every other stage computes
+``phi(u) = -(A + g'(u))^{-1} (A f)`` with one factorization of
+``A + g'(u)``: a lower Cholesky factor where a diagonal ``g'(u)`` on a
+self-adjoint ``A`` admits one, and an LU otherwise.  See
 :func:`dsmflow.model.newton_velocity`.
 
 Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per

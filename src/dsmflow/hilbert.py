@@ -9,20 +9,19 @@ and the psd flag is checked against the eigensolver's rounding
 :func:`_eig_slack`, the slack of every eigenvalue certificate.  It caches
 its factorizations on first use: one LU, and either the eigenvalues of a
 self-adjoint operator, from which its singular values are read, or the
-singular values of any other.  It also caches the largest modulus off
-its diagonal, which :meth:`DenseOperator.shifted` passes on.  Its LU
-factors come straight from LAPACK ``dgetrf``/``dgetrs`` through
-:func:`_getrf` and :func:`_getrs`, which give bitwise what
-``scipy.linalg.lu_factor``/``lu_solve`` give without their per-call
-wrapper cost.  :func:`_potrf` and :func:`_potrs` do the same for the
-lower Cholesky factor, LAPACK ``dpotrf``/``dpotrs``, which the flow's
-stage takes for a self-adjoint operator before it falls back to LU, and
-:func:`_getri` turns LU factors into the inverse, LAPACK ``dgetri``, which
-the stage's Neumann route sweeps with.  There is
-one wrapper per LAPACK call.  :func:`_getrf` and :func:`_potrf` factor
-their argument in place: a Fortran-ordered (column-major) float matrix
-is overwritten by its factor, with no copy, so a caller that must keep
-the matrix passes a copy.  :func:`_getrs` and :func:`_potrs` do not
+singular values of any other, and, once asked for, the inverse that the
+flow's stage sweeps with on its Neumann route.  Its LU factors come
+straight from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
+:func:`_getrs`, which give bitwise what ``scipy.linalg.lu_factor``/
+``lu_solve`` give without their per-call wrapper cost.  :func:`_potrf`
+and :func:`_potrs` do the same for the lower Cholesky factor, LAPACK
+``dpotrf``/``dpotrs``, which the stage takes for a self-adjoint operator
+before it falls back to LU, and :func:`_getri` turns LU factors into the
+inverse, LAPACK ``dgetri``.  There is one wrapper per LAPACK call.
+:func:`_getrf` and :func:`_potrf` factor their argument in place: a
+Fortran-ordered (column-major) float matrix is overwritten by its
+factor, with no copy, so a caller that must keep the matrix passes a
+copy.  :func:`_getrs` and :func:`_potrs` do not
 check the right-hand side: :meth:`DenseOperator.solve` does, and so does
 the stage's checked re-run (:func:`~dsmflow.model.newton_velocity`).
 
@@ -256,7 +255,7 @@ class DenseOperator:
         self._opnorm = None
         self._lu = None
         self._eigvals = None
-        self._offdiag_max = None
+        self._inv = None
         if not _verified:
             self._verify_flags()
 
@@ -271,9 +270,6 @@ class DenseOperator:
         # self-adjointness and (for eps >= 0) semidefiniteness survive the shift
         S = DenseOperator(A, self_adjoint=self.self_adjoint,
                           psd_claimed=self.psd_claimed, _verified=True)
-        # the shift touches only the diagonal, so exact symmetry and the
-        # off-diagonal maximum carry over
-        S._offdiag_max = self.off_diagonal_max()
         if self.self_adjoint:
             # the shift moves every eigenvalue by eps: no decomposition of A
             S._eigvals = self.eigenvalues() + eps
@@ -288,20 +284,6 @@ class DenseOperator:
     def apply(self, u):
         u = as_vector(u, dim=self.dim)
         return self.entries @ u
-
-    def off_diagonal_max(self):
-        """``max |A_ij|`` over ``i != j``, taken once and cached; 0.0 at dimension 1.
-
-        With it, ``max|A + D|`` for a diagonal ``D`` is the larger of this
-        and ``max|diag(A + D)|``, bitwise, with no scan of all ``n^2``
-        entries: :func:`~dsmflow.model.newton_velocity` reads a stage
-        matrix's maximum so, and :meth:`_factorize` its own.
-        """
-        if self._offdiag_max is None:
-            B = np.abs(self.entries)
-            np.fill_diagonal(B, 0.0)
-            self._offdiag_max = float(B.max())
-        return self._offdiag_max
 
     def _verify_flags(self):
         """Check the flags, and store a self-adjoint operator's symmetric part."""
@@ -377,18 +359,29 @@ class DenseOperator:
 
         Taken once per operator, from a Fortran-ordered copy of the
         entries, which :func:`_getrf` overwrites; ``entries`` is left as
-        it was.  ``amax`` is read from the diagonal and
-        :meth:`off_diagonal_max`.  It scales the relative pivot tests of
-        :func:`~dsmflow.model.solve_linearized` and, for a map whose
-        Jacobian is zero, :func:`~dsmflow.model.newton_velocity`, which
-        reuse these factors instead of scanning or factoring ``A`` again.
+        it was.  ``amax`` scales the relative pivot tests of
+        :func:`~dsmflow.model.solve_linearized` and, plus ``max|g'(u)|``
+        for a diagonal Jacobian, of :func:`~dsmflow.model.newton_velocity`,
+        which reuse these factors instead of scanning or factoring ``A``
+        again.
         """
         if self._lu is None:
             lu, piv = _getrf(self.entries.copy(order="F"))
             minpiv = float(np.abs(lu.diagonal()).min())
-            amax = max(float(np.abs(self.entries.diagonal()).max()), self.off_diagonal_max())
-            self._lu = (lu, piv, minpiv, amax)
+            self._lu = (lu, piv, minpiv, float(np.abs(self.entries).max()))
         return self._lu
+
+    def _inverse(self):
+        """Cached ``A^{-1}``, from :func:`_getri` on a copy of :meth:`_factorize`'s LU.
+
+        Formed at the first call, so the flow's stage pays LAPACK ``dgetri``
+        once per operator however many runs or single calls ask for it.
+        The caller has passed :meth:`_solve_factors`'s pivot test.
+        """
+        if self._inv is None:
+            lu, piv, _, _ = self._factorize()
+            self._inv = _getri(lu.copy(order="F"), piv)
+        return self._inv
 
     def _solve_factors(self, b):
         """Cached ``(lu, piv)`` for solving against ``b``, after the checks of :meth:`solve`.

@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
-from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getri, _getrs,
-                      _potrf, _potrs, _squares_finite, as_vector, norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
+                      _potrs, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -73,8 +73,9 @@ class NonlinearMap:
     vector of that diagonal.  A map whose Jacobian is identically zero
     carries ``jac_fn=None``.  :func:`newton_velocity` adds a vector onto
     ``A``'s diagonal, or scales its Neumann sweeps by it, and, for None,
-    reuses ``A``'s LU instead of factoring ``A + 0``.  :meth:`jacobian`
-    always returns the dense ``(n, n)`` matrix.
+    returns ``-f``, the Neumann route's case ``q = 0``, with no solve
+    beyond ``f``'s.  :meth:`jacobian` always returns the dense ``(n, n)``
+    matrix.
 
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
@@ -83,7 +84,7 @@ class NonlinearMap:
     :meth:`_value` and :meth:`_jacobian`, which check only the output.
     A flow stage has them check only its shape:
     the stage's fault signal sees a non-finite ``g(u)`` in ``|f|`` and a
-    non-finite ``g'(u)`` in ``max|A + g'(u)|``, and only a stage that
+    non-finite ``g'(u)`` in its pivot test's scale, and only a stage that
     re-runs on that signal scans them (see :func:`newton_velocity`).
     """
     fn: callable
@@ -249,23 +250,41 @@ def newton_velocity(problem, u):
     """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u``, the residual norm ``|f(u)|`` and ``g(u)``.
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
-    LU, and the velocity is ``v = -(A + g'(u))^{-1} (A f)``, one factorization
-    of ``M = A + g'(u)`` per call, unless the Neumann route below proves
-    that none is needed.  A Jacobian that ``jac_fn`` returns as
-    its diagonal goes onto the diagonal of a column-major copy of ``A``,
-    with no ``(n, n)`` ``g'(u)``, and that copy is factored in place, so
-    the factorization costs one copy of ``A``; for ``jac_fn=None``,
-    ``M = A`` and the call takes ``A``'s cached LU and ``max|A|`` and
-    factors nothing.  This equals
-    ``-[I + A^{-1} g'(u)]^{-1} f`` without forming ``A^{-1} g'(u)``.  The
-    right-hand side is ``A f`` rather than ``A u + g(u)``: both are
-    ``F(u)``, but the latter cancels to an absolute error near machine
-    epsilon, which ``M^{-1}`` magnifies by up to ``1/eps`` at deep shifts.
+    LU, and the velocity is ``v = -T^{-1} f`` with
+    ``T = I + A^{-1} g'(u)``.  One rule picks how ``T`` is solved: the
+    contraction factor ``q``, a proven bound on ``|A^{-1} g'(u)|``.  A zero
+    Jacobian, ``jac_fn=None``, has ``q = 0``; a Jacobian that ``jac_fn``
+    returns as its diagonal has ``q = max|g'(u)| / sigma_min(A)``; a dense
+    one has no ``q`` and always takes the factor path.
 
-    Structure picks the factorization.  A diagonal ``g'(u)`` on an ``A``
-    with the ``self_adjoint`` flag, whose stored entries equal their
-    transpose exactly (:class:`~dsmflow.hilbert.DenseOperator` keeps the
-    symmetric part), leaves ``M`` symmetric, and ``M`` is factored by
+    *Neumann route, ``q <= 2^(-53/8)``, about 0.0102, at every dim.*  Then
+    ``T`` is invertible and ``T^{-1} f`` is the limit of the sweeps
+    ``x <- f - A^{-1}(g'(u) x)`` from ``x = f``, whose error after ``k``
+    sweeps is at most ``q^(k+1) |x|``; :func:`_neumann_velocity` takes the
+    ``k <= 7`` sweeps that bring it to the unit roundoff ``2^-53``, each
+    one BLAS ``dgemv`` against ``A^{-1}``, which LAPACK ``dgetri`` forms
+    from ``A``'s cached LU once per operator and the operator caches
+    (:meth:`~dsmflow.hilbert.DenseOperator._inverse`), so repeated calls on
+    one problem invert ``A`` once.  ``sigma_min(A)`` is read once per
+    :func:`_stage` from ``A``'s cached eigenvalues when ``A`` is
+    self-adjoint, from its cached SVD otherwise, and lowered by the
+    eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.
+    ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a zero Jacobian
+    factors, inverts and multiplies nothing.  The velocity agrees with the
+    factored one to rounding, not bitwise.
+
+    *Factor path, every other stage.*  ``v = -(A + g'(u))^{-1} (A f)``, one
+    factorization of ``M = A + g'(u)``; this equals ``-T^{-1} f`` without
+    forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather than
+    ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
+    absolute error near machine epsilon, which ``M^{-1}`` magnifies by up
+    to ``1/eps`` at deep shifts.  A diagonal ``g'(u)`` goes onto the
+    diagonal of a column-major copy of ``A``, with no ``(n, n)`` ``g'(u)``,
+    and that copy is factored in place, so the factorization costs one copy
+    of ``A``.  Structure picks the factorization.  A diagonal ``g'(u)`` on
+    an ``A`` with the ``self_adjoint`` flag, whose stored entries equal
+    their transpose exactly (:class:`~dsmflow.hilbert.DenseOperator` keeps
+    the symmetric part), leaves ``M`` symmetric, and ``M`` is factored by
     lower Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a
     monotone ``g``, ``M`` is positive definite, and Cholesky needs no
     pivoting to be backward stable there.  When ``dpotrf`` meets a
@@ -275,25 +294,15 @@ def newton_velocity(problem, u):
     ``A`` without the flag, even one whose entries happen to be symmetric.
     Neither the entries nor a dense Jacobian is tested for symmetry.
 
-    *Neumann route.*  A diagonal ``g'(u)`` factors nothing where
-    ``q = max|g'(u)| / sigma_min(A) <= 2^(-53/8)``, about 0.0102.  Then
-    ``|A^{-1} g'(u)| <= q < 1``, so ``T = I + A^{-1} g'(u)`` is invertible
-    and ``T^{-1} f`` is the limit of the sweeps ``x <- f - A^{-1}(g'(u) x)``
-    from ``x = f``, whose error after ``k`` sweeps is at most
-    ``q^(k+1) |x|``; :func:`_neumann_velocity` takes the ``k <= 7`` sweeps
-    that bring it to the unit roundoff ``2^-53``, each one BLAS ``dgemv``
-    against ``A^{-1}``, which LAPACK ``dgetri`` forms from ``A``'s cached LU
-    once per :func:`_stage`, at the first stage that takes the route.
-    ``sigma_min(A)`` is read once per :func:`_stage` from ``A``'s cached
-    eigenvalues when ``A`` is self-adjoint, from its cached SVD otherwise,
-    and lowered by the eigensolver's rounding
-    :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.  The route is open
-    only where its at most 7 sweeps of ``2 n^2`` flops cost less than the
-    factorization they replace, ``n^3/3`` for ``dpotrf`` and ``2 n^3/3``
-    for ``dgetrf``: ``n >= 43`` for a self-adjoint ``A`` and ``n >= 22``
-    otherwise.  Below those dims ``q`` is never formed; a stage whose ``q``
-    exceeds the bound, or is NaN, factors ``M`` as above.  The velocity
-    agrees with the factored one to rounding, not bitwise.
+    The factor path's pivot test has the scale ``m_max``: ``max|M|`` for a
+    dense ``g'(u)``, and for a diagonal one ``max|A| + max|g'(u)|``, from
+    ``A``'s cached maximum and the scan that gave ``q``, which is at least
+    ``max|M|`` and at most twice it.  When ``M`` has a pivot below
+    ``1e-9 * max(1, m_max)``, an LU pivot or the square ``min(diag C)^2``
+    of the smallest Cholesky pivot, the velocity is taken from ``T``
+    through :func:`solve_linearized` instead, which raises
+    :class:`SingularLinearization` when ``T`` is numerically singular.  A
+    tiny pivot that comes from ``A`` alone is therefore not a refusal.
 
     ``u`` is checked up front, and the rest of the stage through one fault
     signal instead of a scan of each array it touches:
@@ -305,43 +314,41 @@ def newton_velocity(problem, u):
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
       (:class:`SingularOperator`) once per :func:`_stage`, that is once
       per :func:`~dsmflow.flow.integrate` run, not once per stage.
-    - On the Neumann route the signal is two tests: ``f.f`` and ``v.v``
-      are finite, as below.  A ``g'(u)`` that is not finite makes ``q``
-      NaN or infinite, which fails the route's bound, so the stage goes on
-      to the factor path and its ``max|M|`` test.
-    - The factor path's signal is five tests that scan nothing.  ``f.f``,
-      whose root is ``p``, is finite: ``g(u)`` is, since the triangular
-      solves behind ``A^{-1} g(u)`` leave a non-finite entry non-finite.
-      ``max|M|`` is finite: ``g'(u)`` and ``M`` are, since NaN propagates
-      through ``max``; for a diagonal ``g'(u)`` it is the larger of the
-      diagonal sums' maximum modulus and ``A``'s cached
-      :meth:`~dsmflow.hilbert.DenseOperator.off_diagonal_max`, with no
-      scan of the ``n^2`` entries.  ``dpotrf``'s ``info``, and a smallest
-      Cholesky pivot that is not NaN: the factor is finite (see
-      :func:`~dsmflow.hilbert._potrf`).  ``v.v`` is finite: ``A f`` is;
-      BLAS ``ddot`` takes it (:func:`~dsmflow.hilbert._squares_finite`),
-      so a large finite ``v`` does not warn.  An LU factor is still
-      scanned, by :func:`~dsmflow.hilbert._getrf`.
+    - Every stage tests that ``f.f``, whose root is ``p``, is finite:
+      ``g(u)`` is, since the triangular solves behind ``A^{-1} g(u)``
+      leave a non-finite entry non-finite.  For ``jac_fn=None`` that is
+      the whole signal, since ``v = -f``.
+    - On the Neumann route it adds one test: ``v.v`` is finite.  A
+      ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
+      which fails the route's bound and then the factor path's test of
+      ``m_max``.
+    - The factor path adds four tests that scan nothing.  ``m_max`` is
+      finite: ``g'(u)`` and ``M`` are, since NaN propagates through
+      ``max`` and ``m_max`` bounds ``max|M|``.  For a diagonal ``g'(u)``
+      the bound can overflow where ``M`` does not, only when ``max|A|``
+      or ``max|g'(u)|`` is within a factor 2 of the largest double; such
+      an ``M`` is refused as an overflowing one is.  ``dpotrf``'s
+      ``info``, and a smallest Cholesky pivot that is not NaN: the factor
+      is finite (see :func:`~dsmflow.hilbert._potrf`).  ``v.v`` is
+      finite: ``A f`` is; BLAS ``ddot`` takes it
+      (:func:`~dsmflow.hilbert._squares_finite`), so a large finite ``v``
+      does not warn.  An LU factor is still scanned, by
+      :func:`~dsmflow.hilbert._getrf`.
     - When the signal fires, ``A``'s pivot test has failed or ``u`` has the
-      wrong length, the same body runs again with every scan on, on the
-      factor path whatever ``q`` is, in the order of its work: ``g(u)``
-      and ``g'(u)`` (``ValueError``), ``A``'s pivot test between the two,
-      ``max|M|`` (``ValueError``), the Cholesky factor (``ValueError``) and
+      wrong length, the same body runs again with every scan on, in the
+      order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
+      pivot test between the two, then for a zero Jacobian ``f``
+      (``ValueError``), and otherwise the factor path whatever ``q`` is:
+      ``m_max`` (``ValueError``), the Cholesky factor (``ValueError``) and
       ``A f`` (``ValueError``, before either solve).  That run raises the
       first fault there is, or returns the same result after a false
       alarm, a finite ``f`` or ``v`` whose squares overflow; after a false
       alarm on the Neumann route, the factor path's result.  So ``g`` and
       ``g'`` are evaluated once per stage unless a value is not finite.  A
-      ``g'(u)`` with both a non-finite entry and a finite one that
+      dense ``g'(u)`` with both a non-finite entry and a finite one that
       overflows when added to ``A`` warns (``RuntimeWarning``) as ``M`` is
       built, before that run raises the Jacobian's ``ValueError``.
 
-    When ``M`` has a pivot below ``1e-9 * max(1, max|M|)``, an LU pivot or
-    the square ``min(diag C)^2`` of the smallest Cholesky pivot, the
-    velocity is taken from ``T = I + A^{-1} g'(u)`` through
-    :func:`solve_linearized` instead, which raises
-    :class:`SingularLinearization` when ``T`` is numerically singular.  A
-    tiny pivot that comes from ``A`` alone is therefore not a refusal.
     Returns ``(v, p, g(u))``, the last for :func:`~dsmflow.flow.integrate`
     to record ``F(u) = A u + g(u)`` without evaluating ``g`` again.
     """
@@ -359,7 +366,6 @@ def _stage(problem):
     g = problem.g
     n = A.dim
     Ae = A.entries
-    smin_a = 0.0
     try:
         A._solve_factors(problem.u0)
     except (SingularOperator, ValueError):
@@ -368,19 +374,12 @@ def _stage(problem):
         sound = False
     else:
         sound = True
-        lu_a, piv_a, minpiv_a, amax = A._factorize()
-        symmetric = A.self_adjoint
-        offdiag = A.off_diagonal_max()
-        # the Neumann route's sweeps, 2 n^2 flops each, must cost less than
-        # the factorization they replace: n^3/3 for dpotrf, 2 n^3/3 for dgetrf
-        if n * (1 if symmetric else 2) > 6 * _NEUMANN_SWEEPS:
-            # sigma_min(A) from the cached spectrum, lowered by its rounding
-            smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
-    inverse = None
+        lu_a, piv_a, _, amax = A._factorize()
+        # sigma_min(A) from the cached spectrum, lowered by its rounding
+        smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
 
     def stage(u, checked=not sound):
         """``(v, p, g(u))`` at ``u``; ``checked`` turns every scan on."""
-        nonlocal inverse
         u = as_vector(u)
         if not (checked or u.size == n):
             return stage(u, True)
@@ -391,47 +390,46 @@ def _stage(problem):
         if not (checked or math.isfinite(ff)):
             return stage(u, True)
         J = g._jacobian(u, checked)
-        chol = None
         if J is None:
-            lu, piv, minpiv, m_max = lu_a, piv_a, minpiv_a, amax
-        else:
-            diagonal = J.ndim == 1
-            if diagonal and smin_a > 0.0 and not checked:
-                # a NaN q fails the test and leaves the fault to the factor path
-                q = float(np.abs(J).max()) / smin_a
-                if q <= _NEUMANN_Q:
-                    if inverse is None:
-                        inverse = _getri(lu_a.copy(order="F"), piv_a)
-                    v = _neumann_velocity(inverse, J, f, q)
-                    if not _squares_finite(v):
-                        return stage(u, True)
-                    return v, math.sqrt(ff), gu
-            cholesky = diagonal and symmetric
-            if diagonal:
-                M, d = _plus_diagonal(Ae, J, cholesky)
-                # NaN first: max() keeps its first argument against a NaN
-                m_max = max(float(np.abs(d).max()), offdiag)
-            else:
-                # row-major: _getrf's wrapper makes the column-major copy faster
-                # than numpy's transposing add would
-                M = Ae + J
-                m_max = float(np.abs(M).max())
-            if not math.isfinite(m_max):
-                if not checked:
+            # q = 0: T = I, so the velocity is -f, whose squares f.f has tested
+            if checked and not _all_finite(f):
+                raise ValueError("right-hand side contains non-finite entries")
+            return -f, math.sqrt(ff), gu
+        diagonal = J.ndim == 1
+        if diagonal:
+            # one scan gives q's numerator and the pivot test's scale; a NaN
+            # from a non-finite g'(u) fails both tests, which re-run the stage
+            jmax = float(np.abs(J).max())
+            if not checked and smin_a > 0.0 and jmax <= _NEUMANN_Q * smin_a:
+                v = _neumann_velocity(A._inverse(), J, f, jmax / smin_a)
+                if not _squares_finite(v):
                     return stage(u, True)
-                raise ValueError("matrix to factor contains non-finite entries")
+                return v, math.sqrt(ff), gu
+            # at least max|A + diag g'(u)| and at most twice it
+            m_max = amax + jmax
+        else:
+            # row-major: _getrf's wrapper makes the column-major copy faster
+            # than numpy's transposing add would
+            M = Ae + J
+            m_max = float(np.abs(M).max())
+        if not math.isfinite(m_max):
+            if not checked:
+                return stage(u, True)
+            raise ValueError("matrix to factor contains non-finite entries")
+        cholesky = diagonal and A.self_adjoint
+        if diagonal:
+            M = _plus_diagonal(Ae, J, cholesky)
+        chol = _potrf(M) if cholesky else None
+        if chol is None:
             if cholesky:
-                chol = _potrf(M)
-                if chol is None:
-                    # dpotrf has overwritten M on its way to the refusal
-                    M, _ = _plus_diagonal(Ae, J, cholesky)
-                elif checked and not _all_finite(chol):
-                    raise ValueError("Cholesky factor contains non-finite entries")
-            if chol is None:
-                lu, piv = _getrf(M)
-                minpiv = np.abs(lu.diagonal()).min()
-            else:
-                minpiv = chol.diagonal().min() ** 2
+                # dpotrf has overwritten M on its way to the refusal
+                M = _plus_diagonal(Ae, J, cholesky)
+            lu, piv = _getrf(M)
+            minpiv = np.abs(lu.diagonal()).min()
+        else:
+            if checked and not _all_finite(chol):
+                raise ValueError("Cholesky factor contains non-finite entries")
+            minpiv = chol.diagonal().min() ** 2
         if not minpiv >= 1e-9 * max(1.0, m_max):
             if not checked and math.isnan(minpiv):
                 return stage(u, True)
@@ -466,7 +464,7 @@ def _neumann_velocity(inverse, j, f, q):
 
 
 def _plus_diagonal(X, j, symmetric):
-    """``(M, d)``: ``M = X + diag(j)`` in a Fortran-ordered copy, and ``d`` a view of its diagonal.
+    """``M = X + diag(j)`` in a Fortran-ordered copy.
 
     ``M`` is the stage matrix that :func:`~dsmflow.hilbert._potrf` or
     :func:`~dsmflow.hilbert._getrf` factors in place.  A ``symmetric``
@@ -476,9 +474,8 @@ def _plus_diagonal(X, j, symmetric):
     so the copy is a straight one.
     """
     M = (X.T if symmetric else X).copy("F")
-    d = M.ravel("K")[::j.size + 1]
-    d += j
-    return M, d
+    M.ravel("K")[::j.size + 1] += j
+    return M
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -676,7 +673,7 @@ def check_trust_condition(problem, newton_bound):
     ``|f0|_A / (sqrt(lambda_min(A)) (1 - delta))`` instead.
     """
     newton_bound = float(newton_bound)
-    if newton_bound <= 0.0:
+    if not newton_bound > 0.0:
         raise ValueError(f"newton bound must be positive, got {newton_bound}")
     p0 = norm(preconditioned_residual(problem, problem.u0))
     margin = problem.radius - p0 * newton_bound

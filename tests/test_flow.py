@@ -280,8 +280,8 @@ def test_stage_rejects_overflowing_linearization():
 
 def test_stage_rejects_overflowing_diagonal_linearization():
     # the same overflow, with g' passed as its diagonal: A and g' are checked,
-    # so only the diagonal sums A_ii + g'_i can overflow, and they are what
-    # the stage's max|M| reads besides A's cached off-diagonal maximum
+    # so only the diagonal sums A_ii + g'_i can overflow, and then so does the
+    # pivot test's scale max|A| + max|g'(u)|, which bounds them
     for L in (1e308 * np.eye(2), np.array([[1e308, -1e307], [-1e307, 1e308]])):
         p = misbehaving_problem(jac=lambda u: np.full(2, 1e308), L=DenseOperator(L))
         with np.errstate(over="ignore"), pytest.raises(
@@ -289,13 +289,24 @@ def test_stage_rejects_overflowing_diagonal_linearization():
             newton_velocity(p, _FAR)
 
 
+def test_stage_refuses_a_diagonal_stage_whose_pivot_scale_overflows():
+    # M = A + diag(g'(u)) has every entry 1e308, finite, but the scale the
+    # pivot test reads, max|A| + max|g'(u)|, overflows, and the stage refuses
+    # M as it refuses one that overflows; so does |A|_F in the route's slack
+    L = DenseOperator([[0.0, 1e308], [1e308, 0.0]])
+    p = misbehaving_problem(jac=lambda u: np.full(2, 1e308), L=L)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="matrix to factor contains non-finite entries"):
+        newton_velocity(p, _FAR)
+
+
 @pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
 @pytest.mark.parametrize("K, fallbacks", [(1e6, 1), (1e2, 0)])
 def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fallbacks):
     # M = L + g'(u) is [[0, -K, 0], [-K, 0, 0], [0, 0, 1e-4]] or diag(-K, 1, 1e-4):
     # dpotrf refuses both, and their smallest LU pivot 1e-4 is small only
-    # against 1e-9 * max|M|, where max|M| = K is the modulus of a negative
-    # entry off the diagonal, from A's cache, or on it, from the stage's sums
+    # against 1e-9 times the test's scale max|A| + max|g'(u)|, where K is the
+    # modulus of a negative entry of A off its diagonal, or K + 1 that of g'(u)
     if where == "off-diagonal":
         L = DenseOperator([[1.0, -K, 0.0], [-K, 1.0, 0.0], [0.0, 0.0, 1.0]], self_adjoint=True)
         j = np.array([-1.0, -1.0, 1e-4 - 1.0])
@@ -305,7 +316,8 @@ def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fa
     c = np.array([0.5, -0.25, 1.0])
     g = NonlinearMap(lambda u: j * u + c, lambda u: j.copy(), name="linear")
     p = DsmProblem(L=L, g=g, u0=np.zeros(3), radius=10.0)
-    assert L.self_adjoint and L.off_diagonal_max() == (K if where == "off-diagonal" else 0)
+    scale = L._factorize()[3] + np.abs(j).max()
+    assert L.self_adjoint and scale == (K + 1.0 if where == "off-diagonal" else K + 2.0)
     calls = []
     solve_linearized = model.solve_linearized
     monkeypatch.setattr(model, "solve_linearized", lambda *a: calls.append(1) or solve_linearized(*a))
@@ -403,10 +415,12 @@ def test_cholesky_stage_flow_matches_the_dense_lu_one(make):
     pytest.param(lambda: sector_blocks(8).problem, id="sector_blocks-8"),
     pytest.param(indefinite_problem, id="indefinite-6"),
 ])
-def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(make):
+def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(monkeypatch, make):
     # where both routes factor by LU, a non-symmetric A or an M that dpotrf
     # refuses, a vector Jacobian goes onto a copy of A's diagonal instead of
-    # A + diag(d), and nothing else changes
+    # A + diag(d), and nothing else changes; a bound no q meets closes the
+    # Neumann route, which a dense Jacobian never takes
+    monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
     problem = make()
     assert problem.g.jac_fn(problem.u0).shape == (problem.dim,)
     res = integrate(problem, FlowConfig(t_max=10.0))
@@ -416,15 +430,22 @@ def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(make):
     assert pickle.dumps(res) == pickle.dumps(dense)
 
 
+def _zero_diagonal_twin(g):
+    """``g`` with its zero Jacobian as the length-``n`` zero vector instead of None."""
+    return NonlinearMap(g.fn, lambda u: np.zeros(u.size), name=g.name, params=g.params,
+                        jac_floor=g.jac_floor)
+
+
 def test_constant_map_continuation_is_bitwise_the_dense_one():
-    # jac_fn=None takes A's cached LU at every stage instead of an LU of A + 0
+    # jac_fn=None is the case q = 0 of the Neumann route, v = -f with no
+    # sweep, which a zero diagonal Jacobian takes too
     problem = singular_monotone(10, rank=5).problem
     assert problem.g.jac_fn is None
     res = solve_minimal_norm(problem)
-    dense = solve_minimal_norm(replace(problem, g=_dense_twin(problem.g)))
+    zero = solve_minimal_norm(replace(problem, g=_zero_diagonal_twin(problem.g)))
     assert len(res.records) > 3
-    assert [r.inner_steps for r in res.records] == [r.inner_steps for r in dense.records]
-    assert pickle.dumps(res) == pickle.dumps(dense)
+    assert [r.inner_steps for r in res.records] == [r.inner_steps for r in zero.records]
+    assert pickle.dumps(res) == pickle.dumps(zero)
 
 
 def _count_factorizations(monkeypatch):
@@ -444,34 +465,43 @@ def _count_factorizations(monkeypatch):
 
 
 def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
+    # jac_fn=None and a zero diagonal factor nothing and give the same bits;
+    # the dense zero Jacobian factors A + 0 at every stage and takes the same
+    # steps to the same point up to rounding
     problem = singular_monotone(10, rank=5).problem.with_epsilon(1e-2)
     calls = _count_factorizations(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
+    zero = integrate(replace(problem, g=_zero_diagonal_twin(problem.g)), FlowConfig(t_max=10.0))
     assert res.n_accepted > 10 and calls == {"potrf": 0, "getrf": 0}
+    assert pickle.dumps(res) == pickle.dumps(zero)
     dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
     # the start, the initial-step probe and six stages per attempted step
     assert calls == {"potrf": 0, "getrf": 2 + 6 * (dense.n_accepted + dense.n_rejected)}
-    assert pickle.dumps(res) == pickle.dumps(dense)
+    assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
+    assert np.linalg.norm(res.u_final - dense.u_final) <= 1e-13 * np.linalg.norm(dense.u_final)
 
 
 @pytest.mark.parametrize("make, potrf, getrf", [
     pytest.param(lambda: wellposed_cubic(10).problem, 1, 0, id="wellposed_cubic-10"),
     pytest.param(lambda: wellposed_cubic(20).problem, 1, 0, id="wellposed_cubic-20"),
-    pytest.param(lambda: wellposed_cubic(42).problem, 1, 0, id="wellposed_cubic-42"),
-    pytest.param(lambda: sector_blocks(8).problem, 0, 1, id="sector_blocks-8"),
-    pytest.param(lambda: sector_blocks(20).problem, 0, 1, id="sector_blocks-20"),
+    pytest.param(lambda: wellposed_cubic(42, scale=1.0).problem, 1, 0, id="wellposed_cubic-42"),
+    pytest.param(lambda: sector_blocks(8, scale=1.0).problem, 0, 1, id="sector_blocks-8"),
+    pytest.param(lambda: sector_blocks(20, scale=1.0).problem, 0, 1, id="sector_blocks-20"),
     pytest.param(indefinite_problem, 1, 1, id="indefinite-6"),
 ])
 def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, getrf):
     # a vector Jacobian on an exactly symmetric A tries dpotrf, and only an
-    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf; below the
-    # Neumann route's dims (43 self-adjoint, 22 otherwise) every stage factors
+    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf; every stage
+    # the Neumann route does not take factors so, and every case has such
+    # stages: a cubic scale of 1 puts q above the route's bound at dim 42
+    # and on sector_blocks, where the default scale leaves none
     problem = make()
     calls = _count_factorizations(monkeypatch)
+    routes = _count_routes(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
-    stages = 2 + 6 * (res.n_accepted + res.n_rejected)
-    assert res.n_accepted > 10
-    assert calls == {"potrf": potrf * stages, "getrf": getrf * stages}
+    factored = 2 + 6 * (res.n_accepted + res.n_rejected) - len(routes)
+    assert res.n_accepted > 10 and factored > 0
+    assert calls == {"potrf": potrf * factored, "getrf": getrf * factored}
 
 
 def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
@@ -501,16 +531,24 @@ def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
 
 # -- the Neumann route ---------------------------------------------------------------
 #
-# Where q = max|g'(u)| / sigma_min(A) <= 2^(-53/8) and the sweeps cost less
-# than the factorization (n >= 43 for a self-adjoint A, n >= 22 otherwise),
-# a diagonal-Jacobian stage solves against A's inverse and factors nothing.
+# Where q = max|g'(u)| / sigma_min(A) <= 2^(-53/8), at any dim, a
+# diagonal-Jacobian stage solves against A's inverse and factors nothing; a
+# zero Jacobian is the case q = 0, whose velocity is -f.
 
 
 def _count_inversions(monkeypatch):
-    """Count the stage's ``dgetri`` calls, through the binding it inverts ``A`` with."""
+    """Count ``dgetri`` calls, through the binding ``DenseOperator._inverse`` calls."""
     calls = []
-    getri = model._getri
-    monkeypatch.setattr(model, "_getri", lambda lu, piv: calls.append(lu.shape) or getri(lu, piv))
+    getri = hilbert._getri
+    monkeypatch.setattr(hilbert, "_getri", lambda lu, piv: calls.append(lu.shape) or getri(lu, piv))
+    return calls
+
+
+def _count_routes(monkeypatch):
+    """Record the ``q`` of each diagonal-Jacobian stage that takes the Neumann route."""
+    calls = []
+    neumann = model._neumann_velocity
+    monkeypatch.setattr(model, "_neumann_velocity", lambda *a: calls.append(a[-1]) or neumann(*a))
     return calls
 
 
@@ -538,19 +576,36 @@ def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make):
 
 
 @pytest.mark.parametrize("make, dim", [
-    (wellposed_cubic, 43), (wellposed_cubic, 200), (sector_blocks, 22), (sector_blocks, 64)])
+    (wellposed_cubic, 2), (wellposed_cubic, 8), (wellposed_cubic, 16), (wellposed_cubic, 43),
+    (wellposed_cubic, 200), (sector_blocks, 2), (sector_blocks, 8), (sector_blocks, 22),
+    (sector_blocks, 64)])
 def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
-    # near u0 the stage takes the route; the witness shares nothing with it
-    # but A, g and g'
+    # g'(u) = 0.3 u^2, so scaling u puts q at half the route's bound, where
+    # it takes 6 or 7 sweeps; the witness shares nothing with the stage but
+    # A, g and g'
     p = make(dim).problem
     calls = _count_factorizations(monkeypatch)
-    u = p.u0 + 0.005 * np.random.default_rng(4).standard_normal(dim)
+    routes = _count_routes(monkeypatch)
     A = p.shifted.entries
+    u = p.u0 + 0.005 * np.random.default_rng(4).standard_normal(dim)
+    q = np.abs(p.g.jac_fn(u)).max() / np.linalg.svd(A, compute_uv=False)[-1]
+    u *= np.sqrt(0.5 * model._NEUMANN_Q / q)
     f = preconditioned_residual(p, u)
     ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
     v = newton_velocity(p, u)[0]
-    assert calls == {"potrf": 0, "getrf": 0}
+    assert calls == {"potrf": 0, "getrf": 0} and len(routes) == 1
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_repeated_velocity_calls_invert_a_once(monkeypatch):
+    # A's inverse is cached on the operator, so single calls on one problem
+    # pay dgetri once, as one run of the flow does
+    p = wellposed_cubic(8).problem
+    inversions = _count_inversions(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    for u in (0.1 * p.u0, 0.1 * p.u0 + 1e-3):
+        newton_velocity(p, u)
+    assert len(routes) == 2 and min(routes) > 0.0 and inversions == [(8, 8)]
 
 
 @pytest.mark.parametrize("make, dim, potrf", [(wellposed_cubic, 64, 1), (sector_blocks, 64, 0)])
@@ -598,24 +653,27 @@ def _counting(problem, calls):
 
 
 _ROUTES = [
-    pytest.param(lambda: wellposed_cubic(10).problem, 1, id="cholesky-wellposed_cubic-10"),
-    pytest.param(indefinite_problem, 2, id="refused-cholesky-indefinite-6"),
-    pytest.param(lambda: sector_blocks(8).problem, 2, id="lu-sector_blocks-8"),
+    pytest.param(lambda: wellposed_cubic(10, scale=1.0).problem, 0,
+                 id="cholesky-wellposed_cubic-10"),
+    pytest.param(indefinite_problem, 1, id="refused-cholesky-indefinite-6"),
+    pytest.param(lambda: sector_blocks(8, scale=1.0).problem, 1, id="lu-sector_blocks-8"),
     pytest.param(lambda: singular_monotone(10, rank=5, cubic_scale=0.1).problem.with_epsilon(1e-2),
-                 2, id="dense-lu-singular_monotone-10"),
-    pytest.param(lambda: singular_monotone(10, rank=5).problem.with_epsilon(1e-2), 1,
+                 1, id="dense-lu-singular_monotone-10"),
+    pytest.param(lambda: singular_monotone(10, rank=5).problem.with_epsilon(1e-2), 0,
                  id="no-jacobian-singular_monotone-10"),
-    pytest.param(lambda: wellposed_cubic(64).problem, 1, id="neumann-wellposed_cubic-64"),
-    pytest.param(lambda: sector_blocks(64).problem, 1, id="neumann-sector_blocks-64"),
+    pytest.param(lambda: wellposed_cubic(64).problem, 0, id="neumann-wellposed_cubic-64"),
+    pytest.param(lambda: sector_blocks(64).problem, 0, id="neumann-sector_blocks-64"),
 ]
 
 
-@pytest.mark.parametrize("make, scans_per_stage", _ROUTES)
+@pytest.mark.parametrize("make, lu", _ROUTES)
 def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
-        monkeypatch, make, scans_per_stage):
-    # g and g' once per stage, on every route; one scan per stage on the
-    # Cholesky, no-Jacobian and Neumann routes, two where the stage factors
-    # by LU; recording a point scans F(u) once
+        monkeypatch, make, lu):
+    # g and g' once per stage, on every route; one scan per stage for u,
+    # and one more where the stage factors by LU, which every stage that
+    # factors does in the cases with lu = 1; recording a point scans F(u)
+    # once.  At a cubic scale of 1, q leaves the Neumann route's bound at
+    # every stage of the Cholesky case and at some of the LU one
     calls = {"fn": 0, "jac": 0}
     problem = _counting(make(), calls)
     problem.shifted._factorize()
@@ -629,12 +687,15 @@ def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
 
     monkeypatch.setattr(hilbert, "_all_finite", counted)
     monkeypatch.setattr(model, "_all_finite", counted)
+    factors = _count_factorizations(monkeypatch)
+    routes = _count_routes(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
     assert res.n_accepted > 10
     stages = 2 + 6 * (res.n_accepted + res.n_rejected)
     jacobians = 0 if problem.g.jac_fn is None else stages
     assert calls == {"fn": stages, "jac": jacobians}
-    assert len(scans) == scans_per_stage * stages + len(res.trajectory)
+    assert factors["getrf"] == lu * (stages - len(routes))
+    assert len(scans) == stages + factors["getrf"] + len(res.trajectory)
 
 
 def test_a_fault_mid_run_raises_what_the_scans_raised():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dsmflow import hilbert
 from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
 from dsmflow.hilbert import (DenseOperator, _all_finite, _eig_slack, _getrf, _getri, _getrs,
                              _potrf, _potrs, as_vector, norm)
@@ -187,30 +188,6 @@ def test_psd_flag_is_checked_against_the_certificates_slack():
     # a zero eigenvalue that rounds negative within the slack is psd
     L = DenseOperator(np.diag([-1e-16, 1.0]), self_adjoint=True, psd_claimed=True)
     assert L.eigenvalues()[0] == -1e-16 and 1e-16 < _eig_slack(L)
-
-
-def test_off_diagonal_max_is_taken_once_and_survives_a_shift(monkeypatch):
-    # a negative off-diagonal extreme counts by its modulus, a larger
-    # diagonal entry not at all, and a dim-1 operator has no off-diagonal
-    B = np.array([[9.0, 2.0, -0.5], [-7.0, -8.0, 3.0], [1.0, 0.0, 5.0]])
-    assert DenseOperator(B).off_diagonal_max() == 7.0
-    assert DenseOperator(B.T.copy(order="F")).off_diagonal_max() == 7.0
-    assert DenseOperator([[-4.0]]).off_diagonal_max() == 0.0
-    assert diagonal_operator([3.0, -1.0]).off_diagonal_max() == 0.0
-    rng = np.random.default_rng(6)
-    C = random_matrix(rng, 5)
-    A = DenseOperator(0.5 * (C + C.T), self_adjoint=True)
-    calls = []
-    fill_diagonal = np.fill_diagonal
-    monkeypatch.setattr(np, "fill_diagonal", lambda *a: calls.append(1) or fill_diagonal(*a))
-    m = A.off_diagonal_max()
-    assert A.off_diagonal_max() == m and len(calls) == 1
-    S = A.shifted(1e3)
-    assert S.off_diagonal_max() == m and len(calls) == 1
-    monkeypatch.undo()
-    assert DenseOperator(S.entries).off_diagonal_max() == m
-    # with the diagonal, it is max|A| bitwise, as _factorize reads it
-    assert S._factorize()[3] == np.abs(S.entries).max()
 
 
 # -- spectral quantities vs the Jacobi oracle --------------------------------
@@ -417,6 +394,23 @@ def test_getri_inverts_in_place_from_the_lu_factors(n):
     assert np.abs(inv - np.linalg.inv(M)).max() <= 1e-13 * np.abs(inv).max()
     with pytest.raises(ValueError, match="zero pivot"):
         _getri(np.zeros((2, 2), order="F"), np.array([1, 2], dtype=np.int32))
+
+
+def test_inverse_is_formed_once_from_the_cached_lu(monkeypatch):
+    # dgetri runs on a copy of _factorize's LU at the first call only, and
+    # a shifted operator forms its own
+    rng = np.random.default_rng(3)
+    M = random_matrix(rng, 6) + 6 * np.eye(6)
+    A = DenseOperator(M)
+    calls = []
+    getri = hilbert._getri
+    monkeypatch.setattr(hilbert, "_getri", lambda lu, piv: calls.append(1) or getri(lu, piv))
+    lu = A._factorize()[0].copy()
+    inv = A._inverse()
+    assert A._inverse() is inv and calls == [1] and same_bits(A._factorize()[0], lu)
+    assert np.abs(inv @ M - np.eye(6)).max() <= 1e-13
+    S = A.shifted(1.0)
+    assert np.abs(S._inverse() @ S.entries - np.eye(6)).max() <= 1e-13 and calls == [1, 1]
 
 
 @pytest.mark.parametrize("n", [1, 10, 200])

@@ -6,6 +6,7 @@ a direct per-sample SVD, so each certified quantity has an independent
 route in this file.
 """
 
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -219,6 +220,12 @@ def _faulty(fn=None, jac=None, L=None):
                       radius=10.0)
 
 
+def _zero_jacobian(L, c):
+    """dim 2, u0 = 0 and ``g = c`` with ``jac_fn=None``: the stage's ``T`` is ``I``."""
+    return DsmProblem(L=L, g=NonlinearMap(lambda u: np.full(2, c), None, name="faulty"),
+                      u0=np.zeros(2), radius=10.0)
+
+
 def _raise(exc):
     def fn(u):
         raise exc
@@ -263,17 +270,16 @@ _FAULTS = [
     ("matrix-overflows",
      lambda: _faulty(jac=lambda u: np.full(2, 1e308), L=DenseOperator(_BIG)), _FAR, True,
      ValueError, "matrix to factor contains non-finite entries"),
-    # A f = 3e308 overflows on each route: Cholesky, LU and no Jacobian
+    # A f = 3e308 overflows on both factor routes, Cholesky and LU
     ("Af-overflows-cholesky", lambda: _faulty(L=DenseOperator(_BIG)), _FAR, True,
      ValueError, _NON_FINITE_RHS),
     ("Af-overflows-lu",
      lambda: _faulty(jac=lambda u: np.diag(0.3 * u ** 2), L=DenseOperator(_BIG)), _FAR, True,
      ValueError, _NON_FINITE_RHS),
-    ("Af-overflows-no-jacobian",
-     lambda: DsmProblem(L=DenseOperator(_BIG),
-                        g=NonlinearMap(lambda u: np.full(2, 0.5), None, name="faulty"),
-                        u0=np.zeros(2), radius=10.0),
-     _FAR, True, ValueError, _NON_FINITE_RHS),
+    # f = u + A^{-1} g(u) = 1e310 overflows where the Jacobian is zero
+    ("f-overflows-no-jacobian",
+     lambda: _zero_jacobian(DenseOperator(1e-300 * np.eye(2)), 1e10), _FAR, True,
+     ValueError, _NON_FINITE_RHS),
 ]
 
 
@@ -284,6 +290,27 @@ def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows
     with np.errstate(over="ignore") if overflows else nullcontext(), pytest.raises(cls) as exc:
         model.newton_velocity(problem, u)
     assert type(exc.value) is cls and str(exc.value) == message
+
+
+def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
+    # T = I, so the velocity is -f bitwise, from the one dgetrs behind f:
+    # the A f = 3e308 that a factor route would form, and that overflows,
+    # is never taken, so the stage neither raises nor warns
+    problem = _zero_jacobian(DenseOperator(_BIG), 0.5)
+    with np.errstate(over="ignore"):
+        # |A|_F overflows in the rounding slack that lowers sigma_min(A)
+        stage = model._stage(problem)
+    solves = []
+    getrs = model._getrs
+    monkeypatch.setattr(model, "_getrs", lambda *a: solves.append(1) or getrs(*a))
+    for name in ("_potrf", "_getrf"):
+        monkeypatch.setattr(model, name, lambda M: pytest.fail("the stage factored"))
+    monkeypatch.setattr(hilbert, "_getri", lambda *a: pytest.fail("the stage inverted A"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, p, gu = stage(_FAR)
+    f = _FAR + scipy.linalg.lu_solve(scipy.linalg.lu_factor(_BIG), np.full(2, 0.5))
+    assert v.tobytes() == (-f).tobytes() and p == np.linalg.norm(f) and solves == [1]
 
 
 @pytest.mark.parametrize("make", [wellposed_cubic, sector_blocks])
@@ -301,8 +328,8 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
     far = p.u0.copy()
     far[0] = 3.0
     inversions = []
-    getri = model._getri
-    monkeypatch.setattr(model, "_getri", lambda *a: inversions.append(1) or getri(*a))
+    getri = hilbert._getri
+    monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
     stage = model._stage(p)
     stage(p.u0)
     with pytest.raises(ValueError) as exc:
@@ -581,6 +608,12 @@ def test_trust_condition_margin_and_verdict():
     assert not bad.passed and bad.quantities["margin"] < 0.0
     with pytest.raises(ValueError):
         check_trust_condition(p, 0.0)
+
+
+def test_trust_condition_refuses_a_nan_bound():
+    # NaN <= 0 is False: a bound must pass as positive, or no margin is read
+    with pytest.raises(ValueError, match="newton bound must be positive, got nan"):
+        check_trust_condition(small_problem(seed=31), float("nan"))
 
 
 # -- Newton-bound route -------------------------------------------------------------
