@@ -204,8 +204,20 @@ def _eig_slack(L, eps=0.0):
     :class:`DenseOperator`, and in :mod:`~dsmflow.model` the proof route's
     spectrum, :func:`~dsmflow.model.check_resolvent_bound` and both routes
     of :func:`~dsmflow.model.check_sector`.
+
+    ``|L|_F`` is ``np.linalg.norm``'s wherever that is finite.  Its sum of
+    squares overflows once an entry passes about ``1e154``; there the norm
+    is taken as ``s |L/s|_F`` with ``s = max|L|``, and the factor
+    ``(n+1) eps_mach s`` first, so a slack the floats can hold is finite
+    and nothing warns.
     """
-    return (L.dim + 1) * float(np.finfo(float).eps) * (float(np.linalg.norm(L.entries)) + eps)
+    c = (L.dim + 1) * float(np.finfo(float).eps)
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(L.entries))
+    if math.isinf(fro):
+        s = float(np.abs(L.entries).max())
+        return c * s * (float(np.linalg.norm(L.entries / s)) + eps / s)
+    return c * (fro + eps)
 
 
 class DenseOperator:
@@ -376,7 +388,11 @@ class DenseOperator:
 
         Formed at the first call, so the flow's stage pays LAPACK ``dgetri``
         once per operator however many runs or single calls ask for it.
-        The caller has passed :meth:`_solve_factors`'s pivot test.
+        The caller has passed :meth:`_solve_factors`'s pivot test.  The
+        inverse is Fortran-ordered, as ``dgetri`` leaves it, so the BLAS
+        products of :func:`~dsmflow.model._neumann_velocity` take it
+        without a copy; for a ``self_adjoint`` operator it is symmetric
+        only to rounding, and ``dsymv`` reads its upper triangle alone.
         """
         if self._inv is None:
             lu, piv, _, _ = self._factorize()

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemv, dsymv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
 from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
@@ -262,13 +262,16 @@ def newton_velocity(problem, u):
     ``x <- f - A^{-1}(g'(u) x)`` from ``x = f``, whose error after ``k``
     sweeps is at most ``q^(k+1) |x|``; :func:`_neumann_velocity` takes the
     ``k <= 7`` sweeps that bring it to the unit roundoff ``2^-53``, each
-    one BLAS ``dgemv`` against ``A^{-1}``, which LAPACK ``dgetri`` forms
-    from ``A``'s cached LU once per operator and the operator caches
-    (:meth:`~dsmflow.hilbert.DenseOperator._inverse`), so repeated calls on
-    one problem invert ``A`` once.  ``sigma_min(A)`` is read once per
-    :func:`_stage` from ``A``'s cached eigenvalues when ``A`` is
-    self-adjoint, from its cached SVD otherwise, and lowered by the
-    eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.
+    one BLAS product with ``A^{-1}``: ``dsymv``, which reads one triangle,
+    when ``A`` has the ``self_adjoint`` flag, and ``dgemv`` otherwise, as
+    the flag picks Cholesky or LU on the factor path.  LAPACK ``dgetri``
+    forms ``A^{-1}`` from ``A``'s cached LU once per operator and the
+    operator caches it (:meth:`~dsmflow.hilbert.DenseOperator._inverse`),
+    so repeated calls on one problem invert ``A`` once.  ``sigma_min(A)``
+    is read once per :func:`_stage` from ``A``'s cached eigenvalues when
+    ``A`` is self-adjoint, from its cached SVD otherwise, and lowered by
+    the eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack`
+    ``(L, eps)``.
     ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a zero Jacobian
     factors, inverts and multiplies nothing.  The velocity agrees with the
     factored one to rounding, not bitwise.
@@ -401,7 +404,7 @@ def _stage(problem):
             # from a non-finite g'(u) fails both tests, which re-run the stage
             jmax = float(np.abs(J).max())
             if not checked and smin_a > 0.0 and jmax <= _NEUMANN_Q * smin_a:
-                v = _neumann_velocity(A._inverse(), J, f, jmax / smin_a)
+                v = _neumann_velocity(A, J, f, jmax / smin_a)
                 if not _squares_finite(v):
                     return stage(u, True)
                 return v, math.sqrt(ff), gu
@@ -446,20 +449,32 @@ def _stage(problem):
     return stage
 
 
-def _neumann_velocity(inverse, j, f, q):
+def _neumann_velocity(A, j, f, q):
     """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
 
-    ``inverse`` is ``A^{-1}``.  With ``K = A^{-1} diag(j)`` and ``x = -v``,
-    ``x = f - K x``, so the sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i``
-    leave the error ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
+    ``A`` is the shifted operator, whose cached inverse
+    (:meth:`~dsmflow.hilbert.DenseOperator._inverse`) the sweeps read.
+    With ``K = A^{-1} diag(j)`` and ``x = -v``, ``x = f - K x``, so the
+    sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i`` leave the error
+    ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
     ``k = ceil(-53 / log2(q)) - 1`` sweeps taken here bring to the unit
-    roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7.  Each sweep is one
-    BLAS ``dgemv``.
+    roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7.  Each
+    sweep is one BLAS matrix-vector product, picked by ``A``'s structure
+    as the factor path picks Cholesky or LU: ``dsymv`` on the upper
+    triangle of the inverse when ``A`` has the ``self_adjoint`` flag, so
+    that it reads half the matrix, and ``dgemv`` otherwise.  The inverse
+    of a symmetric ``A`` is symmetric to rounding, so either product
+    agrees with the factored velocity to rounding.  Both take
+    ``dgetri``'s Fortran-ordered inverse as it is and copy nothing.
     """
     k = 0 if q == 0.0 else min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
+    inverse = A._inverse()
+    # positional arguments and dsymv's default upper triangle: an f2py keyword
+    # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
+    mv = dsymv if A.self_adjoint else dgemv
     v = -f
     for _ in range(k):
-        v = dgemv(-1.0, inverse, j * v, -1.0, f)
+        v = mv(-1.0, inverse, j * v, -1.0, f)
     return v
 
 

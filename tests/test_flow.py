@@ -7,6 +7,7 @@ compared against an exact reference that shares no code with the
 integrator.
 """
 
+import math
 import pickle
 import warnings
 from dataclasses import replace
@@ -548,23 +549,58 @@ def _count_routes(monkeypatch):
     """Record the ``q`` of each diagonal-Jacobian stage that takes the Neumann route."""
     calls = []
     neumann = model._neumann_velocity
-    monkeypatch.setattr(model, "_neumann_velocity", lambda *a: calls.append(a[-1]) or neumann(*a))
+
+    def recorded(A, j, f, q):
+        calls.append(q)
+        return neumann(A, j, f, q)
+
+    monkeypatch.setattr(model, "_neumann_velocity", recorded)
     return calls
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: wellposed_cubic(200).problem, id="wellposed_cubic-200"),
-    pytest.param(lambda: sector_blocks(64).problem, id="sector_blocks-64"),
+def _count_kernels(monkeypatch):
+    """Count the sweeps' BLAS ``dsymv`` and ``dgemv`` calls, through ``model``'s bindings."""
+    calls = {"dsymv": 0, "dgemv": 0}
+    for name in calls:
+        kernel = getattr(model, name)
+
+        def counted(*a, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*a)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+def _sweeps(q):
+    """The Neumann route's sweep count at contraction factor ``q``."""
+    return 0 if q == 0.0 else min(model._NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
+
+
+def _assert_kernel_per_sweep(kernels, routes, self_adjoint):
+    """One ``dsymv`` per sweep on a self-adjoint ``A``, one ``dgemv`` otherwise, and no other."""
+    sweeps = sum(_sweeps(q) for q in routes)
+    used, unused = ("dsymv", "dgemv") if self_adjoint else ("dgemv", "dsymv")
+    assert sweeps > 0 and kernels == {used: sweeps, unused: 0}
+
+
+@pytest.mark.parametrize("make, self_adjoint", [
+    pytest.param(lambda: wellposed_cubic(200).problem, True, id="wellposed_cubic-200"),
+    pytest.param(lambda: sector_blocks(64).problem, False, id="sector_blocks-64"),
 ])
-def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make):
-    # one inverse of A per run and no stage factorization; the factor path,
+def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make, self_adjoint):
+    # one inverse of A per run, no stage factorization, and one dsymv per
+    # sweep on the self-adjoint A, one dgemv on the other; the factor path,
     # forced by a bound no q meets, takes the same steps to the same point
     problem = make()
     calls = _count_factorizations(monkeypatch)
     inversions = _count_inversions(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    kernels = _count_kernels(monkeypatch)
     res = integrate(problem)
     assert res.converged and calls == {"potrf": 0, "getrf": 0}
     assert inversions == [(problem.dim, problem.dim)]
+    _assert_kernel_per_sweep(kernels, routes, self_adjoint)
     monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
     factored = integrate(problem)
     stages = 2 + 6 * (factored.n_accepted + factored.n_rejected)
@@ -581,11 +617,13 @@ def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make):
     (sector_blocks, 64)])
 def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     # g'(u) = 0.3 u^2, so scaling u puts q at half the route's bound, where
-    # it takes 6 or 7 sweeps; the witness shares nothing with the stage but
-    # A, g and g'
+    # it takes 6 or 7 sweeps, each a dsymv on wellposed_cubic's self-adjoint
+    # A and a dgemv on sector_blocks'; the witness shares nothing with the
+    # stage but A, g and g'
     p = make(dim).problem
     calls = _count_factorizations(monkeypatch)
     routes = _count_routes(monkeypatch)
+    kernels = _count_kernels(monkeypatch)
     A = p.shifted.entries
     u = p.u0 + 0.005 * np.random.default_rng(4).standard_normal(dim)
     q = np.abs(p.g.jac_fn(u)).max() / np.linalg.svd(A, compute_uv=False)[-1]
@@ -594,6 +632,7 @@ def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
     v = newton_velocity(p, u)[0]
     assert calls == {"potrf": 0, "getrf": 0} and len(routes) == 1
+    _assert_kernel_per_sweep(kernels, routes, make is wellposed_cubic)
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
 
 

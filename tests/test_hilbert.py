@@ -5,6 +5,7 @@ written here in the tests, so the library's LAPACK route and the oracle
 share no code.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -188,6 +189,19 @@ def test_psd_flag_is_checked_against_the_certificates_slack():
     # a zero eigenvalue that rounds negative within the slack is psd
     L = DenseOperator(np.diag([-1e-16, 1.0]), self_adjoint=True, psd_claimed=True)
     assert L.eigenvalues()[0] == -1e-16 and 1e-16 < _eig_slack(L)
+
+
+def test_eig_slack_is_finite_where_the_sum_of_squares_overflows():
+    # |L|_F = sqrt(2) 1e308 is representable though its sum of squares is
+    # not: the slack is the scaled norm's, finite and without a warning; a
+    # norm that does not overflow keeps np.linalg.norm's value bitwise
+    c = 3 * np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slack = _eig_slack(DenseOperator(1e308 * np.eye(2)), 1e300)
+        small = _eig_slack(DenseOperator(1e150 * np.eye(2)), 0.5)
+    assert slack == pytest.approx(c * (math.sqrt(2.0) * 1e308 + 1e300), rel=1e-15)
+    assert small == c * (float(np.linalg.norm(1e150 * np.eye(2))) + 0.5)
 
 
 # -- spectral quantities vs the Jacobi oracle --------------------------------

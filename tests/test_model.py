@@ -204,6 +204,8 @@ def test_solve_linearized_solves_and_refuses_singular():
 
 _FAR = np.array([3.0, 0.0])
 _BIG = 1e308 * np.eye(2)
+# a diagonal whose A + A^T, formed by the self_adjoint flag, stays finite (1.6e308)
+_BIG_SYMMETRIC = 0.8e308 * np.eye(2)
 
 
 def _faulty(fn=None, jac=None, L=None):
@@ -270,8 +272,12 @@ _FAULTS = [
     ("matrix-overflows",
      lambda: _faulty(jac=lambda u: np.full(2, 1e308), L=DenseOperator(_BIG)), _FAR, True,
      ValueError, "matrix to factor contains non-finite entries"),
-    # A f = 3e308 overflows on both factor routes, Cholesky and LU
-    ("Af-overflows-cholesky", lambda: _faulty(L=DenseOperator(_BIG)), _FAR, True,
+    # A f overflows on both factor routes: 2.4e308 on the Cholesky one,
+    # whose g'(u) = 1e307 puts q = 0.125 above the Neumann route's bound,
+    # and 3e308 on the LU one, whose dense g'(u) has no q
+    ("Af-overflows-cholesky",
+     lambda: _faulty(jac=lambda u: np.full(2, 1e307),
+                     L=DenseOperator(_BIG_SYMMETRIC, self_adjoint=True)), _FAR, True,
      ValueError, _NON_FINITE_RHS),
     ("Af-overflows-lu",
      lambda: _faulty(jac=lambda u: np.diag(0.3 * u ** 2), L=DenseOperator(_BIG)), _FAR, True,
@@ -292,14 +298,28 @@ def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows
     assert type(exc.value) is cls and str(exc.value) == message
 
 
+@pytest.mark.parametrize("case, factor", [("Af-overflows-cholesky", "_potrf"),
+                                          ("Af-overflows-lu", "_getrf")])
+def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
+    # each case factors by the route its id names, in the unchecked stage and
+    # again in its checked re-run, and never takes the Neumann route
+    make = next(c[1] for c in _FAULTS if c[0] == case)
+    calls = []
+    for name in ("_potrf", "_getrf"):
+        binding = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda M, name=name, binding=binding:
+                            calls.append(name) or binding(M))
+    monkeypatch.setattr(model, "_neumann_velocity", lambda *a: pytest.fail("took the route"))
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        model.newton_velocity(make(), _FAR)
+    assert calls == [factor, factor]
+
+
 def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
     # T = I, so the velocity is -f bitwise, from the one dgetrs behind f:
     # the A f = 3e308 that a factor route would form, and that overflows,
     # is never taken, so the stage neither raises nor warns
     problem = _zero_jacobian(DenseOperator(_BIG), 0.5)
-    with np.errstate(over="ignore"):
-        # |A|_F overflows in the rounding slack that lowers sigma_min(A)
-        stage = model._stage(problem)
     solves = []
     getrs = model._getrs
     monkeypatch.setattr(model, "_getrs", lambda *a: solves.append(1) or getrs(*a))
@@ -308,7 +328,7 @@ def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
     monkeypatch.setattr(hilbert, "_getri", lambda *a: pytest.fail("the stage inverted A"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v, p, gu = stage(_FAR)
+        v, p, gu = model._stage(problem)(_FAR)
     f = _FAR + scipy.linalg.lu_solve(scipy.linalg.lu_factor(_BIG), np.full(2, 0.5))
     assert v.tobytes() == (-f).tobytes() and p == np.linalg.norm(f) and solves == [1]
 
