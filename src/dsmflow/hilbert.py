@@ -18,12 +18,12 @@ and :func:`_potrs` do the same for the lower Cholesky factor, LAPACK
 ``dpotrf``/``dpotrs``, which the stage takes for a self-adjoint operator
 before it falls back to LU, and :func:`_getri` turns LU factors into the
 inverse, LAPACK ``dgetri``.  There is one wrapper per LAPACK call.
-:func:`_getrf` and :func:`_potrf` factor their argument in place: a
-Fortran-ordered (column-major) float matrix is overwritten by its
-factor, with no copy, so a caller that must keep the matrix passes a
-copy.  :func:`_getrs` and :func:`_potrs` do not
-check the right-hand side: :meth:`DenseOperator.solve` does, and so does
-the stage's checked re-run (:func:`~dsmflow.model.newton_velocity`).
+:func:`_getrf`, :func:`_potrf` and :func:`_getri` never touch their
+argument: the LAPACK wrapper factors or inverts a column-major copy of
+its own, whatever the argument's layout.  :func:`_getrs` and
+:func:`_potrs` do not check the right-hand side:
+:meth:`DenseOperator.solve` does, and so does the stage's checked re-run
+(:func:`~dsmflow.model.newton_velocity`).
 
 The tolerances below are module constants; :meth:`DenseOperator.solve`
 compares pivots against ``PIVOT_RTOL`` times the operator norm.
@@ -91,12 +91,10 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def _getrf(M):
-    """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``, in place.
+    """LU factors ``(lu, piv)`` of the square float matrix ``M`` from LAPACK ``dgetrf``.
 
-    Bitwise the output of ``scipy.linalg.lu_factor(M)`` on a copy of
-    ``M``.  A Fortran-ordered float64 ``M`` becomes ``lu`` itself; the
-    wrapper copies any other first.  A caller that must keep ``M`` passes
-    a copy.  ``M`` is not
+    Bitwise the output of ``scipy.linalg.lu_factor(M)``, and ``M`` keeps
+    its bits: the factors are the wrapper's own copy.  ``M`` is not
     scanned: a non-finite entry always leaves a non-finite factor, and
     factors that are not finite, from such an entry or from overflow,
     raise ``ValueError``.  So every factor :func:`_getrs` receives is
@@ -104,7 +102,7 @@ def _getrf(M):
     not an error and raises no warning: callers decide through their
     pivot checks.
     """
-    lu, piv, info = dgetrf(M, overwrite_a=1)
+    lu, piv, info = dgetrf(M)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetrf")
     if not _all_finite(lu):
@@ -126,14 +124,14 @@ def _getrs(lu, piv, b):
 
 
 def _getri(lu, piv):
-    """``M^{-1}`` from :func:`_getrf`'s factors with LAPACK ``dgetri``, in place.
+    """``M^{-1}`` from :func:`_getrf`'s factors with LAPACK ``dgetri``.
 
-    A Fortran-ordered ``lu`` is overwritten by the inverse, as
-    :func:`_getrf` overwrites ``M``, so a caller that keeps the factors
-    passes a copy; no identity right-hand side is built.  The factors must
-    have passed a pivot test: an exactly zero pivot raises ``ValueError``.
+    The inverse is formed in the wrapper's column-major copy of ``lu``,
+    with no identity right-hand side, and ``lu`` keeps its bits.  The
+    factors must have passed a pivot test: an exactly zero pivot raises
+    ``ValueError``.
     """
-    inv, info = dgetri(lu, piv, overwrite_lu=1)
+    inv, info = dgetri(lu, piv)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgetri")
     if info > 0:
@@ -144,13 +142,11 @@ def _getri(lu, piv):
 def _potrf(M):
     """Lower Cholesky factor of the symmetric float matrix ``M`` from LAPACK ``dpotrf``, or None.
 
-    Only ``M``'s lower triangle is read.  ``M`` is overwritten as by
-    :func:`_getrf`: a Fortran-ordered float64 ``M`` becomes the factor
-    itself, its upper triangle zeroed, and a refused ``M`` is left partly
-    factored, so a caller that falls back to :func:`_getrf` factors a
-    fresh copy.  None when ``dpotrf`` meets a non-positive pivot, that is
-    when ``M`` is not positive definite; that is not an error and raises
-    no warning.
+    Only ``M``'s lower triangle is read.  The factor is the wrapper's own
+    copy, its upper triangle zeroed, and ``M`` keeps its bits, so a caller
+    whose ``M`` is refused hands that same ``M`` to :func:`_getrf`.  None
+    when ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
+    positive definite; that is not an error and raises no warning.
 
     Neither ``M`` nor the factor is scanned.  For a finite ``M`` that
     ``dpotrf`` accepts, the pivots tell whether the factor is finite.
@@ -167,7 +163,7 @@ def _potrf(M):
     without a scan.  The stage does so, and scans the factor
     (``ValueError``) only when it re-runs after such a signal.
     """
-    c, info = dpotrf(M, lower=1, overwrite_a=1)
+    c, info = dpotrf(M, lower=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     if info > 0:
@@ -369,22 +365,21 @@ class DenseOperator:
     def _factorize(self):
         """Cached ``(lu, piv, minpiv, amax)``: the LU factors, the smallest pivot modulus and ``max|A|``.
 
-        Taken once per operator, from a Fortran-ordered copy of the
-        entries, which :func:`_getrf` overwrites; ``entries`` is left as
-        it was.  ``amax`` scales the relative pivot tests of
+        Taken once per operator by :func:`_getrf`, which leaves ``entries``
+        as they were.  ``amax`` scales the relative pivot tests of
         :func:`~dsmflow.model.solve_linearized` and, plus ``max|g'(u)|``
         for a diagonal Jacobian, of :func:`~dsmflow.model.newton_velocity`,
         which reuse these factors instead of scanning or factoring ``A``
         again.
         """
         if self._lu is None:
-            lu, piv = _getrf(self.entries.copy(order="F"))
+            lu, piv = _getrf(self.entries)
             minpiv = float(np.abs(lu.diagonal()).min())
             self._lu = (lu, piv, minpiv, float(np.abs(self.entries).max()))
         return self._lu
 
     def _inverse(self):
-        """Cached ``A^{-1}``, from :func:`_getri` on a copy of :meth:`_factorize`'s LU.
+        """Cached ``A^{-1}``, from :func:`_getri` on :meth:`_factorize`'s LU.
 
         Formed at the first call, so the flow's stage pays LAPACK ``dgetri``
         once per operator however many runs or single calls ask for it.
@@ -396,7 +391,7 @@ class DenseOperator:
         """
         if self._inv is None:
             lu, piv, _, _ = self._factorize()
-            self._inv = _getri(lu.copy(order="F"), piv)
+            self._inv = _getri(lu, piv)
         return self._inv
 
     def _solve_factors(self, b):

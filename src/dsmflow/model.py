@@ -272,8 +272,9 @@ def newton_velocity(problem, u):
     ``A`` is self-adjoint, from its cached SVD otherwise, and lowered by
     the eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack`
     ``(L, eps)``.
-    ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a zero Jacobian
-    factors, inverts and multiplies nothing.  The velocity agrees with the
+    ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a Jacobian that
+    is zero, ``jac_fn=None`` or a diagonal that vanishes at ``u``, factors,
+    inverts and multiplies nothing.  The velocity agrees with the
     factored one to rounding, not bitwise.
 
     *Factor path, every other stage.*  ``v = -(A + g'(u))^{-1} (A f)``, one
@@ -281,21 +282,21 @@ def newton_velocity(problem, u):
     forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather than
     ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
     absolute error near machine epsilon, which ``M^{-1}`` magnifies by up
-    to ``1/eps`` at deep shifts.  A diagonal ``g'(u)`` goes onto the
-    diagonal of a column-major copy of ``A``, with no ``(n, n)`` ``g'(u)``,
-    and that copy is factored in place, so the factorization costs one copy
-    of ``A``.  Structure picks the factorization.  A diagonal ``g'(u)`` on
-    an ``A`` with the ``self_adjoint`` flag, whose stored entries equal
-    their transpose exactly (:class:`~dsmflow.hilbert.DenseOperator` keeps
-    the symmetric part), leaves ``M`` symmetric, and ``M`` is factored by
-    lower Cholesky, LAPACK ``dpotrf``/``dpotrs``: for a psd ``L`` and a
-    monotone ``g``, ``M`` is positive definite, and Cholesky needs no
-    pivoting to be backward stable there.  When ``dpotrf`` meets a
-    non-positive pivot, ``M`` is built again from ``A`` and ``g'(u)``,
-    since ``dpotrf`` has overwritten it, and factored by LU, LAPACK
-    ``dgetrf``/``dgetrs``, as is every ``M`` from a dense ``g'(u)`` or an
-    ``A`` without the flag, even one whose entries happen to be symmetric.
-    Neither the entries nor a dense Jacobian is tested for symmetry.
+    to ``1/eps`` at deep shifts.  ``M`` is built once per stage: a
+    diagonal ``g'(u)`` is added to the diagonal of a copy of ``A``, with no
+    ``(n, n)`` ``g'(u)``, and a dense one to ``A``; the factoring wrappers
+    leave ``M`` as it was.  Structure picks the factorization.  A diagonal
+    ``g'(u)`` on an ``A`` with the ``self_adjoint`` flag, whose stored
+    entries equal their transpose exactly
+    (:class:`~dsmflow.hilbert.DenseOperator` keeps the symmetric part),
+    leaves ``M`` symmetric, and ``M`` is factored by lower Cholesky, LAPACK
+    ``dpotrf``/``dpotrs``: for a psd ``L`` and a monotone ``g``, ``M`` is
+    positive definite, and Cholesky needs no pivoting to be backward
+    stable there.  When ``dpotrf`` meets a non-positive pivot, that same
+    ``M`` is factored by LU, LAPACK ``dgetrf``/``dgetrs``, as is every
+    ``M`` from a dense ``g'(u)`` or an ``A`` without the flag, even one
+    whose entries happen to be symmetric.  Neither the entries nor a dense
+    Jacobian is tested for symmetry.
 
     The factor path's pivot test has the scale ``m_max``: ``max|M|`` for a
     dense ``g'(u)``, and for a diagonal one ``max|A| + max|g'(u)|``, from
@@ -411,22 +412,17 @@ def _stage(problem):
             # at least max|A + diag g'(u)| and at most twice it
             m_max = amax + jmax
         else:
-            # row-major: _getrf's wrapper makes the column-major copy faster
-            # than numpy's transposing add would
             M = Ae + J
             m_max = float(np.abs(M).max())
         if not math.isfinite(m_max):
             if not checked:
                 return stage(u, True)
             raise ValueError("matrix to factor contains non-finite entries")
-        cholesky = diagonal and A.self_adjoint
         if diagonal:
-            M = _plus_diagonal(Ae, J, cholesky)
-        chol = _potrf(M) if cholesky else None
+            M = Ae.copy()
+            M.ravel()[::n + 1] += J
+        chol = _potrf(M) if diagonal and A.self_adjoint else None
         if chol is None:
-            if cholesky:
-                # dpotrf has overwritten M on its way to the refusal
-                M = _plus_diagonal(Ae, J, cholesky)
             lu, piv = _getrf(M)
             minpiv = np.abs(lu.diagonal()).min()
         else:
@@ -458,7 +454,8 @@ def _neumann_velocity(A, j, f, q):
     sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i`` leave the error
     ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
     ``k = ceil(-53 / log2(q)) - 1`` sweeps taken here bring to the unit
-    roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7.  Each
+    roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7, and
+    ``q = 0`` takes none and reads no inverse.  Each
     sweep is one BLAS matrix-vector product, picked by ``A``'s structure
     as the factor path picks Cholesky or LU: ``dsymv`` on the upper
     triangle of the inverse when ``A`` has the ``self_adjoint`` flag, so
@@ -467,7 +464,10 @@ def _neumann_velocity(A, j, f, q):
     agrees with the factored velocity to rounding.  Both take
     ``dgetri``'s Fortran-ordered inverse as it is and copy nothing.
     """
-    k = 0 if q == 0.0 else min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
+    if q == 0.0:
+        # g'(u) = 0: T = I, with no sweep and no inverse to read
+        return -f
+    k = min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
     inverse = A._inverse()
     # positional arguments and dsymv's default upper triangle: an f2py keyword
     # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
@@ -476,21 +476,6 @@ def _neumann_velocity(A, j, f, q):
     for _ in range(k):
         v = mv(-1.0, inverse, j * v, -1.0, f)
     return v
-
-
-def _plus_diagonal(X, j, symmetric):
-    """``M = X + diag(j)`` in a Fortran-ordered copy.
-
-    ``M`` is the stage matrix that :func:`~dsmflow.hilbert._potrf` or
-    :func:`~dsmflow.hilbert._getrf` factors in place.  A ``symmetric``
-    ``X``, a self-adjoint operator's entries, equals its transpose
-    bitwise, whose memory is already in column-major order for the
-    row-major entries of every :class:`~dsmflow.hilbert.DenseOperator`,
-    so the copy is a straight one.
-    """
-    M = (X.T if symmetric else X).copy("F")
-    M.ravel("K")[::j.size + 1] += j
-    return M
 
 
 # -- sampling -----------------------------------------------------------------------
@@ -505,8 +490,8 @@ def ball_samples(center, radius, count, *, seed=0):
     radius = float(radius)
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"ball radius must be finite and positive, got {radius}")
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"sample count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     n = center.size
     pts = [center.copy()]

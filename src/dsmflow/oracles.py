@@ -56,9 +56,12 @@ def newton_oracle(problem, tol=1e-10):
     The Newton direction solves with ``T = I + (L+eps*I)^{-1} g'(u)``, not
     with the flow's one-factorization stage (:func:`dsmflow.model.newton_velocity`).
     Stops when ``|f|`` falls below ``tol`` times its starting value
-    (floored at 1e-14).  Raises :class:`MaxIterations` when the iteration
+    (floored at 1e-14), and refuses a ``tol`` outside ``(0, 1)`` with
+    ``ValueError``.  Raises :class:`MaxIterations` when the iteration
     budget (200) or the line search runs out.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     u = problem.u0.copy()
     f = preconditioned_residual(problem, u)
     pnorm = float(np.linalg.norm(f))

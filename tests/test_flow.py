@@ -506,26 +506,31 @@ def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, get
 
 
 def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
-    # dpotrf overwrites M on its way to a refusal; the LU fallback factors M
-    # rebuilt from A and g'(u), so the velocity is bitwise scipy's LU solve
+    # dpotrf factors its own copy of M, so after a refusal the LU fallback
+    # factors that same M, and the velocity is bitwise scipy's LU solve of a
+    # matrix built afresh from A and g'(u)
     problem = indefinite_problem()
-    refusals = []
-    potrf = model._potrf
+    refusals, factored = [], []
+    potrf, getrf = model._potrf, model._getrf
 
     def recorded(M):
         c = potrf(M)
         refusals.append(c is None)
+        factored.append(M)
         return c
 
     monkeypatch.setattr(model, "_potrf", recorded)
+    monkeypatch.setattr(model, "_getrf", lambda M: factored.append(M) or getrf(M))
     A = problem.shifted.entries
     rng = np.random.default_rng(1)
     for u in (problem.u0, *(0.3 * rng.standard_normal(problem.dim) for _ in range(3))):
         refusals.clear()
+        factored.clear()
         v = newton_velocity(problem, u)[0]
-        assert refusals == [True]
-        f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), problem.g(u))
         M = A + np.diag(problem.g.jac_fn(u))
+        assert refusals == [True] and factored[0] is factored[1]
+        assert factored[0].tobytes() == M.tobytes()
+        f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), problem.g(u))
         ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), A @ f)
         assert v.tobytes() == ref.tobytes()
 
@@ -609,6 +614,22 @@ def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make, se
     assert np.linalg.norm(res.u_final - factored.u_final) <= 1e-13
     ref = newton_oracle(problem, tol=1e-12).solution
     assert norm(res.u_final - ref) <= 1e-7
+
+
+@pytest.mark.parametrize("dim", [9, 10])
+def test_a_diagonal_jacobian_zero_at_u_inverts_nothing(monkeypatch, dim):
+    # unshifted ill_conditioned's cubic has g'(u0) = 0, so its one route stage
+    # has q = 0 and velocity -f: it reads no inverse of A; the run then
+    # collapses at t = 0 without another route stage
+    problem = ill_conditioned(dim).problem
+    inversions = _count_inversions(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    with pytest.raises(FlowFailed, match="step size collapsed"):
+        integrate(problem)
+    assert routes == [0.0] and inversions == []
+    v = newton_velocity(problem, problem.u0)[0]
+    assert v.tobytes() == (-preconditioned_residual(problem, problem.u0)).tobytes()
+    assert inversions == []
 
 
 @pytest.mark.parametrize("make, dim", [

@@ -355,15 +355,15 @@ def same_bits(x, y):
 @pytest.mark.parametrize("n", [1, 10, 200])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_lu_helpers_are_bitwise_scipy_lu(n, order):
-    # _getrf factors its argument in place: a Fortran-ordered M becomes the
-    # factor, bitwise scipy's LU of a copy taken before
+    # _getrf factors its own copy, bitwise scipy's LU, and M keeps its bits
+    # in either order
     rng = np.random.default_rng(n)
     M = np.array(random_matrix(rng, n), order=order)
+    kept = M.copy(order="K")
     ref_lu, ref_piv = scipy.linalg.lu_factor(M.copy())
     lu, piv = _getrf(M)
     assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
-    if order == "F":
-        assert np.shares_memory(lu, M)
+    assert same_bits(M, kept) and not np.shares_memory(lu, M)
     for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
         assert same_bits(_getrs(lu, piv, b),
                          scipy.linalg.lu_solve((ref_lu, ref_piv), b))
@@ -394,16 +394,16 @@ def test_factors_are_checked_once_when_made():
 
 
 @pytest.mark.parametrize("n", [1, 10, 200])
-def test_getri_inverts_in_place_from_the_lu_factors(n):
-    # a Fortran-ordered copy of the factors becomes the inverse, with no
-    # identity right-hand side; the factors it was copied from keep their bits
+def test_getri_inverts_the_lu_factors_on_its_own_copy(n):
+    # the wrapper's copy of the factors becomes the inverse, with no identity
+    # right-hand side; the factors keep their bits in either order
     rng = np.random.default_rng(n)
     M = random_matrix(rng, n) + n * np.eye(n)
-    lu, piv = _getrf(M.copy(order="F"))
-    kept = lu.copy()
-    work = lu.copy(order="F")
-    inv = _getri(work, piv)
-    assert np.shares_memory(inv, work) and same_bits(lu, kept)
+    lu, piv = _getrf(M)
+    for order in ("C", "F"):
+        lu_o = np.array(lu, order=order)
+        inv = _getri(lu_o, piv)
+        assert same_bits(lu_o, lu) and not np.shares_memory(inv, lu_o)
     assert np.abs(inv @ M - np.eye(n)).max() <= 1e-13
     assert np.abs(inv - np.linalg.inv(M)).max() <= 1e-13 * np.abs(inv).max()
     with pytest.raises(ValueError, match="zero pivot"):
@@ -411,8 +411,8 @@ def test_getri_inverts_in_place_from_the_lu_factors(n):
 
 
 def test_inverse_is_formed_once_from_the_cached_lu(monkeypatch):
-    # dgetri runs on a copy of _factorize's LU at the first call only, and
-    # a shifted operator forms its own
+    # dgetri runs on _factorize's LU at the first call only, leaving it as it
+    # was, and a shifted operator forms its own
     rng = np.random.default_rng(3)
     M = random_matrix(rng, 6) + 6 * np.eye(6)
     A = DenseOperator(M)
@@ -429,16 +429,19 @@ def test_inverse_is_formed_once_from_the_cached_lu(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 10, 200])
 def test_cholesky_helpers_are_scipy_cholesky(n):
-    # _potrf factors in place as _getrf does: a Fortran-ordered M, as the
-    # stage passes it, becomes the factor, bitwise the lower triangle of
-    # scipy's Cholesky of a copy
+    # _potrf factors its own copy as _getrf does: the factor is bitwise the
+    # lower triangle of scipy's Cholesky, and M, row-major as the stage
+    # passes it or column-major, keeps its bits
     rng = np.random.default_rng(n)
     B = random_matrix(rng, n)
     M = B @ B.T + n * np.eye(n)
-    M = np.array(0.5 * (M + M.T), order="F")
+    M = 0.5 * (M + M.T)
     ref = scipy.linalg.cho_factor(M.copy(), lower=True)
-    c = _potrf(M)
-    assert same_bits(c, np.tril(ref[0])) and np.shares_memory(c, M)
+    for order in ("C", "F"):
+        M_o = np.array(M, order=order)
+        c = _potrf(M_o)
+        assert same_bits(c, np.tril(ref[0])) and not np.shares_memory(c, M_o)
+        assert same_bits(M_o, M)
     for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
         assert same_bits(_potrs(c, b), scipy.linalg.cho_solve(ref, b))
 
@@ -449,25 +452,27 @@ def test_cholesky_helpers_are_scipy_cholesky(n):
     -np.eye(3),
 ], ids=["indefinite", "singular", "negative"])
 def test_cholesky_refusal_is_none_with_no_warning(M):
-    # a refusal leaves the Fortran-ordered argument partly factored, so the
-    # LU fallback factors a fresh copy, bitwise scipy's LU of the matrix
-    M_f = M.copy(order="F")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _potrf(M_f) is None
-        lu, piv = _getrf(M.copy(order="F"))
+    # a refusal leaves the argument's bits as they were, in either order, so
+    # the LU fallback factors that same matrix, bitwise scipy's LU of it
     with warnings.catch_warnings():
         # scipy warns of the singular case's zero pivot; _getrf does not
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         ref_lu, ref_piv = scipy.linalg.lu_factor(M)
-    assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
+    for order in ("C", "F"):
+        M_o = np.array(M, order=order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _potrf(M_o) is None
+            assert same_bits(M_o, M)
+            lu, piv = _getrf(M_o)
+        assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_factorize_leaves_the_entries_untouched(order):
-    # entries are stored row-major whatever the input's order, so the stage's
-    # copy of A^T into column-major order is a straight one; _factorize hands
-    # _getrf a copy, the entries keep their bits, and amax is max|A| bitwise
+    # entries are stored row-major whatever the input's order, so entries @ u
+    # takes one BLAS path; _getrf factors its own copy, the entries keep their
+    # bits, and amax is max|A| bitwise
     rng = np.random.default_rng(4)
     E = np.array(random_matrix(rng, 6), order=order)
     A = DenseOperator(E)

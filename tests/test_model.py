@@ -335,9 +335,11 @@ def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
 
 @pytest.mark.parametrize("make", [wellposed_cubic, sector_blocks])
 def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make):
-    # at dim 64 a finite g'(u) near u0 takes the Neumann route; a NaN one
-    # gives a NaN q, which the route refuses, and the factor path's max|M|
-    # sends the stage to its checked re-run, whose scan raises
+    # at dim 64 a finite g'(u) near u0 takes the Neumann route and inverts A,
+    # once per run; a NaN one gives a NaN q, which the route refuses, and the
+    # factor path's max|M| sends the stage to its checked re-run, whose scan
+    # raises.  The near point is off u0, where sector_blocks' g'(u0) = 0
+    # gives q = 0, which reads no inverse
     p = make(64).problem
     jac = p.g.jac_fn
 
@@ -351,7 +353,7 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
     getri = hilbert._getri
     monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
     stage = model._stage(p)
-    stage(p.u0)
+    stage(p.u0 + 0.01)
     with pytest.raises(ValueError) as exc:
         stage(far)
     assert type(exc.value) is ValueError and str(exc.value) == _NON_FINITE_J
@@ -435,6 +437,10 @@ def test_ball_samples_deterministic_and_in_ball():
         ball_samples(c, -1.0, 4)
     with pytest.raises(ValueError):
         ball_samples(c, 1.0, 0)
+    # a float count raised range's TypeError, and True drew one sample
+    for count in (2.5, True, 4.0, -1):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
+            ball_samples(c, 1.0, count)
     # a NaN radius drew [nan nan], an infinite one [inf -inf]
     for radius in (np.nan, np.inf):
         with pytest.raises(ValueError, match="ball radius must be finite and positive"):

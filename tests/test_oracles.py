@@ -65,6 +65,18 @@ def test_newton_oracle_iteration_budget(monkeypatch):
         newton_oracle(b.problem)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-10, 1.0])
+def test_newton_oracle_refuses_a_tol_outside_the_unit_interval(monkeypatch, tol):
+    # a NaN tol ran all 200 iterations to a MaxIterations at residual 0, and
+    # an infinite one returned u0 unsolved; both are refused before a solve
+    solves = []
+    monkeypatch.setattr(oracles, "preconditioned_residual",
+                        lambda *a: solves.append(1))
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        newton_oracle(wellposed_cubic(4).problem, tol=tol)
+    assert solves == []
+
+
 # -- pseudoinverse minimal norm ------------------------------------------------
 
 
