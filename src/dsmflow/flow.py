@@ -18,14 +18,15 @@ self-adjoint ``A`` admits one, and an LU otherwise.  See
 
 Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per
 run from ``model._stage`` so that ``A``'s pivot test and cached facts are
-read once per run, not once per stage.  A stage scans its point and
-checks the rest of its work through one fault signal.  The step loop
-adds no check: its error norm and trust-ball distance reduce arrays the
-stages have already checked.  Recording a point evaluates no ``g``: the
+read once per run, not once per stage.  A stage checks its point and
+the rest of its work through one fault signal.  The step loop adds no
+check: its error norm and trust-ball distance reduce arrays the stages
+have already checked.  Recording a point evaluates no ``g``: the
 residual ``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage
 that computed the accepted point, bitwise what
-:func:`~dsmflow.model.full_residual` gives, and
-:func:`~dsmflow.hilbert.norm` checks it.
+:func:`~dsmflow.model.full_residual` gives.  A finite sum of squares
+proves it finite and gives its norm; any other sum goes to
+:func:`~dsmflow.hilbert.norm`'s check.
 
 Along exact trajectories the preconditioned residual norm
 ``p(t) = |u(t) + (L+eps*I)^{-1} g(u(t))|`` obeys ``p(t) = p(0) e^{-t}``,
@@ -43,6 +44,16 @@ Dormand-Prince 5(4) pair with the first-same-as-last property and PI
 step-size control.  The pair is written out in full here rather than
 delegated, because the decay self-check is only meaningful if the
 stepping logic it certifies is the one in this file.
+
+The stages live in one Fortran-ordered ``(n, 7)`` stage matrix ``k``, a
+column per stage, so the leading columns ``k[:, :i]`` are one contiguous
+block.  Every linear combination of the stages is then one BLAS ``dgemv``
+on such a block, with no copy: each stage input ``u + h * k[:, :i] a_i``,
+the new point, and the error vector ``h * k (b5 - b4)``.  The run carries
+``|u|`` from one accepted step to the next for the error scale.  ``dgemv``
+scales and sums in its own order, so the step agrees with
+``u + h * (a_i @ k)`` to rounding, not bitwise.  A tableau with more
+stages fills the same layout with more columns.
 """
 
 import enum
@@ -50,6 +61,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import FlowFailed
 from .hilbert import norm
@@ -190,8 +202,12 @@ class FlowResult:
 
 def _point(problem, t, u, p, gu, h):
     """The recorded state at ``u``, whose ``g(u)`` is ``gu``."""
+    r = problem.shifted.entries @ u + gu
+    rr = r.dot(r)
+    # a finite sum of squares proves r finite, and its root is bitwise
+    # np.linalg.norm(r); any other sum takes norm's check and its error
     return TrajectoryPoint(t=t, u=u.copy(), p=p,
-                           residual_F=norm(problem.shifted.entries @ u + gu), step=h)
+                           residual_F=math.sqrt(rr) if math.isfinite(rr) else norm(r), step=h)
 
 
 def _first_step(stage, u, v, rel_tol, t_end):
@@ -209,29 +225,40 @@ def _first_step(stage, u, v, rel_tol, t_end):
     return min(100.0 * h0, h1, t_end)
 
 
-def _dopri_step(stage, u, k, h, errold, rel_tol):
-    """One Dormand-Prince 5(4) attempt of size ``h`` from ``u``.
+def _dopri_step(stage, u, au, k, h, errold, rel_tol):
+    """One Dormand-Prince 5(4) attempt of size ``h`` from ``u``, whose ``|u|`` is ``au``.
 
-    ``k[0]`` holds the velocity at ``u``; the other rows are scratch.
-    Returns ``(step, h, errold)``.  ``step`` is the accepted ``(u, p, g(u))``,
-    with ``k[0]`` moved to the velocity there (first same as last), or
-    ``None`` for a rejection, which leaves ``u`` and ``k[0]`` as they were.
-    ``h`` is the size to try next, and ``errold`` the PI controller's memory
-    of the last accepted error, which a rejection leaves as it was.
+    ``k`` is the Fortran-ordered ``(n, 7)`` stage matrix: column ``j``
+    holds stage ``j``'s velocity, and column 0 the velocity at ``u``; the
+    other columns are scratch.  Stage ``i``'s input
+    ``u + h * sum_j a_ij k_j`` is one BLAS ``dgemv`` on the columns
+    ``k[:, :i]``, which are contiguous, so nothing is copied, and which
+    this attempt has already written: no column it has not written is
+    read.  ``u_new`` is the same product with the weights ``b5`` on the
+    first six columns, and the error vector ``h * k @ (b5 - b4)`` one more.
+
+    Returns ``(step, h, errold)``.  ``step`` is the accepted
+    ``(u, |u|, p, g(u))``, with ``k[:, 0]`` moved to the velocity there
+    (first same as last), or ``None`` for a rejection, which leaves ``u``
+    and ``k[:, 0]`` as they were.  ``h`` is the size to try next, and
+    ``errold`` the PI controller's memory of the last accepted error,
+    which a rejection leaves as it was.
     """
     for i in range(1, 6):
-        k[i] = stage(u + h * (_A[i - 1] @ k[:i]))[0]
-    u_new = u + h * (_A[5] @ k[:6])
-    k[6], p_new, gu_new = stage(u_new)
-    q = h * (_ERR @ k) / (1e-2 * rel_tol + rel_tol * np.maximum(np.abs(u), np.abs(u_new)))
+        k[:, i] = stage(dgemv(h, k[:, :i], _A[i - 1], 1.0, u))[0]
+    u_new = dgemv(h, k[:, :6], _A[5], 1.0, u)
+    k[:, 6], p_new, gu_new = stage(u_new)
+    au_new = np.abs(u_new)
+    q = dgemv(h, k, _ERR) / (1e-2 * rel_tol + rel_tol * np.maximum(au, au_new))
     # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
     err = math.sqrt(np.add.reduce(q * q) / q.size)
     if err > 1.0:
         return None, h * max(0.1, _SAFETY * err ** -0.2), errold
-    k[0] = k[6]
+    k[:, 0] = k[:, 6]
     # PI controller
     fac = _SAFETY * err ** (-_EXPO) * errold ** _BETA if err > 0.0 else _MAX_FACTOR
-    return (u_new, p_new, gu_new), h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)), max(err, 1e-4)
+    return ((u_new, au_new, p_new, gu_new), h * min(_MAX_FACTOR, max(_MIN_FACTOR, fac)),
+            max(err, 1e-4))
 
 
 def integrate(problem, cfg=None, *, trust=None, until=None):
@@ -291,15 +318,16 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
     h = _first_step(stage, u, v, cfg.rel_tol, end)
     errold = 1e-4
     next_record = cfg.sample_stride
-    k = np.empty((7, u.size))
-    k[0] = v
+    k = np.empty((u.size, 7), order="F")
+    k[:, 0] = v
+    au = np.abs(u)
 
     for _ in range(_MAX_STEPS):
         if h < _STEP_FLOOR:
             return finish(FlowStatus.STEP_FAILURE,
                           f"step size collapsed to {h:.3e} at t={t:.6f}")
         h = min(h, end - t)
-        step, h_next, errold = _dopri_step(stage, u, k, h, errold, cfg.rel_tol)
+        step, h_next, errold = _dopri_step(stage, u, au, k, h, errold, cfg.rel_tol)
         if step is None:
             n_rejected += 1
             h = h_next
@@ -307,7 +335,7 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
 
         # h stays the accepted size until the next one is taken up
         t += h
-        u, p, gu = step
+        u, au, p, gu = step
         n_accepted += 1
 
         deviation = max(deviation, abs(p - p0 * np.exp(-t)) / p0)

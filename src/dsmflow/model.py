@@ -267,11 +267,12 @@ def newton_velocity(problem, u):
     the flag picks Cholesky or LU on the factor path.  LAPACK ``dgetri``
     forms ``A^{-1}`` from ``A``'s cached LU once per operator and the
     operator caches it (:meth:`~dsmflow.hilbert.DenseOperator._inverse`),
-    so repeated calls on one problem invert ``A`` once.  ``sigma_min(A)``
-    is read once per :func:`_stage` from ``A``'s cached eigenvalues when
-    ``A`` is self-adjoint, from its cached SVD otherwise, and lowered by
-    the eigensolver's rounding :func:`~dsmflow.hilbert._eig_slack`
-    ``(L, eps)``.
+    so repeated calls on one problem invert ``A`` once; a :func:`_stage`
+    reads the kernel once and the inverse at its first sweep.
+    ``sigma_min(A)`` is read once per :func:`_stage` from ``A``'s cached
+    eigenvalues when ``A`` is self-adjoint, from its cached SVD otherwise,
+    and lowered by the eigensolver's rounding
+    :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.
     ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a Jacobian that
     is zero, ``jac_fn=None`` or a diagonal that vanishes at ``u``, factors,
     inverts and multiplies nothing.  The velocity agrees with the
@@ -300,8 +301,8 @@ def newton_velocity(problem, u):
 
     The factor path's pivot test has the scale ``m_max``: ``max|M|`` for a
     dense ``g'(u)``, and for a diagonal one ``max|A| + max|g'(u)|``, from
-    ``A``'s cached maximum and the scan that gave ``q``, which is at least
-    ``max|M|`` and at most twice it.  When ``M`` has a pivot below
+    ``A``'s cached maximum and the reduction that gave ``q``, which is at
+    least ``max|M|`` and at most twice it.  When ``M`` has a pivot below
     ``1e-9 * max(1, m_max)``, an LU pivot or the square ``min(diag C)^2``
     of the smallest Cholesky pivot, the velocity is taken from ``T``
     through :func:`solve_linearized` instead, which raises
@@ -311,8 +312,9 @@ def newton_velocity(problem, u):
     ``u`` is checked up front, and the rest of the stage through one fault
     signal instead of a scan of each array it touches:
 
-    - ``u`` is scanned by :func:`~dsmflow.hilbert.as_vector`
-      (``ValueError``), so ``fn`` and ``jac_fn`` receive a finite point;
+    - ``u`` is checked by :func:`~dsmflow.hilbert.as_vector`
+      (``ValueError``), whose finite sum of squares spares the scan, so
+      ``fn`` and ``jac_fn`` receive a finite point;
       ``g._value(u)`` and ``g._jacobian(u)`` check only their outputs'
       shapes (``DimensionMismatch``).
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
@@ -381,9 +383,13 @@ def _stage(problem):
         lu_a, piv_a, _, amax = A._factorize()
         # sigma_min(A) from the cached spectrum, lowered by its rounding
         smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
+    # the sweeps' kernel, and A's inverse once the first sweep needs it
+    mv = dsymv if A.self_adjoint else dgemv
+    inverse = None
 
     def stage(u, checked=not sound):
         """``(v, p, g(u))`` at ``u``; ``checked`` turns every scan on."""
+        nonlocal inverse
         u = as_vector(u)
         if not (checked or u.size == n):
             return stage(u, True)
@@ -401,11 +407,15 @@ def _stage(problem):
             return -f, math.sqrt(ff), gu
         diagonal = J.ndim == 1
         if diagonal:
-            # one scan gives q's numerator and the pivot test's scale; a NaN
-            # from a non-finite g'(u) fails both tests, which re-run the stage
-            jmax = float(np.abs(J).max())
+            # one reduction, bitwise np.abs(J).max() without the method's
+            # Python-level dispatch, gives q's numerator and the pivot test's
+            # scale; a NaN from a non-finite g'(u) propagates through it and
+            # fails both tests, which re-run the stage
+            jmax = float(np.maximum.reduce(np.abs(J)))
             if not checked and smin_a > 0.0 and jmax <= _NEUMANN_Q * smin_a:
-                v = _neumann_velocity(A, J, f, jmax / smin_a)
+                if inverse is None and jmax > 0.0:
+                    inverse = A._inverse()
+                v = _neumann_velocity(mv, inverse, J, f, jmax / smin_a)
                 if not _squares_finite(v):
                     return stage(u, True)
                 return v, math.sqrt(ff), gu
@@ -445,21 +455,23 @@ def _stage(problem):
     return stage
 
 
-def _neumann_velocity(A, j, f, q):
+def _neumann_velocity(mv, inverse, j, f, q):
     """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
 
-    ``A`` is the shifted operator, whose cached inverse
-    (:meth:`~dsmflow.hilbert.DenseOperator._inverse`) the sweeps read.
+    ``inverse`` is the shifted operator ``A``'s cached inverse
+    (:meth:`~dsmflow.hilbert.DenseOperator._inverse`), and ``mv`` the BLAS
+    kernel that sweeps with it; :func:`_stage` reads both once per run.
     With ``K = A^{-1} diag(j)`` and ``x = -v``, ``x = f - K x``, so the
     sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i`` leave the error
     ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
     ``k = ceil(-53 / log2(q)) - 1`` sweeps taken here bring to the unit
     roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7, and
-    ``q = 0`` takes none and reads no inverse.  Each
-    sweep is one BLAS matrix-vector product, picked by ``A``'s structure
-    as the factor path picks Cholesky or LU: ``dsymv`` on the upper
-    triangle of the inverse when ``A`` has the ``self_adjoint`` flag, so
-    that it reads half the matrix, and ``dgemv`` otherwise.  The inverse
+    ``q = 0`` takes none and reads no inverse, so ``inverse`` may be
+    ``None`` there.  Each sweep is one BLAS matrix-vector product ``mv``,
+    picked by ``A``'s structure as the factor path picks Cholesky or LU:
+    ``dsymv`` on the upper triangle of the inverse when ``A`` has the
+    ``self_adjoint`` flag, so that it reads half the matrix, and ``dgemv``
+    otherwise.  The inverse
     of a symmetric ``A`` is symmetric to rounding, so either product
     agrees with the factored velocity to rounding.  Both take
     ``dgetri``'s Fortran-ordered inverse as it is and copy nothing.
@@ -468,10 +480,8 @@ def _neumann_velocity(A, j, f, q):
         # g'(u) = 0: T = I, with no sweep and no inverse to read
         return -f
     k = min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
-    inverse = A._inverse()
     # positional arguments and dsymv's default upper triangle: an f2py keyword
     # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
-    mv = dsymv if A.self_adjoint else dgemv
     v = -f
     for _ in range(k):
         v = mv(-1.0, inverse, j * v, -1.0, f)

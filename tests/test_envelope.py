@@ -65,16 +65,25 @@ def _row(command, builtin, dim, wanted, defect=None, flags=()):
 
 
 ROWS = [
-    # one converged row per builtin
+    # one converged row per builtin, each builtin's smallest dim, and 256,
+    # the largest dim measured
     _row("solve", "wellposed_cubic", 10, {CONVERGED}),
+    _row("solve", "wellposed_cubic", 1, {CONVERGED}),
+    _row("solve", "wellposed_cubic", 256, {CONVERGED}),
     _row("solve", "sector_blocks", 64, {CONVERGED}),
+    _row("solve", "sector_blocks", 2, {CONVERGED}),
     _row("solve", "ill_conditioned", 1, {CONVERGED}),
     _row("continue", "singular_monotone", 10, {CONVERGED}),
+    _row("continue", "singular_monotone", 2, {CONVERGED}),
     _row("continue", "singular_canonical", None, {CONVERGED}),
     # an unshifted singular L is refused by A's pivot test, and a shift
     # makes it invertible
     _row("solve", "singular_monotone", 10, {REFUSED}),
     _row("solve", "singular_monotone", 10, {CONVERGED}, flags=("--epsilon", "0.01")),
+    # a shifted singular L under the cubic's dense Jacobian: both
+    # certificates take the sampled route
+    _row("solve", "singular_monotone", 10, {CONVERGED},
+         flags=("--cubic-scale", "0.1", "--epsilon", "0.01")),
     _row("solve", "ill_conditioned", 2, {CONVERGED}, "t_max: p_final 3.0e-9 at t = 30"),
     _row("solve", "ill_conditioned", 6, {REFUSED, EXPLORATORY},
          "t_max: p_final 2.0e-4 at t = 30, trust=FAIL, exit 1"),

@@ -555,9 +555,9 @@ def _count_routes(monkeypatch):
     calls = []
     neumann = model._neumann_velocity
 
-    def recorded(A, j, f, q):
+    def recorded(mv, inverse, j, f, q):
         calls.append(q)
-        return neumann(A, j, f, q)
+        return neumann(mv, inverse, j, f, q)
 
     monkeypatch.setattr(model, "_neumann_velocity", recorded)
     return calls
@@ -729,24 +729,25 @@ _ROUTES = [
 @pytest.mark.parametrize("make, lu", _ROUTES)
 def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
         monkeypatch, make, lu):
-    # g and g' once per stage, on every route; one scan per stage for u,
-    # and one more where the stage factors by LU, which every stage that
-    # factors does in the cases with lu = 1; recording a point scans F(u)
-    # once.  At a cubic scale of 1, q leaves the Neumann route's bound at
-    # every stage of the Cholesky case and at some of the LU one
+    # g and g' once per stage, on every route; one check per stage for u,
+    # its BLAS sum of squares, which proves a finite u finite without the
+    # scan, and one scan where the stage factors by LU, of the LU factor,
+    # which every stage that factors does in the cases with lu = 1;
+    # recording a point proves F(u) finite by its sum of squares and scans
+    # nothing.  At a cubic scale of 1, q leaves the Neumann route's bound
+    # at every stage of the Cholesky case and at some of the LU one
     calls = {"fn": 0, "jac": 0}
     problem = _counting(make(), calls)
     problem.shifted._factorize()
     calls.update(fn=0, jac=0)
-    scans = []
-    scan = hilbert._all_finite
-
-    def counted(x):
-        scans.append(x.shape)
-        return scan(x)
-
-    monkeypatch.setattr(hilbert, "_all_finite", counted)
-    monkeypatch.setattr(model, "_all_finite", counted)
+    checks, scans = [], []
+    squares, scan = hilbert._squares_finite, hilbert._all_finite
+    # hilbert's binding is as_vector's check of u; the stage's own tests of
+    # f and v go through model's binding, which stays as it is
+    monkeypatch.setattr(hilbert, "_squares_finite",
+                        lambda x: checks.append(x.shape) or squares(x))
+    for module in (hilbert, model):
+        monkeypatch.setattr(module, "_all_finite", lambda x: scans.append(x.shape) or scan(x))
     factors = _count_factorizations(monkeypatch)
     routes = _count_routes(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
@@ -755,7 +756,8 @@ def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
     jacobians = 0 if problem.g.jac_fn is None else stages
     assert calls == {"fn": stages, "jac": jacobians}
     assert factors["getrf"] == lu * (stages - len(routes))
-    assert len(scans) == stages + factors["getrf"] + len(res.trajectory)
+    n = problem.dim
+    assert checks == [(n,)] * stages and scans == [(n, n)] * factors["getrf"]
 
 
 def test_a_fault_mid_run_raises_what_the_scans_raised():
@@ -972,8 +974,8 @@ def test_step_budget_exit_records_the_size_in_hand(monkeypatch):
     attempts = []
     step = flow._dopri_step
     monkeypatch.setattr(flow, "_dopri_step",
-                        lambda stage, u, k, h, *rest: attempts.append(h) or
-                        step(stage, u, k, h, *rest))
+                        lambda stage, u, au, k, h, *rest: attempts.append(h) or
+                        step(stage, u, au, k, h, *rest))
     monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     with pytest.raises(FlowFailed) as exc:
         integrate(problem, cfg)
@@ -1059,22 +1061,29 @@ def test_until_out_of_range_is_refused_before_any_stage(monkeypatch, until):
 # -- one Dormand-Prince step ----------------------------------------------------------
 
 
+def _stage_matrix(v, fill):
+    """The Fortran-ordered ``(n, 7)`` stage matrix: ``v`` in column 0, ``fill`` elsewhere."""
+    k = np.full((v.size, 7), fill, order="F")
+    k[:, 0] = v
+    return k
+
+
 def test_dopri_step_follows_the_linear_flow_and_moves_the_velocity():
     # L = I and a constant g: the flow is u* + (u0 - u*) e^{-t}
     problem, u_star = linear_problem(dim=4, seed=3)
     stage = model._stage(problem)
     u = problem.u0.copy()
-    k = np.empty((7, u.size))
-    k[0] = stage(u)[0]
+    k = _stage_matrix(stage(u)[0], np.nan)
     h = 0.1
-    step, h_next, errold = flow._dopri_step(stage, u, k, h, 1e-4, 1e-6)
+    step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, h, 1e-4, 1e-6)
     assert step is not None
-    u_new, p_new, gu_new = step
+    u_new, au_new, p_new, gu_new = step
     gap = problem.u0 - u_star
     # DP5's local error on u' = -u is (1/600 - 1/720) h^6 |gap| to leading order
     assert norm(u_new - (u_star + gap * np.exp(-h))) <= 1e-3 * h ** 6 * norm(gap)
+    assert np.array_equal(au_new, np.abs(u_new))
     v_new, p_ref, gu_ref = stage(u_new)
-    assert np.array_equal(k[0], v_new)
+    assert np.array_equal(k[:, 0], v_new)
     assert p_new == p_ref and np.array_equal(gu_new, gu_ref)
     assert np.array_equal(u, problem.u0)
     assert h_next > 0.0 and errold >= 1e-4
@@ -1084,14 +1093,55 @@ def test_dopri_step_rejection_leaves_the_state_as_it_was():
     problem, _ = linear_problem(dim=4, seed=3)
     stage = model._stage(problem)
     u = problem.u0.copy()
-    k = np.empty((7, u.size))
-    k[0] = stage(u)[0]
-    v = k[0].copy()
+    k = _stage_matrix(stage(u)[0], np.nan)
+    v = k[:, 0].copy()
     # 50 time units lie far outside DP5's stability interval on u' = -u
-    step, h_next, errold = flow._dopri_step(stage, u, k, 50.0, 0.37, 1e-8)
+    step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, 50.0, 0.37, 1e-8)
     assert step is None
-    assert np.array_equal(u, problem.u0) and np.array_equal(k[0], v)
+    assert np.array_equal(u, problem.u0) and np.array_equal(k[:, 0], v)
     assert h_next == 5.0 and errold == 0.37
+
+
+def test_dopri_step_matches_a_stage_by_stage_reference_to_rounding():
+    # the same tableau summed term by term in Python: dgemv's fused scaling
+    # and its order of summation move u_new by a few roundings at most
+    problem = wellposed_cubic(12).problem
+    stage = model._stage(problem)
+    u = problem.u0 + 0.1
+    v = stage(u)[0]
+    h = 0.05
+    ks = [v]
+    for a in flow._A[:5]:
+        ks.append(stage(u + h * sum(c * kj for c, kj in zip(a, ks)))[0])
+    ref = u + h * sum(c * kj for c, kj in zip(flow._A[5], ks))
+    scale = np.abs(u) + h * sum(abs(c) * np.abs(kj) for c, kj in zip(flow._A[5], ks))
+    step, _, _ = flow._dopri_step(stage, u, np.abs(u), _stage_matrix(v, np.nan), h, 1e-4, 1e-8)
+    assert step is not None
+    assert np.all(np.abs(step[0] - ref) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("make, h, accepted", [
+    pytest.param(lambda: wellposed_cubic(12).problem, 0.05, True, id="wellposed_cubic-12"),
+    pytest.param(lambda: sector_blocks(8).problem, 0.05, True, id="sector_blocks-8"),
+    pytest.param(lambda: sector_blocks(8).problem, 0.2, False, id="rejected-sector_blocks-8"),
+])
+def test_dopri_step_reads_no_column_it_has_not_written(make, h, accepted):
+    # an attempt reads only the columns of k it has written, so NaN in the
+    # six scratch columns leaves it bitwise the attempt from zeros there
+    problem = make()
+    stage = model._stage(problem)
+    u = problem.u0.copy()
+    v = stage(u)[0]
+    attempts = []
+    for fill in (0.0, np.nan):
+        k = _stage_matrix(v, fill)
+        step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, h, 1e-4, 1e-8)
+        assert (step is not None) == accepted
+        attempts.append((step or (), h_next, errold, k))
+    (step, h_next, errold, k), (step_nan, h_nan, errold_nan, k_nan) = attempts
+    assert (h_next, errold) == (h_nan, errold_nan) and k.tobytes() == k_nan.tobytes()
+    # (u, |u|, p, g(u)), each bitwise
+    assert [np.asarray(x).tobytes() for x in step] == [np.asarray(x).tobytes() for x in step_nan]
 
 
 # -- trust ball -----------------------------------------------------------------------

@@ -68,6 +68,35 @@ def test_as_vector_accepts_lists_and_checks_dim():
         as_vector([1.0, np.nan])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_vector_refuses_a_non_finite_entry_with_its_message(bad):
+    # the sum of squares is not finite, so the exact scan gives the verdict
+    with pytest.raises(ValueError) as exc:
+        as_vector([1.0, bad, 2.0], name="probe")
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "probe contains non-finite entries"
+
+
+@pytest.mark.parametrize("x, scanned", [
+    (np.array([1e200, 1.0]), True),
+    (np.array([np.finfo(float).max, -np.finfo(float).max]), True),
+    (np.empty(0), True),
+    (np.array([1.0, -2.0, 3.0]), False),
+    (np.array([1e150, -1e150]), False),
+], ids=["squares-overflow", "max", "empty", "finite", "large-finite-squares"])
+def test_as_vector_passes_every_finite_vector(monkeypatch, x, scanned):
+    # only a finite vector whose squares overflow, or an empty one, which
+    # ddot refuses, is scanned, and it passes the scan; none warns
+    scans = []
+    scan = hilbert._all_finite
+    monkeypatch.setattr(hilbert, "_all_finite", lambda y: scans.append(y.size) or scan(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = as_vector(x)
+    assert v.tobytes() == x.tobytes()
+    assert scans == ([x.size] if scanned else [])
+
+
 _GRID = np.arange(12.0).reshape(3, 4)
 _GRID_NAN = _GRID.copy()
 _GRID_NAN[1, 2] = np.nan
