@@ -10,7 +10,10 @@ Where ``q <= 2^(-53/8)``, the Neumann series of ``[I + A^{-1} g'(u)]^{-1}``
 converges, and at most seven sweeps ``x <- f - A^{-1}(g'(u) x)`` against
 ``A``'s cached inverse reach the unit roundoff: a diagonal ``g'(u)`` has
 ``q = max|g'(u)| / sigma_min(A)``, and a zero Jacobian has ``q = 0``, so
-its velocity is ``-f``.  Every other stage computes
+its velocity is ``-f``.  A Jacobian that a map declares in a basis,
+``g'(u) = B diag(d) B^T``, is solved in rank ``r`` by Sherman-Morrison-
+Woodbury, with one ``r x r`` Cholesky factor per stage, in a run whose
+rounding gate opens.  Every other stage computes
 ``phi(u) = -(A + g'(u))^{-1} (A f)`` with one factorization of
 ``A + g'(u)``: a lower Cholesky factor where a diagonal ``g'(u)`` on a
 self-adjoint ``A`` admits one, and an LU otherwise.  See
@@ -278,8 +281,11 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
     value outside that range raises ``ValueError`` before any stage runs.
 
     Returns a :class:`FlowResult` whose last trajectory point is the final
-    state ``(t_final, u_final)``; raises :class:`FlowFailed` only for
-    step-size collapse or step-budget exhaustion, with that result attached.
+    state ``(t_final, u_final)``; raises :class:`FlowFailed` for step-size
+    collapse or step-budget exhaustion, with that result attached, and,
+    before the first step and with no result, for a start point whose
+    residual norm ``p(0)`` is not finite: a finite ``f`` whose squares
+    overflow, which every stop would otherwise read as already met.
     """
     cfg = cfg or FlowConfig()
     end = cfg.t_max if until is None else until
@@ -289,6 +295,10 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
     u = problem.u0.copy()
     v, p, gu = stage(u)
     p0 = p
+    if not math.isfinite(p0):
+        # a finite f whose squares overflow: no stop or decay test can compare with it
+        raise FlowFailed(f"start residual norm |f(u0)| overflows to {p0}; "
+                         f"nothing to integrate against")
     stop_at = cfg.stop_at(p0) if until is None else _P_STOP_FLOOR
     enforce_ball = trust is not None and trust.passed
 

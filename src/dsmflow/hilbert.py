@@ -16,8 +16,10 @@ straight from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 ``lu_solve`` give without their per-call wrapper cost.  :func:`_potrf`
 and :func:`_potrs` do the same for the lower Cholesky factor, LAPACK
 ``dpotrf``/``dpotrs``, which the stage takes for a self-adjoint operator
-before it falls back to LU, and :func:`_getri` turns LU factors into the
-inverse, LAPACK ``dgetri``.  There is one wrapper per LAPACK call.
+before it falls back to LU, :func:`_getri` turns LU factors into the
+inverse, LAPACK ``dgetri``, and :func:`_potri` a Cholesky factor into
+the exactly symmetric inverse, LAPACK ``dpotri``.  There is one wrapper
+per LAPACK call.
 :func:`_getrf`, :func:`_potrf` and :func:`_getri` never touch their
 argument: the LAPACK wrapper factors or inverts a column-major copy of
 its own, whatever the argument's layout.  :func:`_getrs` and
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dpotri, dpotrf, dpotrs
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
@@ -188,6 +190,22 @@ def _potrs(c, b):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
+
+
+def _potri(c):
+    """``M^{-1}`` from :func:`_potrf`'s factor ``c`` with LAPACK ``dpotri``, exactly symmetric.
+
+    ``dpotri`` forms the lower triangle of the inverse in the wrapper's
+    copy of ``c``; its strictly lower part is mirrored above the diagonal,
+    so the result equals its transpose bit for bit.  ``c`` keeps its bits.
+    """
+    inv, info = dpotri(c, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotri")
+    if info > 0:
+        raise ValueError(f"dpotri met the zero pivot c[{info - 1}, {info - 1}]")
+    low = np.tril(inv)
+    return low + np.tril(low, -1).T
 
 
 def norm(u):

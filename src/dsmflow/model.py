@@ -19,7 +19,7 @@ from scipy.linalg.blas import dgemv, dsymv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
 from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
-                      _potrs, _squares_finite, as_vector, norm)
+                      _potri, _potrs, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -48,6 +48,10 @@ _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's floor test
 _NEUMANN_SWEEPS = 7
 _NEUMANN_Q = 2.0 ** (-53 / (_NEUMANN_SWEEPS + 1))
 
+#: Largest ``beta = |A|_2 |C|_F |B|_2 / sigma_min(B)^2`` at which a run
+#: solves a declared basis's Jacobian in its rank (see :func:`_lowrank`).
+_LOWRANK_BETA = 32.0
+
 #: Ball samples behind a Newton bound, with the center prepended; only
 #: :func:`certify_newton_bound` draws them.
 BOUND_SAMPLES = 64
@@ -71,11 +75,17 @@ class NonlinearMap:
     ``jac_fn`` returns ``g'(u)`` as an ``(n, n)`` matrix, or, for a
     componentwise map whose Jacobian is diagonal, as the length-``n``
     vector of that diagonal.  A map whose Jacobian is identically zero
-    carries ``jac_fn=None``.  :func:`newton_velocity` adds a vector onto
-    ``A``'s diagonal, or scales its Neumann sweeps by it, and, for None,
-    returns ``-f``, the Neumann route's case ``q = 0``, with no solve
-    beyond ``f``'s.  :meth:`jacobian` always returns the dense ``(n, n)``
-    matrix.
+    carries ``jac_fn=None``.  A map whose Jacobian has the form
+    ``g'(u) = B diag(d(u)) B^T`` for one fixed ``(n, r)`` matrix ``B``
+    declares it as ``jac_basis = B``, and its ``jac_fn`` then returns the
+    length-``r`` vector ``d(u)``; ``B`` is stored as a float array, and
+    one that is not 2-D with ``r >= 1`` or not finite raises
+    ``ValueError`` here.  :func:`newton_velocity` adds a vector onto
+    ``A``'s diagonal, or scales its Neumann sweeps by it, solves a
+    declared basis's form in rank ``r``, and, for None, returns ``-f``,
+    the Neumann route's case ``q = 0``, with no solve beyond ``f``'s.
+    :meth:`jacobian` always returns the dense ``(n, n)`` matrix, for a
+    declared basis ``(B * d) @ B^T``.
 
     Calling the map, or :meth:`jacobian`, checks ``u`` with
     :func:`~dsmflow.hilbert.as_vector` and then the output's shape
@@ -92,6 +102,7 @@ class NonlinearMap:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     jac_floor: float = None
+    jac_basis: np.ndarray = None
 
     def __post_init__(self):
         if self.jac_floor is not None:
@@ -99,6 +110,11 @@ class NonlinearMap:
             if not math.isfinite(self.jac_floor):
                 raise ValueError(f"map {self.name!r} Jacobian floor must be finite, "
                                  f"got {self.jac_floor}")
+        if self.jac_basis is not None:
+            B = self.jac_basis = np.asarray(self.jac_basis, dtype=float)
+            if B.ndim != 2 or B.shape[1] < 1 or not _all_finite(B):
+                raise ValueError(f"map {self.name!r} Jacobian basis must be a finite "
+                                 f"(n, r) matrix with r >= 1, got shape {B.shape}")
 
     def __call__(self, u):
         return self._value(as_vector(u))
@@ -109,7 +125,16 @@ class NonlinearMap:
         J = self._jacobian(u)
         if J is None:
             return np.zeros((u.size, u.size))
+        if self.jac_basis is not None:
+            return self._dense(J)
         return np.diag(J) if J.ndim == 1 else J
+
+    def _dense(self, d, scan=True):
+        """``(B * d) @ B^T`` for the declared basis ``B``; ``scan`` checks it is finite."""
+        J = (self.jac_basis * d) @ self.jac_basis.T
+        if scan and not _all_finite(J):
+            raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
+        return J
 
     def _value(self, u, scan=True):
         """``g(u)`` for a ``u`` that :func:`as_vector` has checked.
@@ -127,13 +152,20 @@ class NonlinearMap:
     def _jacobian(self, u, scan=True):
         """``g'(u)`` as ``jac_fn`` gives it, for a ``u`` that :func:`as_vector` has checked.
 
-        None for a zero Jacobian, a length-``n`` vector for a diagonal one,
-        else the ``(n, n)`` matrix.  ``scan=False`` checks only its shape.
+        None for a zero Jacobian, the length-``r`` vector ``d`` for a
+        declared basis, a length-``n`` vector for a diagonal one, else the
+        ``(n, n)`` matrix.  ``scan=False`` checks only its shape.
         """
         if self.jac_fn is None:
             return None
         J = np.asarray(self.jac_fn(u), dtype=float)
-        if J.shape != u.shape and J.shape != (u.size, u.size):
+        B = self.jac_basis
+        if B is not None:
+            if B.shape[0] != u.size or J.shape != B.shape[1:]:
+                raise DimensionMismatch(
+                    f"map {self.name!r} Jacobian has shape {J.shape} on basis {B.shape} "
+                    f"at input shape {u.shape}, expected {(B.shape[1],)} on ({u.size}, r)")
+        elif J.shape != u.shape and J.shape != (u.size, u.size):
             raise DimensionMismatch(
                 f"map {self.name!r} Jacobian has shape {J.shape}, "
                 f"expected {u.shape} or {(u.size, u.size)}")
@@ -254,7 +286,10 @@ def newton_velocity(problem, u):
     ``T = I + A^{-1} g'(u)``.  One rule picks how ``T`` is solved: the
     contraction factor ``q``, a proven bound on ``|A^{-1} g'(u)|``.  A zero
     Jacobian, ``jac_fn=None``, has ``q = 0``; a Jacobian that ``jac_fn``
-    returns as its diagonal has ``q = max|g'(u)| / sigma_min(A)``; a dense
+    returns as its diagonal has ``q = max|g'(u)| / sigma_min(A)``; one in a
+    declared basis, ``g'(u) = B diag(d) B^T``, has
+    ``q = max|d| |B|_2^2 / sigma_min(A)`` where its run takes the low-rank
+    route, and the factor path's dense ``(B * d) @ B^T`` elsewhere; a dense
     one has no ``q`` and always takes the factor path.
 
     *Neumann route, ``q <= 2^(-53/8)``, about 0.0102, at every dim.*  Then
@@ -277,6 +312,58 @@ def newton_velocity(problem, u):
     is zero, ``jac_fn=None`` or a diagonal that vanishes at ``u``, factors,
     inverts and multiplies nothing.  The velocity agrees with the
     factored one to rounding, not bitwise.
+
+    *Low-rank route, a declared basis on a self-adjoint ``A``, in a run
+    whose gate opens.*  Once per run, :func:`_lowrank` forms
+    ``C = A^{-1} B``, one ``dgetrs`` with ``r`` columns on ``A``'s cached
+    LU, ``G = B^T C``, its exactly symmetric inverse ``H`` from one
+    ``dpotrf`` and ``dpotri``, and ``C H``.  A stage whose ``q`` passes the
+    Neumann bound sweeps ``v <- -f - C (d * (B^T v))``, and ``q = 0``
+    returns ``-f``.  Any other stage solves one ``r x r`` system
+    (:func:`_lowrank_velocity`): by Sherman-Morrison-Woodbury (Hager,
+    SIAM Review 31, 1989), ``T^{-1} = I - C (I + D G)^{-1} D B^T`` with
+    ``D = diag(d)``, and ``(I + D G)^{-1} D = H (H + D)^{-1} D``, so
+    ``v = -f + (C H) w`` with ``(H + D) w = d * (B^T f)``.  ``H + D`` is
+    built by a diagonal add onto a copy of ``H`` and factored by
+    ``dpotrf``; for ``d >= 0`` it is positive definite, and its pivots are
+    at least ``sqrt(lambda_min(H)) >= sqrt(sigma_min(A)) / |B|_2``.  Their
+    test is the factor path's, ``min(diag c)^2 >= 1e-9 max(1, m_max)``
+    with ``m_max = max|H| + max|d| >= max|H + D|``, so it trips only for a
+    ``d`` that is negative or not finite.  A stage is one ``dpotrf`` and
+    one ``dpotrs`` of size ``r`` and two ``dgemv`` with ``n x r``
+    matrices, in place of an ``n x n`` factorization.
+
+    The gate comes from the route's rounding bound.  Woodbury is not
+    backward stable in general (Yip, SIAM J. Sci. Stat. Comput. 7, 1986):
+    it loses accuracy where ``B`` lifts the directions in which ``A`` is
+    small.  With the unit roundoff ``u``, ``kappa(A) = |A|_2 /
+    sigma_min(A)`` and ``beta = |A|_2 |C|_F |B|_2 / sigma_min(B)^2``, the
+    route's velocity is, to first order, within
+    ``c_n u kappa(A) beta (1 + beta) |f|`` of ``-T^{-1} f`` for ``d >= 0``.
+    The ``beta`` term is the error ``-A^{-1} dA C`` of the ``r`` solves
+    behind ``C``, which reaches ``v`` through ``(A + g'(u))^{-1}``.  The
+    ``beta^2`` term comes from taking ``H`` symmetric while ``B^T C`` is
+    symmetric only to ``c_n u kappa(A) |B|_2 |C|_2``.  Both use
+    ``|H|_2 <= |A|_2 / sigma_min(B)^2``.  The factor path's bound is
+    ``c_n u (kappa(M) |v| + kappa(A) |f|)`` with ``M = A + g'(u)``, the
+    second term from forming ``A f``.  A run takes the route only where
+    ``beta <= 32``, which keeps the route's bound within about ``2^10``
+    times the factor path's, and every stage of any other run takes the
+    factor path.  ``beta = kappa(A) gamma`` with
+    ``gamma = |C| sigma_min(A)``, so a basis that avoids ``A``'s smallest
+    eigenvectors keeps ``beta`` near ``|A|_2 / lambda_min`` on its range
+    at every shift: ``range_cubic``'s ``B`` spans ``L``'s range on
+    ``singular_monotone`` and has ``beta`` about 2 to 9 there at
+    dims 10 to 40.  A basis tilted into ``L``'s nullspace has ``gamma``
+    near 1, so the gate closes once ``kappa(A) > 32``.  Measured against
+    40-digit references on bases tilted from ``L``'s range into its
+    nullspace at dims 10, 20 and 40 and shifts 1 to 1e-8, the route's
+    error stayed below the factor path's wherever ``beta <= 400``, first
+    exceeded it at ``beta = 1250``, and at worst was 1.6e5 times it
+    (``eps = 1e-8``, ``beta = 4e8``).  A
+    non-self-adjoint ``A``, a map that declares no ``jac_floor >= 0``, a
+    ``B`` without full column rank ``r <= n`` and a ``G`` that ``dpotrf``
+    refuses close the gate too.
 
     *Factor path, every other stage.*  ``v = -(A + g'(u))^{-1} (A f)``, one
     factorization of ``M = A + g'(u)``; this equals ``-T^{-1} f`` without
@@ -328,6 +415,10 @@ def newton_velocity(problem, u):
       ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
       which fails the route's bound and then the factor path's test of
       ``m_max``.
+    - The low-rank route adds four tests that scan nothing: its ``m_max``
+      is finite, which a ``d`` that is not finite fails after the Neumann
+      bound, ``dpotrf``'s ``info``, the NaN-safe pivot test, and ``v.v``
+      is finite.
     - The factor path adds four tests that scan nothing.  ``m_max`` is
       finite: ``g'(u)`` and ``M`` are, since NaN propagates through
       ``max`` and ``m_max`` bounds ``max|M|``.  For a diagonal ``g'(u)``
@@ -344,12 +435,15 @@ def newton_velocity(problem, u):
       wrong length, the same body runs again with every scan on, in the
       order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
       pivot test between the two, then for a zero Jacobian ``f``
-      (``ValueError``), and otherwise the factor path whatever ``q`` is:
+      (``ValueError``), and otherwise the factor path whatever ``q`` is
+      and whatever the run's gate, a declared basis's ``d`` expanded to
+      ``(B * d) @ B^T`` and scanned as ``g'(u)`` (``ValueError``):
       ``m_max`` (``ValueError``), the Cholesky factor (``ValueError``) and
       ``A f`` (``ValueError``, before either solve).  That run raises the
       first fault there is, or returns the same result after a false
       alarm, a finite ``f`` or ``v`` whose squares overflow; after a false
-      alarm on the Neumann route, the factor path's result.  So ``g`` and
+      alarm on the Neumann or low-rank route, or a pivot that the
+      low-rank route refused, the factor path's result.  So ``g`` and
       ``g'`` are evaluated once per stage unless a value is not finite.  A
       dense ``g'(u)`` with both a non-finite entry and a finite one that
       overflows when added to ``A`` warns (``RuntimeWarning``) as ``M`` is
@@ -366,12 +460,16 @@ def _stage(problem):
 
     :func:`~dsmflow.flow.integrate` takes one per run.  ``A``'s pivot test
     runs here; an ``A`` that fails it leaves every call to run with its
-    scans on, which raises the test's error in its place.
+    scans on, which raises the test's error in its place.  For a map that
+    declares a basis, the low-rank route's data and gate are decided here
+    too (:func:`_lowrank`), once per run.
     """
     A = problem.shifted
     g = problem.g
+    basis = g.jac_basis
     n = A.dim
     Ae = A.entries
+    lowrank = None
     try:
         A._solve_factors(problem.u0)
     except (SingularOperator, ValueError):
@@ -383,6 +481,8 @@ def _stage(problem):
         lu_a, piv_a, _, amax = A._factorize()
         # sigma_min(A) from the cached spectrum, lowered by its rounding
         smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
+        if basis is not None:
+            lowrank = _lowrank(problem, lu_a, piv_a, smin_a)
     # the sweeps' kernel, and A's inverse once the first sweep needs it
     mv = dsymv if A.self_adjoint else dgemv
     inverse = None
@@ -405,6 +505,15 @@ def _stage(problem):
             if checked and not _all_finite(f):
                 raise ValueError("right-hand side contains non-finite entries")
             return -f, math.sqrt(ff), gu
+        if basis is not None:
+            if lowrank is not None and not checked:
+                v = _lowrank_velocity(lowrank, J, f)
+                if v is None or not _squares_finite(v):
+                    return stage(u, True)
+                return v, math.sqrt(ff), gu
+            # the gate is closed, or this is the checked run: the factor
+            # path on the dense (B * d) @ B^T
+            J = g._dense(J, checked)
         diagonal = J.ndim == 1
         if diagonal:
             # one reduction, bitwise np.abs(J).max() without the method's
@@ -455,7 +564,87 @@ def _stage(problem):
     return stage
 
 
-def _neumann_velocity(mv, inverse, j, f, q):
+def _lowrank(problem, lu, piv, smin_a):
+    """The low-rank route's per-run data for a declared basis ``B``, or None with the gate closed.
+
+    The route needs a self-adjoint ``A`` with ``sigma_min(A) >= smin_a > 0``,
+    a map that declares ``jac_floor >= 0``, so that ``d >= 0``, and a
+    ``B`` of full column rank ``r <= n``.  Gershgorin's discs of the Gram
+    matrix ``W = B^T B`` bound ``B``'s extreme singular values with no
+    eigensolver: ``|B|_2^2 <= b_hi^2 = max_i sum_j |W_ij|`` and
+    ``sigma_min(B)^2 >= b_lo^2 = min_i (W_ii - sum_(j != i) |W_ij|)``,
+    each widened by ``r (n+1) eps_mach max|W|``, which covers the rounding
+    of ``W``'s entries, ``gamma_n |b_i| |b_j|``.  For an orthonormal ``B``
+    both are 1 to within that slack; a ``b_lo^2 <= 0`` closes the gate.
+    ``C = A^{-1} B`` is
+    one ``dgetrs`` with ``r`` columns on ``A``'s cached LU (``lu``,
+    ``piv``), and ``H = G^{-1}`` for ``G = B^T C`` comes from one
+    ``dpotrf`` and ``dpotri`` (:func:`~dsmflow.hilbert._potri`), exactly
+    symmetric; a ``G`` that ``dpotrf`` refuses closes the gate.
+
+    The gate is ``beta = |A|_2 |C|_F b_hi / b_lo^2 <= 32``
+    (:data:`_LOWRANK_BETA`); see :func:`newton_velocity` for the rounding
+    bound it comes from.  ``|H|_2 = 1/lambda_min(G) <= |A|_2 / b_lo^2``,
+    so it also keeps ``kappa(G) <= beta``.  Returns ``(B^T, C, H, C H,
+    max|H|, b_hi^2 / smin_a)``, the products Fortran-ordered for BLAS
+    ``dgemv``; the last factor times ``max|d|`` is the route's ``q``.
+    """
+    A, B = problem.shifted, problem.g.jac_basis
+    n, r = B.shape
+    floor = problem.g.jac_floor
+    if not (A.self_adjoint and smin_a > 0.0 and floor is not None and floor >= 0.0
+            and n == A.dim and r <= n):
+        return None
+    W = np.abs(B.T @ B)
+    rows = W.sum(axis=1)
+    slack = r * (n + 1) * float(np.finfo(float).eps) * float(W.max())
+    b_hi2 = float(rows.max()) + slack
+    b_lo2 = float((2.0 * W.diagonal() - rows).min()) - slack
+    if not b_lo2 > 0.0:
+        return None
+    C = _getrs(lu, piv, B)
+    beta = A.operator_norm() * float(np.linalg.norm(C)) * math.sqrt(b_hi2) / b_lo2
+    if not beta <= _LOWRANK_BETA:
+        return None
+    chol = _potrf(B.T @ C)
+    if chol is None:
+        return None
+    H = _potri(chol)
+    return (np.asfortranarray(B.T), C, H, np.asfortranarray(C @ H), float(np.abs(H).max()),
+            b_hi2 / smin_a)
+
+
+def _lowrank_velocity(lowrank, d, f):
+    """``v = -T^{-1} f`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
+
+    ``lowrank`` is :func:`_lowrank`'s data.  With ``q = max|d| |B|_2^2 /
+    sigma_min(A)``, a proven bound on ``|A^{-1} g'(u)|``, a ``q`` at or
+    below the Neumann bound takes :func:`_neumann_velocity`'s sweeps
+    ``v <- -f - C (d * (B^T v))``, and ``q = 0`` none.  Any other ``d``
+    factors ``S = H + diag(d)``, built by a diagonal add onto a copy of
+    ``H``, by ``dpotrf``, and ``v = -f + (C H) w`` with ``S w = d * (B^T
+    f)``, one ``dpotrs`` and one ``dgemv``.  None, and the caller re-runs
+    the stage checked, when ``max|H| + max|d|`` is not finite, when
+    ``dpotrf`` refuses ``S``, or when the smallest pivot's square is not
+    at least ``1e-9 max(1, max|H| + max|d|)``, the factor path's test.
+    """
+    Bt, C, H, CH, hmax, qscale = lowrank
+    dmax = float(np.maximum.reduce(np.abs(d)))
+    q = dmax * qscale
+    if q <= _NEUMANN_Q:
+        return _neumann_velocity(dgemv, C, d, f, q, Bt)
+    s_max = hmax + dmax
+    if not math.isfinite(s_max):
+        return None
+    S = H.copy()
+    S.ravel()[::S.shape[0] + 1] += d
+    chol = _potrf(S)
+    if chol is None or not chol.diagonal().min() ** 2 >= 1e-9 * max(1.0, s_max):
+        return None
+    return dgemv(1.0, CH, _potrs(chol, d * dgemv(1.0, Bt, f)), -1.0, f)
+
+
+def _neumann_velocity(mv, inverse, j, f, q, basis_t=None):
     """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
 
     ``inverse`` is the shifted operator ``A``'s cached inverse
@@ -475,6 +664,11 @@ def _neumann_velocity(mv, inverse, j, f, q):
     of a symmetric ``A`` is symmetric to rounding, so either product
     agrees with the factored velocity to rounding.  Both take
     ``dgetri``'s Fortran-ordered inverse as it is and copy nothing.
+
+    For a declared basis, :func:`_lowrank_velocity` passes ``mv = dgemv``,
+    ``inverse = C = A^{-1} B``, ``j = d`` and ``basis_t = B^T``, so that
+    ``K = C diag(d) B^T``: each sweep is one ``dgemv`` with ``B^T`` and
+    one with ``C``, and ``q >= |K|`` is that function's bound.
     """
     if q == 0.0:
         # g'(u) = 0: T = I, with no sweep and no inverse to read
@@ -484,7 +678,7 @@ def _neumann_velocity(mv, inverse, j, f, q):
     # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
     v = -f
     for _ in range(k):
-        v = mv(-1.0, inverse, j * v, -1.0, f)
+        v = mv(-1.0, inverse, j * (v if basis_t is None else dgemv(1.0, basis_t, v)), -1.0, f)
     return v
 
 

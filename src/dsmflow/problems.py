@@ -150,6 +150,15 @@ def _make_cubic(dim, params):
 
 
 def _make_range_cubic(dim, params):
+    """``g(u) = offset + s B (B^T u)^3``, a cubic in the range of the orthonormal ``(dim, r)`` ``B``.
+
+    Its Jacobian ``B diag(3 s (B^T u)^2) B^T`` has rank at most ``r``, and
+    the map declares it so: ``jac_basis = B``, with ``jac_fn`` returning
+    ``d = 3 s (B^T u)^2`` of length ``r``.  A flow stage then solves it in
+    rank ``r`` (see :func:`~dsmflow.model.newton_velocity`), and
+    ``jacobian(u)`` is ``(B * d) @ B^T``, bitwise the dense matrix this map
+    returned before it declared ``B``.  ``jac_floor`` is 0, since ``s >= 0``.
+    """
     scale = _scale("range_cubic", params)
     B = _reals("builtin map 'range_cubic' param 'basis'", params["basis"])
     if B.ndim != 2 or B.shape[0] != dim:
@@ -166,13 +175,14 @@ def _make_range_cubic(dim, params):
         return offset + scale * (B @ (y * y * y))
 
     def jac_fn(u):
+        # d = 3 s y^2 of g'(u) = B diag(d) B^T, declared through jac_basis
         y = B.T @ u
-        # B diag(3 s y^2) B^T, with B's columns scaled instead of a diagonal product
-        return (B * (3.0 * scale * y ** 2)) @ B.T
+        return 3.0 * scale * y ** 2
 
     # B diag(3 s y^2) B^T is psd, since _scale refuses a negative scale
     return NonlinearMap(fn=fn, jac_fn=jac_fn, name="range_cubic",
-                        params={"scale": scale, "basis": B, "offset": offset}, jac_floor=0.0)
+                        params={"scale": scale, "basis": B, "offset": offset}, jac_floor=0.0,
+                        jac_basis=B)
 
 
 _MAP_FACTORIES = {

@@ -169,7 +169,9 @@ def monotonicity_witness(g, samples):
     """Sampled evidence of ``g``'s monotonicity: ``(eigenvalues, secants)``, two arrays.
 
     ``eigenvalues[i]`` is the smallest eigenvalue of ``(J + J^T)/2`` for
-    ``J = g'(u_i)``.  It is ``eigvalsh``'s for a matrix ``J``; for the
+    ``J = g'(u_i)``.  It is ``eigvalsh``'s for a matrix ``J``, and for the
+    dense :meth:`~dsmflow.model.NonlinearMap.jacobian` of a map that
+    declares a ``jac_basis``, whose ``d`` is not ``J``'s diagonal; for the
     diagonal that ``jac_fn`` hands over for a componentwise map it is the
     diagonal's minimum, and 0 for ``jac_fn=None``.  That minimum is what
     ``eigvalsh`` returns bitwise, since LAPACK splits a diagonal matrix into
@@ -185,7 +187,8 @@ def monotonicity_witness(g, samples):
     prev = g_prev = None
     for u in samples:
         u = as_vector(u, name="sample")
-        J = g._jacobian(u)
+        # a declared basis's d is not g'(u)'s diagonal: take the dense matrix
+        J = g._jacobian(u) if g.jac_basis is None else g.jacobian(u)
         if J is None:
             eigenvalues.append(0.0)
         elif J.ndim == 1:

@@ -67,6 +67,19 @@ def test_solve_singular_without_shift_fails_cleanly(capsys):
     assert "error" in stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("continue",), ("solve", "--epsilon", "0.1")], ids=["continue", "solve"])
+def test_a_start_residual_that_overflows_is_one_error(capsys, argv):
+    # cubic scale 1e300 leaves f(u0) finite and f.f infinite: the flow refuses
+    # it before its first step instead of reading p0 = inf as converged
+    with np.errstate(over="ignore"):
+        code, stdout, _ = run(capsys, argv[0], "--builtin", "singular_monotone", "--dim", "3",
+                              "--rank", "1", "--cubic-scale", "1e300", *argv[1:])
+    assert code == EXIT_ERROR
+    (line,) = stdout.splitlines()
+    assert "error: " in line and "start residual norm |f(u0)| overflows to inf" in line
+
+
 def test_solve_singular_with_shift_succeeds(capsys):
     code, stdout, _ = run(capsys, "solve", "--builtin", "singular_monotone",
                           "--dim", "5", "--epsilon", "0.1")

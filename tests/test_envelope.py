@@ -56,10 +56,16 @@ def _outcome(monkeypatch, capsys, argv):
     return f"error: {exc!r}"
 
 
-def _row(command, builtin, dim, wanted, defect=None, flags=()):
-    """One table row; ``defect`` names today's outcome where it is not ``wanted``."""
-    marks = () if defect is None else pytest.mark.xfail(strict=True, raises=AssertionError,
-                                                        reason=defect)
+def _row(command, builtin, dim, wanted, defect=None, flags=(), overflows=False):
+    """One table row; ``defect`` names today's outcome where it is not ``wanted``.
+
+    Only a row that ``overflows`` on purpose runs with numpy's overflow
+    warning off; every other row runs with ``RuntimeWarning`` as an error.
+    """
+    marks = () if defect is None else (pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                         reason=defect),)
+    if overflows:
+        marks += (pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),)
     label = "-".join([command, builtin, *(() if dim is None else (str(dim),)), *flags])
     return pytest.param(command, builtin, dim, flags, wanted, marks=marks, id=label)
 
@@ -80,10 +86,19 @@ ROWS = [
     # makes it invertible
     _row("solve", "singular_monotone", 10, {REFUSED}),
     _row("solve", "singular_monotone", 10, {CONVERGED}, flags=("--epsilon", "0.01")),
-    # a shifted singular L under the cubic's dense Jacobian: both
-    # certificates take the sampled route
+    # a shifted singular L under range_cubic's Jacobian: both certificates
+    # take the sampled route, and each stage solves in the basis's rank
     _row("solve", "singular_monotone", 10, {CONVERGED},
          flags=("--cubic-scale", "0.1", "--epsilon", "0.01")),
+    # the benchmark's pinned range_cubic continuations, whose stages take the
+    # low-rank route
+    _row("continue", "singular_monotone", 20, {CONVERGED},
+         flags=("--rank", "10", "--cubic-scale", "0.1", "--seed", "42")),
+    _row("continue", "singular_monotone", 40, {CONVERGED},
+         flags=("--rank", "20", "--cubic-scale", "0.1", "--seed", "0")),
+    # f(u0) is finite but its squares overflow: refused before the first step
+    _row("solve", "singular_monotone", 3, {REFUSED},
+         flags=("--rank", "1", "--cubic-scale", "1e300", "--epsilon", "0.1"), overflows=True),
     _row("solve", "ill_conditioned", 2, {CONVERGED}, "t_max: p_final 3.0e-9 at t = 30"),
     _row("solve", "ill_conditioned", 6, {REFUSED, EXPLORATORY},
          "t_max: p_final 2.0e-4 at t = 30, trust=FAIL, exit 1"),

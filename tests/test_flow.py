@@ -28,7 +28,8 @@ from dsmflow.model import (Certificate, CertificateKind, DsmProblem,
                            linearized_operator, newton_velocity,
                            preconditioned_residual)
 from dsmflow.oracles import newton_oracle
-from dsmflow.problems import ill_conditioned, sector_blocks, singular_monotone, wellposed_cubic
+from dsmflow.problems import (ill_conditioned, make_map, sector_blocks, singular_monotone,
+                              wellposed_cubic)
 from evidence import diagonal_operator, error_bound_check
 
 
@@ -378,6 +379,17 @@ def _dense_twin(g):
     return NonlinearMap(g.fn, g.jacobian, name=g.name, params=g.params, jac_floor=g.jac_floor)
 
 
+def _undeclared_basis(problem):
+    """``problem`` whose map returns its declared basis's ``(B * d) @ B^T`` and declares no basis.
+
+    The form ``range_cubic`` had before it declared its basis: ``jac_fn``
+    returns the dense matrix, with no check of ``u`` beyond the stage's.
+    """
+    g = problem.g
+    return replace(problem, g=NonlinearMap(g.fn, lambda u: g._dense(g.jac_fn(u), False),
+                                           name=g.name, params=g.params, jac_floor=g.jac_floor))
+
+
 def indefinite_problem(dim=6, seed=5):
     """Exactly symmetric psd ``L`` with eigenvalues 1..4 and the non-monotone
     ``g = -2.5 u + 0.1 u^3 + c``: near ``u0 = 0`` the stage matrix
@@ -555,9 +567,9 @@ def _count_routes(monkeypatch):
     calls = []
     neumann = model._neumann_velocity
 
-    def recorded(mv, inverse, j, f, q):
+    def recorded(mv, inverse, j, f, q, *basis_t):
         calls.append(q)
-        return neumann(mv, inverse, j, f, q)
+        return neumann(mv, inverse, j, f, q, *basis_t)
 
     monkeypatch.setattr(model, "_neumann_velocity", recorded)
     return calls
@@ -689,6 +701,150 @@ def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim,
     assert v.tobytes() == ref.tobytes()
 
 
+# -- the low-rank route ----------------------------------------------------------------
+#
+# A map that declares g'(u) = B diag(d) B^T, range_cubic's form, solves each
+# stage in rank r where its run's gate beta = |A| |C|_F |B| / sigma_min(B)^2
+# <= 32 opens, C = A^{-1} B; every other run factors the dense (B * d) @ B^T.
+
+
+def _tilted_basis_problem(tilt, eps, dim=10, seed=0):
+    """``singular_monotone``'s ``L`` at shift ``eps`` under a ``range_cubic`` whose basis
+    turns by ``tilt`` from ``L``'s range (the builtin's, at 0) into its nullspace
+    (at ``pi/2``); returns the problem and the builtin's minimal-norm solution."""
+    b = singular_monotone(dim, rank=dim // 2, cubic_scale=0.1, seed=seed)
+    g = b.problem.g
+    B = math.cos(tilt) * g.jac_basis + math.sin(tilt) * b.nullspace
+    tilted = make_map("range_cubic", dim, {"scale": 0.1, "basis": B, "offset": g.params["offset"]})
+    return replace(b.problem, g=tilted, epsilon=eps), b.min_norm_solution
+
+
+def _count_lowrank(monkeypatch):
+    """Count the stages that take the low-rank route."""
+    calls = []
+    lowrank = model._lowrank_velocity
+    monkeypatch.setattr(model, "_lowrank_velocity", lambda *a: calls.append(1) or lowrank(*a))
+    return calls
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("tilt", [0.0, math.pi / 2], ids=["aligned", "misaligned"])
+def test_low_rank_velocity_is_within_its_rounding_bound_or_factors(monkeypatch, tilt, eps):
+    # the aligned basis spans L's range and opens the gate at every shift: its
+    # velocity agrees with the dense twin's factor path within the sum of the
+    # two routes' bounds, c_n u kappa(A) beta (1 + beta) |f| and
+    # c_n u (kappa(M) |v| + kappa(A) |f|), with c_n = n.  The misaligned one
+    # lies in L's nullspace, where beta = kappa(A) > 32 closes the gate, so
+    # each of its stages factors the dense matrix, bitwise the twin's
+    problem, v_min = _tilted_basis_problem(tilt, eps)
+    dense = _undeclared_basis(problem)
+    routes = _count_lowrank(monkeypatch)
+    factors = _count_factorizations(monkeypatch)
+    A, B, n = problem.shifted.entries, problem.g.jac_basis, problem.dim
+    kappa = np.linalg.cond(A)
+    beta = np.linalg.norm(A, 2) * np.linalg.norm(np.linalg.solve(A, B))
+    opens = tilt == 0.0
+    assert (beta <= model._LOWRANK_BETA) == opens
+    unit = np.finfo(float).eps / 2
+    rng = np.random.default_rng(5)
+    for t in (0.3, 0.7, 1.0):
+        u = t * v_min + 0.05 * rng.standard_normal(n)
+        v = newton_velocity(problem, u)[0]
+        v_dense = newton_velocity(dense, u)[0]
+        if opens:
+            f = preconditioned_residual(problem, u)
+            kappa_m = np.linalg.cond(A + problem.g.jacobian(u))
+            bound = n * unit * (kappa * (beta * (1.0 + beta) + 1.0) * norm(f)
+                                + kappa_m * norm(v_dense))
+            assert norm(v - v_dense) <= bound
+        else:
+            assert v.tobytes() == v_dense.tobytes()
+    # per call: the route's dpotrf of G and of H + diag(d), or the dense LU,
+    # and the twin's LU
+    assert len(routes) == (3 if opens else 0)
+    assert factors == ({"potrf": 6, "getrf": 3} if opens else {"potrf": 0, "getrf": 6})
+
+
+def test_low_rank_stage_under_the_neumann_bound_sweeps(monkeypatch):
+    # u scaled so that q = max|d| |B|^2 / sigma_min(A) is half the Neumann
+    # bound: the stage sweeps v <- -f - C (d * (B^T v)) and factors nothing
+    # after the run's dpotrf of G
+    problem, v_min = _tilted_basis_problem(0.0, 1.0)
+    A = problem.shifted
+    smin = A.smallest_singular_value() - hilbert._eig_slack(problem.L, problem.epsilon)
+    qscale = model._lowrank(problem, *A._factorize()[:2], smin)[-1]
+    u = v_min * math.sqrt(0.5 * model._NEUMANN_Q / (qscale * problem.g.jac_fn(v_min).max()))
+    sweeps = _count_routes(monkeypatch)
+    factors = _count_factorizations(monkeypatch)
+    v = newton_velocity(problem, u)[0]
+    assert len(sweeps) == 1 and _sweeps(sweeps[0]) == 6
+    assert factors == {"potrf": 1, "getrf": 0}
+    ref = newton_velocity(_undeclared_basis(problem), u)[0]
+    assert norm(v - ref) <= 1e-14 * norm(ref)
+
+
+@pytest.mark.parametrize("change", ["repeated-column", "no-floor", "unflagged-operator"])
+def test_low_rank_gate_closes_where_its_bound_does_not_apply(monkeypatch, change):
+    # the bound needs a B of full column rank (Gershgorin's lower disc edge
+    # of B^T B is 0 for a repeated column), d >= 0 (a declared floor >= 0)
+    # and a self-adjoint A: without one of them a stage factors the dense
+    # (B * d) @ B^T, bitwise the undeclared twin's
+    problem, v_min = _tilted_basis_problem(0.0, 1e-2)
+    g, B = problem.g, problem.g.jac_basis
+    if change == "repeated-column":
+        g = NonlinearMap(g.fn, lambda u, d=g.jac_fn: np.append(d(u), 0.0), name=g.name,
+                         jac_floor=0.0, jac_basis=np.column_stack([B, B[:, 0]]))
+    elif change == "no-floor":
+        g = NonlinearMap(g.fn, g.jac_fn, name=g.name, jac_basis=B)
+    else:
+        problem = replace(problem, L=DenseOperator(problem.L.entries))
+    problem = replace(problem, g=g)
+    routes = _count_lowrank(monkeypatch)
+    factors = _count_factorizations(monkeypatch)
+    u = 0.7 * v_min
+    v = newton_velocity(problem, u)[0]
+    assert routes == [] and factors == {"potrf": 0, "getrf": 1}
+    assert v.tobytes() == newton_velocity(_undeclared_basis(problem), u)[0].tobytes()
+
+
+@pytest.mark.parametrize("dim", [10, 20, 40])
+def test_low_rank_flow_takes_the_factor_paths_steps(monkeypatch, dim):
+    # singular_monotone's range_cubic at cubic 0.1: the route's runs factor
+    # nothing n x n, and take the undeclared twin's accepted and rejected
+    # steps to the same point up to rounding
+    problem = singular_monotone(dim, rank=dim // 2, cubic_scale=0.1).problem
+    routes = _count_lowrank(monkeypatch)
+    sweeps = _count_routes(monkeypatch)
+    factors = _count_factorizations(monkeypatch)
+    for eps in (1.0, 1e-2, 1e-4, 1e-6):
+        routes.clear()
+        sweeps.clear()
+        factors.update(potrf=0, getrf=0)
+        res = integrate(problem.with_epsilon(eps))
+        stages = 2 + 6 * (res.n_accepted + res.n_rejected)
+        # every stage takes the route; the start u0 = 0 has d = 0, q = 0, and
+        # every stage above the Neumann bound factors H + diag(d), after the
+        # run's one dpotrf of G
+        assert res.converged and len(routes) == stages and sweeps[0] == 0.0
+        assert factors == {"potrf": 1 + stages - len(sweeps), "getrf": 0}
+        dense = integrate(_undeclared_basis(problem.with_epsilon(eps)))
+        assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
+        assert norm(res.u_final - dense.u_final) <= 1e-9 * norm(dense.u_final)
+
+
+def test_low_rank_continuation_keeps_every_level(monkeypatch):
+    # the benchmark's pinned dim-20 config: every level takes the same
+    # accepted steps as the undeclared twin, and the limits agree
+    problem = singular_monotone(20, rank=10, cubic_scale=0.1, seed=42).problem
+    routes = _count_lowrank(monkeypatch)
+    res = solve_minimal_norm(problem)
+    assert routes
+    dense = solve_minimal_norm(_undeclared_basis(problem))
+    assert [r.inner_steps for r in res.records] == [r.inner_steps for r in dense.records]
+    assert res.stop is dense.stop
+    assert norm(res.v_limit - dense.v_limit) <= 1e-9
+
+
 # -- the stage's fault signal ------------------------------------------------------
 #
 # A stage scans its point, and checks the rest through one fault signal that
@@ -709,7 +865,8 @@ def _counting(problem, calls):
         calls["jac"] += 1
         return g.jac_fn(u)
 
-    return replace(problem, g=NonlinearMap(fn, None if g.jac_fn is None else jac, name=g.name))
+    return replace(problem, g=NonlinearMap(fn, None if g.jac_fn is None else jac, name=g.name,
+                                           jac_floor=g.jac_floor, jac_basis=g.jac_basis))
 
 
 _ROUTES = [
@@ -717,8 +874,11 @@ _ROUTES = [
                  id="cholesky-wellposed_cubic-10"),
     pytest.param(indefinite_problem, 1, id="refused-cholesky-indefinite-6"),
     pytest.param(lambda: sector_blocks(8, scale=1.0).problem, 1, id="lu-sector_blocks-8"),
-    pytest.param(lambda: singular_monotone(10, rank=5, cubic_scale=0.1).problem.with_epsilon(1e-2),
+    pytest.param(lambda: _undeclared_basis(
+        singular_monotone(10, rank=5, cubic_scale=0.1).problem.with_epsilon(1e-2)),
                  1, id="dense-lu-singular_monotone-10"),
+    pytest.param(lambda: singular_monotone(40, rank=20, cubic_scale=0.1).problem.with_epsilon(1e-2),
+                 0, id="lowrank-singular_monotone-40"),
     pytest.param(lambda: singular_monotone(10, rank=5).problem.with_epsilon(1e-2), 0,
                  id="no-jacobian-singular_monotone-10"),
     pytest.param(lambda: wellposed_cubic(64).problem, 0, id="neumann-wellposed_cubic-64"),
@@ -758,6 +918,18 @@ def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
     assert factors["getrf"] == lu * (stages - len(routes))
     n = problem.dim
     assert checks == [(n,)] * stages and scans == [(n, n)] * factors["getrf"]
+
+
+def test_a_start_residual_whose_norm_overflows_is_refused_before_the_first_step(monkeypatch):
+    # f(u0) is finite but f.f overflows, so p0 = inf; every stop would read
+    # it as already met, and the run raises instead of reporting convergence
+    problem = singular_monotone(3, rank=1, cubic_scale=1e300).problem.with_epsilon(0.1)
+    monkeypatch.setattr(flow, "_first_step", lambda *a: pytest.fail("took a first step"))
+    with np.errstate(over="ignore"), pytest.raises(FlowFailed) as exc:
+        integrate(problem)
+    assert str(exc.value) == ("start residual norm |f(u0)| overflows to inf; "
+                              "nothing to integrate against")
+    assert exc.value.result is None
 
 
 def test_a_fault_mid_run_raises_what_the_scans_raised():

@@ -82,6 +82,30 @@ def test_map_takes_a_diagonal_or_no_jacobian():
             NonlinearMap(lambda v: v, lambda v, bad=bad: np.full(v.size, bad)).jacobian(u)
 
 
+def test_map_takes_a_jacobian_in_a_declared_basis():
+    # jac_fn returns d of length r, checked against the basis's column count
+    # and the input's length; jacobian(u) is the dense (B * d) @ B^T
+    B = np.array([[1.0, 0.0], [0.0, 0.6], [0.0, 0.8]])
+    u = np.array([1.0, -2.0, 0.5])
+    g = NonlinearMap(lambda v: v, lambda v: np.array([2.0, 3.0]), jac_basis=B.tolist())
+    assert g.jac_basis.dtype == float and np.array_equal(g.jac_basis, B)
+    assert np.array_equal(g._jacobian(u), [2.0, 3.0])
+    assert np.array_equal(g.jacobian(u), (B * [2.0, 3.0]) @ B.T)
+    for d, x in ((np.ones(3), u), (np.ones((2, 2)), u), (np.ones(2), np.ones(4))):
+        with pytest.raises(DimensionMismatch, match="on basis"):
+            NonlinearMap(lambda v: v, lambda v, d=d: d, jac_basis=B).jacobian(x)
+    with pytest.raises(ValueError, match="Jacobian has non-finite entries"):
+        NonlinearMap(lambda v: v, lambda v: np.array([1.0, np.nan]), jac_basis=B).jacobian(u)
+    # finite d whose dense form overflows is refused as a non-finite Jacobian
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite entries"):
+        NonlinearMap(lambda v: v, lambda v: np.array([1e308, 1e308]),
+                     jac_basis=1e10 * B).jacobian(u)
+    for bad in (np.ones(3), np.ones((3, 0)), np.array([[1.0], [np.inf], [0.0]])):
+        with pytest.raises(ValueError, match="Jacobian basis must be a finite"):
+            NonlinearMap(lambda v: v, lambda v: np.ones(1), jac_basis=bad)
+
+
 def test_map_refuses_a_non_finite_jacobian_floor():
     assert NonlinearMap(lambda v: v, None).jac_floor is None
     assert NonlinearMap(lambda v: v, None, jac_floor=-1).jac_floor == -1.0
@@ -222,6 +246,23 @@ def _faulty(fn=None, jac=None, L=None):
                       radius=10.0)
 
 
+def _faulty_basis(jac):
+    """dim 2, u0 = 0, ``g = 0.1 (B^T u)^3 B`` with its Jacobian declared in the basis
+    ``B = e_0``, and ``jac`` for ``d`` where ``u[0] > 2``: on ``L = I`` the
+    run's low-rank gate opens, with ``beta = 1``."""
+    B = np.array([[1.0], [0.0]])
+
+    def g(u):
+        return 0.1 * (B @ (B.T @ u) ** 3)
+
+    def g_jac(u):
+        return jac(u) if u[0] > 2.0 else 0.3 * (B.T @ u) ** 2
+
+    return DsmProblem(L=diagonal_operator(np.ones(2)),
+                      g=NonlinearMap(g, g_jac, name="faulty", jac_floor=0.0, jac_basis=B),
+                      u0=np.zeros(2), radius=10.0)
+
+
 def _zero_jacobian(L, c):
     """dim 2, u0 = 0 and ``g = c`` with ``jac_fn=None``: the stage's ``T`` is ``I``."""
     return DsmProblem(L=L, g=NonlinearMap(lambda u: np.full(2, c), None, name="faulty"),
@@ -282,6 +323,12 @@ _FAULTS = [
     ("Af-overflows-lu",
      lambda: _faulty(jac=lambda u: np.diag(0.3 * u ** 2), L=DenseOperator(_BIG)), _FAR, True,
      ValueError, _NON_FINITE_RHS),
+    # a declared basis's d that is not finite fails the low-rank route's
+    # scale max|H| + max|d|, and the checked run scans d as g'(u)
+    ("basis-d-nan", lambda: _faulty_basis(lambda u: np.array([np.nan])), _FAR, False,
+     ValueError, _NON_FINITE_J),
+    ("basis-d-inf", lambda: _faulty_basis(lambda u: np.array([np.inf])), _FAR, False,
+     ValueError, _NON_FINITE_J),
     # f = u + A^{-1} g(u) = 1e310 overflows where the Jacobian is zero
     ("f-overflows-no-jacobian",
      lambda: _zero_jacobian(DenseOperator(1e-300 * np.eye(2)), 1e10), _FAR, True,
@@ -313,6 +360,28 @@ def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         model.newton_velocity(make(), _FAR)
     assert calls == [factor, factor]
+
+
+def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
+    # the unchecked stage takes the low-rank route, which refuses d before
+    # it factors, and its checked re-run raises before it would factor the
+    # dense (B * d) @ B^T: the one factorization is the run's dpotrf of G
+    routes, factors = [], []
+    lowrank = model._lowrank_velocity
+    monkeypatch.setattr(model, "_lowrank_velocity",
+                        lambda *a: routes.append(a[1].copy()) or lowrank(*a))
+    for name in ("_potrf", "_getrf"):
+        binding = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda M, binding=binding:
+                            factors.append(M.shape) or binding(M))
+    for case in ("basis-d-nan", "basis-d-inf"):
+        make = next(c[1] for c in _FAULTS if c[0] == case)
+        routes.clear()
+        factors.clear()
+        with pytest.raises(ValueError):
+            model.newton_velocity(make(), _FAR)
+        assert len(routes) == 1 and not np.isfinite(routes[0]).any()
+        assert factors == [(1, 1)]
 
 
 def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
@@ -1150,15 +1219,17 @@ def test_rotated_monotonicity_clouds_have_dense_jacobians():
 def test_monotonicity_screen_is_bitwise_eigvalsh_at_every_sample(case, monkeypatch):
     g, samples = case()
     expected = _min_eig_at_each_sample(g, samples)
-    matrices = [J for J in map(g._jacobian, samples) if J is not None and J.ndim == 2]
+    jacobian = g._jacobian if g.jac_basis is None else g.jacobian
+    matrices = [J for J in map(jacobian, samples) if J is not None and J.ndim == 2]
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: seen.append(S) or eigvalsh(S))
     eigenvalues, secants = monotonicity_witness(g, samples)
     monkeypatch.undo()
     assert eigenvalues.tolist() == expected
-    # one eigvalsh per Jacobian handed over as a matrix, even a diagonal one such
-    # as range_cubic's zero at its center; a vector or None is read directly
+    # one eigvalsh per Jacobian handed over as a matrix, and per dense matrix
+    # of a declared basis's, even range_cubic's zero at its center; a
+    # diagonal or None is read directly
     assert len(seen) == len(matrices)
     assert all(np.array_equal(S, 0.5 * (J + J.T)) for S, J in zip(seen, matrices))
     # a factory's declared floor lies at or below every sampled eigenvalue, less

@@ -62,8 +62,9 @@ def test_builtin_map_jacobian_is_dense_to_outside_callers(name):
                 "cubic": np.diag(3.0 * 0.1 * u ** 2),
                 "range_cubic": np.diag([3.0 * 0.1 * u[0] ** 2, 0.0, 0.0])}[name]
     assert np.array_equal(J, expected)
-    # the componentwise maps hand the stage their diagonal, or nothing
-    form = {"zero": None, "constant": None, "cubic": (3,)}.get(name, (3, 3))
+    # the componentwise maps hand the stage their diagonal, range_cubic its
+    # d in the rank of the basis it declares, and the zero Jacobians nothing
+    form = {"zero": None, "constant": None, "cubic": (3,), "range_cubic": (1,)}.get(name, (3, 3))
     inner = g._jacobian(u)
     assert (inner is None) if form is None else (inner.shape == form)
     # each factory declares its Jacobian floor: a linear map's symmetric part's
@@ -112,6 +113,11 @@ def test_range_cubic_requires_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         make_map("range_cubic", 2, {"scale": 1.0, "basis": B,
                                     "offset": np.zeros(2)})
+    # a NaN Gram defect passes the orthonormality test; the declared basis
+    # is refused as the map is built
+    with pytest.raises(ValueError, match="Jacobian basis must be a finite"):
+        make_map("range_cubic", 2, {"scale": 1.0, "basis": [[np.nan], [0.0]],
+                                    "offset": np.zeros(2)})
 
 
 def test_range_cubic_acts_inside_range_only():
@@ -134,10 +140,15 @@ def test_range_cubic_jacobian_is_bitwise_the_diagonal_product():
     scale = 0.1
     g = make_map("range_cubic", 12, {"scale": scale, "basis": B, "offset": np.zeros(12)})
     off_block = np.concatenate([np.zeros(6), rng.standard_normal(6)])
+    assert g.jac_basis is B
     for u in (rng.standard_normal(12), off_block, np.zeros(12)):
         y = B.T @ u
         old = B @ np.diag(3.0 * scale * y ** 2) @ B.T
         assert np.array_equal(g.jacobian(u), old)
+        # bitwise the dense form jac_fn returned before it declared B: the
+        # stage gets d = 3 s y^2, and jacobian(u) scales B's columns by it
+        assert g.jacobian(u).tobytes() == ((B * (3.0 * scale * y ** 2)) @ B.T).tobytes()
+        assert g._jacobian(u).tobytes() == (3.0 * scale * y ** 2).tobytes()
     assert np.count_nonzero(B.T @ off_block) == 3
 
 
