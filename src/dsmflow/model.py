@@ -130,7 +130,13 @@ class NonlinearMap:
         return np.diag(J) if J.ndim == 1 else J
 
     def _dense(self, d, scan=True):
-        """``(B * d) @ B^T`` for the declared basis ``B``; ``scan`` checks it is finite."""
+        """``(B * d) @ B^T`` for the declared basis ``B``; ``scan`` checks it is finite.
+
+        Its callers scan ``d`` first (:meth:`_jacobian`): this scan alone
+        would refuse a non-finite ``d`` too, but an ``inf`` times a zero of
+        ``B`` warns (``RuntimeWarning``) as ``B * d`` is formed.  It is
+        what catches a finite ``d`` whose product overflows.
+        """
         J = (self.jac_basis * d) @ self.jac_basis.T
         if scan and not _all_finite(J):
             raise ValueError(f"map {self.name!r} Jacobian has non-finite entries")
@@ -287,10 +293,10 @@ def newton_velocity(problem, u):
     contraction factor ``q``, a proven bound on ``|A^{-1} g'(u)|``.  A zero
     Jacobian, ``jac_fn=None``, has ``q = 0``; a Jacobian that ``jac_fn``
     returns as its diagonal has ``q = max|g'(u)| / sigma_min(A)``; one in a
-    declared basis, ``g'(u) = B diag(d) B^T``, has
-    ``q = max|d| |B|_2^2 / sigma_min(A)`` where its run takes the low-rank
-    route, and the factor path's dense ``(B * d) @ B^T`` elsewhere; a dense
-    one has no ``q`` and always takes the factor path.
+    declared basis, ``g'(u) = B diag(d) B^T``, takes the low-rank route
+    where its run's gate opens, and the factor path on the dense
+    ``(B * d) @ B^T`` elsewhere; a dense one has no ``q`` and always takes
+    the factor path.
 
     *Neumann route, ``q <= 2^(-53/8)``, about 0.0102, at every dim.*  Then
     ``T`` is invertible and ``T^{-1} f`` is the limit of the sweeps
@@ -313,12 +319,11 @@ def newton_velocity(problem, u):
     inverts and multiplies nothing.  The velocity agrees with the
     factored one to rounding, not bitwise.
 
-    *Low-rank route, a declared basis on a self-adjoint ``A``, in a run
-    whose gate opens.*  Once per run, :func:`_lowrank` forms
-    ``C = A^{-1} B``, one ``dgetrs`` with ``r`` columns on ``A``'s cached
-    LU, ``G = B^T C``, its exactly symmetric inverse ``H`` from one
-    ``dpotrf`` and ``dpotri``, and ``C H``.  A stage whose ``q`` passes the
-    Neumann bound sweeps ``v <- -f - C (d * (B^T v))``, and ``q = 0``
+    *Low-rank route, a declared basis on a self-adjoint, positive definite
+    ``A``, in a run whose gate opens.*  Once per run, :func:`_lowrank`
+    forms ``C = A^{-1} B``, one ``dgetrs`` with ``r`` columns on ``A``'s
+    cached LU, ``G = B^T C``, its exactly symmetric inverse ``H`` from one
+    ``dpotrf`` and ``dpotri``, and ``C H``.  A stage whose ``d`` is zero
     returns ``-f``.  Any other stage solves one ``r x r`` system
     (:func:`_lowrank_velocity`): by Sherman-Morrison-Woodbury (Hager,
     SIAM Review 31, 1989), ``T^{-1} = I - C (I + D G)^{-1} D B^T`` with
@@ -331,7 +336,11 @@ def newton_velocity(problem, u):
     with ``m_max = max|H| + max|d| >= max|H + D|``, so it trips only for a
     ``d`` that is negative or not finite.  A stage is one ``dpotrf`` and
     one ``dpotrs`` of size ``r`` and two ``dgemv`` with ``n x r``
-    matrices, in place of an ``n x n`` factorization.
+    matrices, in place of an ``n x n`` factorization.  It takes no
+    Neumann sweeps: measured on ``minnorm``'s low-rank stages whose
+    ``max|d| |B|_2^2 / sigma_min(A)`` passes the Neumann bound, 8% of them,
+    sweeps ``v <- -f - C (d * (B^T v))`` cost a median 5.5 us against
+    3.1 us for this solve.
 
     The gate comes from the route's rounding bound.  Woodbury is not
     backward stable in general (Yip, SIAM J. Sci. Stat. Comput. 7, 1986):
@@ -344,7 +353,8 @@ def newton_velocity(problem, u):
     behind ``C``, which reaches ``v`` through ``(A + g'(u))^{-1}``.  The
     ``beta^2`` term comes from taking ``H`` symmetric while ``B^T C`` is
     symmetric only to ``c_n u kappa(A) |B|_2 |C|_2``.  Both use
-    ``|H|_2 <= |A|_2 / sigma_min(B)^2``.  The factor path's bound is
+    ``|H|_2 <= |A|_2 / sigma_min(B)^2``, which holds for a positive
+    definite ``A``.  The factor path's bound is
     ``c_n u (kappa(M) |v| + kappa(A) |f|)`` with ``M = A + g'(u)``, the
     second term from forming ``A f``.  A run takes the route only where
     ``beta <= 32``, which keeps the route's bound within about ``2^10``
@@ -361,7 +371,8 @@ def newton_velocity(problem, u):
     error stayed below the factor path's wherever ``beta <= 400``, first
     exceeded it at ``beta = 1250``, and at worst was 1.6e5 times it
     (``eps = 1e-8``, ``beta = 4e8``).  A
-    non-self-adjoint ``A``, a map that declares no ``jac_floor >= 0``, a
+    non-self-adjoint or indefinite ``A``, a map that declares no
+    ``jac_floor >= 0``, a
     ``B`` without full column rank ``r <= n`` and a ``G`` that ``dpotrf``
     refuses close the gate too.
 
@@ -416,9 +427,8 @@ def newton_velocity(problem, u):
       which fails the route's bound and then the factor path's test of
       ``m_max``.
     - The low-rank route adds four tests that scan nothing: its ``m_max``
-      is finite, which a ``d`` that is not finite fails after the Neumann
-      bound, ``dpotrf``'s ``info``, the NaN-safe pivot test, and ``v.v``
-      is finite.
+      is finite, which a ``d`` that is not finite fails, ``dpotrf``'s
+      ``info``, the NaN-safe pivot test, and ``v.v`` is finite.
     - The factor path adds four tests that scan nothing.  ``m_max`` is
       finite: ``g'(u)`` and ``M`` are, since NaN propagates through
       ``max`` and ``m_max`` bounds ``max|M|``.  For a diagonal ``g'(u)``
@@ -567,8 +577,9 @@ def _stage(problem):
 def _lowrank(problem, lu, piv, smin_a):
     """The low-rank route's per-run data for a declared basis ``B``, or None with the gate closed.
 
-    The route needs a self-adjoint ``A`` with ``sigma_min(A) >= smin_a > 0``,
-    a map that declares ``jac_floor >= 0``, so that ``d >= 0``, and a
+    The route needs a self-adjoint, positive definite ``A``, whose cached
+    smallest eigenvalue is positive and at least ``smin_a > 0``, a map
+    that declares ``jac_floor >= 0``, so that ``d >= 0``, and a
     ``B`` of full column rank ``r <= n``.  Gershgorin's discs of the Gram
     matrix ``W = B^T B`` bound ``B``'s extreme singular values with no
     eigensolver: ``|B|_2^2 <= b_hi^2 = max_i sum_j |W_ij|`` and
@@ -584,16 +595,19 @@ def _lowrank(problem, lu, piv, smin_a):
 
     The gate is ``beta = |A|_2 |C|_F b_hi / b_lo^2 <= 32``
     (:data:`_LOWRANK_BETA`); see :func:`newton_velocity` for the rounding
-    bound it comes from.  ``|H|_2 = 1/lambda_min(G) <= |A|_2 / b_lo^2``,
-    so it also keeps ``kappa(G) <= beta``.  Returns ``(B^T, C, H, C H,
-    max|H|, b_hi^2 / smin_a)``, the products Fortran-ordered for BLAS
-    ``dgemv``; the last factor times ``max|d|`` is the route's ``q``.
+    bound it comes from.  For a positive definite ``A``,
+    ``|H|_2 = 1/lambda_min(G) <= |A|_2 / b_lo^2``, so the gate also keeps
+    ``kappa(G) <= beta``; an indefinite ``A`` has no such bound, since its
+    ``G`` may pass ``dpotrf`` with ``lambda_min(G)`` as small as rounding
+    at ``beta = 1`` (``A = diag(1, -1)``, ``B`` along ``(1, 1 - delta)``).
+    Returns ``(B^T, C H, H, max|H|)``, the products Fortran-ordered for
+    BLAS ``dgemv``.
     """
     A, B = problem.shifted, problem.g.jac_basis
     n, r = B.shape
     floor = problem.g.jac_floor
-    if not (A.self_adjoint and smin_a > 0.0 and floor is not None and floor >= 0.0
-            and n == A.dim and r <= n):
+    if not (A.self_adjoint and smin_a > 0.0 and A.eigenvalues()[0] > 0.0
+            and floor is not None and floor >= 0.0 and n == A.dim and r <= n):
         return None
     W = np.abs(B.T @ B)
     rows = W.sum(axis=1)
@@ -610,29 +624,26 @@ def _lowrank(problem, lu, piv, smin_a):
     if chol is None:
         return None
     H = _potri(chol)
-    return (np.asfortranarray(B.T), C, H, np.asfortranarray(C @ H), float(np.abs(H).max()),
-            b_hi2 / smin_a)
+    return np.asfortranarray(B.T), np.asfortranarray(C @ H), H, float(np.abs(H).max())
 
 
 def _lowrank_velocity(lowrank, d, f):
     """``v = -T^{-1} f`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
 
-    ``lowrank`` is :func:`_lowrank`'s data.  With ``q = max|d| |B|_2^2 /
-    sigma_min(A)``, a proven bound on ``|A^{-1} g'(u)|``, a ``q`` at or
-    below the Neumann bound takes :func:`_neumann_velocity`'s sweeps
-    ``v <- -f - C (d * (B^T v))``, and ``q = 0`` none.  Any other ``d``
-    factors ``S = H + diag(d)``, built by a diagonal add onto a copy of
-    ``H``, by ``dpotrf``, and ``v = -f + (C H) w`` with ``S w = d * (B^T
-    f)``, one ``dpotrs`` and one ``dgemv``.  None, and the caller re-runs
-    the stage checked, when ``max|H| + max|d|`` is not finite, when
-    ``dpotrf`` refuses ``S``, or when the smallest pivot's square is not
-    at least ``1e-9 max(1, max|H| + max|d|)``, the factor path's test.
+    ``lowrank`` is :func:`_lowrank`'s data.  A zero ``d`` returns ``-f``.
+    Any other ``d`` factors ``S = H + diag(d)``, built by a diagonal add
+    onto a copy of ``H``, by ``dpotrf``, and ``v = -f + (C H) w`` with
+    ``S w = d * (B^T f)``, one ``dpotrs`` and one ``dgemv``.  None, and the
+    caller re-runs the stage checked, when ``max|H| + max|d|`` is not
+    finite, when ``dpotrf`` refuses ``S``, or when the smallest pivot's
+    square is not at least ``1e-9 max(1, max|H| + max|d|)``, the factor
+    path's test.
     """
-    Bt, C, H, CH, hmax, qscale = lowrank
+    Bt, CH, H, hmax = lowrank
     dmax = float(np.maximum.reduce(np.abs(d)))
-    q = dmax * qscale
-    if q <= _NEUMANN_Q:
-        return _neumann_velocity(dgemv, C, d, f, q, Bt)
+    if dmax == 0.0:
+        # g'(u) = 0: T = I
+        return -f
     s_max = hmax + dmax
     if not math.isfinite(s_max):
         return None
@@ -644,7 +655,7 @@ def _lowrank_velocity(lowrank, d, f):
     return dgemv(1.0, CH, _potrs(chol, d * dgemv(1.0, Bt, f)), -1.0, f)
 
 
-def _neumann_velocity(mv, inverse, j, f, q, basis_t=None):
+def _neumann_velocity(mv, inverse, j, f, q):
     """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
 
     ``inverse`` is the shifted operator ``A``'s cached inverse
@@ -664,11 +675,6 @@ def _neumann_velocity(mv, inverse, j, f, q, basis_t=None):
     of a symmetric ``A`` is symmetric to rounding, so either product
     agrees with the factored velocity to rounding.  Both take
     ``dgetri``'s Fortran-ordered inverse as it is and copy nothing.
-
-    For a declared basis, :func:`_lowrank_velocity` passes ``mv = dgemv``,
-    ``inverse = C = A^{-1} B``, ``j = d`` and ``basis_t = B^T``, so that
-    ``K = C diag(d) B^T``: each sweep is one ``dgemv`` with ``B^T`` and
-    one with ``C``, and ``q >= |K|`` is that function's bound.
     """
     if q == 0.0:
         # g'(u) = 0: T = I, with no sweep and no inverse to read
@@ -678,7 +684,7 @@ def _neumann_velocity(mv, inverse, j, f, q, basis_t=None):
     # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
     v = -f
     for _ in range(k):
-        v = mv(-1.0, inverse, j * (v if basis_t is None else dgemv(1.0, basis_t, v)), -1.0, f)
+        v = mv(-1.0, inverse, j * v, -1.0, f)
     return v
 
 

@@ -567,9 +567,9 @@ def _count_routes(monkeypatch):
     calls = []
     neumann = model._neumann_velocity
 
-    def recorded(mv, inverse, j, f, q, *basis_t):
+    def recorded(mv, inverse, j, f, q):
         calls.append(q)
-        return neumann(mv, inverse, j, f, q, *basis_t)
+        return neumann(mv, inverse, j, f, q)
 
     monkeypatch.setattr(model, "_neumann_velocity", recorded)
     return calls
@@ -720,10 +720,11 @@ def _tilted_basis_problem(tilt, eps, dim=10, seed=0):
 
 
 def _count_lowrank(monkeypatch):
-    """Count the stages that take the low-rank route."""
+    """Record ``max|d|`` of each stage that takes the low-rank route."""
     calls = []
     lowrank = model._lowrank_velocity
-    monkeypatch.setattr(model, "_lowrank_velocity", lambda *a: calls.append(1) or lowrank(*a))
+    monkeypatch.setattr(model, "_lowrank_velocity",
+                        lambda *a: calls.append(float(np.abs(a[1]).max())) or lowrank(*a))
     return calls
 
 
@@ -765,33 +766,28 @@ def test_low_rank_velocity_is_within_its_rounding_bound_or_factors(monkeypatch, 
     assert factors == ({"potrf": 6, "getrf": 3} if opens else {"potrf": 0, "getrf": 6})
 
 
-def test_low_rank_stage_under_the_neumann_bound_sweeps(monkeypatch):
-    # u scaled so that q = max|d| |B|^2 / sigma_min(A) is half the Neumann
-    # bound: the stage sweeps v <- -f - C (d * (B^T v)) and factors nothing
-    # after the run's dpotrf of G
-    problem, v_min = _tilted_basis_problem(0.0, 1.0)
-    A = problem.shifted
-    smin = A.smallest_singular_value() - hilbert._eig_slack(problem.L, problem.epsilon)
-    qscale = model._lowrank(problem, *A._factorize()[:2], smin)[-1]
-    u = v_min * math.sqrt(0.5 * model._NEUMANN_Q / (qscale * problem.g.jac_fn(v_min).max()))
-    sweeps = _count_routes(monkeypatch)
-    factors = _count_factorizations(monkeypatch)
-    v = newton_velocity(problem, u)[0]
-    assert len(sweeps) == 1 and _sweeps(sweeps[0]) == 6
-    assert factors == {"potrf": 1, "getrf": 0}
-    ref = newton_velocity(_undeclared_basis(problem), u)[0]
-    assert norm(v - ref) <= 1e-14 * norm(ref)
-
-
-@pytest.mark.parametrize("change", ["repeated-column", "no-floor", "unflagged-operator"])
+@pytest.mark.parametrize("change", ["repeated-column", "no-floor", "unflagged-operator",
+                                    "indefinite-operator"])
 def test_low_rank_gate_closes_where_its_bound_does_not_apply(monkeypatch, change):
     # the bound needs a B of full column rank (Gershgorin's lower disc edge
     # of B^T B is 0 for a repeated column), d >= 0 (a declared floor >= 0)
-    # and a self-adjoint A: without one of them a stage factors the dense
-    # (B * d) @ B^T, bitwise the undeclared twin's
+    # and a self-adjoint, positive definite A: without one of them a stage
+    # factors the dense (B * d) @ B^T, bitwise the undeclared twin's
     problem, v_min = _tilted_basis_problem(0.0, 1e-2)
     g, B = problem.g, problem.g.jac_basis
-    if change == "repeated-column":
+    u = 0.7 * v_min
+    if change == "indefinite-operator":
+        # A = diag(1, -1) and B along (1, 1 - 1e-3): beta = 1 and G = B^T A^{-1} B,
+        # about 1e-3, is positive, yet |H| = 1/lambda_min(G) exceeds the bound
+        # |A| / sigma_min(B)^2 = 1 that the route's rounding bound rests on
+        B = np.array([[1.0], [1.0 - 1e-3]]) / math.hypot(1.0, 1.0 - 1e-3)
+        L = DenseOperator(np.diag([1.0, -1.0]), self_adjoint=True)
+        C = np.linalg.solve(L.entries, B)
+        assert np.linalg.norm(C) == pytest.approx(1.0) and 0.0 < (B.T @ C).item() < 1.1e-3
+        g = make_map("range_cubic", 2, {"scale": 0.1, "basis": B, "offset": np.zeros(2)})
+        problem = DsmProblem(L=L, g=g, u0=np.zeros(2), radius=10.0)
+        u = np.array([0.5, 0.2])
+    elif change == "repeated-column":
         g = NonlinearMap(g.fn, lambda u, d=g.jac_fn: np.append(d(u), 0.0), name=g.name,
                          jac_floor=0.0, jac_basis=np.column_stack([B, B[:, 0]]))
     elif change == "no-floor":
@@ -801,7 +797,6 @@ def test_low_rank_gate_closes_where_its_bound_does_not_apply(monkeypatch, change
     problem = replace(problem, g=g)
     routes = _count_lowrank(monkeypatch)
     factors = _count_factorizations(monkeypatch)
-    u = 0.7 * v_min
     v = newton_velocity(problem, u)[0]
     assert routes == [] and factors == {"potrf": 0, "getrf": 1}
     assert v.tobytes() == newton_velocity(_undeclared_basis(problem), u)[0].tobytes()
@@ -818,15 +813,15 @@ def test_low_rank_flow_takes_the_factor_paths_steps(monkeypatch, dim):
     factors = _count_factorizations(monkeypatch)
     for eps in (1.0, 1e-2, 1e-4, 1e-6):
         routes.clear()
-        sweeps.clear()
         factors.update(potrf=0, getrf=0)
         res = integrate(problem.with_epsilon(eps))
         stages = 2 + 6 * (res.n_accepted + res.n_rejected)
-        # every stage takes the route; the start u0 = 0 has d = 0, q = 0, and
-        # every stage above the Neumann bound factors H + diag(d), after the
-        # run's one dpotrf of G
-        assert res.converged and len(routes) == stages and sweeps[0] == 0.0
-        assert factors == {"potrf": 1 + stages - len(sweeps), "getrf": 0}
+        # every stage takes the route and sweeps nothing; the start u0 = 0
+        # has d = 0 and returns -f, and every other stage factors
+        # H + diag(d), after the run's one dpotrf of G
+        assert res.converged and len(routes) == stages and routes[0] == 0.0
+        assert sweeps == [] and 0.0 not in routes[1:]
+        assert factors == {"potrf": stages, "getrf": 0}
         dense = integrate(_undeclared_basis(problem.with_epsilon(eps)))
         assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
         assert norm(res.u_final - dense.u_final) <= 1e-9 * norm(dense.u_final)
