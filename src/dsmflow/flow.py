@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import ddot, dgemv
 
 from .errors import FlowFailed
 from .hilbert import norm
@@ -206,9 +206,10 @@ class FlowResult:
 def _point(problem, t, u, p, gu, h):
     """The recorded state at ``u``, whose ``g(u)`` is ``gu``."""
     r = problem.shifted.entries @ u + gu
-    rr = r.dot(r)
+    rr = ddot(r, r)
     # a finite sum of squares proves r finite, and its root is bitwise
-    # np.linalg.norm(r); any other sum takes norm's check and its error
+    # norm(r); any other sum takes norm's check and its error, and an
+    # overflow warns in neither
     return TrajectoryPoint(t=t, u=u.copy(), p=p,
                            residual_F=math.sqrt(rr) if math.isfinite(rr) else norm(r), step=h)
 

@@ -13,19 +13,21 @@ singular values of any other, and, once asked for, the inverse that the
 flow's stage sweeps with on its Neumann route.  Its LU factors come
 straight from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 :func:`_getrs`, which give bitwise what ``scipy.linalg.lu_factor``/
-``lu_solve`` give without their per-call wrapper cost.  :func:`_potrf`
-and :func:`_potrs` do the same for the lower Cholesky factor, LAPACK
-``dpotrf``/``dpotrs``, which the stage takes for a self-adjoint operator
-before it falls back to LU, :func:`_getri` turns LU factors into the
-inverse, LAPACK ``dgetri``, and :func:`_potri` a Cholesky factor into
-the exactly symmetric inverse, LAPACK ``dpotri``.  There is one wrapper
-per LAPACK call.
-:func:`_getrf`, :func:`_potrf` and :func:`_getri` never touch their
-argument: the LAPACK wrapper factors or inverts a column-major copy of
-its own, whatever the argument's layout.  :func:`_getrs` and
-:func:`_potrs` do not check the right-hand side:
+``lu_solve`` give without their per-call wrapper cost.  :func:`_posv`
+factors and solves by lower Cholesky in one LAPACK ``dposv`` call, which
+the stage takes for a symmetric matrix before it falls back to LU, and
+:func:`_potrf` gives the lower Cholesky factor alone, LAPACK ``dpotrf``.
+:func:`_getri` turns LU factors into the inverse, LAPACK ``dgetri``, and
+:func:`_potri` a Cholesky factor into the exactly symmetric inverse,
+LAPACK ``dpotri``.  There is one wrapper per LAPACK call.
+:func:`_getrf`, :func:`_potrf`, :func:`_posv` and :func:`_getri` never
+touch their arguments: the LAPACK wrapper factors or inverts a
+column-major copy of its own, whatever the argument's layout.
+:func:`_getrs` and :func:`_posv` do not check the right-hand side:
 :meth:`DenseOperator.solve` does, and so does the stage's checked re-run
-(:func:`~dsmflow.model.newton_velocity`).
+(:func:`~dsmflow.model.newton_velocity`).  Sums of squares, in
+:func:`norm` and in the stage, are BLAS ``ddot``, bitwise
+``ndarray.dot`` and, unlike it, silent where they overflow to ``inf``.
 
 The tolerances below are module constants; :meth:`DenseOperator.solve`
 compares pivots against ``PIVOT_RTOL`` times the operator norm.
@@ -35,7 +37,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dpotri, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dposv, dpotri, dpotrf
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
@@ -152,12 +154,14 @@ def _potrf(M):
     """Lower Cholesky factor of the symmetric float matrix ``M`` from LAPACK ``dpotrf``, or None.
 
     Only ``M``'s lower triangle is read.  The factor is the wrapper's own
-    copy, its upper triangle zeroed, and ``M`` keeps its bits, so a caller
-    whose ``M`` is refused hands that same ``M`` to :func:`_getrf`.  None
-    when ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
-    positive definite; that is not an error and raises no warning.
+    copy, its upper triangle zeroed, and ``M`` keeps its bits.  None when
+    ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
+    positive definite; that is not an error and raises no warning.  The
+    low-rank route's set-up takes it once per run, for :func:`_potri`;
+    a stage, which also solves, takes :func:`_posv`.
 
-    Neither ``M`` nor the factor is scanned.  For a finite ``M`` that
+    Neither ``M`` nor the factor is scanned, here or in :func:`_posv`,
+    whose ``dposv`` factors by ``dpotrf``.  For a finite ``M`` that
     ``dpotrf`` accepts, the pivots tell whether the factor is finite.
     Every entry ``c_ij`` below the diagonal feeds the later pivot
     ``c_ii = sqrt(M_ii - sum_k c_ik^2)``, through a dot product or a
@@ -180,16 +184,27 @@ def _potrf(M):
     return c
 
 
-def _potrs(c, b):
-    """Solve ``M x = b`` from :func:`_potrf`'s factor ``c`` with LAPACK ``dpotrs``.
+def _posv(M, b):
+    """``(c, x)``: the lower Cholesky factor of ``M`` and ``M^{-1} b``, from one ``dposv``; or None.
 
-    ``b`` is a vector or a matrix of right-hand-side columns.  Neither
-    ``b`` nor ``c`` is checked, as by :func:`_getrs`.
+    Bitwise what :func:`_potrf` followed by a lower ``dpotrs`` gives, in
+    one call: ``dposv`` runs those two routines.  Only ``M``'s lower
+    triangle is read, and ``c``'s upper triangle holds ``M``'s, not
+    zeros.  ``c`` and ``x`` are the wrapper's own copies, and ``M`` and
+    ``b`` keep their bits, so a caller whose ``M`` is refused hands that
+    same ``M`` to :func:`_getrf`.  None when ``dposv`` meets a
+    non-positive pivot, as :func:`_potrf`; what a returned factor's
+    smallest diagonal entry tells about its finiteness is said there.
+    ``b`` is a vector or a matrix of right-hand-side columns, and is not
+    checked, as by :func:`_getrs`.  The arguments go positionally: an f2py
+    keyword such as ``lower=1`` costs about 0.5 us a call.
     """
-    x, info = dpotrs(c, b, lower=1)
+    c, x, info = dposv(M, b, 1)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+        raise ValueError(f"illegal value in argument {-info} of dposv")
+    if info > 0:
+        return None
+    return c, x
 
 
 def _potri(c):
@@ -209,8 +224,14 @@ def _potri(c):
 
 
 def norm(u):
-    """Euclidean norm of the finite 1-D vector ``u``."""
-    return float(np.linalg.norm(as_vector(u)))
+    """Euclidean norm of the finite 1-D vector ``u``.
+
+    The root of one BLAS ``ddot``, bitwise ``np.linalg.norm(u)``; a norm
+    whose sum of squares overflows is ``inf``, with no warning.
+    """
+    v = as_vector(u)
+    # ddot refuses an empty vector, whose norm is 0
+    return math.sqrt(ddot(v, v)) if v.size else 0.0
 
 
 def _eig_slack(L, eps=0.0):

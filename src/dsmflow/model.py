@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsymv
+from scipy.linalg.blas import ddot, dgemv, dsymv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
-from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _potrf,
-                      _potri, _potrs, _squares_finite, as_vector, norm)
+from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _posv,
+                      _potrf, _potri, _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -329,14 +329,15 @@ def newton_velocity(problem, u):
     SIAM Review 31, 1989), ``T^{-1} = I - C (I + D G)^{-1} D B^T`` with
     ``D = diag(d)``, and ``(I + D G)^{-1} D = H (H + D)^{-1} D``, so
     ``v = -f + (C H) w`` with ``(H + D) w = d * (B^T f)``.  ``H + D`` is
-    built by a diagonal add onto a copy of ``H`` and factored by
-    ``dpotrf``; for ``d >= 0`` it is positive definite, and its pivots are
+    built by a diagonal add onto a copy of ``H``, and one LAPACK ``dposv``
+    (:func:`~dsmflow.hilbert._posv`) factors it and solves for ``w``; for
+    ``d >= 0`` it is positive definite, and its pivots are
     at least ``sqrt(lambda_min(H)) >= sqrt(sigma_min(A)) / |B|_2``.  Their
     test is the factor path's, ``min(diag c)^2 >= 1e-9 max(1, m_max)``
     with ``m_max = max|H| + max|d| >= max|H + D|``, so it trips only for a
-    ``d`` that is negative or not finite.  A stage is one ``dpotrf`` and
-    one ``dpotrs`` of size ``r`` and two ``dgemv`` with ``n x r``
-    matrices, in place of an ``n x n`` factorization.  It takes no
+    ``d`` that is negative or not finite.  A stage is one ``dposv`` of
+    size ``r`` and two ``dgemv`` with ``n x r`` matrices, in place of an
+    ``n x n`` factorization.  It takes no
     Neumann sweeps: measured on ``minnorm``'s low-rank stages whose
     ``max|d| |B|_2^2 / sigma_min(A)`` passes the Neumann bound, 8% of them,
     sweeps ``v <- -f - C (d * (B^T v))`` cost a median 5.5 us against
@@ -388,11 +389,12 @@ def newton_velocity(problem, u):
     ``g'(u)`` on an ``A`` with the ``self_adjoint`` flag, whose stored
     entries equal their transpose exactly
     (:class:`~dsmflow.hilbert.DenseOperator` keeps the symmetric part),
-    leaves ``M`` symmetric, and ``M`` is factored by lower Cholesky, LAPACK
-    ``dpotrf``/``dpotrs``: for a psd ``L`` and a monotone ``g``, ``M`` is
-    positive definite, and Cholesky needs no pivoting to be backward
-    stable there.  When ``dpotrf`` meets a non-positive pivot, that same
-    ``M`` is factored by LU, LAPACK ``dgetrf``/``dgetrs``, as is every
+    leaves ``M`` symmetric, and ``M`` is factored by lower Cholesky and
+    solved against ``A f`` in one LAPACK ``dposv`` call
+    (:func:`~dsmflow.hilbert._posv`): for a psd ``L`` and a monotone ``g``,
+    ``M`` is positive definite, and Cholesky needs no pivoting to be
+    backward stable there.  When ``dposv`` meets a non-positive pivot, that
+    same ``M`` is factored by LU, LAPACK ``dgetrf``/``dgetrs``, as is every
     ``M`` from a dense ``g'(u)`` or an ``A`` without the flag, even one
     whose entries happen to be symmetric.  Neither the entries nor a dense
     Jacobian is tested for symmetry.
@@ -420,21 +422,22 @@ def newton_velocity(problem, u):
       per :func:`~dsmflow.flow.integrate` run, not once per stage.
     - Every stage tests that ``f.f``, whose root is ``p``, is finite:
       ``g(u)`` is, since the triangular solves behind ``A^{-1} g(u)``
-      leave a non-finite entry non-finite.  For ``jac_fn=None`` that is
-      the whole signal, since ``v = -f``.
+      leave a non-finite entry non-finite.  BLAS ``ddot`` takes it, bitwise
+      ``f.dot(f)``, so an ``f`` whose squares overflow does not warn.  For
+      ``jac_fn=None`` that is the whole signal, since ``v = -f``.
     - On the Neumann route it adds one test: ``v.v`` is finite.  A
       ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
       which fails the route's bound and then the factor path's test of
       ``m_max``.
     - The low-rank route adds four tests that scan nothing: its ``m_max``
-      is finite, which a ``d`` that is not finite fails, ``dpotrf``'s
+      is finite, which a ``d`` that is not finite fails, ``dposv``'s
       ``info``, the NaN-safe pivot test, and ``v.v`` is finite.
     - The factor path adds four tests that scan nothing.  ``m_max`` is
       finite: ``g'(u)`` and ``M`` are, since NaN propagates through
       ``max`` and ``m_max`` bounds ``max|M|``.  For a diagonal ``g'(u)``
       the bound can overflow where ``M`` does not, only when ``max|A|``
       or ``max|g'(u)|`` is within a factor 2 of the largest double; such
-      an ``M`` is refused as an overflowing one is.  ``dpotrf``'s
+      an ``M`` is refused as an overflowing one is.  ``dposv``'s
       ``info``, and a smallest Cholesky pivot that is not NaN: the factor
       is finite (see :func:`~dsmflow.hilbert._potrf`).  ``v.v`` is
       finite: ``A f`` is; BLAS ``ddot`` takes it
@@ -449,7 +452,8 @@ def newton_velocity(problem, u):
       and whatever the run's gate, a declared basis's ``d`` expanded to
       ``(B * d) @ B^T`` and scanned as ``g'(u)`` (``ValueError``):
       ``m_max`` (``ValueError``), the Cholesky factor (``ValueError``) and
-      ``A f`` (``ValueError``, before either solve).  That run raises the
+      ``A f`` (``ValueError``, before the LU solve, and before ``dposv``'s
+      solution is read).  That run raises the
       first fault there is, or returns the same result after a false
       alarm, a finite ``f`` or ``v`` whose squares overflow; after a false
       alarm on the Neumann or low-rank route, or a pivot that the
@@ -457,7 +461,10 @@ def newton_velocity(problem, u):
       ``g'`` are evaluated once per stage unless a value is not finite.  A
       dense ``g'(u)`` with both a non-finite entry and a finite one that
       overflows when added to ``A`` warns (``RuntimeWarning``) as ``M`` is
-      built, before that run raises the Jacobian's ``ValueError``.
+      built, before that run raises the Jacobian's ``ValueError``.  The
+      Cholesky route forms ``A f`` before it factors, for ``dposv``, so an
+      ``A f`` that overflows warns there even where the pivot test then
+      takes the velocity from :func:`solve_linearized`.
 
     Returns ``(v, p, g(u))``, the last for :func:`~dsmflow.flow.integrate`
     to record ``F(u) = A u + g(u)`` without evaluating ``g`` again.
@@ -506,7 +513,8 @@ def _stage(problem):
         gu = g._value(u, checked)
         lu, piv = A._solve_factors(gu) if checked else (lu_a, piv_a)
         f = u + _getrs(lu, piv, gu)
-        ff = f.dot(f)
+        # bitwise f.dot(f), and an overflow to inf does not warn
+        ff = ddot(f, f)
         if not (checked or math.isfinite(ff)):
             return stage(u, True)
         J = g._jacobian(u, checked)
@@ -550,23 +558,26 @@ def _stage(problem):
         if diagonal:
             M = Ae.copy()
             M.ravel()[::n + 1] += J
-        chol = _potrf(M) if diagonal and A.self_adjoint else None
-        if chol is None:
+        b = Ae @ f
+        # dposv factors and solves in one call; M keeps its bits, so a
+        # refused M goes to dgetrf as it is
+        sol = _posv(M, b) if diagonal and A.self_adjoint else None
+        if sol is None:
             lu, piv = _getrf(M)
             minpiv = np.abs(lu.diagonal()).min()
         else:
+            chol, x = sol
             if checked and not _all_finite(chol):
                 raise ValueError("Cholesky factor contains non-finite entries")
-            minpiv = chol.diagonal().min() ** 2
+            minpiv = np.minimum.reduce(chol.diagonal()) ** 2
         if not minpiv >= 1e-9 * max(1.0, m_max):
             if not checked and math.isnan(minpiv):
                 return stage(u, True)
             v = -solve_linearized(linearized_operator(problem, u), f)
         else:
-            b = Ae @ f
             if checked and not _all_finite(b):
                 raise ValueError("right-hand side contains non-finite entries")
-            v = -(_getrs(lu, piv, b) if chol is None else _potrs(chol, b))
+            v = -(_getrs(lu, piv, b) if sol is None else x)
             if not (checked or _squares_finite(v)):
                 return stage(u, True)
         return v, math.sqrt(ff), gu
@@ -631,13 +642,13 @@ def _lowrank_velocity(lowrank, d, f):
     """``v = -T^{-1} f`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
 
     ``lowrank`` is :func:`_lowrank`'s data.  A zero ``d`` returns ``-f``.
-    Any other ``d`` factors ``S = H + diag(d)``, built by a diagonal add
-    onto a copy of ``H``, by ``dpotrf``, and ``v = -f + (C H) w`` with
-    ``S w = d * (B^T f)``, one ``dpotrs`` and one ``dgemv``.  None, and the
-    caller re-runs the stage checked, when ``max|H| + max|d|`` is not
-    finite, when ``dpotrf`` refuses ``S``, or when the smallest pivot's
-    square is not at least ``1e-9 max(1, max|H| + max|d|)``, the factor
-    path's test.
+    Any other ``d`` builds ``S = H + diag(d)`` by a diagonal add onto a
+    copy of ``H``, and one LAPACK ``dposv`` (:func:`~dsmflow.hilbert._posv`)
+    factors it and solves ``S w = d * (B^T f)``; then
+    ``v = -f + (C H) w`` is one ``dgemv``.  None, and the caller re-runs
+    the stage checked, when ``max|H| + max|d|`` is not finite, when
+    ``dposv`` refuses ``S``, or when the smallest pivot's square is not at
+    least ``1e-9 max(1, max|H| + max|d|)``, the factor path's test.
     """
     Bt, CH, H, hmax = lowrank
     dmax = float(np.maximum.reduce(np.abs(d)))
@@ -649,10 +660,10 @@ def _lowrank_velocity(lowrank, d, f):
         return None
     S = H.copy()
     S.ravel()[::S.shape[0] + 1] += d
-    chol = _potrf(S)
-    if chol is None or not chol.diagonal().min() ** 2 >= 1e-9 * max(1.0, s_max):
+    sol = _posv(S, d * dgemv(1.0, Bt, f))
+    if sol is None or not np.minimum.reduce(sol[0].diagonal()) ** 2 >= 1e-9 * max(1.0, s_max):
         return None
-    return dgemv(1.0, CH, _potrs(chol, d * dgemv(1.0, Bt, f)), -1.0, f)
+    return dgemv(1.0, CH, sol[1], -1.0, f)
 
 
 def _neumann_velocity(mv, inverse, j, f, q):
@@ -858,7 +869,7 @@ def _proven_bound(problem, lam_lo, lam_hi):
     p0 = norm(f0)
     A = problem.shifted.entries
     n1_unit = 0.5 * (problem.dim + 1) * float(np.finfo(float).eps)
-    f0_A_sq = (max(float(f0.dot(A @ f0)), 0.0)
+    f0_A_sq = (max(ddot(f0, A @ f0), 0.0)
                + n1_unit / (1.0 - n1_unit) * float(np.linalg.norm(A)) * p0 * p0)
     distance = math.sqrt(f0_A_sq) / (math.sqrt(lam_lo) * (1.0 - delta))
     margin = problem.radius - distance

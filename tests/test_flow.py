@@ -141,7 +141,7 @@ def test_phi_tiny_cholesky_pivot_falls_back_to_the_linearization(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = newton_velocity(p, p.u0)[0]
-    assert calls == {"potrf": 1, "getrf": 0} and fallbacks == [2]
+    assert calls == {"posv": 1, "potrf": 0, "getrf": 0} and fallbacks == [2]
     f = preconditioned_residual(p, p.u0)
     T = linearized_operator(p, p.u0).entries
     assert np.linalg.norm(v + np.linalg.solve(T, f)) <= 1e-12 * np.linalg.norm(f)
@@ -161,7 +161,7 @@ def test_cholesky_velocity_matches_a_dense_solve(dim):
 
 def test_stage_on_a_flagged_operator_one_ulp_off_symmetric_takes_cholesky(monkeypatch):
     # the flag stores the symmetric part, so a diagonal Jacobian on it goes to
-    # dpotrf; an unflagged operator with those same exactly symmetric entries
+    # dposv; an unflagged operator with those same exactly symmetric entries
     # goes to LU, and the two velocities agree to rounding
     p = wellposed_cubic(10).problem
     E = p.L.entries.copy()
@@ -170,14 +170,14 @@ def test_stage_on_a_flagged_operator_one_ulp_off_symmetric_takes_cholesky(monkey
     plain = replace(p, L=DenseOperator(near.L.entries))
     assert np.array_equal(plain.L.entries, plain.L.entries.T) and not plain.L.self_adjoint
     calls = []
-    for name in ("_potrf", "_getrf"):
-        monkeypatch.setattr(model, name, lambda M, name=name, real=getattr(model, name):
-                            calls.append(name) or real(M))
+    for name in ("_posv", "_potrf", "_getrf"):
+        monkeypatch.setattr(model, name, lambda *a, name=name, real=getattr(model, name):
+                            calls.append(name) or real(*a))
     u = p.u0 + 0.1
     v_near = newton_velocity(near, u)[0]
-    assert calls == ["_potrf"]
+    assert calls == ["_posv"]
     v_plain = newton_velocity(plain, u)[0]
-    assert calls == ["_potrf", "_getrf"]
+    assert calls == ["_posv", "_getrf"]
     assert np.linalg.norm(v_near - v_plain) <= 1e-13 * np.linalg.norm(v_plain)
 
 
@@ -462,18 +462,21 @@ def test_constant_map_continuation_is_bitwise_the_dense_one():
 
 
 def _count_factorizations(monkeypatch):
-    """Count the stage's ``dpotrf`` and ``dgetrf`` calls, through the bindings it factors with."""
-    calls = {"potrf": 0, "getrf": 0}
-    potrf, getrf = model._potrf, model._getrf
+    """Count the ``dposv``, ``dpotrf`` and ``dgetrf`` calls through ``model``'s bindings.
+
+    A stage's Cholesky factor comes with its solve, one ``dposv``; the only
+    ``dpotrf`` is the low-rank route's, of ``G``, once per run.
+    """
+    calls = {"posv": 0, "potrf": 0, "getrf": 0}
 
     def counted(name, fn):
-        def call(M):
+        def call(*a):
             calls[name] += 1
-            return fn(M)
+            return fn(*a)
         return call
 
-    monkeypatch.setattr(model, "_potrf", counted("potrf", potrf))
-    monkeypatch.setattr(model, "_getrf", counted("getrf", getrf))
+    for name in calls:
+        monkeypatch.setattr(model, "_" + name, counted(name, getattr(model, "_" + name)))
     return calls
 
 
@@ -485,16 +488,17 @@ def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
     zero = integrate(replace(problem, g=_zero_diagonal_twin(problem.g)), FlowConfig(t_max=10.0))
-    assert res.n_accepted > 10 and calls == {"potrf": 0, "getrf": 0}
+    assert res.n_accepted > 10 and calls == {"posv": 0, "potrf": 0, "getrf": 0}
     assert pickle.dumps(res) == pickle.dumps(zero)
     dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
     # the start, the initial-step probe and six stages per attempted step
-    assert calls == {"potrf": 0, "getrf": 2 + 6 * (dense.n_accepted + dense.n_rejected)}
+    assert calls == {"posv": 0, "potrf": 0,
+                     "getrf": 2 + 6 * (dense.n_accepted + dense.n_rejected)}
     assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
     assert np.linalg.norm(res.u_final - dense.u_final) <= 1e-13 * np.linalg.norm(dense.u_final)
 
 
-@pytest.mark.parametrize("make, potrf, getrf", [
+@pytest.mark.parametrize("make, posv, getrf", [
     pytest.param(lambda: wellposed_cubic(10).problem, 1, 0, id="wellposed_cubic-10"),
     pytest.param(lambda: wellposed_cubic(20).problem, 1, 0, id="wellposed_cubic-20"),
     pytest.param(lambda: wellposed_cubic(42, scale=1.0).problem, 1, 0, id="wellposed_cubic-42"),
@@ -502,9 +506,9 @@ def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
     pytest.param(lambda: sector_blocks(20, scale=1.0).problem, 0, 1, id="sector_blocks-20"),
     pytest.param(indefinite_problem, 1, 1, id="indefinite-6"),
 ])
-def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, getrf):
-    # a vector Jacobian on an exactly symmetric A tries dpotrf, and only an
-    # M that dpotrf refuses, or a non-symmetric A, takes dgetrf; every stage
+def test_stage_factorizations_follow_the_structure(monkeypatch, make, posv, getrf):
+    # a vector Jacobian on an exactly symmetric A tries dposv, and only an
+    # M that dposv refuses, or a non-symmetric A, takes dgetrf; every stage
     # the Neumann route does not take factors so, and every case has such
     # stages: a cubic scale of 1 puts q above the route's bound at dim 42
     # and on sector_blocks, where the default scale leaves none
@@ -514,24 +518,25 @@ def test_stage_factorizations_follow_the_structure(monkeypatch, make, potrf, get
     res = integrate(problem, FlowConfig(t_max=10.0))
     factored = 2 + 6 * (res.n_accepted + res.n_rejected) - len(routes)
     assert res.n_accepted > 10 and factored > 0
-    assert calls == {"potrf": potrf * factored, "getrf": getrf * factored}
+    assert calls == {"posv": posv * factored, "potrf": 0, "getrf": getrf * factored}
 
 
 def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
-    # dpotrf factors its own copy of M, so after a refusal the LU fallback
+    # dposv factors its own copy of M, so after a refusal the LU fallback
     # factors that same M, and the velocity is bitwise scipy's LU solve of a
     # matrix built afresh from A and g'(u)
     problem = indefinite_problem()
     refusals, factored = [], []
-    potrf, getrf = model._potrf, model._getrf
+    posv, getrf = model._posv, model._getrf
 
-    def recorded(M):
-        c = potrf(M)
-        refusals.append(c is None)
+    def recorded(M, b):
+        sol = posv(M, b)
+        refusals.append(sol is None)
         factored.append(M)
-        return c
+        return sol
 
-    monkeypatch.setattr(model, "_potrf", recorded)
+    monkeypatch.setattr(model, "_posv", recorded)
+    monkeypatch.setattr(model, "_potrf", lambda M: pytest.fail("the stage took dpotrf"))
     monkeypatch.setattr(model, "_getrf", lambda M: factored.append(M) or getrf(M))
     A = problem.shifted.entries
     rng = np.random.default_rng(1)
@@ -615,7 +620,7 @@ def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make, se
     routes = _count_routes(monkeypatch)
     kernels = _count_kernels(monkeypatch)
     res = integrate(problem)
-    assert res.converged and calls == {"potrf": 0, "getrf": 0}
+    assert res.converged and calls == {"posv": 0, "potrf": 0, "getrf": 0}
     assert inversions == [(problem.dim, problem.dim)]
     _assert_kernel_per_sweep(kernels, routes, self_adjoint)
     monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
@@ -664,7 +669,7 @@ def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     f = preconditioned_residual(p, u)
     ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
     v = newton_velocity(p, u)[0]
-    assert calls == {"potrf": 0, "getrf": 0} and len(routes) == 1
+    assert calls == {"posv": 0, "potrf": 0, "getrf": 0} and len(routes) == 1
     _assert_kernel_per_sweep(kernels, routes, make is wellposed_cubic)
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -680,8 +685,8 @@ def test_repeated_velocity_calls_invert_a_once(monkeypatch):
     assert len(routes) == 2 and min(routes) > 0.0 and inversions == [(8, 8)]
 
 
-@pytest.mark.parametrize("make, dim, potrf", [(wellposed_cubic, 64, 1), (sector_blocks, 64, 0)])
-def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim, potrf):
+@pytest.mark.parametrize("make, dim, posv", [(wellposed_cubic, 64, 1), (sector_blocks, 64, 0)])
+def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim, posv):
     # q = 0.3 u_0^2 / sigma_min(A) > 2^(-53/8) at u_0 = 0.6: the stage factors
     # M = A + g'(u) and its velocity is bitwise scipy's solve with that factor
     p = make(dim).problem
@@ -690,11 +695,11 @@ def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim,
     calls = _count_factorizations(monkeypatch)
     inversions = _count_inversions(monkeypatch)
     v = newton_velocity(p, u)[0]
-    assert calls == {"potrf": potrf, "getrf": 1 - potrf} and inversions == []
+    assert calls == {"posv": posv, "potrf": 0, "getrf": 1 - posv} and inversions == []
     A = p.shifted.entries
     f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), p.g(u))
     M = A + np.diag(p.g.jac_fn(u))
-    if potrf:
+    if posv:
         ref = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), A @ f)
     else:
         ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), A @ f)
@@ -760,10 +765,11 @@ def test_low_rank_velocity_is_within_its_rounding_bound_or_factors(monkeypatch, 
             assert norm(v - v_dense) <= bound
         else:
             assert v.tobytes() == v_dense.tobytes()
-    # per call: the route's dpotrf of G and of H + diag(d), or the dense LU,
-    # and the twin's LU
+    # per call: the route's dpotrf of G and dposv of H + diag(d), or the
+    # dense LU, and the twin's LU
     assert len(routes) == (3 if opens else 0)
-    assert factors == ({"potrf": 6, "getrf": 3} if opens else {"potrf": 0, "getrf": 6})
+    assert factors == ({"posv": 3, "potrf": 3, "getrf": 3} if opens
+                       else {"posv": 0, "potrf": 0, "getrf": 6})
 
 
 @pytest.mark.parametrize("change", ["repeated-column", "no-floor", "unflagged-operator",
@@ -798,7 +804,7 @@ def test_low_rank_gate_closes_where_its_bound_does_not_apply(monkeypatch, change
     routes = _count_lowrank(monkeypatch)
     factors = _count_factorizations(monkeypatch)
     v = newton_velocity(problem, u)[0]
-    assert routes == [] and factors == {"potrf": 0, "getrf": 1}
+    assert routes == [] and factors == {"posv": 0, "potrf": 0, "getrf": 1}
     assert v.tobytes() == newton_velocity(_undeclared_basis(problem), u)[0].tobytes()
 
 
@@ -813,15 +819,15 @@ def test_low_rank_flow_takes_the_factor_paths_steps(monkeypatch, dim):
     factors = _count_factorizations(monkeypatch)
     for eps in (1.0, 1e-2, 1e-4, 1e-6):
         routes.clear()
-        factors.update(potrf=0, getrf=0)
+        factors.update(posv=0, potrf=0, getrf=0)
         res = integrate(problem.with_epsilon(eps))
         stages = 2 + 6 * (res.n_accepted + res.n_rejected)
         # every stage takes the route and sweeps nothing; the start u0 = 0
-        # has d = 0 and returns -f, and every other stage factors
-        # H + diag(d), after the run's one dpotrf of G
+        # has d = 0 and returns -f, and every other stage factors and solves
+        # H + diag(d) by one dposv, after the run's one dpotrf of G
         assert res.converged and len(routes) == stages and routes[0] == 0.0
         assert sweeps == [] and 0.0 not in routes[1:]
-        assert factors == {"potrf": stages, "getrf": 0}
+        assert factors == {"posv": stages - 1, "potrf": 1, "getrf": 0}
         dense = integrate(_undeclared_basis(problem.with_epsilon(eps)))
         assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
         assert norm(res.u_final - dense.u_final) <= 1e-9 * norm(dense.u_final)
@@ -905,22 +911,40 @@ def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
         monkeypatch.setattr(module, "_all_finite", lambda x: scans.append(x.shape) or scan(x))
     factors = _count_factorizations(monkeypatch)
     routes = _count_routes(monkeypatch)
+    lowrank = _count_lowrank(monkeypatch)
+    setups = []
+    make_lowrank = model._lowrank
+
+    def set_up(*a):
+        data = make_lowrank(*a)
+        setups.append(dict(factors))
+        return data
+
+    monkeypatch.setattr(model, "_lowrank", set_up)
     res = integrate(problem, FlowConfig(t_max=10.0))
     assert res.n_accepted > 10
     stages = 2 + 6 * (res.n_accepted + res.n_rejected)
     jacobians = 0 if problem.g.jac_fn is None else stages
     assert calls == {"fn": stages, "jac": jacobians}
     assert factors["getrf"] == lu * (stages - len(routes))
+    if problem.g.jac_basis is not None:
+        # the run's set-up factors G by its one dpotrf; after it every stage
+        # takes the low-rank route, and each one with a nonzero d is one
+        # dposv, with no dpotrf or dgetrf
+        assert setups == [{"posv": 0, "potrf": 1, "getrf": 0}] and len(lowrank) == stages
+        assert factors == {"posv": sum(d > 0.0 for d in lowrank), "potrf": 1, "getrf": 0}
+        assert factors["posv"] >= stages - 1
     n = problem.dim
     assert checks == [(n,)] * stages and scans == [(n, n)] * factors["getrf"]
 
 
 def test_a_start_residual_whose_norm_overflows_is_refused_before_the_first_step(monkeypatch):
     # f(u0) is finite but f.f overflows, so p0 = inf; every stop would read
-    # it as already met, and the run raises instead of reporting convergence
+    # it as already met, and the run raises instead of reporting convergence;
+    # f.f is a BLAS ddot, so its overflow does not warn
     problem = singular_monotone(3, rank=1, cubic_scale=1e300).problem.with_epsilon(0.1)
     monkeypatch.setattr(flow, "_first_step", lambda *a: pytest.fail("took a first step"))
-    with np.errstate(over="ignore"), pytest.raises(FlowFailed) as exc:
+    with pytest.raises(FlowFailed) as exc:
         integrate(problem)
     assert str(exc.value) == ("start residual norm |f(u0)| overflows to inf; "
                               "nothing to integrate against")

@@ -15,7 +15,7 @@ import scipy.linalg
 from dsmflow import hilbert
 from dsmflow.errors import DimensionMismatch, NonPsdOperator, NotSymmetric, SingularOperator
 from dsmflow.hilbert import (DenseOperator, _all_finite, _eig_slack, _getrf, _getri, _getrs,
-                             _potrf, _potrs, as_vector, norm)
+                             _posv, _potrf, as_vector, norm)
 from dsmflow.problems import ill_conditioned, singular_canonical
 from evidence import diagonal_operator
 
@@ -138,6 +138,22 @@ def test_norm_is_euclidean():
         assert norm(u) == pytest.approx(np.sqrt(float(u @ u)), rel=1e-15)
     with pytest.raises(DimensionMismatch):
         norm(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 200, 1000])
+def test_norm_is_bitwise_numpys_and_overflows_without_a_warning(n):
+    # the root of one ddot is bitwise np.linalg.norm, on contiguous and
+    # strided vectors alike; a sum of squares that overflows is inf, where
+    # numpy's dot warns, and the empty vector's norm is 0
+    rng = np.random.default_rng(n)
+    for scale in (1e-160, 1.0, 1e150):
+        u = scale * rng.standard_normal(2 * n)
+        for v in (u[:n], u[::2]):
+            assert norm(v) == np.linalg.norm(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(np.full(n, 1e300)) == math.inf
+        assert norm(np.zeros(0)) == 0.0
 
 
 # -- operator construction and flags ----------------------------------------
@@ -458,9 +474,10 @@ def test_inverse_is_formed_once_from_the_cached_lu(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 10, 200])
 def test_cholesky_helpers_are_scipy_cholesky(n):
-    # _potrf factors its own copy as _getrf does: the factor is bitwise the
-    # lower triangle of scipy's Cholesky, and M, row-major as the stage
-    # passes it or column-major, keeps its bits
+    # _potrf and _posv factor their own copy as _getrf does: the factor's
+    # lower triangle is bitwise scipy's Cholesky, _posv's solution is
+    # bitwise scipy's cho_solve with that factor, and M, row-major as the
+    # stage passes it or column-major, and b keep their bits
     rng = np.random.default_rng(n)
     B = random_matrix(rng, n)
     M = B @ B.T + n * np.eye(n)
@@ -471,8 +488,13 @@ def test_cholesky_helpers_are_scipy_cholesky(n):
         c = _potrf(M_o)
         assert same_bits(c, np.tril(ref[0])) and not np.shares_memory(c, M_o)
         assert same_bits(M_o, M)
-    for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
-        assert same_bits(_potrs(c, b), scipy.linalg.cho_solve(ref, b))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, n))):
+            b0 = b.copy()
+            c, x = _posv(M_o, b)
+            assert same_bits(np.tril(c), np.tril(ref[0]))
+            assert same_bits(x, scipy.linalg.cho_solve(ref, b))
+            assert not np.shares_memory(c, M_o) and not np.shares_memory(x, b)
+            assert same_bits(M_o, M) and same_bits(b, b0)
 
 
 @pytest.mark.parametrize("M", [
@@ -481,7 +503,7 @@ def test_cholesky_helpers_are_scipy_cholesky(n):
     -np.eye(3),
 ], ids=["indefinite", "singular", "negative"])
 def test_cholesky_refusal_is_none_with_no_warning(M):
-    # a refusal leaves the argument's bits as they were, in either order, so
+    # a refusal leaves the arguments' bits as they were, in either order, so
     # the LU fallback factors that same matrix, bitwise scipy's LU of it
     with warnings.catch_warnings():
         # scipy warns of the singular case's zero pivot; _getrf does not
@@ -493,6 +515,9 @@ def test_cholesky_refusal_is_none_with_no_warning(M):
             warnings.simplefilter("error")
             assert _potrf(M_o) is None
             assert same_bits(M_o, M)
+            b = np.ones(M.shape[0])
+            assert _posv(M_o, b) is None
+            assert same_bits(M_o, M) and same_bits(b, np.ones(M.shape[0]))
             lu, piv = _getrf(M_o)
         assert same_bits(lu, ref_lu) and same_bits(piv, ref_piv)
 

@@ -345,17 +345,17 @@ def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows
     assert type(exc.value) is cls and str(exc.value) == message
 
 
-@pytest.mark.parametrize("case, factor", [("Af-overflows-cholesky", "_potrf"),
+@pytest.mark.parametrize("case, factor", [("Af-overflows-cholesky", "_posv"),
                                           ("Af-overflows-lu", "_getrf")])
 def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
     # each case factors by the route its id names, in the unchecked stage and
     # again in its checked re-run, and never takes the Neumann route
     make = next(c[1] for c in _FAULTS if c[0] == case)
     calls = []
-    for name in ("_potrf", "_getrf"):
+    for name in ("_posv", "_potrf", "_getrf"):
         binding = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda M, name=name, binding=binding:
-                            calls.append(name) or binding(M))
+        monkeypatch.setattr(model, name, lambda *a, name=name, binding=binding:
+                            calls.append(name) or binding(*a))
     monkeypatch.setattr(model, "_neumann_velocity", lambda *a: pytest.fail("took the route"))
     with np.errstate(over="ignore"), pytest.raises(ValueError):
         model.newton_velocity(make(), _FAR)
@@ -370,10 +370,10 @@ def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
     lowrank = model._lowrank_velocity
     monkeypatch.setattr(model, "_lowrank_velocity",
                         lambda *a: routes.append(a[1].copy()) or lowrank(*a))
-    for name in ("_potrf", "_getrf"):
+    for name in ("_posv", "_potrf", "_getrf"):
         binding = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda M, binding=binding:
-                            factors.append(M.shape) or binding(M))
+        monkeypatch.setattr(model, name, lambda M, *a, name=name, binding=binding:
+                            factors.append((name, M.shape)) or binding(M, *a))
     for case in ("basis-d-nan", "basis-d-inf"):
         make = next(c[1] for c in _FAULTS if c[0] == case)
         routes.clear()
@@ -381,7 +381,7 @@ def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
         with pytest.raises(ValueError):
             model.newton_velocity(make(), _FAR)
         assert len(routes) == 1 and not np.isfinite(routes[0]).any()
-        assert factors == [(1, 1)]
+        assert factors == [("_potrf", (1, 1))]
 
 
 def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
@@ -392,8 +392,8 @@ def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
     solves = []
     getrs = model._getrs
     monkeypatch.setattr(model, "_getrs", lambda *a: solves.append(1) or getrs(*a))
-    for name in ("_potrf", "_getrf"):
-        monkeypatch.setattr(model, name, lambda M: pytest.fail("the stage factored"))
+    for name in ("_posv", "_potrf", "_getrf"):
+        monkeypatch.setattr(model, name, lambda *a: pytest.fail("the stage factored"))
     monkeypatch.setattr(hilbert, "_getri", lambda *a: pytest.fail("the stage inverted A"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -430,19 +430,19 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
 
 
 def test_stage_fault_on_a_nan_cholesky_pivot_raises_the_factor_scan(monkeypatch):
-    # dpotrf that accepts M (info = 0) but leaves a NaN pivot, as OpenBLAS
+    # dposv that accepts M (info = 0) but leaves a NaN pivot, as OpenBLAS
     # does on a NaN that reaches a pivot's argument: the pivot test is the
-    # signal, and the scan of the re-run, a second dpotrf, raises
-    dpotrf = hilbert.dpotrf
+    # signal, and the scan of the re-run, a second dposv, raises
+    dposv = hilbert.dposv
     calls = []
 
-    def nan_pivot(M, **kw):
-        c, info = dpotrf(M, **kw)
+    def nan_pivot(M, b, *a):
+        c, x, info = dposv(M, b, *a)
         calls.append(info)
         c[-1, -1] = np.nan
-        return c, 0
+        return c, x, 0
 
-    monkeypatch.setattr(hilbert, "dpotrf", nan_pivot)
+    monkeypatch.setattr(hilbert, "dposv", nan_pivot)
     problem = _faulty()
     with pytest.raises(ValueError) as exc:
         model.newton_velocity(problem, _FAR)

@@ -152,6 +152,41 @@ def test_range_cubic_jacobian_is_bitwise_the_diagonal_product():
     assert np.count_nonzero(B.T @ off_block) == 3
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: make_map("range_cubic", 7, {
+        "scale": 0.3, "basis": np.eye(7)[:, [2]],
+        "offset": np.random.default_rng(1).standard_normal(7)}), id="rank-1"),
+    pytest.param(lambda: singular_monotone(20, rank=10, seed=42, cubic_scale=0.1).problem.g,
+                 id="singular_monotone-basis-view"),
+    pytest.param(lambda: singular_monotone(40, rank=20, seed=0, cubic_scale=0.1).problem.g,
+                 id="singular_monotone-40"),
+])
+def test_range_cubic_value_is_one_dgemv_within_rounding(make):
+    # g(u) = s B y^3 + offset is one dgemv, whose sums run in BLAS's order:
+    # each entry is within gamma_(r+5) (|offset_i| + s sum_j |B_ij| |y_j|^3)
+    # of the exact offset_i + s sum_j B_ij y_j^3, from the cube, the r-term
+    # sum, its scaling and the offset's add, and so is numpy's reference,
+    # so the two differ by at most twice that.  singular_monotone's basis is
+    # a column slice of Q, neither C- nor F-contiguous
+    g = make()
+    B, s, offset = g.jac_basis, g.params["scale"], g.params["offset"]
+    n, r = B.shape
+    unit = np.finfo(float).eps / 2
+    gamma = (r + 5) * unit / (1.0 - (r + 5) * unit)
+    offset0 = offset.copy()
+    rng = np.random.default_rng(r)
+    for size in (1e-3, 1.0, 30.0):
+        u = size * rng.standard_normal(n)
+        y = B.T @ u
+        value = g(u)
+        ref = offset + s * (B @ y ** 3)
+        bound = 2.0 * gamma * (np.abs(offset) + s * (np.abs(B) @ np.abs(y) ** 3))
+        assert np.all(np.abs(value - ref) <= bound)
+        assert not np.shares_memory(value, offset) and offset.tobytes() == offset0.tobytes()
+    # the cubic vanishes at u = 0, which leaves the offset bitwise
+    assert g(np.zeros(n)).tobytes() == offset.tobytes()
+
+
 # -- tag verification ----------------------------------------------------------
 
 
