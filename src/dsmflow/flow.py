@@ -19,14 +19,18 @@ rounding gate opens.  Every other stage computes
 self-adjoint ``A`` admits one, and an LU otherwise.  See
 :func:`dsmflow.model.newton_velocity`.
 
-Each RK stage is :func:`~dsmflow.model.newton_velocity`, taken once per
-run from ``model._stage`` so that ``A``'s pivot test and cached facts are
-read once per run, not once per stage.  A stage checks its point and
-the rest of its work through one fault signal.  The step loop adds no
-check: its error norm and trust-ball distance reduce arrays the stages
-have already checked.  Recording a point evaluates no ``g``: the
-residual ``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage
-that computed the accepted point, bitwise what
+Each RK stage is :func:`~dsmflow.model.newton_velocity`: ``velocity(u, f)``
+after ``residual(u)``, the two halves that ``model._stage`` builds once
+per run, so that ``A``'s pivot test and cached facts are read once per
+run, not once per stage.  ``residual`` checks the point and ``f``, and
+``velocity`` the solve, each through its own fault signal.  The run
+starts from ``residual(u0)`` alone: a start residual whose norm
+overflows, or one already below the stop, ends the run before any
+velocity is solved.  The step loop adds no check: its error norm and
+trust-ball distance reduce arrays the stages have already checked.
+Recording a point evaluates no ``g``: the residual
+``F(u) = (L+eps*I) u + g(u)`` reuses the ``g(u)`` of the stage that
+computed the accepted point, bitwise what
 :func:`~dsmflow.model.full_residual` gives.  A finite sum of squares
 proves it finite and gives its norm; any other sum goes to
 :func:`~dsmflow.hilbert.norm`'s check.
@@ -214,27 +218,30 @@ def _point(problem, t, u, p, gu, h):
                            residual_F=math.sqrt(rr) if math.isfinite(rr) else norm(r), step=h)
 
 
-def _first_step(stage, u, v, rel_tol, t_end):
+def _first_step(residual, velocity, u, v, rel_tol, t_end):
     """The classic two-probe estimate of a first step from ``u``, at most ``t_end``.
 
-    ``v`` is the velocity at ``u``; the probe runs one more stage.
+    ``v`` is the velocity at ``u``; the probe runs one more stage, through
+    the stage's two halves ``residual`` and ``velocity``.
     """
     scale = 1e-2 * rel_tol + rel_tol * np.abs(u)
     d0 = float(np.linalg.norm(u / scale) / np.sqrt(u.size))
     d1 = float(np.linalg.norm(v / scale) / np.sqrt(u.size))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    v_probe = stage(u + h0 * v)[0]
+    x = u + h0 * v
+    v_probe = velocity(x, residual(x)[0])
     d2 = float(np.linalg.norm((v_probe - v) / scale) / np.sqrt(u.size)) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t_end)
 
 
-def _dopri_step(stage, u, au, k, h, errold, rel_tol):
+def _dopri_step(residual, velocity, u, au, k, h, errold, rel_tol):
     """One Dormand-Prince 5(4) attempt of size ``h`` from ``u``, whose ``|u|`` is ``au``.
 
-    ``k`` is the Fortran-ordered ``(n, 7)`` stage matrix: column ``j``
-    holds stage ``j``'s velocity, and column 0 the velocity at ``u``; the
-    other columns are scratch.  Stage ``i``'s input
+    Each stage is ``velocity(x, f)`` after ``residual(x)``, the halves
+    ``model._stage`` builds.  ``k`` is the Fortran-ordered ``(n, 7)``
+    stage matrix: column ``j`` holds stage ``j``'s velocity, and column 0
+    the velocity at ``u``; the other columns are scratch.  Stage ``i``'s input
     ``u + h * sum_j a_ij k_j`` is one BLAS ``dgemv`` on the columns
     ``k[:, :i]``, which are contiguous, so nothing is copied, and which
     this attempt has already written: no column it has not written is
@@ -249,9 +256,11 @@ def _dopri_step(stage, u, au, k, h, errold, rel_tol):
     which a rejection leaves as it was.
     """
     for i in range(1, 6):
-        k[:, i] = stage(dgemv(h, k[:, :i], _A[i - 1], 1.0, u))[0]
+        x = dgemv(h, k[:, :i], _A[i - 1], 1.0, u)
+        k[:, i] = velocity(x, residual(x)[0])
     u_new = dgemv(h, k[:, :6], _A[5], 1.0, u)
-    k[:, 6], p_new, gu_new = stage(u_new)
+    f_new, p_new, gu_new = residual(u_new)
+    k[:, 6] = velocity(u_new, f_new)
     au_new = np.abs(u_new)
     q = dgemv(h, k, _ERR) / (1e-2 * rel_tol + rel_tol * np.maximum(au, au_new))
     # bitwise sqrt(mean(q**2)): np.mean is add.reduce, then a divide
@@ -292,9 +301,9 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
     end = cfg.t_max if until is None else until
     if not 0.0 < end <= cfg.t_max:
         raise ValueError(f"until must lie in (0, t_max={cfg.t_max}], got {until}")
-    stage = _stage(problem)
+    residual, velocity = _stage(problem)
     u = problem.u0.copy()
-    v, p, gu = stage(u)
+    f, p, gu = residual(u)
     p0 = p
     if not math.isfinite(p0):
         # a finite f whose squares overflow: no stop or decay test can compare with it
@@ -326,7 +335,8 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
         return finish(FlowStatus.RESIDUAL_CONVERGED,
                       "start point already below the stopping residual")
 
-    h = _first_step(stage, u, v, cfg.rel_tol, end)
+    v = velocity(u, f)
+    h = _first_step(residual, velocity, u, v, cfg.rel_tol, end)
     errold = 1e-4
     next_record = cfg.sample_stride
     k = np.empty((u.size, 7), order="F")
@@ -338,7 +348,7 @@ def integrate(problem, cfg=None, *, trust=None, until=None):
             return finish(FlowStatus.STEP_FAILURE,
                           f"step size collapsed to {h:.3e} at t={t:.6f}")
         h = min(h, end - t)
-        step, h_next, errold = _dopri_step(stage, u, au, k, h, errold, cfg.rel_tol)
+        step, h_next, errold = _dopri_step(residual, velocity, u, au, k, h, errold, cfg.rel_tol)
         if step is None:
             n_rejected += 1
             h = h_next

@@ -16,15 +16,14 @@ straight from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 ``lu_solve`` give without their per-call wrapper cost.  :func:`_posv`
 factors and solves by lower Cholesky in one LAPACK ``dposv`` call, which
 the stage takes for a symmetric matrix before it falls back to LU, and
-:func:`_potrf` gives the lower Cholesky factor alone, LAPACK ``dpotrf``.
-:func:`_getri` turns LU factors into the inverse, LAPACK ``dgetri``, and
-:func:`_potri` a Cholesky factor into the exactly symmetric inverse,
-LAPACK ``dpotri``.  There is one wrapper per LAPACK call.
-:func:`_getrf`, :func:`_potrf`, :func:`_posv` and :func:`_getri` never
-touch their arguments: the LAPACK wrapper factors or inverts a
-column-major copy of its own, whatever the argument's layout.
-:func:`_getrs` and :func:`_posv` do not check the right-hand side:
-:meth:`DenseOperator.solve` does, and so does the stage's checked re-run
+the low-rank route's set-up takes once per run, against the identity,
+for an inverse.  :func:`_getri` turns LU factors into the inverse,
+LAPACK ``dgetri``.  There is one wrapper per LAPACK call, four in all.
+:func:`_getrf`, :func:`_posv` and :func:`_getri` never touch their
+arguments: the LAPACK wrapper factors or inverts a column-major copy of
+its own, whatever the argument's layout.  :func:`_getrs` and
+:func:`_posv` do not check the right-hand side: :meth:`DenseOperator.solve`
+does, and so does the checked re-run of the stage's velocity
 (:func:`~dsmflow.model.newton_velocity`).  Sums of squares, in
 :func:`norm` and in the stage, are BLAS ``ddot``, bitwise
 ``ndarray.dot`` and, unlike it, silent where they overflow to ``inf``.
@@ -37,7 +36,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dposv, dpotri, dpotrf
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs, dposv
 
 from .errors import DimensionMismatch, NotSymmetric, NonPsdOperator, SingularOperator
 
@@ -65,8 +64,8 @@ def _all_finite(x):
     ``x`` whose squares overflow.  The flow's stage
     (:func:`~dsmflow.model.newton_velocity`) tests its residual and its
     velocity that way instead of scanning every array it touches.  There
-    such a false alarm is harmless: all it does is run the stage again
-    with every scan on, which returns the same result.
+    such a false alarm is harmless: all it does is send that half down its
+    scanning route, which returns the same result.
     """
     return np.count_nonzero(np.isfinite(x)) == x.size
 
@@ -150,19 +149,23 @@ def _getri(lu, piv):
     return inv
 
 
-def _potrf(M):
-    """Lower Cholesky factor of the symmetric float matrix ``M`` from LAPACK ``dpotrf``, or None.
+def _posv(M, b):
+    """``(c, x)``: the lower Cholesky factor of ``M`` and ``M^{-1} b``, from one ``dposv``; or None.
 
-    Only ``M``'s lower triangle is read.  The factor is the wrapper's own
-    copy, its upper triangle zeroed, and ``M`` keeps its bits.  None when
-    ``dpotrf`` meets a non-positive pivot, that is when ``M`` is not
-    positive definite; that is not an error and raises no warning.  The
-    low-rank route's set-up takes it once per run, for :func:`_potri`;
-    a stage, which also solves, takes :func:`_posv`.
+    ``dposv`` factors by ``dpotrf`` and solves by ``dpotrs``, bitwise the
+    two calls in turn.  Only ``M``'s lower triangle is read, and ``c``'s
+    upper triangle holds ``M``'s, not zeros.  ``c`` and ``x`` are the
+    wrapper's own copies, and ``M`` and ``b`` keep their bits, so a caller
+    whose ``M`` is refused hands that same ``M`` to :func:`_getrf`.  None
+    when ``dposv`` meets a non-positive pivot, that is when ``M`` is not
+    positive definite; that is not an error and raises no warning.  ``b``
+    is a vector or a matrix of right-hand-side columns, the identity for
+    an inverse, and is not checked, as by :func:`_getrs`.  The arguments
+    go positionally: an f2py keyword such as ``lower=1`` costs about
+    0.5 us a call.
 
-    Neither ``M`` nor the factor is scanned, here or in :func:`_posv`,
-    whose ``dposv`` factors by ``dpotrf``.  For a finite ``M`` that
-    ``dpotrf`` accepts, the pivots tell whether the factor is finite.
+    Neither ``M`` nor the factor is scanned.  For a finite ``M`` that
+    ``dposv`` accepts, the pivots tell whether the factor is finite.
     Every entry ``c_ij`` below the diagonal feeds the later pivot
     ``c_ii = sqrt(M_ii - sum_k c_ik^2)``, through a dot product or a
     ``syrk`` update of the trailing block.  That sum holds only squares,
@@ -173,31 +176,8 @@ def _potrf(M):
     finite ``M``, a factor returned here is finite exactly when its
     smallest diagonal entry is not NaN, and a caller that tests its
     pivots as ``not min(diag c) >= floor`` sees a non-finite factor
-    without a scan.  The stage does so, and scans the factor
-    (``ValueError``) only when it re-runs after such a signal.
-    """
-    c, info = dpotrf(M, lower=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    if info > 0:
-        return None
-    return c
-
-
-def _posv(M, b):
-    """``(c, x)``: the lower Cholesky factor of ``M`` and ``M^{-1} b``, from one ``dposv``; or None.
-
-    Bitwise what :func:`_potrf` followed by a lower ``dpotrs`` gives, in
-    one call: ``dposv`` runs those two routines.  Only ``M``'s lower
-    triangle is read, and ``c``'s upper triangle holds ``M``'s, not
-    zeros.  ``c`` and ``x`` are the wrapper's own copies, and ``M`` and
-    ``b`` keep their bits, so a caller whose ``M`` is refused hands that
-    same ``M`` to :func:`_getrf`.  None when ``dposv`` meets a
-    non-positive pivot, as :func:`_potrf`; what a returned factor's
-    smallest diagonal entry tells about its finiteness is said there.
-    ``b`` is a vector or a matrix of right-hand-side columns, and is not
-    checked, as by :func:`_getrs`.  The arguments go positionally: an f2py
-    keyword such as ``lower=1`` costs about 0.5 us a call.
+    without a scan.  The stage's velocity does so, and scans the factor
+    (``ValueError``) only in the re-run that such a signal starts.
     """
     c, x, info = dposv(M, b, 1)
     if info < 0:
@@ -205,22 +185,6 @@ def _posv(M, b):
     if info > 0:
         return None
     return c, x
-
-
-def _potri(c):
-    """``M^{-1}`` from :func:`_potrf`'s factor ``c`` with LAPACK ``dpotri``, exactly symmetric.
-
-    ``dpotri`` forms the lower triangle of the inverse in the wrapper's
-    copy of ``c``; its strictly lower part is mirrored above the diagonal,
-    so the result equals its transpose bit for bit.  ``c`` keeps its bits.
-    """
-    inv, info = dpotri(c, lower=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotri")
-    if info > 0:
-        raise ValueError(f"dpotri met the zero pivot c[{info - 1}, {info - 1}]")
-    low = np.tril(inv)
-    return low + np.tril(low, -1).T
 
 
 def norm(u):

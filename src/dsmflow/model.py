@@ -19,7 +19,7 @@ from scipy.linalg.blas import ddot, dgemv, dsymv
 
 from .errors import DimensionMismatch, SingularLinearization, SingularOperator
 from .hilbert import (DenseOperator, VectorH, _all_finite, _eig_slack, _getrf, _getrs, _posv,
-                      _potrf, _potri, _squares_finite, as_vector, norm)
+                      _squares_finite, as_vector, norm)
 
 __all__ = [
     "NonlinearMap",
@@ -93,9 +93,9 @@ class NonlinearMap:
     :func:`newton_velocity` checks ``u`` once for both and calls
     :meth:`_value` and :meth:`_jacobian`, which check only the output.
     A flow stage has them check only its shape:
-    the stage's fault signal sees a non-finite ``g(u)`` in ``|f|`` and a
-    non-finite ``g'(u)`` in its pivot test's scale, and only a stage that
-    re-runs on that signal scans them (see :func:`newton_velocity`).
+    its residual's fault signal sees a non-finite ``g(u)`` in ``|f|``, and
+    its velocity's a non-finite ``g'(u)`` in its pivot test's scale, and
+    only a half whose signal fires scans them (see :func:`newton_velocity`).
     """
     fn: callable
     jac_fn: callable
@@ -289,7 +289,14 @@ def newton_velocity(problem, u):
 
     With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
     LU, and the velocity is ``v = -T^{-1} f`` with
-    ``T = I + A^{-1} g'(u)``.  One rule picks how ``T`` is solved: the
+    ``T = I + A^{-1} g'(u)``.  It is the composition of the two halves that
+    :func:`_stage` builds over one set of per-run facts:
+    ``residual(u) -> (f, p, g(u))``, then ``velocity(u, f)``, where
+    ``velocity(u, b)`` solves ``-T^{-1} b`` for any finite ``b``.  The routes
+    below are ``velocity``'s, told for ``b = f``; another ``b`` takes them
+    alike: the factor path solves against ``A b``, the Neumann sweeps run
+    on ``b``, the low-rank route ends at ``-b + (C H) w``, and ``q = 0``
+    returns ``-b``.  One rule picks how ``T`` is solved: the
     contraction factor ``q``, a proven bound on ``|A^{-1} g'(u)|``.  A zero
     Jacobian, ``jac_fn=None``, has ``q = 0``; a Jacobian that ``jac_fn``
     returns as its diagonal has ``q = max|g'(u)| / sigma_min(A)``; one in a
@@ -323,7 +330,7 @@ def newton_velocity(problem, u):
     ``A``, in a run whose gate opens.*  Once per run, :func:`_lowrank`
     forms ``C = A^{-1} B``, one ``dgetrs`` with ``r`` columns on ``A``'s
     cached LU, ``G = B^T C``, its exactly symmetric inverse ``H`` from one
-    ``dpotrf`` and ``dpotri``, and ``C H``.  A stage whose ``d`` is zero
+    ``dposv`` against the identity, and ``C H``.  A stage whose ``d`` is zero
     returns ``-f``.  Any other stage solves one ``r x r`` system
     (:func:`_lowrank_velocity`): by Sherman-Morrison-Woodbury (Hager,
     SIAM Review 31, 1989), ``T^{-1} = I - C (I + D G)^{-1} D B^T`` with
@@ -374,7 +381,7 @@ def newton_velocity(problem, u):
     (``eps = 1e-8``, ``beta = 4e8``).  A
     non-self-adjoint or indefinite ``A``, a map that declares no
     ``jac_floor >= 0``, a
-    ``B`` without full column rank ``r <= n`` and a ``G`` that ``dpotrf``
+    ``B`` without full column rank ``r <= n`` and a ``G`` that ``dposv``
     refuses close the gate too.
 
     *Factor path, every other stage.*  ``v = -(A + g'(u))^{-1} (A f)``, one
@@ -409,8 +416,8 @@ def newton_velocity(problem, u):
     :class:`SingularLinearization` when ``T`` is numerically singular.  A
     tiny pivot that comes from ``A`` alone is therefore not a refusal.
 
-    ``u`` is checked up front, and the rest of the stage through one fault
-    signal instead of a scan of each array it touches:
+    ``u`` is checked up front, and the rest of the stage through two fault
+    signals, one per half, instead of a scan of each array it touches:
 
     - ``u`` is checked by :func:`~dsmflow.hilbert.as_vector`
       (``ValueError``), whose finite sum of squares spares the scan, so
@@ -420,13 +427,13 @@ def newton_velocity(problem, u):
     - ``A``'s pivots get the test of :meth:`DenseOperator.solve`
       (:class:`SingularOperator`) once per :func:`_stage`, that is once
       per :func:`~dsmflow.flow.integrate` run, not once per stage.
-    - Every stage tests that ``f.f``, whose root is ``p``, is finite:
+    - ``residual`` tests that ``f.f``, whose root is ``p``, is finite:
       ``g(u)`` is, since the triangular solves behind ``A^{-1} g(u)``
       leave a non-finite entry non-finite.  BLAS ``ddot`` takes it, bitwise
       ``f.dot(f)``, so an ``f`` whose squares overflow does not warn.  For
       ``jac_fn=None`` that is the whole signal, since ``v = -f``.
-    - On the Neumann route it adds one test: ``v.v`` is finite.  A
-      ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
+    - On the Neumann route ``velocity`` adds one test: ``v.v`` is finite.
+      A ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
       which fails the route's bound and then the factor path's test of
       ``m_max``.
     - The low-rank route adds four tests that scan nothing: its ``m_max``
@@ -439,47 +446,64 @@ def newton_velocity(problem, u):
       or ``max|g'(u)|`` is within a factor 2 of the largest double; such
       an ``M`` is refused as an overflowing one is.  ``dposv``'s
       ``info``, and a smallest Cholesky pivot that is not NaN: the factor
-      is finite (see :func:`~dsmflow.hilbert._potrf`).  ``v.v`` is
+      is finite (see :func:`~dsmflow.hilbert._posv`).  ``v.v`` is
       finite: ``A f`` is; BLAS ``ddot`` takes it
       (:func:`~dsmflow.hilbert._squares_finite`), so a large finite ``v``
       does not warn.  An LU factor is still scanned, by
       :func:`~dsmflow.hilbert._getrf`.
-    - When the signal fires, ``A``'s pivot test has failed or ``u`` has the
-      wrong length, the same body runs again with every scan on, in the
-      order of its work: ``g(u)`` and ``g'(u)`` (``ValueError``), ``A``'s
-      pivot test between the two, then for a zero Jacobian ``f``
-      (``ValueError``), and otherwise the factor path whatever ``q`` is
-      and whatever the run's gate, a declared basis's ``d`` expanded to
+    - When ``residual``'s signal fires, ``u`` has the wrong length, ``A``
+      failed its pivot test or ``f.f`` is not finite, it takes the
+      scanning route: ``g(u)`` (``ValueError``), then ``A``'s pivot test
+      through :meth:`DenseOperator.solve`, then a scan of ``f``
+      (``ValueError``).  It raises the first fault there is, or returns
+      the same ``f`` after a false alarm, a finite ``f`` whose squares
+      overflow; ``velocity`` runs only after it returns.
+    - When ``velocity``'s signal fires, it runs again with every scan on,
+      re-evaluating ``g'(u)`` but not ``g(u)`` or ``f``: ``g'(u)``
+      (``ValueError``), then the factor path whatever ``q`` is and
+      whatever the run's gate, a declared basis's ``d`` expanded to
       ``(B * d) @ B^T`` and scanned as ``g'(u)`` (``ValueError``):
       ``m_max`` (``ValueError``), the Cholesky factor (``ValueError``) and
       ``A f`` (``ValueError``, before the LU solve, and before ``dposv``'s
-      solution is read).  That run raises the
-      first fault there is, or returns the same result after a false
-      alarm, a finite ``f`` or ``v`` whose squares overflow; after a false
-      alarm on the Neumann or low-rank route, or a pivot that the
-      low-rank route refused, the factor path's result.  So ``g`` and
-      ``g'`` are evaluated once per stage unless a value is not finite.  A
-      dense ``g'(u)`` with both a non-finite entry and a finite one that
-      overflows when added to ``A`` warns (``RuntimeWarning``) as ``M`` is
-      built, before that run raises the Jacobian's ``ValueError``.  The
-      Cholesky route forms ``A f`` before it factors, for ``dposv``, so an
-      ``A f`` that overflows warns there even where the pivot test then
-      takes the velocity from :func:`solve_linearized`.
+      solution is read).  That run raises the first fault there is, or
+      returns the same result after a false alarm, a finite ``v`` whose
+      squares overflow; after a false alarm on the Neumann or low-rank
+      route, or a pivot that the low-rank route refused, the factor path's
+      result.  A false alarm of ``residual`` hands ``velocity`` an ``f``
+      whose squares overflow, and its ``v`` is tested as any other.
+
+    So a stage evaluates ``g`` and ``g'`` once each: ``g`` again only when
+    ``residual``'s signal fires, and ``g'`` only when ``velocity``'s does.
+    Since ``residual`` runs first, an ``f`` that is not finite raises its
+    scan's error even where ``g'(u)`` is faulty too.  A dense ``g'(u)``
+    with both a non-finite entry and a finite one that overflows when
+    added to ``A`` warns (``RuntimeWarning``) as ``M`` is built, before
+    that run raises the Jacobian's ``ValueError``.  The Cholesky route
+    forms ``A f`` before it factors, for ``dposv``, so an ``A f`` that
+    overflows warns there even where the pivot test then takes the
+    velocity from :func:`solve_linearized`.
 
     Returns ``(v, p, g(u))``, the last for :func:`~dsmflow.flow.integrate`
     to record ``F(u) = A u + g(u)`` without evaluating ``g`` again.
     """
-    return _stage(problem)(u)
+    u = np.asarray(u, dtype=float)
+    residual, velocity = _stage(problem)
+    f, p, gu = residual(u)
+    return velocity(u, f), p, gu
 
 
 def _stage(problem):
-    """:func:`newton_velocity` on ``problem`` as a function of ``u``, with ``A``'s facts read once.
+    """``(residual, velocity)``: the two halves of :func:`newton_velocity` on ``problem``.
 
-    :func:`~dsmflow.flow.integrate` takes one per run.  ``A``'s pivot test
-    runs here; an ``A`` that fails it leaves every call to run with its
-    scans on, which raises the test's error in its place.  For a map that
-    declares a basis, the low-rank route's data and gate are decided here
-    too (:func:`_lowrank`), once per run.
+    ``residual(u)`` returns ``(f, p, g(u))`` and ``velocity(u, b)`` returns
+    ``-T(u)^{-1} b`` for a ``u`` that ``residual`` has checked and a
+    finite ``b``; a stage is ``velocity(u, f)`` after ``residual(u)``.
+    Both read ``A``'s facts, taken here once per
+    :func:`~dsmflow.flow.integrate` run.  ``A``'s pivot test runs here; an
+    ``A`` that fails it leaves ``residual`` to raise the test's error at
+    every call, so ``velocity`` runs only after a passed test.  For a map
+    that declares a basis, the low-rank route's data and gate are decided
+    here too (:func:`_lowrank`), once per run.
     """
     A = problem.shifted
     g = problem.g
@@ -490,8 +514,8 @@ def _stage(problem):
     try:
         A._solve_factors(problem.u0)
     except (SingularOperator, ValueError):
-        # every call runs checked and raises this at A's pivot test, before
-        # it would read the facts below
+        # residual takes its scanning route at every call and raises this
+        # at A's pivot test, before velocity would read the facts below
         sound = False
     else:
         sound = True
@@ -504,31 +528,36 @@ def _stage(problem):
     mv = dsymv if A.self_adjoint else dgemv
     inverse = None
 
-    def stage(u, checked=not sound):
-        """``(v, p, g(u))`` at ``u``; ``checked`` turns every scan on."""
-        nonlocal inverse
+    def residual(u):
+        """``(f, p, g(u))`` at ``u``, with ``f = u + A^{-1} g(u)`` and ``p = |f|``."""
         u = as_vector(u)
-        if not (checked or u.size == n):
-            return stage(u, True)
-        gu = g._value(u, checked)
-        lu, piv = A._solve_factors(gu) if checked else (lu_a, piv_a)
-        f = u + _getrs(lu, piv, gu)
-        # bitwise f.dot(f), and an overflow to inf does not warn
-        ff = ddot(f, f)
-        if not (checked or math.isfinite(ff)):
-            return stage(u, True)
+        if sound and u.size == n:
+            gu = g._value(u, False)
+            f = u + _getrs(lu_a, piv_a, gu)
+            # bitwise f.dot(f), and an overflow to inf does not warn
+            ff = ddot(f, f)
+            if math.isfinite(ff):
+                return f, math.sqrt(ff), gu
+        # the signal fired: scan g(u), test A's pivots, then scan f
+        gu = g._value(u)
+        f = u + A.solve(gu)
+        if not _all_finite(f):
+            raise ValueError("right-hand side contains non-finite entries")
+        return f, math.sqrt(ddot(f, f)), gu
+
+    def velocity(u, b, checked=False):
+        """``-T(u)^{-1} b``; ``checked`` re-evaluates ``g'(u)`` with every scan on."""
+        nonlocal inverse
         J = g._jacobian(u, checked)
         if J is None:
-            # q = 0: T = I, so the velocity is -f, whose squares f.f has tested
-            if checked and not _all_finite(f):
-                raise ValueError("right-hand side contains non-finite entries")
-            return -f, math.sqrt(ff), gu
+            # q = 0: T = I
+            return -b
         if basis is not None:
             if lowrank is not None and not checked:
-                v = _lowrank_velocity(lowrank, J, f)
+                v = _lowrank_velocity(lowrank, J, b)
                 if v is None or not _squares_finite(v):
-                    return stage(u, True)
-                return v, math.sqrt(ff), gu
+                    return velocity(u, b, True)
+                return v
             # the gate is closed, or this is the checked run: the factor
             # path on the dense (B * d) @ B^T
             J = g._dense(J, checked)
@@ -537,15 +566,15 @@ def _stage(problem):
             # one reduction, bitwise np.abs(J).max() without the method's
             # Python-level dispatch, gives q's numerator and the pivot test's
             # scale; a NaN from a non-finite g'(u) propagates through it and
-            # fails both tests, which re-run the stage
+            # fails both tests, which re-run the velocity
             jmax = float(np.maximum.reduce(np.abs(J)))
             if not checked and smin_a > 0.0 and jmax <= _NEUMANN_Q * smin_a:
                 if inverse is None and jmax > 0.0:
                     inverse = A._inverse()
-                v = _neumann_velocity(mv, inverse, J, f, jmax / smin_a)
+                v = _neumann_velocity(mv, inverse, J, b, jmax / smin_a)
                 if not _squares_finite(v):
-                    return stage(u, True)
-                return v, math.sqrt(ff), gu
+                    return velocity(u, b, True)
+                return v
             # at least max|A + diag g'(u)| and at most twice it
             m_max = amax + jmax
         else:
@@ -553,15 +582,15 @@ def _stage(problem):
             m_max = float(np.abs(M).max())
         if not math.isfinite(m_max):
             if not checked:
-                return stage(u, True)
+                return velocity(u, b, True)
             raise ValueError("matrix to factor contains non-finite entries")
         if diagonal:
             M = Ae.copy()
             M.ravel()[::n + 1] += J
-        b = Ae @ f
+        ab = Ae @ b
         # dposv factors and solves in one call; M keeps its bits, so a
         # refused M goes to dgetrf as it is
-        sol = _posv(M, b) if diagonal and A.self_adjoint else None
+        sol = _posv(M, ab) if diagonal and A.self_adjoint else None
         if sol is None:
             lu, piv = _getrf(M)
             minpiv = np.abs(lu.diagonal()).min()
@@ -572,17 +601,16 @@ def _stage(problem):
             minpiv = np.minimum.reduce(chol.diagonal()) ** 2
         if not minpiv >= 1e-9 * max(1.0, m_max):
             if not checked and math.isnan(minpiv):
-                return stage(u, True)
-            v = -solve_linearized(linearized_operator(problem, u), f)
-        else:
-            if checked and not _all_finite(b):
-                raise ValueError("right-hand side contains non-finite entries")
-            v = -(_getrs(lu, piv, b) if sol is None else x)
-            if not (checked or _squares_finite(v)):
-                return stage(u, True)
-        return v, math.sqrt(ff), gu
+                return velocity(u, b, True)
+            return -solve_linearized(linearized_operator(problem, u), b)
+        if checked and not _all_finite(ab):
+            raise ValueError("right-hand side contains non-finite entries")
+        v = -(_getrs(lu, piv, ab) if sol is None else x)
+        if not (checked or _squares_finite(v)):
+            return velocity(u, b, True)
+        return v
 
-    return stage
+    return residual, velocity
 
 
 def _lowrank(problem, lu, piv, smin_a):
@@ -601,15 +629,17 @@ def _lowrank(problem, lu, piv, smin_a):
     ``C = A^{-1} B`` is
     one ``dgetrs`` with ``r`` columns on ``A``'s cached LU (``lu``,
     ``piv``), and ``H = G^{-1}`` for ``G = B^T C`` comes from one
-    ``dpotrf`` and ``dpotri`` (:func:`~dsmflow.hilbert._potri`), exactly
-    symmetric; a ``G`` that ``dpotrf`` refuses closes the gate.
+    ``dposv`` against the identity (:func:`~dsmflow.hilbert._posv`), the
+    stages' own wrapper, with its lower triangle mirrored above the
+    diagonal so that ``H`` is exactly symmetric; a ``G`` that ``dposv``
+    refuses closes the gate.
 
     The gate is ``beta = |A|_2 |C|_F b_hi / b_lo^2 <= 32``
     (:data:`_LOWRANK_BETA`); see :func:`newton_velocity` for the rounding
     bound it comes from.  For a positive definite ``A``,
     ``|H|_2 = 1/lambda_min(G) <= |A|_2 / b_lo^2``, so the gate also keeps
     ``kappa(G) <= beta``; an indefinite ``A`` has no such bound, since its
-    ``G`` may pass ``dpotrf`` with ``lambda_min(G)`` as small as rounding
+    ``G`` may pass ``dposv`` with ``lambda_min(G)`` as small as rounding
     at ``beta = 1`` (``A = diag(1, -1)``, ``B`` along ``(1, 1 - delta)``).
     Returns ``(B^T, C H, H, max|H|)``, the products Fortran-ordered for
     BLAS ``dgemv``.
@@ -631,22 +661,24 @@ def _lowrank(problem, lu, piv, smin_a):
     beta = A.operator_norm() * float(np.linalg.norm(C)) * math.sqrt(b_hi2) / b_lo2
     if not beta <= _LOWRANK_BETA:
         return None
-    chol = _potrf(B.T @ C)
-    if chol is None:
+    sol = _posv(B.T @ C, np.eye(r))
+    if sol is None:
         return None
-    H = _potri(chol)
+    # G^{-1} from dposv's solves is symmetric only to rounding: mirror its
+    # lower triangle, so that H + diag(d) is exactly symmetric
+    H = np.tril(sol[1]) + np.tril(sol[1], -1).T
     return np.asfortranarray(B.T), np.asfortranarray(C @ H), H, float(np.abs(H).max())
 
 
-def _lowrank_velocity(lowrank, d, f):
-    """``v = -T^{-1} f`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
+def _lowrank_velocity(lowrank, d, b):
+    """``v = -T^{-1} b`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
 
-    ``lowrank`` is :func:`_lowrank`'s data.  A zero ``d`` returns ``-f``.
+    ``lowrank`` is :func:`_lowrank`'s data.  A zero ``d`` returns ``-b``.
     Any other ``d`` builds ``S = H + diag(d)`` by a diagonal add onto a
     copy of ``H``, and one LAPACK ``dposv`` (:func:`~dsmflow.hilbert._posv`)
-    factors it and solves ``S w = d * (B^T f)``; then
-    ``v = -f + (C H) w`` is one ``dgemv``.  None, and the caller re-runs
-    the stage checked, when ``max|H| + max|d|`` is not finite, when
+    factors it and solves ``S w = d * (B^T b)``; then
+    ``v = -b + (C H) w`` is one ``dgemv``.  None, and the caller re-runs
+    the velocity checked, when ``max|H| + max|d|`` is not finite, when
     ``dposv`` refuses ``S``, or when the smallest pivot's square is not at
     least ``1e-9 max(1, max|H| + max|d|)``, the factor path's test.
     """
@@ -654,26 +686,26 @@ def _lowrank_velocity(lowrank, d, f):
     dmax = float(np.maximum.reduce(np.abs(d)))
     if dmax == 0.0:
         # g'(u) = 0: T = I
-        return -f
+        return -b
     s_max = hmax + dmax
     if not math.isfinite(s_max):
         return None
     S = H.copy()
     S.ravel()[::S.shape[0] + 1] += d
-    sol = _posv(S, d * dgemv(1.0, Bt, f))
+    sol = _posv(S, d * dgemv(1.0, Bt, b))
     if sol is None or not np.minimum.reduce(sol[0].diagonal()) ** 2 >= 1e-9 * max(1.0, s_max):
         return None
-    return dgemv(1.0, CH, sol[1], -1.0, f)
+    return dgemv(1.0, CH, sol[1], -1.0, b)
 
 
-def _neumann_velocity(mv, inverse, j, f, q):
-    """``v = -(I + A^{-1} diag(j))^{-1} f`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
+def _neumann_velocity(mv, inverse, j, b, q):
+    """``v = -(I + A^{-1} diag(j))^{-1} b`` by Neumann sweeps, for ``q >= |A^{-1}| max|j|``.
 
     ``inverse`` is the shifted operator ``A``'s cached inverse
     (:meth:`~dsmflow.hilbert.DenseOperator._inverse`), and ``mv`` the BLAS
     kernel that sweeps with it; :func:`_stage` reads both once per run.
-    With ``K = A^{-1} diag(j)`` and ``x = -v``, ``x = f - K x``, so the
-    sweeps ``v_0 = -f``, ``v_{i+1} = -f - K v_i`` leave the error
+    With ``K = A^{-1} diag(j)`` and ``x = -v``, ``x = b - K x``, so the
+    sweeps ``v_0 = -b``, ``v_{i+1} = -b - K v_i`` leave the error
     ``|v_k - v| = |K^{k+1} x| <= q^(k+1) |v|``, which the
     ``k = ceil(-53 / log2(q)) - 1`` sweeps taken here bring to the unit
     roundoff ``2^-53``; ``q <= 2^(-53/8)`` makes ``k`` at most 7, and
@@ -689,13 +721,13 @@ def _neumann_velocity(mv, inverse, j, f, q):
     """
     if q == 0.0:
         # g'(u) = 0: T = I, with no sweep and no inverse to read
-        return -f
+        return -b
     k = min(_NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
     # positional arguments and dsymv's default upper triangle: an f2py keyword
     # such as lower=1 adds about 0.5 us a call, half a sweep at small dims
-    v = -f
+    v = -b
     for _ in range(k):
-        v = mv(-1.0, inverse, j * v, -1.0, f)
+        v = mv(-1.0, inverse, j * v, -1.0, b)
     return v
 
 

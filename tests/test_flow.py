@@ -125,23 +125,35 @@ def test_phi_tiny_pivot_of_shifted_operator_alone_is_not_refused():
     assert np.linalg.norm(newton_velocity(p, p.u0)[0] + f) <= 1e-12 * np.linalg.norm(f)
 
 
-def test_phi_tiny_cholesky_pivot_falls_back_to_the_linearization(monkeypatch):
-    # L + g'(u) is positive definite with a 1e-10 Cholesky pivot, so dpotrf
-    # factors it and the pivot test sends the stage to solve_linearized,
-    # where I + L^{-1} g'(u) is perfectly invertible
+def tiny_pivot_problem():
+    """dim 2 with ``L = diag(1, 1e-10)`` and a tiny cubic: at ``u0``, ``L + g'(u)`` is
+    positive definite with a 1e-10 Cholesky pivot."""
     L = diagonal_operator([1.0, 1e-10])
     c = np.array([0.3, -2e-10])
     g = NonlinearMap(lambda u: c + 1e-12 * u ** 3, lambda u: 3e-12 * u ** 2, name="tiny")
-    p = DsmProblem(L=L, g=g, u0=np.array([0.5, 1.0]), radius=10.0)
-    calls = _count_factorizations(monkeypatch)
+    return DsmProblem(L=L, g=g, u0=np.array([0.5, 1.0]), radius=10.0)
+
+
+def _count_fallbacks(monkeypatch):
+    """Record the dimension of each ``T`` that the small-pivot fallback solves."""
     fallbacks = []
     solve = model.solve_linearized
     monkeypatch.setattr(model, "solve_linearized",
                         lambda T, rhs: fallbacks.append(T.dim) or solve(T, rhs))
+    return fallbacks
+
+
+def test_phi_tiny_cholesky_pivot_falls_back_to_the_linearization(monkeypatch):
+    # L + g'(u) is positive definite with a 1e-10 Cholesky pivot, so dposv
+    # factors it and the pivot test sends the stage to solve_linearized,
+    # where I + L^{-1} g'(u) is perfectly invertible
+    p = tiny_pivot_problem()
+    calls = _count_factorizations(monkeypatch)
+    fallbacks = _count_fallbacks(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = newton_velocity(p, p.u0)[0]
-    assert calls == {"posv": 1, "potrf": 0, "getrf": 0} and fallbacks == [2]
+    assert calls == {"posv": 1, "inverse": 0, "getrf": 0} and fallbacks == [2]
     f = preconditioned_residual(p, p.u0)
     T = linearized_operator(p, p.u0).entries
     assert np.linalg.norm(v + np.linalg.solve(T, f)) <= 1e-12 * np.linalg.norm(f)
@@ -170,7 +182,7 @@ def test_stage_on_a_flagged_operator_one_ulp_off_symmetric_takes_cholesky(monkey
     plain = replace(p, L=DenseOperator(near.L.entries))
     assert np.array_equal(plain.L.entries, plain.L.entries.T) and not plain.L.self_adjoint
     calls = []
-    for name in ("_posv", "_potrf", "_getrf"):
+    for name in ("_posv", "_getrf"):
         monkeypatch.setattr(model, name, lambda *a, name=name, real=getattr(model, name):
                             calls.append(name) or real(*a))
     u = p.u0 + 0.1
@@ -306,7 +318,7 @@ def test_stage_refuses_a_diagonal_stage_whose_pivot_scale_overflows():
 @pytest.mark.parametrize("K, fallbacks", [(1e6, 1), (1e2, 0)])
 def test_stage_pivot_test_scales_by_a_negative_extreme(monkeypatch, where, K, fallbacks):
     # M = L + g'(u) is [[0, -K, 0], [-K, 0, 0], [0, 0, 1e-4]] or diag(-K, 1, 1e-4):
-    # dpotrf refuses both, and their smallest LU pivot 1e-4 is small only
+    # dposv refuses both, and their smallest LU pivot 1e-4 is small only
     # against 1e-9 times the test's scale max|A| + max|g'(u)|, where K is the
     # modulus of a negative entry of A off its diagonal, or K + 1 that of g'(u)
     if where == "off-diagonal":
@@ -393,7 +405,7 @@ def _undeclared_basis(problem):
 def indefinite_problem(dim=6, seed=5):
     """Exactly symmetric psd ``L`` with eigenvalues 1..4 and the non-monotone
     ``g = -2.5 u + 0.1 u^3 + c``: near ``u0 = 0`` the stage matrix
-    ``L + g'(u)`` has eigenvalues of both signs, so ``dpotrf`` refuses it."""
+    ``L + g'(u)`` has eigenvalues of both signs, so ``dposv`` refuses it."""
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     A = (Q * np.linspace(1.0, 4.0, dim)) @ Q.T
@@ -429,7 +441,7 @@ def test_cholesky_stage_flow_matches_the_dense_lu_one(make):
     pytest.param(indefinite_problem, id="indefinite-6"),
 ])
 def test_diagonal_jacobian_flow_is_bitwise_the_dense_one(monkeypatch, make):
-    # where both routes factor by LU, a non-symmetric A or an M that dpotrf
+    # where both routes factor by LU, a non-symmetric A or an M that dposv
     # refuses, a vector Jacobian goes onto a copy of A's diagonal instead of
     # A + diag(d), and nothing else changes; a bound no q meets closes the
     # Neumann route, which a dense Jacobian never takes
@@ -462,21 +474,26 @@ def test_constant_map_continuation_is_bitwise_the_dense_one():
 
 
 def _count_factorizations(monkeypatch):
-    """Count the ``dposv``, ``dpotrf`` and ``dgetrf`` calls through ``model``'s bindings.
+    """Count the ``dposv`` and ``dgetrf`` calls through ``model``'s bindings.
 
-    A stage's Cholesky factor comes with its solve, one ``dposv``; the only
-    ``dpotrf`` is the low-rank route's, of ``G``, once per run.
+    A stage's Cholesky factor comes with its solve, one ``dposv`` against a
+    vector, counted as ``"posv"``; the only ``dposv`` against a matrix, the
+    identity, is the low-rank route's inverse of ``G``, once per run,
+    counted as ``"inverse"``.
     """
-    calls = {"posv": 0, "potrf": 0, "getrf": 0}
+    calls = {"posv": 0, "inverse": 0, "getrf": 0}
+    posv, getrf = model._posv, model._getrf
 
-    def counted(name, fn):
-        def call(*a):
-            calls[name] += 1
-            return fn(*a)
-        return call
+    def counted_posv(M, b):
+        calls["posv" if b.ndim == 1 else "inverse"] += 1
+        return posv(M, b)
 
-    for name in calls:
-        monkeypatch.setattr(model, "_" + name, counted(name, getattr(model, "_" + name)))
+    def counted_getrf(M):
+        calls["getrf"] += 1
+        return getrf(M)
+
+    monkeypatch.setattr(model, "_posv", counted_posv)
+    monkeypatch.setattr(model, "_getrf", counted_getrf)
     return calls
 
 
@@ -488,11 +505,11 @@ def test_constant_map_flow_factors_nothing_per_stage(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     res = integrate(problem, FlowConfig(t_max=10.0))
     zero = integrate(replace(problem, g=_zero_diagonal_twin(problem.g)), FlowConfig(t_max=10.0))
-    assert res.n_accepted > 10 and calls == {"posv": 0, "potrf": 0, "getrf": 0}
+    assert res.n_accepted > 10 and calls == {"posv": 0, "inverse": 0, "getrf": 0}
     assert pickle.dumps(res) == pickle.dumps(zero)
     dense = integrate(replace(problem, g=_dense_twin(problem.g)), FlowConfig(t_max=10.0))
     # the start, the initial-step probe and six stages per attempted step
-    assert calls == {"posv": 0, "potrf": 0,
+    assert calls == {"posv": 0, "inverse": 0,
                      "getrf": 2 + 6 * (dense.n_accepted + dense.n_rejected)}
     assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
     assert np.linalg.norm(res.u_final - dense.u_final) <= 1e-13 * np.linalg.norm(dense.u_final)
@@ -518,7 +535,7 @@ def test_stage_factorizations_follow_the_structure(monkeypatch, make, posv, getr
     res = integrate(problem, FlowConfig(t_max=10.0))
     factored = 2 + 6 * (res.n_accepted + res.n_rejected) - len(routes)
     assert res.n_accepted > 10 and factored > 0
-    assert calls == {"posv": posv * factored, "potrf": 0, "getrf": getrf * factored}
+    assert calls == {"posv": posv * factored, "inverse": 0, "getrf": getrf * factored}
 
 
 def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
@@ -536,7 +553,6 @@ def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
         return sol
 
     monkeypatch.setattr(model, "_posv", recorded)
-    monkeypatch.setattr(model, "_potrf", lambda M: pytest.fail("the stage took dpotrf"))
     monkeypatch.setattr(model, "_getrf", lambda M: factored.append(M) or getrf(M))
     A = problem.shifted.entries
     rng = np.random.default_rng(1)
@@ -620,7 +636,7 @@ def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make, se
     routes = _count_routes(monkeypatch)
     kernels = _count_kernels(monkeypatch)
     res = integrate(problem)
-    assert res.converged and calls == {"posv": 0, "potrf": 0, "getrf": 0}
+    assert res.converged and calls == {"posv": 0, "inverse": 0, "getrf": 0}
     assert inversions == [(problem.dim, problem.dim)]
     _assert_kernel_per_sweep(kernels, routes, self_adjoint)
     monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
@@ -669,7 +685,7 @@ def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     f = preconditioned_residual(p, u)
     ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
     v = newton_velocity(p, u)[0]
-    assert calls == {"posv": 0, "potrf": 0, "getrf": 0} and len(routes) == 1
+    assert calls == {"posv": 0, "inverse": 0, "getrf": 0} and len(routes) == 1
     _assert_kernel_per_sweep(kernels, routes, make is wellposed_cubic)
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -695,7 +711,7 @@ def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim,
     calls = _count_factorizations(monkeypatch)
     inversions = _count_inversions(monkeypatch)
     v = newton_velocity(p, u)[0]
-    assert calls == {"posv": posv, "potrf": 0, "getrf": 1 - posv} and inversions == []
+    assert calls == {"posv": posv, "inverse": 0, "getrf": 1 - posv} and inversions == []
     A = p.shifted.entries
     f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), p.g(u))
     M = A + np.diag(p.g.jac_fn(u))
@@ -765,11 +781,11 @@ def test_low_rank_velocity_is_within_its_rounding_bound_or_factors(monkeypatch, 
             assert norm(v - v_dense) <= bound
         else:
             assert v.tobytes() == v_dense.tobytes()
-    # per call: the route's dpotrf of G and dposv of H + diag(d), or the
-    # dense LU, and the twin's LU
+    # per call: the route's dposv of G against the identity and dposv of
+    # H + diag(d), or the dense LU, and the twin's LU
     assert len(routes) == (3 if opens else 0)
-    assert factors == ({"posv": 3, "potrf": 3, "getrf": 3} if opens
-                       else {"posv": 0, "potrf": 0, "getrf": 6})
+    assert factors == ({"posv": 3, "inverse": 3, "getrf": 3} if opens
+                       else {"posv": 0, "inverse": 0, "getrf": 6})
 
 
 @pytest.mark.parametrize("change", ["repeated-column", "no-floor", "unflagged-operator",
@@ -804,7 +820,7 @@ def test_low_rank_gate_closes_where_its_bound_does_not_apply(monkeypatch, change
     routes = _count_lowrank(monkeypatch)
     factors = _count_factorizations(monkeypatch)
     v = newton_velocity(problem, u)[0]
-    assert routes == [] and factors == {"posv": 0, "potrf": 0, "getrf": 1}
+    assert routes == [] and factors == {"posv": 0, "inverse": 0, "getrf": 1}
     assert v.tobytes() == newton_velocity(_undeclared_basis(problem), u)[0].tobytes()
 
 
@@ -819,15 +835,16 @@ def test_low_rank_flow_takes_the_factor_paths_steps(monkeypatch, dim):
     factors = _count_factorizations(monkeypatch)
     for eps in (1.0, 1e-2, 1e-4, 1e-6):
         routes.clear()
-        factors.update(posv=0, potrf=0, getrf=0)
+        factors.update(posv=0, inverse=0, getrf=0)
         res = integrate(problem.with_epsilon(eps))
         stages = 2 + 6 * (res.n_accepted + res.n_rejected)
         # every stage takes the route and sweeps nothing; the start u0 = 0
         # has d = 0 and returns -f, and every other stage factors and solves
-        # H + diag(d) by one dposv, after the run's one dpotrf of G
+        # H + diag(d) by one dposv, after the run's one dposv of G against
+        # the identity
         assert res.converged and len(routes) == stages and routes[0] == 0.0
         assert sweeps == [] and 0.0 not in routes[1:]
-        assert factors == {"posv": stages - 1, "potrf": 1, "getrf": 0}
+        assert factors == {"posv": stages - 1, "inverse": 1, "getrf": 0}
         dense = integrate(_undeclared_basis(problem.with_epsilon(eps)))
         assert (res.n_accepted, res.n_rejected) == (dense.n_accepted, dense.n_rejected)
         assert norm(res.u_final - dense.u_final) <= 1e-9 * norm(dense.u_final)
@@ -928,14 +945,116 @@ def test_fault_free_stages_evaluate_g_once_and_scan_only_u_and_an_lu_factor(
     assert calls == {"fn": stages, "jac": jacobians}
     assert factors["getrf"] == lu * (stages - len(routes))
     if problem.g.jac_basis is not None:
-        # the run's set-up factors G by its one dpotrf; after it every stage
-        # takes the low-rank route, and each one with a nonzero d is one
-        # dposv, with no dpotrf or dgetrf
-        assert setups == [{"posv": 0, "potrf": 1, "getrf": 0}] and len(lowrank) == stages
-        assert factors == {"posv": sum(d > 0.0 for d in lowrank), "potrf": 1, "getrf": 0}
+        # the run's set-up inverts G by its one dposv against the identity;
+        # after it every stage takes the low-rank route, and each one with a
+        # nonzero d is one dposv against a vector, with no dgetrf
+        assert setups == [{"posv": 0, "inverse": 1, "getrf": 0}] and len(lowrank) == stages
+        assert factors == {"posv": sum(d > 0.0 for d in lowrank), "inverse": 1, "getrf": 0}
         assert factors["posv"] >= stages - 1
     n = problem.dim
     assert checks == [(n,)] * stages and scans == [(n, n)] * factors["getrf"]
+
+
+@pytest.mark.parametrize("make, route", [
+    *(pytest.param(case.values[0], route, id=case.id) for case, route in zip(
+        _ROUTES, ["cholesky", "lu", "lu", "lu", "lowrank", "q=0", "dsymv", "dgemv"])),
+    pytest.param(tiny_pivot_problem, "fallback", id="fallback-tiny-2"),
+])
+def test_velocity_solves_against_a_right_hand_side_other_than_f(monkeypatch, make, route):
+    # velocity(u, b) is -T(u)^{-1} b for any b, not only for f(u): at every
+    # recorded point of a run, against a b drawn afresh, each route agrees
+    # with a dense solve of I + A^{-1} g'(u) within the bound its own tests
+    # use, q = 0 returns -b bitwise, and the case's route is among them
+    problem = make()
+    points = ([problem.u0] if route == "fallback" else
+              [pt.u for pt in integrate(problem, FlowConfig(t_max=10.0)).trajectory])
+    factors = _count_factorizations(monkeypatch)
+    sweeps = _count_routes(monkeypatch)
+    lowrank = _count_lowrank(monkeypatch)
+    fallbacks = _count_fallbacks(monkeypatch)
+    residual, velocity = model._stage(problem)
+    twin = model._stage(_undeclared_basis(problem))[1] if route == "lowrank" else None
+    A, n = problem.shifted.entries, problem.dim
+    rng = np.random.default_rng(8)
+    unit = np.finfo(float).eps / 2
+    seen = set()
+    for u in points:
+        b = rng.standard_normal(n)
+        before = (factors["posv"], factors["getrf"], len(sweeps), len(lowrank), len(fallbacks))
+        v = velocity(u, b)
+        posv, getrf, swept, low, fell = (
+            now - then for now, then in zip(
+                (factors["posv"], factors["getrf"], len(sweeps), len(lowrank), len(fallbacks)),
+                before))
+        ref = -np.linalg.solve(np.eye(n) + np.linalg.solve(A, problem.g.jacobian(u)), b)
+        if fell:
+            taken = "fallback"
+            assert norm(v - ref) <= 1e-12 * norm(b)
+        elif (swept and sweeps[-1] == 0.0) or (low and lowrank[-1] == 0.0) or not (
+                posv or getrf or swept or low):
+            taken = "q=0"
+            assert v.tobytes() == (-b).tobytes()
+        elif low:
+            taken = "lowrank"
+            # the route's bound against the undeclared twin's factor path,
+            # as in test_low_rank_velocity_is_within_its_rounding_bound_or_factors
+            B = problem.g.jac_basis
+            beta = np.linalg.norm(A, 2) * np.linalg.norm(np.linalg.solve(A, B))
+            v_dense = twin(u, b)
+            kappa_m = np.linalg.cond(A + problem.g.jacobian(u))
+            bound = n * unit * (np.linalg.cond(A) * (beta * (1.0 + beta) + 1.0) * norm(b)
+                                + kappa_m * norm(v_dense))
+            assert norm(v - v_dense) <= bound
+            assert norm(v - ref) <= 1e-10 * max(1.0, norm(ref))
+        elif swept:
+            taken = "dsymv" if problem.shifted.self_adjoint else "dgemv"
+            assert norm(v - ref) <= 1e-13 * norm(ref)
+        elif getrf:
+            # an LU of A + g'(u), after a refused dposv on a self-adjoint A
+            taken = "lu"
+            assert getrf == 1 and norm(v - ref) <= 1e-10 * max(1.0, norm(ref))
+        else:
+            taken = "cholesky"
+            assert posv == 1 and norm(v - ref) <= 1e-13 * norm(ref)
+        seen.add(taken)
+    assert route in seen
+
+
+@pytest.mark.parametrize("make, start", [
+    pytest.param(lambda: singular_monotone(3, rank=1, cubic_scale=1e300).problem.with_epsilon(0.1),
+                 "overflows", id="overflows-lowrank-singular_monotone-3"),
+    *(pytest.param(case.values[0], "below-stop", id="below-stop-" + case.id) for case in _ROUTES),
+])
+def test_start_exits_take_no_velocity_solve(monkeypatch, make, start):
+    # integrate evaluates residual(u0) first: a start residual whose norm
+    # overflows is refused, and a start point already below the stopping
+    # residual returns, before any velocity solve.  Counting starts once the
+    # run's set-up is done, whose low-rank inverse of G is the run's own
+    problem = make()
+    cfg = FlowConfig()
+    if start == "below-stop":
+        # a run's end point restarted with the absolute stop at its residual
+        first = integrate(problem, FlowConfig(t_max=10.0))
+        problem = replace(problem, u0=first.u_final)
+        cfg = FlowConfig(p_stop_abs=first.p_final)
+    counts = {}
+    stage = model._stage
+
+    def counted_stage(p):
+        halves = stage(p)
+        counts.update(factors=_count_factorizations(monkeypatch),
+                      sweeps=_count_routes(monkeypatch), lowrank=_count_lowrank(monkeypatch))
+        return halves
+
+    monkeypatch.setattr(flow, "_stage", counted_stage)
+    if start == "overflows":
+        with pytest.raises(FlowFailed, match="start residual norm"):
+            integrate(problem, cfg)
+    else:
+        res = integrate(problem, cfg)
+        assert res.converged and "already below" in res.message and len(res.trajectory) == 1
+    assert counts["factors"] == {"posv": 0, "inverse": 0, "getrf": 0}
+    assert counts["sweeps"] == [] and counts["lowrank"] == []
 
 
 def test_a_start_residual_whose_norm_overflows_is_refused_before_the_first_step(monkeypatch):
@@ -1165,8 +1284,8 @@ def test_step_budget_exit_records_the_size_in_hand(monkeypatch):
     attempts = []
     step = flow._dopri_step
     monkeypatch.setattr(flow, "_dopri_step",
-                        lambda stage, u, au, k, h, *rest: attempts.append(h) or
-                        step(stage, u, au, k, h, *rest))
+                        lambda residual, velocity, u, au, k, h, *rest: attempts.append(h) or
+                        step(residual, velocity, u, au, k, h, *rest))
     monkeypatch.setattr(flow, "_MAX_STEPS", 3)
     with pytest.raises(FlowFailed) as exc:
         integrate(problem, cfg)
@@ -1262,18 +1381,18 @@ def _stage_matrix(v, fill):
 def test_dopri_step_follows_the_linear_flow_and_moves_the_velocity():
     # L = I and a constant g: the flow is u* + (u0 - u*) e^{-t}
     problem, u_star = linear_problem(dim=4, seed=3)
-    stage = model._stage(problem)
+    halves = model._stage(problem)
     u = problem.u0.copy()
-    k = _stage_matrix(stage(u)[0], np.nan)
+    k = _stage_matrix(newton_velocity(problem, u)[0], np.nan)
     h = 0.1
-    step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, h, 1e-4, 1e-6)
+    step, h_next, errold = flow._dopri_step(*halves, u, np.abs(u), k, h, 1e-4, 1e-6)
     assert step is not None
     u_new, au_new, p_new, gu_new = step
     gap = problem.u0 - u_star
     # DP5's local error on u' = -u is (1/600 - 1/720) h^6 |gap| to leading order
     assert norm(u_new - (u_star + gap * np.exp(-h))) <= 1e-3 * h ** 6 * norm(gap)
     assert np.array_equal(au_new, np.abs(u_new))
-    v_new, p_ref, gu_ref = stage(u_new)
+    v_new, p_ref, gu_ref = newton_velocity(problem, u_new)
     assert np.array_equal(k[:, 0], v_new)
     assert p_new == p_ref and np.array_equal(gu_new, gu_ref)
     assert np.array_equal(u, problem.u0)
@@ -1282,12 +1401,12 @@ def test_dopri_step_follows_the_linear_flow_and_moves_the_velocity():
 
 def test_dopri_step_rejection_leaves_the_state_as_it_was():
     problem, _ = linear_problem(dim=4, seed=3)
-    stage = model._stage(problem)
+    halves = model._stage(problem)
     u = problem.u0.copy()
-    k = _stage_matrix(stage(u)[0], np.nan)
+    k = _stage_matrix(newton_velocity(problem, u)[0], np.nan)
     v = k[:, 0].copy()
     # 50 time units lie far outside DP5's stability interval on u' = -u
-    step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, 50.0, 0.37, 1e-8)
+    step, h_next, errold = flow._dopri_step(*halves, u, np.abs(u), k, 50.0, 0.37, 1e-8)
     assert step is None
     assert np.array_equal(u, problem.u0) and np.array_equal(k[:, 0], v)
     assert h_next == 5.0 and errold == 0.37
@@ -1297,16 +1416,16 @@ def test_dopri_step_matches_a_stage_by_stage_reference_to_rounding():
     # the same tableau summed term by term in Python: dgemv's fused scaling
     # and its order of summation move u_new by a few roundings at most
     problem = wellposed_cubic(12).problem
-    stage = model._stage(problem)
+    halves = model._stage(problem)
     u = problem.u0 + 0.1
-    v = stage(u)[0]
+    v = newton_velocity(problem, u)[0]
     h = 0.05
     ks = [v]
     for a in flow._A[:5]:
-        ks.append(stage(u + h * sum(c * kj for c, kj in zip(a, ks)))[0])
+        ks.append(newton_velocity(problem, u + h * sum(c * kj for c, kj in zip(a, ks)))[0])
     ref = u + h * sum(c * kj for c, kj in zip(flow._A[5], ks))
     scale = np.abs(u) + h * sum(abs(c) * np.abs(kj) for c, kj in zip(flow._A[5], ks))
-    step, _, _ = flow._dopri_step(stage, u, np.abs(u), _stage_matrix(v, np.nan), h, 1e-4, 1e-8)
+    step, _, _ = flow._dopri_step(*halves, u, np.abs(u), _stage_matrix(v, np.nan), h, 1e-4, 1e-8)
     assert step is not None
     assert np.all(np.abs(step[0] - ref) <= 4 * np.finfo(float).eps * scale)
 
@@ -1320,13 +1439,13 @@ def test_dopri_step_reads_no_column_it_has_not_written(make, h, accepted):
     # an attempt reads only the columns of k it has written, so NaN in the
     # six scratch columns leaves it bitwise the attempt from zeros there
     problem = make()
-    stage = model._stage(problem)
+    halves = model._stage(problem)
     u = problem.u0.copy()
-    v = stage(u)[0]
+    v = newton_velocity(problem, u)[0]
     attempts = []
     for fill in (0.0, np.nan):
         k = _stage_matrix(v, fill)
-        step, h_next, errold = flow._dopri_step(stage, u, np.abs(u), k, h, 1e-4, 1e-8)
+        step, h_next, errold = flow._dopri_step(*halves, u, np.abs(u), k, h, 1e-4, 1e-8)
         assert (step is not None) == accepted
         attempts.append((step or (), h_next, errold, k))
     (step, h_next, errold, k), (step_nan, h_nan, errold_nan, k_nan) = attempts

@@ -345,6 +345,25 @@ def test_stage_faults_raise_what_a_scan_of_every_array_raised(make, u, overflows
     assert type(exc.value) is cls and str(exc.value) == message
 
 
+_JACOBIAN_FAULTS = ("jacobian-vector-nan", "jacobian-matrix-nan", "jacobian-raises",
+                    "matrix-overflows", "Af-overflows-cholesky", "Af-overflows-lu",
+                    "basis-d-nan", "basis-d-inf")
+
+
+@pytest.mark.parametrize("make, u, overflows, cls, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _FAULTS
+                          if case[0] in _JACOBIAN_FAULTS])
+def test_velocity_alone_raises_the_jacobian_side_faults(make, u, overflows, cls, message):
+    # the faults that lie past f are the velocity's: called on its own, with
+    # f from preconditioned_residual, it raises each one as the stage does
+    problem = make()
+    f = model.preconditioned_residual(problem, u)
+    velocity = model._stage(problem)[1]
+    with np.errstate(over="ignore") if overflows else nullcontext(), pytest.raises(cls) as exc:
+        velocity(u, f)
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
 @pytest.mark.parametrize("case, factor", [("Af-overflows-cholesky", "_posv"),
                                           ("Af-overflows-lu", "_getrf")])
 def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
@@ -352,7 +371,7 @@ def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
     # again in its checked re-run, and never takes the Neumann route
     make = next(c[1] for c in _FAULTS if c[0] == case)
     calls = []
-    for name in ("_posv", "_potrf", "_getrf"):
+    for name in ("_posv", "_getrf"):
         binding = getattr(model, name)
         monkeypatch.setattr(model, name, lambda *a, name=name, binding=binding:
                             calls.append(name) or binding(*a))
@@ -363,14 +382,14 @@ def test_af_overflow_cases_reach_their_factor_route(monkeypatch, case, factor):
 
 
 def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
-    # the unchecked stage takes the low-rank route, which refuses d before
+    # the unchecked velocity takes the low-rank route, which refuses d before
     # it factors, and its checked re-run raises before it would factor the
-    # dense (B * d) @ B^T: the one factorization is the run's dpotrf of G
+    # dense (B * d) @ B^T: the one factorization is the run's dposv of G
     routes, factors = [], []
     lowrank = model._lowrank_velocity
     monkeypatch.setattr(model, "_lowrank_velocity",
                         lambda *a: routes.append(a[1].copy()) or lowrank(*a))
-    for name in ("_posv", "_potrf", "_getrf"):
+    for name in ("_posv", "_getrf"):
         binding = getattr(model, name)
         monkeypatch.setattr(model, name, lambda M, *a, name=name, binding=binding:
                             factors.append((name, M.shape)) or binding(M, *a))
@@ -381,7 +400,7 @@ def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
         with pytest.raises(ValueError):
             model.newton_velocity(make(), _FAR)
         assert len(routes) == 1 and not np.isfinite(routes[0]).any()
-        assert factors == [("_potrf", (1, 1))]
+        assert factors == [("_posv", (1, 1))]
 
 
 def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
@@ -392,12 +411,12 @@ def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
     solves = []
     getrs = model._getrs
     monkeypatch.setattr(model, "_getrs", lambda *a: solves.append(1) or getrs(*a))
-    for name in ("_posv", "_potrf", "_getrf"):
+    for name in ("_posv", "_getrf"):
         monkeypatch.setattr(model, name, lambda *a: pytest.fail("the stage factored"))
     monkeypatch.setattr(hilbert, "_getri", lambda *a: pytest.fail("the stage inverted A"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v, p, gu = model._stage(problem)(_FAR)
+        v, p, gu = model.newton_velocity(problem, _FAR)
     f = _FAR + scipy.linalg.lu_solve(scipy.linalg.lu_factor(_BIG), np.full(2, 0.5))
     assert v.tobytes() == (-f).tobytes() and p == np.linalg.norm(f) and solves == [1]
 
@@ -406,7 +425,7 @@ def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
 def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make):
     # at dim 64 a finite g'(u) near u0 takes the Neumann route and inverts A,
     # once per run; a NaN one gives a NaN q, which the route refuses, and the
-    # factor path's max|M| sends the stage to its checked re-run, whose scan
+    # factor path's max|M| sends the velocity to its checked re-run, whose scan
     # raises.  The near point is off u0, where sector_blocks' g'(u0) = 0
     # gives q = 0, which reads no inverse
     p = make(64).problem
@@ -421,10 +440,11 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
     inversions = []
     getri = hilbert._getri
     monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
-    stage = model._stage(p)
-    stage(p.u0 + 0.01)
+    residual, velocity = model._stage(p)
+    near = p.u0 + 0.01
+    velocity(near, residual(near)[0])
     with pytest.raises(ValueError) as exc:
-        stage(far)
+        velocity(far, residual(far)[0])
     assert type(exc.value) is ValueError and str(exc.value) == _NON_FINITE_J
     assert inversions == [1]
 
@@ -453,22 +473,37 @@ def test_stage_fault_on_a_nan_cholesky_pivot_raises_the_factor_scan(monkeypatch)
 
 def test_stage_false_alarm_returns_the_scanned_result_without_a_warning():
     # M = diag(1, 2e-9) passes the pivot test, and v = -M^{-1} f with
-    # f = (0, 1e147) is (0, -5e155): finite, but v.v overflows, so the signal
-    # fires and the re-run with every scan on returns the same v, with no
-    # RuntimeWarning (an error here) from the test itself
+    # f = (0, 1e147) is (0, -5e155): finite, but v.v overflows, so the
+    # velocity's signal fires and its re-run with every scan on returns the
+    # same v, with no RuntimeWarning (an error here) from the test itself.
+    # Only the velocity alarms: the re-run evaluates g'(u) again, and g(u)
+    # and f not at all
     j = np.array([0.0, 2e-9 - 1.0])
     c = np.array([0.0, 1e147])
-    calls = []
-    g = NonlinearMap(lambda u: calls.append(1) or c + j * u, lambda u: j.copy(), name="steep")
+    calls = {"fn": 0, "jac": 0}
+
+    def fn(u):
+        calls["fn"] += 1
+        return c + j * u
+
+    def jac(u):
+        calls["jac"] += 1
+        return j.copy()
+
+    g = NonlinearMap(fn, jac, name="steep")
     problem = DsmProblem(L=diagonal_operator(np.ones(2)), g=g, u0=np.zeros(2), radius=1.0)
-    stage = model._stage(problem)
-    calls.clear()
-    v, p, gu = stage(problem.u0)
-    assert len(calls) == 2 and p == 1e147
+    residual, velocity = model._stage(problem)
+    calls.update(fn=0, jac=0)
+    f, p, gu = residual(problem.u0)
+    v = velocity(problem.u0, f)
+    assert calls == {"fn": 1, "jac": 2} and p == 1e147
     assert np.isfinite(v).all() and v[1] == pytest.approx(-5e155, rel=1e-7)
-    checked = stage(problem.u0, True)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip((v, gu), checked[::2]))
-    assert p == checked[1]
+    assert v.tobytes() == velocity(problem.u0, f, True).tobytes()
+    calls.update(fn=0, jac=0)
+    composed = model.newton_velocity(problem, problem.u0)
+    assert calls == {"fn": 1, "jac": 2}
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((v, gu), composed[::2]))
+    assert p == composed[1]
 
 
 def test_map_checks_only_shapes_without_the_scan():
