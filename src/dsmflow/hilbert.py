@@ -21,7 +21,9 @@ for an inverse.  :func:`_getri` turns LU factors into the inverse,
 LAPACK ``dgetri``.  There is one wrapper per LAPACK call, four in all.
 :func:`_getrf`, :func:`_posv` and :func:`_getri` never touch their
 arguments: the LAPACK wrapper factors or inverts a column-major copy of
-its own, whatever the argument's layout.  :func:`_getrs` and
+its own, whatever the argument's layout, except that
+``_posv(M, b, True)`` factors a Fortran-ordered ``M`` in place, as the
+low-rank stage asks for its workspace.  :func:`_getrs` and
 :func:`_posv` do not check the right-hand side: :meth:`DenseOperator.solve`
 does, and so does the checked re-run of the stage's velocity
 (:func:`~dsmflow.model.newton_velocity`).  Sums of squares, in
@@ -149,14 +151,18 @@ def _getri(lu, piv):
     return inv
 
 
-def _posv(M, b):
+def _posv(M, b, overwrite=False):
     """``(c, x)``: the lower Cholesky factor of ``M`` and ``M^{-1} b``, from one ``dposv``; or None.
 
     ``dposv`` factors by ``dpotrf`` and solves by ``dpotrs``, bitwise the
     two calls in turn.  Only ``M``'s lower triangle is read, and ``c``'s
     upper triangle holds ``M``'s, not zeros.  ``c`` and ``x`` are the
     wrapper's own copies, and ``M`` and ``b`` keep their bits, so a caller
-    whose ``M`` is refused hands that same ``M`` to :func:`_getrf`.  None
+    whose ``M`` is refused hands that same ``M`` to :func:`_getrf`.  With
+    ``overwrite``, a Fortran-ordered float64 ``M`` is factored in place
+    instead: ``c`` is ``M``, whose diagonal then holds the pivots, and a
+    refusal leaves ``M`` partly overwritten; the low-rank stage does so on
+    its run's workspace (:func:`~dsmflow.model._lowrank_velocity`).  None
     when ``dposv`` meets a non-positive pivot, that is when ``M`` is not
     positive definite; that is not an error and raises no warning.  ``b``
     is a vector or a matrix of right-hand-side columns, the identity for
@@ -179,7 +185,7 @@ def _posv(M, b):
     without a scan.  The stage's velocity does so, and scans the factor
     (``ValueError``) only in the re-run that such a signal starts.
     """
-    c, x, info = dposv(M, b, 1)
+    c, x, info = dposv(M, b, 1, overwrite)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dposv")
     if info > 0:

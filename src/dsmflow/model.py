@@ -336,15 +336,18 @@ def newton_velocity(problem, u):
     SIAM Review 31, 1989), ``T^{-1} = I - C (I + D G)^{-1} D B^T`` with
     ``D = diag(d)``, and ``(I + D G)^{-1} D = H (H + D)^{-1} D``, so
     ``v = -f + (C H) w`` with ``(H + D) w = d * (B^T f)``.  ``H + D`` is
-    built by a diagonal add onto a copy of ``H``, and one LAPACK ``dposv``
-    (:func:`~dsmflow.hilbert._posv`) factors it and solves for ``w``; for
-    ``d >= 0`` it is positive definite, and its pivots are
+    built in the run's Fortran-ordered ``r x r`` workspace: ``H`` is copied
+    into it and ``d`` added through a view of its diagonal, and one LAPACK
+    ``dposv`` (:func:`~dsmflow.hilbert._posv`) factors it in place and
+    solves for ``w``; for ``d >= 0`` it is positive definite, and its pivots are
     at least ``sqrt(lambda_min(H)) >= sqrt(sigma_min(A)) / |B|_2``.  Their
     test is the factor path's, ``min(diag c)^2 >= 1e-9 max(1, m_max)``
     with ``m_max = max|H| + max|d| >= max|H + D|``, so it trips only for a
-    ``d`` that is negative or not finite.  A stage is one ``dposv`` of
-    size ``r`` and two ``dgemv`` with ``n x r`` matrices, in place of an
-    ``n x n`` factorization.  It takes no
+    ``d`` that is negative or not finite; it reads the pivots off the
+    workspace's diagonal view.  A stage is one ``dposv`` of size ``r`` and
+    two ``dgemv`` with ``n x r`` matrices, in place of an ``n x n``
+    factorization; ``range_cubic``'s ``g(u)`` takes two ``dgemv`` more and
+    its ``d`` one.  It takes no
     Neumann sweeps: measured on ``minnorm``'s low-rank stages whose
     ``max|d| |B|_2^2 / sigma_min(A)`` passes the Neumann bound, 8% of them,
     sweeps ``v <- -f - C (d * (B^T v))`` cost a median 5.5 us against
@@ -389,7 +392,9 @@ def newton_velocity(problem, u):
     forming ``A^{-1} g'(u)``.  The right-hand side is ``A f`` rather than
     ``A u + g(u)``: both are ``F(u)``, but the latter cancels to an
     absolute error near machine epsilon, which ``M^{-1}`` magnifies by up
-    to ``1/eps`` at deep shifts.  ``M`` is built once per stage: a
+    to ``1/eps`` at deep shifts.  ``A f`` is one BLAS ``dgemv`` with
+    ``trans = 1`` on ``A^T``, a view of ``A``'s row-major entries, which is
+    bitwise numpy's ``A @ f``.  ``M`` is built once per stage: a
     diagonal ``g'(u)`` is added to the diagonal of a copy of ``A``, with no
     ``(n, n)`` ``g'(u)``, and a dense one to ``A``; the factoring wrappers
     leave ``M`` as it was.  Structure picks the factorization.  A diagonal
@@ -510,6 +515,9 @@ def _stage(problem):
     basis = g.jac_basis
     n = A.dim
     Ae = A.entries
+    # A^T column-major, a view of the row-major entries: dgemv with trans = 1
+    # on it is bitwise numpy's Ae @ b, without the product's dispatch
+    AeT = Ae.T
     lowrank = None
     try:
         A._solve_factors(problem.u0)
@@ -587,7 +595,8 @@ def _stage(problem):
         if diagonal:
             M = Ae.copy()
             M.ravel()[::n + 1] += J
-        ab = Ae @ b
+        # beta = 0, so b stands in for the y that dgemv's positional trans needs
+        ab = dgemv(1.0, AeT, b, 0.0, b, 0, 1, 0, 1, 1)
         # dposv factors and solves in one call; M keeps its bits, so a
         # refused M goes to dgetrf as it is
         sol = _posv(M, ab) if diagonal and A.self_adjoint else None
@@ -641,8 +650,12 @@ def _lowrank(problem, lu, piv, smin_a):
     ``kappa(G) <= beta``; an indefinite ``A`` has no such bound, since its
     ``G`` may pass ``dposv`` with ``lambda_min(G)`` as small as rounding
     at ``beta = 1`` (``A = diag(1, -1)``, ``B`` along ``(1, 1 - delta)``).
-    Returns ``(B^T, C H, H, max|H|)``, the products Fortran-ordered for
-    BLAS ``dgemv``.
+    Returns ``(B^T, C H, H, max|H|, S, diag S)``, Fortran-ordered: ``B^T``
+    and ``C H`` for BLAS ``dgemv``, ``H`` for a contiguous copy into
+    ``S``, the run's ``r x r`` workspace for ``H + diag(d)``, which
+    ``dposv`` factors in place, and a writable view of ``S``'s diagonal.
+    The view goes through ``S^T``: ``S.ravel()`` of a Fortran-ordered
+    ``S`` is a copy, and a diagonal add onto it would leave ``S`` as ``H``.
     """
     A, B = problem.shifted, problem.g.jac_basis
     n, r = B.shape
@@ -667,22 +680,29 @@ def _lowrank(problem, lu, piv, smin_a):
     # G^{-1} from dposv's solves is symmetric only to rounding: mirror its
     # lower triangle, so that H + diag(d) is exactly symmetric
     H = np.tril(sol[1]) + np.tril(sol[1], -1).T
-    return np.asfortranarray(B.T), np.asfortranarray(C @ H), H, float(np.abs(H).max())
+    # the stages' workspace; S^T is C-contiguous, so its reshape is a view
+    S = np.empty((r, r), order="F")
+    return (np.asfortranarray(B.T), np.asfortranarray(C @ H), np.asfortranarray(H),
+            float(np.abs(H).max()), S, S.T.reshape(-1)[::r + 1])
 
 
 def _lowrank_velocity(lowrank, d, b):
     """``v = -T^{-1} b`` for ``g'(u) = B diag(d) B^T`` in rank ``r``; None where it refuses ``d``.
 
     ``lowrank`` is :func:`_lowrank`'s data.  A zero ``d`` returns ``-b``.
-    Any other ``d`` builds ``S = H + diag(d)`` by a diagonal add onto a
-    copy of ``H``, and one LAPACK ``dposv`` (:func:`~dsmflow.hilbert._posv`)
-    factors it and solves ``S w = d * (B^T b)``; then
-    ``v = -b + (C H) w`` is one ``dgemv``.  None, and the caller re-runs
+    Any other ``d`` builds ``S = H + diag(d)`` in the run's workspace, ``H``
+    copied in and ``d`` added through the diagonal view, and one LAPACK
+    ``dposv`` (:func:`~dsmflow.hilbert._posv`) factors ``S`` in place and
+    solves ``S w = d * (B^T b)``; then ``v = -b + (C H) w`` is one
+    ``dgemv``.  Every call starts from ``H``, so what the last call left in
+    ``S``, a factor or the part of one that ``dposv`` wrote before it
+    refused, does not reach this one.  None, and the caller re-runs
     the velocity checked, when ``max|H| + max|d|`` is not finite, when
-    ``dposv`` refuses ``S``, or when the smallest pivot's square is not at
-    least ``1e-9 max(1, max|H| + max|d|)``, the factor path's test.
+    ``dposv`` refuses ``S``, or when the smallest pivot's square, read off
+    the diagonal view, is not at least ``1e-9 max(1, max|H| + max|d|)``,
+    the factor path's test.
     """
-    Bt, CH, H, hmax = lowrank
+    Bt, CH, H, hmax, S, diag = lowrank
     dmax = float(np.maximum.reduce(np.abs(d)))
     if dmax == 0.0:
         # g'(u) = 0: T = I
@@ -690,10 +710,10 @@ def _lowrank_velocity(lowrank, d, b):
     s_max = hmax + dmax
     if not math.isfinite(s_max):
         return None
-    S = H.copy()
-    S.ravel()[::S.shape[0] + 1] += d
-    sol = _posv(S, d * dgemv(1.0, Bt, b))
-    if sol is None or not np.minimum.reduce(sol[0].diagonal()) ** 2 >= 1e-9 * max(1.0, s_max):
+    S[...] = H
+    diag += d
+    sol = _posv(S, d * dgemv(1.0, Bt, b), True)
+    if sol is None or not np.minimum.reduce(diag) ** 2 >= 1e-9 * max(1.0, s_max):
         return None
     return dgemv(1.0, CH, sol[1], -1.0, b)
 

@@ -162,7 +162,12 @@ def _make_range_cubic(dim, params):
     ``g(u)`` is one BLAS ``dgemv`` on a column-major ``B^T`` with ``s`` as
     its ``alpha`` and the offset as its ``y``, in place of a product, a
     scaling and a sum; it agrees with ``offset + s * (B @ y^3)`` to
-    rounding, and ``y = B^T u`` is numpy's product.
+    rounding.  ``y = B^T u``, in ``fn`` and ``jac_fn`` alike, is one
+    ``dgemv`` on that same ``B^T``, with no numpy dispatch.  It is bitwise
+    numpy's ``B.T @ u`` wherever numpy hands that product to BLAS, as it
+    did at every ``r >= 4`` measured (dims 5 to 64); at ``r <= 3`` numpy
+    may sum in its own order, a difference at rounding level.  ``jac_fn``
+    squares and scales ``y`` in place, bitwise ``3 s y**2``.
     """
     scale = _scale("range_cubic", params)
     B = _reals("builtin map 'range_cubic' param 'basis'", params["basis"])
@@ -174,20 +179,24 @@ def _make_range_cubic(dim, params):
                          f"(Gram defect {gram_defect:.3e})")
     offset = as_vector(_reals("builtin map 'range_cubic' param 'offset'", params["offset"]),
                        dim=dim, name="offset")
-    # B^T column-major, a view of a row-major B, for g's one dgemv
+    # B^T column-major, a view of a row-major B, for g's dgemv products
     Bt = np.asfortranarray(B.T)
+    scale3 = 3.0 * scale
 
     def fn(u):
-        y = B.T @ u
+        y = dgemv(1.0, Bt, u)
         # s B y^3 + offset as one BLAS dgemv with trans = 1 on B^T, which
         # writes its own copy of the offset; positional arguments, as an f2py
         # keyword costs about 0.5 us a call
         return dgemv(scale, Bt, y * y * y, 1.0, offset, 0, 1, 0, 1, 1)
 
     def jac_fn(u):
-        # d = 3 s y^2 of g'(u) = B diag(d) B^T, declared through jac_basis
-        y = B.T @ u
-        return 3.0 * scale * y ** 2
+        # d = 3 s y^2 of g'(u) = B diag(d) B^T, declared through jac_basis,
+        # formed in dgemv's own output: bitwise 3.0 * scale * y ** 2
+        y = dgemv(1.0, Bt, u)
+        y *= y
+        y *= scale3
+        return y
 
     # B diag(3 s y^2) B^T is psd, since _scale refuses a negative scale
     return NonlinearMap(fn=fn, jac_fn=jac_fn, name="range_cubic",
@@ -370,7 +379,8 @@ def singular_monotone(dim, rank=None, seed=42, cubic_scale=0.0):
         offset = -(L.entries @ v_min)
         g = make_map("constant", dim, {"offset": offset})
     else:
-        y = Qr.T @ v_min
+        # y by the map's own product, so that F(v_min) is exactly 0
+        y = dgemv(1.0, np.asfortranarray(Qr.T), v_min)
         offset = -(L.entries @ v_min + cubic_scale * (Qr @ y ** 3))
         g = make_map("range_cubic", dim,
                      {"scale": cubic_scale, "basis": Qr, "offset": offset})

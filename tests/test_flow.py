@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dgemv
 
 from dsmflow import flow, hilbert, model
 from dsmflow.continuation import solve_minimal_norm
@@ -477,16 +478,17 @@ def _count_factorizations(monkeypatch):
     """Count the ``dposv`` and ``dgetrf`` calls through ``model``'s bindings.
 
     A stage's Cholesky factor comes with its solve, one ``dposv`` against a
-    vector, counted as ``"posv"``; the only ``dposv`` against a matrix, the
-    identity, is the low-rank route's inverse of ``G``, once per run,
-    counted as ``"inverse"``.
+    vector, counted as ``"posv"``, whether it factors a copy or, on the
+    low-rank route, the run's workspace in place; the only ``dposv`` against
+    a matrix, the identity, is the low-rank route's inverse of ``G``, once
+    per run, counted as ``"inverse"``.
     """
     calls = {"posv": 0, "inverse": 0, "getrf": 0}
     posv, getrf = model._posv, model._getrf
 
-    def counted_posv(M, b):
+    def counted_posv(M, b, *overwrite):
         calls["posv" if b.ndim == 1 else "inverse"] += 1
-        return posv(M, b)
+        return posv(M, b, *overwrite)
 
     def counted_getrf(M):
         calls["getrf"] += 1
@@ -861,6 +863,66 @@ def test_low_rank_continuation_keeps_every_level(monkeypatch):
     assert [r.inner_steps for r in res.records] == [r.inner_steps for r in dense.records]
     assert res.stop is dense.stop
     assert norm(res.v_limit - dense.v_limit) <= 1e-9
+
+
+def test_low_rank_workspace_starts_every_stage_from_h(monkeypatch):
+    # a run factors H + diag(d) in one r x r workspace, in place, stage after
+    # stage; whatever the last stage left there (a factor, the part of one
+    # that dposv wrote before it refused, or nothing for d = 0), each
+    # velocity is bitwise the route's formula on a fresh copy of H, or,
+    # where dposv refuses H + diag(d), the checked re-run's LU of A + g'(u).
+    # The map returns d = B^T u under a declared floor of 0, so a point with
+    # a large negative coordinate in B's last column gives a d that dposv
+    # refuses at its last pivot, after it has overwritten the rest
+    bundle = singular_monotone(10, rank=5, cubic_scale=0.1, seed=3)
+    base, B = bundle.problem, bundle.problem.g.jac_basis
+    g = NonlinearMap(base.g.fn, lambda u: B.T @ u, name="signed", jac_floor=0.0, jac_basis=B)
+    problem = replace(base, g=g, epsilon=1e-2)
+    data, posv_calls = [], []
+    make_lowrank, posv = model._lowrank, model._posv
+    monkeypatch.setattr(model, "_lowrank", lambda *a: data.append(make_lowrank(*a)) or data[-1])
+
+    def recorded(M, b, *overwrite):
+        sol = posv(M, b, *overwrite)
+        posv_calls.append((M, overwrite, sol is None))
+        # a stage's factor is its workspace, factored in place
+        assert not overwrite or sol is None or sol[0] is M
+        return sol
+
+    monkeypatch.setattr(model, "_posv", recorded)
+    velocity = model._stage(problem)[1]
+    Bt, CH, H = data[0][:3]
+    A, r = problem.shifted.entries, B.shape[1]
+    rng = np.random.default_rng(0)
+    y = rng.uniform(0.5, 1.5, r)
+    refused = B @ np.append(y[:-1], -50.0)
+    # "zero" has d = 0 and "refused" a d that dposv refuses; "off-range"
+    # adds a part in L's nullspace, which leaves d >= 0
+    points = [("factor", B @ y), ("zero", np.zeros(10)), ("refused", refused),
+              ("factor", 3.0 * B @ y), ("refused", refused),
+              ("factor", B @ (0.1 * y) + bundle.nullspace @ rng.standard_normal(5)),
+              ("zero", np.zeros(10)), ("factor", 0.5 * B @ y)]
+    for kind, u in points:
+        posv_calls.clear()
+        b = rng.standard_normal(10)
+        d = g.jac_fn(u)
+        v = velocity(u, b)
+        if kind == "zero":
+            ref = -b
+            assert not d.any() and posv_calls == []
+        elif kind == "refused":
+            ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(A + g.jacobian(u)), A @ b)
+            assert [(o, refusal) for _, o, refusal in posv_calls] == [((True,), True)]
+        else:
+            assert d.min() > 0.0
+            S = H.copy(order="C")
+            S.ravel()[::r + 1] += d
+            ref = dgemv(1.0, CH, hilbert._posv(S, d * dgemv(1.0, Bt, b))[1], -1.0, b)
+            assert [(o, refusal) for _, o, refusal in posv_calls] == [((True,), False)]
+        assert v.tobytes() == ref.tobytes()
+    # every stage that factored took the run's one Fortran-ordered workspace
+    workspace = data[0][4]
+    assert workspace.flags.f_contiguous and all(M is workspace for M, _, _ in posv_calls)
 
 
 # -- the stage's fault signal ------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dgemv
 
 from dsmflow.continuation import solve_minimal_norm, solve_newton_flow
 from dsmflow.errors import CertificateMismatch, ParseError
@@ -185,6 +186,23 @@ def test_range_cubic_value_is_one_dgemv_within_rounding(make):
         assert not np.shares_memory(value, offset) and offset.tobytes() == offset0.tobytes()
     # the cubic vanishes at u = 0, which leaves the offset bitwise
     assert g(np.zeros(n)).tobytes() == offset.tobytes()
+
+
+@pytest.mark.parametrize("dim, seed", [(10, 0), (20, 0), (20, 42), (40, 0), (40, 42)])
+def test_range_cubic_basis_product_is_bitwise_numpys_at_the_benchmark_dims(dim, seed):
+    # fn and jac_fn form y = B^T u by dgemv on the map's column-major B^T;
+    # on singular_monotone's column slice of Q, at ranks of 4 and more, that
+    # is bitwise numpy's B.T @ u, so both are bitwise the forms that used it
+    g = singular_monotone(dim, rank=dim // 2, seed=seed, cubic_scale=0.1).problem.g
+    B, s, offset = g.jac_basis, g.params["scale"], g.params["offset"]
+    Bt = np.asfortranarray(B.T)
+    rng = np.random.default_rng(dim)
+    for size in (1e-3, 1.0, 30.0):
+        u = size * rng.standard_normal(dim)
+        y = B.T @ u
+        value = dgemv(s, Bt, y * y * y, 1.0, offset, 0, 1, 0, 1, 1)
+        assert g.fn(u).tobytes() == value.tobytes()
+        assert g.jac_fn(u).tobytes() == (3.0 * s * y ** 2).tobytes()
 
 
 # -- tag verification ----------------------------------------------------------
