@@ -878,13 +878,14 @@ def test_low_rank_workspace_starts_every_stage_from_h(monkeypatch):
     base, B = bundle.problem, bundle.problem.g.jac_basis
     g = NonlinearMap(base.g.fn, lambda u: B.T @ u, name="signed", jac_floor=0.0, jac_basis=B)
     problem = replace(base, g=g, epsilon=1e-2)
-    data, posv_calls = [], []
+    data, posv_calls, factored = [], [], []
     make_lowrank, posv = model._lowrank, model._posv
     monkeypatch.setattr(model, "_lowrank", lambda *a: data.append(make_lowrank(*a)) or data[-1])
 
     def recorded(M, b, *overwrite):
         sol = posv(M, b, *overwrite)
-        posv_calls.append((M, overwrite, sol is None))
+        posv_calls.append((overwrite, sol is None))
+        factored.append(M)
         # a stage's factor is its workspace, factored in place
         assert not overwrite or sol is None or sol[0] is M
         return sol
@@ -896,8 +897,8 @@ def test_low_rank_workspace_starts_every_stage_from_h(monkeypatch):
     rng = np.random.default_rng(0)
     y = rng.uniform(0.5, 1.5, r)
     refused = B @ np.append(y[:-1], -50.0)
-    # "zero" has d = 0 and "refused" a d that dposv refuses; "off-range"
-    # adds a part in L's nullspace, which leaves d >= 0
+    # "zero" has d = 0 and "refused" a d that dposv refuses; the sixth
+    # point adds a part in L's nullspace, which leaves d > 0
     points = [("factor", B @ y), ("zero", np.zeros(10)), ("refused", refused),
               ("factor", 3.0 * B @ y), ("refused", refused),
               ("factor", B @ (0.1 * y) + bundle.nullspace @ rng.standard_normal(5)),
@@ -912,17 +913,19 @@ def test_low_rank_workspace_starts_every_stage_from_h(monkeypatch):
             assert not d.any() and posv_calls == []
         elif kind == "refused":
             ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(A + g.jacobian(u)), A @ b)
-            assert [(o, refusal) for _, o, refusal in posv_calls] == [((True,), True)]
+            assert posv_calls == [((True,), True)]
         else:
             assert d.min() > 0.0
             S = H.copy(order="C")
             S.ravel()[::r + 1] += d
             ref = dgemv(1.0, CH, hilbert._posv(S, d * dgemv(1.0, Bt, b))[1], -1.0, b)
-            assert [(o, refusal) for _, o, refusal in posv_calls] == [((True,), False)]
+            assert posv_calls == [((True,), False)]
         assert v.tobytes() == ref.tobytes()
-    # every stage that factored took the run's one Fortran-ordered workspace
+    # every stage that factored, the six with d != 0, took the run's one
+    # Fortran-ordered workspace; the run's set-up factored a copy of G
     workspace = data[0][4]
-    assert workspace.flags.f_contiguous and all(M is workspace for M, _, _ in posv_calls)
+    assert workspace.flags.f_contiguous and len(factored) == 7
+    assert factored[0] is not workspace and all(M is workspace for M in factored[1:])
 
 
 # -- the stage's fault signal ------------------------------------------------------
