@@ -4,7 +4,10 @@ The flow integrated here is ``du/dt = phi(u)`` with
 
     phi(u) = -[I + (L+eps*I)^{-1} g'(u)]^{-1} [u + (L+eps*I)^{-1} g(u)]
 
-Write ``A = L+eps*I`` and ``f = u + A^{-1} g(u)``.  One rule, the proven
+Write ``A = L+eps*I`` and ``f = u + A^{-1} g(u)``.  A run whose
+``kappa(A) = |A|_2 / sigma_min(A) <= 32`` forms ``f`` as one BLAS product
+with ``A``'s cached inverse, whose error is at most ``kappa(A)`` times
+that of ``dgetrs``, which every other run keeps.  One rule, the proven
 contraction factor ``q >= |A^{-1} g'(u)|``, picks how a stage solves it.
 Where ``q <= 2^(-53/8)``, the Neumann series of ``[I + A^{-1} g'(u)]^{-1}``
 converges, and at most seven sweeps ``x <- f - A^{-1}(g'(u) x)`` against

@@ -10,7 +10,8 @@ and the psd flag is checked against the eigensolver's rounding
 its factorizations on first use: one LU, and either the eigenvalues of a
 self-adjoint operator, from which its singular values are read, or the
 singular values of any other, and, once asked for, the inverse that the
-flow's stage sweeps with on its Neumann route.  Its LU factors come
+flow's stage sweeps with on its Neumann route, and that forms its residual
+where ``kappa(A) <= 32``.  Its LU factors come
 straight from LAPACK ``dgetrf``/``dgetrs`` through :func:`_getrf` and
 :func:`_getrs`, which give bitwise what ``scipy.linalg.lu_factor``/
 ``lu_solve`` give without their per-call wrapper cost.  :func:`_posv`
@@ -401,7 +402,8 @@ class DenseOperator:
         once per operator however many runs or single calls ask for it.
         The caller has passed :meth:`_solve_factors`'s pivot test.  The
         inverse is Fortran-ordered, as ``dgetri`` leaves it, so the BLAS
-        products of :func:`~dsmflow.model._neumann_velocity` take it
+        products of :func:`~dsmflow.model._neumann_velocity` and of the
+        gated residual (:func:`~dsmflow.model._shifted_residual`) take it
         without a copy; for a ``self_adjoint`` operator it is symmetric
         only to rounding, and ``dsymv`` reads its upper triangle alone.
         """

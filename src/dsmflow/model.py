@@ -48,6 +48,11 @@ _MONOTONE_TOL = 1e-10      # slack of monotonicity_certificate's floor test
 _NEUMANN_SWEEPS = 7
 _NEUMANN_Q = 2.0 ** (-53 / (_NEUMANN_SWEEPS + 1))
 
+#: Largest ``kappa(A) = |A|_2 / sigma_min(A)`` at which ``f = u + A^{-1} g(u)``
+#: is one BLAS product with ``A``'s cached inverse, whose error is then at
+#: most ``2^5`` times ``dgetrs``'s (see :func:`_shifted_residual`).
+_RESIDUAL_KAPPA = 32.0
+
 #: Largest ``beta = |A|_2 |C|_F |B|_2 / sigma_min(B)^2`` at which a run
 #: solves a declared basis's Jacobian in its rank (see :func:`_lowrank`).
 _LOWRANK_BETA = 32.0
@@ -246,9 +251,48 @@ def full_residual(problem, u):
 
 
 def preconditioned_residual(problem, u):
-    """``u + (L + eps*I)^{-1} g(u)``: the quantity whose norm decays along the flow."""
+    """``u + (L + eps*I)^{-1} g(u)``: the quantity whose norm decays along the flow.
+
+    It follows the flow's stage's rule (:func:`_shifted_residual`): with
+    ``A = L + eps*I`` and ``kappa(A) <= 32``, ``f`` is one BLAS product
+    with ``A``'s cached inverse, and otherwise ``dgetrs`` on ``A``'s cached
+    LU, so a stage's ``p`` is bitwise ``norm`` of this ``f``.  Raises
+    ``ValueError`` for a non-finite ``g(u)`` and :class:`SingularOperator`
+    when ``A`` fails :meth:`~dsmflow.hilbert.DenseOperator.solve`'s pivot
+    test.
+    """
     u = as_vector(u, dim=problem.dim)
-    return u + problem.shifted.solve(problem.g(u))
+    return _shifted_residual(problem.shifted, u, problem.g(u))
+
+
+def _shifted_residual(A, u, gu):
+    """``f = u + A^{-1} g(u)`` for a ``g(u)`` its map has scanned, after ``A``'s pivot test.
+
+    One rule decides how ``f`` is formed, for :func:`preconditioned_residual`
+    and for the scanning route of :func:`_stage`'s ``residual``, whose
+    unchecked route takes the same kernel: where ``kappa(A) = |A|_2 /
+    sigma_min(A) <= 32`` (:data:`_RESIDUAL_KAPPA`), read off ``A``'s cached
+    spectrum, ``f`` is one BLAS product with ``A``'s cached inverse,
+    ``beta = 1`` onto ``u``: ``dsymv`` when ``A`` has the ``self_adjoint``
+    flag and ``dgemv`` otherwise, the Neumann sweeps' kernel.  Every other
+    ``A`` keeps ``dgetrs``'s two triangular solves on its cached LU.
+    Applying a computed inverse is not backward stable: its error is at
+    most ``kappa(A)`` times a backward-stable solve's (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, §14.1;
+    Du Croz and Higham, IMA J. Numer. Anal. 12, 1992), so within the gate
+    at most ``2^5`` times ``dgetrs``'s.  A deep-shift level has a large
+    ``kappa(A)`` and stays on ``dgetrs``.
+    """
+    lu, piv = A._solve_factors(gu)
+    inverse = _residual_inverse(A)
+    if inverse is None:
+        return u + _getrs(lu, piv, gu)
+    return (dsymv if A.self_adjoint else dgemv)(1.0, inverse, gu, 1.0, u)
+
+
+def _residual_inverse(A):
+    """``A``'s cached inverse where ``kappa(A) <= 32``, else None; ``A`` passed its pivot test."""
+    return A._inverse() if A.condition_estimate() <= _RESIDUAL_KAPPA else None
 
 
 def linearized_operator(problem, u):
@@ -287,10 +331,15 @@ def solve_linearized(T, rhs):
 def newton_velocity(problem, u):
     """Flow velocity ``-[F'(u)]^{-1} F(u)`` at ``u``, the residual norm ``|f(u)|`` and ``g(u)``.
 
-    With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` comes from ``A``'s cached
-    LU, and the velocity is ``v = -T^{-1} f`` with
-    ``T = I + A^{-1} g'(u)``.  It is the composition of the two halves that
-    :func:`_stage` builds over one set of per-run facts:
+    With ``A = L + eps*I``: ``f = u + A^{-1} g(u)`` is one BLAS product
+    with ``A``'s cached inverse, ``beta = 1`` onto ``u``, in a run whose
+    ``kappa(A) = |A|_2 / sigma_min(A) <= 32``, and ``dgetrs`` on ``A``'s
+    cached LU in any other (:func:`_shifted_residual`, the rule
+    :func:`preconditioned_residual` follows too, which bounds the product's
+    error by ``kappa(A) <= 2^5`` times ``dgetrs``'s); the velocity is
+    ``v = -T^{-1} f`` with ``T = I + A^{-1} g'(u)``.  It is the
+    composition of the two halves that :func:`_stage` builds over one set
+    of per-run facts:
     ``residual(u) -> (f, p, g(u))``, then ``velocity(u, f)``, where
     ``velocity(u, b)`` solves ``-T^{-1} b`` for any finite ``b``.  The routes
     below are ``velocity``'s, told for ``b = f``; another ``b`` takes them
@@ -316,14 +365,16 @@ def newton_velocity(problem, u):
     forms ``A^{-1}`` from ``A``'s cached LU once per operator and the
     operator caches it (:meth:`~dsmflow.hilbert.DenseOperator._inverse`),
     so repeated calls on one problem invert ``A`` once; a :func:`_stage`
-    reads the kernel once and the inverse at its first sweep.
+    reads the kernel once, and the inverse at set-up where the residual's
+    gate opens, else at its first sweep.
     ``sigma_min(A)`` is read once per :func:`_stage` from ``A``'s cached
     eigenvalues when ``A`` is self-adjoint, from its cached SVD otherwise,
     and lowered by the eigensolver's rounding
     :func:`~dsmflow.hilbert._eig_slack` ``(L, eps)``.
     ``q = 0`` takes no sweep: ``T = I`` and ``v = -f``, so a Jacobian that
-    is zero, ``jac_fn=None`` or a diagonal that vanishes at ``u``, factors,
-    inverts and multiplies nothing.  The velocity agrees with the
+    is zero, ``jac_fn=None`` or a diagonal that vanishes at ``u``, factors
+    and multiplies nothing beyond ``f``'s solve, and inverts ``A`` only
+    for a gated residual.  The velocity agrees with the
     factored one to rounding, not bitwise.
 
     *Low-rank route, a declared basis on a self-adjoint, positive definite
@@ -434,8 +485,10 @@ def newton_velocity(problem, u):
       per :func:`~dsmflow.flow.integrate` run, not once per stage.
     - ``residual`` tests that ``f.f``, whose root is ``p``, is finite:
       ``g(u)`` is, since the triangular solves behind ``A^{-1} g(u)``
-      leave a non-finite entry non-finite.  BLAS ``ddot`` takes it, bitwise
-      ``f.dot(f)``, so an ``f`` whose squares overflow does not warn.  For
+      leave a non-finite entry non-finite, and so does the product with
+      ``A``'s inverse, none of whose columns is zero.  BLAS ``ddot`` takes
+      it, bitwise ``f.dot(f)``, so an ``f`` whose squares overflow does
+      not warn.  For
       ``jac_fn=None`` that is the whole signal, since ``v = -f``.
     - On the Neumann route ``velocity`` adds one test: ``v.v`` is finite.
       A ``g'(u)`` that is not finite makes ``max|g'(u)|`` NaN or infinite,
@@ -506,9 +559,15 @@ def _stage(problem):
     Both read ``A``'s facts, taken here once per
     :func:`~dsmflow.flow.integrate` run.  ``A``'s pivot test runs here; an
     ``A`` that fails it leaves ``residual`` to raise the test's error at
-    every call, so ``velocity`` runs only after a passed test.  For a map
-    that declares a basis, the low-rank route's data and gate are decided
-    here too (:func:`_lowrank`), once per run.
+    every call, so ``velocity`` runs only after a passed test.  The
+    residual's gate is decided here, once per run, from ``A``'s cached
+    spectrum: where ``kappa(A) <= 32`` (:data:`_RESIDUAL_KAPPA`) ``A``'s
+    inverse is formed here and ``residual`` forms ``f`` as one product with
+    it, by the Neumann sweeps' kernel, and every other run keeps
+    ``dgetrs``; its scanning route follows the same rule
+    (:func:`_shifted_residual`), so a false alarm returns the same ``f``.
+    For a map that declares a basis, the low-rank route's data and gate are
+    decided here too (:func:`_lowrank`), once per run.
     """
     A = problem.shifted
     g = problem.g
@@ -518,7 +577,7 @@ def _stage(problem):
     # A^T column-major, a view of the row-major entries: dgemv with trans = 1
     # on it is bitwise numpy's Ae @ b, without the product's dispatch
     AeT = Ae.T
-    lowrank = None
+    lowrank = inverse = None
     try:
         A._solve_factors(problem.u0)
     except (SingularOperator, ValueError):
@@ -532,23 +591,26 @@ def _stage(problem):
         smin_a = A.smallest_singular_value() - _eig_slack(problem.L, problem.epsilon)
         if basis is not None:
             lowrank = _lowrank(problem, lu_a, piv_a, smin_a)
-    # the sweeps' kernel, and A's inverse once the first sweep needs it
+        # A's inverse for the residual's product, or None for dgetrs
+        inverse = _residual_inverse(A)
+    # the sweeps' and the residual's kernel; a run whose residual takes
+    # dgetrs forms A's inverse once the first sweep needs it
     mv = dsymv if A.self_adjoint else dgemv
-    inverse = None
+    gated = inverse is not None
 
     def residual(u):
         """``(f, p, g(u))`` at ``u``, with ``f = u + A^{-1} g(u)`` and ``p = |f|``."""
         u = as_vector(u)
         if sound and u.size == n:
             gu = g._value(u, False)
-            f = u + _getrs(lu_a, piv_a, gu)
+            f = mv(1.0, inverse, gu, 1.0, u) if gated else u + _getrs(lu_a, piv_a, gu)
             # bitwise f.dot(f), and an overflow to inf does not warn
             ff = ddot(f, f)
             if math.isfinite(ff):
                 return f, math.sqrt(ff), gu
         # the signal fired: scan g(u), test A's pivots, then scan f
         gu = g._value(u)
-        f = u + A.solve(gu)
+        f = _shifted_residual(A, u, gu)
         if not _all_finite(f):
             raise ValueError("right-hand side contains non-finite entries")
         return f, math.sqrt(ddot(f, f)), gu

@@ -7,7 +7,9 @@ within tolerance is the acceptance evidence.  The damped-Newton oracle is
 not independent of the solver: it iterates on the solver's preconditioned
 residual through :func:`~dsmflow.model.preconditioned_residual`,
 :func:`~dsmflow.model.linearized_operator` and
-:func:`~dsmflow.model.solve_linearized`, and the last two are also the
+:func:`~dsmflow.model.solve_linearized`.  The first forms ``f`` by the
+stage's own gated rule, one product with ``A``'s cached inverse where
+``kappa(A) <= 32`` and ``dgetrs`` elsewhere, and the last two are also the
 small-pivot fallback of the flow's stage,
 :func:`~dsmflow.model.newton_velocity`.  It shares neither the RK stepping
 nor the stage's factorization of ``A + g'(u)`` or its Neumann sweeps.

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -26,9 +26,9 @@ from .errors import CertificateMismatch, NonPsdOperator, NotSymmetric, ParseErro
 from .hilbert import DenseOperator, as_vector, norm
 from .model import (Certificate, CertificateKind, DsmProblem, NonlinearMap, certify_newton_bound,
                     check_resolvent_bound, check_sector, monotonicity_certificate)
+from .model import preconditioned_residual
 # unused here, but perfbench/tracing.py looks these names up on this module
-from .model import (ball_samples, check_trust_condition, estimate_newton_bound,  # noqa: F401
-                    preconditioned_residual)
+from .model import ball_samples, check_trust_condition, estimate_newton_bound  # noqa: F401
 
 __all__ = [
     "TAGS",
@@ -343,8 +343,10 @@ def wellposed_cubic(dim, scale=0.1, seed=42):
     c = _unit(rng, dim, 0.5)
     u0 = _unit(rng, dim, 0.5)
     g = make_map("cubic", dim, {"scale": scale, "offset": c})
-    p0 = norm(u0 + L.solve(g(u0)))
-    prob = DsmProblem(L, g, u0, radius=max(2.0 * p0, 1e-3))
+    # p0 as the flow's stage forms it, which the radius is compared with
+    draft = DsmProblem(L, g, u0, radius=1.0)
+    p0 = norm(preconditioned_residual(draft, u0))
+    prob = replace(draft, radius=max(2.0 * p0, 1e-3))
     return _bundle(prob, f"wellposed_cubic(dim={dim})",
                    ("invertible", "trust_condition", "self_adjoint_psd", "monotone_g"))
 

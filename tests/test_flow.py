@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemv, dsymv
 
-from dsmflow import flow, hilbert, model
+from dsmflow import continuation, flow, hilbert, model
 from dsmflow.continuation import solve_minimal_norm
 from dsmflow.errors import (DimensionMismatch, FlowFailed, SingularLinearization,
                             SingularOperator)
@@ -543,10 +543,14 @@ def test_stage_factorizations_follow_the_structure(monkeypatch, make, posv, getr
 def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
     # dposv factors its own copy of M, so after a refusal the LU fallback
     # factors that same M, and the velocity is bitwise scipy's LU solve of a
-    # matrix built afresh from A and g'(u)
+    # matrix built afresh from A and g'(u).  kappa(A) = 4 is inside the
+    # residual's gate: f is one dsymv with A's inverse, formed once, and the
+    # one dgetrs per stage is the LU fallback's
+    inversions = _count_inversions(monkeypatch)
     problem = indefinite_problem()
     refusals, factored = [], []
     posv, getrf = model._posv, model._getrf
+    solves = _count_getrs(monkeypatch)
 
     def recorded(M, b):
         sol = posv(M, b)
@@ -561,13 +565,16 @@ def test_refused_cholesky_stage_is_bitwise_an_lu_of_a_fresh_matrix(monkeypatch):
     for u in (problem.u0, *(0.3 * rng.standard_normal(problem.dim) for _ in range(3))):
         refusals.clear()
         factored.clear()
+        solves.clear()
         v = newton_velocity(problem, u)[0]
         M = A + np.diag(problem.g.jac_fn(u))
         assert refusals == [True] and factored[0] is factored[1]
-        assert factored[0].tobytes() == M.tobytes()
-        f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), problem.g(u))
+        assert factored[0].tobytes() == M.tobytes() and solves == [M.shape[0]]
+        inverse = scipy.linalg.lapack.dgetri(*scipy.linalg.lu_factor(A))[0]
+        f = dsymv(1.0, inverse, problem.g(u), 1.0, u)
         ref = -scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), A @ f)
         assert v.tobytes() == ref.tobytes()
+    assert inversions == [A.shape]
 
 
 # -- the Neumann route ---------------------------------------------------------------
@@ -585,6 +592,19 @@ def _count_inversions(monkeypatch):
     return calls
 
 
+def _count_getrs(monkeypatch):
+    """Record the leading dimension of each ``dgetrs`` solve through ``model``'s binding.
+
+    An ungated residual's ``f = u + A^{-1} g(u)`` takes one, as does each LU
+    solve of the factor path; a gated residual takes none.
+    """
+    calls = []
+    getrs = model._getrs
+    monkeypatch.setattr(model, "_getrs", lambda lu, piv, b: calls.append(b.shape[0])
+                        or getrs(lu, piv, b))
+    return calls
+
+
 def _count_routes(monkeypatch):
     """Record the ``q`` of each diagonal-Jacobian stage that takes the Neumann route."""
     calls = []
@@ -599,13 +619,18 @@ def _count_routes(monkeypatch):
 
 
 def _count_kernels(monkeypatch):
-    """Count the sweeps' BLAS ``dsymv`` and ``dgemv`` calls, through ``model``'s bindings."""
-    calls = {"dsymv": 0, "dgemv": 0}
-    for name in calls:
+    """Count BLAS ``dsymv`` and ``dgemv`` calls, through ``model``'s bindings.
+
+    A product with ``beta = 1``, the residual's ``f = u + A^{-1} g(u)``, is
+    counted under ``"<kernel> residual"``; the sweeps' products, with
+    ``alpha = beta = -1``, and every other under the kernel's name.
+    """
+    calls = {"dsymv": 0, "dgemv": 0, "dsymv residual": 0, "dgemv residual": 0}
+    for name in ("dsymv", "dgemv"):
         kernel = getattr(model, name)
 
         def counted(*a, name=name, kernel=kernel):
-            calls[name] += 1
+            calls[name + " residual" if a[3:4] == (1.0,) else name] += 1
             return kernel(*a)
 
         monkeypatch.setattr(model, name, counted)
@@ -617,11 +642,16 @@ def _sweeps(q):
     return 0 if q == 0.0 else min(model._NEUMANN_SWEEPS, math.ceil(-53.0 / math.log2(q)) - 1)
 
 
-def _assert_kernel_per_sweep(kernels, routes, self_adjoint):
-    """One ``dsymv`` per sweep on a self-adjoint ``A``, one ``dgemv`` otherwise, and no other."""
+def _assert_kernel_per_sweep(kernels, routes, self_adjoint, residuals):
+    """One ``dsymv`` per sweep and per residual on a self-adjoint ``A``, one ``dgemv`` otherwise.
+
+    ``residuals`` is the number of gated residuals, each one product with
+    ``A``'s inverse, by the sweeps' kernel; no other kernel call is made.
+    """
     sweeps = sum(_sweeps(q) for q in routes)
     used, unused = ("dsymv", "dgemv") if self_adjoint else ("dgemv", "dsymv")
-    assert sweeps > 0 and kernels == {used: sweeps, unused: 0}
+    assert sweeps > 0 and kernels == {used: sweeps, unused: 0, used + " residual": residuals,
+                                      unused + " residual": 0}
 
 
 @pytest.mark.parametrize("make, self_adjoint", [
@@ -629,26 +659,65 @@ def _assert_kernel_per_sweep(kernels, routes, self_adjoint):
     pytest.param(lambda: sector_blocks(64).problem, False, id="sector_blocks-64"),
 ])
 def test_neumann_route_factors_nothing_and_keeps_the_steps(monkeypatch, make, self_adjoint):
-    # one inverse of A per run, no stage factorization, and one dsymv per
-    # sweep on the self-adjoint A, one dgemv on the other; the factor path,
+    # one inverse of A per operator, formed by the build's certificate or the
+    # run, no stage factorization and no dgetrs: kappa(A) <= 32, so each
+    # stage's residual is one product with the inverse, and each sweep one
+    # more, dsymv on the self-adjoint A, dgemv on the other; the factor path,
     # forced by a bound no q meets, takes the same steps to the same point
+    inversions = _count_inversions(monkeypatch)
     problem = make()
     calls = _count_factorizations(monkeypatch)
-    inversions = _count_inversions(monkeypatch)
     routes = _count_routes(monkeypatch)
     kernels = _count_kernels(monkeypatch)
+    solves = _count_getrs(monkeypatch)
     res = integrate(problem)
     assert res.converged and calls == {"posv": 0, "inverse": 0, "getrf": 0}
-    assert inversions == [(problem.dim, problem.dim)]
-    _assert_kernel_per_sweep(kernels, routes, self_adjoint)
+    assert inversions == [(problem.dim, problem.dim)] and solves == []
+    # the start, the initial-step probe and six stages per attempted step
+    _assert_kernel_per_sweep(kernels, routes, self_adjoint,
+                             2 + 6 * (res.n_accepted + res.n_rejected))
     monkeypatch.setattr(model, "_NEUMANN_Q", -1.0)
     factored = integrate(problem)
     stages = 2 + 6 * (factored.n_accepted + factored.n_rejected)
     assert sum(calls.values()) == stages and len(inversions) == 1
+    # the factor path's one dgetrs per LU stage; the residuals take none
+    assert len(solves) == calls["getrf"]
     assert (res.n_accepted, res.n_rejected) == (factored.n_accepted, factored.n_rejected)
     assert np.linalg.norm(res.u_final - factored.u_final) <= 1e-13
     ref = newton_oracle(problem, tol=1e-12).solution
     assert norm(res.u_final - ref) <= 1e-7
+
+
+def test_deep_shift_zero_map_levels_keep_their_residuals_on_dgetrs(monkeypatch):
+    # f through A's inverse stalled a deep-shift zero-Jacobian level at t_max
+    # (a negative result).  The residual's gate kappa(A) <= 32 keeps every
+    # level from eps = 1/16 on, kappa(A) about 32 to 500, on one dgetrs per
+    # stage and no product; the four shallow levels take one dsymv per stage
+    # and no dgetrs.  Every level keeps the accepted steps it took when every
+    # residual took dgetrs
+    problem = singular_monotone(10, rank=5).problem
+    assert problem.g.jac_fn is None
+    kernels = _count_kernels(monkeypatch)
+    solves = _count_getrs(monkeypatch)
+    levels = []
+    real = continuation.integrate
+
+    def counted(level, *a, **kw):
+        solved, products = len(solves), kernels["dsymv residual"]
+        res = real(level, *a, **kw)
+        levels.append((level.shifted.condition_estimate(), len(solves) - solved,
+                       kernels["dsymv residual"] - products,
+                       2 + 6 * (res.n_accepted + res.n_rejected)))
+        return res
+
+    monkeypatch.setattr(continuation, "integrate", counted)
+    res = solve_minimal_norm(problem)
+    assert res.stop.value == "settled"
+    assert [r.inner_steps for r in res.records] == [156, 111, 102, 92, 82, 73, 65, 57, 51]
+    assert [kappa <= model._RESIDUAL_KAPPA for kappa, *_ in levels] == [True] * 4 + [False] * 5
+    for kappa, solved, products, stages in levels:
+        assert (solved, products) == ((0, stages) if kappa <= 32.0 else (stages, 0))
+    assert kernels["dgemv residual"] == 0
 
 
 @pytest.mark.parametrize("dim", [9, 10])
@@ -674,12 +743,15 @@ def test_a_diagonal_jacobian_zero_at_u_inverts_nothing(monkeypatch, dim):
 def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     # g'(u) = 0.3 u^2, so scaling u puts q at half the route's bound, where
     # it takes 6 or 7 sweeps, each a dsymv on wellposed_cubic's self-adjoint
-    # A and a dgemv on sector_blocks'; the witness shares nothing with the
-    # stage but A, g and g'
+    # A and a dgemv on sector_blocks'; kappa(A) <= 32, so f, here and in the
+    # stage, is one product of the same kernel with A's one inverse and takes
+    # no dgetrs.  The witness shares nothing with the stage but A, g and g'
+    inversions = _count_inversions(monkeypatch)
     p = make(dim).problem
     calls = _count_factorizations(monkeypatch)
     routes = _count_routes(monkeypatch)
     kernels = _count_kernels(monkeypatch)
+    solves = _count_getrs(monkeypatch)
     A = p.shifted.entries
     u = p.u0 + 0.005 * np.random.default_rng(4).standard_normal(dim)
     q = np.abs(p.g.jac_fn(u)).max() / np.linalg.svd(A, compute_uv=False)[-1]
@@ -688,15 +760,17 @@ def test_neumann_velocity_matches_a_dense_solve(monkeypatch, make, dim):
     ref = -np.linalg.solve(A + np.diag(p.g.jac_fn(u)), A @ f)
     v = newton_velocity(p, u)[0]
     assert calls == {"posv": 0, "inverse": 0, "getrf": 0} and len(routes) == 1
-    _assert_kernel_per_sweep(kernels, routes, make is wellposed_cubic)
+    assert solves == [] and inversions == [(dim, dim)]
+    _assert_kernel_per_sweep(kernels, routes, make is wellposed_cubic, 2)
     assert np.linalg.norm(v - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_repeated_velocity_calls_invert_a_once(monkeypatch):
     # A's inverse is cached on the operator, so single calls on one problem
-    # pay dgetri once, as one run of the flow does
-    p = wellposed_cubic(8).problem
+    # pay dgetri once, as one run of the flow does; kappa(A) <= 32, so the
+    # build's certificate, whose residual takes the product, forms it
     inversions = _count_inversions(monkeypatch)
+    p = wellposed_cubic(8).problem
     routes = _count_routes(monkeypatch)
     for u in (0.1 * p.u0, 0.1 * p.u0 + 1e-3):
         newton_velocity(p, u)
@@ -706,16 +780,21 @@ def test_repeated_velocity_calls_invert_a_once(monkeypatch):
 @pytest.mark.parametrize("make, dim, posv", [(wellposed_cubic, 64, 1), (sector_blocks, 64, 0)])
 def test_stage_above_the_neumann_bound_factors_as_before(monkeypatch, make, dim, posv):
     # q = 0.3 u_0^2 / sigma_min(A) > 2^(-53/8) at u_0 = 0.6: the stage factors
-    # M = A + g'(u) and its velocity is bitwise scipy's solve with that factor
+    # M = A + g'(u) and its velocity is bitwise scipy's solve with that factor.
+    # kappa(A) <= 32, so f is one product with A's inverse, formed once per
+    # operator, by the sweeps' kernel; the one dgetrs is the LU stage's
+    inversions = _count_inversions(monkeypatch)
     p = make(dim).problem
     u = p.u0.copy()
     u[0] = 0.6
     calls = _count_factorizations(monkeypatch)
-    inversions = _count_inversions(monkeypatch)
+    solves = _count_getrs(monkeypatch)
     v = newton_velocity(p, u)[0]
-    assert calls == {"posv": posv, "inverse": 0, "getrf": 1 - posv} and inversions == []
+    assert calls == {"posv": posv, "inverse": 0, "getrf": 1 - posv}
+    assert inversions == [(dim, dim)] and solves == [dim] * (1 - posv)
     A = p.shifted.entries
-    f = u + scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), p.g(u))
+    inverse = scipy.linalg.lapack.dgetri(*scipy.linalg.lu_factor(A))[0]
+    f = (dsymv if posv else dgemv)(1.0, inverse, p.g(u), 1.0, u)
     M = A + np.diag(p.g.jac_fn(u))
     if posv:
         ref = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), A @ f)

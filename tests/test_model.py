@@ -10,9 +10,11 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dgemv, dsymv
 
 from dsmflow import hilbert, model
 from dsmflow.continuation import solve_newton_flow
@@ -200,6 +202,80 @@ def test_linearized_operator_matches_fd_of_preconditioned_residual():
             fd[:, j] = (preconditioned_residual(p, u + e)
                         - preconditioned_residual(p, u - e)) / (2.0 * h)
         assert np.max(np.abs(T - fd)) <= 1e-6 * max(1.0, np.max(np.abs(T)))
+
+
+def _spread_operator(dim, kappa, self_adjoint, seed=0):
+    """An operator whose singular values are ``1``, ``kappa`` and draws between them."""
+    rng = np.random.default_rng(seed)
+    s = np.concatenate(([1.0, kappa], rng.uniform(1.0, kappa, dim - 2)))
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    if self_adjoint:
+        return DenseOperator((Q * s) @ Q.T, self_adjoint=True, psd_claimed=True)
+    W, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return DenseOperator((Q * s) @ W.T)
+
+
+def _solve_to_40_digits(A, b):
+    """``A^{-1} b`` as 40-digit mpmath numbers: float solves refined against exact residuals.
+
+    Each pass forms the residual ``b - A y`` of the current ``y`` in
+    40-digit arithmetic, exact to the last digit for float ``A`` and ``b``,
+    and adds numpy's float solve of it, which gains about
+    ``-log10(n eps kappa(A))`` digits; four passes reach the 40-digit floor.
+    """
+    with mpmath.workdps(40):
+        rows = [[mpmath.mpf(a) for a in row] for row in A]
+        y = [mpmath.mpf(0)] * len(b)
+        for _ in range(4):
+            r = [mpmath.mpf(bi) - mpmath.fdot(row, y) for row, bi in zip(rows, b)]
+            d = np.linalg.solve(A, np.array([float(ri) for ri in r]))
+            y = [yi + mpmath.mpf(di) for yi, di in zip(y, d)]
+        assert np.abs(d).max() <= 1e-30 * float(max(abs(yi) for yi in y))
+    return y
+
+
+@pytest.mark.parametrize("self_adjoint", [True, False], ids=["self_adjoint", "general"])
+@pytest.mark.parametrize("kappa", [31.0, 33.0])
+@pytest.mark.parametrize("dim", [2, 50, 200])
+def test_gated_residual_meets_its_bound_against_a_40_digit_reference(dim, kappa, self_adjoint):
+    # kappa(A) <= 32 opens the residual's gate: f = u + A^{-1} g(u) is one
+    # product with A's inverse, dsymv or dgemv, whose error is at most
+    # kappa(A) times dgetrs's bound n eps kappa(A) |A^{-1} g| + eps |f|;
+    # kappa = 33 keeps dgetrs and its own bound.  The reference is 40-digit
+    # mpmath, and the stage's f is bitwise preconditioned_residual's
+    A = _spread_operator(dim, kappa, self_adjoint)
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal(dim)
+    g = make_map("cubic", dim, {"scale": 0.1, "offset": rng.standard_normal(dim)})
+    problem = DsmProblem(L=A, g=g, u0=u, radius=1.0)
+    gu = g(u)
+    f = preconditioned_residual(problem, u)
+    assert model._stage(problem)[0](u)[0].tobytes() == f.tobytes()
+    gated = A.condition_estimate() <= 32.0
+    assert gated == (kappa < 32.0)
+    lu = scipy.linalg.lu_factor(A.entries)
+    solved = u + scipy.linalg.lu_solve(lu, gu)
+    if gated:
+        inverse = scipy.linalg.lapack.dgetri(*lu)[0]
+        product = (dsymv if self_adjoint else dgemv)(1.0, inverse, gu, 1.0, u)
+        assert f.tobytes() == product.tobytes()
+    else:
+        assert f.tobytes() == solved.tobytes()
+    y = _solve_to_40_digits(A.entries, gu)
+    with mpmath.workdps(40):
+        ref = [mpmath.mpf(ui) + yi for ui, yi in zip(u, y)]
+
+        def error(x):
+            return float(mpmath.sqrt(mpmath.fsum((mpmath.mpf(xi) - ri) ** 2
+                                                 for xi, ri in zip(x, ref))))
+
+        def size(x):
+            return float(mpmath.sqrt(mpmath.fsum(xi ** 2 for xi in x)))
+
+        eps = float(np.finfo(float).eps)
+        solve_bound = dim * eps * kappa * size(y) + eps * size(ref)
+        assert error(solved) <= solve_bound
+        assert error(f) <= (kappa if gated else 1.0) * solve_bound
 
 
 def test_solve_linearized_solves_and_refuses_singular():
@@ -404,21 +480,32 @@ def test_basis_fault_cases_reach_the_low_rank_route(monkeypatch):
 
 
 def test_zero_jacobian_stage_never_forms_a_f(monkeypatch):
-    # T = I, so the velocity is -f bitwise, from the one dgetrs behind f:
-    # the A f = 3e308 that a factor route would form, and that overflows,
-    # is never taken, so the stage neither raises nor warns
-    problem = _zero_jacobian(DenseOperator(_BIG), 0.5)
-    solves = []
-    getrs = model._getrs
+    # T = I, so the velocity is -f bitwise, from the one solve behind f: the
+    # A f = 3e308 that a factor route would form, and that overflows, is
+    # never taken, so the stage neither raises nor warns.  kappa(_BIG) = 1
+    # is inside the residual's gate, so f is one dgemv with A's inverse,
+    # formed once, and no dgetrs; at kappa = 100 f is the one dgetrs, and
+    # nothing inverts A
+    solves, inversions = [], []
+    getrs, getri = model._getrs, hilbert._getri
     monkeypatch.setattr(model, "_getrs", lambda *a: solves.append(1) or getrs(*a))
+    monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
     for name in ("_posv", "_getrf"):
         monkeypatch.setattr(model, name, lambda *a: pytest.fail("the stage factored"))
-    monkeypatch.setattr(hilbert, "_getri", lambda *a: pytest.fail("the stage inverted A"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        v, p, gu = model.newton_velocity(problem, _FAR)
-    f = _FAR + scipy.linalg.lu_solve(scipy.linalg.lu_factor(_BIG), np.full(2, 0.5))
-    assert v.tobytes() == (-f).tobytes() and p == np.linalg.norm(f) and solves == [1]
+    for L, gated in ((_BIG, True), (np.diag([1e308, 1e306]), False)):
+        solves.clear()
+        inversions.clear()
+        problem = _zero_jacobian(DenseOperator(L), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, p, gu = model.newton_velocity(problem, _FAR)
+        if gated:
+            inverse = scipy.linalg.lapack.dgetri(*scipy.linalg.lu_factor(L))[0]
+            f = dgemv(1.0, inverse, np.full(2, 0.5), 1.0, _FAR)
+        else:
+            f = _FAR + scipy.linalg.lu_solve(scipy.linalg.lu_factor(L), np.full(2, 0.5))
+        assert v.tobytes() == (-f).tobytes() and p == np.linalg.norm(f)
+        assert (solves, inversions) == (([], [1]) if gated else ([1], []))
 
 
 @pytest.mark.parametrize("make", [wellposed_cubic, sector_blocks])
@@ -428,6 +515,11 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
     # factor path's max|M| sends the velocity to its checked re-run, whose scan
     # raises.  The near point is off u0, where sector_blocks' g'(u0) = 0
     # gives q = 0, which reads no inverse
+    # A's inverse is cached on the operator, and wellposed_cubic's build,
+    # whose certificate's residual takes the inverse's product, forms it first
+    inversions = []
+    getri = hilbert._getri
+    monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
     p = make(64).problem
     jac = p.g.jac_fn
 
@@ -437,9 +529,6 @@ def test_nan_jacobian_at_a_neumann_dim_raises_the_checked_scan(monkeypatch, make
     p = replace(p, g=NonlinearMap(p.g.fn, nan_far, name="faulty"))
     far = p.u0.copy()
     far[0] = 3.0
-    inversions = []
-    getri = hilbert._getri
-    monkeypatch.setattr(hilbert, "_getri", lambda *a: inversions.append(1) or getri(*a))
     residual, velocity = model._stage(p)
     near = p.u0 + 0.01
     velocity(near, residual(near)[0])
